@@ -113,15 +113,16 @@ func runOne(id string, cfg exp.Config, csvDir string) error {
 	if err != nil {
 		return err
 	}
-	before := exp.RunCacheStats()
+	before, beforeTr := exp.RunCacheStats(), exp.TraceCacheStats()
 	start := time.Now()
 	tables, err := e.Run(cfg)
 	if err != nil {
 		return fmt.Errorf("%s: %w", id, err)
 	}
-	after := exp.RunCacheStats()
-	fmt.Fprintf(os.Stderr, "# %-14s %8.2fs  config-runs: %d cached / %d simulated (workers=%d)\n",
-		id, time.Since(start).Seconds(), after.Hits-before.Hits, after.Misses-before.Misses, exp.Workers())
+	after, afterTr := exp.RunCacheStats(), exp.TraceCacheStats()
+	fmt.Fprintf(os.Stderr, "# %-14s %8.2fs  config-runs: %d cached / %d simulated  functional passes: %d traced / %d reused (workers=%d)\n",
+		id, time.Since(start).Seconds(), after.Hits-before.Hits, after.Misses-before.Misses,
+		afterTr.Misses-beforeTr.Misses, afterTr.Hits-beforeTr.Hits, exp.Workers())
 	for i, t := range tables {
 		fmt.Println(t.String())
 		if csvDir != "" {

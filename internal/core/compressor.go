@@ -6,9 +6,7 @@ import (
 	"cdpu/internal/area"
 	"cdpu/internal/comp"
 	"cdpu/internal/lz77"
-	"cdpu/internal/memsys"
 	"cdpu/internal/snappy"
-	"cdpu/internal/soc"
 	"cdpu/internal/zstdlite"
 )
 
@@ -27,46 +25,25 @@ const (
 
 // Compressor is a generated compression pipeline (Figure 10).
 type Compressor struct {
-	cfg   Config
-	sys   *memsys.System
-	iface *soc.Interface
+	unit
 
 	snap *snappy.Encoder
 	zstd *zstdlite.Encoder
 
-	trace bool
-
-	// Result-reuse mode (SetResultReuse): the instance owns one Result and
-	// one output buffer, recycled across calls.
-	reuse  bool
-	res    Result
-	outBuf []byte
+	// discard receives the frame of a size-only Trace: only its length is kept.
+	discard []byte
 }
-
-// SetResultReuse opts the instance into returning one owned Result whose
-// Output aliases an owned buffer, both recycled across calls: the returned
-// Result (and its Output) is valid only until the next call on this
-// instance. Replay loops that consume each result before issuing the next
-// call use this to run the steady-state hot path without allocating.
-func (c *Compressor) SetResultReuse(on bool) { c.reuse = on }
-
-// SetTracing enables (or disables) per-block span collection; see
-// Decompressor.SetTracing.
-func (c *Compressor) SetTracing(on bool) { c.trace = on }
 
 // NewCompressor generates a compressor instance from cfg (Op is forced to
 // Compress).
 func NewCompressor(cfg Config) (*Compressor, error) {
 	cfg.Op = comp.Compress
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	sys, err := memsys.New(cfg.Mem)
+	u, err := newUnit(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c := &Compressor{cfg: cfg, sys: sys, iface: soc.New(sys)}
+	c := &Compressor{unit: u}
+	cfg = u.cfg // defaults applied
 	switch cfg.Algo {
 	case comp.Snappy:
 		c.snap, err = snappy.NewEncoder(snappy.EncoderConfig{
@@ -107,15 +84,6 @@ func NewCompressor(cfg Config) (*Compressor, error) {
 	return c, nil
 }
 
-// Config returns the instance configuration.
-func (c *Compressor) Config() Config { return c.cfg }
-
-// PipelineResetCycles returns the placement-aware cost of quarantining and
-// reinitializing one pipeline; see soc.Interface.PipelineResetCycles.
-func (c *Compressor) PipelineResetCycles() float64 {
-	return c.iface.PipelineResetCycles(c.cfg.Placement)
-}
-
 // Area returns the instance's silicon area breakdown.
 func (c *Compressor) Area() *area.Breakdown {
 	b := area.NewBreakdown()
@@ -140,98 +108,94 @@ func lzCycles(s lz77.Stats, res *Result) {
 	c := float64(s.Positions) +
 		float64(s.MatchBytes)/matchExtendBytesPerCycle +
 		float64(s.LiteralBytes)/litPassBytesPerCycle
-	res.chargeBytes(BlockLZ77, c, s.MatchBytes+s.LiteralBytes)
+	res.chargeBytes(idLZ77, c, s.MatchBytes+s.LiteralBytes)
 }
 
 // Compress runs one accelerator call over a plaintext payload, returning the
-// compressed bytes and the modeled call latency.
+// compressed bytes and the modeled call latency: the functional encode
+// followed by the timing replay (Time) over instance-owned scratch.
 func (c *Compressor) Compress(src []byte) (*Result, error) {
-	c.sys.ResetFaults()
-	res := c.newResult(src)
-	switch c.cfg.Algo {
-	case comp.Snappy:
-		if c.reuse {
-			c.outBuf = c.snap.AppendEncode(c.outBuf[:0], src)
-			res.Output = c.outBuf
-		} else {
-			res.Output = c.snap.Encode(src)
-		}
-		lzCycles(c.snap.Stats(), res)
-	case comp.ZStd:
-		// The encoder records the frame's Plan as a side effect of encoding —
-		// the same block structure Inspect would parse back out — so the
-		// entropy-stage charges come for free instead of re-parsing the frame.
+	c.encode(&c.scratch, c.outBuf(), src)
+	return c.Time(&c.scratch)
+}
+
+// Trace encodes src once and returns the call's functional trace, which any
+// Compressor with the same Config.FunctionalKey can Time. The trace is
+// size-only: ZStd entropy payloads are never written (the zstdlite size-only
+// path yields the same Plan and the same frame length) and Output is nil.
+func (c *Compressor) Trace(src []byte) *Trace {
+	tr := new(Trace)
+	if c.zstd != nil {
+		c.zstd.SetSizeOnly(true)
+		defer c.zstd.SetSizeOnly(false)
+	}
+	c.encode(tr, c.discard[:0], src)
+	c.discard, tr.Output = tr.Output, nil
+	return tr
+}
+
+// Time charges a traced call under this instance's configuration and returns
+// the modeled Result, exactly as Compress over the traced payload would: it is
+// the one charge path of the compressor. The trace is only read.
+func (c *Compressor) Time(tr *Trace) (*Result, error) {
+	res, err := c.begin(tr)
+	if err != nil {
+		return nil, err
+	}
+	lzCycles(tr.lz, res)
+	c.zstdEntropyCycles(tr.blocks, res)
+	return c.end(res)
+}
+
+// encode runs the functional pipeline over src, appending the frame to dst
+// and recording in tr what the timing model charges for. The ZStd encoder
+// records the frame's Plan as a side effect of encoding — the same block
+// structure Inspect would parse back out — so the entropy-stage facts come for
+// free instead of re-parsing the frame.
+func (c *Compressor) encode(tr *Trace, dst, src []byte) {
+	if c.cfg.Algo == comp.Snappy {
+		dst = c.snap.AppendEncode(dst, src)
+		tr.lz = c.snap.Stats()
+	} else {
 		var plan *zstdlite.Plan
-		if c.reuse {
-			c.outBuf, plan = c.zstd.AppendEncodeWithPlan(c.outBuf[:0], src)
-			res.Output = c.outBuf
-		} else {
-			res.Output, plan = c.zstd.AppendEncodeWithPlan(nil, src)
+		dst, plan = c.zstd.AppendEncodeWithPlan(dst, src)
+		tr.lz = c.zstd.LZStats()
+		tr.blocks = tr.blocks[:0]
+		for i := range plan.Blocks {
+			f := factsOfPlan(&plan.Blocks[i])
+			f.seqs = nil // encoder scratch, and the encode charges need only their count
+			tr.blocks = append(tr.blocks, f)
 		}
-		lzCycles(c.zstd.LZStats(), res)
-		c.zstdEntropyCycles(plan, res)
-	default:
-		return nil, fmt.Errorf("core: compressor algo %v", c.cfg.Algo)
 	}
-	res.OutputBytes = len(res.Output)
-	c.finishCall(res)
-	if derr := checkDeviceHealth(c.cfg, c.sys, res); derr != nil {
-		return nil, derr
-	}
-	return res, nil
+	tr.seal(c.fkey, len(src), dst)
 }
 
-// newResult returns the Result for a fresh call: the owned, recycled one in
-// reuse mode, a fresh allocation otherwise.
-func (c *Compressor) newResult(src []byte) *Result {
-	if !c.reuse {
-		return &Result{InputBytes: len(src), UncompressedBytes: len(src), traced: c.trace}
-	}
-	r := resetResult(&c.res, c.trace)
-	r.InputBytes = len(src)
-	r.UncompressedBytes = len(src)
-	return r
-}
-
-// zstdEntropyCycles derives the entropy-stage costs from the plan of the
-// frame the functional pipeline just produced: literal counts and sequence
-// counts per block determine the dictionary-builder, table-build and encode
-// times (§5.6-§5.7).
-func (c *Compressor) zstdEntropyCycles(plan *zstdlite.Plan, res *Result) {
-	for i := range plan.Blocks {
-		b := &plan.Blocks[i]
-		res.charge(BlockHeader, blockHeaderCycles)
-		if !b.IsCompressed() {
+// zstdEntropyCycles derives the entropy-stage costs from the block facts of
+// the frame the functional pipeline produced (none for Snappy): literal
+// counts and sequence counts per block determine the dictionary-builder,
+// table-build and encode times (§5.6-§5.7).
+func (c *Compressor) zstdEntropyCycles(blocks []blockFacts, res *Result) {
+	for i := range blocks {
+		b := &blocks[i]
+		res.charge(idHeader, blockHeaderCycles)
+		if !b.compressed {
 			continue
 		}
-		lits := float64(b.LitCount)
-		if b.LitCount > 0 {
+		lits := float64(b.litCount)
+		if b.litCount > 0 {
 			// Huffman dictionary builder: statistics at StatsWidth bytes per
 			// cycle, then code assignment; encoder emits DefaultHuffEncLanes
 			// symbols per cycle.
-			res.charge(BlockHuffBuild, lits/float64(c.cfg.StatsWidth)+huffCodeAssignCycles)
-			res.chargeBytes(BlockHuff, lits/DefaultHuffEncLanes, b.LitCount)
+			res.charge(idHuffBuild, lits/float64(c.cfg.StatsWidth)+huffCodeAssignCycles)
+			res.chargeBytes(idHuff, lits/DefaultHuffEncLanes, b.litCount)
 		}
-		if n := float64(len(b.Seqs)); n > 0 {
+		if n := float64(b.numSeqs); n > 0 {
 			// Three FSE dictionary builders run in parallel (Figure 10),
 			// each walking its normalized-count table; the encoder then
 			// processes one sequence per cycle, with extras packing
 			// alongside.
-			res.charge(BlockFSEBuild, n/float64(c.cfg.StatsWidth)+float64(int(1)<<c.cfg.FSETableLog))
-			res.charge(BlockFSE, n+n/extrasPackPerCycle)
+			res.charge(idFSEBuild, n/float64(c.cfg.StatsWidth)+float64(int(1)<<c.cfg.FSETableLog))
+			res.charge(idFSE, n+n/extrasPackPerCycle)
 		}
 	}
-}
-
-// finishCall adds invocation, first-access and link-occupancy costs, as for
-// decompression, and seals Cycles as the exact sum of the attribution.
-// Compression has no intermediate traffic: PCIeLocalCache and PCIeNoCache
-// behave identically (§6.3).
-func (c *Compressor) finishCall(res *Result) {
-	inv := c.iface.InvocationCycles(c.cfg.Placement)
-	first := c.sys.RTT(c.cfg.Placement, memsys.ClassRaw)
-	linkBytes := res.InputBytes + res.OutputBytes
-	stream := float64(linkBytes) / c.sys.StreamBandwidthFaulted(c.cfg.Placement, memsys.ClassRaw)
-	res.finish(inv, first, stream, linkBytes)
-	recordCall(c.cfg.Placement, res)
 }

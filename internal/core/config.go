@@ -165,6 +165,22 @@ func (c Config) Key() string {
 		c.StatsWidth, c.FSETableLog, c.WatchdogFactor, c.Mem)
 }
 
+// FunctionalKey identifies, with defaults applied, everything about the
+// configuration that decides which bytes and which LZ77 commands a call
+// produces — what a Trace holds. A decompressor decodes whatever it is handed,
+// so only its algorithm counts; a compressor's parse depends on the window,
+// the hash table and, for ZStd, the FSE accuracy. Placement, Mem, Speculation,
+// StatsWidth and WatchdogFactor only change what the call is charged: units
+// whose FunctionalKeys are equal can time one another's traces.
+func (c Config) FunctionalKey() string {
+	c = c.withDefaults()
+	if c.Op == comp.Decompress {
+		return fmt.Sprintf("%d.%d", c.Algo, c.Op)
+	}
+	return fmt.Sprintf("%d.%d.%d.%d.%d.%d.%d.%d", c.Algo, c.Op, c.HistorySRAM,
+		c.HashTableEntries, c.HashAssociativity, c.HashFunc, c.TableContents, c.FSETableLog)
+}
+
 func log2(v int) int {
 	n := 0
 	for 1<<n < v {

@@ -10,7 +10,6 @@ import (
 	"cdpu/internal/lz77"
 	"cdpu/internal/memsys"
 	"cdpu/internal/snappy"
-	"cdpu/internal/soc"
 	"cdpu/internal/zstdlite"
 )
 
@@ -40,70 +39,18 @@ const (
 
 // Decompressor is a generated decompression pipeline (Figure 9).
 type Decompressor struct {
-	cfg   Config
-	sys   *memsys.System
-	iface *soc.Interface
-
-	// Snappy command-stream scratch, reused across calls to cut the two
-	// dominant per-call allocations on the DSE hot path. Never aliased into
-	// a Result, so reuse is invisible to callers.
-	seqScratch []lz77.Seq
-	litScratch []byte
-
-	trace bool
-
-	// Result-reuse mode (SetResultReuse): the instance owns one Result and
-	// one output buffer, recycled across calls.
-	reuse  bool
-	res    Result
-	outBuf []byte
+	unit
 }
-
-// SetResultReuse opts the instance into returning one owned Result whose
-// Output aliases an owned buffer, both recycled across calls: the returned
-// Result (and its Output) is valid only until the next call on this
-// instance. Replay loops that consume each result before issuing the next
-// call use this to run the steady-state hot path without allocating.
-func (d *Decompressor) SetResultReuse(on bool) { d.reuse = on }
-
-// newResult returns the Result for a fresh call: the owned, recycled one in
-// reuse mode, a fresh allocation otherwise.
-func (d *Decompressor) newResult(inputBytes int) *Result {
-	if !d.reuse {
-		return &Result{InputBytes: inputBytes, traced: d.trace}
-	}
-	r := resetResult(&d.res, d.trace)
-	r.InputBytes = inputBytes
-	return r
-}
-
-// SetTracing enables (or disables) per-block span collection: subsequent
-// calls return Results with a populated Spans timeline. Tracing changes no
-// modeled cycles.
-func (d *Decompressor) SetTracing(on bool) { d.trace = on }
 
 // NewDecompressor generates a decompressor instance from cfg (Op is forced
 // to Decompress).
 func NewDecompressor(cfg Config) (*Decompressor, error) {
 	cfg.Op = comp.Decompress
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	sys, err := memsys.New(cfg.Mem)
+	u, err := newUnit(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Decompressor{cfg: cfg, sys: sys, iface: soc.New(sys)}, nil
-}
-
-// Config returns the instance configuration.
-func (d *Decompressor) Config() Config { return d.cfg }
-
-// PipelineResetCycles returns the placement-aware cost of quarantining and
-// reinitializing one pipeline; see soc.Interface.PipelineResetCycles.
-func (d *Decompressor) PipelineResetCycles() float64 {
-	return d.iface.PipelineResetCycles(d.cfg.Placement)
+	return &Decompressor{unit: u}, nil
 }
 
 // Area returns the instance's silicon area breakdown.
@@ -122,36 +69,57 @@ func (d *Decompressor) Area() *area.Breakdown {
 }
 
 // Decompress runs one accelerator call over a compressed payload, returning
-// the decompressed bytes and the modeled call latency. Corrupt input aborts
-// with a DeviceError whose Cycles is the modeled detection latency (the
-// device has invoked, streamed the input, and parsed before it can reject);
-// injected memory faults and watchdog expiry abort likewise.
+// the decompressed bytes and the modeled call latency: the functional decode
+// (trace) followed by the timing replay (Time) over instance-owned scratch.
+// Corrupt input aborts with a DeviceError whose Cycles is the modeled
+// detection latency (the device has invoked, streamed the input, and parsed
+// before it can reject); injected memory faults and watchdog expiry abort
+// likewise.
 func (d *Decompressor) Decompress(src []byte) (*Result, error) {
-	d.sys.ResetFaults()
-	res := d.newResult(len(src))
-	var err error
-	switch d.cfg.Algo {
-	case comp.Snappy:
-		err = d.snappyCall(src, res)
-	case comp.ZStd:
-		err = d.zstdCall(src, res)
-	default:
-		err = fmt.Errorf("core: decompressor algo %v", d.cfg.Algo)
+	if err := d.traceFrame(&d.scratch, src, d.outBuf()); err != nil {
+		return nil, err
 	}
+	return d.Time(&d.scratch)
+}
+
+// Trace decodes src once and returns the call's functional trace, with the
+// decoded payload in Output: what any Decompressor of the same algorithm
+// needs to Time the call. Corrupt input fails as in Decompress.
+func (d *Decompressor) Trace(src []byte) (*Trace, error) {
+	tr := new(Trace)
+	if err := d.traceFrame(tr, src, nil); err != nil {
+		return nil, err
+	}
+	tr.lits = nil
+	return tr, nil
+}
+
+// Time charges a traced call under this instance's configuration and returns
+// the modeled Result, exactly as Decompress over the traced payload would:
+// it is the one charge path of the decompressor. The trace is only read.
+func (d *Decompressor) Time(tr *Trace) (*Result, error) {
+	res, err := d.begin(tr)
 	if err != nil {
-		metricCorruptInputs.Inc()
-		return nil, &DeviceError{
-			Reason: "corrupt-input", Unit: d.cfg.Name(),
-			Cycles: d.detectionCycles(len(src)), Err: err,
-		}
+		return nil, err
 	}
-	res.OutputBytes = len(res.Output)
-	res.UncompressedBytes = res.OutputBytes
-	d.finishCall(res)
-	if derr := checkDeviceHealth(d.cfg, d.sys, res); derr != nil {
-		return nil, derr
+	if d.cfg.Algo == comp.Snappy {
+		d.execSeqs(tr.seqs, res)
+	} else {
+		d.zstdCycles(tr.blocks, res)
 	}
-	return res, nil
+	return d.end(res)
+}
+
+// corruptInput is the abort a decode error surfaces as. Like a timed call it
+// starts from reset fault state: the detection latency consults the injector
+// for the doorbell.
+func (d *Decompressor) corruptInput(src []byte, err error) error {
+	d.sys.ResetFaults()
+	metricCorruptInputs.Inc()
+	return &DeviceError{
+		Reason: "corrupt-input", Unit: d.cfg.Name(),
+		Cycles: d.detectionCycles(len(src)), Err: err,
+	}
 }
 
 // detectionCycles models how long software waits before a corrupt stream is
@@ -169,21 +137,21 @@ func (d *Decompressor) detectionCycles(inBytes int) float64 {
 // to serial off-chip lookups (§5.2, §3.6).
 func (d *Decompressor) copyCycles(offset, length int, res *Result) {
 	if offset <= d.cfg.HistorySRAM {
-		res.chargeBytes(BlockLZ77, float64(length)/historyBytesPerCycle, length)
+		res.chargeBytes(idLZ77, float64(length)/historyBytesPerCycle, length)
 		return
 	}
 	chunks := math.Ceil(float64(length) / fallbackChunkBytes)
 	c := chunks * d.sys.AccessCyclesAt(d.cfg.Placement, memsys.ClassIntermediate, offset) / fallbackOverlap
-	res.chargeBytes(BlockHistFall, c, length)
+	res.chargeBytes(idHistFall, c, length)
 }
 
 // execSeqs charges the LZ77 decoder for a command stream: element parsing up
 // front, then each command's literal move and history copy.
 func (d *Decompressor) execSeqs(seqs []lz77.Seq, res *Result) {
-	res.charge(BlockLZ77, float64(len(seqs))*elementParseCycles)
+	res.charge(idLZ77, float64(len(seqs))*elementParseCycles)
 	for _, s := range seqs {
 		if s.LitLen > 0 {
-			res.chargeBytes(BlockLZ77, float64(s.LitLen)/literalBytesPerCycle, s.LitLen)
+			res.chargeBytes(idLZ77, float64(s.LitLen)/literalBytesPerCycle, s.LitLen)
 		}
 		if s.MatchLen > 0 {
 			d.copyCycles(s.Offset, s.MatchLen, res)
@@ -191,77 +159,87 @@ func (d *Decompressor) execSeqs(seqs []lz77.Seq, res *Result) {
 	}
 }
 
-func (d *Decompressor) snappyCall(src []byte, res *Result) error {
-	seqs, literals, n, err := snappy.AppendDecodeSeqs(d.seqScratch[:0], d.litScratch[:0], src)
-	if err != nil {
-		return err
-	}
-	d.seqScratch, d.litScratch = seqs, literals
-	var out []byte
-	if d.reuse {
-		out, err = lz77.AppendReconstruct(d.outBuf[:0], seqs, literals, 0)
+// traceFrame runs the functional decode of a compressed payload into tr,
+// appending the decoded bytes to out.
+func (d *Decompressor) traceFrame(tr *Trace, src, out []byte) error {
+	var err error
+	if d.cfg.Algo == comp.Snappy {
+		out, err = tr.decodeSnappy(src, out)
 	} else {
-		out, err = lz77.Reconstruct(seqs, literals, 0, n)
+		out, err = tr.decodeZStd(src)
 	}
 	if err != nil {
-		return err
+		return d.corruptInput(src, err)
 	}
-	if d.reuse {
-		d.outBuf = out
-	}
-	res.Output = out
-	d.execSeqs(seqs, res)
+	tr.seal(d.fkey, len(src), out)
 	return nil
 }
 
-func (d *Decompressor) zstdCall(src []byte, res *Result) error {
+func (tr *Trace) decodeSnappy(src, out []byte) ([]byte, error) {
+	seqs, lits, n, err := snappy.AppendDecodeSeqs(tr.seqs[:0], tr.lits[:0], src)
+	if err != nil {
+		return nil, err
+	}
+	tr.seqs, tr.lits = seqs, lits
+	if out == nil {
+		out = make([]byte, 0, n)
+	}
+	return lz77.AppendReconstruct(out, seqs, lits, 0)
+}
+
+func (tr *Trace) decodeZStd(src []byte) ([]byte, error) {
 	info, err := zstdlite.Inspect(src)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	out, err := zstdlite.Materialize(info)
-	if err != nil {
-		return err
-	}
-	res.Output = out
+	tr.blocks = tr.blocks[:0]
 	for i := range info.Blocks {
-		b := &info.Blocks[i]
-		res.charge(BlockHeader, blockHeaderCycles)
-		if !b.IsCompressed() {
-			res.chargeBytes(BlockLZ77, float64(b.RawSize)/rawMoveBytesPerCycle, b.RawSize)
+		tr.blocks = append(tr.blocks, factsOfInfo(&info.Blocks[i]))
+	}
+	return zstdlite.Materialize(info)
+}
+
+// zstdCycles charges a ZStd frame's blocks: the one charge loop behind both
+// Decompress (facts parsed out of the frame) and DecompressPlanned (facts the
+// frame's producer recorded).
+func (d *Decompressor) zstdCycles(blocks []blockFacts, res *Result) {
+	for i := range blocks {
+		b := &blocks[i]
+		res.charge(idHeader, blockHeaderCycles)
+		if !b.compressed {
+			res.chargeBytes(idLZ77, float64(b.rawSize)/rawMoveBytesPerCycle, b.rawSize)
 			continue
 		}
 		// Literals section: build the decode table, then expand. The
 		// speculative expander advances Speculation bit positions per cycle,
 		// so its symbol rate is speculation / mean code length (§5.3).
-		if b.LitCount > 0 {
-			if b.HuffMaxBits > 0 {
-				build := float64(len(b.HuffLens)) + float64(int(1)<<b.HuffMaxBits)/huffTableFillPerCycle
-				res.charge(BlockHuffBuild, build)
-				avgBits := float64(b.LitPayload*8) / float64(b.LitCount)
+		if b.litCount > 0 {
+			if b.huffMaxBits > 0 {
+				build := float64(b.huffLensN) + float64(int(1)<<b.huffMaxBits)/huffTableFillPerCycle
+				res.charge(idHuffBuild, build)
+				avgBits := float64(b.litPayload*8) / float64(b.litCount)
 				if avgBits < 1 {
 					avgBits = 1
 				}
 				symsPerCycle := float64(d.cfg.Speculation) / avgBits
-				res.chargeBytes(BlockHuff, float64(b.LitCount)/symsPerCycle, b.LitCount)
+				res.chargeBytes(idHuff, float64(b.litCount)/symsPerCycle, b.litCount)
 			} else {
-				res.chargeBytes(BlockLZ77, float64(b.LitCount)/literalBytesPerCycle, b.LitCount)
+				res.chargeBytes(idLZ77, float64(b.litCount)/literalBytesPerCycle, b.litCount)
 			}
 		}
 		// Sequence streams: FSE table builds are serial walks of the state
 		// table; the three decode lanes then run in parallel at one
 		// sequence per cycle (§5.4).
-		if len(b.Seqs) > 0 {
+		if b.numSeqs > 0 {
 			for s := 0; s < 3; s++ {
-				if b.FSETableLogs[s] > 0 {
-					res.charge(BlockFSEBuild, float64(int(1)<<b.FSETableLogs[s]))
+				if b.fseTableLogs[s] > 0 {
+					res.charge(idFSEBuild, float64(int(1)<<b.fseTableLogs[s]))
 				}
 			}
-			res.charge(BlockFSE, float64(len(b.Seqs)))
-			d.execSeqs(b.Seqs, res)
+			res.charge(idFSE, float64(b.numSeqs))
+			d.execSeqs(b.seqs, res)
 		}
 	}
-	return nil
 }
 
 // DecompressPlanned runs one accelerator call over a compressed payload
@@ -269,51 +247,34 @@ func (d *Decompressor) zstdCall(src []byte, res *Result) error {
 // recorded (comp.Coder.AppendCompressPlan / zstdlite.AppendEncodeWithPlan)
 // and content is the original plaintext the frame was encoded from. The
 // charges are bit-identical to Decompress on the same frame — the Plan holds
-// exactly the block facts Inspect would parse back out — but the frame parse,
-// entropy decoding and table-cache lookups are all skipped: the LZ77 engine
-// re-derives each block's literals from content and replays the planned
-// sequences. The output is verified equal to content, so a plan that does
-// not match src's frame cannot silently misreport.
+// exactly the block facts Inspect would parse back out, and both go through
+// Time — but the frame parse, entropy decoding and table-cache lookups are
+// all skipped: the LZ77 engine re-derives each block's literals from content
+// and replays the planned sequences. The output is verified equal to
+// content, so a plan that does not match src's frame cannot silently
+// misreport.
 //
 // Only meaningful on ZStd-family instances; src is used for size accounting
 // and error paths only.
 func (d *Decompressor) DecompressPlanned(src []byte, plan *zstdlite.Plan, content []byte) (*Result, error) {
-	d.sys.ResetFaults()
-	res := d.newResult(len(src))
-	var err error
 	if d.cfg.Algo != comp.ZStd {
-		err = fmt.Errorf("core: planned decompress on algo %v", d.cfg.Algo)
-	} else {
-		err = d.zstdPlanned(plan, content, res)
+		return nil, d.corruptInput(src, fmt.Errorf("core: planned decompress on algo %v", d.cfg.Algo))
 	}
-	if err != nil {
-		metricCorruptInputs.Inc()
-		return nil, &DeviceError{
-			Reason: "corrupt-input", Unit: d.cfg.Name(),
-			Cycles: d.detectionCycles(len(src)), Err: err,
-		}
+	if err := d.tracePlan(&d.scratch, src, plan, content, d.outBuf()); err != nil {
+		return nil, d.corruptInput(src, err)
 	}
-	res.OutputBytes = len(res.Output)
-	res.UncompressedBytes = res.OutputBytes
-	d.finishCall(res)
-	if derr := checkDeviceHealth(d.cfg, d.sys, res); derr != nil {
-		return nil, derr
-	}
-	return res, nil
+	return d.Time(&d.scratch)
 }
 
-// zstdPlanned is zstdCall driven by a recorded Plan instead of a frame
-// parse. The charge sequence per block is identical, reading the planned
-// block facts; materialization replays the planned sequences against
-// literals re-derived from the original content.
-func (d *Decompressor) zstdPlanned(plan *zstdlite.Plan, content []byte, res *Result) error {
+// tracePlan is traceFrame driven by a recorded Plan instead of a frame parse:
+// materialization replays the planned sequences against literals re-derived
+// from the original content, appending to out.
+func (d *Decompressor) tracePlan(tr *Trace, src []byte, plan *zstdlite.Plan, content, out []byte) error {
 	window := 1 << plan.WindowLog
-	var out []byte
-	if d.reuse {
-		out = d.outBuf[:0]
-	} else {
+	if out == nil {
 		out = make([]byte, 0, plan.ContentSize)
 	}
+	tr.blocks = tr.blocks[:0]
 	blockStart := 0
 	for i := range plan.Blocks {
 		b := &plan.Blocks[i]
@@ -321,63 +282,21 @@ func (d *Decompressor) zstdPlanned(plan *zstdlite.Plan, content []byte, res *Res
 		if end > len(content) {
 			return fmt.Errorf("core: plan block %d overruns content (%d > %d)", i, end, len(content))
 		}
-		res.charge(BlockHeader, blockHeaderCycles)
+		tr.blocks = append(tr.blocks, factsOfPlan(b))
 		if !b.IsCompressed() {
 			out = append(out, content[blockStart:end]...)
-			res.chargeBytes(BlockLZ77, float64(b.RawSize)/rawMoveBytesPerCycle, b.RawSize)
-			blockStart = end
-			continue
-		}
-		if b.LitCount > 0 {
-			if b.HuffMaxBits > 0 {
-				build := float64(b.HuffLensN) + float64(int(1)<<b.HuffMaxBits)/huffTableFillPerCycle
-				res.charge(BlockHuffBuild, build)
-				avgBits := float64(b.LitPayload*8) / float64(b.LitCount)
-				if avgBits < 1 {
-					avgBits = 1
-				}
-				symsPerCycle := float64(d.cfg.Speculation) / avgBits
-				res.chargeBytes(BlockHuff, float64(b.LitCount)/symsPerCycle, b.LitCount)
-			} else {
-				res.chargeBytes(BlockLZ77, float64(b.LitCount)/literalBytesPerCycle, b.LitCount)
+		} else {
+			tr.lits = lz77.AppendLiteralsAt(tr.lits[:0], content, blockStart, b.Seqs)
+			var err error
+			if out, err = lz77.AppendReconstruct(out, b.Seqs, tr.lits, window); err != nil {
+				return err
 			}
-		}
-		if len(b.Seqs) > 0 {
-			for s := 0; s < 3; s++ {
-				if b.FSETableLogs[s] > 0 {
-					res.charge(BlockFSEBuild, float64(int(1)<<b.FSETableLogs[s]))
-				}
-			}
-			res.charge(BlockFSE, float64(len(b.Seqs)))
-			d.execSeqs(b.Seqs, res)
-		}
-		d.litScratch = lz77.AppendLiteralsAt(d.litScratch[:0], content, blockStart, b.Seqs)
-		var err error
-		out, err = lz77.AppendReconstruct(out, b.Seqs, d.litScratch, window)
-		if err != nil {
-			return err
 		}
 		blockStart = end
-	}
-	if d.reuse {
-		d.outBuf = out
 	}
 	if !bytes.Equal(out, content) {
 		return fmt.Errorf("core: planned decompress produced %d bytes, content %d, or bytes differ", len(out), len(content))
 	}
-	res.Output = out
+	tr.seal(d.fkey, len(src), out)
 	return nil
-}
-
-// finishCall adds the call-granularity costs shared by all algorithms —
-// invocation, first-access latency, and the raw-traffic link-occupancy bound
-// that throttles remote placements — and seals Cycles as the exact sum of the
-// per-block attribution (Result.finish).
-func (d *Decompressor) finishCall(res *Result) {
-	inv := d.iface.InvocationCycles(d.cfg.Placement)
-	first := d.sys.RTT(d.cfg.Placement, memsys.ClassRaw)
-	linkBytes := res.InputBytes + res.OutputBytes
-	stream := float64(linkBytes) / d.sys.StreamBandwidthFaulted(d.cfg.Placement, memsys.ClassRaw)
-	res.finish(inv, first, stream, linkBytes)
-	recordCall(d.cfg.Placement, res)
 }

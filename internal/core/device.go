@@ -167,6 +167,27 @@ func (d *Device) Exec(payload []byte) (*Result, error) {
 	return d.decomp.Decompress(payload)
 }
 
+// Trace runs only the functional half of Exec: it encodes or decodes payload
+// once and returns the call's Trace (Compressor.Trace, Decompressor.Trace),
+// which any device with the same Config.FunctionalKey can Time.
+func (d *Device) Trace(payload []byte) (*Trace, error) {
+	if d.comp != nil {
+		return d.comp.Trace(payload), nil
+	}
+	return d.decomp.Trace(payload)
+}
+
+// Time runs only the timing half of Exec: it charges a traced call under the
+// device's configuration. Exec(payload) is Time(Trace(payload)) over scratch
+// the pipeline owns. The trace is only read, so devices on different
+// goroutines may Time one trace at once.
+func (d *Device) Time(tr *Trace) (*Result, error) {
+	if d.comp != nil {
+		return d.comp.Time(tr)
+	}
+	return d.decomp.Time(tr)
+}
+
 // ExecPlanned is Exec for a ZStd decompression device whose input frame's
 // Plan was recorded at synthesis time: charges are bit-identical to
 // Exec(payload) but the frame parse and entropy decode are skipped; see

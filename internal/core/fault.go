@@ -73,16 +73,6 @@ func (c Config) watchdogBudget(inBytes, outBytes int) float64 {
 	return f * (watchdogBaseCycles + watchdogPerByte*float64(inBytes+outBytes))
 }
 
-// SetFaultInjector installs (or removes, with nil) a device-fault injector on
-// the decompressor's memory system. Fault state resets at the start of every
-// Decompress call, so an injector that is a pure function of the event index
-// produces an identical fault schedule on every run of the same input.
-func (d *Decompressor) SetFaultInjector(fi memsys.FaultInjector) { d.sys.SetFaultInjector(fi) }
-
-// SetFaultInjector installs a device-fault injector on the compressor's
-// memory system; see Decompressor.SetFaultInjector.
-func (c *Compressor) SetFaultInjector(fi memsys.FaultInjector) { c.sys.SetFaultInjector(fi) }
-
 // checkDeviceHealth inspects a completed call for injected memory faults and
 // watchdog expiry, returning the DeviceError to surface, or nil.
 func checkDeviceHealth(cfg Config, sys *memsys.System, res *Result) error {

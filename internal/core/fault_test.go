@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cdpu/internal/comp"
+	"cdpu/internal/corpus"
 	"cdpu/internal/fault"
 	"cdpu/internal/memsys"
 	"cdpu/internal/snappy"
@@ -168,5 +169,34 @@ func TestCompressorMemoryFaultAborts(t *testing.T) {
 	var derr *DeviceError
 	if !errors.As(err, &derr) || derr.Reason != "memory-fault" {
 		t.Fatalf("error %v is not a memory-fault DeviceError", err)
+	}
+}
+
+// TestCorruptInputDetectionStartsFromResetFaultState pins that every call,
+// rejected ones included, sees the injector's schedule from event 0: the
+// detection latency of a corrupt stream does not depend on the calls the
+// instance served before it.
+func TestCorruptInputDetectionStartsFromResetFaultState(t *testing.T) {
+	data := corpus.Generate(corpus.Log, 32<<10, 17)
+	enc := snappy.Encode(data)
+	bad := append([]byte{}, enc[:len(enc)/2]...)
+	plan := fault.Plan{SpikeEvery: 3, SpikeCycles: 900} // a served call is two events: doorbell and stream
+	detect := func(warm bool) float64 {
+		d := mustDecompressor(t, Config{Algo: comp.Snappy, Placement: memsys.PCIeNoCache})
+		d.SetFaultInjector(plan)
+		if warm {
+			if _, err := d.Decompress(enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := d.Decompress(bad)
+		var derr *DeviceError
+		if !errors.As(err, &derr) || derr.Reason != "corrupt-input" {
+			t.Fatalf("truncated stream: %v, want a corrupt-input DeviceError", err)
+		}
+		return derr.Cycles
+	}
+	if cold, warm := detect(false), detect(true); cold != warm {
+		t.Errorf("detection latency %v after a served call, %v on a fresh instance", warm, cold)
 	}
 }

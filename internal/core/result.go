@@ -22,13 +22,32 @@ const (
 	BlockHeader      = "header"        // frame/block/section parsing or emission
 )
 
-// blockOrder fixes the canonical accumulation order of the attribution.
-// Cycles is defined as the sum of Blocks in exactly this order (BlockSum), so
-// the sum-invariant holds bit-exactly: float addition is order-dependent, and
-// iterating a map would make the "same" sum drift by ulps between runs.
-var blockOrder = [...]string{
-	BlockInvocation, BlockFirstAccess, BlockStream, BlockHeader,
-	BlockLZ77, BlockHistFall, BlockHuffBuild, BlockHuff, BlockFSEBuild, BlockFSE,
+// blockID indexes a call's attribution accumulator. The ids are declared in
+// the canonical accumulation order of the attribution.
+type blockID uint8
+
+const (
+	idInvocation blockID = iota
+	idFirstAccess
+	idStream
+	idHeader
+	idLZ77
+	idHistFall
+	idHuffBuild
+	idHuff
+	idFSEBuild
+	idFSE
+	numBlocks
+)
+
+// blockOrder names the blocks in canonical order. Cycles is defined as the
+// sum of Blocks in exactly this order (BlockSum), so the sum-invariant holds
+// bit-exactly: float addition is order-dependent, and iterating a map would
+// make the "same" sum drift by ulps between runs.
+var blockOrder = [numBlocks]string{
+	idInvocation: BlockInvocation, idFirstAccess: BlockFirstAccess, idStream: BlockStream,
+	idHeader: BlockHeader, idLZ77: BlockLZ77, idHistFall: BlockHistFall,
+	idHuffBuild: BlockHuffBuild, idHuff: BlockHuff, idFSEBuild: BlockFSEBuild, idFSE: BlockFSE,
 }
 
 // Result reports one accelerator call.
@@ -59,6 +78,13 @@ type Result struct {
 	// populated only when tracing is enabled on the instance.
 	Spans []obs.Span
 
+	// acc is the attribution while the call is being charged: the timing walk
+	// issues one charge per LZ77 command, so it adds into an array and finish
+	// materialises Blocks once. charged marks the blocks that took a charge (a
+	// zero-cycle charge still names its block in Blocks).
+	acc     [numBlocks]float64
+	charged [numBlocks]bool
+
 	traced bool    // emit Spans on every charge
 	cursor float64 // running start position for the next span
 }
@@ -66,36 +92,43 @@ type Result struct {
 // resetResult prepares r for a new call, keeping its allocated Blocks map
 // and span backing — the recycling step behind SetResultReuse.
 func resetResult(r *Result, traced bool) *Result {
-	blocks := r.Blocks
-	clear(blocks)
-	*r = Result{Blocks: blocks, Spans: r.Spans[:0], traced: traced}
+	*r = Result{Blocks: r.Blocks, Spans: r.Spans[:0], traced: traced}
 	return r
 }
 
 // charge attributes cycles to a block, advancing the call timeline.
-func (r *Result) charge(block string, cycles float64) {
+func (r *Result) charge(block blockID, cycles float64) {
 	r.chargeBytes(block, cycles, 0)
 }
 
 // chargeBytes is charge with the payload bytes the block moved, recorded on
 // the span when tracing. Adjacent same-block spans coalesce (per-command LZ77
 // charges would otherwise mint one span per sequence).
-func (r *Result) chargeBytes(block string, cycles float64, bytes int) {
-	if r.Blocks == nil {
-		// No size hint: calls touch well under 8 blocks, so the lazy small-map
-		// path costs fewer allocations than pre-sizing for all of blockOrder.
-		r.Blocks = make(map[string]float64)
-	}
-	r.Blocks[block] += cycles
+func (r *Result) chargeBytes(block blockID, cycles float64, bytes int) {
+	r.acc[block] += cycles
+	r.charged[block] = true
 	if r.traced {
-		if n := len(r.Spans); n > 0 && r.Spans[n-1].Block == block && r.Spans[n-1].Start+r.Spans[n-1].Dur == r.cursor {
+		name := blockOrder[block]
+		if n := len(r.Spans); n > 0 && r.Spans[n-1].Block == name && r.Spans[n-1].Start+r.Spans[n-1].Dur == r.cursor {
 			r.Spans[n-1].Dur += cycles
 			r.Spans[n-1].Bytes += bytes
 		} else {
-			r.Spans = append(r.Spans, obs.Span{Block: block, Start: r.cursor, Dur: cycles, Bytes: bytes})
+			r.Spans = append(r.Spans, obs.Span{Block: name, Start: r.cursor, Dur: cycles, Bytes: bytes})
 		}
 	}
 	r.cursor += cycles
+}
+
+// accSum is BlockSum over the accumulator: the charged blocks in canonical
+// order.
+func (r *Result) accSum() float64 {
+	s := 0.0
+	for id, v := range r.acc {
+		if r.charged[id] {
+			s += v
+		}
+	}
+	return s
 }
 
 // BlockSum returns the attribution total in canonical block order — by
@@ -117,16 +150,28 @@ func (r *Result) BlockSum() float64 {
 // latency is max(exec, stream) + inv + first — the same composition as
 // before, now decomposed so the parts sum to the whole bit-exactly.
 func (r *Result) finish(inv, first, stream float64, linkBytes int) {
-	exec := r.BlockSum()
+	exec := r.accSum()
 	r.StreamCycles = stream
 	traced := r.traced
 	r.traced = false // span layout for the call-granularity costs is rebuilt below
 	if exposed := stream - exec; exposed > 0 {
-		r.chargeBytes(BlockStream, exposed, linkBytes)
+		r.chargeBytes(idStream, exposed, linkBytes)
 	}
-	r.charge(BlockInvocation, inv)
-	r.charge(BlockFirstAccess, first)
-	r.Cycles = r.BlockSum()
+	r.charge(idInvocation, inv)
+	r.charge(idFirstAccess, first)
+	r.Cycles = r.accSum()
+	// Calls touch well under 8 blocks, so a recycled Result's map never grows
+	// past its first bucket.
+	if r.Blocks == nil {
+		r.Blocks = make(map[string]float64)
+	} else {
+		clear(r.Blocks)
+	}
+	for id, v := range r.acc {
+		if r.charged[id] {
+			r.Blocks[blockOrder[id]] = v
+		}
+	}
 	if !traced {
 		return
 	}

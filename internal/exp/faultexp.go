@@ -87,42 +87,14 @@ func (s *scheduler) detectFaults(cs *compressedSuite, cfg core.Config, kind faul
 	return st, nil
 }
 
-// faultedSuiteCycles runs the whole decompression suite on units carrying
-// the given fault injector and returns total cycles. Any failure — including
-// an injected device fault surfacing as a DeviceError — fails the run with
-// the config key and file index attached; parallelFiles guarantees no
-// goroutine outlives the call.
+// faultedSuiteCycles times the whole decompression suite on a unit carrying
+// the given fault injector and returns total cycles: the same walk over the
+// shared traces as a DSE config run (timeSuite), never memoized. Any failure —
+// including an injected device fault surfacing as a DeviceError — fails the
+// run with the config key and file index attached.
 func (s *scheduler) faultedSuiteCycles(cs *compressedSuite, cfg core.Config, plan fault.Plan) (float64, error) {
-	n := len(cs.compressed)
-	nInst := max(1, min(s.workers, n))
-	pool := make(chan *core.Decompressor, nInst)
-	for w := 0; w < nInst; w++ {
-		d, err := core.NewDecompressor(cfg)
-		if err != nil {
-			return 0, err
-		}
-		d.SetFaultInjector(plan)
-		pool <- d
-	}
-	perFile := make([]float64, n)
-	err := s.parallelFiles(n, func(i int) error {
-		d := <-pool
-		defer func() { pool <- d }()
-		res, err := d.Decompress(cs.compressed[i])
-		if err != nil {
-			return err
-		}
-		perFile[i] = res.Cycles
-		return nil
-	})
-	if err != nil {
-		return 0, fmt.Errorf("config %s: %w", cfg.Key(), err)
-	}
-	total := 0.0
-	for _, c := range perFile {
-		total += c
-	}
-	return total, nil
+	r, err := s.timeSuite(cfg, cs.suite, cs.compressed, plan)
+	return r.cycles, err
 }
 
 func runFaultSweep(cfg Config) ([]*Table, error) {

@@ -13,11 +13,19 @@ package exp
 //
 // Completed runs are memoized behind (suite key, canonical core.Config.Key),
 // so fig11/fig14 cells re-requested by dse-summary or the deployment
-// experiment are never simulated twice within a process. Per-file cycle and
-// ratio contributions are always reduced in file-index order, which keeps
-// every table bit-identical regardless of worker count or scheduling.
+// experiment are never simulated twice within a process.
+//
+// A config run is functional once, timing many: which bytes and which LZ77
+// commands a call produces depends only on core.Config.FunctionalKey, so a
+// second memo beneath the run memo holds one core.Trace per suite file per
+// functional key (suiteTraces), and each config run is a timing walk over
+// those shared, read-only traces (timeSuite). The walk times the files in
+// index order on one unit, issuing the charges a full call would in the same
+// order, which keeps every table bit-identical regardless of worker count or
+// scheduling.
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -26,6 +34,7 @@ import (
 	"cdpu/internal/comp"
 	"cdpu/internal/core"
 	"cdpu/internal/hcbench"
+	"cdpu/internal/memsys"
 	"cdpu/internal/obs"
 )
 
@@ -35,10 +44,13 @@ import (
 // resets with SetWorkers), which sched_test and cdpubench's per-experiment
 // deltas rely on. Config-run memos and the suite caches in dse.go report
 // under separate names so a metrics dump distinguishes simulation reuse
-// from setup reuse.
+// from setup reuse, and the functional passes beneath the config runs
+// (exp.trace_cache) from the runs themselves.
 var (
 	metricRunCacheHits     = obs.Default().Counter("exp.run_cache.hits")
 	metricRunCacheMisses   = obs.Default().Counter("exp.run_cache.misses")
+	metricTraceCacheHits   = obs.Default().Counter("exp.trace_cache.hits")
+	metricTraceCacheMisses = obs.Default().Counter("exp.trace_cache.misses")
 	metricSuiteCacheHits   = obs.Default().Counter("exp.suite_cache.hits")
 	metricSuiteCacheMisses = obs.Default().Counter("exp.suite_cache.misses")
 )
@@ -87,20 +99,22 @@ func (mm *memoMap[T]) do(key string, fn func() (T, error)) (T, error) {
 	return c.val, c.err
 }
 
-// runResult is one memoized config run: total accelerator cycles and, for
-// compression, the achieved aggregate ratio.
+// runResult is one memoized config run: total accelerator cycles and the
+// aggregate input/output byte ratio (the achieved ratio of a compression run).
 type runResult struct {
 	cycles float64
 	ratio  float64
 }
 
-// scheduler owns the shared worker pool and the config-run memo. Replacing
-// the scheduler (SetWorkers) clears the memo; the suite caches in dse.go are
-// configuration-independent and survive.
+// scheduler owns the shared worker pool, the config-run memo and the trace
+// memo beneath it. Replacing the scheduler (SetWorkers) clears both memos, so
+// a cold pass performs every functional pass again; the suite caches in dse.go
+// are configuration-independent and survive.
 type scheduler struct {
 	workers int
-	sem     chan struct{} // one slot per concurrently executing file task
+	sem     chan struct{} // one slot per concurrently executing file task or timing walk
 	runs    memoMap[runResult]
+	traces  memoMap[[]*core.Trace]
 }
 
 func defaultWorkers() int { return max(1, min(8, runtime.NumCPU()-1)) }
@@ -112,6 +126,8 @@ func newScheduler(workers int) *scheduler {
 	s := &scheduler{workers: workers, sem: make(chan struct{}, workers)}
 	s.runs.obsHits = metricRunCacheHits
 	s.runs.obsMisses = metricRunCacheMisses
+	s.traces.obsHits = metricTraceCacheHits
+	s.traces.obsMisses = metricTraceCacheMisses
 	return s
 }
 
@@ -127,8 +143,8 @@ func current() *scheduler {
 }
 
 // SetWorkers replaces the shared scheduler with one of the given pool size
-// (n <= 0 restores the default). The config-run memo is reset, so tables can
-// be regenerated from scratch at the new width.
+// (n <= 0 restores the default). The config-run and trace memos are reset, so
+// tables can be regenerated from scratch at the new width.
 func SetWorkers(n int) {
 	schedMu.Lock()
 	sched = newScheduler(n)
@@ -138,16 +154,25 @@ func SetWorkers(n int) {
 // Workers reports the current shared pool size.
 func Workers() int { return current().workers }
 
-// CacheStats reports config-run memo traffic. A hit is a run served from (or
-// deduplicated onto) an existing entry; a miss is a run that had to simulate.
+// CacheStats reports memo traffic. A hit is a request served from (or
+// deduplicated onto) an existing entry; a miss is one that had to compute.
 type CacheStats struct {
 	Hits, Misses int64
 }
 
-// RunCacheStats returns cumulative memo statistics for the current scheduler.
+// RunCacheStats returns cumulative config-run memo statistics for the current
+// scheduler: a miss is a configuration run that had to simulate.
 func RunCacheStats() CacheStats {
 	s := current()
 	return CacheStats{Hits: s.runs.hits.Load(), Misses: s.runs.misses.Load()}
+}
+
+// TraceCacheStats returns cumulative trace memo statistics for the current
+// scheduler: a miss is a functional pass over a suite, a hit a config run that
+// reused one.
+func TraceCacheStats() CacheStats {
+	s := current()
+	return CacheStats{Hits: s.traces.hits.Load(), Misses: s.traces.misses.Load()}
 }
 
 // parallelFiles runs fn over [0,n) on the shared bounded pool. Submission
@@ -210,8 +235,7 @@ func runAll(fns ...func() error) error {
 func (s *scheduler) decompConfig(cs *compressedSuite, cfg core.Config) (float64, error) {
 	cfg.Op = comp.Decompress
 	res, err := s.runs.do("D|"+cs.key+"|"+cfg.Key(), func() (runResult, error) {
-		cyc, err := s.simDecomp(cs, cfg)
-		return runResult{cycles: cyc}, err
+		return s.timeSuite(cfg, cs.suite, cs.compressed, nil)
 	})
 	return res.cycles, err
 }
@@ -220,88 +244,93 @@ func (s *scheduler) decompConfig(cs *compressedSuite, cfg core.Config) (float64,
 func (s *scheduler) compConfig(suite *hcbench.Suite, cfg core.Config) (cycles, ratio float64, err error) {
 	cfg.Op = comp.Compress
 	res, err := s.runs.do("C|"+suiteKey(suite)+"|"+cfg.Key(), func() (runResult, error) {
-		cyc, r, err := s.simComp(suite, cfg)
-		return runResult{cycles: cyc, ratio: r}, err
+		return s.timeSuite(cfg, suite, nil, nil)
 	})
 	return res.cycles, res.ratio, err
 }
 
-// simDecomp runs a decompression suite through one CDPU configuration,
-// returning total accelerator cycles. Each worker leases its own instance
-// (instances are not safe for concurrent use); cycles are deterministic per
-// call, so the index-ordered sum is reproducible at any worker count.
-func (s *scheduler) simDecomp(cs *compressedSuite, cfg core.Config) (float64, error) {
-	n := len(cs.compressed)
-	nInst := max(1, min(s.workers, n))
-	pool := make(chan *core.Decompressor, nInst)
-	for w := 0; w < nInst; w++ {
-		d, err := core.NewDecompressor(cfg)
-		if err != nil {
-			return 0, err
+// suiteTraces memoizes the functional pass over a suite under cfg's functional
+// key: one trace per file, taken on the shared pool. A compression pass
+// encodes each file (size-only: nothing reads the payload); a decompression
+// pass decodes compressed[i] and checks the bytes against the file, once,
+// here. The traces are shared and never written again.
+func (s *scheduler) suiteTraces(cfg core.Config, suite *hcbench.Suite, compressed [][]byte) ([]*core.Trace, error) {
+	return s.traces.do(suiteKey(suite)+"|"+cfg.FunctionalKey(), func() ([]*core.Trace, error) {
+		n := len(suite.Files)
+		pool := make(chan *core.Device, max(1, min(s.workers, n)))
+		for w := 0; w < cap(pool); w++ {
+			d, err := core.NewDevice(cfg, 1)
+			if err != nil {
+				return nil, err
+			}
+			pool <- d
 		}
-		pool <- d
-	}
-	perFile := make([]float64, n)
-	err := s.parallelFiles(n, func(i int) error {
-		d := <-pool
-		defer func() { pool <- d }()
-		res, err := d.Decompress(cs.compressed[i])
-		if err != nil {
+		traces := make([]*core.Trace, n)
+		err := s.parallelFiles(n, func(i int) error {
+			d := <-pool
+			defer func() { pool <- d }()
+			data := suite.Files[i].Data
+			if cfg.Op == comp.Decompress {
+				tr, err := d.Trace(compressed[i])
+				if err != nil {
+					return err
+				}
+				if !bytes.Equal(tr.Output, data) {
+					return fmt.Errorf("functional mismatch")
+				}
+				tr.Output = nil // checked; the timing walk needs only its length
+				traces[i] = tr
+				return nil
+			}
+			var err error
+			traces[i], err = d.Trace(data)
 			return err
-		}
-		if res.OutputBytes != len(cs.suite.Files[i].Data) {
-			return fmt.Errorf("functional mismatch")
-		}
-		perFile[i] = res.Cycles
-		return nil
+		})
+		return traces, err
 	})
-	if err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for _, c := range perFile {
-		total += c
-	}
-	return total, nil
 }
 
-// simComp runs a compression suite through one CDPU configuration, returning
-// total cycles and the achieved aggregate ratio, reduced in file-index order
-// for reproducibility.
-func (s *scheduler) simComp(suite *hcbench.Suite, cfg core.Config) (cycles, ratio float64, err error) {
-	type out struct {
-		cycles float64
-		outLen int
-	}
-	n := len(suite.Files)
-	nInst := max(1, min(s.workers, n))
-	pool := make(chan *core.Compressor, nInst)
-	for w := 0; w < nInst; w++ {
-		c, err := core.NewCompressor(cfg)
+// timeSuite is one config run: it times the suite's shared traces on a unit
+// of cfg, in file-index order, holding one pool slot for the walk, and returns
+// total cycles and the aggregate ratio. The direction is the suite's:
+// decompression when compressed payloads are given. With a fault injector the
+// unit carries it, so an injected device fault fails the run; any failure
+// names the config, as the caller spelled it, and the file.
+func (s *scheduler) timeSuite(cfg core.Config, suite *hcbench.Suite, compressed [][]byte, fi memsys.FaultInjector) (r runResult, err error) {
+	asGiven := cfg
+	defer func() {
 		if err != nil {
-			return 0, 0, err
+			err = fmt.Errorf("config %s: %w", asGiven.Key(), err)
 		}
-		pool <- c
+	}()
+	cfg.Op = comp.Compress
+	if compressed != nil {
+		cfg.Op = comp.Decompress
 	}
-	perFile := make([]out, n)
-	err = s.parallelFiles(n, func(i int) error {
-		c := <-pool
-		defer func() { pool <- c }()
-		res, err := c.Compress(suite.Files[i].Data)
-		if err != nil {
-			return err
-		}
-		perFile[i] = out{cycles: res.Cycles, outLen: res.OutputBytes}
-		return nil
-	})
+	traces, err := s.suiteTraces(cfg, suite, compressed)
 	if err != nil {
-		return 0, 0, err
+		return r, err
 	}
-	var u, compressed float64
-	for i, o := range perFile {
-		cycles += o.cycles
-		u += float64(len(suite.Files[i].Data))
-		compressed += float64(o.outLen)
+	d, err := core.NewDevice(cfg, 1)
+	if err != nil {
+		return r, err
 	}
-	return cycles, u / compressed, nil
+	d.SetResultReuse(true)
+	if fi != nil {
+		d.SetFaultInjector(fi)
+	}
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	var in, out float64
+	for i, tr := range traces {
+		res, err := d.Time(tr)
+		if err != nil {
+			return r, fmt.Errorf("file %d: %w", i, err)
+		}
+		r.cycles += res.Cycles
+		in += float64(res.InputBytes)
+		out += float64(res.OutputBytes)
+	}
+	r.ratio = in / out
+	return r, nil
 }
