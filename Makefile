@@ -1,12 +1,13 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check vet build test race bench bench-json bench-resil-json bench-cluster-json bench-traffic-json bench-overload-json bench-smoke trace-smoke chaos-smoke fuzz-smoke profile
+.PHONY: all check vet build test race bench fuzz-smoke profile
 
 all: check
 
-# Full gate: what CI (and pre-commit) should run.
-check: vet build test race bench-smoke trace-smoke chaos-smoke
+# Full gate: what CI (and pre-commit) should run. The determinism, recovery,
+# failover, open-loop, overload and observability guarantees are all tests.
+check: vet build test race
 
 vet:
 	$(GO) vet ./...
@@ -28,78 +29,14 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
-# Refresh the checked-in replay benchmark numbers: serial per-call latency,
-# allocations and throughput, the worker-scaling curve with parallel
-# efficiency, and the 1/8/32/128 device-count scaling curve (see docs/MODEL.md
-# "Fleet replay at scale" for the schema).
-bench-json:
-	$(GO) run ./cmd/simbench -device-scaling -o BENCH_sim.json
-	@cat BENCH_sim.json
-
-# Cheap standing guarantees: the replay Report is byte-identical at any
-# worker count, steady-state replay stays (near) zero-alloc at every worker
-# count, the worker-scaling curve shows no gross parallel-efficiency
-# regression (rows with more workers than schedulable CPUs self-skip), a
-# 128-device fleet replay hits the discrete-event engine's 3x multicore
-# speedup target (the efficiency gates self-skip below 2 and 4 schedulable
-# CPUs respectively), and the overload control plane holds its flash-crowd
-# gates (worker invariance, gold-violation ceiling, deadline-shed wasted-cycle
-# reduction, burn alerts).
-bench-smoke:
-	$(GO) run ./cmd/simbench -check
-	$(GO) run ./cmd/simbench -scaling-check
-	$(GO) run ./cmd/simbench -openloop-check
-	$(GO) run ./cmd/simbench -overload-check -calls 2000 -o /dev/null
-
-# Profile the replay hot path: pprof CPU + heap profiles of the full
-# benchmark sweep, with the top entries printed for a quick read. Open the
-# interactive views with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
+# Profile the replay hot path: pprof CPU + heap profiles of full sim.Run
+# replays (BenchmarkSimRun), with the top entries printed for a quick read.
+# Open the interactive views with `go tool pprof cpu.pprof` / `go tool pprof
+# mem.pprof`. End-to-end and per-layer timing is `go run ./bench`.
 profile:
-	$(GO) run ./cmd/simbench -calls 4000 -cpuprofile cpu.pprof -memprofile mem.pprof -o /dev/null
+	$(GO) test -run '^$$' -bench BenchmarkSimRun -cpuprofile cpu.pprof -memprofile mem.pprof ./internal/sim
 	$(GO) tool pprof -top -nodecount 15 cpu.pprof
 	$(GO) tool pprof -top -nodecount 10 -sample_index=alloc_space mem.pprof
-
-# Observability gate: a traced replay leaves the Report byte-identical, the
-# exported Chrome trace parses, and the per-block attribution sums to Cycles
-# bit-exactly across DSE corner configurations.
-trace-smoke:
-	$(GO) run ./cmd/simbench -trace-smoke
-
-# Recovery gate: a stormed, recovered replay is byte-identical across worker
-# counts and the abort baseline fails on the same call everywhere. The
-# failover half replays through replica groups under a device-lifecycle storm
-# and additionally pins the cluster path's bit-compat at Replicas=1 (the JSON
-# it prints is the cluster benchmark; `make bench-cluster-json` checks it in).
-chaos-smoke:
-	$(GO) run ./cmd/simbench -chaos-check
-	$(GO) run ./cmd/simbench -failover-check -calls 2000 -o /dev/null
-
-# Refresh the checked-in recovery-layer benchmark (zero policy vs full policy
-# under a 2% storm on the same call mix).
-bench-resil-json:
-	$(GO) run ./cmd/simbench -resil -o BENCH_resil.json
-	@cat BENCH_resil.json
-
-# Refresh the checked-in cluster benchmark (plain Replicas=1 engine vs a
-# 3-replica group under a 2% device-lifecycle storm on the same call mix:
-# dispatcher overhead and availability).
-bench-cluster-json:
-	$(GO) run ./cmd/simbench -failover-check -o BENCH_cluster.json
-	@cat BENCH_cluster.json
-
-# Refresh the checked-in open-loop traffic benchmark (generator-path overhead
-# vs the closed-loop schedule, one near-knee replay with per-class sheds and
-# SLO violations, and one autoscaled burst replay).
-bench-traffic-json:
-	$(GO) run ./cmd/simbench -openloop -o BENCH_traffic.json
-	@cat BENCH_traffic.json
-
-# Refresh the checked-in overload-control benchmark (healthy-path cost of the
-# always-on control plane — burn tracking + deadline admission — plus the
-# flash-crowd outcomes of the uncontrolled vs controlled fleets).
-bench-overload-json:
-	$(GO) run ./cmd/simbench -overload-check -o BENCH_overload.json
-	@cat BENCH_overload.json
 
 # Adversarial-input smoke: run every native fuzz target for FUZZTIME each,
 # starting from the checked-in seed corpora (regenerate those with

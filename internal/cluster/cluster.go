@@ -23,7 +23,6 @@ import (
 	"cdpu/internal/fault"
 	"cdpu/internal/obs"
 	"cdpu/internal/resil"
-	"cdpu/internal/stats"
 	"cdpu/internal/traffic"
 )
 
@@ -355,7 +354,7 @@ func (g *Group) Replay(calls []Call) ([]core.JobResult, core.DeviceStats, Totals
 
 // GroupState is Replay unrolled into one Step per call, so a discrete-event
 // engine can drive a replica group arrival by arrival instead of walking a
-// fully materialized call slice. Replay itself is now a thin loop over Step +
+// fully materialized call slice. Replay itself is a thin loop over Step +
 // Finish; the per-call arithmetic is the same operations in the same order,
 // so driving the state from an event queue produces results bit-identical to
 // the serial pass.
@@ -430,9 +429,6 @@ func (g *Group) NewState(n int) *GroupState {
 	}
 	return st
 }
-
-// Calls returns how many calls have been stepped so far.
-func (st *GroupState) Calls() int { return st.n }
 
 // Restarts returns the warm-restart count accumulated so far. A
 // discrete-event driver diffs it across Steps to attribute restart work to
@@ -772,35 +768,20 @@ func (st *GroupState) Step(c *Call) error {
 	st.hist.observe(done - now)
 	st.tot.Dispatches[sr]++
 
-	// Pipeline quarantine, ported from core.ReplayPolicy and keyed by
+	// Pipeline quarantine, the same books as core.ReplayState keyed by
 	// (replica, pipeline).
 	if st.faultLog != nil && c.Faults > 0 {
 		key := sr*st.nP + sp
-		log := st.faultLog[key]
-		if w := g.Resil.QuarantineWindowCycles; w > 0 {
-			keep := 0
-			for _, ts := range log {
-				if ts >= done-w {
-					log[keep] = ts
-					keep++
-				}
-			}
-			log = log[:keep]
-		}
-		for e := 0; e < c.Faults; e++ {
-			log = append(log, done)
-		}
-		if len(log) >= g.Resil.QuarantineK {
+		var quarantine bool
+		st.faultLog[key], quarantine = core.BookFaults(st.faultLog[key], done, c.Faults, g.Resil)
+		if quarantine {
 			reset := g.Resil.ResetCycles
 			if reset == 0 {
 				reset = g.ResetCycles
 			}
 			st.free[sr][sp] = done + reset + g.Resil.QuarantinePenaltyCycles
-			log = log[:0]
 			st.quar++
-			resil.MetricQuarantines.Inc()
 		}
-		st.faultLog[key] = log
 	}
 
 	latency := done - c.Arrival
@@ -831,21 +812,7 @@ func (st *GroupState) Finish() ([]core.JobResult, core.DeviceStats, Totals) {
 	if devStats.Makespan > 0 {
 		devStats.Utilization = st.busy / (float64(st.nR*st.nP) * devStats.Makespan)
 	}
-	if st.served == 0 {
-		return results, devStats, st.tot
-	}
-	lat := make([]float64, 0, st.served)
-	sum := 0.0
-	for i := range results {
-		if results[i].Err != nil {
-			continue
-		}
-		lat = append(lat, results[i].Latency)
-		sum += results[i].Latency
-	}
-	devStats.MeanLatency = sum / float64(len(lat))
-	devStats.P50Latency = stats.SelectNth(lat, len(lat)/2)
-	devStats.P99Latency = stats.SelectNth(lat, min(len(lat)-1, len(lat)*99/100))
+	devStats.SummarizeLatency(results, st.served)
 	return results, devStats, st.tot
 }
 

@@ -52,60 +52,107 @@ func refPolicy() FailoverPolicy {
 	}
 }
 
-// TestGroupMatchesReplayPolicy pins the dispatch arithmetic to the proven
+// TestGroupMatchesReplayPolicy pins the dispatch arithmetic to the
 // single-device engine: with one replica, the zero failover policy and no
 // lifecycle, Group.Replay must reproduce core.Device.ReplayPolicy exactly —
-// results, stats, admission shedding and quarantines included.
+// results, stats, admission shedding and quarantines included. The fleet
+// replay steps every device as such a group, so this equality is what makes a
+// lone device and a replica group one stepper; the second scenario extends it
+// to class-differentiated admission and deadline shedding.
 func TestGroupMatchesReplayPolicy(t *testing.T) {
 	dev, err := core.NewDevice(core.Config{Algo: comp.ZStd, Op: comp.Decompress}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := synthCalls(500, 7)
 	// Pile up a queue so admission control engages, and sprinkle faults so
 	// quarantine engages.
-	for i := range calls {
-		calls[i].Arrival = float64(i) * 800
+	base := synthCalls(500, 7)
+	for i := range base {
+		base[i].Arrival = float64(i) * 800
 		if i%17 == 0 {
-			calls[i].Faults = 2
+			base[i].Faults = 2
 		}
 		if i%23 == 0 {
-			calls[i].Post = 5000
+			base[i].Post = 5000
 		}
 	}
-	pol := resil.Policy{
+	// Mixed priorities over the full queue, with per-class targets tight
+	// enough that the backlog makes some calls hopeless on arrival.
+	classed := append([]Call(nil), base...)
+	for i := range classed {
+		classed[i].Arrival = float64(i) * 12000
+		classed[i].Priority = i % 3
+		classed[i].Target = 90000 * float64(int(1)<<(2*classed[i].Priority))
+	}
+	basePol := resil.Policy{
 		MaxQueue: 4, QuarantineK: 3, QuarantineWindowCycles: 2e6,
 		QuarantinePenaltyCycles: 1e5, ResetCycles: 7000,
 	}
-	jobs := make([]core.Job, len(calls))
-	svc := make([]float64, len(calls))
-	post := make([]float64, len(calls))
-	flt := make([]int, len(calls))
-	for i, c := range calls {
-		jobs[i] = core.Job{Arrival: c.Arrival}
-		svc[i], post[i], flt[i] = c.Service, c.Post, c.Faults
-	}
-	wantRes, wantStats, err := dev.ReplayPolicy(jobs, svc, post, flt, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := &Group{Replicas: 1, Pipelines: 2, ResetCycles: dev.PipelineResetCycles(), Resil: pol}
-	gotRes, gotStats, tot, err := g.Replay(calls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotStats != wantStats {
-		t.Fatalf("stats diverge:\n got %+v\nwant %+v", gotStats, wantStats)
-	}
-	for i := range wantRes {
-		w, g := wantRes[i], gotRes[i]
-		if w.Queue != g.Queue || w.Service != g.Service || w.Latency != g.Latency ||
-			w.Start != g.Start || w.Pipeline != g.Pipeline || !errors.Is(g.Err, w.Err) {
-			t.Fatalf("call %d diverges:\n got %+v\nwant %+v", i, g, w)
-		}
-	}
-	if tot.Failovers != 0 || tot.HedgedCalls != 0 || tot.BreakerOpens != 0 || tot.ReplicaRestarts != 0 {
-		t.Fatalf("failover machinery fired with the zero policy: %+v", tot)
+	classedPol := basePol
+	classedPol.MaxQueue = 8
+	classedPol.PriorityClasses = 3
+	classedPol.DeadlineFactor = 2
+	for _, sc := range []struct {
+		name  string
+		calls []Call
+		pol   resil.Policy
+	}{
+		{"queue-quarantine-post", base, basePol},
+		{"priority-deadline", classed, classedPol},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			calls, pol := sc.calls, sc.pol
+			jobs := make([]core.Job, len(calls))
+			svc := make([]float64, len(calls))
+			post := make([]float64, len(calls))
+			flt := make([]int, len(calls))
+			for i, c := range calls {
+				jobs[i] = core.Job{Arrival: c.Arrival, Priority: c.Priority, Target: c.Target}
+				svc[i], post[i], flt[i] = c.Service, c.Post, c.Faults
+			}
+			wantRes, wantStats, err := dev.ReplayPolicy(jobs, svc, post, flt, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := &Group{Replicas: 1, Pipelines: 2, ResetCycles: dev.PipelineResetCycles(), Resil: pol}
+			gotRes, gotStats, tot, err := g.Replay(calls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotStats != wantStats {
+				t.Fatalf("stats diverge:\n got %+v\nwant %+v", gotStats, wantStats)
+			}
+			if len(gotRes) != len(wantRes) {
+				t.Fatalf("%d results, want %d", len(gotRes), len(wantRes))
+			}
+			var queueShed [3]int
+			for i := range wantRes {
+				w, g := wantRes[i], gotRes[i]
+				if w.Queue != g.Queue || w.Service != g.Service || w.Latency != g.Latency ||
+					w.Start != g.Start || w.Pipeline != g.Pipeline || !errors.Is(g.Err, w.Err) ||
+					w.Result != g.Result {
+					t.Fatalf("call %d diverges:\n got %+v\nwant %+v", i, g, w)
+				}
+				if errors.Is(w.Err, resil.ErrShed) {
+					queueShed[calls[i].Priority]++
+				}
+			}
+			if tot.Failovers != 0 || tot.HedgedCalls != 0 || tot.BreakerOpens != 0 || tot.ReplicaRestarts != 0 {
+				t.Fatalf("failover machinery fired with the zero policy: %+v", tot)
+			}
+			// The scenario must reach the paths it claims to compare.
+			if wantStats.Quarantines == 0 || wantStats.Shed == 0 {
+				t.Fatalf("scenario too light: %+v", wantStats)
+			}
+			if pol.DeadlineFactor > 0 {
+				if wantStats.DeadlineShed == 0 || wantStats.DeadlineShed == wantStats.Shed {
+					t.Fatalf("want both deadline and queue-bound sheds: %+v", wantStats)
+				}
+				if queueShed[2] <= queueShed[0] {
+					t.Fatalf("queue-bound sheds by class %v: lowest class not refused first", queueShed)
+				}
+			}
+		})
 	}
 }
 

@@ -26,11 +26,14 @@ type Device struct {
 	decomp    *Decompressor
 }
 
+// MaxPipelines is the most pipelines one Device models.
+const MaxPipelines = 64
+
 // NewDevice builds a device with n identical pipelines of the given
 // configuration. The Config's Op selects the direction served.
 func NewDevice(cfg Config, pipelines int) (*Device, error) {
-	if pipelines < 1 || pipelines > 64 {
-		return nil, fmt.Errorf("core: pipeline count %d out of [1,64]", pipelines)
+	if pipelines < 1 || pipelines > MaxPipelines {
+		return nil, fmt.Errorf("core: pipeline count %d out of [1,%d]", pipelines, MaxPipelines)
 	}
 	d := &Device{cfg: cfg, pipelines: pipelines}
 	var err error
@@ -303,8 +306,8 @@ func (d *Device) ReplayPolicy(jobs []Job, service, post []float64, faults []int,
 
 // ReplayState is ReplayPolicy unrolled into one Step per job, so a
 // discrete-event engine can drive a device arrival by arrival instead of
-// walking a fully materialized job slice. ReplayPolicy itself is now a thin
-// loop over Step + Finish; the per-job arithmetic is the same operations in
+// walking a fully materialized job slice. ReplayPolicy itself is a thin loop
+// over StepCall + Finish; the per-job arithmetic is the same operations in
 // the same order, so driving the state from an event queue produces results
 // bit-identical to the serial pass.
 type ReplayState struct {
@@ -336,7 +339,7 @@ type ReplayState struct {
 
 // NewReplayState prepares an incremental FCFS pass over n expected jobs under
 // pol. withPost and withFaults mirror ReplayPolicy's nil-slice distinctions:
-// they decide whether Step's post and faults arguments participate at all
+// they decide whether StepCall's post and faults arguments participate at all
 // (validation included), so a wrapped slice-driven pass stays bit-identical.
 func (d *Device) NewReplayState(n int, pol resil.Policy, withPost, withFaults bool) *ReplayState {
 	st := &ReplayState{
@@ -353,12 +356,9 @@ func (d *Device) NewReplayState(n int, pol resil.Policy, withPost, withFaults bo
 	return st
 }
 
-// Jobs returns how many jobs have been stepped so far.
-func (st *ReplayState) Jobs() int { return st.n }
-
 // Last returns the result of the most recently stepped job (nil before the
-// first Step). The pointer is into the state's result slice; it is valid
-// until the next Step.
+// first StepCall). The pointer is into the state's result slice; it is valid
+// until the next StepCall.
 func (st *ReplayState) Last() *JobResult {
 	if len(st.results) == 0 {
 		return nil
@@ -366,30 +366,22 @@ func (st *ReplayState) Last() *JobResult {
 	return &st.results[len(st.results)-1]
 }
 
-// Step admits, queues and serves one job. Arrivals must be non-decreasing
+// StepCall admits, queues and serves one job. Arrivals must be non-decreasing
 // across calls; service and post must be finite and non-negative. post and
-// faults are ignored unless the state was built with the corresponding
-// with* flag.
-func (st *ReplayState) Step(arrival, service, post float64, faults int) error {
-	return st.StepPri(arrival, service, post, faults, 0)
-}
-
-// StepPri is Step for a prioritized arrival: priority (0 = highest) selects
-// the job's admission bound via the policy's QueueBound, so under a
-// priority-classed policy a nearly full queue refuses low-priority arrivals
-// while still admitting high-priority ones. Priority 0 is bit-identical to
-// Step.
-func (st *ReplayState) StepPri(arrival, service, post float64, faults, priority int) error {
-	return st.StepCall(arrival, service, post, faults, priority, 0)
-}
-
-// StepCall is StepPri for a deadlined arrival: target is the job's latency
-// deadline in cycles. Under a policy with DeadlineFactor > 0, a job whose
-// earliest possible completion — the earliest pipeline free time plus its
-// service — would land past arrival + DeadlineFactor·target is shed with
-// resil.ErrDeadlineShed before the queue-bound check, so unmeetable work
-// never occupies a pipeline. Target 0 (or DeadlineFactor 0) is bit-identical
-// to StepPri.
+// faults are ignored unless the state was built with the corresponding with*
+// flag.
+//
+// priority (0 = highest) selects the job's admission bound via the policy's
+// QueueBound, so under a priority-classed policy a nearly full queue refuses
+// low-priority arrivals while still admitting high-priority ones; priority 0
+// gets the full MaxQueue, the unclassed behavior.
+//
+// target is the job's latency deadline in cycles. Under a policy with
+// DeadlineFactor > 0, a job whose earliest possible completion — the earliest
+// pipeline free time plus its service — would land past arrival +
+// DeadlineFactor·target is shed with resil.ErrDeadlineShed before the
+// queue-bound check, so unmeetable work never occupies a pipeline. Target 0
+// (or DeadlineFactor 0) disables the check.
 func (st *ReplayState) StepCall(arrival, service, post float64, faults, priority int, target float64) error {
 	i := st.n
 	if i > 0 && arrival < st.prev {
@@ -471,31 +463,16 @@ func (st *ReplayState) StepCall(arrival, service, post float64, faults, priority
 		st.pending = append(st.pending, start)
 	}
 	if st.faultLog != nil && faults > 0 {
-		log := st.faultLog[p]
-		if w := pol.QuarantineWindowCycles; w > 0 {
-			keep := 0
-			for _, ts := range log {
-				if ts >= done-w {
-					log[keep] = ts
-					keep++
-				}
-			}
-			log = log[:keep]
-		}
-		for e := 0; e < faults; e++ {
-			log = append(log, done)
-		}
-		if len(log) >= pol.QuarantineK {
+		var quarantine bool
+		st.faultLog[p], quarantine = BookFaults(st.faultLog[p], done, faults, pol)
+		if quarantine {
 			reset := pol.ResetCycles
 			if reset == 0 {
 				reset = st.dev.PipelineResetCycles()
 			}
 			st.free[p] = done + reset + pol.QuarantinePenaltyCycles
-			log = log[:0]
 			st.quarantines++
-			resil.MetricQuarantines.Inc()
 		}
-		st.faultLog[p] = log
 	}
 	return nil
 }
@@ -508,12 +485,46 @@ func (st *ReplayState) Finish() ([]JobResult, DeviceStats) {
 	if devStats.Makespan > 0 {
 		devStats.Utilization = st.busy / (float64(st.dev.pipelines) * devStats.Makespan)
 	}
-	if st.served == 0 {
-		return results, devStats
+	devStats.SummarizeLatency(results, st.served)
+	return results, devStats
+}
+
+// BookFaults books one served job's fault events, all at its completion time
+// done, into its pipeline's sliding-window fault log and returns the updated
+// log: events older than pol.QuarantineWindowCycles are dropped first, then
+// the new ones appended. When the log reaches pol.QuarantineK it reports a
+// quarantine (counted in resil.MetricQuarantines) and hands back the log
+// cleared; the caller owns what a quarantine costs the pipeline.
+func BookFaults(log []float64, done float64, faults int, pol resil.Policy) ([]float64, bool) {
+	if w := pol.QuarantineWindowCycles; w > 0 {
+		keep := 0
+		for _, ts := range log {
+			if ts >= done-w {
+				log[keep] = ts
+				keep++
+			}
+		}
+		log = log[:keep]
 	}
-	// Single-pass mean over served jobs, then quickselect for the percentile
-	// samples: O(n) total, and the only latency copy is the selection scratch.
-	lat := make([]float64, 0, st.served)
+	for e := 0; e < faults; e++ {
+		log = append(log, done)
+	}
+	if len(log) < pol.QuarantineK {
+		return log, false
+	}
+	resil.MetricQuarantines.Inc()
+	return log[:0], true
+}
+
+// SummarizeLatency fills the mean, P50 and P99 latency over the served jobs
+// (nil Err) of results; served is their count, and with none the fields stay
+// zero. Single-pass mean, then quickselect for the percentile samples: O(n)
+// total, and the only latency copy is the selection scratch.
+func (s *DeviceStats) SummarizeLatency(results []JobResult, served int) {
+	if served == 0 {
+		return
+	}
+	lat := make([]float64, 0, served)
 	sum := 0.0
 	for i := range results {
 		if results[i].Err != nil {
@@ -522,8 +533,7 @@ func (st *ReplayState) Finish() ([]JobResult, DeviceStats) {
 		lat = append(lat, results[i].Latency)
 		sum += results[i].Latency
 	}
-	devStats.MeanLatency = sum / float64(len(lat))
-	devStats.P50Latency = stats.SelectNth(lat, len(lat)/2)
-	devStats.P99Latency = stats.SelectNth(lat, min(len(lat)-1, len(lat)*99/100))
-	return results, devStats
+	s.MeanLatency = sum / float64(len(lat))
+	s.P50Latency = stats.SelectNth(lat, len(lat)/2)
+	s.P99Latency = stats.SelectNth(lat, min(len(lat)-1, len(lat)*99/100))
 }

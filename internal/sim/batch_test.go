@@ -7,8 +7,8 @@ import (
 	"cdpu/internal/resil"
 )
 
-// chaosTestPolicy mirrors the full-featured recovery policy the benchmarks
-// ship (cmd/simbench), so the determinism tests cover every recovery path:
+// chaosTestPolicy mirrors the full-featured recovery policy the benchmark
+// ships (bench/workloads.go), so the determinism tests cover every recovery path:
 // retries, backoff, fallback, quarantine and admission control.
 func chaosTestPolicy() resil.Policy {
 	return resil.Policy{

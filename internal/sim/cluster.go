@@ -12,10 +12,11 @@ import (
 	"cdpu/internal/xeon"
 )
 
-// clusterMode reports whether the replay routes through replica groups. With
-// one replica, the zero failover policy and no lifecycle schedule, the
-// historical single-device reduction runs untouched — the structural
-// guarantee behind the bit-identical-at-Replicas=1 contract.
+// clusterMode reports whether the replay deploys real replica groups. Every
+// partition steps a cluster.GroupState either way — with one replica, the
+// zero failover policy and no lifecycle schedule the group is the lone FCFS
+// device, bit for bit — so this only decides whether the group's failover
+// totals and per-replica dispatch gauges are published.
 func (c Config) clusterMode() bool {
 	return c.Replicas > 1 || c.Failover.Enabled() || c.Lifecycle != nil
 }
@@ -44,8 +45,7 @@ func (sh *shard) annotateCluster(out *execOut, s *callSpec, call int, cfg *Confi
 	// replica group: instance inst of a slot owns replicas
 	// [inst*Replicas, (inst+1)*Replicas) of the lifecycle schedule's replica
 	// space, so each device instance sees independent lifecycle weather.
-	replicas := max(1, cfg.Replicas)
-	if stormHit || !cfg.Lifecycle.AnyBrownoutRange(s.inst*replicas, replicas, call) {
+	if stormHit || !cfg.Lifecycle.AnyBrownoutRange(s.inst*cfg.Replicas, cfg.Replicas, call) {
 		return nil
 	}
 	dev := sh.devs[s.dev]
@@ -64,62 +64,6 @@ func (sh *shard) annotateCluster(out *execOut, s *callSpec, call int, cfg *Confi
 // degrades to the CPU.
 func softwareCycles(s *callSpec) float64 {
 	return xeon.Seconds(xeon.Cycles(s.rec.Algo, s.rec.Op, s.rec.Level, s.rec.UncompressedBytes)) * 2.0e9
-}
-
-// reduceCluster is the cluster-mode replacement for reduceDevice: one device
-// instance of a deviceOrder slot becomes a cluster.Group of Replicas devices
-// behind the failover dispatcher, fed the same index-addressed phase-B
-// outcomes. base anchors the group's replicas in the lifecycle schedule's
-// replica space (inst*Replicas; 0 when Devices is 1). The probe device
-// supplies the placement-aware reset cost and the per-replica silicon area.
-func reduceCluster(d, base int, idxs []int, specs []callSpec, outs []execOut, cfg *Config) devReduction {
-	slot := deviceOrder[d]
-	devCfg := core.Config{Algo: slot.algo, Op: slot.op, Placement: cfg.Placement}
-	dev, err := core.NewDevice(devCfg, cfg.Pipelines)
-	if err != nil {
-		return devReduction{err: err}
-	}
-	g := &cluster.Group{
-		Replicas:    max(1, cfg.Replicas),
-		Pipelines:   cfg.Pipelines,
-		ResetCycles: dev.PipelineResetCycles(),
-		Unit:        devCfg.Name(),
-		Resil:       cfg.Resilience,
-		Policy:      cfg.Failover,
-		Lifecycle:   cfg.Lifecycle,
-		ReplicaBase: base,
-		Autoscale:   cfg.Autoscale,
-	}
-	calls := make([]cluster.Call, len(idxs))
-	slo := cfg.sloCycles()
-	for ji, ci := range idxs {
-		s := &specs[ci]
-		calls[ji] = cluster.Call{
-			Arrival:    s.arrival,
-			Index:      ci,
-			Service:    outs[ci].service,
-			Post:       outs[ci].post,
-			Faults:     outs[ci].faults,
-			Degraded:   outs[ci].degraded,
-			Brown:      outs[ci].brown,
-			HangBudget: outs[ci].budget,
-			Bytes:      s.rec.UncompressedBytes,
-			Priority:   s.class,
-		}
-		if slo != nil {
-			calls[ji].Target = slo[s.class]
-		}
-		if cfg.Resilience.SoftwareFallback {
-			calls[ji].Software = softwareCycles(s)
-		}
-	}
-	results, devStats, tot, err := g.Replay(calls)
-	if err != nil {
-		return devReduction{dev: dev, err: err}
-	}
-	red := devReduction{dev: dev, results: results, idxs: idxs, stats: devStats, tot: tot}
-	red.summarize(specs, cfg.sloCycles())
-	return red
 }
 
 // mergeClusterTotals rolls one group's failover totals into the Report and

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sync"
-
 	"cdpu/internal/cluster"
 	"cdpu/internal/core"
 	"cdpu/internal/des"
@@ -10,17 +8,17 @@ import (
 )
 
 // This file is the bridge between the replay's phase C and the partitioned
-// discrete-event engine (internal/des). Each device instance — one FCFS
-// device, or one replica group in cluster mode — is a des.Partition holding
-// its own event queue: preloaded Arrival events drive the replay steppers
-// (core.ReplayState / cluster.GroupState), BreakerProbe events realize
+// discrete-event engine (internal/des). Each device instance is a replica
+// group — a lone FCFS device is the one-replica, zero-policy group — and a
+// des.Partition holding its own event queue: preloaded Arrival events drive
+// the group's stepper (cluster.GroupState), BreakerProbe events realize
 // open-window expiries at their deadline, and ServiceDone / LifecycleMark
 // events attribute shared-resource demand to the epoch in which the work
 // actually happened. Arrivals replay in (time, insertion) order and every
 // stretch multiplication is exactly 1.0 when Contention is nil, so the engine
-// path is bit-identical to the legacy serial per-partition loops — the
-// property the differential tests in des_test.go pin against the retained
-// legacy oracle.
+// is bit-identical to batch core.Device.ReplayPolicy / cluster.Group.Replay
+// passes over the same calls — the property the differential tests pin
+// against the test-side oracle (oracle_test.go).
 
 // simPart is one phase-C partition.
 type simPart struct {
@@ -28,14 +26,10 @@ type simPart struct {
 	specs []callSpec
 	outs  []execOut
 	idxs  []int
-	chaos bool
 	slo   *[traffic.NumClasses]float64 // per-class targets; nil in closed loop
 
 	q   des.Queue
-	dev *core.Device
-	// Exactly one of dst (single-device FCFS) or gst (replica group) drives
-	// the partition.
-	dst *core.ReplayState
+	dev *core.Device // probe device: reset cost and per-replica silicon area
 	gst *cluster.GroupState
 
 	// Shared-resource accounting, active only when Contention is set.
@@ -49,9 +43,9 @@ type simPart struct {
 	pos          int // arrivals processed so far
 }
 
-// newSimPart builds the partition for one device instance. base anchors a
-// cluster group's replicas in the lifecycle schedule's replica space.
-func newSimPart(slot, base int, idxs []int, specs []callSpec, outs []execOut, cfg *Config, chaos, clustered bool) (*simPart, error) {
+// newSimPart builds the partition for one device instance. base anchors the
+// group's replicas in the lifecycle schedule's replica space.
+func newSimPart(slot, base int, idxs []int, specs []callSpec, outs []execOut, cfg *Config) (*simPart, error) {
 	so := deviceOrder[slot]
 	devCfg := core.Config{Algo: so.algo, Op: so.op, Placement: cfg.Placement}
 	dev, err := core.NewDevice(devCfg, cfg.Pipelines)
@@ -63,31 +57,26 @@ func newSimPart(slot, base int, idxs []int, specs []callSpec, outs []execOut, cf
 		specs:   specs,
 		outs:    outs,
 		idxs:    idxs,
-		chaos:   chaos,
 		slo:     cfg.sloCycles(),
 		dev:     dev,
 		shared:  cfg.Contention != nil,
 		stretch: 1,
 	}
-	if clustered {
-		g := &cluster.Group{
-			Replicas:    max(1, cfg.Replicas),
-			Pipelines:   cfg.Pipelines,
-			ResetCycles: dev.PipelineResetCycles(),
-			Unit:        devCfg.Name(),
-			Resil:       cfg.Resilience,
-			Policy:      cfg.Failover,
-			Lifecycle:   cfg.Lifecycle,
-			ReplicaBase: base,
-			Autoscale:   cfg.Autoscale,
-		}
-		p.gst = g.NewState(len(idxs))
-	} else {
-		p.dst = dev.NewReplayState(len(idxs), cfg.Resilience, chaos, chaos)
+	g := &cluster.Group{
+		Replicas:    cfg.Replicas,
+		Pipelines:   cfg.Pipelines,
+		ResetCycles: dev.PipelineResetCycles(),
+		Unit:        devCfg.Name(),
+		Resil:       cfg.Resilience,
+		Policy:      cfg.Failover,
+		Lifecycle:   cfg.Lifecycle,
+		ReplicaBase: base,
+		Autoscale:   cfg.Autoscale,
 	}
+	p.gst = g.NewState(len(idxs))
 	// Arrivals are globally non-decreasing (the schedule is a running clock),
 	// so preloading in index order pushes them in sorted order — each push is
-	// O(1) and the steppers' sorted-arrival contract holds by construction.
+	// O(1) and the stepper's sorted-arrival contract holds by construction.
 	for _, ci := range idxs {
 		p.q.Push(des.Event{Time: specs[ci].arrival, Kind: des.Arrival, Call: ci})
 	}
@@ -121,10 +110,10 @@ func (p *simPart) Advance(limit float64) error {
 			p.demand.BusyCycles += ev.X
 		case des.BreakerProbe:
 			p.hasProbe = false
-			// A probe after the last arrival must not fire: the legacy books
-			// close still-open windows at Finish time, and transitioning them
-			// here would book the full window instead.
-			if p.gst != nil && p.pos < len(p.idxs) {
+			// A probe after the last arrival must not fire: Finish closes
+			// still-open windows at the last completion, and transitioning
+			// them here would book the full window instead.
+			if p.pos < len(p.idxs) {
 				p.gst.ObserveBreakers(ev.Time)
 				p.scheduleProbe()
 			}
@@ -135,66 +124,45 @@ func (p *simPart) Advance(limit float64) error {
 	}
 }
 
-// stepArrival drives one call through the partition's stepper, mirroring the
-// legacy reductions' per-call bodies exactly (every value it feeds the stepper
-// is the legacy value times the current stretch, which is exactly 1.0 without
-// Contention).
+// stepArrival drives one call through the group's stepper. Every cycle count
+// it feeds the stepper is the phase-B value times the current stretch, which
+// is exactly 1.0 without Contention.
 func (p *simPart) stepArrival(ci int) error {
 	s := &p.specs[ci]
 	o := &p.outs[ci]
 	p.pos++
-	var target float64
+	c := cluster.Call{
+		Arrival:    s.arrival,
+		Index:      ci,
+		Service:    o.service * p.stretch,
+		Post:       o.post,
+		Faults:     o.faults,
+		Degraded:   o.degraded,
+		Brown:      o.brown * p.stretch,
+		HangBudget: o.budget,
+		Bytes:      s.rec.UncompressedBytes,
+		Priority:   s.class,
+	}
 	if p.slo != nil {
-		target = p.slo[s.class]
+		c.Target = p.slo[s.class]
 	}
-	if p.gst != nil {
-		c := cluster.Call{
-			Arrival:    s.arrival,
-			Index:      ci,
-			Service:    o.service * p.stretch,
-			Post:       o.post,
-			Faults:     o.faults,
-			Degraded:   o.degraded,
-			Brown:      o.brown * p.stretch,
-			HangBudget: o.budget,
-			Bytes:      s.rec.UncompressedBytes,
-			Priority:   s.class,
-			Target:     target,
-		}
-		if p.cfg.Resilience.SoftwareFallback {
-			c.Software = softwareCycles(s)
-		}
-		if err := p.gst.Step(&c); err != nil {
-			return err
-		}
-		if p.shared {
-			p.demand.LinkOps++ // dispatch doorbell
-			if r := p.gst.Last(); r.Err == nil && r.Pipeline >= 0 {
-				p.q.Push(des.Event{Time: r.Start + r.Service, Kind: des.ServiceDone, Call: ci, X: r.Service})
-			}
-			if n := p.gst.Restarts(); n > p.prevRestarts {
-				p.q.Push(des.Event{Time: s.arrival, Kind: des.LifecycleMark, Call: ci, X: float64(n - p.prevRestarts)})
-				p.prevRestarts = n
-			}
-		}
-		p.scheduleProbe()
-		return nil
+	if p.cfg.Resilience.SoftwareFallback {
+		c.Software = softwareCycles(s)
 	}
-	var post float64
-	var flt int
-	if p.chaos {
-		post = o.post
-		flt = o.faults
-	}
-	if err := p.dst.StepCall(s.arrival, o.service*p.stretch, post, flt, s.class, target); err != nil {
+	if err := p.gst.Step(&c); err != nil {
 		return err
 	}
 	if p.shared {
-		p.demand.LinkOps++
-		if r := p.dst.Last(); r.Err == nil && r.Pipeline >= 0 {
+		p.demand.LinkOps++ // dispatch doorbell
+		if r := p.gst.Last(); r.Err == nil && r.Pipeline >= 0 {
 			p.q.Push(des.Event{Time: r.Start + r.Service, Kind: des.ServiceDone, Call: ci, X: r.Service})
 		}
+		if n := p.gst.Restarts(); n > p.prevRestarts {
+			p.q.Push(des.Event{Time: s.arrival, Kind: des.LifecycleMark, Call: ci, X: float64(n - p.prevRestarts)})
+			p.prevRestarts = n
+		}
 	}
+	p.scheduleProbe()
 	return nil
 }
 
@@ -203,7 +171,7 @@ func (p *simPart) stepArrival(ci int) error {
 // deadline) are left in the queue; processing re-checks the books, so they
 // are harmless no-ops.
 func (p *simPart) scheduleProbe() {
-	if p.gst == nil || p.pos >= len(p.idxs) {
+	if p.pos >= len(p.idxs) {
 		return
 	}
 	if dl, open := p.gst.NextBreakerDeadline(); open && (!p.hasProbe || dl < p.probeAt) {
@@ -223,35 +191,26 @@ func (p *simPart) EpochDemand() des.Demand {
 func (p *simPart) SetStretch(s des.Stretch) { p.stretch = s.Service }
 
 // finish converts the partition's stepper state into the merge-ready
-// reduction, mirroring the legacy reductions' result shapes (including which
-// error shapes carry the probe device).
+// reduction.
 func (p *simPart) finish(err error) devReduction {
 	if err != nil {
-		if p.gst != nil {
-			return devReduction{dev: p.dev, err: err}
-		}
 		return devReduction{err: err}
 	}
 	red := devReduction{dev: p.dev, idxs: p.idxs}
-	if p.gst != nil {
-		red.results, red.stats, red.tot = p.gst.Finish()
-	} else {
-		red.results, red.stats = p.dst.Finish()
-	}
-	red.summarize(p.specs, p.cfg.sloCycles())
+	red.results, red.stats, red.tot = p.gst.Finish()
+	red.summarize(p.specs, p.slo)
 	return red
 }
 
 // runEngineReduction is phase C on the discrete-event engine: one partition
 // per device instance, advanced by the engine's worker pool, results
 // collected in partition order.
-func runEngineReduction(perPart [][]int, devices int, specs []callSpec, outs []execOut, cfg *Config, chaos, clustered bool) []devReduction {
+func runEngineReduction(perPart [][]int, specs []callSpec, outs []execOut, cfg *Config) []devReduction {
 	reds := make([]devReduction, len(perPart))
 	sps := make([]*simPart, len(perPart))
 	parts := make([]des.Partition, 0, len(perPart))
-	replicas := max(1, cfg.Replicas)
 	for pid := range perPart {
-		sp, err := newSimPart(pid/devices, (pid%devices)*replicas, perPart[pid], specs, outs, cfg, chaos, clustered)
+		sp, err := newSimPart(pid/cfg.Devices, (pid%cfg.Devices)*cfg.Replicas, perPart[pid], specs, outs, cfg)
 		if err != nil {
 			reds[pid] = devReduction{err: err}
 			continue
@@ -269,28 +228,5 @@ func runEngineReduction(perPart [][]int, devices int, specs []callSpec, outs []e
 		reds[pid] = sp.finish(errs[ei])
 		ei++
 	}
-	return reds
-}
-
-// runLegacyReduction is the retained pre-DES phase C: one goroutine per
-// partition running the serial reduction loop. It is the golden oracle the
-// engine path's byte-identity differential tests replay against (reached via
-// Config.legacyPhaseC).
-func runLegacyReduction(perPart [][]int, devices int, specs []callSpec, outs []execOut, cfg *Config, chaos, clustered bool) []devReduction {
-	reds := make([]devReduction, len(perPart))
-	replicas := max(1, cfg.Replicas)
-	var wg sync.WaitGroup
-	for p := range perPart {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			if clustered {
-				reds[p] = reduceCluster(p/devices, (p%devices)*replicas, perPart[p], specs, outs, cfg)
-			} else {
-				reds[p] = reduceDevice(p/devices, perPart[p], specs, outs, cfg, chaos)
-			}
-		}(p)
-	}
-	wg.Wait()
 	return reds
 }

@@ -43,14 +43,13 @@ func desScenarios() []struct {
 // TestEngineReductionMatchesLegacyOracle is the tentpole's byte-identity
 // proof: for every replay shape, the partitioned discrete-event engine at
 // workers 1..8 produces a Report byte-identical to the retained pre-DES
-// serial reduction (the golden oracle behind Config.legacyPhaseC).
+// serial reduction (the test-side oracle in oracle_test.go).
 func TestEngineReductionMatchesLegacyOracle(t *testing.T) {
 	for _, sc := range desScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			oracle := sc.cfg
 			oracle.Workers = 1
-			oracle.legacyPhaseC = true
-			want, err := Run(oracle)
+			want, err := run(oracle, runLegacyReduction)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,8 +94,7 @@ func TestEngineAbortMatchesLegacyOracle(t *testing.T) {
 	}
 	for _, devices := range []int{1, 3} {
 		oracle := abortCfg(1, 150, devices)
-		oracle.legacyPhaseC = true
-		_, err := Run(oracle)
+		_, err := run(oracle, runLegacyReduction)
 		if err == nil {
 			t.Fatalf("devices=%d: legacy all-replicas-down replay survived", devices)
 		}

@@ -166,8 +166,7 @@ func TestOverloadWorkerInvariance(t *testing.T) {
 		}
 	}
 	oracle := base
-	oracle.legacyPhaseC = true
-	got, err := Run(oracle)
+	got, err := run(oracle, runLegacyReduction)
 	if err != nil {
 		t.Fatal(err)
 	}

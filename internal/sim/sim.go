@@ -87,9 +87,9 @@ type Config struct {
 	// a stormed replay keeps the exact call mix of the healthy one.
 	Storm *fault.Storm
 	// Replicas turns each deviceOrder slot into a cluster.Group of N devices
-	// behind the failover dispatcher (0/1 = the historical single device;
-	// the single-device engine is bit-identical when Replicas <= 1 with the
-	// zero Failover policy and no Lifecycle).
+	// behind the failover dispatcher (0/1 = a lone device: the one-replica
+	// group with the zero Failover policy and no Lifecycle is the historical
+	// single-device FCFS queue, bit for bit).
 	Replicas int
 	// Failover parameterizes the replica dispatcher: circuit breakers,
 	// failover re-dispatch, hedging, crash detection and warm-restart costs.
@@ -144,10 +144,6 @@ type Config struct {
 	// Report.BurnAlerts (and per-class counters). Requires open-loop Traffic;
 	// the zero value books no per-tenant state at all.
 	Burn traffic.BurnConfig
-	// legacyPhaseC routes the queueing reduction through the pre-DES serial
-	// per-partition loops instead of the event engine. Test-only: it is the
-	// golden oracle the byte-identity differential tests replay against.
-	legacyPhaseC bool
 }
 
 func (c Config) withDefaults() Config {
@@ -168,6 +164,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Devices == 0 {
 		c.Devices = 1
+	}
+	if c.Replicas == 0 {
+		c.Replicas = 1
 	}
 	// Open-loop traffic with a bounded queue defaults to class-differentiated
 	// admission: shed bronze before gold. Explicit PriorityClasses (or an
@@ -343,7 +342,6 @@ func sampleCalls(cfg Config, report *Report) (specs []callSpec, xeonCycles, at f
 	// sampling order. A per-slot counter in this serial phase keeps the routing
 	// a pure function of the call sequence — no extra RNG draws, so the call
 	// mix is unperturbed relative to Devices=1.
-	devices := max(1, cfg.Devices)
 	var rr [numDevices]int
 	for len(specs) < cfg.Calls {
 		rec := model.SampleCall()
@@ -362,7 +360,7 @@ func sampleCalls(cfg Config, report *Report) (specs []callSpec, xeonCycles, at f
 			arrival:     at,
 			dev:         deviceIndex(rec.Algo, rec.Op),
 		}
-		s.inst = rr[s.dev] % devices
+		s.inst = rr[s.dev] % cfg.Devices
 		rr[s.dev]++
 		at += float64(rec.UncompressedBytes) * cyclesPerByte * (0.5 + r.float64())
 		report.UncompressedBytes += rec.UncompressedBytes
@@ -424,47 +422,17 @@ func (red *devReduction) summarize(specs []callSpec, slo *[traffic.NumClasses]fl
 	}
 }
 
-// reduceDevice replays one device's FCFS queue over the precomputed service
-// cycles. The four device queues are fully independent — each call belongs
-// to exactly one device and pipelines are per-device — so the four
-// reductions run concurrently and the merge only has to respect deviceOrder.
-func reduceDevice(d int, idxs []int, specs []callSpec, outs []execOut, cfg *Config, chaos bool) devReduction {
-	slot := deviceOrder[d]
-	dev, err := core.NewDevice(core.Config{Algo: slot.algo, Op: slot.op, Placement: cfg.Placement}, cfg.Pipelines)
-	if err != nil {
-		return devReduction{err: err}
-	}
-	jobs := make([]core.Job, len(idxs))
-	svc := make([]float64, len(idxs))
-	var post []float64
-	var flt []int
-	if chaos {
-		post = make([]float64, len(idxs))
-		flt = make([]int, len(idxs))
-	}
-	slo := cfg.sloCycles()
-	for ji, ci := range idxs {
-		jobs[ji] = core.Job{Arrival: specs[ci].arrival, Priority: specs[ci].class}
-		if slo != nil {
-			jobs[ji].Target = slo[specs[ci].class]
-		}
-		svc[ji] = outs[ci].service
-		if chaos {
-			post[ji] = outs[ci].post
-			flt[ji] = outs[ci].faults
-		}
-	}
-	results, devStats, err := dev.ReplayPolicy(jobs, svc, post, flt, cfg.Resilience)
-	if err != nil {
-		return devReduction{err: err}
-	}
-	red := devReduction{dev: dev, results: results, idxs: idxs, stats: devStats}
-	red.summarize(specs, cfg.sloCycles())
-	return red
-}
+// phaseC is the queueing reduction Run drives: one devReduction per partition
+// of perPart (slot-major, instance-minor), each covering exactly that
+// partition's calls in call order. Production has one, runEngineReduction; the
+// seam exists so the differential tests can run the same phases A, B and merge
+// over their independent batch oracle (oracle_test.go).
+type phaseC func(perPart [][]int, specs []callSpec, outs []execOut, cfg *Config) []devReduction
 
 // Run replays cfg.Calls fleet calls through CDPU devices.
-func Run(cfg Config) (*Report, error) {
+func Run(cfg Config) (*Report, error) { return run(cfg, runEngineReduction) }
+
+func run(cfg Config, reduce phaseC) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -503,30 +471,20 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	// Phase C (partitioned discrete-event reduction, serial merge): each
-	// device instance is one event-queue partition — its FCFS queue (or its
-	// replica group) is independent of every other given the arrival schedule
-	// and instance routing — advanced in parallel by the des engine, then
-	// merged in fixed partition order (slot-major, instance-minor): latencies
-	// concatenate in partition order and are summed in one loop, so the float
-	// accumulation order (and therefore the Report) is bit-identical to a
-	// serial pass at any worker count. The recovery-aware pass only
-	// materializes its extra per-job inputs when something can populate them;
-	// with the zero policy the stepper is arithmetically identical to Replay,
-	// keeping healthy Reports byte-stable.
-	devices := max(1, cfg.Devices)
+	// device instance is one event-queue partition — its replica group (a lone
+	// FCFS device being the one-replica group) is independent of every other
+	// given the arrival schedule and instance routing — advanced in parallel
+	// by the des engine, then merged in fixed partition order (slot-major,
+	// instance-minor): latencies concatenate in partition order and are summed
+	// in one loop, so the float accumulation order (and therefore the Report)
+	// is bit-identical to a serial pass at any worker count.
+	devices := cfg.Devices
 	perPart := make([][]int, numDevices*devices)
 	for i, s := range specs {
 		perPart[s.dev*devices+s.inst] = append(perPart[s.dev*devices+s.inst], i)
 	}
-	chaos := cfg.Storm != nil || cfg.Resilience.Enabled()
 	clustered := cfg.clusterMode()
-	replicas := max(1, cfg.Replicas)
-	var reds []devReduction
-	if cfg.legacyPhaseC {
-		reds = runLegacyReduction(perPart, devices, specs, outs, &cfg, chaos, clustered)
-	} else {
-		reds = runEngineReduction(perPart, devices, specs, outs, &cfg, chaos, clustered)
-	}
+	reds := reduce(perPart, specs, outs, &cfg)
 	if err := firstReductionError(reds, len(specs)); err != nil {
 		return nil, err
 	}
@@ -553,7 +511,7 @@ func Run(cfg Config) (*Report, error) {
 			mergeClusterTotals(report, p, &red.tot)
 		}
 		if cfg.Trace != nil {
-			emitDeviceTrace(cfg.Trace, p, slot.algo, slot.op, p%devices, devices, replicas, cfg.Pipelines, red.idxs, red.results, outs)
+			emitDeviceTrace(cfg.Trace, p, slot.algo, slot.op, p%devices, devices, cfg.Replicas, cfg.Pipelines, red.idxs, red.results, outs)
 		}
 		if slot.op == comp.Compress {
 			report.CompUtil = max(report.CompUtil, red.stats.Utilization)
@@ -589,7 +547,7 @@ func Run(cfg Config) (*Report, error) {
 	// this is the conservative bound). Cluster mode deploys Replicas full
 	// copies of each instance, and Devices fans each slot out N-wide.
 	for p := range reds {
-		report.AreaMM2 += reds[p].dev.Area().Total() * float64(replicas)
+		report.AreaMM2 += reds[p].dev.Area().Total() * float64(cfg.Replicas)
 	}
 	return report, nil
 }
@@ -757,9 +715,8 @@ func (sh *shard) execOne(s *callSpec, call int, cfg *Config, plain []byte) (exec
 		// re-execution under the fault injector — forces the full encoder.
 		// Non-zstd-family algorithms always encode in full (their decoders
 		// parse bytes); AppendCompressPlanSizeOnly falls through for them.
-		replicas := max(1, cfg.Replicas)
 		needReal := stormHit ||
-			(cfg.Lifecycle != nil && cfg.Lifecycle.AnyBrownoutRange(s.inst*replicas, replicas, call))
+			(cfg.Lifecycle != nil && cfg.Lifecycle.AnyBrownoutRange(s.inst*cfg.Replicas, cfg.Replicas, call))
 		var enc []byte
 		var p *zstdlite.Plan
 		var err error

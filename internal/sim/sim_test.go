@@ -126,7 +126,9 @@ func TestOffloadBeatsSoftwareServiceTime(t *testing.T) {
 
 // BenchmarkSimRun measures one full replay (sampling, parallel synthesis,
 // queueing replay). Divide ns/op and allocs/op by the call count for
-// per-call figures; cmd/simbench does exactly that for BENCH_sim.json.
+// per-call figures; `go run ./bench` reports the same replay as ops_per_s and
+// allocs_per_op, and this benchmark is the profiling target
+// (go test -run '^$' -bench BenchmarkSimRun -cpuprofile cpu.pprof ./internal/sim).
 func BenchmarkSimRun(b *testing.B) {
 	cfg := Config{Seed: 1, Calls: 2000, MaxCallBytes: 256 << 10}
 	b.ReportAllocs()
@@ -145,6 +147,7 @@ func BenchmarkSimRun(b *testing.B) {
 // Chrome trace-event JSON with spans for every device lane.
 func TestTracedRunLeavesReportIdentical(t *testing.T) {
 	base := Config{Seed: 13, Calls: 300, MaxCallBytes: 128 << 10, Pipelines: 2}
+	calls0 := metricSimCalls.Value()
 	want, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
@@ -160,6 +163,10 @@ func TestTracedRunLeavesReportIdentical(t *testing.T) {
 	}
 	if traced.Trace.Len() == 0 {
 		t.Fatal("traced run recorded no spans")
+	}
+	// The metrics registry saw both replays' traffic.
+	if d := metricSimCalls.Value() - calls0; d != int64(2*base.Calls) {
+		t.Errorf("sim.calls counter moved by %d over two %d-call replays", d, base.Calls)
 	}
 
 	var buf bytes.Buffer

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"cdpu/internal/comp"
+	"cdpu/internal/core"
 	"cdpu/internal/fleet"
 	"cdpu/internal/obs"
 	"cdpu/internal/traffic"
@@ -81,6 +82,18 @@ func (c Config) validate() error {
 	if c.Calls < 0 {
 		return fmt.Errorf("sim: Calls %d (want non-negative)", c.Calls)
 	}
+	if c.MaxCallBytes < 0 {
+		return fmt.Errorf("sim: MaxCallBytes %d (want non-negative)", c.MaxCallBytes)
+	}
+	if c.Pipelines < 1 || c.Pipelines > core.MaxPipelines {
+		return fmt.Errorf("sim: Pipelines %d (want 1 to %d)", c.Pipelines, core.MaxPipelines)
+	}
+	if c.Devices < 0 {
+		return fmt.Errorf("sim: Devices %d (want non-negative)", c.Devices)
+	}
+	if c.Replicas < 0 {
+		return fmt.Errorf("sim: Replicas %d (want non-negative)", c.Replicas)
+	}
 	if err := c.Traffic.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
@@ -140,7 +153,6 @@ func (c *Config) sloCycles() *[traffic.NumClasses]float64 {
 func sampleOpenLoop(cfg Config, report *Report) (specs []callSpec, xeonCycles, at float64) {
 	model := fleet.NewModel(cfg.Seed)
 	gen := traffic.NewGen(cfg.Traffic, cfg.Tenants, cfg.SLO, cfg.Seed)
-	devices := max(1, cfg.Devices)
 	var rr [numDevices]int
 	specs = make([]callSpec, 0, cfg.Calls)
 	for len(specs) < cfg.Calls {
@@ -162,7 +174,7 @@ func sampleOpenLoop(cfg Config, report *Report) (specs []callSpec, xeonCycles, a
 			class:       arr.Class,
 			tenant:      arr.Tenant,
 		}
-		s.inst = rr[s.dev] % devices
+		s.inst = rr[s.dev] % cfg.Devices
 		rr[s.dev]++
 		report.UncompressedBytes += rec.UncompressedBytes
 		xeonCycles += xeon.Cycles(rec.Algo, rec.Op, rec.Level, rec.UncompressedBytes)

@@ -34,6 +34,11 @@ func TestConfigValidate(t *testing.T) {
 		name string
 		cfg  Config
 	}{
+		{"negative-max-call-bytes", Config{MaxCallBytes: -1}},
+		{"negative-devices", Config{Devices: -2}},
+		{"negative-replicas", Config{Replicas: -2}},
+		{"negative-pipelines", Config{Pipelines: -1}},
+		{"too-many-pipelines", Config{Pipelines: 65}},
 		{"negative-gbps", Config{OfferedGBps: -1}},
 		{"nan-gbps", Config{OfferedGBps: math.NaN()}},
 		{"inf-gbps", Config{OfferedGBps: math.Inf(1)}},
@@ -60,8 +65,10 @@ func TestConfigValidate(t *testing.T) {
 			Autoscale: traffic.Autoscale{UpQueueDepth: 4, DownQueueDepth: 9},
 		}},
 	}
+	// validate() itself must refuse each one — before phases A and B run, not
+	// when a later layer trips over the value.
 	for _, tc := range bad {
-		if _, err := Run(tc.cfg); err == nil {
+		if err := tc.cfg.withDefaults().validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -238,8 +245,7 @@ func TestOpenLoopWorkerInvariance(t *testing.T) {
 		}
 	}
 	oracle := base
-	oracle.legacyPhaseC = true
-	got, err := Run(oracle)
+	got, err := run(oracle, runLegacyReduction)
 	if err != nil {
 		t.Fatal(err)
 	}
