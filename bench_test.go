@@ -5,8 +5,8 @@ package cdpu
 // CDPU-instance microbenchmarks with byte-throughput reporting.
 //
 // Figure benchmarks run at the reduced QuickConfig scale so that
-// `go test -bench=. -benchmem` finishes in minutes; cmd/cdpubench and
-// cmd/fleetprofile run the same experiments at full scale.
+// `go test -bench=. -benchmem` finishes in minutes; cmd/cdpubench runs the
+// same experiments at full scale.
 //
 // DSE figure benchmarks go through the internal/exp scheduler, whose
 // config-run memo persists across b.N iterations: the first iteration

@@ -1,10 +1,14 @@
-// Command cdpubench runs the CDPU design-space exploration of the paper's
-// Section 6, regenerating Figures 11-15, the §6.6 summary, and the ablations
-// DESIGN.md calls out.
+// Command cdpubench runs every registered experiment of the reproduction: the
+// Section 3 fleet profile (Figures 1-6 and the headline statistics), the
+// Section 4 HyperCompressBench validation (Figure 7), the Section 6
+// design-space exploration (Figures 11-15, the §6.6 summary) and the
+// ablations DESIGN.md calls out.
 //
 // Usage:
 //
-//	cdpubench -fig 11              # one figure (11,12,13,14,15,7)
+//	cdpubench -fig 11              # one figure (1,2a,2b,2c,3,4,5,6,7,11,12,13,14,15)
+//	cdpubench -exp fleet-summary   # Section 3 headline statistics
+//	cdpubench -samples 1000000     # GWP-style fleet sample count (figures 1-6)
 //	cdpubench -summary             # §6.6 key results
 //	cdpubench -ablation hash       # hash|fse|stats
 //	cdpubench -exp fault-sweep     # any registered experiment by id
@@ -32,11 +36,12 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to regenerate: 7, 11, 12, 13, 14 or 15")
+	fig := flag.String("fig", "", "figure to regenerate: 1, 2a, 2b, 2c, 3, 4, 5, 6, 7, 11, 12, 13, 14 or 15")
 	summary := flag.Bool("summary", false, "print the §6.6 design-space summary")
 	ablation := flag.String("ablation", "", "ablation to run: hash, fse or stats")
 	expID := flag.String("exp", "", "registered experiment id to run (e.g. fault-sweep)")
 	all := flag.Bool("all", false, "run every DSE experiment")
+	samples := flag.Int("samples", 0, "fleet call samples for the Section 3 profile (default 300000)")
 	files := flag.Int("files", 0, "HyperCompressBench files per suite (default 500; paper uses 8000-10000)")
 	maxFile := flag.Int("maxfile", 0, "max benchmark file size in bytes (default 4 MiB)")
 	seed := flag.Int64("seed", 0, "generation seed (default 1)")
@@ -51,6 +56,9 @@ func main() {
 	exp.SetWorkers(*workers)
 
 	cfg := exp.DefaultConfig()
+	if *samples > 0 {
+		cfg.FleetSamples = *samples
+	}
 	if *files > 0 {
 		cfg.SuiteFiles = *files
 	}

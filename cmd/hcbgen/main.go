@@ -1,10 +1,10 @@
 // Command hcbgen generates HyperCompressBench suites (the paper's Section 4
-// benchmark) and validates them against the fleet profile distributions.
+// benchmark) and writes them to disk. Their validation against the fleet
+// profile distributions (Figure 7) is `cdpubench -fig 7`.
 //
 // Usage:
 //
-//	hcbgen -out bench/ -files 500       # write the four suites to disk
-//	hcbgen -validate                    # print the Figure 7 validation
+//	hcbgen -out suites/ -files 500      # write the four suites to disk
 package main
 
 import (
@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 
 	"cdpu/internal/comp"
-	"cdpu/internal/exp"
 	"cdpu/internal/hcbench"
 )
 
@@ -23,29 +22,10 @@ func main() {
 	files := flag.Int("files", 200, "files per suite (paper uses 8000-10000)")
 	maxFile := flag.Int("maxfile", 4<<20, "max file size in bytes")
 	seed := flag.Int64("seed", 1, "generation seed")
-	validate := flag.Bool("validate", false, "print Figure 7 validation tables")
 	flag.Parse()
 
-	if *validate {
-		cfg := exp.DefaultConfig()
-		cfg.SuiteFiles = *files
-		cfg.MaxFileBytes = *maxFile
-		cfg.Seed = *seed
-		e, err := exp.ByID("fig7")
-		if err != nil {
-			fatal(err)
-		}
-		tables, err := e.Run(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		for _, t := range tables {
-			fmt.Println(t.String())
-		}
-		return
-	}
 	if *out == "" {
-		fmt.Fprintln(os.Stderr, "specify -out DIR or -validate")
+		fmt.Fprintln(os.Stderr, "specify -out DIR")
 		os.Exit(2)
 	}
 	for _, ao := range []struct {

@@ -91,9 +91,6 @@ func (r *Reader) PeekBits(n uint) uint64 {
 // stream; otherwise ErrOverread is recorded.
 func (r *Reader) Skip(n uint) { r.ReadBits(n) }
 
-// ReadBool consumes a single bit.
-func (r *Reader) ReadBool() bool { return r.ReadBits(1) == 1 }
-
 // Align discards bits up to the next byte boundary.
 func (r *Reader) Align() {
 	drop := r.nacc % 8

@@ -42,15 +42,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	}
 }
 
-// WriteBool appends a single bit.
-func (w *Writer) WriteBool(b bool) {
-	if b {
-		w.WriteBits(1, 1)
-	} else {
-		w.WriteBits(0, 1)
-	}
-}
-
 // Align pads the stream with zero bits up to the next byte boundary.
 func (w *Writer) Align() {
 	if w.nacc > 0 {

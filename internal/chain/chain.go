@@ -50,8 +50,6 @@ type Config struct {
 	// InterludeCycles is the CPU book-keeping between consecutive stages
 	// (file-format header writes, accounting; §3.5.2).
 	InterludeCycles float64
-	// Mem configures the host memory system (zero = defaults).
-	Mem memsys.Config
 }
 
 // Result reports one chained operation.
@@ -75,11 +73,7 @@ func Run(cfg Config, inputBytes int) (*Result, error) {
 	if inputBytes <= 0 {
 		return nil, fmt.Errorf("chain: input bytes %d", inputBytes)
 	}
-	mem := cfg.Mem
-	if mem == (memsys.Config{}) {
-		mem = memsys.DefaultConfig()
-	}
-	sys, err := memsys.New(mem)
+	sys, err := memsys.New(memsys.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

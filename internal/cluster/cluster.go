@@ -69,20 +69,8 @@ type FailoverPolicy struct {
 	Hedge bool
 	// HedgeDelayCycles fixes the hedge delay; 0 derives it from the running
 	// P99 of served dispatch-to-completion waits (hedging stays off until
-	// enough samples accumulate).
+	// hedgeMinSamples served dispatches accumulate).
 	HedgeDelayCycles float64
-	// HedgeMinSamples gates the derived delay until the latency histogram has
-	// seen this many served dispatches (0 = 64). Below the gate an empty or
-	// sparse histogram has no usable tail — its "P99" would be bin 0, a
-	// ~1-cycle delay that hedges every early call — so cold hedging uses
-	// HedgeColdDelayCycles instead, or stays off.
-	HedgeMinSamples int
-	// HedgeColdDelayCycles is the fixed fallback delay used while the
-	// adaptive histogram is still cold (fewer than HedgeMinSamples served
-	// dispatches): first calls after start, or after a restart drain on a
-	// fresh group. 0 keeps hedging off until the gate is met (the historical
-	// behavior).
-	HedgeColdDelayCycles float64
 	// CrashDetectCycles is the modeled cost of discovering a crashed replica
 	// (dead doorbell timeout) before failing over (0 = 4000).
 	CrashDetectCycles float64
@@ -192,7 +180,7 @@ type Group struct {
 	// Pipelines per replica.
 	Pipelines int
 	// ResetCycles is the device's placement-aware pipeline reset cost — the
-	// quarantine default and the per-pipeline unit of the warm-restart charge.
+	// quarantine charge and the per-pipeline unit of the warm-restart charge.
 	ResetCycles float64
 	// Unit names the device in abort errors (core.Config.Name()).
 	Unit string
@@ -221,7 +209,9 @@ type Group struct {
 }
 
 // hedgeMinSamples gates P99-derived hedging until the running histogram has
-// seen enough served calls to estimate a tail.
+// seen enough served dispatches to estimate a tail. Below the gate an empty or
+// sparse histogram has no usable tail — its "P99" would be bin 0, a ~1-cycle
+// delay that hedges every early call — so cold hedging stays off.
 const hedgeMinSamples = 64
 
 // svcHist is a log2 histogram of served dispatch-to-completion waits (queue
@@ -247,23 +237,15 @@ func svcBin(v float64) int {
 	return bits.Len64(uint64(v))
 }
 
-// hedgeDelay returns the hedge delay under p: the fixed override when set;
-// the histogram's P99 bin upper bound once the policy's minimum sample count
-// has accumulated; the cold fallback delay (when configured) below it. An
-// empty histogram therefore never collapses the delay to its bin-0 value —
-// cold hedging is either the explicit fixed delay or off.
+// hedgeDelay returns the hedge delay under p: the fixed override when set,
+// else the histogram's P99 bin upper bound once hedgeMinSamples have
+// accumulated. An empty histogram therefore never collapses the delay to its
+// bin-0 value — cold hedging is either the explicit fixed delay or off.
 func (p FailoverPolicy) hedgeDelay(h *svcHist) (float64, bool) {
 	if p.HedgeDelayCycles > 0 {
 		return p.HedgeDelayCycles, true
 	}
-	minSamples := p.HedgeMinSamples
-	if minSamples <= 0 {
-		minSamples = hedgeMinSamples
-	}
-	if h.n < minSamples {
-		if p.HedgeColdDelayCycles > 0 {
-			return p.HedgeColdDelayCycles, true
-		}
+	if h.n < hedgeMinSamples {
 		return 0, false
 	}
 	rank := (h.n*99 + 99) / 100
@@ -485,7 +467,7 @@ func (st *GroupState) autoscale(now float64, depth int) {
 	up := depth >= auto.UpQueueDepth
 	down := depth <= auto.DownQueueDepth
 	if auto.BurnDriven() {
-		rate, ok := st.burn.Rate(auto.BurnBudget())
+		rate, ok := st.burn.Rate(traffic.ErrorBudgetFrac)
 		if !ok {
 			return // not enough recent signal to act either way
 		}
@@ -775,11 +757,7 @@ func (st *GroupState) Step(c *Call) error {
 		var quarantine bool
 		st.faultLog[key], quarantine = core.BookFaults(st.faultLog[key], done, c.Faults, g.Resil)
 		if quarantine {
-			reset := g.Resil.ResetCycles
-			if reset == 0 {
-				reset = g.ResetCycles
-			}
-			st.free[sr][sp] = done + reset + g.Resil.QuarantinePenaltyCycles
+			st.free[sr][sp] = done + g.ResetCycles + g.Resil.QuarantinePenaltyCycles
 			st.quar++
 		}
 	}

@@ -86,7 +86,7 @@ func TestGroupMatchesReplayPolicy(t *testing.T) {
 	}
 	basePol := resil.Policy{
 		MaxQueue: 4, QuarantineK: 3, QuarantineWindowCycles: 2e6,
-		QuarantinePenaltyCycles: 1e5, ResetCycles: 7000,
+		QuarantinePenaltyCycles: 1e5,
 	}
 	classedPol := basePol
 	classedPol.MaxQueue = 8
@@ -492,10 +492,9 @@ func TestFailoverPolicyEnabled(t *testing.T) {
 
 // TestHedgeColdStart: with the derived delay and a cold histogram, hedging
 // stays off — an empty histogram must never collapse the delay to its bin-0
-// value and hedge every early call. HedgeColdDelayCycles turns cold hedging
-// into an explicit fixed delay, and HedgeMinSamples moves the warm-up gate.
+// value and hedge every early call.
 func TestHedgeColdStart(t *testing.T) {
-	// A tail-heavy workload shorter than the default 64-sample warm-up: the
+	// A tail-heavy workload shorter than the 64-sample warm-up: the
 	// adaptive delay has nothing to derive from, so nothing may hedge.
 	calls := synthCalls(40, 53)
 	for i := range calls {
@@ -512,30 +511,6 @@ func TestHedgeColdStart(t *testing.T) {
 	}
 	if tot.HedgedCalls != 0 {
 		t.Fatalf("adaptive hedging fired %d times before the histogram warmed up", tot.HedgedCalls)
-	}
-
-	// A cold fallback delay makes the same workload hedge its giant calls.
-	pol.HedgeColdDelayCycles = 120000
-	g = &Group{Replicas: 2, Pipelines: 2, ResetCycles: 9000, Policy: pol}
-	_, _, tot, err = g.Replay(calls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tot.HedgedCalls == 0 {
-		t.Fatal("cold-delay hedging never fired on a 200x tail")
-	}
-
-	// Lowering the warm-up gate activates the derived delay without any cold
-	// fallback.
-	pol.HedgeColdDelayCycles = 0
-	pol.HedgeMinSamples = 8
-	g = &Group{Replicas: 2, Pipelines: 2, ResetCycles: 9000, Policy: pol}
-	_, _, tot, err = g.Replay(calls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tot.HedgedCalls == 0 {
-		t.Fatal("derived hedging never fired with an 8-sample gate")
 	}
 }
 

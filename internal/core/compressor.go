@@ -122,8 +122,9 @@ func (c *Compressor) Compress(src []byte) (*Result, error) {
 // Trace encodes src once and returns the call's functional trace, which any
 // Compressor with the same Config.FunctionalKey can Time. The trace is
 // size-only: ZStd entropy payloads are never written (the zstdlite size-only
-// path yields the same Plan and the same frame length) and Output is nil.
-func (c *Compressor) Trace(src []byte) *Trace {
+// path yields the same Plan and the same frame length) and Output is nil. The
+// error is always nil; it is there so both directions trace alike.
+func (c *Compressor) Trace(src []byte) (*Trace, error) {
 	tr := new(Trace)
 	if c.zstd != nil {
 		c.zstd.SetSizeOnly(true)
@@ -131,7 +132,7 @@ func (c *Compressor) Trace(src []byte) *Trace {
 	}
 	c.encode(tr, c.discard[:0], src)
 	c.discard, tr.Output = tr.Output, nil
-	return tr
+	return tr, nil
 }
 
 // Time charges a traced call under this instance's configuration and returns

@@ -20,11 +20,36 @@ import (
 // accelerator's latency advantage (decompression sits on client-visible read
 // paths, §3.3.1).
 type Device struct {
-	cfg       Config
+	// pipeline is the device's one functional pipeline, a *Compressor or a
+	// *Decompressor by the Config's Op. Its Trace, Time, SetTracing,
+	// SetFaultInjector, SetResultReuse and PipelineResetCycles are the
+	// device's own; see the unit methods for their contracts.
+	pipeline
 	pipelines int
-	comp      *Compressor
-	decomp    *Decompressor
 }
+
+// pipeline is what a Device needs of either direction's unit.
+type pipeline interface {
+	// exec is Compress or Decompress: the functional call and its timing.
+	exec(payload []byte) (*Result, error)
+	// Trace runs only the functional half of exec: it encodes or decodes
+	// payload once and returns the call's Trace, which any device with the
+	// same Config.FunctionalKey can Time.
+	Trace(payload []byte) (*Trace, error)
+	// Time runs only the timing half of exec: it charges a traced call under
+	// the device's configuration. exec(payload) is Time(Trace(payload)) over
+	// scratch the pipeline owns. The trace is only read, so devices on
+	// different goroutines may Time one trace at once.
+	Time(tr *Trace) (*Result, error)
+	Area() *area.Breakdown
+	SetTracing(on bool)
+	SetFaultInjector(fi memsys.FaultInjector)
+	SetResultReuse(on bool)
+	PipelineResetCycles() float64
+}
+
+func (c *Compressor) exec(payload []byte) (*Result, error)   { return c.Compress(payload) }
+func (d *Decompressor) exec(payload []byte) (*Result, error) { return d.Decompress(payload) }
 
 // MaxPipelines is the most pipelines one Device models.
 const MaxPipelines = 64
@@ -35,64 +60,24 @@ func NewDevice(cfg Config, pipelines int) (*Device, error) {
 	if pipelines < 1 || pipelines > MaxPipelines {
 		return nil, fmt.Errorf("core: pipeline count %d out of [1,%d]", pipelines, MaxPipelines)
 	}
-	d := &Device{cfg: cfg, pipelines: pipelines}
+	var p pipeline
 	var err error
-	switch cfg.Op {
-	case comp.Compress:
-		d.comp, err = NewCompressor(cfg)
-	default:
-		d.decomp, err = NewDecompressor(cfg)
+	if cfg.Op == comp.Compress {
+		p, err = NewCompressor(cfg)
+	} else {
+		p, err = NewDecompressor(cfg)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return d, nil
-}
-
-// Pipelines returns the pipeline count.
-func (d *Device) Pipelines() int { return d.pipelines }
-
-// SetTracing enables (or disables) per-block span collection on the device's
-// pipeline; see Decompressor.SetTracing.
-func (d *Device) SetTracing(on bool) {
-	if d.comp != nil {
-		d.comp.SetTracing(on)
-	} else {
-		d.decomp.SetTracing(on)
-	}
-}
-
-// SetFaultInjector installs (or removes, with nil) a device-fault injector
-// on the device's memory system; see Decompressor.SetFaultInjector.
-func (d *Device) SetFaultInjector(fi memsys.FaultInjector) {
-	if d.comp != nil {
-		d.comp.SetFaultInjector(fi)
-	} else {
-		d.decomp.SetFaultInjector(fi)
-	}
-}
-
-// PipelineResetCycles returns the modeled cost of quarantining and
-// reinitializing one of the device's pipelines (soc.PipelineResetCycles at
-// the device's placement) — the default reset charge when a recovery
-// policy's ResetCycles is zero.
-func (d *Device) PipelineResetCycles() float64 {
-	if d.comp != nil {
-		return d.comp.PipelineResetCycles()
-	}
-	return d.decomp.PipelineResetCycles()
+	return &Device{pipeline: p, pipelines: pipelines}, nil
 }
 
 // Area returns the device's silicon area: pipelines share the system
 // interface (command router, memloaders/memwriters), so replication adds
 // only the per-pipeline blocks.
 func (d *Device) Area() *area.Breakdown {
-	var one *area.Breakdown
-	if d.comp != nil {
-		one = d.comp.Area()
-	} else {
-		one = d.decomp.Area()
-	}
+	one := d.pipeline.Area()
 	b := area.NewBreakdown()
 	for _, name := range one.Blocks() {
 		if name == "system-interface" {
@@ -163,54 +148,18 @@ type DeviceStats struct {
 // the device configuration, so per-worker Device clones can Exec calls in any
 // order and Replay merges them deterministically. Not safe for concurrent use
 // on one Device.
-func (d *Device) Exec(payload []byte) (*Result, error) {
-	if d.comp != nil {
-		return d.comp.Compress(payload)
-	}
-	return d.decomp.Decompress(payload)
-}
-
-// Trace runs only the functional half of Exec: it encodes or decodes payload
-// once and returns the call's Trace (Compressor.Trace, Decompressor.Trace),
-// which any device with the same Config.FunctionalKey can Time.
-func (d *Device) Trace(payload []byte) (*Trace, error) {
-	if d.comp != nil {
-		return d.comp.Trace(payload), nil
-	}
-	return d.decomp.Trace(payload)
-}
-
-// Time runs only the timing half of Exec: it charges a traced call under the
-// device's configuration. Exec(payload) is Time(Trace(payload)) over scratch
-// the pipeline owns. The trace is only read, so devices on different
-// goroutines may Time one trace at once.
-func (d *Device) Time(tr *Trace) (*Result, error) {
-	if d.comp != nil {
-		return d.comp.Time(tr)
-	}
-	return d.decomp.Time(tr)
-}
+func (d *Device) Exec(payload []byte) (*Result, error) { return d.exec(payload) }
 
 // ExecPlanned is Exec for a ZStd decompression device whose input frame's
 // Plan was recorded at synthesis time: charges are bit-identical to
 // Exec(payload) but the frame parse and entropy decode are skipped; see
 // Decompressor.DecompressPlanned.
 func (d *Device) ExecPlanned(payload []byte, plan *zstdlite.Plan, content []byte) (*Result, error) {
-	if d.decomp == nil {
+	dec, ok := d.pipeline.(*Decompressor)
+	if !ok {
 		return nil, fmt.Errorf("core: planned exec on a compression device")
 	}
-	return d.decomp.DecompressPlanned(payload, plan, content)
-}
-
-// SetResultReuse opts the device's pipeline into recycling one owned Result
-// and output buffer across calls; see Decompressor.SetResultReuse for the
-// aliasing contract.
-func (d *Device) SetResultReuse(on bool) {
-	if d.comp != nil {
-		d.comp.SetResultReuse(on)
-	} else {
-		d.decomp.SetResultReuse(on)
-	}
+	return dec.DecompressPlanned(payload, plan, content)
 }
 
 // Run services jobs FCFS across the device's pipelines (jobs must be sorted
@@ -264,9 +213,9 @@ func (d *Device) Replay(jobs []Job, service []float64) ([]JobResult, DeviceStats
 //     events job i's dispatches inflicted on the pipeline that served it.
 //     A pipeline accumulating pol.QuarantineK fault events within
 //     pol.QuarantineWindowCycles is drained (its in-flight job completes),
-//     charged a reset (pol.ResetCycles, or the device's placement-aware
-//     PipelineResetCycles when zero), and removed from dispatch for
-//     pol.QuarantinePenaltyCycles; capacity degrades instead of failing.
+//     charged a reset (the device's placement-aware PipelineResetCycles),
+//     and removed from dispatch for pol.QuarantinePenaltyCycles; capacity
+//     degrades instead of failing.
 //
 // post[i] (may be nil) is latency the caller observes after the job leaves
 // the device — the software-fallback service time of a degraded call — and
@@ -466,11 +415,7 @@ func (st *ReplayState) StepCall(arrival, service, post float64, faults, priority
 		var quarantine bool
 		st.faultLog[p], quarantine = BookFaults(st.faultLog[p], done, faults, pol)
 		if quarantine {
-			reset := pol.ResetCycles
-			if reset == 0 {
-				reset = st.dev.PipelineResetCycles()
-			}
-			st.free[p] = done + reset + pol.QuarantinePenaltyCycles
+			st.free[p] = done + st.dev.PipelineResetCycles() + pol.QuarantinePenaltyCycles
 			st.quarantines++
 		}
 	}

@@ -45,12 +45,6 @@ func (e *DeviceError) Error() string {
 // sentinels, memsys.ErrDeviceFault or ErrWatchdog.
 func (e *DeviceError) Unwrap() error { return e.Err }
 
-// Transient reports whether re-dispatching the call can plausibly succeed:
-// memory faults and watchdog trips are device-side conditions a retry can
-// clear, while a corrupt input stream fails identically on every attempt —
-// recovery policies route it straight to the software fallback.
-func (e *DeviceError) Transient() bool { return e.Reason != "corrupt-input" }
-
 // WatchdogBudget returns the abort threshold in cycles for a call moving the
 // given payload bytes, or 0 when the watchdog is disabled (negative factor).
 // Exported so higher layers (the cluster failover dispatcher) can charge a

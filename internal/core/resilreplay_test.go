@@ -142,7 +142,6 @@ func TestReplayPolicyQuarantine(t *testing.T) {
 		QuarantineK:             2,
 		QuarantineWindowCycles:  1e6,
 		QuarantinePenaltyCycles: 1000,
-		ResetCycles:             50,
 	}
 	results, stats, err := d.ReplayPolicy(jobs, service, nil, faults, pol)
 	if err != nil {
@@ -151,9 +150,9 @@ func TestReplayPolicyQuarantine(t *testing.T) {
 	if stats.Quarantines != 1 {
 		t.Fatalf("stats.Quarantines = %d, want 1", stats.Quarantines)
 	}
-	// Job 0 runs on pipeline 0 and quarantines it until 100+50+1000 = 1150.
+	// Job 0 runs on pipeline 0 and quarantines it until 100+reset+1000 > 1100.
 	// Job 1 takes pipeline 1 at 0; jobs 2-5 must all queue on pipeline 1
-	// (its free times 100..500 stay below 1150) rather than touch the
+	// (its free times 100..500 stay below 1100) rather than touch the
 	// quarantined pipeline 0.
 	if results[0].Pipeline != 0 {
 		t.Fatalf("job 0 on pipeline %d, want 0", results[0].Pipeline)
@@ -180,8 +179,8 @@ func TestReplayPolicyQuarantine(t *testing.T) {
 	}
 }
 
-// TestReplayPolicyQuarantineDefaultReset pins that a zero ResetCycles falls
-// back to the device's placement-aware PipelineResetCycles.
+// TestReplayPolicyQuarantineDefaultReset pins that a quarantine charges the
+// device's placement-aware PipelineResetCycles.
 func TestReplayPolicyQuarantineDefaultReset(t *testing.T) {
 	d, err := NewDevice(Config{Algo: comp.Snappy, Op: comp.Decompress}, 1)
 	if err != nil {
@@ -198,7 +197,7 @@ func TestReplayPolicyQuarantineDefaultReset(t *testing.T) {
 	}
 	want := 100 + d.PipelineResetCycles()
 	if results[1].Start != want {
-		t.Fatalf("job 1 start %v, want %v (done + default reset)", results[1].Start, want)
+		t.Fatalf("job 1 start %v, want %v (done + reset)", results[1].Start, want)
 	}
 	if d.PipelineResetCycles() <= 0 {
 		t.Fatal("PipelineResetCycles not positive")

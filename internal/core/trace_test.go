@@ -43,7 +43,7 @@ func TestTimeOfTraceMatchesPreSplitGolden(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		tr, _ := shared(c.Config(), payload, func() (*Trace, error) { return c.Trace(payload), nil })
+		tr, _ := shared(c.Config(), payload, func() (*Trace, error) { return c.Trace(payload) })
 		timer := mustCompressor(t, cfg)
 		timer.SetTracing(v.trace)
 		timer.SetFaultInjector(v.injector)
@@ -188,7 +188,7 @@ func TestFunctionalKeyCoversConfig(t *testing.T) {
 // parse it could not have produced.
 func TestTimeRejectsForeignTrace(t *testing.T) {
 	payload := corpus.Generate(corpus.Text, 20<<10, 5)
-	tr := mustCompressor(t, Config{Algo: comp.Snappy, HistorySRAM: 2 << 10}).Trace(payload)
+	tr, _ := mustCompressor(t, Config{Algo: comp.Snappy, HistorySRAM: 2 << 10}).Trace(payload)
 	if _, err := mustCompressor(t, Config{Algo: comp.Snappy, HistorySRAM: 64 << 10}).Time(tr); err == nil {
 		t.Error("a 64K compressor timed a trace parsed with a 2K window")
 	}

@@ -54,19 +54,12 @@ type Shared struct {
 	LinkOpsPerCycle float64
 	// LLCBytes is the shared last-level cache capacity. When an epoch's
 	// streamed footprint exceeds it, the spill fraction stretches service at
-	// LLCMissStretch per spilled multiple. 0 = unlimited.
+	// llcMissStretch per spilled multiple. 0 = unlimited.
 	LLCBytes float64
-	// LLCMissStretch is the extra service stretch per spilled LLC multiple
-	// (0 = 0.5).
-	LLCMissStretch float64
 }
 
-func (s *Shared) llcMissStretch() float64 {
-	if s.LLCMissStretch > 0 {
-		return s.LLCMissStretch
-	}
-	return 0.5
-}
+// llcMissStretch is the extra service stretch per spilled LLC multiple.
+const llcMissStretch = 0.5
 
 // stretch derives the next epoch's stretch from one epoch's aggregate demand.
 func (s *Shared) stretch(d Demand, epochCycles float64) Stretch {
@@ -82,7 +75,7 @@ func (s *Shared) stretch(d Demand, epochCycles float64) Stretch {
 		}
 	}
 	if s.LLCBytes > 0 && d.StreamBytes > s.LLCBytes {
-		if r := 1 + s.llcMissStretch()*(d.StreamBytes/s.LLCBytes-1); r > f {
+		if r := 1 + llcMissStretch*(d.StreamBytes/s.LLCBytes-1); r > f {
 			f = r
 		}
 	}

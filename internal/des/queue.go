@@ -79,9 +79,6 @@ type Queue struct {
 	seq uint64
 }
 
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.h) }
-
 // Push schedules an event; e.Seq is overwritten with the next insertion
 // sequence.
 func (q *Queue) Push(e Event) {
@@ -112,12 +109,6 @@ func (q *Queue) Pop() (Event, bool) {
 		q.down(0)
 	}
 	return top, true
-}
-
-// Reset empties the queue, keeping its storage for reuse.
-func (q *Queue) Reset() {
-	q.h = q.h[:0]
-	q.seq = 0
 }
 
 func (q *Queue) less(i, j int) bool {

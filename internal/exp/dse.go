@@ -120,8 +120,11 @@ func getCompressedSuite(cfg Config, algo comp.Algorithm) (*compressedSuite, erro
 // xeonSeconds converts Xeon cycles to seconds at the Xeon clock.
 func xeonSeconds(cycles float64) float64 { return xeon.Seconds(cycles) }
 
-// cdpuSeconds converts CDPU cycles to seconds at the SoC clock (2 GHz).
-func cdpuSeconds(cycles float64) float64 { return cycles / 2.0e9 }
+// cyclesPerUs converts CDPU cycles to microseconds at the SoC clock.
+const cyclesPerUs = memsys.DeviceGHz * 1e3
+
+// cdpuSeconds converts CDPU cycles to seconds at the SoC clock.
+func cdpuSeconds(cycles float64) float64 { return cycles / (memsys.DeviceGHz * 1e9) }
 
 // runDecompConfig runs a decompression suite through one CDPU configuration
 // on the shared scheduler, returning total accelerator cycles. Repeat runs of

@@ -45,8 +45,8 @@ func runChaining(cfg Config) ([]*Table, error) {
 			t.AddRow(
 				fmt.Sprintf("%dK", payload>>10),
 				p.String(),
-				f1(chained.Cycles/2000), // cycles at 2 GHz -> microseconds
-				f1(lone.Cycles/2000),
+				f1(chained.Cycles/cyclesPerUs),
+				f1(lone.Cycles/cyclesPerUs),
 				f2(chained.Cycles/lone.Cycles),
 				fmt.Sprintf("%.0f", chained.InterludeTransfer),
 			)
@@ -104,7 +104,7 @@ func runPipelines(cfg Config) ([]*Table, error) {
 				return nil, err
 			}
 			t.AddRow(f2(load), fmt.Sprintf("%d", pipes), f2(stats.Utilization),
-				f1(stats.MeanLatency/2000), f1(stats.P99Latency/2000))
+				f1(stats.MeanLatency/cyclesPerUs), f1(stats.P99Latency/cyclesPerUs))
 		}
 	}
 	return []*Table{t}, nil

@@ -1,10 +1,9 @@
 // Package exp is the experiment harness: one registered experiment per
 // table/figure of the paper's evaluation, each regenerating the figure's
-// rows or series as text and CSV. cmd/fleetprofile drives the Section 3
-// profiling experiments (Figures 1-6), cmd/hcbgen drives benchmark
-// generation and validation (Figure 7), and cmd/cdpubench drives the
-// Section 6 design-space exploration (Figures 11-15) plus the summary
-// statistics and the ablations DESIGN.md calls out.
+// rows or series as text and CSV. cmd/cdpubench drives all of them: the
+// Section 3 profiling experiments (Figures 1-6), the benchmark validation
+// (Figure 7), and the Section 6 design-space exploration (Figures 11-15) plus
+// the summary statistics and the ablations DESIGN.md calls out.
 package exp
 
 import (

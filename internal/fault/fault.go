@@ -12,7 +12,11 @@
 //     of scheduling or worker count.
 package fault
 
-import "fmt"
+import (
+	"fmt"
+
+	"cdpu/internal/prng"
+)
 
 // Kind selects a stream-corruption strategy.
 type Kind int
@@ -50,48 +54,29 @@ func (k Kind) String() string {
 	}
 }
 
-// rng is a splitmix64 stream: tiny, portable, and stable across Go releases,
-// so checked-in seeds reproduce forever.
-type rng struct{ state uint64 }
-
-func newRNG(seed int64, kind Kind) *rng {
-	// Mix the kind into the stream so the same seed yields independent
-	// choices per corruption strategy.
-	return &rng{state: uint64(seed)*0x9e3779b97f4a7c15 + uint64(kind) + 1}
-}
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// intn returns a value in [0, n). n must be > 0.
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // Mutate returns a corrupted copy of enc according to (seed, kind). The input
 // is never modified; the result is deterministic in all three arguments.
 // Empty inputs come back empty (except GarbageTail, which still appends).
 func Mutate(seed int64, kind Kind, enc []byte) []byte {
-	r := newRNG(seed, kind)
+	// Mix the kind into the stream so the same seed yields independent
+	// choices per corruption strategy.
+	r := prng.New(uint64(seed)*prng.Gamma + uint64(kind) + 1)
 	out := append([]byte(nil), enc...)
 	switch kind {
 	case BitFlip:
 		if len(out) == 0 {
 			return out
 		}
-		flips := 1 + r.intn(4)
+		flips := 1 + r.Intn(4)
 		for i := 0; i < flips; i++ {
-			pos := r.intn(len(out))
-			out[pos] ^= 1 << uint(r.intn(8))
+			pos := r.Intn(len(out))
+			out[pos] ^= 1 << uint(r.Intn(8))
 		}
 	case Truncate:
 		if len(out) == 0 {
 			return out
 		}
-		out = out[:r.intn(len(out))]
+		out = out[:r.Intn(len(out))]
 	case LengthField:
 		if len(out) == 0 {
 			return out
@@ -100,14 +85,14 @@ func Mutate(seed int64, kind Kind, enc []byte) []byte {
 		// format in this repo (Snappy varint, ZStd frame header, LZO/Gipfeli
 		// varints). Setting high bits forges large or malformed sizes.
 		region := min(8, len(out))
-		hits := 1 + r.intn(2)
+		hits := 1 + r.Intn(2)
 		for i := 0; i < hits; i++ {
-			out[r.intn(region)] = byte(r.next()) | 0x80
+			out[r.Intn(region)] = byte(r.Next()) | 0x80
 		}
 	case GarbageTail:
-		n := 1 + r.intn(64)
+		n := 1 + r.Intn(64)
 		for i := 0; i < n; i++ {
-			out = append(out, byte(r.next()))
+			out = append(out, byte(r.Next()))
 		}
 	}
 	return out

@@ -3,6 +3,8 @@ package fault
 import (
 	"fmt"
 	"math"
+
+	"cdpu/internal/prng"
 )
 
 // LifeKind classifies one device-lifecycle event on a replica — the
@@ -76,14 +78,15 @@ type Lifecycle struct {
 	// MeanEventCalls is the mean event duration in call indexes (geometric,
 	// at least 1, capped at EpochCalls; 0 = EpochCalls/4).
 	MeanEventCalls int
-	// BrownoutMSHRs is the number of outstanding-request slots a brownout
-	// holds hostage on every streaming transfer (the stalled-MSHR degraded
-	// bandwidth model). The default (0) stalls 31 of the default 32 slots,
-	// pinning the port to a single outstanding beat: near-core placements
-	// have enough bandwidth headroom that milder stalls never become the
-	// bottleneck, and a brownout that changes nothing is not a brownout.
-	BrownoutMSHRs int
 }
+
+// BrownoutStallMSHRs is the number of outstanding-request slots a brownout
+// holds hostage on every streaming transfer (the stalled-MSHR degraded
+// bandwidth model): 31 of the default 32 slots, pinning the port to a single
+// outstanding beat. Near-core placements have enough bandwidth headroom that
+// milder stalls never become the bottleneck, and a brownout that changes
+// nothing is not a brownout.
+const BrownoutStallMSHRs = 31
 
 // lifeSalt decorrelates the lifecycle stream from the replay sampling stream,
 // the chaos storm stream, and the backoff stream.
@@ -100,14 +103,6 @@ func (l *Lifecycle) epochCalls() int {
 	return defaultEpochCalls
 }
 
-// StallMSHRs returns the brownout's stalled-MSHR count.
-func (l *Lifecycle) StallMSHRs() int {
-	if l.BrownoutMSHRs > 0 {
-		return l.BrownoutMSHRs
-	}
-	return 31
-}
-
 // Event returns the lifecycle event drawn for (replica, epoch): whether one
 // starts there, its kind, and its covering call-index interval [start, end).
 // Pure in (l, replica, epoch).
@@ -115,18 +110,18 @@ func (l *Lifecycle) Event(replica, epoch int) (kind LifeKind, start, end int, ok
 	if l == nil || l.Rate <= 0 || epoch < 0 {
 		return 0, 0, 0, false
 	}
-	r := rng{state: (uint64(l.Seed) ^ lifeSalt) +
-		(uint64(replica)+1)*0xa24baed4963ee407 + (uint64(epoch)+1)*0x9e3779b97f4a7c15}
-	if u := float64(r.next()>>11) / (1 << 53); u >= l.Rate {
+	r := prng.New((uint64(l.Seed) ^ lifeSalt) +
+		(uint64(replica)+1)*0xa24baed4963ee407 + (uint64(epoch)+1)*prng.Gamma)
+	if r.Float64() >= l.Rate {
 		return 0, 0, 0, false
 	}
 	kinds := l.Kinds
 	if len(kinds) == 0 {
 		kinds = LifeKinds
 	}
-	kind = kinds[r.intn(len(kinds))]
+	kind = kinds[r.Intn(len(kinds))]
 	e := l.epochCalls()
-	start = epoch*e + r.intn(e)
+	start = epoch*e + r.Intn(e)
 	mean := l.MeanEventCalls
 	if mean <= 0 {
 		mean = max(1, e/4)
@@ -137,7 +132,7 @@ func (l *Lifecycle) Event(replica, epoch int) (kind LifeKind, start, end int, ok
 	length := 1
 	if mean > 1 {
 		p := float64(mean-1) / float64(mean) // continue probability, mean = 1/(1-p)
-		u := float64(r.next()>>11) / (1 << 53)
+		u := r.Float64()
 		if u > 0 {
 			length = 1 + int(math.Log(u)/math.Log(p))
 		} else {

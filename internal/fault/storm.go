@@ -1,6 +1,10 @@
 package fault
 
-import "fmt"
+import (
+	"fmt"
+
+	"cdpu/internal/prng"
+)
 
 // StormKind classifies one chaos-injected device fault at call granularity —
 // the three ways a hyperscale deployment sees an offload engine misbehave.
@@ -78,21 +82,21 @@ func (s *Storm) Draw(call int) (kind StormKind, repeats int, hit bool) {
 	if s == nil || s.Rate <= 0 {
 		return 0, 0, false
 	}
-	r := rng{state: (uint64(s.Seed) ^ stormSalt) + (uint64(call)+1)*0x9e3779b97f4a7c15}
-	if u := float64(r.next()>>11) / (1 << 53); u >= s.Rate {
+	r := prng.New((uint64(s.Seed) ^ stormSalt) + (uint64(call)+1)*prng.Gamma)
+	if r.Float64() >= s.Rate {
 		return 0, 0, false
 	}
 	kinds := s.Kinds
 	if len(kinds) == 0 {
 		kinds = StormKinds
 	}
-	kind = kinds[r.intn(len(kinds))]
+	kind = kinds[r.Intn(len(kinds))]
 	repeats = 1
 	if s.MeanRepeats > 0 {
 		// Geometric with mean 1 + MeanRepeats: continue with probability
 		// m/(1+m) per step.
 		p := s.MeanRepeats / (1 + s.MeanRepeats)
-		for repeats < maxRepeats && float64(r.next()>>11)/(1<<53) < p {
+		for repeats < maxRepeats && r.Float64() < p {
 			repeats++
 		}
 	}
@@ -103,6 +107,5 @@ func (s *Storm) Draw(call int) (kind StormKind, repeats int, hit bool) {
 // call, from the same keyed stream family but offset so it never collides
 // with Draw's own draws.
 func (s *Storm) MutationSeed(call int) int64 {
-	r := rng{state: (uint64(s.Seed) ^ stormSalt ^ 0xffff0000ffff0000) + (uint64(call)+1)*0x9e3779b97f4a7c15}
-	return int64(r.next() >> 1)
+	return int64(prng.Mix((uint64(s.Seed)^stormSalt^0xffff0000ffff0000)+(uint64(call)+1)*prng.Gamma) >> 1)
 }

@@ -16,9 +16,6 @@ func Analyze(calls []CallRecord) *Analysis {
 	return &Analysis{calls: calls}
 }
 
-// Count returns the number of analyzed calls.
-func (a *Analysis) Count() int { return len(a.calls) }
-
 // CycleShareByAlgoOp returns each algorithm/op's share of (de)compression
 // cycles (Figure 1, one time slice).
 func (a *Analysis) CycleShareByAlgoOp() map[AlgoOp]float64 {

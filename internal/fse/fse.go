@@ -278,12 +278,6 @@ func (t *EncTable) Init(norm []int, tableLog int) error {
 	return nil
 }
 
-// TableLog returns the table accuracy.
-func (t *EncTable) TableLog() int { return t.tableLog }
-
-// Norm returns the normalized counts the table was built from.
-func (t *EncTable) Norm() []int { return t.norm }
-
 // bitGroup is one deferred bit emission produced during backward encoding.
 type bitGroup struct {
 	val uint32

@@ -167,8 +167,6 @@ type Spec struct {
 	// MaxFileBytes caps individual file sizes (0 = the fleet maximum,
 	// 64 MiB). Capping trims only the rare huge-call tail.
 	MaxFileBytes int
-	// ChunkSize overrides the pool granularity (0 = DefaultChunkSize).
-	ChunkSize int
 	// Seed makes generation deterministic.
 	Seed int64
 }
@@ -184,11 +182,7 @@ func GenerateFromCorpus(spec Spec, files []corpus.File) (*Suite, error) {
 	if spec.N <= 0 {
 		return nil, fmt.Errorf("hcbench: N must be positive")
 	}
-	chunkSize := spec.ChunkSize
-	if chunkSize == 0 {
-		chunkSize = DefaultChunkSize
-	}
-	pool, err := BuildPool(files, chunkSize, spec.Algo, spec.Algo.DefaultLevel())
+	pool, err := BuildPool(files, DefaultChunkSize, spec.Algo, spec.Algo.DefaultLevel())
 	if err != nil {
 		return nil, err
 	}

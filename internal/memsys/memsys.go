@@ -95,10 +95,16 @@ type Config struct {
 	L2Capacity int
 }
 
+// DeviceGHz is the CDPU and NoC clock of the paper's SoC, DefaultConfig's
+// FrequencyGHz: the one rate at which the layers above the device model
+// (fleet replay, traffic, experiments) convert device cycles to wall-clock
+// time.
+const DeviceGHz = 2.0
+
 // DefaultConfig returns the SoC parameters used across the paper's DSE.
 func DefaultConfig() Config {
 	return Config{
-		FrequencyGHz: 2.0,
+		FrequencyGHz: DeviceGHz,
 		BeatBytes:    32,
 		L2Latency:    24,
 		DRAMLatency:  120,

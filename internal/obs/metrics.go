@@ -40,9 +40,6 @@ type Counter struct {
 	shards [counterShards]counterCell
 }
 
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
-
 // Add increments the counter by n. The stripe is picked from the caller's
 // stack address — distinct goroutines land on distinct stacks, which spreads
 // concurrent writers without needing an explicit worker identity.
@@ -84,9 +81,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string { return g.name }
-
 // Set records the gauge's current value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
@@ -103,9 +97,6 @@ type Histogram struct {
 	name string
 	bins [histogramBins]atomic.Int64
 }
-
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {

@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"cdpu/internal/obs"
+	"cdpu/internal/prng"
 )
 
 // ErrShed is the explicit result of a call rejected by admission control:
@@ -79,12 +80,10 @@ type Policy struct {
 	// to (0 with QuarantineK > 0 = all faults count forever).
 	QuarantineWindowCycles float64
 	// QuarantinePenaltyCycles is how long a quarantined pipeline stays out
-	// of dispatch after its reset completes.
+	// of dispatch after its reset completes. The drain-and-reinitialize
+	// itself costs the device's placement-aware reset model
+	// (soc.Interface.PipelineResetCycles).
 	QuarantinePenaltyCycles float64
-	// ResetCycles is the drain-and-reinitialize cost charged when a
-	// pipeline enters quarantine. 0 defers to the device's placement-aware
-	// reset model (soc.Interface.PipelineResetCycles).
-	ResetCycles float64
 	// MaxQueue bounds the number of calls waiting (not yet in service) per
 	// device; an arrival finding the queue full is shed with ErrShed and
 	// zero service cycles. 0 = unbounded.
@@ -147,22 +146,12 @@ func (p Policy) Retries() int {
 	return p.MaxAttempts - 1
 }
 
-// splitmix64 advances the canonical mixing function used across the repo for
-// seeded streams; tiny, portable, stable across Go releases.
-func splitmix64(state uint64) (uint64, uint64) {
-	state += 0x9e3779b97f4a7c15
-	z := state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return state, z ^ (z >> 31)
-}
-
 // BackoffSeed derives the backoff stream for one call from the replay seed
 // and the call index, independent of every other per-call stream (payload
 // kind, arrival jitter, chaos schedule), so adding recovery draws cannot
 // perturb an existing replay's sampling.
 func BackoffSeed(seed int64, call int) uint64 {
-	return (uint64(seed) ^ 0xb0ffc0de5eed1234) + (uint64(call)+1)*0x9e3779b97f4a7c15
+	return (uint64(seed) ^ 0xb0ffc0de5eed1234) + (uint64(call)+1)*prng.Gamma
 }
 
 // uncappedBackoffCeiling bounds the exponential delay when BackoffMaxCycles
@@ -199,8 +188,6 @@ func (p Policy) Backoff(seed uint64, retry int) float64 {
 	}
 	// One draw per retry index, keyed by position so schedules are stable
 	// under any interleaving of calls.
-	state := seed + uint64(retry)*0x9e3779b97f4a7c15
-	_, u64 := splitmix64(state)
-	u := float64(u64>>11) / (1 << 53) // [0, 1)
+	u := prng.Unit(prng.Mix(seed + uint64(retry)*prng.Gamma))
 	return d * (1 - j + j*u)
 }

@@ -121,7 +121,7 @@ func TestRunGoldenReport(t *testing.T) {
 }
 
 // TestShardExecSteadyStateAllocs pins the tentpole zero-alloc property: once
-// a shard is warm, replaying calls through the column-oriented batch path —
+// a shard is warm, replaying calls through the shard's tile loop —
 // payload synthesis, compressed-input synthesis, planned or parsed device
 // execution, result reuse — allocates nothing per call.
 func TestShardExecSteadyStateAllocs(t *testing.T) {
@@ -187,12 +187,9 @@ func BenchmarkReplayShard(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sh := f.sh
-			sh.arena = sh.arena[:0]
-			sh.offs = append(sh.offs[:0], 0)
 			for j := range f.specs {
 				s := &f.specs[j]
-				sh.arena = sh.gen.AppendGenerate(sh.arena, s.kind, s.rec.UncompressedBytes, s.payloadSeed)
-				sh.offs = append(sh.offs, len(sh.arena))
+				sh.plain = sh.gen.AppendGenerate(sh.plain[:0], s.kind, s.rec.UncompressedBytes, s.payloadSeed)
 			}
 		}
 		f.perCall(b)
@@ -202,18 +199,18 @@ func BenchmarkReplayShard(b *testing.B) {
 		sh := f.sh
 		// Pre-synthesize every payload once; the loop then measures only the
 		// compressed-input synthesis and device execution.
-		sh.arena = sh.arena[:0]
-		sh.offs = append(sh.offs[:0], 0)
+		var arena []byte
+		offs := []int{0}
 		for j := range f.specs {
 			s := &f.specs[j]
-			sh.arena = sh.gen.AppendGenerate(sh.arena, s.kind, s.rec.UncompressedBytes, s.payloadSeed)
-			sh.offs = append(sh.offs, len(sh.arena))
+			arena = sh.gen.AppendGenerate(arena, s.kind, s.rec.UncompressedBytes, s.payloadSeed)
+			offs = append(offs, len(arena))
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := range f.specs {
-				out, err := sh.execOne(&f.specs[j], j, &f.cfg, sh.arena[sh.offs[j]:sh.offs[j+1]])
+				out, err := sh.execOne(&f.specs[j], j, &f.cfg, arena[offs[j]:offs[j+1]])
 				if err != nil {
 					b.Fatal(err)
 				}

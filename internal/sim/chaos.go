@@ -10,7 +10,6 @@ import (
 	"cdpu/internal/fault"
 	"cdpu/internal/obs"
 	"cdpu/internal/resil"
-	"cdpu/internal/xeon"
 )
 
 // Synthetic span blocks for the recovery timeline: failed dispatches, the
@@ -74,7 +73,7 @@ func corruptErr(s *callSpec, cfg *Config, cycles float64, cause error) error {
 // chaosExec runs one storm-hit call through the recovery policy. Corruption
 // is non-transient and skips straight to the fallback decision; device faults
 // retry with seeded backoff first. plain is the call's uncompressed payload
-// (living in the shard's batch arena); devInput is what the device actually
+// (the shard's reused buffer); devInput is what the device actually
 // consumes — the compressed frame for decompress-op calls, plain itself for
 // compression.
 func (sh *shard) chaosExec(s *callSpec, call int, cfg *Config, plain, devInput []byte, kind fault.StormKind, repeats int) (execOut, error) {
@@ -209,7 +208,7 @@ func (sh *shard) chaosTransient(s *callSpec, call int, cfg *Config, plain, devIn
 // spent), and the result is verified functionally by round trip so no corrupt
 // bytes can ever surface from a degraded call.
 func (sh *shard) fallback(s *callSpec, out execOut, cfg *Config, plain, devInput []byte) (execOut, error) {
-	cycles := xeon.Seconds(xeon.Cycles(s.rec.Algo, s.rec.Op, s.rec.Level, s.rec.UncompressedBytes)) * 2.0e9
+	cycles := softwareCycles(s)
 	if s.rec.Op == comp.Decompress {
 		got, err := comp.DecompressCall(s.rec.Algo, devInput)
 		if err != nil || !bytes.Equal(got, plain) {

@@ -8,6 +8,7 @@ import (
 	"cdpu/internal/comp"
 	"cdpu/internal/core"
 	"cdpu/internal/fault"
+	"cdpu/internal/memsys"
 	"cdpu/internal/obs"
 	"cdpu/internal/xeon"
 )
@@ -49,7 +50,7 @@ func (sh *shard) annotateCluster(out *execOut, s *callSpec, call int, cfg *Confi
 		return nil
 	}
 	dev := sh.devs[s.dev]
-	dev.SetFaultInjector(fault.Plan{StallEvery: 1, StallMSHRs: cfg.Lifecycle.StallMSHRs()})
+	dev.SetFaultInjector(fault.Plan{StallEvery: 1, StallMSHRs: fault.BrownoutStallMSHRs})
 	res, err := dev.Exec(devInput)
 	dev.SetFaultInjector(nil)
 	if err != nil {
@@ -60,10 +61,10 @@ func (sh *shard) annotateCluster(out *execOut, s *callSpec, call int, cfg *Confi
 }
 
 // softwareCycles is the Xeon-baseline service time of one call in device
-// cycles (2 GHz) — what the software fallback charges when a dispatch
-// degrades to the CPU.
+// cycles — what the software fallback charges when a dispatch degrades to the
+// CPU.
 func softwareCycles(s *callSpec) float64 {
-	return xeon.Seconds(xeon.Cycles(s.rec.Algo, s.rec.Op, s.rec.Level, s.rec.UncompressedBytes)) * 2.0e9
+	return xeon.Seconds(xeon.Cycles(s.rec.Algo, s.rec.Op, s.rec.Level, s.rec.UncompressedBytes)) * (memsys.DeviceGHz * 1e9)
 }
 
 // mergeClusterTotals rolls one group's failover totals into the Report and

@@ -6,20 +6,18 @@
 // (payload bytes), the CDPU device model (queueing + cycles) and the Xeon
 // cost model (baseline).
 //
-// The replay is sharded and batched: call sampling and the arrival schedule
-// are drawn serially (they are cheap and order-dependent); payload synthesis
-// and functional execution fan out across a bounded worker pool in
-// column-oriented batches — each worker claims a tile of consecutive calls,
-// synthesizes the whole batch's payloads into one arena, then executes them
-// back-to-back through its leased coder and device clones so codec tables,
-// frame plans and scratch stay hot; and the FCFS queueing reduction runs as a
-// partitioned discrete-event engine (internal/des): one event-queue partition
-// per device instance — 4×Devices partitions, so a 128-device fleet replays as
-// 128 independently advanceable event queues — advanced in parallel by a
-// worker pool and merged in a deterministic fixed order. Every per-call random
-// draw comes from a stream keyed on (seed, call index) and every partition's
-// events replay in (time, insertion) order, so the Report is byte-identical at
-// any worker count.
+// The replay is sharded: call sampling and the arrival schedule are drawn
+// serially (they are cheap and order-dependent); payload synthesis and
+// functional execution fan out across a bounded worker pool — each worker
+// claims a tile of consecutive calls and runs them one after another through
+// its leased coder, device clones and reused scratch buffers; and the FCFS
+// queueing reduction runs as a partitioned discrete-event engine
+// (internal/des): one event-queue partition per device instance — 4×Devices
+// partitions, so a 128-device fleet replays as 128 independently advanceable
+// event queues — advanced in parallel by a worker pool and merged in a
+// deterministic fixed order. Every per-call random draw comes from a stream
+// keyed on (seed, call index) and every partition's events replay in (time,
+// insertion) order, so the Report is byte-identical at any worker count.
 package sim
 
 import (
@@ -37,6 +35,7 @@ import (
 	"cdpu/internal/fleet"
 	"cdpu/internal/memsys"
 	"cdpu/internal/obs"
+	"cdpu/internal/prng"
 	"cdpu/internal/resil"
 	"cdpu/internal/stats"
 	"cdpu/internal/traffic"
@@ -275,12 +274,6 @@ var deviceOrder = [...]struct {
 
 const numDevices = len(deviceOrder)
 
-// FleetSlots is the number of (algorithm, direction) device slots in the
-// replayed fleet — the fleet width at Devices=1. Tools that sweep total fleet
-// size divide by this to get the per-slot Devices setting (128 fleet devices
-// = Devices 32).
-const FleetSlots = numDevices
-
 func deviceIndex(a comp.Algorithm, op comp.Op) int {
 	i := 0
 	if a == comp.ZStd {
@@ -291,29 +284,6 @@ func deviceIndex(a comp.Algorithm, op comp.Op) int {
 	}
 	return i
 }
-
-// callRNG is a splitmix64 stream keyed on (seed, call index). Each call's
-// draws (payload kind, payload seed, arrival jitter) come from its own
-// stream, so any worker reproduces them regardless of which shard the call
-// lands on — the property that keeps the Report byte-identical across worker
-// counts.
-type callRNG struct{ state uint64 }
-
-func newCallRNG(seed int64, call int) callRNG {
-	return callRNG{state: uint64(seed) ^ (uint64(call)+1)*0x9e3779b97f4a7c15}
-}
-
-func (r *callRNG) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *callRNG) intn(n int) int   { return int(r.next() % uint64(n)) }
-func (r *callRNG) int63() int64     { return int64(r.next() >> 1) }
-func (r *callRNG) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
 
 // callSpec is everything phase B needs to execute one call, fixed during the
 // serial sampling phase.
@@ -329,14 +299,23 @@ type callSpec struct {
 }
 
 // sampleCalls is phase A: sample the call mix and lay out the arrival
-// schedule. The fleet model's sampler is stateful, so this stays
-// single-threaded; it draws no payload bytes and is cheap. Arrivals match
-// the offered bandwidth (device cycles at 2 GHz: bytes / (GB/s) * 2
-// cycles/ns). Returns the specs, the summed software baseline cycles, and
-// the arrival-clock end time.
+// schedule. The fleet model's sampler and the arrival clock are stateful, so
+// this stays single-threaded; it draws no payload bytes and is cheap. Each
+// call's draws (payload kind, payload seed, arrival jitter) come from its own
+// splitmix64 stream keyed on (seed, call index), so any worker reproduces them
+// regardless of which shard the call lands on, and the call mix is the same in
+// both arrival modes. Closed loop, arrivals are spaced to the offered
+// bandwidth (bytes / (GB/s) * cycles/ns); open loop, they come from the seeded
+// traffic generator and carry the sampled tenant's rank and SLO class. Returns
+// the specs, the summed software baseline cycles, and the arrival-clock end
+// time.
 func sampleCalls(cfg Config, report *Report) (specs []callSpec, xeonCycles, at float64) {
 	model := fleet.NewModel(cfg.Seed)
-	cyclesPerByte := 2.0 / cfg.OfferedGBps
+	var gen *traffic.Gen
+	if cfg.Traffic.Enabled() {
+		gen = traffic.NewGen(cfg.Traffic, cfg.Tenants, cfg.SLO, cfg.Seed)
+	}
+	cyclesPerByte := memsys.DeviceGHz / cfg.OfferedGBps
 	specs = make([]callSpec, 0, cfg.Calls)
 	// Instance routing: calls round-robin across a slot's device instances in
 	// sampling order. A per-slot counter in this serial phase keeps the routing
@@ -352,17 +331,22 @@ func sampleCalls(cfg Config, report *Report) (specs []callSpec, xeonCycles, at f
 		if rec.UncompressedBytes > cfg.MaxCallBytes {
 			rec.UncompressedBytes = cfg.MaxCallBytes
 		}
-		r := newCallRNG(cfg.Seed, len(specs))
+		r := prng.New(uint64(cfg.Seed) ^ (uint64(len(specs))+1)*prng.Gamma)
 		s := callSpec{
 			rec:         rec,
-			kind:        payloadKinds[r.intn(len(payloadKinds))],
-			payloadSeed: r.int63(),
+			kind:        payloadKinds[r.Intn(len(payloadKinds))],
+			payloadSeed: int64(r.Next() >> 1),
 			arrival:     at,
 			dev:         deviceIndex(rec.Algo, rec.Op),
 		}
 		s.inst = rr[s.dev] % cfg.Devices
 		rr[s.dev]++
-		at += float64(rec.UncompressedBytes) * cyclesPerByte * (0.5 + r.float64())
+		if gen != nil {
+			a := gen.Next()
+			s.arrival, s.class, s.tenant, at = a.At, a.Class, a.Tenant, a.At
+		} else {
+			at += float64(rec.UncompressedBytes) * cyclesPerByte * (0.5 + r.Float64())
+		}
 		report.UncompressedBytes += rec.UncompressedBytes
 		xeonCycles += xeon.Cycles(rec.Algo, rec.Op, rec.Level, rec.UncompressedBytes)
 		metricSimCallBytes.Observe(int64(rec.UncompressedBytes))
@@ -441,14 +425,8 @@ func run(cfg Config, reduce phaseC) (*Report, error) {
 
 	// Phase A (serial): sampling and the arrival schedule — closed-loop
 	// bandwidth spacing, or the open-loop generator when Traffic is enabled.
-	var specs []callSpec
-	var xeonCycles, at float64
 	openLoop := cfg.Traffic.Enabled()
-	if openLoop {
-		specs, xeonCycles, at = sampleOpenLoop(cfg, report)
-	} else {
-		specs, xeonCycles, at = sampleCalls(cfg, report)
-	}
+	specs, xeonCycles, at := sampleCalls(cfg, report)
 	metricSimCalls.Add(int64(len(specs)))
 	metricSimWorkers.Set(float64(cfg.Workers))
 
@@ -532,11 +510,12 @@ func run(cfg Config, reduce phaseC) (*Report, error) {
 	for _, l := range latencies {
 		sum += l
 	}
-	report.MeanLatencyUs = sum / float64(len(latencies)) / 2000
-	report.P99LatencyUs = stats.P99(latencies) / 2000
+	const cyclesPerUs = memsys.DeviceGHz * 1e3
+	report.MeanLatencyUs = sum / float64(len(latencies)) / cyclesPerUs
+	report.P99LatencyUs = stats.P99(latencies) / cyclesPerUs
 
 	// Baseline: the same load on Xeon cores.
-	wallSeconds := at / 2.0e9
+	wallSeconds := at / (memsys.DeviceGHz * 1e9)
 	if wallSeconds > 0 {
 		report.XeonCoresNeeded = xeon.Seconds(xeonCycles) / wallSeconds
 	}
@@ -594,21 +573,15 @@ func emitDeviceTrace(tr *obs.Trace, pid int, algo comp.Algorithm, op comp.Op, in
 	}
 }
 
-// Batching geometry for phase B. tileSize is the claim unit — one atomic
-// increment hands a worker 64 consecutive calls, cutting counter contention
-// 64x versus per-call claims while keeping the tail balanced. Within a tile,
-// calls are processed in synthesis batches bounded by batchBytes of summed
-// payload, so the per-shard arena stays cache-sized even when MaxCallBytes
-// allows megabyte calls.
-const (
-	tileSize   = 64
-	batchBytes = 2 << 20
-)
+// tileSize is phase B's claim unit — one atomic increment hands a worker 64
+// consecutive calls, cutting counter contention 64x versus per-call claims
+// while keeping the tail balanced.
+const tileSize = 64
 
 // shard is one worker's leased execution state: a pooled Coder for
 // decompress-op payload synthesis, functional single-pipeline device clones,
-// the batch payload arena, and the scratch buffers that take steady-state
-// replay to zero allocations per call. Shards are recycled through a
+// and the scratch buffers that take steady-state replay to zero allocations
+// per call. Shards are recycled through a
 // process-wide pool across Replay invocations, so repeated Runs (benchmark
 // loops, scaling sweeps) skip device construction entirely.
 type shard struct {
@@ -617,8 +590,7 @@ type shard struct {
 	coder     *comp.Coder
 	gen       corpus.Gen
 	devs      [numDevices]*core.Device
-	arena     []byte // batch payload bytes, addressed by offs
-	offs      []int  // arena offsets: batch call k's payload is arena[offs[k]:offs[k+1]]
+	plain     []byte // the current call's synthesized payload
 	enc       []byte // compressed-input scratch for decompress-op calls
 	fb        []byte // software-fallback compression scratch
 }
@@ -655,37 +627,14 @@ func newShard(placement memsys.Placement, traced bool) (*shard, error) {
 	return sh, nil
 }
 
-// execTile processes calls [lo, hi) in synthesis batches. On error it
-// reports the failing call index.
+// execTile runs calls [lo, hi) one after another: synthesize the payload into
+// the shard's reused buffer, execute it. On error it reports the failing call
+// index.
 func (sh *shard) execTile(specs []callSpec, lo, hi int, cfg *Config, outs []execOut) (int, error) {
-	for lo < hi {
-		j := lo
-		budget := 0
-		for j < hi && (j == lo || budget < batchBytes) {
-			budget += specs[j].rec.UncompressedBytes
-			j++
-		}
-		if at, err := sh.execBatch(specs, lo, j, cfg, outs); err != nil {
-			return at, err
-		}
-		lo = j
-	}
-	return 0, nil
-}
-
-// execBatch is the column-oriented hot path: synthesize every payload of the
-// batch into the arena in one pass, then execute the batch back-to-back, so
-// each stage's tables and scratch stay hot across consecutive calls.
-func (sh *shard) execBatch(specs []callSpec, lo, hi int, cfg *Config, outs []execOut) (int, error) {
-	sh.arena = sh.arena[:0]
-	sh.offs = append(sh.offs[:0], 0)
 	for i := lo; i < hi; i++ {
 		s := &specs[i]
-		sh.arena = sh.gen.AppendGenerate(sh.arena, s.kind, s.rec.UncompressedBytes, s.payloadSeed)
-		sh.offs = append(sh.offs, len(sh.arena))
-	}
-	for i := lo; i < hi; i++ {
-		out, err := sh.execOne(&specs[i], i, cfg, sh.arena[sh.offs[i-lo]:sh.offs[i-lo+1]])
+		sh.plain = sh.gen.AppendGenerate(sh.plain[:0], s.kind, s.rec.UncompressedBytes, s.payloadSeed)
+		out, err := sh.execOne(s, i, cfg, sh.plain)
 		if err != nil {
 			return i, err
 		}

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"cdpu/internal/comp"
 	"cdpu/internal/core"
-	"cdpu/internal/fleet"
 	"cdpu/internal/obs"
 	"cdpu/internal/traffic"
-	"cdpu/internal/xeon"
 )
 
 // Per-class traffic instruments, published once per Run from the serial merge
@@ -141,46 +138,4 @@ func (c *Config) sloCycles() *[traffic.NumClasses]float64 {
 		t[cl] = c.SLO.TargetCycles(cl)
 	}
 	return &t
-}
-
-// sampleOpenLoop is the open-loop phase A: the call mix comes from the same
-// stateful fleet model as the closed-loop path (same positional callRNG draws
-// for payload kind and seed, so the payload corpus is directly comparable
-// across modes), but arrival times come from the seeded modulated-Poisson
-// generator and each call carries its sampled tenant's SLO class. Serial for
-// the same reason sampleCalls is: the fleet sampler and the arrival clock are
-// both stateful, cheap, and order-dependent.
-func sampleOpenLoop(cfg Config, report *Report) (specs []callSpec, xeonCycles, at float64) {
-	model := fleet.NewModel(cfg.Seed)
-	gen := traffic.NewGen(cfg.Traffic, cfg.Tenants, cfg.SLO, cfg.Seed)
-	var rr [numDevices]int
-	specs = make([]callSpec, 0, cfg.Calls)
-	for len(specs) < cfg.Calls {
-		rec := model.SampleCall()
-		if rec.Algo != comp.Snappy && rec.Algo != comp.ZStd {
-			continue
-		}
-		if rec.UncompressedBytes > cfg.MaxCallBytes {
-			rec.UncompressedBytes = cfg.MaxCallBytes
-		}
-		r := newCallRNG(cfg.Seed, len(specs))
-		arr := gen.Next()
-		s := callSpec{
-			rec:         rec,
-			kind:        payloadKinds[r.intn(len(payloadKinds))],
-			payloadSeed: r.int63(),
-			arrival:     arr.At,
-			dev:         deviceIndex(rec.Algo, rec.Op),
-			class:       arr.Class,
-			tenant:      arr.Tenant,
-		}
-		s.inst = rr[s.dev] % cfg.Devices
-		rr[s.dev]++
-		report.UncompressedBytes += rec.UncompressedBytes
-		xeonCycles += xeon.Cycles(rec.Algo, rec.Op, rec.Level, rec.UncompressedBytes)
-		metricSimCallBytes.Observe(int64(rec.UncompressedBytes))
-		specs = append(specs, s)
-	}
-	report.Calls = len(specs)
-	return specs, xeonCycles, gen.Clock()
 }

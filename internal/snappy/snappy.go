@@ -123,7 +123,6 @@ func (c EncoderConfig) lz77Config() lz77.Config {
 // Encoder compresses blocks under a fixed configuration, reusing its hash
 // table across calls. Not safe for concurrent use.
 type Encoder struct {
-	cfg     EncoderConfig
 	matcher *lz77.Matcher
 }
 
@@ -134,11 +133,8 @@ func NewEncoder(cfg EncoderConfig) (*Encoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Encoder{cfg: cfg, matcher: m}, nil
+	return &Encoder{matcher: m}, nil
 }
-
-// Config returns the encoder's effective configuration.
-func (e *Encoder) Config() EncoderConfig { return e.cfg }
 
 // Stats returns dictionary-stage statistics for the most recent Encode.
 func (e *Encoder) Stats() lz77.Stats { return e.matcher.Stats() }

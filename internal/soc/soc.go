@@ -56,8 +56,8 @@ func (i *Interface) doorbellFault(p memsys.Placement) float64 {
 // one pipeline at the given placement: the on-die drain-and-wipe plus four
 // configuration round trips over the placement link (quiesce, status read,
 // reconfigure, re-arm). Near-core resets are SRAM-wipe-bound; across PCIe
-// the management round trips add ~3200 cycles more. Consulted by the replay
-// when resil.Policy.ResetCycles is zero.
+// the management round trips add ~3200 cycles more. The replay charges it
+// for every pipeline quarantine and, per pipeline, for every warm restart.
 func (i *Interface) PipelineResetCycles(p memsys.Placement) float64 {
 	link := p.LinkLatencyNs() * i.sys.Config().FrequencyGHz
 	return PipelineResetBaseCycles + 4*(2*link+RoCCDispatchCycles)

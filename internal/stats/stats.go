@@ -74,9 +74,6 @@ func (h *Hist) Bins() []int {
 	return out
 }
 
-// Weight returns the weight recorded in a bin.
-func (h *Hist) Weight(bin int) float64 { return h.bins[bin] }
-
 // Frac returns the fraction of total weight in a bin.
 func (h *Hist) Frac(bin int) float64 {
 	if h.total == 0 {

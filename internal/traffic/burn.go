@@ -1,6 +1,10 @@
 package traffic
 
-import "fmt"
+import (
+	"fmt"
+
+	"cdpu/internal/prng"
+)
 
 // This file is the SLO burn layer: the per-tenant health signal of the
 // overload control plane. A fleet serving a Zipf-skewed population cannot
@@ -100,16 +104,21 @@ type BurnConfig struct {
 	// modeled time at 2 GHz).
 	FastWindowCycles float64
 	SlowWindowCycles float64
-	// FastBurn / SlowBurn are the alert thresholds: a tenant alerts when its
-	// fast burn is at or above FastBurn AND its slow burn at or above
-	// SlowBurn (0 = 4 / 2 — the conventional page-severity pairing: burning
-	// 4x budget right now and 2x sustained).
-	FastBurn float64
-	SlowBurn float64
-	// BudgetFrac is the per-tenant error budget: the bad-call fraction that
-	// counts as burn 1.0 (0 = 0.01, a 99% per-tenant objective).
-	BudgetFrac float64
 }
+
+// ErrorBudgetFrac is the error budget every burn rate in the control plane is
+// normalized by — the per-tenant tracker's and the burn-driven autoscaler's:
+// the bad-call fraction that counts as burn 1.0 (a 99% objective).
+const ErrorBudgetFrac = 0.01
+
+// fastBurn / slowBurn are the alert thresholds: a tenant alerts when its fast
+// burn is at or above fastBurn AND its slow burn at or above slowBurn — the
+// conventional page-severity pairing: burning 4x budget right now and 2x
+// sustained.
+const (
+	fastBurn = 4
+	slowBurn = 2
+)
 
 // Enabled reports whether the tracker runs at all.
 func (b BurnConfig) Enabled() bool { return b.TopK > 0 }
@@ -135,27 +144,6 @@ func (b BurnConfig) slowWindow() float64 {
 	return b.SlowWindowCycles
 }
 
-func (b BurnConfig) fastBurn() float64 {
-	if b.FastBurn == 0 {
-		return 4
-	}
-	return b.FastBurn
-}
-
-func (b BurnConfig) slowBurn() float64 {
-	if b.SlowBurn == 0 {
-		return 2
-	}
-	return b.SlowBurn
-}
-
-func (b BurnConfig) budget() float64 {
-	if b.BudgetFrac == 0 {
-		return 0.01
-	}
-	return b.BudgetFrac
-}
-
 // Validate rejects tracker shapes the replay cannot give meaning to.
 func (b BurnConfig) Validate() error {
 	if b.TopK < 0 {
@@ -170,21 +158,11 @@ func (b BurnConfig) Validate() error {
 	if b.ReservoirSize < 0 {
 		return fmt.Errorf("traffic: Burn.ReservoirSize %d (want non-negative)", b.ReservoirSize)
 	}
-	for _, f := range [4]struct {
-		name string
-		v    float64
-	}{
-		{"FastWindowCycles", b.FastWindowCycles},
-		{"SlowWindowCycles", b.SlowWindowCycles},
-		{"FastBurn", b.FastBurn},
-		{"SlowBurn", b.SlowBurn},
-	} {
-		if f.v != 0 && !finitePos(f.v) {
-			return fmt.Errorf("traffic: Burn.%s %v (want finite, positive)", f.name, f.v)
-		}
+	if b.FastWindowCycles != 0 && !finitePos(b.FastWindowCycles) {
+		return fmt.Errorf("traffic: Burn.FastWindowCycles %v (want finite, positive)", b.FastWindowCycles)
 	}
-	if b.BudgetFrac != 0 && (!finitePos(b.BudgetFrac) || b.BudgetFrac > 1) {
-		return fmt.Errorf("traffic: Burn.BudgetFrac %v (want in (0, 1])", b.BudgetFrac)
+	if b.SlowWindowCycles != 0 && !finitePos(b.SlowWindowCycles) {
+		return fmt.Errorf("traffic: Burn.SlowWindowCycles %v (want finite, positive)", b.SlowWindowCycles)
 	}
 	return nil
 }
@@ -246,12 +224,7 @@ func (t *BurnTracker) newTenant(rank int) burnTenant {
 // distinct tail tenant offered, keyed on position so the admission sequence
 // is a pure function of (seed, arrival order).
 func (t *BurnTracker) draw(i int) uint64 {
-	state := t.seed + uint64(i)*0x9e3779b97f4a7c15
-	state += 0x9e3779b97f4a7c15
-	z := state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return prng.Mix(t.seed + uint64(i)*prng.Gamma)
 }
 
 // lookup returns the tenant's tracked state, admitting new tail tenants
@@ -291,9 +264,9 @@ func (t *BurnTracker) Observe(at float64, rank, class int, isBad bool) {
 	bt.class = class
 	bt.fast.Observe(at, isBad)
 	bt.slow.Observe(at, isBad)
-	fr, fok := bt.fast.Rate(t.cfg.budget())
-	sr, sok := bt.slow.Rate(t.cfg.budget())
-	hot := fok && sok && fr >= t.cfg.fastBurn() && sr >= t.cfg.slowBurn()
+	fr, fok := bt.fast.Rate(ErrorBudgetFrac)
+	sr, sok := bt.slow.Rate(ErrorBudgetFrac)
+	hot := fok && sok && fr >= fastBurn && sr >= slowBurn
 	if hot && !bt.alerting {
 		t.alerts[class]++
 	}

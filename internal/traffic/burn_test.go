@@ -52,14 +52,12 @@ func TestBurnConfigValidate(t *testing.T) {
 	}{
 		{"zero", BurnConfig{}, true},
 		{"enabled defaults", BurnConfig{TopK: 16}, true},
-		{"enabled full", BurnConfig{TopK: 8, ReservoirSize: 4, FastWindowCycles: 1e6, SlowWindowCycles: 1e7, FastBurn: 6, SlowBurn: 3, BudgetFrac: 0.05}, true},
+		{"enabled full", BurnConfig{TopK: 8, ReservoirSize: 4, FastWindowCycles: 1e6, SlowWindowCycles: 1e7}, true},
 		{"negative topk", BurnConfig{TopK: -1}, false},
 		{"knobs without topk", BurnConfig{ReservoirSize: 4}, false},
 		{"negative reservoir", BurnConfig{TopK: 4, ReservoirSize: -1}, false},
 		{"NaN fast window", BurnConfig{TopK: 4, FastWindowCycles: math.NaN()}, false},
-		{"Inf fast burn", BurnConfig{TopK: 4, FastBurn: math.Inf(1)}, false},
-		{"negative slow burn", BurnConfig{TopK: 4, SlowBurn: -2}, false},
-		{"over-unity budget", BurnConfig{TopK: 4, BudgetFrac: 2}, false},
+		{"negative slow window", BurnConfig{TopK: 4, SlowWindowCycles: -2}, false},
 	}
 	for _, tc := range cases {
 		err := tc.b.Validate()

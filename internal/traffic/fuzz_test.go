@@ -20,7 +20,6 @@ func FuzzGen(f *testing.F) {
 		pat := Pattern{
 			CallsPerMcycle: rate,
 			BurstFactor:    burst,
-			PeriodCycles:   1e6,
 			FlashFactor:    flashF,
 			FlashOnCycles:  flashOn,
 			FlashRankFrac:  flashFrac,

@@ -7,7 +7,7 @@
 // population (rank-frequency law, millions of tenants sampled in O(1) by
 // inverse transform) and to the SLO class its tenant rank maps to.
 //
-// Everything is a pure function of (replay seed, Pattern.Seed, draw index):
+// Everything is a pure function of (replay seed, draw index):
 // the generator is consumed in the replay's serial sampling phase, so open-loop
 // Reports stay byte-identical at any worker count. The package is a leaf —
 // internal/sim, internal/cluster and the experiment harness all import it.
@@ -16,6 +16,9 @@ package traffic
 import (
 	"fmt"
 	"math"
+
+	"cdpu/internal/memsys"
+	"cdpu/internal/prng"
 )
 
 // NumClasses is the fixed SLO class count: 0 = gold (highest priority),
@@ -28,16 +31,14 @@ const NumClasses = 3
 // schedule).
 type Pattern struct {
 	// CallsPerMcycle is the base arrival rate in calls per million device
-	// cycles (2 GHz: 1 Mcycle = 0.5 ms, so 100 calls/Mcycle = 200k calls/s).
+	// cycles (at memsys.DeviceGHz 1 Mcycle = 0.5 ms, so 100 calls/Mcycle =
+	// 200k calls/s).
 	// 0 disables the open-loop generator.
 	CallsPerMcycle float64
 	// Diurnal scales the base rate through piecewise-constant segments spread
-	// evenly over PeriodCycles, cycling forever (nil/empty = flat). Every
-	// segment must be finite and positive.
+	// evenly over diurnalPeriodCycles, cycling forever (nil/empty = flat).
+	// Every segment must be finite and positive.
 	Diurnal []float64
-	// PeriodCycles is the diurnal period (0 = 200e6 cycles, 100 ms — a
-	// compressed "day" so test-scale replays span several periods).
-	PeriodCycles float64
 	// BurstFactor multiplies the rate while the on/off modulation is in an
 	// on-window (0 or 1 = no burst modulation).
 	BurstFactor float64
@@ -63,22 +64,16 @@ type Pattern struct {
 	// band covers; the band's start rank is sampled uniformly per window
 	// (0 = 0.001 — a thousandth of the population goes hot at once).
 	FlashRankFrac float64
-	// Seed salts the generator's draw stream on top of the replay seed, so
-	// two traffic shapes over the same call mix decorrelate.
-	Seed int64
 }
+
+// diurnalPeriodCycles is the diurnal period: 100 ms of modeled time, a
+// compressed "day" so test-scale replays span several periods.
+const diurnalPeriodCycles = 200e6
 
 // Enabled reports whether the pattern switches the replay to open-loop
 // arrivals. It is the gate the bit-compat contract hangs on: a zero Pattern
 // must leave the closed-loop engine untouched.
 func (p Pattern) Enabled() bool { return p.CallsPerMcycle != 0 }
-
-func (p Pattern) periodCycles() float64 {
-	if p.PeriodCycles == 0 {
-		return 200e6
-	}
-	return p.PeriodCycles
-}
 
 func (p Pattern) burstOn() float64 {
 	if p.BurstOnCycles == 0 {
@@ -133,9 +128,6 @@ func (p Pattern) Validate() error {
 		if !finitePos(d) {
 			return fmt.Errorf("traffic: Diurnal[%d] = %v (want finite, positive)", i, d)
 		}
-	}
-	if p.PeriodCycles != 0 && !finitePos(p.PeriodCycles) {
-		return fmt.Errorf("traffic: PeriodCycles %v (want finite, positive)", p.PeriodCycles)
 	}
 	if p.BurstFactor != 0 && !finitePos(p.BurstFactor) {
 		return fmt.Errorf("traffic: BurstFactor %v (want finite, positive)", p.BurstFactor)
@@ -250,16 +242,19 @@ type SLO struct {
 	// TargetUs holds the per-class served-latency targets in microseconds;
 	// zero entries default to {25, 100, 400} (gold, silver, bronze).
 	TargetUs [NumClasses]float64
-	// GoldTenantFrac / SilverTenantFrac split the tenant ranks, heaviest
-	// first, into classes: ranks in the first GoldTenantFrac of the
-	// population are gold, the next SilverTenantFrac silver, the rest bronze
-	// (0 = 0.01 / 0.09). Under Zipf skew the small gold rank set carries a
-	// large call share — the hyperscale shape.
-	GoldTenantFrac   float64
-	SilverTenantFrac float64
 }
 
 var defaultTargetUs = [NumClasses]float64{25, 100, 400}
+
+// goldTenantFrac / silverTenantFrac split the tenant ranks, heaviest first,
+// into classes: ranks in the first 1% of the population are gold, the next 9%
+// silver, the rest bronze. Under Zipf skew the small gold rank set carries a
+// large call share — the hyperscale shape. Typed, so the silver boundary
+// (their sum) rounds as float64 addition does, not as an exact constant.
+const (
+	goldTenantFrac   float64 = 0.01
+	silverTenantFrac float64 = 0.09
+)
 
 // TargetUsFor returns class c's latency target in microseconds, defaults
 // applied.
@@ -270,51 +265,28 @@ func (s SLO) TargetUsFor(c int) float64 {
 	return defaultTargetUs[c]
 }
 
-// TargetCycles returns class c's latency target in device cycles (2 GHz:
-// 2000 cycles per microsecond).
-func (s SLO) TargetCycles(c int) float64 { return s.TargetUsFor(c) * 2000 }
-
-func (s SLO) goldFrac() float64 {
-	if s.GoldTenantFrac == 0 {
-		return 0.01
-	}
-	return s.GoldTenantFrac
-}
-
-func (s SLO) silverFrac() float64 {
-	if s.SilverTenantFrac == 0 {
-		return 0.09
-	}
-	return s.SilverTenantFrac
-}
+// TargetCycles returns class c's latency target in device cycles.
+func (s SLO) TargetCycles(c int) float64 { return s.TargetUsFor(c) * (memsys.DeviceGHz * 1e3) }
 
 // Class returns the SLO class of a tenant rank within a population of n. The
 // fraction boundaries are rounded to whole ranks, so a 1%/9% split of 1000
 // tenants is exactly ranks 1-10 gold and 11-100 silver.
 func (s SLO) Class(rank, n int) int {
-	if rank <= int(s.goldFrac()*float64(n)+0.5) {
+	if rank <= int(goldTenantFrac*float64(n)+0.5) {
 		return 0
 	}
-	if rank <= int((s.goldFrac()+s.silverFrac())*float64(n)+0.5) {
+	if rank <= int((goldTenantFrac+silverTenantFrac)*float64(n)+0.5) {
 		return 1
 	}
 	return 2
 }
 
-// Validate rejects targets and rank splits the scorer cannot use.
+// Validate rejects targets the scorer cannot use.
 func (s SLO) Validate() error {
 	for c, t := range s.TargetUs {
 		if t != 0 && !finitePos(t) {
 			return fmt.Errorf("traffic: SLO.TargetUs[%d] = %v (want finite, positive)", c, t)
 		}
-	}
-	for _, f := range [2]float64{s.GoldTenantFrac, s.SilverTenantFrac} {
-		if f != 0 && (!finitePos(f) || f > 1) {
-			return fmt.Errorf("traffic: SLO tenant fraction %v (want in (0, 1])", f)
-		}
-	}
-	if s.goldFrac()+s.silverFrac() > 1 {
-		return fmt.Errorf("traffic: SLO tenant fractions sum to %v (want <= 1)", s.goldFrac()+s.silverFrac())
 	}
 	return nil
 }
@@ -340,7 +312,7 @@ type Autoscale struct {
 	// (0 = 2e6 cycles, 1 ms), damping oscillation around the thresholds.
 	CooldownCycles float64
 	// UpBurn switches the scaler from queue depth to SLO burn: a fast-window
-	// burn rate (bad-call fraction over the error budget, measured over
+	// burn rate (bad-call fraction over ErrorBudgetFrac, measured over
 	// BurnWindowCycles at arrival instants) at or above UpBurn activates the
 	// next replica; sustained burn at or below DownBurn drains one. Mutually
 	// exclusive with UpQueueDepth; 0 keeps the queue-depth mode.
@@ -349,10 +321,6 @@ type Autoscale struct {
 	// BurnWindowCycles is the rolling window the scaler's burn rate is
 	// measured over (0 = 2e6 cycles, 1 ms of modeled time).
 	BurnWindowCycles float64
-	// BurnBudgetFrac is the error budget the burn rate is normalized by: a
-	// burn of 1.0 means bad calls are arriving exactly at the budgeted
-	// fraction (0 = 0.01, a 99% objective).
-	BurnBudgetFrac float64
 }
 
 // Enabled reports whether the policy scales at all, in either mode.
@@ -368,14 +336,6 @@ func (a Autoscale) BurnWindow() float64 {
 		return 2e6
 	}
 	return a.BurnWindowCycles
-}
-
-// BurnBudget returns the error-budget fraction, defaults applied.
-func (a Autoscale) BurnBudget() float64 {
-	if a.BurnBudgetFrac == 0 {
-		return 0.01
-	}
-	return a.BurnBudgetFrac
 }
 
 // Min returns the active-replica floor, defaults applied.
@@ -427,15 +387,12 @@ func (a Autoscale) Validate() error {
 		if a.BurnWindowCycles != 0 && !finitePos(a.BurnWindowCycles) {
 			return fmt.Errorf("traffic: Autoscale.BurnWindowCycles %v (want finite, positive)", a.BurnWindowCycles)
 		}
-		if a.BurnBudgetFrac != 0 && (!finitePos(a.BurnBudgetFrac) || a.BurnBudgetFrac > 1) {
-			return fmt.Errorf("traffic: Autoscale.BurnBudgetFrac %v (want in (0, 1])", a.BurnBudgetFrac)
-		}
 		return nil
 	}
 	if a.DownQueueDepth < 0 || a.DownQueueDepth >= a.UpQueueDepth {
 		return fmt.Errorf("traffic: Autoscale.DownQueueDepth %d (want in [0, UpQueueDepth))", a.DownQueueDepth)
 	}
-	if a.DownBurn != 0 || a.BurnWindowCycles != 0 || a.BurnBudgetFrac != 0 {
+	if a.DownBurn != 0 || a.BurnWindowCycles != 0 {
 		return fmt.Errorf("traffic: Autoscale burn knobs set without UpBurn")
 	}
 	return nil
@@ -462,7 +419,7 @@ type Gen struct {
 	ten Tenants
 	slo SLO
 
-	state uint64 // splitmix64 stream
+	rng   prng.Stream
 	clock float64
 	// On/off burst modulation, advanced lazily on the arrival clock.
 	burstOn    bool
@@ -480,9 +437,9 @@ type Gen struct {
 	flashBoost float64
 }
 
-// NewGen builds a generator for one replay. seed is the replay seed; the
-// pattern's own Seed salts the stream on top of it. The inputs are assumed
-// validated (sim.Config.validate rejects bad curves before sampling starts).
+// NewGen builds a generator for one replay, keyed on the replay seed. The
+// inputs are assumed validated (sim.Config.validate rejects bad curves before
+// sampling starts).
 func NewGen(pat Pattern, ten Tenants, slo SLO, seed int64) *Gen {
 	return &Gen{
 		pat: pat,
@@ -492,31 +449,20 @@ func NewGen(pat Pattern, ten Tenants, slo SLO, seed int64) *Gen {
 		// makes the first drawn window an off-window: traffic begins calm.
 		burstOn: true,
 		flashOn: true,
-		state:   (uint64(seed) ^ genSalt) + uint64(pat.Seed)*0x9e3779b97f4a7c15,
+		rng:     prng.New(uint64(seed) ^ genSalt),
 	}
 }
 
-func (g *Gen) next() uint64 {
-	g.state += 0x9e3779b97f4a7c15
-	z := g.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (g *Gen) uniform() float64 { return float64(g.next()>>11) / (1 << 53) }
-
 // exp draws a unit-mean exponential. 1-u is in (0, 1], so the draw is finite
 // and positive.
-func (g *Gen) exp() float64 { return -math.Log(1 - g.uniform()) }
+func (g *Gen) exp() float64 { return -math.Log(1 - g.rng.Float64()) }
 
 // rate evaluates the arrival rate in calls per cycle at a clock instant:
 // base × diurnal segment × burst multiplier.
 func (g *Gen) rate(at float64) float64 {
 	lam := g.pat.CallsPerMcycle / 1e6
 	if len(g.pat.Diurnal) > 0 {
-		period := g.pat.periodCycles()
-		seg := int(math.Mod(at, period) / period * float64(len(g.pat.Diurnal)))
+		seg := int(math.Mod(at, diurnalPeriodCycles) / diurnalPeriodCycles * float64(len(g.pat.Diurnal)))
 		if seg >= len(g.pat.Diurnal) { // at exactly a period boundary
 			seg = len(g.pat.Diurnal) - 1
 		}
@@ -543,7 +489,7 @@ func (g *Gen) sampleFlashBand() {
 	if w < 1 {
 		w = 1
 	}
-	lo := 1 + g.uniform()*math.Max(0, n-w)
+	lo := 1 + g.rng.Float64()*math.Max(0, n-w)
 	g.flashLo = g.ten.cdf(lo)
 	g.flashHi = g.ten.cdf(lo + w)
 	m := g.flashHi - g.flashLo
@@ -600,14 +546,10 @@ func (g *Gen) Next() Arrival {
 		}
 	}
 	g.clock += g.exp() / g.rate(g.clock)
-	u := g.uniform()
+	u := g.rng.Float64()
 	if g.pat.flashEnabled() && g.flashOn {
 		u = g.tilt(u)
 	}
 	rank := g.ten.Rank(u)
 	return Arrival{At: g.clock, Tenant: rank, Class: g.slo.Class(rank, g.ten.n())}
 }
-
-// Clock returns the arrival clock after the last Next — the open-loop
-// replay's wall-clock end time.
-func (g *Gen) Clock() float64 { return g.clock }

@@ -16,23 +16,21 @@ func TestPatternEnabled(t *testing.T) {
 
 func TestGenDeterminism(t *testing.T) {
 	pat := Pattern{CallsPerMcycle: 50, Diurnal: []float64{1, 2, 0.5}, BurstFactor: 4}
-	draw := func(seed, patSeed int64) []Arrival {
-		p := pat
-		p.Seed = patSeed
-		g := NewGen(p, Tenants{}, SLO{}, seed)
+	draw := func(seed int64) []Arrival {
+		g := NewGen(pat, Tenants{}, SLO{}, seed)
 		out := make([]Arrival, 500)
 		for i := range out {
 			out[i] = g.Next()
 		}
 		return out
 	}
-	a, b := draw(3, 0), draw(3, 0)
+	a, b := draw(3), draw(3)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("arrival %d drifted across identical generators: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	c := draw(3, 9)
+	c := draw(9)
 	same := 0
 	for i := range a {
 		if a[i] == c[i] {
@@ -40,14 +38,14 @@ func TestGenDeterminism(t *testing.T) {
 		}
 	}
 	if same == len(a) {
-		t.Fatal("Pattern.Seed did not decorrelate the stream")
+		t.Fatal("the replay seed did not decorrelate the stream")
 	}
 }
 
 func TestGenArrivalsStrictlyIncreasingFinite(t *testing.T) {
 	pats := []Pattern{
 		{CallsPerMcycle: 100},
-		{CallsPerMcycle: 5, Diurnal: []float64{0.2, 1, 3}, PeriodCycles: 1e6},
+		{CallsPerMcycle: 5, Diurnal: []float64{0.2, 1, 3}},
 		{CallsPerMcycle: 400, BurstFactor: 8, BurstOnCycles: 1e4, BurstOffCycles: 5e4},
 	}
 	for pi, pat := range pats {
@@ -87,8 +85,8 @@ func TestGenMeanRate(t *testing.T) {
 // TestGenDiurnalShape drives a two-segment curve and checks the per-segment
 // arrival counts follow the segment weights.
 func TestGenDiurnalShape(t *testing.T) {
-	period := 1e6
-	g := NewGen(Pattern{CallsPerMcycle: 200, Diurnal: []float64{1, 3}, PeriodCycles: period}, Tenants{}, SLO{}, 5)
+	const period = diurnalPeriodCycles
+	g := NewGen(Pattern{CallsPerMcycle: 1, Diurnal: []float64{1, 3}}, Tenants{}, SLO{}, 5)
 	lo, hi := 0, 0
 	for i := 0; i < 40000; i++ {
 		a := g.Next()
@@ -208,7 +206,6 @@ func TestValidate(t *testing.T) {
 		{CallsPerMcycle: 10, Diurnal: []float64{1, -1}},
 		{CallsPerMcycle: 10, Diurnal: []float64{1, math.NaN()}},
 		{CallsPerMcycle: 10, Diurnal: []float64{0}},
-		{CallsPerMcycle: 10, PeriodCycles: math.Inf(1)},
 		{CallsPerMcycle: 10, BurstFactor: math.NaN()},
 		{CallsPerMcycle: 10, BurstFactor: 2, BurstOnCycles: -5},
 		{CallsPerMcycle: 10, BurstFactor: 2, BurstOffCycles: math.NaN()},
@@ -221,7 +218,7 @@ func TestValidate(t *testing.T) {
 	good := []Pattern{
 		{},
 		{CallsPerMcycle: 10},
-		{CallsPerMcycle: 10, Diurnal: []float64{0.5, 2}, PeriodCycles: 1e7, BurstFactor: 5},
+		{CallsPerMcycle: 10, Diurnal: []float64{0.5, 2}, BurstFactor: 5},
 	}
 	for i, p := range good {
 		if err := p.Validate(); err != nil {
@@ -236,9 +233,6 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (SLO{TargetUs: [NumClasses]float64{0, -2, 0}}).Validate(); err == nil {
 		t.Error("negative SLO target validated")
-	}
-	if err := (SLO{GoldTenantFrac: 0.8, SilverTenantFrac: 0.5}).Validate(); err == nil {
-		t.Error("over-unity class split validated")
 	}
 	if err := (Autoscale{UpQueueDepth: 4, DownQueueDepth: 4}).Validate(); err == nil {
 		t.Error("DownQueueDepth >= UpQueueDepth validated")
@@ -260,9 +254,9 @@ func TestAutoscaleDefaults(t *testing.T) {
 		t.Fatalf("defaults: enabled=%v min=%d cooldown=%v", a.Enabled(), a.Min(), a.Cooldown())
 	}
 	b := Autoscale{UpBurn: 2}
-	if !b.Enabled() || !b.BurnDriven() || b.BurnWindow() != 2e6 || b.BurnBudget() != 0.01 {
-		t.Fatalf("burn defaults: enabled=%v burn=%v window=%v budget=%v",
-			b.Enabled(), b.BurnDriven(), b.BurnWindow(), b.BurnBudget())
+	if !b.Enabled() || !b.BurnDriven() || b.BurnWindow() != 2e6 {
+		t.Fatalf("burn defaults: enabled=%v burn=%v window=%v",
+			b.Enabled(), b.BurnDriven(), b.BurnWindow())
 	}
 	if a.BurnDriven() {
 		t.Fatal("queue-depth mode must not report burn-driven")
@@ -281,7 +275,7 @@ func TestAutoscaleValidate(t *testing.T) {
 		{"zero", Autoscale{}, true},
 		{"queue mode", Autoscale{UpQueueDepth: 8, DownQueueDepth: 2}, true},
 		{"burn mode", Autoscale{UpBurn: 4, DownBurn: 0.5}, true},
-		{"burn mode full", Autoscale{UpBurn: 4, DownBurn: 1, BurnWindowCycles: 1e6, BurnBudgetFrac: 0.05, CooldownCycles: 1e5}, true},
+		{"burn mode full", Autoscale{UpBurn: 4, DownBurn: 1, BurnWindowCycles: 1e6, CooldownCycles: 1e5}, true},
 		{"down == up depth", Autoscale{UpQueueDepth: 4, DownQueueDepth: 4}, false},
 		{"down > up depth", Autoscale{UpQueueDepth: 4, DownQueueDepth: 9}, false},
 		{"negative up depth", Autoscale{UpQueueDepth: -1}, false},
@@ -297,7 +291,6 @@ func TestAutoscaleValidate(t *testing.T) {
 		{"negative down burn", Autoscale{UpBurn: 4, DownBurn: -1}, false},
 		{"both trigger modes", Autoscale{UpQueueDepth: 4, UpBurn: 4}, false},
 		{"NaN burn window", Autoscale{UpBurn: 4, BurnWindowCycles: math.NaN()}, false},
-		{"over-unity burn budget", Autoscale{UpBurn: 4, BurnBudgetFrac: 1.5}, false},
 		{"burn knobs without up burn", Autoscale{UpQueueDepth: 4, DownBurn: 1}, false},
 	}
 	for _, tc := range cases {

@@ -42,13 +42,6 @@ var perByte = map[comp.Algorithm]map[comp.Op]float64{
 	comp.LZO:     {comp.Compress: 5.2, comp.Decompress: 1.30},
 }
 
-// LevelFactor returns the relative cost multiplier of running a heavyweight
-// compression at the given level versus its default level. Exposed for the
-// fleet model, which scales its fleet-aggregate cost-per-byte by it.
-func LevelFactor(a comp.Algorithm, op comp.Op, level int) float64 {
-	return levelFactor(a, op, level)
-}
-
 // levelFactor scales heavyweight compression cost with level. Calibrated so
 // ZStd level 19+ costs ≈2.4x level 3 (paper §3.3.4) and negative levels run
 // ≈2x faster than level 3.

@@ -235,9 +235,6 @@ func NewEncoder(p Params) (*Encoder, error) {
 	return &Encoder{params: p, matcher: m}, nil
 }
 
-// Params returns the encoder's effective parameters.
-func (e *Encoder) Params() Params { return e.params }
-
 // LZStats returns dictionary-stage statistics for the most recent block.
 func (e *Encoder) LZStats() lz77.Stats { return e.matcher.Stats() }
 

@@ -76,9 +76,6 @@ const (
 	DefaultWindowLog = 20
 )
 
-// MinMatch is the minimum dictionary-coding match length, as in ZStd.
-const MinMatch = 3
-
 // MaxBlockSize caps the uncompressed bytes per block, as in ZStd (128 KiB).
 const MaxBlockSize = 128 << 10
 

@@ -1,0 +1,384 @@
+package cdpu
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// optionStructs are the option budget: every exported field of these structs
+// is a value tests and benchmarks must cover, so each must be set by some
+// caller that is not a test. Keys are import paths.
+var optionStructs = map[string][]string{
+	"cdpu/internal/sim":     {"Config"},
+	"cdpu/internal/resil":   {"Policy"},
+	"cdpu/internal/cluster": {"FailoverPolicy"},
+	"cdpu/internal/traffic": {"Pattern", "Tenants", "SLO", "Autoscale", "BurnConfig"},
+	"cdpu/internal/des":     {"Shared"},
+	"cdpu/internal/fault":   {"Storm", "Lifecycle"},
+	"cdpu/internal/hcbench": {"Spec"},
+	"cdpu/internal/chain":   {"Config"},
+}
+
+// optionAllow lists fields no caller sets that stay anyway, with the reason.
+var optionAllow = map[string]string{
+	"cdpu/internal/sim.Config.EpochCycles": "bench/ reads it when it builds its des.Engine probe",
+}
+
+// guardFile is one parsed non-test source file.
+type guardFile struct {
+	pkg     string            // import path of the file's package
+	imports map[string]string // local package name -> import path
+	ast     *ast.File
+}
+
+// optionGuard resolves just enough types, from syntax alone, to attribute a
+// composite-literal key or an assignment target to the struct it belongs to.
+type optionGuard struct {
+	structs map[string]map[string]ast.Expr // "path.Type" -> field -> type expression
+	funcs   map[string]ast.Expr            // "path.Func" -> type expression of its first result
+	home    map[string]*guardFile          // "path.Type" or "path.Func" -> declaring file (resolves its type expressions)
+	set     map[string]bool                // "path.Type.Field" seen as a key or assignment target
+}
+
+// typeOf resolves a type expression written in f to "path.Type", or "" when it
+// is not a named struct of this module. Pointers are transparent.
+func (g *optionGuard) typeOf(f *guardFile, e ast.Expr) string {
+	switch t := e.(type) {
+	case *ast.StarExpr:
+		return g.typeOf(f, t.X)
+	case *ast.ParenExpr:
+		return g.typeOf(f, t.X)
+	case *ast.Ident:
+		if name := f.pkg + "." + t.Name; g.structs[name] != nil {
+			return name
+		}
+	case *ast.SelectorExpr:
+		if id, ok := t.X.(*ast.Ident); ok {
+			if name := f.imports[id.Name] + "." + t.Sel.Name; g.structs[name] != nil {
+				return name
+			}
+		}
+	}
+	return ""
+}
+
+// elemOf returns the element type expression of a slice, array or map type.
+func elemOf(e ast.Expr) ast.Expr {
+	switch t := e.(type) {
+	case *ast.ArrayType:
+		return t.Elt
+	case *ast.MapType:
+		return t.Value
+	}
+	return nil
+}
+
+// exprType resolves the static type of a value expression: a known local, a
+// field selection on one, a composite literal or its address, or a call of a
+// package-level function. known reports whether the answer is certain; an
+// unknown expression makes the caller fall back to matching the field name
+// against every option struct.
+func (g *optionGuard) exprType(f *guardFile, vars map[string]string, e ast.Expr) (typ string, known bool) {
+	switch v := e.(type) {
+	case *ast.ParenExpr:
+		return g.exprType(f, vars, v.X)
+	case *ast.StarExpr:
+		return g.exprType(f, vars, v.X)
+	case *ast.UnaryExpr:
+		if v.Op == token.AND {
+			return g.exprType(f, vars, v.X)
+		}
+	case *ast.CompositeLit:
+		if v.Type != nil {
+			return g.typeOf(f, v.Type), true
+		}
+	case *ast.Ident:
+		t, ok := vars[v.Name]
+		return t, ok
+	case *ast.CallExpr:
+		name := ""
+		switch fn := v.Fun.(type) {
+		case *ast.Ident:
+			name = f.pkg + "." + fn.Name
+		case *ast.SelectorExpr:
+			if id, ok := fn.X.(*ast.Ident); ok && f.imports[id.Name] != "" {
+				name = f.imports[id.Name] + "." + fn.Sel.Name
+			}
+		}
+		if res := g.funcs[name]; res != nil {
+			return g.typeOf(g.home[name], res), true
+		}
+	case *ast.SelectorExpr:
+		if id, ok := v.X.(*ast.Ident); ok && f.imports[id.Name] != "" && vars[id.Name] == "" {
+			return "", false // pkg.Var
+		}
+		outer, ok := g.exprType(f, vars, v.X)
+		if !ok {
+			return "", false
+		}
+		if ft := g.structs[outer][v.Sel.Name]; ft != nil {
+			return g.typeOf(g.home[outer], ft), true
+		}
+		return "", outer != ""
+	}
+	return "", false
+}
+
+// markLit records the keys of one composite literal of type typ and descends
+// into elements whose own type is elided.
+func (g *optionGuard) markLit(f *guardFile, lit *ast.CompositeLit, typExpr ast.Expr) {
+	if typExpr == nil {
+		return
+	}
+	typ, elem := g.typeOf(f, typExpr), elemOf(typExpr)
+	for _, el := range lit.Elts {
+		val := el
+		if kv, ok := el.(*ast.KeyValueExpr); ok {
+			val = kv.Value
+			if id, ok := kv.Key.(*ast.Ident); ok && typ != "" {
+				g.set[typ+"."+id.Name] = true
+			}
+		}
+		if inner, ok := val.(*ast.CompositeLit); ok && inner.Type == nil {
+			g.markLit(f, inner, elem)
+		}
+	}
+}
+
+// markAssign records x.Field as set. With x's type unknown, every option
+// struct that has a field of that name counts as set: the guard may miss a
+// dead field this way, but it never reports a live one.
+func (g *optionGuard) markAssign(f *guardFile, vars map[string]string, lhs ast.Expr) {
+	sel, ok := lhs.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	if typ, known := g.exprType(f, vars, sel.X); known {
+		g.set[typ+"."+sel.Sel.Name] = true
+		return
+	}
+	for name, fields := range g.structs {
+		if fields[sel.Sel.Name] != nil {
+			g.set[name+"."+sel.Sel.Name] = true
+		}
+	}
+}
+
+// declare binds names to the type a declaration gives them.
+func (g *optionGuard) declare(f *guardFile, vars map[string]string, names []*ast.Ident, typ ast.Expr, values []ast.Expr) {
+	for i, n := range names {
+		switch {
+		case typ != nil:
+			vars[n.Name] = g.typeOf(f, typ)
+		case len(values) == len(names):
+			if t, known := g.exprType(f, vars, values[i]); known {
+				vars[n.Name] = t
+			} else {
+				delete(vars, n.Name)
+			}
+		default:
+			delete(vars, n.Name)
+		}
+	}
+}
+
+func (g *optionGuard) fields(f *guardFile, vars map[string]string, list *ast.FieldList) {
+	if list == nil {
+		return
+	}
+	for _, fld := range list.List {
+		g.declare(f, vars, fld.Names, fld.Type, nil)
+	}
+}
+
+// walk scans one file. Locals live in one flat map per top-level declaration,
+// in source order; shadowing is rare enough here that scopes are not modeled.
+func (g *optionGuard) walk(f *guardFile, pkgVars map[string]string) {
+	for _, decl := range f.ast.Decls {
+		vars := make(map[string]string, len(pkgVars))
+		for k, v := range pkgVars {
+			vars[k] = v
+		}
+		if fd, ok := decl.(*ast.FuncDecl); ok {
+			g.fields(f, vars, fd.Recv)
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			switch v := n.(type) {
+			case *ast.FuncType:
+				g.fields(f, vars, v.Params)
+				g.fields(f, vars, v.Results)
+			case *ast.ValueSpec:
+				g.declare(f, vars, v.Names, v.Type, v.Values)
+			case *ast.RangeStmt:
+				for _, e := range []ast.Expr{v.Key, v.Value} {
+					if id, ok := e.(*ast.Ident); ok && v.Tok == token.DEFINE {
+						delete(vars, id.Name)
+					}
+				}
+			case *ast.AssignStmt:
+				if v.Tok == token.DEFINE {
+					var names []*ast.Ident
+					for _, l := range v.Lhs {
+						if id, ok := l.(*ast.Ident); ok {
+							names = append(names, id)
+						}
+					}
+					if len(names) == len(v.Lhs) {
+						g.declare(f, vars, names, nil, v.Rhs)
+					}
+					break
+				}
+				for _, l := range v.Lhs {
+					g.markAssign(f, vars, l)
+				}
+			case *ast.IncDecStmt:
+				g.markAssign(f, vars, v.X)
+			case *ast.CompositeLit:
+				g.markLit(f, v, v.Type)
+			}
+			return true
+		})
+	}
+}
+
+// loadSources parses every non-test Go file under root into guardFiles keyed
+// by package import path.
+func loadSources(t *testing.T, root, module string) map[string][]*guardFile {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs := map[string][]*guardFile{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		af, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		gf := &guardFile{pkg: module, imports: map[string]string{}, ast: af}
+		if rel != "." {
+			gf.pkg = module + "/" + filepath.ToSlash(rel)
+		}
+		for _, imp := range af.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				return err
+			}
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			gf.imports[name] = p
+		}
+		pkgs[gf.pkg] = append(pkgs[gf.pkg], gf)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
+// TestEveryOptionHasACaller fails, naming the field, when an exported field
+// of an options struct is never a composite-literal key or an assignment
+// target outside _test.go: with one value in use the field is a constant, and
+// keeping it as an option only widens what the tests must cover.
+func TestEveryOptionHasACaller(t *testing.T) {
+	pkgs := loadSources(t, ".", "cdpu")
+	g := &optionGuard{
+		structs: map[string]map[string]ast.Expr{},
+		funcs:   map[string]ast.Expr{},
+		home:    map[string]*guardFile{},
+		set:     map[string]bool{},
+	}
+	for path, files := range pkgs {
+		for _, f := range files {
+			for _, decl := range f.ast.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Type.Results != nil {
+					g.funcs[path+"."+fd.Name.Name] = fd.Type.Results.List[0].Type
+					g.home[path+"."+fd.Name.Name] = f
+				}
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					fields := map[string]ast.Expr{}
+					for _, fld := range st.Fields.List {
+						for _, n := range fld.Names {
+							fields[n.Name] = fld.Type
+						}
+					}
+					g.structs[path+"."+ts.Name.Name] = fields
+					g.home[path+"."+ts.Name.Name] = f
+				}
+			}
+		}
+	}
+	for _, files := range pkgs {
+		pkgVars := map[string]string{}
+		for _, f := range files {
+			for _, decl := range f.ast.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					for _, spec := range gd.Specs {
+						vs := spec.(*ast.ValueSpec)
+						g.declare(f, pkgVars, vs.Names, vs.Type, vs.Values)
+					}
+				}
+			}
+		}
+		for _, f := range files {
+			g.walk(f, pkgVars)
+		}
+	}
+
+	var dead []string
+	for path, names := range optionStructs {
+		for _, name := range names {
+			fields := g.structs[path+"."+name]
+			if fields == nil {
+				t.Errorf("options struct %s.%s not found", path, name)
+			}
+			for field := range fields {
+				key := path + "." + name + "." + field
+				if ast.IsExported(field) && !g.set[key] && optionAllow[key] == "" {
+					dead = append(dead, key)
+				}
+			}
+		}
+	}
+	sort.Strings(dead)
+	for _, key := range dead {
+		t.Errorf("%s is set by no caller outside _test.go: make it a constant, or give it a caller", key)
+	}
+	for key := range optionAllow {
+		if g.set[key] {
+			t.Errorf("%s now has a caller: drop it from optionAllow", key)
+		}
+	}
+}
