@@ -1,13 +1,15 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check vet build test race bench fuzz-smoke profile
+.PHONY: all check fmt vet build test race bench fuzz-smoke profile
 
 all: check
 
 # Full gate: what CI (and pre-commit) should run. The determinism, recovery,
 # failover, open-loop, overload and observability guarantees are all tests.
-check: vet build test race
+check: fmt vet build test race
+
+fmt: ; @test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

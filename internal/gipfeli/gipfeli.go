@@ -218,10 +218,7 @@ func Decode(src []byte) ([]byte, error) {
 			if len(out)+length > n {
 				return nil, fmt.Errorf("%w: copy overruns output", ErrCorrupt)
 			}
-			from := len(out) - offset
-			for k := 0; k < length; k++ {
-				out = append(out, out[from+k])
-			}
+			out = lz77.AppendCopy(out, offset, length)
 		}
 		if r.Err() != nil {
 			return nil, fmt.Errorf("%w: truncated stream", ErrCorrupt)

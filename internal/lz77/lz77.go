@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	mathbits "math/bits"
 )
 
@@ -150,31 +151,44 @@ type Stats struct {
 // absent. That makes starting a parse O(1) instead of an O(table) clear —
 // the table is physically zeroed only when the 32-bit encoding would wrap.
 type Matcher struct {
-	cfg   Config
-	table []uint32 // TableEntries * Associativity encoded positions
-	tags  []uint8  // parallel tags when ContentsOffsetAndTag
-	shift uint     // hash shift for fibonacci/xorshift
-	stats Stats
-	seqs  []Seq   // parse output buffer, reused across calls
-	epoch uint32  // encoding base for the current parse; entries below it are stale
-	next  uint32  // epoch for the next parse (current epoch + this parse's reach)
+	cfg    Config
+	table  []uint32 // TableEntries * Associativity encoded positions
+	tags   []uint8  // parallel tags when ContentsOffsetAndTag
+	shift  uint     // hash shift for fibonacci/xorshift
+	direct bool     // the table's shape admits walkDirect (see NewMatcher)
+	maxLen int      // MaxMatch as matchLen takes it: unlimited is MaxInt
+	stride int      // what a miss adds to the skip accumulator: 1 when skipping, else 0
+	stats  Stats
+	seqs   []Seq  // parse output buffer, reused across calls
+	next   uint32 // epoch for the next parse (last epoch + that parse's reach)
 }
 
 // NewMatcher returns a Matcher for cfg.
+//
+// The per-position walk is picked here, once, from the table's shape. A
+// direct-mapped, untagged, Fibonacci-hashed table searched greedily for
+// 4-byte matches — the hardware default and every point of the paper's
+// history and table-size sweeps, and both Snappy encoders — runs walkDirect, where a probe is one table word and one history word;
+// every other shape runs walkAssoc. The two produce the same Seqs and Stats
+// on the shapes they share; the split buys host time only.
 func NewMatcher(cfg Config) (*Matcher, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Matcher{cfg: cfg, next: 1}
+	m := &Matcher{cfg: cfg, next: 1, maxLen: cfg.MaxMatch}
+	if cfg.MaxMatch == 0 {
+		m.maxLen = math.MaxInt
+	}
+	if cfg.SkipIncompressible {
+		m.stride = 1
+	}
 	m.table = make([]uint32, cfg.TableEntries*cfg.Associativity)
 	if cfg.Contents == ContentsOffsetAndTag {
 		m.tags = make([]uint8, len(m.table))
 	}
-	bitsN := 0
-	for e := cfg.TableEntries; e > 1; e >>= 1 {
-		bitsN++
-	}
-	m.shift = uint(32 - bitsN)
+	m.shift = uint(32 - mathbits.TrailingZeros(uint(cfg.TableEntries)))
+	m.direct = cfg.Associativity == 1 && cfg.Contents == ContentsOffsetOnly &&
+		cfg.Hash == HashFibonacci && cfg.MinMatch == 4 && !cfg.Lazy
 	return m, nil
 }
 
@@ -189,35 +203,62 @@ func (m *Matcher) Stats() Stats { return m.stats }
 // payload so Stats reports whole-call totals.
 func (m *Matcher) ResetStats() { m.stats = Stats{} }
 
-func (m *Matcher) hash(v uint32) (idx uint32, tag uint8) {
-	switch m.cfg.Hash {
+// fibMul is 2^32 / golden ratio, the HashFibonacci multiplier.
+const fibMul = 0x9E3779B1
+
+// The kernels below are free functions over values the walks hoist out of the
+// Matcher, small enough to inline: a method reading m.cfg, m.table or m.stats
+// would reload them after every table store, and a call inside the
+// per-position loop parks the loop's state on the stack.
+
+func load32(src []byte, i int) uint32 {
+	return binary.LittleEndian.Uint32(src[i:])
+}
+
+// keyAt returns the MinMatch-byte hash key at position i, folded into 32
+// bits. For MinMatch 3 only three bytes are read, so positions near the end
+// of the input remain addressable. Two positions have equal keys exactly when
+// their first min(MinMatch, 4) bytes agree (the 3-byte spread is a
+// multiplication by an odd constant, a bijection).
+func keyAt(src []byte, i int, three bool) uint32 {
+	if three {
+		v := uint32(src[i]) | uint32(src[i+1])<<8 | uint32(src[i+2])<<16
+		return v * 0x01E35A7D // spread 3-byte keys before the main hash
+	}
+	return load32(src, i)
+}
+
+// bucket maps a key to its table bucket and way tag.
+func bucket(hash HashFunc, v uint32, shift uint, mask uint32) (idx uint32, tag uint8) {
+	switch hash {
 	case HashFibonacci:
-		h := v * 0x9E3779B1 // 2^32 / golden ratio
-		return h >> m.shift, uint8(h >> 8)
+		h := v * fibMul
+		return h >> shift, uint8(h >> 8)
 	case HashXorShift:
 		h := v
 		h ^= h >> 15
 		h *= 0x85EBCA77
 		h ^= h >> 13
-		return h >> m.shift, uint8(h)
+		return h >> shift, uint8(h)
 	default: // HashTrivial
-		return v & uint32(m.cfg.TableEntries-1), uint8(v >> 16)
+		return v & mask, uint8(v >> 16)
 	}
 }
 
-func load32(src []byte, i int) uint32 {
-	return uint32(src[i]) | uint32(src[i+1])<<8 | uint32(src[i+2])<<16 | uint32(src[i+3])<<24
-}
-
-// key returns the MinMatch-byte hash key at position i, folded into 32 bits.
-// For MinMatch 3 only three bytes are read, so positions near the end of the
-// input remain addressable.
-func (m *Matcher) key(src []byte, i int) uint32 {
-	if m.cfg.MinMatch == 3 {
-		v := uint32(src[i]) | uint32(src[i+1])<<8 | uint32(src[i+2])<<16
-		return v * 0x01E35A7D // spread 3-byte keys before the main hash
+// push records an encoded position at the head of the bucket whose first way
+// is base, evicting FIFO. The shift is a loop of register moves so typical
+// low-associativity tables never reach memmove.
+func push(table []uint32, tags []uint8, base, assoc int, enc uint32, tag uint8) {
+	for w := base + assoc - 1; w > base; w-- {
+		table[w] = table[w-1]
 	}
-	return load32(src, i)
+	table[base] = enc
+	if tags != nil {
+		for w := base + assoc - 1; w > base; w-- {
+			tags[w] = tags[w-1]
+		}
+		tags[base] = tag
+	}
 }
 
 // matchLen returns the length of the common prefix of src[a:] and src[b:],
@@ -225,9 +266,7 @@ func (m *Matcher) key(src []byte, i int) uint32 {
 // candidates always precede the current position), which makes the eight-byte
 // loads below safe: a+n+8 ≤ b+n+8 ≤ len(src) inside the word loop.
 func matchLen(src []byte, a, b, maxLen int) int {
-	if rem := len(src) - b; rem < maxLen {
-		maxLen = rem
-	}
+	maxLen = min(maxLen, len(src)-b)
 	n := 0
 	for n+8 <= maxLen {
 		x := binary.LittleEndian.Uint64(src[a+n:]) ^ binary.LittleEndian.Uint64(src[b+n:])
@@ -264,117 +303,229 @@ func (m *Matcher) ParsePrefixed(src []byte, start int) []Seq {
 		clear(m.table)
 		m.next = 1
 	}
-	m.epoch = m.next
+	epoch := m.next
 	m.next += uint32(len(src))
-	seqs := m.seqs[:0]
-	defer func() { m.seqs = seqs }()
 	n := len(src)
-	if n-start < m.cfg.MinMatch {
-		if n-start > 0 {
-			seqs = append(seqs, Seq{LitLen: n - start})
-			m.stats.LiteralBytes += n - start
+	seqs, litStart := m.seqs[:0], start
+	var st Stats
+	if n-start >= m.cfg.MinMatch {
+		// Index the prefix so parsing can match into it. Every other position
+		// keeps the cost linear while leaving the table warm, the same policy
+		// used inside matches.
+		three, mask := m.cfg.MinMatch == 3, uint32(m.cfg.TableEntries-1)
+		for j := max(0, start-m.cfg.WindowSize); j < start; j += 2 {
+			idx, tag := bucket(m.cfg.Hash, keyAt(src, j, three), m.shift, mask)
+			push(m.table, m.tags, int(idx)*m.cfg.Associativity, m.cfg.Associativity, uint32(j)+epoch, tag)
 		}
-		return seqs
+		if m.direct {
+			seqs, litStart, st = m.walkDirect(src, start, epoch, seqs)
+		} else {
+			seqs, litStart, st = m.walkAssoc(src, start, epoch, seqs)
+		}
 	}
-	// Index the prefix so parsing can match into it. Every other position
-	// keeps the cost linear while leaving the table warm, the same policy
-	// used inside matches.
-	prefixFrom := 0
-	if start > m.cfg.WindowSize {
-		prefixFrom = start - m.cfg.WindowSize
+	// Every sequence so far ends in a match, and what the matches do not
+	// cover is literal.
+	m.stats.Positions += st.Positions
+	m.stats.Probes += st.Probes
+	m.stats.WaysChecked += st.WaysChecked
+	m.stats.FalseProbes += st.FalseProbes
+	m.stats.TagFiltered += st.TagFiltered
+	m.stats.Matches += len(seqs)
+	m.stats.MatchBytes += st.MatchBytes
+	m.stats.LiteralBytes += n - start - st.MatchBytes
+	m.stats.MaxOffset = max(m.stats.MaxOffset, st.MaxOffset)
+	if litStart < n {
+		seqs = append(seqs, Seq{LitLen: n - litStart})
 	}
-	for j := prefixFrom; j < start; j += 2 {
-		m.insert(src, j)
-	}
+	m.seqs = seqs
+	return seqs
+}
 
-	litStart := start
-	i := start
-	skip := 32 // software skipping accumulator (used when SkipIncompressible)
-	limit := n - m.cfg.MinMatch
-	for i <= limit {
-		m.stats.Positions++
-		cand, ok := m.probe(src, i)
-		if !ok {
-			m.insert(src, i)
-			if m.cfg.SkipIncompressible {
-				i += skip >> 5
-				skip++
-			} else {
-				i++
+// walkDirect is the per-position walk for the shape NewMatcher names: one
+// way per bucket, no tags, Fibonacci hash, 4-byte key, greedy. It returns the
+// match sequences appended to seqs, the position literals resume from, and
+// the walk's counters (Matches and LiteralBytes are left to the caller).
+//
+// The inner loop is the miss path. It makes no calls — Go has no callee-saved
+// registers, so one call would spill every loop-carried value each position —
+// and leaves only on a candidate whose four key bytes are verified, or at the
+// end of the input. The probed position always replaces the bucket's entry
+// (insert follows probe on hit and miss alike), so the key is hashed once.
+// With skipping off the skip accumulator is frozen at 32 (stride 0), which
+// makes the step 32>>5 = 1 without a branch.
+func (m *Matcher) walkDirect(src []byte, start int, epoch uint32, seqs []Seq) ([]Seq, int, Stats) {
+	table, shift, window, maxLen, stride := m.table, m.shift, m.cfg.WindowSize, m.maxLen, m.stride
+	limit := len(src) - 4
+	var positions, ways, falses, matchBytes, maxOffset int
+	i, litStart := start, start
+walk:
+	for {
+		cand, skip := 0, 32
+		for {
+			if i > limit {
+				break walk
 			}
-			continue
-		}
-		skip = 32
-		if m.cfg.Lazy && i+1 <= limit {
-			// Peek one position ahead; prefer a strictly longer match there.
-			candLen := m.extent(src, cand, i)
-			m.insert(src, i)
-			cand2, ok2 := m.probe(src, i+1)
-			if ok2 {
-				if m.extent(src, cand2, i+1) > candLen {
-					i++
-					cand = cand2
+			k := load32(src, i)
+			h := k * fibMul >> shift
+			pos := table[h]
+			table[h] = uint32(i) + epoch
+			positions++
+			if pos >= epoch { // else empty, or left over from an earlier parse
+				ways++
+				cand = int(pos - epoch)
+				if cand < i && i-cand <= window {
+					if load32(src, cand) == k {
+						break
+					}
+					falses++
 				}
 			}
-		} else {
-			m.insert(src, i)
+			i += skip >> 5
+			skip += stride
 		}
-		length := m.extent(src, cand, i)
+		length := matchLen(src, cand, i, maxLen)
 		offset := i - cand
 		seqs = append(seqs, Seq{LitLen: i - litStart, Offset: offset, MatchLen: length})
-		m.stats.Matches++
-		m.stats.MatchBytes += length
-		m.stats.LiteralBytes += i - litStart
-		if offset > m.stats.MaxOffset {
-			m.stats.MaxOffset = offset
-		}
+		matchBytes += length
+		maxOffset = max(maxOffset, offset)
 		// Index a sparse set of positions inside the match so later data can
 		// still find this region (one insert every 2 bytes keeps the table
 		// warm without quadratic work).
 		end := i + length
 		for j := i + 1; j < end && j <= limit; j += 2 {
-			m.insert(src, j)
+			table[load32(src, j)*fibMul>>shift] = uint32(j) + epoch
 		}
-		i = end
-		litStart = i
+		i, litStart = end, end
 	}
-	if litStart < n {
-		seqs = append(seqs, Seq{LitLen: n - litStart})
-		m.stats.LiteralBytes += n - litStart
+	return seqs, litStart, Stats{
+		Positions: positions, Probes: positions, WaysChecked: ways, FalseProbes: falses,
+		MatchBytes: matchBytes, MaxOffset: maxOffset,
 	}
-	return seqs
 }
 
-// extent measures the match length between cand and i, honoring MaxMatch.
-func (m *Matcher) extent(src []byte, cand, i int) int {
-	maxLen := len(src) - i
-	if m.cfg.MaxMatch != 0 && m.cfg.MaxMatch < maxLen {
-		maxLen = m.cfg.MaxMatch
-	}
-	return matchLen(src, cand, i, maxLen)
-}
-
-// probe looks up position i's key and returns the best verified candidate
-// within the window, preferring the longest match (ties to smaller offset).
-func (m *Matcher) probe(src []byte, i int) (int, bool) {
-	key := m.key(src, i)
-	idx, tag := m.hash(key)
-	assoc := m.cfg.Associativity
-	base := int(idx) * assoc
-	m.stats.Probes++
-	bestLen, bestPos := 0, -1
-	for w := 0; w < assoc; w++ {
-		pos := m.table[base+w]
-		if pos < m.epoch {
-			continue // empty, or left over from an earlier parse
+// walkAssoc is the per-position walk for every other shape: any
+// associativity, hash, contents and MinMatch, greedy or lazy. Same contract
+// as walkDirect and the same structure: a call-free miss path that hashes
+// each position once for its probe and its insert, left only when a way's
+// key bytes verify. Until one does the probe has no incumbent, so its rules
+// reduce to the three counters kept here; probeWays takes over at that way.
+func (m *Matcher) walkAssoc(src []byte, start int, epoch uint32, seqs []Seq) ([]Seq, int, Stats) {
+	table, tags, shift := m.table, m.tags, m.shift
+	hash, mask := m.cfg.Hash, uint32(m.cfg.TableEntries-1)
+	assoc, window, stride := m.cfg.Associativity, m.cfg.WindowSize, m.stride
+	three := m.cfg.MinMatch == 3
+	limit := len(src) - m.cfg.MinMatch
+	var positions, peeks, matchBytes, maxOffset int
+	var c wayCounts
+	i, litStart, skip := start, start, 32
+walk:
+	for {
+		var (
+			k    uint32
+			tag  uint8
+			base int
+			w    int // the first way whose key bytes verify
+		)
+		for {
+			if i > limit {
+				break walk
+			}
+			k = keyAt(src, i, three)
+			var idx uint32
+			idx, tag = bucket(hash, k, shift, mask)
+			base = int(idx) * assoc
+			positions++
+			for w = base; w < base+assoc; w++ {
+				pos := table[w]
+				if pos < epoch {
+					continue // empty, or left over from an earlier parse
+				}
+				if tags != nil && tags[w] != tag {
+					c.tagFiltered++
+					continue
+				}
+				p := int(pos - epoch)
+				inWindow := p < i && i-p <= window
+				if inWindow && keyAt(src, p, three) == k {
+					break
+				}
+				c.checked++
+				if inWindow {
+					c.falses++
+				}
+			}
+			if w < base+assoc {
+				break
+			}
+			push(table, tags, base, assoc, uint32(i)+epoch, tag)
+			i += skip >> 5
+			skip += stride
 		}
-		if m.tags != nil && m.tags[base+w] != tag {
-			m.stats.TagFiltered++
+		cand, length, d := m.probeWays(src, i, k, tag, w, base+assoc, epoch)
+		c = c.plus(d)
+		push(table, tags, base, assoc, uint32(i)+epoch, tag)
+		if length == 0 { // the verified way fell short of MinMatch: a miss after all
+			i += skip >> 5
+			skip += stride
 			continue
 		}
-		m.stats.WaysChecked++
-		p := int(pos - m.epoch)
-		if p >= i || i-p > m.cfg.WindowSize {
+		skip = 32
+		if m.cfg.Lazy && i+1 <= limit {
+			// Peek one position ahead; prefer a strictly longer match there.
+			k := keyAt(src, i+1, three)
+			idx, tag := bucket(hash, k, shift, mask)
+			peeks++
+			cand2, length2, d := m.probeWays(src, i+1, k, tag, int(idx)*assoc, int(idx+1)*assoc, epoch)
+			c = c.plus(d)
+			if length2 > length {
+				i++
+				cand, length = cand2, length2
+			}
+		}
+		offset := i - cand
+		seqs = append(seqs, Seq{LitLen: i - litStart, Offset: offset, MatchLen: length})
+		matchBytes += length
+		maxOffset = max(maxOffset, offset)
+		// Index a sparse set of positions inside the match, as walkDirect does.
+		end := i + length
+		for j := i + 1; j < end && j <= limit; j += 2 {
+			idx, tag := bucket(hash, keyAt(src, j, three), shift, mask)
+			push(table, tags, int(idx)*assoc, assoc, uint32(j)+epoch, tag)
+		}
+		i, litStart = end, end
+	}
+	return seqs, litStart, Stats{
+		Positions: positions, Probes: positions + peeks, WaysChecked: c.checked, FalseProbes: c.falses,
+		TagFiltered: c.tagFiltered, MatchBytes: matchBytes, MaxOffset: maxOffset,
+	}
+}
+
+// wayCounts are the per-way statistics of a probe.
+type wayCounts struct{ checked, falses, tagFiltered int }
+
+func (c wayCounts) plus(d wayCounts) wayCounts {
+	return wayCounts{c.checked + d.checked, c.falses + d.falses, c.tagFiltered + d.tagFiltered}
+}
+
+// probeWays examines table ways [w, end) of the bucket of position q, whose
+// key is k and way tag is tag, and returns the best verified candidate within
+// the window — the longest match, ties to the smaller offset — with the
+// length it measured (0 if none reaches MinMatch) and what it counted.
+func (m *Matcher) probeWays(src []byte, q int, k uint32, tag uint8, w, end int, epoch uint32) (bestPos, bestLen int, c wayCounts) {
+	three := m.cfg.MinMatch == 3
+	bestPos = -1
+	for ; w < end; w++ {
+		pos := m.table[w]
+		if pos < epoch {
+			continue // empty, or left over from an earlier parse
+		}
+		if m.tags != nil && m.tags[w] != tag {
+			c.tagFiltered++
+			continue
+		}
+		c.checked++
+		p := int(pos - epoch)
+		if p >= q || q-p > m.cfg.WindowSize {
 			continue
 		}
 		// Cheap reject before the full extension: a candidate displaces the
@@ -382,48 +533,25 @@ func (m *Matcher) probe(src []byte, i int) (int, bool) {
 		// larger position. If the bytes at the incumbent's length already
 		// differ, the candidate cannot be longer; losing the position tie
 		// too means it cannot win, so the extension's outcome is irrelevant.
-		if p < bestPos && i+bestLen < len(src) && src[p+bestLen] != src[i+bestLen] {
+		if p < bestPos && q+bestLen < len(src) && src[p+bestLen] != src[q+bestLen] {
 			continue
 		}
-		l := m.extent(src, p, i)
+		// A way whose key bytes differ cannot reach MinMatch; it is counted
+		// as the extension would have counted it.
+		if keyAt(src, p, three) != k {
+			c.falses++
+			continue
+		}
+		l := matchLen(src, p, q, m.maxLen)
 		if l < m.cfg.MinMatch {
-			m.stats.FalseProbes++
+			c.falses++
 			continue
 		}
 		if l > bestLen || (l == bestLen && p > bestPos) {
-			bestLen, bestPos = l, p
+			bestPos, bestLen = p, l
 		}
 	}
-	if bestLen >= m.cfg.MinMatch {
-		return bestPos, true
-	}
-	return -1, false
-}
-
-// insert records position i in the table, evicting FIFO within the bucket.
-func (m *Matcher) insert(src []byte, i int) {
-	if i+m.cfg.MinMatch > len(src) {
-		return
-	}
-	key := m.key(src, i)
-	idx, tag := m.hash(key)
-	assoc := m.cfg.Associativity
-	base := int(idx) * assoc
-	// FIFO shift within the bucket. Specialized on the tag array so typical
-	// low-associativity tables shift with register moves, not memmove calls.
-	if m.tags != nil {
-		for w := assoc - 1; w > 0; w-- {
-			m.table[base+w] = m.table[base+w-1]
-			m.tags[base+w] = m.tags[base+w-1]
-		}
-		m.table[base] = uint32(i) + m.epoch
-		m.tags[base] = tag
-		return
-	}
-	for w := assoc - 1; w > 0; w-- {
-		m.table[base+w] = m.table[base+w-1]
-	}
-	m.table[base] = uint32(i) + m.epoch
+	return bestPos, bestLen, c
 }
 
 // Literals extracts the literal bytes referenced by seqs from src, in order.
@@ -488,14 +616,25 @@ func AppendReconstruct(out []byte, seqs []Seq, literals []byte, window int) ([]b
 		if s.Offset <= 0 || s.Offset > len(out) || (window > 0 && s.Offset > window) {
 			return nil, fmt.Errorf("%w: offset %d, produced %d, window %d", ErrBadOffset, s.Offset, len(out), window)
 		}
-		// Byte-at-a-time copy handles overlapping matches (offset < length),
-		// the RLE-style encoding all LZ77 formats rely on.
-		from := len(out) - s.Offset
-		for k := 0; k < s.MatchLen; k++ {
-			out = append(out, out[from+k])
-		}
+		out = AppendCopy(out, s.Offset, s.MatchLen)
 	}
 	return out, nil
+}
+
+// AppendCopy appends n bytes to out, copied from offset bytes before its end:
+// the LZ77 copy every decoder in this module replays. The caller has checked
+// 0 < offset ≤ len(out). A copy may overlap what it writes (offset < n), the
+// RLE-style encoding all LZ77 formats rely on; it then proceeds in chunks from
+// the same fixed origin, each reading only bytes already produced, the
+// available run doubling every time.
+func AppendCopy(out []byte, offset, n int) []byte {
+	from, run := len(out)-offset, offset
+	for n > run {
+		out = append(out, out[from:from+run]...)
+		n -= run
+		run *= 2
+	}
+	return append(out, out[from:from+n]...)
 }
 
 // TotalLen returns the number of source bytes covered by seqs.

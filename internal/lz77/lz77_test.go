@@ -253,6 +253,41 @@ func TestReconstructOverlappingCopy(t *testing.T) {
 	}
 }
 
+// TestAppendCopyMatchesByteLoop holds AppendCopy to the byte-at-a-time loop it
+// replaced, over overlapping and disjoint copies, into buffers with exactly
+// the capacity they hold and with room to spare.
+func TestAppendCopyMatchesByteLoop(t *testing.T) {
+	base := corpus.Generate(corpus.Random, 5000, 12)
+	lengths := []int{1000}
+	for n := 0; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, offset := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 4097} {
+		for _, n := range lengths {
+			want := append([]byte{}, base...)
+			for k, from := 0, len(want)-offset; k < n; k++ {
+				want = append(want, want[from+k])
+			}
+			for _, spare := range []int{0, 2048} {
+				out := make([]byte, len(base), len(base)+spare)
+				copy(out, base)
+				if out = AppendCopy(out, offset, n); !bytes.Equal(out, want) {
+					t.Fatalf("AppendCopy(offset %d, n %d, spare %d) differs from the byte loop", offset, n, spare)
+				}
+			}
+		}
+	}
+}
+
+// TestRoundTripRepeats replays parses that are almost all overlapping copies,
+// at periods below, at and above AppendCopy's chunk doubling.
+func TestRoundTripRepeats(t *testing.T) {
+	m := mustMatcher(t, defaultConfig())
+	for _, unit := range []string{"a", "ab", "abc", "abcdefg", "0123456789abcdef!"} {
+		roundTrip(t, m, bytes.Repeat([]byte(unit), 3000/len(unit)))
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{WindowSize: 3, TableEntries: 16, Associativity: 1, MinMatch: 4},
@@ -336,19 +371,30 @@ func TestMatchLenWordCompare(t *testing.T) {
 	}
 }
 
-// TestParseReusesSeqBuffer asserts the buffer-reuse contract: steady-state
-// Parse calls allocate nothing.
+// zstd3Config is the set-associative, tagged, lazy shape ZStd level 3 parses
+// with: the configuration that exercises everything walkDirect leaves out.
+func zstd3Config() Config {
+	return Config{
+		WindowSize: 1 << 17, TableEntries: 1 << 15, Associativity: 2, MinMatch: 4,
+		Contents: ContentsOffsetAndTag, Lazy: true,
+	}
+}
+
+// TestParseReusesSeqBuffer asserts the buffer-reuse contract on both walks:
+// steady-state Parse calls allocate nothing.
 func TestParseReusesSeqBuffer(t *testing.T) {
-	m := mustMatcher(t, defaultConfig())
 	src := corpus.Generate(corpus.Log, 64<<10, 5)
-	m.Parse(src) // warm the seq buffer
-	allocs := testing.AllocsPerRun(10, func() {
-		if seqs := m.Parse(src); len(seqs) == 0 {
-			t.Fatal("empty parse")
+	for _, cfg := range []Config{defaultConfig(), zstd3Config()} {
+		m := mustMatcher(t, cfg)
+		m.Parse(src) // warm the seq buffer
+		allocs := testing.AllocsPerRun(10, func() {
+			if seqs := m.Parse(src); len(seqs) == 0 {
+				t.Fatal("empty parse")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%+v: steady-state Parse allocates %.1f objects/op, want 0", cfg, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Parse allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -365,18 +411,56 @@ func BenchmarkLZ77MatchLen(b *testing.B) {
 	_ = total
 }
 
-// BenchmarkLZ77Parse measures a whole parse over log-structured data; run
-// with -benchmem to see the zero steady-state allocations.
+// BenchmarkLZ77Parse measures whole parses as config/kind sub-benchmarks:
+// the hardware shape, the software Snappy shape (the same table, skipping
+// on) and ZStd-3's set-associative lazy shape, each over compressible,
+// false-probe-heavy (protobuf) and incompressible data.
 func BenchmarkLZ77Parse(b *testing.B) {
+	snappySW := defaultConfig()
+	snappySW.SkipIncompressible = true
+	configs := []struct {
+		name string
+		cfg  Config
+	}{{"hw", defaultConfig()}, {"snappy-sw", snappySW}, {"zstd-3", zstd3Config()}}
+	for _, c := range configs {
+		for _, kind := range []corpus.Kind{corpus.Text, corpus.Log, corpus.JSON, corpus.Protobuf, corpus.Random} {
+			b.Run(c.name+"/"+kind.String(), func(b *testing.B) {
+				m, err := NewMatcher(c.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				src := corpus.Generate(kind, 64<<10, 6)
+				b.SetBytes(int64(len(src)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Parse(src)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkLZ77Reconstruct measures the decoder half: replaying a parse of
+// mixed data (matches averaging a few bytes) against its literal stream.
+func BenchmarkLZ77Reconstruct(b *testing.B) {
 	m, err := NewMatcher(defaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := corpus.Generate(corpus.Log, 256<<10, 6)
+	var src []byte
+	for _, kind := range []corpus.Kind{corpus.Text, corpus.Log, corpus.JSON, corpus.Protobuf} {
+		src = corpus.AppendGenerate(src, kind, 64<<10, 6)
+	}
+	seqs := m.Parse(src)
+	lits := Literals(src, seqs)
+	out := make([]byte, 0, len(src))
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Parse(src)
+		if out, err = AppendReconstruct(out[:0], seqs, lits, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,0 +1,372 @@
+package lz77
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"cdpu/internal/corpus"
+)
+
+// This file is the differential tests' reference parser: the per-position
+// walk as it stood before the parse kernels were specialized, kept verbatim
+// beside the production Matcher as an independent implementation. It recomputes
+// key and hash in probe and again in insert, re-measures the winning match in
+// ParsePrefixed, and bumps the statistics through the receiver one event at a
+// time, so a parse whose Seqs and Stats equal this one's proves the kernels in
+// lz77.go changed how fast the walk runs and nothing it produces. Only the
+// receiver type (and load32's name) differs from the code it was moved from.
+
+// refMatcher is the pre-kernel Matcher.
+type refMatcher struct {
+	cfg   Config
+	table []uint32 // TableEntries * Associativity encoded positions
+	tags  []uint8  // parallel tags when ContentsOffsetAndTag
+	shift uint     // hash shift for fibonacci/xorshift
+	stats Stats
+	seqs  []Seq  // parse output buffer, reused across calls
+	epoch uint32 // encoding base for the current parse; entries below it are stale
+	next  uint32 // epoch for the next parse (current epoch + this parse's reach)
+}
+
+func newRefMatcher(cfg Config) (*refMatcher, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	m := &refMatcher{cfg: cfg, next: 1}
+	m.table = make([]uint32, cfg.TableEntries*cfg.Associativity)
+	if cfg.Contents == ContentsOffsetAndTag {
+		m.tags = make([]uint8, len(m.table))
+	}
+	bitsN := 0
+	for e := cfg.TableEntries; e > 1; e >>= 1 {
+		bitsN++
+	}
+	m.shift = uint(32 - bitsN)
+	return m, nil
+}
+
+func (m *refMatcher) hash(v uint32) (idx uint32, tag uint8) {
+	switch m.cfg.Hash {
+	case HashFibonacci:
+		h := v * 0x9E3779B1 // 2^32 / golden ratio
+		return h >> m.shift, uint8(h >> 8)
+	case HashXorShift:
+		h := v
+		h ^= h >> 15
+		h *= 0x85EBCA77
+		h ^= h >> 13
+		return h >> m.shift, uint8(h)
+	default: // HashTrivial
+		return v & uint32(m.cfg.TableEntries-1), uint8(v >> 16)
+	}
+}
+
+func refLoad32(src []byte, i int) uint32 {
+	return uint32(src[i]) | uint32(src[i+1])<<8 | uint32(src[i+2])<<16 | uint32(src[i+3])<<24
+}
+
+// key returns the MinMatch-byte hash key at position i, folded into 32 bits.
+// For MinMatch 3 only three bytes are read, so positions near the end of the
+// input remain addressable.
+func (m *refMatcher) key(src []byte, i int) uint32 {
+	if m.cfg.MinMatch == 3 {
+		v := uint32(src[i]) | uint32(src[i+1])<<8 | uint32(src[i+2])<<16
+		return v * 0x01E35A7D // spread 3-byte keys before the main hash
+	}
+	return refLoad32(src, i)
+}
+
+// ParsePrefixed parses src[start:] using src[:start] as pre-existing history
+// (a preset dictionary, or the already-emitted part of a stream). The
+// returned sequences cover exactly src[start:]; their offsets may reach into
+// the prefix, up to the configured window. The slice is owned by the Matcher
+// and reused by the next Parse/ParsePrefixed call.
+func (m *refMatcher) ParsePrefixed(src []byte, start int) []Seq {
+	if start < 0 || start > len(src) {
+		panic("lz77: ParsePrefixed start out of range")
+	}
+	// Start a fresh epoch instead of clearing the table (see Matcher doc).
+	if m.next > ^uint32(0)-uint32(len(src))-1 {
+		clear(m.table)
+		m.next = 1
+	}
+	m.epoch = m.next
+	m.next += uint32(len(src))
+	seqs := m.seqs[:0]
+	defer func() { m.seqs = seqs }()
+	n := len(src)
+	if n-start < m.cfg.MinMatch {
+		if n-start > 0 {
+			seqs = append(seqs, Seq{LitLen: n - start})
+			m.stats.LiteralBytes += n - start
+		}
+		return seqs
+	}
+	// Index the prefix so parsing can match into it. Every other position
+	// keeps the cost linear while leaving the table warm, the same policy
+	// used inside matches.
+	prefixFrom := 0
+	if start > m.cfg.WindowSize {
+		prefixFrom = start - m.cfg.WindowSize
+	}
+	for j := prefixFrom; j < start; j += 2 {
+		m.insert(src, j)
+	}
+
+	litStart := start
+	i := start
+	skip := 32 // software skipping accumulator (used when SkipIncompressible)
+	limit := n - m.cfg.MinMatch
+	for i <= limit {
+		m.stats.Positions++
+		cand, ok := m.probe(src, i)
+		if !ok {
+			m.insert(src, i)
+			if m.cfg.SkipIncompressible {
+				i += skip >> 5
+				skip++
+			} else {
+				i++
+			}
+			continue
+		}
+		skip = 32
+		if m.cfg.Lazy && i+1 <= limit {
+			// Peek one position ahead; prefer a strictly longer match there.
+			candLen := m.extent(src, cand, i)
+			m.insert(src, i)
+			cand2, ok2 := m.probe(src, i+1)
+			if ok2 {
+				if m.extent(src, cand2, i+1) > candLen {
+					i++
+					cand = cand2
+				}
+			}
+		} else {
+			m.insert(src, i)
+		}
+		length := m.extent(src, cand, i)
+		offset := i - cand
+		seqs = append(seqs, Seq{LitLen: i - litStart, Offset: offset, MatchLen: length})
+		m.stats.Matches++
+		m.stats.MatchBytes += length
+		m.stats.LiteralBytes += i - litStart
+		if offset > m.stats.MaxOffset {
+			m.stats.MaxOffset = offset
+		}
+		// Index a sparse set of positions inside the match so later data can
+		// still find this region (one insert every 2 bytes keeps the table
+		// warm without quadratic work).
+		end := i + length
+		for j := i + 1; j < end && j <= limit; j += 2 {
+			m.insert(src, j)
+		}
+		i = end
+		litStart = i
+	}
+	if litStart < n {
+		seqs = append(seqs, Seq{LitLen: n - litStart})
+		m.stats.LiteralBytes += n - litStart
+	}
+	return seqs
+}
+
+// extent measures the match length between cand and i, honoring MaxMatch.
+func (m *refMatcher) extent(src []byte, cand, i int) int {
+	maxLen := len(src) - i
+	if m.cfg.MaxMatch != 0 && m.cfg.MaxMatch < maxLen {
+		maxLen = m.cfg.MaxMatch
+	}
+	return matchLen(src, cand, i, maxLen)
+}
+
+// probe looks up position i's key and returns the best verified candidate
+// within the window, preferring the longest match (ties to smaller offset).
+func (m *refMatcher) probe(src []byte, i int) (int, bool) {
+	key := m.key(src, i)
+	idx, tag := m.hash(key)
+	assoc := m.cfg.Associativity
+	base := int(idx) * assoc
+	m.stats.Probes++
+	bestLen, bestPos := 0, -1
+	for w := 0; w < assoc; w++ {
+		pos := m.table[base+w]
+		if pos < m.epoch {
+			continue // empty, or left over from an earlier parse
+		}
+		if m.tags != nil && m.tags[base+w] != tag {
+			m.stats.TagFiltered++
+			continue
+		}
+		m.stats.WaysChecked++
+		p := int(pos - m.epoch)
+		if p >= i || i-p > m.cfg.WindowSize {
+			continue
+		}
+		// Cheap reject before the full extension: a candidate displaces the
+		// incumbent only by being strictly longer, or equal-length at a
+		// larger position. If the bytes at the incumbent's length already
+		// differ, the candidate cannot be longer; losing the position tie
+		// too means it cannot win, so the extension's outcome is irrelevant.
+		if p < bestPos && i+bestLen < len(src) && src[p+bestLen] != src[i+bestLen] {
+			continue
+		}
+		l := m.extent(src, p, i)
+		if l < m.cfg.MinMatch {
+			m.stats.FalseProbes++
+			continue
+		}
+		if l > bestLen || (l == bestLen && p > bestPos) {
+			bestLen, bestPos = l, p
+		}
+	}
+	if bestLen >= m.cfg.MinMatch {
+		return bestPos, true
+	}
+	return -1, false
+}
+
+// insert records position i in the table, evicting FIFO within the bucket.
+func (m *refMatcher) insert(src []byte, i int) {
+	if i+m.cfg.MinMatch > len(src) {
+		return
+	}
+	key := m.key(src, i)
+	idx, tag := m.hash(key)
+	assoc := m.cfg.Associativity
+	base := int(idx) * assoc
+	// FIFO shift within the bucket. Specialized on the tag array so typical
+	// low-associativity tables shift with register moves, not memmove calls.
+	if m.tags != nil {
+		for w := assoc - 1; w > 0; w-- {
+			m.table[base+w] = m.table[base+w-1]
+			m.tags[base+w] = m.tags[base+w-1]
+		}
+		m.table[base] = uint32(i) + m.epoch
+		m.tags[base] = tag
+		return
+	}
+	for w := assoc - 1; w > 0; w-- {
+		m.table[base+w] = m.table[base+w-1]
+	}
+	m.table[base] = uint32(i) + m.epoch
+}
+
+// diffInputs are the differential test's payloads: every corpus kind, a
+// low-alphabet noise whose buckets collide and whose matches tie, and the
+// inputs at and below the parser's edges.
+func diffInputs() [][]byte {
+	const size = 6 << 10
+	var inputs [][]byte
+	for _, k := range corpus.Kinds {
+		inputs = append(inputs, corpus.Generate(k, size, 21))
+	}
+	rng := rand.New(rand.NewSource(22))
+	noise := make([]byte, size)
+	for i := range noise {
+		if i >= 37 && rng.Intn(3) > 0 {
+			noise[i] = noise[i-37]
+		} else {
+			noise[i] = byte(rng.Intn(4))
+		}
+	}
+	return append(inputs, noise, []byte("abc"), bytes.Repeat([]byte("abcabcd"), size/7), nil)
+}
+
+// TestParseMatchesReference holds the parse kernels to the reference parser:
+// over the configuration matrix below, on every input, plain and prefixed,
+// the Seqs are deep-equal and the accumulated Stats are ==. Each
+// configuration's matcher pair is reused from input to input, so every parse
+// but the first runs over a table full of stale epochs; the input order
+// rotates with the configuration so each input also meets a fresh table.
+func TestParseMatchesReference(t *testing.T) {
+	inputs := diffInputs()
+	type option struct {
+		name string
+		set  func(*Config)
+	}
+	options := []option{
+		{"plain", func(*Config) {}},
+		{"lazy", func(c *Config) { c.Lazy = true }},
+		{"skip", func(c *Config) { c.SkipIncompressible = true }},
+		{"max64", func(c *Config) { c.MaxMatch = 64 }},
+	}
+	for _, window := range []int{1 << 10, 8 << 10, 64 << 10} {
+		for _, entries := range []int{1 << 9, 1 << 14} {
+			t.Run(fmt.Sprintf("w%d/e%d", window, entries), func(t *testing.T) {
+				t.Parallel()
+				nth := 0
+				for _, assoc := range []int{1, 2, 4} {
+					for _, h := range []HashFunc{HashFibonacci, HashXorShift, HashTrivial} {
+						for _, c := range []TableContents{ContentsOffsetOnly, ContentsOffsetAndTag} {
+							for _, minMatch := range []int{3, 4, 6} {
+								for _, opt := range options {
+									cfg := Config{
+										WindowSize: window, TableEntries: entries, Associativity: assoc,
+										MinMatch: minMatch, Hash: h, Contents: c,
+									}
+									opt.set(&cfg)
+									diffConfig(t, cfg, opt.name, inputs, nth)
+									nth++
+								}
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// diffConfig runs one configuration's matcher pair over inputs, starting at
+// the first-th.
+func diffConfig(t *testing.T, cfg Config, name string, inputs [][]byte, first int) {
+	t.Helper()
+	m := mustMatcher(t, cfg)
+	ref, err := newRefMatcher(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range inputs {
+		in := inputs[(first+k)%len(inputs)]
+		for _, start := range []int{0, len(in) / 3} {
+			got, want := m.ParsePrefixed(in, start), ref.ParsePrefixed(in, start)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s %+v: input %d start %d: Seqs differ from the reference (%d vs %d sequences)",
+					name, cfg, (first+k)%len(inputs), start, len(got), len(want))
+			}
+			if m.Stats() != ref.stats {
+				t.Fatalf("%s %+v: input %d start %d: Stats\n got %+v\nwant %+v",
+					name, cfg, (first+k)%len(inputs), start, m.Stats(), ref.stats)
+			}
+		}
+	}
+}
+
+// TestParseMatchesReferenceAcrossEpochWrap drives both walks through the one
+// physical table clear: the parse whose reach would wrap the 32-bit encoding.
+func TestParseMatchesReferenceAcrossEpochWrap(t *testing.T) {
+	in := corpus.Generate(corpus.Log, 8<<10, 23)
+	lazy := defaultConfig()
+	lazy.Associativity, lazy.Contents, lazy.Lazy = 2, ContentsOffsetAndTag, true
+	for _, cfg := range []Config{defaultConfig(), lazy} {
+		m := mustMatcher(t, cfg)
+		ref, err := newRefMatcher(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.next = ^uint32(0) - uint32(2*len(in)) - 8
+		ref.next = m.next
+		for pass := 0; pass < 4; pass++ {
+			if got, want := m.Parse(in), ref.ParsePrefixed(in, 0); !slices.Equal(got, want) {
+				t.Fatalf("%+v pass %d: Seqs differ from the reference", cfg, pass)
+			}
+			if m.Stats() != ref.stats || m.next != ref.next {
+				t.Fatalf("%+v pass %d: Stats %+v next %d, want %+v next %d", cfg, pass, m.Stats(), m.next, ref.stats, ref.next)
+			}
+		}
+	}
+}

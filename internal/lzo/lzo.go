@@ -135,10 +135,7 @@ func Decode(src []byte) ([]byte, error) {
 		if len(out)+length > n {
 			return nil, fmt.Errorf("%w: copy overruns output", ErrCorrupt)
 		}
-		from := len(out) - offset
-		for k := 0; k < length; k++ {
-			out = append(out, out[from+k])
-		}
+		out = lz77.AppendCopy(out, offset, length)
 	}
 	if len(out) != n {
 		return nil, fmt.Errorf("%w: decoded %d of %d bytes", ErrCorrupt, len(out), n)

@@ -179,7 +179,7 @@ func TestStreamBandwidthClassRulesExact(t *testing.T) {
 		c    Class
 		want float64
 	}{
-		{RoCC, ClassRaw, 32},          // window 32*32/24 = 42.7 > width
+		{RoCC, ClassRaw, 32}, // window 32*32/24 = 42.7 > width
 		{RoCC, ClassIntermediate, 32},
 		{Chiplet, ClassRaw, 32 * 32 / 74.0},          // RTT 24+50; MSHR-bound
 		{Chiplet, ClassIntermediate, 32 * 32 / 74.0}, // chiplet has no local cache

@@ -405,10 +405,7 @@ func decodeBody(dst, body []byte, want int) ([]byte, error) {
 			if offset <= 0 || offset > len(dst) {
 				return nil, fmt.Errorf("%w: copy offset %d with %d bytes produced", ErrCorrupt, offset, len(dst))
 			}
-			from := len(dst) - offset
-			for k := 0; k < copyLen; k++ {
-				dst = append(dst, dst[from+k])
-			}
+			dst = lz77.AppendCopy(dst, offset, copyLen)
 		}
 		if len(dst) > want {
 			return nil, fmt.Errorf("%w: output exceeds header length", ErrCorrupt)

@@ -3,6 +3,7 @@ package snappy
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -122,6 +123,39 @@ func TestKnownVectorCopy4(t *testing.T) {
 	}
 	if string(got) != "wxyzwxyz" {
 		t.Fatalf("got %q", got)
+	}
+}
+
+// TestWireVectorsOverlappingCopies pins the decoder to fixed frames written
+// out byte by byte from format_description.txt: copies whose source overlaps
+// their destination, under each of the three copy tags.
+func TestWireVectorsOverlappingCopies(t *testing.T) {
+	vectors := []struct {
+		name string
+		enc  []byte
+		want string
+	}{
+		// literal "x"; copy-2 (tag 10, len-1=63 in the upper six bits = 0xfe),
+		// offset 0x0001: the one-byte run.
+		{"copy2 offset 1 len 64", []byte{0x41, 0x00, 'x', 0xfe, 0x01, 0x00}, strings.Repeat("x", 65)},
+		// literal "abc"; copy-1 (tag 01, len-4=6 in bits 2-4, offset bits 8-10
+		// zero = 0x19), offset low byte 0x03.
+		{"copy1 offset 3 len 10", []byte{0x0d, 0x08, 'a', 'b', 'c', 0x19, 0x03}, "abcabcabcabca"},
+		// literal "abc"; copy-2 (len-1=9 = 0x26), offset 0x0003.
+		{"copy2 offset 3 len 10", []byte{0x0d, 0x08, 'a', 'b', 'c', 0x26, 0x03, 0x00}, "abcabcabcabca"},
+		// literal "abc"; copy-4 (tag 11, len-1=9 = 0x27), offset 0x00000003.
+		{"copy4 offset 3 len 10", []byte{0x0d, 0x08, 'a', 'b', 'c', 0x27, 0x03, 0x00, 0x00, 0x00}, "abcabcabcabca"},
+		// literal "abcdefgh"; copy-1 len 11 (len-4=7 = 0x1d) offset 8, not
+		// overlapping until its last three bytes; then copy-1 len 4 offset 1.
+		{"copy1 offset 8 len 11 then run", []byte{0x17, 0x1c, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 0x1d, 0x08, 0x01, 0x01}, "abcdefghabcdefghabccccc"},
+	}
+	for _, v := range vectors {
+		got, err := Decode(v.enc)
+		if err != nil {
+			t.Errorf("%s: %v", v.name, err)
+		} else if string(got) != v.want {
+			t.Errorf("%s: got %q, want %q", v.name, got, v.want)
+		}
 	}
 }
 
