@@ -11,7 +11,7 @@ package corpus
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
 	"strconv"
 )
 
@@ -75,7 +75,7 @@ func (k Kind) String() string {
 	}
 }
 
-var words = []string{
+var words = [...]string{
 	"the", "of", "and", "a", "to", "in", "is", "you", "that", "it",
 	"he", "was", "for", "on", "are", "as", "with", "his", "they", "at",
 	"be", "this", "have", "from", "or", "one", "had", "by", "word", "but",
@@ -90,275 +90,329 @@ var words = []string{
 	"hierarchy", "bandwidth", "pipeline", "speculative",
 }
 
-var logLevels = []string{"INFO", "WARN", "ERROR", "DEBUG", "TRACE"}
-var logComponents = []string{
+var logLevels = [...]string{"INFO", "WARN", "ERROR", "DEBUG", "TRACE"}
+var logComponents = [...]string{
 	"rpc.server", "storage.shard", "cache.l2", "net.dispatch", "auth.token",
 	"compress.pool", "scheduler.node", "index.builder",
 }
-var jsonKeys = []string{
+var jsonKeys = [...]string{
 	"id", "name", "timestamp", "status", "payload", "metadata", "version",
 	"region", "shard", "latency_us", "bytes", "checksum", "owner", "labels",
 }
-var htmlTags = []string{"div", "span", "p", "a", "li", "td", "h2", "section"}
+var htmlTags = [...]string{"div", "span", "p", "a", "li", "td", "h2", "section"}
+
+// slot is a piece of record text padded to one fixed-size move: the text,
+// zeros, and the text's length in the last byte. put copies all 16 bytes
+// whatever the length, so the record loops make no memmove call and no
+// length-dependent branch per word; the bytes past the text are overwritten
+// by whatever the record writes next.
+type slot [16]byte
+
+func newSlot(text string) (s slot) {
+	if len(text) >= len(s) {
+		panic("corpus: " + text + " does not fit a slot")
+	}
+	copy(s[:], text)
+	s[len(s)-1] = byte(len(text))
+	return s
+}
+
+// The vocabularies as slots, and the records' fixed text. The arrays take
+// their lengths from the vocabularies, so every Intn bound below is a
+// constant.
+var (
+	wordSlots      [len(words)]slot
+	levelSlots     [len(logLevels)]slot
+	componentSlots [len(logComponents)]slot
+	keySlots       [len(jsonKeys)]slot
+	tagSlots       [len(htmlTags)]slot
+
+	litTask    = newSlot(" task=")
+	litAttempt = newSlot(" attempt=")
+	litMsg     = newSlot(` msg="`)
+	litDur     = newSlot(`" dur_us=`)
+	litInner   = newSlot(`{"inner":"`)
+	litV       = newSlot(`","v":`)
+	litTrue    = newSlot("true")
+	litFalse   = newSlot("false")
+	litClass   = newSlot(` class="c`)
+)
+
+func init() {
+	fill := func(slots []slot, vocab []string) {
+		for i, text := range vocab {
+			slots[i] = newSlot(text)
+		}
+	}
+	fill(wordSlots[:], words[:])
+	fill(levelSlots[:], logLevels[:])
+	fill(componentSlots[:], logComponents[:])
+	fill(keySlots[:], jsonKeys[:])
+	fill(tagSlots[:], htmlTags[:])
+}
+
+// slack is the room every generator has past its target length: a record
+// begun before the target is written whole (and trimmed), and a slot write
+// always covers 16 bytes. The longest record is a JSON object — nine fields of
+// at most 44 bytes plus braces, under 400 bytes; a log line is at most 113.
+const slack = 512
 
 // Generate returns size bytes of kind-shaped data, deterministic in seed.
 func Generate(kind Kind, size int, seed int64) []byte {
 	if size <= 0 {
 		return nil
 	}
-	return AppendGenerate(make([]byte, 0, size+128), kind, size, seed)
+	var g Gen
+	return g.AppendGenerate(make([]byte, 0, size+slack), kind, size, seed)
+}
+
+// Gen generates corpus data through a reusable generator state; replay loops
+// hold one beside a reused payload buffer. The zero value is ready to use.
+// Not safe for concurrent use.
+type Gen struct {
+	rng rng
 }
 
 // AppendGenerate appends size bytes of kind-shaped data to dst and returns
 // the extended slice. The appended bytes are identical to Generate's output
-// for the same (kind, size, seed); replay loops use this form to reuse one
-// payload buffer across calls.
-func AppendGenerate(dst []byte, kind Kind, size int, seed int64) []byte {
-	if size <= 0 {
-		return dst
-	}
-	return appendGen(rand.New(rand.NewSource(seed^int64(kind)<<32)), dst, kind, size)
-}
-
-// Gen generates corpus data through a reusable RNG, removing the per-call
-// rand.New allocations of AppendGenerate. The zero value is ready to use.
-// Output is byte-identical to Generate/AppendGenerate for the same
-// (kind, size, seed). Not safe for concurrent use.
-type Gen struct {
-	rng *rand.Rand
-}
-
-// AppendGenerate appends size bytes of kind-shaped data to dst, reusing the
-// generator's RNG state.
+// for the same (kind, size, seed). Like append, it may write to the capacity
+// past the returned length: it grows dst once, to size+slack, and lets the
+// last record run over.
 func (g *Gen) AppendGenerate(dst []byte, kind Kind, size int, seed int64) []byte {
 	if size <= 0 {
 		return dst
 	}
-	if g.rng == nil {
-		g.rng = rand.New(rand.NewSource(0))
-	}
-	// Seed resets the underlying source to the same stream rand.New would
-	// start, so reseeding in place is draw-for-draw identical to a fresh RNG.
-	g.rng.Seed(seed ^ int64(kind)<<32)
-	return appendGen(g.rng, dst, kind, size)
-}
-
-func appendGen(rng *rand.Rand, dst []byte, kind Kind, size int) []byte {
-	// The generators overshoot by up to one record; they fill to the target
-	// length and the tail is trimmed below.
-	target := len(dst) + size
+	n := len(dst)
+	target := n + size
+	out := slices.Grow(dst, size+slack)[:target+slack]
+	r := &g.rng
+	r.seed(seed ^ int64(kind)<<32)
 	switch kind {
 	case Text:
-		dst = genText(rng, dst, target)
+		genText(r, out, n, target)
 	case Log:
-		dst = genLog(rng, dst, target)
+		genLog(r, out, n, target)
 	case JSON:
-		dst = genJSON(rng, dst, target)
+		genJSON(r, out, n, target)
 	case Protobuf:
-		dst = genProtobuf(rng, dst, target)
+		genProtobuf(r, out, n, target)
 	case Table:
-		dst = genTable(rng, dst, target)
+		genTable(r, out, n, target)
 	case HTML:
-		dst = genHTML(rng, dst, target)
+		genHTML(r, out, n, target)
 	case Skewed:
-		for len(dst) < target {
-			u := rng.Float64()
+		for ; n < target; n++ {
+			u := r.float64()
 			// Square-law skew over a 64-value alphabet: entropy ~4.8
 			// bits/byte with essentially no multi-byte repetition.
-			dst = append(dst, byte(u*u*64))
+			out[n] = byte(u * u * 64)
 		}
 	case Random:
-		for len(dst) < target {
-			dst = append(dst, byte(rng.Intn(256)))
+		for ; n < target; n++ {
+			out[n] = byte(r.intnPow2(256))
 		}
 	case Zeros:
-		for len(dst) < target {
-			dst = append(dst, 0)
-		}
+		clear(out[n:target])
 	default:
 		panic("corpus: unknown kind")
 	}
-	return dst[:target]
+	return out[:target]
+}
+
+// put writes s at out[n:] and returns the position after its text.
+func put(out []byte, n int, s *slot) int {
+	*(*slot)(out[n:]) = *s
+	return n + int(s[len(s)-1])
+}
+
+// putInt writes v in decimal at out[n:] and returns the position after it.
+func putInt(out []byte, n int, v int) int {
+	return len(strconv.AppendUint(out[:n], uint64(v), 10))
 }
 
 // zipfWord picks a word with a skewed (roughly Zipfian) distribution so the
 // vocabulary reuse mimics natural text.
-func zipfWord(rng *rand.Rand) string {
+func zipfWord(r *rng) *slot {
 	// Square a uniform variate to bias toward low indices.
-	u := rng.Float64()
+	u := r.float64()
 	idx := int(u * u * float64(len(words)))
 	if idx >= len(words) {
 		idx = len(words) - 1
 	}
-	return words[idx]
+	return &wordSlots[idx]
 }
 
-func genText(rng *rand.Rand, out []byte, size int) []byte {
+// The record loops below fill out[n:target] and run over by at most one
+// record (see slack). Draw order is the contract: each loop makes exactly the
+// draws, in exactly the order, that produced the bytes TestGenerateGolden pins.
+
+func genText(r *rng, out []byte, n, target int) {
 	sentenceLen := 0
-	for len(out) < size {
-		w := zipfWord(rng)
+	for n < target {
+		w := zipfWord(r)
 		if sentenceLen == 0 {
-			out = append(out, w[0]-'a'+'A')
-			out = append(out, w[1:]...)
+			first := n
+			n = put(out, n, w)
+			out[first] -= 'a' - 'A'
 		} else {
-			out = append(out, ' ')
-			out = append(out, w...)
+			out[n] = ' '
+			n = put(out, n+1, w)
 		}
 		sentenceLen++
-		if sentenceLen > 6 && rng.Intn(10) == 0 {
-			out = append(out, '.')
+		if sentenceLen > 6 && r.intn(10) == 0 {
 			sentenceLen = 0
-			if rng.Intn(6) == 0 {
-				out = append(out, '\n', '\n')
+			out[n] = '.'
+			if r.intn(6) == 0 {
+				out[n+1], out[n+2] = '\n', '\n'
+				n += 3
 			} else {
-				out = append(out, ' ')
+				out[n+1] = ' '
+				n += 2
 			}
 		}
 	}
-	return out
 }
 
-// The generators format records with strconv appends rather than
-// fmt.Sprintf: synthesis runs on the replay hot path, and Sprintf's argument
-// boxing dominated the whole simulator's allocation profile. Draw order and
-// output bytes are unchanged.
-func genLog(rng *rand.Rand, out []byte, size int) []byte {
-	ts := int64(1660000000000)
-	for len(out) < size {
-		ts += int64(rng.Intn(5000))
-		out = strconv.AppendInt(out, ts, 10)
-		out = append(out, ' ')
-		out = append(out, logLevels[rng.Intn(len(logLevels))]...)
-		out = append(out, ' ')
-		out = append(out, logComponents[rng.Intn(len(logComponents))]...)
-		out = append(out, " task="...)
-		out = strconv.AppendInt(out, int64(rng.Intn(1<<16)), 10)
-		out = append(out, " attempt="...)
-		out = strconv.AppendInt(out, int64(rng.Intn(4)), 10)
-		out = append(out, ` msg="`...)
-		out = append(out, zipfWord(rng)...)
-		out = append(out, ' ')
-		out = append(out, zipfWord(rng)...)
-		out = append(out, ' ')
-		out = append(out, zipfWord(rng)...)
-		out = append(out, `" dur_us=`...)
-		out = strconv.AppendInt(out, int64(rng.Intn(1<<20)), 10)
-		out = append(out, '\n')
+func genLog(r *rng, out []byte, n, target int) {
+	ts := 1660000000000
+	for n < target {
+		ts += r.intn(5000)
+		n = putInt(out, n, ts)
+		out[n] = ' '
+		n = put(out, n+1, &levelSlots[r.intn(len(levelSlots))])
+		out[n] = ' '
+		n = put(out, n+1, &componentSlots[r.intnPow2(len(componentSlots))])
+		n = put(out, n, &litTask)
+		n = putInt(out, n, r.intnPow2(1<<16))
+		n = put(out, n, &litAttempt)
+		out[n] = '0' + byte(r.intnPow2(4))
+		n = put(out, n+1, &litMsg)
+		n = put(out, n, zipfWord(r))
+		out[n] = ' '
+		n = put(out, n+1, zipfWord(r))
+		out[n] = ' '
+		n = put(out, n+1, zipfWord(r))
+		n = put(out, n, &litDur)
+		n = putInt(out, n, r.intnPow2(1<<20))
+		out[n] = '\n'
+		n++
 	}
-	return out
 }
 
-func genJSON(rng *rand.Rand, out []byte, size int) []byte {
-	for len(out) < size {
-		out = append(out, '{')
-		n := 4 + rng.Intn(6)
-		for i := 0; i < n; i++ {
+func genJSON(r *rng, out []byte, n, target int) {
+	for n < target {
+		out[n] = '{'
+		n++
+		fields := 4 + r.intn(6)
+		for i := 0; i < fields; i++ {
 			if i > 0 {
-				out = append(out, ',')
+				out[n] = ','
+				n++
 			}
-			k := jsonKeys[rng.Intn(len(jsonKeys))]
-			out = append(out, '"')
-			out = append(out, k...)
-			out = append(out, '"', ':')
 			// The vocabulary is plain ASCII, so quoting never escapes.
-			switch rng.Intn(4) {
+			out[n] = '"'
+			n = put(out, n+1, &keySlots[r.intn(len(keySlots))])
+			out[n], out[n+1] = '"', ':'
+			n += 2
+			switch r.intnPow2(4) {
 			case 0:
-				out = strconv.AppendInt(out, int64(rng.Intn(1<<24)), 10)
+				n = putInt(out, n, r.intnPow2(1<<24))
 			case 1:
-				out = append(out, '"')
-				out = append(out, zipfWord(rng)...)
-				out = append(out, '-')
-				out = append(out, zipfWord(rng)...)
-				out = append(out, '"')
+				out[n] = '"'
+				n = put(out, n+1, zipfWord(r))
+				out[n] = '-'
+				n = put(out, n+1, zipfWord(r))
+				out[n] = '"'
+				n++
 			case 2:
-				out = append(out, `{"inner":"`...)
-				out = append(out, zipfWord(rng)...)
-				out = append(out, `","v":`...)
-				out = strconv.AppendInt(out, int64(rng.Intn(100)), 10)
-				out = append(out, '}')
+				n = put(out, n, &litInner)
+				n = put(out, n, zipfWord(r))
+				n = put(out, n, &litV)
+				n = putInt(out, n, r.intn(100))
+				out[n] = '}'
+				n++
 			default:
-				if rng.Intn(2) == 0 {
-					out = append(out, "true"...)
+				if r.intnPow2(2) == 0 {
+					n = put(out, n, &litTrue)
 				} else {
-					out = append(out, "false"...)
+					n = put(out, n, &litFalse)
 				}
 			}
 		}
-		out = append(out, '}', '\n')
+		out[n], out[n+1] = '}', '\n'
+		n += 2
 	}
-	return out
 }
 
-func genProtobuf(rng *rand.Rand, out []byte, size int) []byte {
-	appendVarint := func(b []byte, v uint64) []byte {
-		for v >= 0x80 {
-			b = append(b, byte(v)|0x80)
-			v >>= 7
-		}
-		return append(b, byte(v))
-	}
-	for len(out) < size {
-		// A message with a handful of fields: varints, fixed64, strings.
+func genProtobuf(r *rng, out []byte, n, target int) {
+	for n < target {
+		// A message with a handful of fields: varints, fixed32, strings.
 		for f := 1; f <= 6; f++ {
-			switch rng.Intn(3) {
+			switch r.intn(3) {
 			case 0: // varint field
-				out = append(out, byte(f<<3|0))
-				out = appendVarint(out, uint64(rng.Intn(1<<20)))
+				out[n] = byte(f<<3 | 0)
+				n++
+				v := r.intnPow2(1 << 20)
+				for ; v >= 0x80; v >>= 7 {
+					out[n] = byte(v) | 0x80
+					n++
+				}
+				out[n] = byte(v)
+				n++
 			case 1: // length-delimited string
-				s := zipfWord(rng)
-				out = append(out, byte(f<<3|2), byte(len(s)))
-				out = append(out, s...)
+				w := zipfWord(r)
+				out[n], out[n+1] = byte(f<<3|2), w[len(w)-1]
+				n = put(out, n+2, w)
 			default: // fixed32
-				out = append(out, byte(f<<3|5))
-				v := uint32(rng.Intn(1 << 16)) // low entropy in high bytes
-				out = append(out, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+				v := r.intnPow2(1 << 16) // low entropy in high bytes
+				out[n], out[n+1], out[n+2], out[n+3], out[n+4] = byte(f<<3|5), byte(v), byte(v>>8), 0, 0
+				n += 5
 			}
 		}
 	}
-	return out
 }
 
-func genTable(rng *rand.Rand, out []byte, size int) []byte {
-	rowID := uint32(rng.Intn(1 << 20))
-	for len(out) < size {
+func genTable(r *rng, out []byte, n, target int) {
+	rowID := uint32(r.intnPow2(1 << 20))
+	for ; n < target; n += 24 {
 		rowID++
 		rec := [24]byte{}
 		rec[0] = byte(rowID)
 		rec[1] = byte(rowID >> 8)
 		rec[2] = byte(rowID >> 16)
 		rec[3] = byte(rowID >> 24)
-		rec[4] = byte(rng.Intn(4))  // enum column
-		rec[5] = byte(rng.Intn(2))  // flag column
-		rec[6] = byte(rng.Intn(16)) // small numeric
+		rec[4] = byte(r.intnPow2(4))  // enum column
+		rec[5] = byte(r.intnPow2(2))  // flag column
+		rec[6] = byte(r.intnPow2(16)) // small numeric
 		// columns 7..15 constant per stretch
-		v := uint16(rng.Intn(1 << 10))
+		v := r.intnPow2(1 << 10)
 		rec[16] = byte(v)
 		rec[17] = byte(v >> 8)
-		out = append(out, rec[:]...)
+		*(*[24]byte)(out[n:]) = rec
 	}
-	return out
 }
 
-func genHTML(rng *rand.Rand, out []byte, size int) []byte {
-	for len(out) < size {
-		tag := htmlTags[rng.Intn(len(htmlTags))]
-		out = append(out, '<')
-		out = append(out, tag...)
-		out = append(out, ` class="c`...)
-		out = strconv.AppendInt(out, int64(rng.Intn(8)), 10)
-		out = append(out, '"', '>')
-		n := 1 + rng.Intn(8)
-		for i := 0; i < n; i++ {
+func genHTML(r *rng, out []byte, n, target int) {
+	for n < target {
+		tag := &tagSlots[r.intnPow2(len(tagSlots))]
+		out[n] = '<'
+		n = put(out, n+1, tag)
+		n = put(out, n, &litClass)
+		out[n], out[n+1], out[n+2] = '0'+byte(r.intnPow2(8)), '"', '>'
+		n += 3
+		count := 1 + r.intnPow2(8)
+		for i := 0; i < count; i++ {
 			if i > 0 {
-				out = append(out, ' ')
+				out[n] = ' '
+				n++
 			}
-			out = append(out, zipfWord(rng)...)
+			n = put(out, n, zipfWord(r))
 		}
-		out = append(out, '<', '/')
-		out = append(out, tag...)
-		out = append(out, '>', '\n')
+		out[n], out[n+1] = '<', '/'
+		n = put(out, n+2, tag)
+		out[n], out[n+1] = '>', '\n'
+		n += 2
 	}
-	return out
 }
 
 // File is a named synthetic corpus file.

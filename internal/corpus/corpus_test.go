@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -130,17 +131,34 @@ func TestGenReusedMatchesGenerate(t *testing.T) {
 	}
 }
 
+// payloadKinds are the six families the replay draws its payloads from.
+var payloadKinds = []Kind{Text, Log, JSON, Protobuf, Table, HTML}
+
 func TestGenSteadyStateAllocs(t *testing.T) {
 	var g Gen
 	buf := make([]byte, 0, 8<<10)
-	buf = g.AppendGenerate(buf[:0], Text, 4096, 3) // warm the RNG
-	allocs := testing.AllocsPerRun(50, func() {
-		buf = g.AppendGenerate(buf[:0], Log, 4096, 5)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Gen.AppendGenerate: %v allocs/call, want 0", allocs)
+	for _, kind := range payloadKinds {
+		allocs := testing.AllocsPerRun(50, func() {
+			buf = g.AppendGenerate(buf[:0], kind, 4096, 5)
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state Gen.AppendGenerate(%v): %v allocs/call, want 0", kind, allocs)
+		}
+	}
+	// Generate allocates the buffer it returns, slack included, and nothing
+	// else: the generator state stays on the stack and the slack must not
+	// force a second, larger buffer.
+	for _, size := range []int{1, 4096, 64 << 10} {
+		allocs := testing.AllocsPerRun(20, func() {
+			sink = Generate(JSON, size, 5)
+		})
+		if allocs != 1 {
+			t.Errorf("Generate(JSON, %d): %v allocs/call, want 1", size, allocs)
+		}
 	}
 }
+
+var sink []byte
 
 // goldenSizes straddle the 16-byte slot width, one record, the replay's
 // 2-4 KiB payloads and a whole suite chunk; goldenSeeds cover negative, zero
@@ -203,5 +221,34 @@ func TestGenerateGolden(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)); got != goldenSums[kind] {
 			t.Errorf("%v: sha256 = %s, want %s", kind, got, goldenSums[kind])
 		}
+	}
+}
+
+// BenchmarkGenerate is the layer's matrix: the six payload kinds the replay
+// draws, at the overload workload's call size (where reseeding dominates)
+// and at a suite chunk's (where the record loops do).
+func BenchmarkGenerate(b *testing.B) {
+	for _, kind := range payloadKinds {
+		for _, size := range []int{2 << 10, 64 << 10} {
+			b.Run(fmt.Sprintf("%v/%dK", kind, size>>10), func(b *testing.B) {
+				var g Gen
+				buf := g.AppendGenerate(nil, kind, size, 1)
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					buf = g.AppendGenerate(buf[:0], kind, size, int64(i))
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkSeed times the reseed every AppendGenerate call starts with; at
+// the overload workload's 2 KiB calls it is the largest single cost.
+func BenchmarkSeed(b *testing.B) {
+	var r rng
+	for i := 0; i < b.N; i++ {
+		r.seed(int64(i))
 	}
 }

@@ -449,8 +449,9 @@ func BenchmarkLZ77Reconstruct(b *testing.B) {
 		b.Fatal(err)
 	}
 	var src []byte
+	var gen corpus.Gen
 	for _, kind := range []corpus.Kind{corpus.Text, corpus.Log, corpus.JSON, corpus.Protobuf} {
-		src = corpus.AppendGenerate(src, kind, 64<<10, 6)
+		src = gen.AppendGenerate(src, kind, 64<<10, 6)
 	}
 	seqs := m.Parse(src)
 	lits := Literals(src, seqs)

@@ -67,8 +67,8 @@ type Config struct {
 	Placement memsys.Placement
 	// MaxCallBytes caps replayed call sizes for runtime (0 = 1 MiB).
 	MaxCallBytes int
-	// Workers bounds the payload-synthesis pool (0 = one per available CPU
-	// up to 8). The Report does not depend on it.
+	// Workers bounds the payload-synthesis pool (0 = GOMAXPROCS-1, clamped
+	// to [1, 8]). The Report does not depend on it.
 	Workers int
 	// Trace, when non-nil, collects every call's per-block spans into a
 	// Chrome trace-event timeline: one process per device, one exec lane and
