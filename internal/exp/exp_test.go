@@ -7,7 +7,8 @@ import (
 	"testing"
 )
 
-// run executes an experiment at test scale.
+// run executes an experiment at test scale and holds what it prints to its
+// golden table (tables_test.go).
 func run(t *testing.T, id string) []*Table {
 	t.Helper()
 	e, err := ByID(id)
@@ -21,6 +22,7 @@ func run(t *testing.T, id string) []*Table {
 	if len(tables) == 0 {
 		t.Fatalf("%s: no tables", id)
 	}
+	checkGolden(t, id, tables)
 	return tables
 }
 
