@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"cdpu"
+	"cdpu/internal/comp"
 )
 
 func main() {
@@ -34,7 +35,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: cdpu (-c|-d) [-algo A] [-hw] IN OUT")
 		os.Exit(2)
 	}
-	algo, err := parseAlgo(*algoName)
+	algo, err := comp.ParseAlgorithm(*algoName)
 	if err != nil {
 		fatal(err)
 	}
@@ -107,25 +108,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "%d -> %d bytes (ratio %.3f)\n",
 		len(in), len(out), float64(len(in))/float64(max(len(out), 1)))
-}
-
-func parseAlgo(name string) (cdpu.Algorithm, error) {
-	switch strings.ToLower(name) {
-	case "snappy":
-		return cdpu.Snappy, nil
-	case "zstd":
-		return cdpu.ZStd, nil
-	case "flate":
-		return cdpu.Flate, nil
-	case "brotli":
-		return cdpu.Brotli, nil
-	case "gipfeli":
-		return cdpu.Gipfeli, nil
-	case "lzo":
-		return cdpu.LZO, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", name)
-	}
 }
 
 func parsePlacement(name string) (cdpu.Placement, error) {

@@ -1,18 +1,19 @@
-// Command cdpubench runs every registered experiment of the reproduction: the
+// Command cdpubench runs the registered experiments of the reproduction: the
 // Section 3 fleet profile (Figures 1-6 and the headline statistics), the
 // Section 4 HyperCompressBench validation (Figure 7), the Section 6
-// design-space exploration (Figures 11-15, the §6.6 summary) and the
-// ablations DESIGN.md calls out.
+// design-space exploration (Figures 11-15, the §6.6 summary), the ablations
+// DESIGN.md calls out and the extensions beyond the paper. The ids live in one
+// table, internal/exp's registry; run with no arguments to list them.
 //
 // Usage:
 //
-//	cdpubench -fig 11              # one figure (1,2a,2b,2c,3,4,5,6,7,11,12,13,14,15)
+//	cdpubench -fig 11              # one figure: -fig N runs experiment "figN"
 //	cdpubench -exp fleet-summary   # Section 3 headline statistics
 //	cdpubench -samples 1000000     # GWP-style fleet sample count (figures 1-6)
 //	cdpubench -summary             # §6.6 key results
 //	cdpubench -ablation hash       # hash|fse|stats
 //	cdpubench -exp fault-sweep     # any registered experiment by id
-//	cdpubench -all                 # everything
+//	cdpubench -all                 # every registered experiment, in exp.IDs() order
 //	cdpubench -files 500 -seed 2   # scale/seed overrides
 //	cdpubench -workers 4           # simulation worker-pool size
 //	cdpubench -calls 50000         # service-replay call count
@@ -36,16 +37,16 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to regenerate: 1, 2a, 2b, 2c, 3, 4, 5, 6, 7, 11, 12, 13, 14 or 15")
+	fig := flag.String("fig", "", "figure to regenerate, e.g. 11 or 2a (runs experiment \"figN\")")
 	summary := flag.Bool("summary", false, "print the §6.6 design-space summary")
 	ablation := flag.String("ablation", "", "ablation to run: hash, fse or stats")
 	expID := flag.String("exp", "", "registered experiment id to run (e.g. fault-sweep)")
-	all := flag.Bool("all", false, "run every DSE experiment")
+	all := flag.Bool("all", false, "run every registered experiment, in the order the bare command lists them")
 	samples := flag.Int("samples", 0, "fleet call samples for the Section 3 profile (default 300000)")
 	files := flag.Int("files", 0, "HyperCompressBench files per suite (default 500; paper uses 8000-10000)")
 	maxFile := flag.Int("maxfile", 0, "max benchmark file size in bytes (default 4 MiB)")
 	seed := flag.Int64("seed", 0, "generation seed (default 1)")
-	workers := flag.Int("workers", 0, "simulation worker-pool size (default min(8, NumCPU-1))")
+	workers := flag.Int("workers", 0, "simulation worker-pool size (default min(8, GOMAXPROCS-1), at least 1)")
 	calls := flag.Int("calls", 0, "fleet calls per service-replay cell (default 10000)")
 	replicas := flag.Int("replicas", 0, "maximum replica-group width the failover sweep scales to (default 4)")
 	devices := flag.Int("devices", 0, "device instances per fleet slot in replay experiments (default 1: the historical 4-device fleet)")
@@ -81,10 +82,7 @@ func main() {
 	var ids []string
 	switch {
 	case *all:
-		ids = []string{"fig7", "fig11", "fig12", "fig13", "fig14", "fig15", "dse-summary",
-			"ablation-hash", "ablation-fse", "ablation-stats",
-			"chaining", "pipelines", "deployment", "levels", "fault-sweep", "fleet-replay", "chaos-sweep",
-			"failover-sweep"}
+		ids = exp.IDs()
 	case *summary:
 		ids = []string{"dse-summary"}
 	case *ablation != "":

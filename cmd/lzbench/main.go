@@ -16,10 +16,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
-	"cdpu"
 	"cdpu/internal/comp"
 	"cdpu/internal/corpus"
 	"cdpu/internal/xeon"
@@ -43,7 +41,7 @@ func main() {
 
 	algos := comp.Algorithms
 	if *algoName != "" {
-		a, err := parseAlgo(*algoName)
+		a, err := comp.ParseAlgorithm(*algoName)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lzbench:", err)
 			os.Exit(1)
@@ -118,23 +116,4 @@ func runOne(a comp.Algorithm, level int, data []byte, iters int) error {
 		xeon.ThroughputGBps(a, comp.Decompress, level),
 	)
 	return nil
-}
-
-func parseAlgo(name string) (cdpu.Algorithm, error) {
-	switch strings.ToLower(name) {
-	case "snappy":
-		return cdpu.Snappy, nil
-	case "zstd":
-		return cdpu.ZStd, nil
-	case "flate":
-		return cdpu.Flate, nil
-	case "brotli":
-		return cdpu.Brotli, nil
-	case "gipfeli":
-		return cdpu.Gipfeli, nil
-	case "lzo":
-		return cdpu.LZO, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", name)
-	}
 }

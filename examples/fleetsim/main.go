@@ -21,7 +21,7 @@ import (
 
 func main() {
 	calls := flag.Int("calls", 10000, "fleet calls to replay per load/placement cell")
-	workers := flag.Int("workers", 0, "replay worker-pool size (default min(8, NumCPU-1); results do not depend on it)")
+	workers := flag.Int("workers", 0, "replay worker-pool size (default min(8, GOMAXPROCS-1), at least 1; results do not depend on it)")
 	devices := flag.Int("devices", 0, "device instances per fleet slot (0/1 = historical 4-device fleet; fleet capacity and area scale with it)")
 	seed := flag.Int64("seed", 11, "sampling seed")
 	chaos := flag.Float64("chaos", 0, "fault-storm rate (0..1); >0 replays each cell under a seeded storm with the reference recovery policy and reports recovery counts")
@@ -33,73 +33,48 @@ func main() {
 	metrics := flag.Bool("metrics", false, "dump the metrics registry to stderr after the run")
 	flag.Parse()
 
-	if *overload {
-		if err := runOverload(*seed, *calls, *workers, *devices, max(3, *replicas)); err != nil {
-			log.Fatal(err)
-		}
-		if *metrics {
-			dumpMetrics()
-		}
-		return
+	var err error
+	switch {
+	case *overload:
+		err = runOverload(*seed, *calls, *workers, *devices, max(3, *replicas))
+	case *openloop:
+		err = runOpenLoop(*seed, *calls, *workers, *devices, max(1, *replicas))
+	case *failover > 0:
+		err = runFailover(*seed, *calls, *workers, *devices, *failover, max(2, *replicas))
+	case *chaos > 0:
+		err = runChaos(*seed, *calls, *workers, *devices, *chaos)
+	case *traceOut != "":
+		err = writeTrace(*traceOut, *seed, min(*calls, 500), *workers, *devices)
+	default:
+		err = runSweep(*seed, *calls, *workers, *devices, *replicas)
 	}
-
-	if *openloop {
-		if err := runOpenLoop(*seed, *calls, *workers, *devices, max(1, *replicas)); err != nil {
-			log.Fatal(err)
-		}
-		if *metrics {
-			dumpMetrics()
-		}
-		return
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	if *failover > 0 {
-		if err := runFailover(*seed, *calls, *workers, *devices, *failover, max(2, *replicas)); err != nil {
-			log.Fatal(err)
-		}
-		if *metrics {
-			dumpMetrics()
-		}
-		return
+	if *metrics {
+		dumpMetrics()
 	}
+}
 
-	if *chaos > 0 {
-		if err := runChaos(*seed, *calls, *workers, *devices, *chaos); err != nil {
-			log.Fatal(err)
-		}
-		if *metrics {
-			dumpMetrics()
-		}
-		return
-	}
-
-	if *traceOut != "" {
-		if err := writeTrace(*traceOut, *seed, min(*calls, 500), *workers, *devices); err != nil {
-			log.Fatal(err)
-		}
-		if *metrics {
-			dumpMetrics()
-		}
-		return
-	}
-
-	fmt.Printf("service replay: %d fleet-sampled Snappy/ZStd calls through CDPU devices\n", *calls)
+// runSweep is the healthy closed-loop replay: offered load by placement.
+func runSweep(seed int64, calls, workers, devices, replicas int) error {
+	fmt.Printf("service replay: %d fleet-sampled Snappy/ZStd calls through CDPU devices\n", calls)
 	fmt.Printf("%-8s %-14s %10s %10s %12s %12s %10s\n",
 		"GB/s", "placement", "mean-us", "p99-us", "sw-mean-us", "xeon-cores", "mm2")
 	for _, load := range []float64{0.5, 2.0, 6.0} {
 		for _, placement := range []memsys.Placement{memsys.RoCC, memsys.PCIeNoCache} {
 			r, err := sim.Run(sim.Config{
-				Seed:        *seed,
-				Calls:       *calls,
+				Seed:        seed,
+				Calls:       calls,
 				OfferedGBps: load,
 				Pipelines:   1,
 				Placement:   placement,
-				Workers:     *workers,
-				Replicas:    *replicas,
-				Devices:     *devices,
+				Workers:     workers,
+				Replicas:    replicas,
+				Devices:     devices,
 			})
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			fmt.Printf("%-8.1f %-14v %10.1f %10.1f %12.1f %12.2f %10.2f\n",
 				load, placement, r.MeanLatencyUs, r.P99LatencyUs,
@@ -109,9 +84,7 @@ func main() {
 	fmt.Println("\nNear-core devices hold microsecond latencies until the load")
 	fmt.Println("saturates a pipeline; the same devices across PCIe start with a")
 	fmt.Println("latency floor hundreds of microseconds higher on small calls.")
-	if *metrics {
-		dumpMetrics()
-	}
+	return nil
 }
 
 // runChaos replays the same load/placement sweep under a seeded fault storm
@@ -120,17 +93,6 @@ func main() {
 // how much goodput survives, what recovery each mechanism absorbed, and where
 // the tail lands. The same seeds always produce the same table.
 func runChaos(seed int64, calls, workers, devices int, rate float64) error {
-	pol := resil.Policy{
-		MaxAttempts:             3,
-		BackoffBaseCycles:       2000,
-		BackoffMaxCycles:        64000,
-		JitterFrac:              0.5,
-		SoftwareFallback:        true,
-		QuarantineK:             3,
-		QuarantineWindowCycles:  2e6,
-		QuarantinePenaltyCycles: 1e5,
-		MaxQueue:                256,
-	}
 	fmt.Printf("chaos replay: %d fleet calls per cell under a %.1f%% mixed fault storm\n", calls, rate*100)
 	fmt.Printf("%-8s %-14s %9s %9s %9s %9s %9s %10s %10s\n",
 		"GB/s", "placement", "faulted", "retries", "degraded", "shed", "quar", "goodput-MB", "p99-us")
@@ -144,7 +106,7 @@ func runChaos(seed int64, calls, workers, devices int, rate float64) error {
 				Placement:   placement,
 				Workers:     workers,
 				Devices:     devices,
-				Resilience:  pol,
+				Resilience:  resil.ReferencePolicy(),
 				Storm:       &fault.Storm{Seed: seed + 7, Rate: rate, MeanRepeats: 1},
 			})
 			if err != nil {
@@ -170,29 +132,10 @@ func runChaos(seed int64, calls, workers, devices int, rate float64) error {
 // replay or spill to the CPU fallback. The same seeds always produce the same
 // table.
 func runFailover(seed int64, calls, workers, devices int, rate float64, replicas int) error {
-	pol := resil.Policy{
-		MaxAttempts:             3,
-		BackoffBaseCycles:       2000,
-		BackoffMaxCycles:        64000,
-		JitterFrac:              0.5,
-		SoftwareFallback:        true,
-		QuarantineK:             3,
-		QuarantineWindowCycles:  2e6,
-		QuarantinePenaltyCycles: 1e5,
-	}
-	fpol := cluster.FailoverPolicy{
-		MaxFailovers:          3,
-		FailoverPenaltyCycles: 2000,
-		BreakerFailures:       3,
-		BreakerWindow:         32,
-		BreakerErrorRate:      0.5,
-		BreakerOpenCycles:     2e5,
-		BreakerHalfOpenProbes: 2,
-		Hedge:                 true,
-		HedgeDelayCycles:      120000,
-		CrashDetectCycles:     4000,
-		RestartCycles:         50000,
-	}
+	// Unbounded admission, as in the failover-sweep experiment: every call
+	// stays in play, so the table shows where it is served, not whether.
+	pol := resil.ReferencePolicy()
+	pol.MaxQueue = 0
 	fmt.Printf("failover replay: %d fleet calls per cell, %d replicas per device slot, %.1f%% lifecycle storm\n",
 		calls, replicas, rate*100)
 	fmt.Printf("%-8s %-14s %9s %9s %9s %9s %9s %9s %10s %10s\n",
@@ -209,7 +152,7 @@ func runFailover(seed int64, calls, workers, devices int, rate float64, replicas
 				Devices:     devices,
 				Resilience:  pol,
 				Replicas:    replicas,
-				Failover:    fpol,
+				Failover:    cluster.ReferenceFailoverPolicy(),
 				Lifecycle:   &fault.Lifecycle{Seed: seed + 23, Rate: rate, EpochCalls: 64, MeanEventCalls: 24},
 			})
 			if err != nil {

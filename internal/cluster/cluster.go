@@ -79,6 +79,27 @@ type FailoverPolicy struct {
 	RestartCycles float64
 }
 
+// ReferenceFailoverPolicy is the full cluster policy the failover experiment
+// and fleetsim measure: three failover hops with a fixed re-dispatch penalty,
+// a breaker armed on both consecutive failures and windowed error rate, hedged
+// dispatch at a fixed delay, and explicit crash-detection and warm-restart
+// costs.
+func ReferenceFailoverPolicy() FailoverPolicy {
+	return FailoverPolicy{
+		MaxFailovers:          3,
+		FailoverPenaltyCycles: 2000,
+		BreakerFailures:       3,
+		BreakerWindow:         32,
+		BreakerErrorRate:      0.5,
+		BreakerOpenCycles:     2e5,
+		BreakerHalfOpenProbes: 2,
+		Hedge:                 true,
+		HedgeDelayCycles:      120000,
+		CrashDetectCycles:     4000,
+		RestartCycles:         50000,
+	}
+}
+
 // Enabled reports whether any failover mechanism is configured.
 func (p FailoverPolicy) Enabled() bool { return p != FailoverPolicy{} }
 

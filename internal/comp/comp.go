@@ -12,6 +12,7 @@ package comp
 
 import (
 	"fmt"
+	"strings"
 
 	"cdpu/internal/brotlidict"
 	"cdpu/internal/gipfeli"
@@ -52,6 +53,17 @@ func (a Algorithm) String() string {
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
+}
+
+// ParseAlgorithm is the inverse of String, ignoring case: the one place a
+// command-line algorithm name is resolved.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	for _, a := range Algorithms {
+		if strings.EqualFold(name, a.String()) {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown algorithm %q", name)
 }
 
 // Heavyweight reports the paper's qualitative class (§2.2): heavyweight

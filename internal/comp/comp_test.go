@@ -97,6 +97,31 @@ func TestStrings(t *testing.T) {
 	}
 }
 
+func TestParseAlgorithm(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Algorithm
+	}{
+		{"snappy", Snappy}, {"zstd", ZStd}, {"flate", Flate},
+		{"brotli", Brotli}, {"gipfeli", Gipfeli}, {"lzo", LZO},
+		{"ZSTD", ZStd}, {"Snappy", Snappy},
+	} {
+		if got, err := ParseAlgorithm(tc.name); err != nil || got != tc.want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	for _, a := range Algorithms {
+		if got, err := ParseAlgorithm(a.String()); err != nil || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", a.String(), got, err, a)
+		}
+	}
+	for _, name := range []string{"", "lz4", "Algorithm(99)", "snappy "} {
+		if _, err := ParseAlgorithm(name); err == nil {
+			t.Errorf("ParseAlgorithm(%q) accepted", name)
+		}
+	}
+}
+
 func TestUnknownAlgorithmErrors(t *testing.T) {
 	if _, err := CompressCall(Algorithm(99), 0, 0, []byte("x")); err == nil {
 		t.Error("unknown compress accepted")

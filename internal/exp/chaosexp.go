@@ -22,32 +22,6 @@ import (
 	"cdpu/internal/sim"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "chaos-sweep",
-		Title: "Chaos sweep: fault storms, recovery policy, and bounded tails",
-		Run:   runChaosSweep,
-	})
-}
-
-// chaosPolicy is the reference recovery policy the sweep measures: three
-// dispatch attempts with capped jittered backoff, software fallback when the
-// device stays sick, quarantine after three faults in a 1 ms window, and a
-// 256-deep admission queue.
-func chaosPolicy() resil.Policy {
-	return resil.Policy{
-		MaxAttempts:             3,
-		BackoffBaseCycles:       2000,
-		BackoffMaxCycles:        64000,
-		JitterFrac:              0.5,
-		SoftwareFallback:        true,
-		QuarantineK:             3,
-		QuarantineWindowCycles:  2e6,
-		QuarantinePenaltyCycles: 1e5,
-		MaxQueue:                256,
-	}
-}
-
 // chaosTailBoundUs is the stated tail ceiling the sweep asserts: under mixed
 // storms hitting up to 10% of calls, served-call P99 must stay below 100 ms.
 // The ceiling is a constant — independent of call count — because admission
@@ -64,8 +38,7 @@ const chaosTailBoundUs = 100000.0
 var chaosPlacements = []memsys.Placement{memsys.RoCC, memsys.PCIeNoCache}
 
 func runChaosSweep(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-	pol := chaosPolicy()
+	pol := resil.ReferencePolicy()
 	base := func(p memsys.Placement) sim.Config {
 		return sim.Config{
 			Seed:        cfg.Seed,

@@ -26,23 +26,18 @@ func run(t *testing.T, id string) []*Table {
 	return tables
 }
 
+// TestRegistryComplete checks the one experiment table: ids are unique, every
+// entry is runnable and ByID finds it. Which ids there are is pinned by the
+// golden files (TestGoldenTablesComplete), not by a second list here.
 func TestRegistryComplete(t *testing.T) {
-	wanted := []string{
-		"fig1", "fig2a", "fig2b", "fig2c", "fig3", "fig4", "fig5", "fig6",
-		"fig7", "fig11", "fig12", "fig13", "fig14", "fig15",
-		"fleet-summary", "dse-summary",
-		"ablation-hash", "ablation-fse", "ablation-stats",
-		"chaining", "pipelines", "deployment", "levels", "fault-sweep",
-		"fleet-replay", "chaos-sweep", "failover-sweep", "openloop-sweep",
-		"overload-sweep",
-	}
-	have := map[string]bool{}
+	seen := map[string]bool{}
 	for _, id := range IDs() {
-		have[id] = true
-	}
-	for _, id := range wanted {
-		if !have[id] {
-			t.Errorf("experiment %s not registered", id)
+		if seen[id] {
+			t.Errorf("experiment %s is listed twice", id)
+		}
+		seen[id] = true
+		if e, err := ByID(id); err != nil || e.ID != id || e.Title == "" || e.run == nil {
+			t.Errorf("ByID(%q) = %+v, %v", id, e, err)
 		}
 	}
 	if _, err := ByID("nope"); err == nil {

@@ -5,26 +5,19 @@ import (
 	"math/rand"
 
 	"cdpu/internal/chain"
+	"cdpu/internal/cluster"
 	"cdpu/internal/comp"
 	"cdpu/internal/core"
 	"cdpu/internal/corpus"
 	"cdpu/internal/fleet"
 	"cdpu/internal/memsys"
 	"cdpu/internal/snappy"
-	"cdpu/internal/xeon"
 )
-
-func init() {
-	register(Experiment{ID: "chaining", Title: "Accelerator chaining vs placement (§3.5.2)", Run: runChaining})
-	register(Experiment{ID: "pipelines", Title: "Pipeline provisioning: latency vs load", Run: runPipelines})
-	register(Experiment{ID: "deployment", Title: "Fleet deployment: cycle and byte savings (§3.3)", Run: runDeployment})
-}
 
 // runChaining quantifies §3.5.2: a serialize-then-compress data-access
 // operation across placements, showing the compounding offload overhead of
 // remote accelerators.
 func runChaining(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
 	t := &Table{
 		Title: "Chained serialize+compress operation latency by placement (§3.5.2)",
 		Note:  "Chain penalty = chained latency / lone-compression latency at the same placement.",
@@ -59,47 +52,44 @@ func runChaining(cfg Config) ([]*Table, error) {
 // provisioning question behind deploying CDPUs for latency-sensitive
 // decompression (§3.3.1 notes decompression sits on client-visible reads).
 func runPipelines(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
 	t := &Table{
 		Title:   "Snappy decompression device: latency percentiles vs pipelines and load",
 		Note:    "Load 1.0 = arrivals matching one pipeline's capacity. Latencies in microseconds at 2 GHz.",
 		Columns: []string{"load", "pipelines", "utilization", "mean-us", "p99-us"},
 	}
-	// A job mix of fleet-shaped small reads.
+	// A job mix of fleet-shaped small reads. Service cycles depend on the
+	// payload alone, so each is executed once and every (load, pipelines) cell
+	// is a queueing pass over the same service times.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var payloads [][]byte
-	var totalService float64
 	probe, err := core.NewDecompressor(core.Config{Algo: comp.Snappy})
 	if err != nil {
 		return nil, err
 	}
-	n := 150
-	for i := 0; i < n; i++ {
+	service := make([]float64, 150)
+	var totalService float64
+	for i := range service {
 		data := corpus.Generate(corpus.JSON, 4<<10+rng.Intn(60<<10), int64(i))
-		enc := snappy.Encode(data)
-		payloads = append(payloads, enc)
-		res, err := probe.Decompress(enc)
+		res, err := probe.Decompress(snappy.Encode(data))
 		if err != nil {
 			return nil, err
 		}
+		service[i] = res.Cycles
 		totalService += res.Cycles
 	}
-	meanService := totalService / float64(n)
+	meanService := totalService / float64(len(service))
 	for _, load := range []float64{0.5, 0.9, 1.5} {
 		gap := meanService / load
 		for _, pipes := range []int{1, 2, 4} {
-			dev, err := core.NewDevice(core.Config{Algo: comp.Snappy, Op: comp.Decompress}, pipes)
-			if err != nil {
-				return nil, err
-			}
-			jobs := make([]core.Job, n)
+			calls := make([]cluster.Call, len(service))
 			at := 0.0
 			jrng := rand.New(rand.NewSource(cfg.Seed + int64(load*100)))
-			for i := range jobs {
-				jobs[i] = core.Job{Arrival: at, Payload: payloads[i]}
+			for i := range calls {
+				calls[i] = cluster.Call{Arrival: at, Index: i, Service: service[i]}
 				at += gap * (0.25 + 1.5*jrng.Float64())
 			}
-			_, stats, err := dev.Run(jobs)
+			// A one-replica, zero-policy group is the lone FCFS device.
+			dev := cluster.Group{Replicas: 1, Pipelines: pipes}
+			_, stats, _, err := dev.Replay(calls)
 			if err != nil {
 				return nil, err
 			}
@@ -115,55 +105,29 @@ func runPipelines(cfg Config) ([]*Table, error) {
 // offloaded, and compressed-byte reductions when services move to
 // heavyweight-format output at accelerator cost.
 func runDeployment(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-	// Measured accelerator speedups and ratios from the DSE at this scale.
-	snapD, err := getCompressedSuite(cfg, comp.Snappy)
-	if err != nil {
-		return nil, err
+	// Measured accelerator speedups and ratios from the DSE at this scale: the
+	// full-size near-core unit on each of the four workloads, as one grid.
+	units := []fleet.AlgoOp{
+		{Algo: comp.Snappy, Op: comp.Compress}, {Algo: comp.ZStd, Op: comp.Compress},
+		{Algo: comp.Snappy, Op: comp.Decompress}, {Algo: comp.ZStd, Op: comp.Decompress},
 	}
-	zstdD, err := getCompressedSuite(cfg, comp.ZStd)
-	if err != nil {
-		return nil, err
+	cells := make([]cell, len(units))
+	for i, ao := range units {
+		w, err := getWorkload(cfg, ao.Algo, ao.Op)
+		if err != nil {
+			return nil, err
+		}
+		cells[i] = cell{w, core.Config{Algo: ao.Algo}}
 	}
-	snapC, err := getSuite(cfg, comp.Snappy, comp.Compress)
-	if err != nil {
-		return nil, err
-	}
-	zstdC, err := getSuite(cfg, comp.ZStd, comp.Compress)
+	runs, err := runGrid(cells)
 	if err != nil {
 		return nil, err
 	}
 	speedup := map[fleet.AlgoOp]float64{}
-	measure := func(ao fleet.AlgoOp, xeonCyc, cdpuCyc float64) {
-		speedup[ao] = xeonSeconds(xeonCyc) / cdpuSeconds(cdpuCyc)
+	for i, ao := range units {
+		speedup[ao] = cells[i].w.speedup(runs[i])
 	}
-	cyc, err := runDecompConfig(snapD, core.Config{Algo: comp.Snappy})
-	if err != nil {
-		return nil, err
-	}
-	measure(fleet.AlgoOp{Algo: comp.Snappy, Op: comp.Decompress}, snapD.xeonCycles, cyc)
-	cyc, err = runDecompConfig(zstdD, core.Config{Algo: comp.ZStd})
-	if err != nil {
-		return nil, err
-	}
-	measure(fleet.AlgoOp{Algo: comp.ZStd, Op: comp.Decompress}, zstdD.xeonCycles, cyc)
-	var snapCXeon, zstdCXeon float64
-	for _, f := range snapC.Files {
-		snapCXeon += xeon.Cycles(comp.Snappy, comp.Compress, f.Level, len(f.Data))
-	}
-	for _, f := range zstdC.Files {
-		zstdCXeon += xeon.Cycles(comp.ZStd, comp.Compress, f.Level, len(f.Data))
-	}
-	cyc, _, err = runCompConfig(snapC, core.Config{Algo: comp.Snappy})
-	if err != nil {
-		return nil, err
-	}
-	measure(fleet.AlgoOp{Algo: comp.Snappy, Op: comp.Compress}, snapCXeon, cyc)
-	cyc, zstdHWRatio, err := runCompConfig(zstdC, core.Config{Algo: comp.ZStd})
-	if err != nil {
-		return nil, err
-	}
-	measure(fleet.AlgoOp{Algo: comp.ZStd, Op: comp.Compress}, zstdCXeon, cyc)
+	zstdC, zstdCRun := cells[1].w, runs[1] // units[1], ZStd compression
 
 	// CPU savings: Snappy/ZStd calls (81% of (de)compression cycles) move to
 	// CDPUs at the measured speedups; the fleet spends 2.9% of all cycles on
@@ -188,12 +152,8 @@ func runDeployment(cfg Config) ([]*Table, error) {
 		curCompressed += share / fleet.RatioFor(a, a.DefaultLevel())
 	}
 	newCompressed := 0.0
-	zstdSuiteRatio, err := softwareRatio(cfg, zstdC)
-	if err != nil {
-		return nil, err
-	}
 	// Scale the fleet's ZStd aggregate by the measured hw/sw ratio factor.
-	hwFleetZstdRatio := fleet.RatioFor(comp.ZStd, 3) * (zstdHWRatio / zstdSuiteRatio)
+	hwFleetZstdRatio := fleet.RatioFor(comp.ZStd, 3) * (zstdCRun.ratio / zstdC.swRatio)
 	for a, share := range bytes {
 		ratio := fleet.RatioFor(a, a.DefaultLevel())
 		if !a.Heavyweight() {
@@ -208,10 +168,7 @@ func runDeployment(cfg Config) ([]*Table, error) {
 		Columns: []string{"quantity", "value", "basis"},
 	}
 	t.AddRow("offloadable (de)compression cycle share", pct(offloadable), "Snappy+ZStd rows of Fig.1")
-	for _, ao := range []fleet.AlgoOp{
-		{Algo: comp.Snappy, Op: comp.Compress}, {Algo: comp.ZStd, Op: comp.Compress},
-		{Algo: comp.Snappy, Op: comp.Decompress}, {Algo: comp.ZStd, Op: comp.Decompress},
-	} {
+	for _, ao := range units {
 		t.AddRow(fmt.Sprintf("measured speedup %v-%v", ao.Algo, ao.Op), f2(speedup[ao])+"x", "DSE, RoCC 64K")
 	}
 	t.AddRow("fleet-wide CPU cycles saved", pct(cpuSaved), "of all fleet cycles (2.9% baseline)")

@@ -25,34 +25,6 @@ import (
 	"cdpu/internal/sim"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "failover-sweep",
-		Title: "Failover sweep: replica groups under device-lifecycle storms",
-		Run:   runFailoverSweep,
-	})
-}
-
-// failoverPolicy is the reference cluster policy the sweep measures: three
-// failover hops with a fixed re-dispatch penalty, a breaker armed on both
-// consecutive failures and windowed error rate, hedged dispatch at a fixed
-// delay, and explicit crash-detection and warm-restart costs.
-func failoverPolicy() cluster.FailoverPolicy {
-	return cluster.FailoverPolicy{
-		MaxFailovers:          3,
-		FailoverPenaltyCycles: 2000,
-		BreakerFailures:       3,
-		BreakerWindow:         32,
-		BreakerErrorRate:      0.5,
-		BreakerOpenCycles:     2e5,
-		BreakerHalfOpenProbes: 2,
-		Hedge:                 true,
-		HedgeDelayCycles:      120000,
-		CrashDetectCycles:     4000,
-		RestartCycles:         50000,
-	}
-}
-
 // failoverLifecycle is the sweep's reference storm: 20% of (replica, epoch)
 // cells carry an event, mixing crashes, hangs and brownouts over short
 // epochs so every replay — including the test-scale one — spans several
@@ -67,10 +39,9 @@ func failoverLifecycle(seed int64) *fault.Lifecycle {
 }
 
 func runFailoverSweep(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-	pol := failoverPolicy()
+	pol := cluster.ReferenceFailoverPolicy()
 	base := func(replicas int) sim.Config {
-		rp := chaosPolicy()
+		rp := resil.ReferencePolicy()
 		// The scaling contract is about where traffic is served, not whether
 		// it is admitted: an unbounded queue keeps every call in play, so
 		// goodput always equals offered bytes and the replica count's whole

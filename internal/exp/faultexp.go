@@ -22,14 +22,6 @@ import (
 	"cdpu/internal/memsys"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fault-sweep",
-		Title: "Fault injection: detection latency and degraded-device behavior",
-		Run:   runFaultSweep,
-	})
-}
-
 // detectStats is one (placement x corruption kind) cell of the detection
 // table, reduced in file-index order.
 type detectStats struct {
@@ -42,11 +34,11 @@ type detectStats struct {
 // placement. A DeviceError counts as detected and contributes its detection
 // latency; a nil error is an undetected (but deterministic) decode; any
 // other error is an internal failure and propagates with config context.
-func (s *scheduler) detectFaults(cs *compressedSuite, cfg core.Config, kind fault.Kind, seed int64) (detectStats, error) {
-	n := len(cs.compressed)
+func (s *scheduler) detectFaults(w *workload, cfg core.Config, kind fault.Kind, seed int64) (detectStats, error) {
+	n := len(w.compressed)
 	nInst := max(1, min(s.workers, n))
 	pool := make(chan *core.Decompressor, nInst)
-	for w := 0; w < nInst; w++ {
+	for i := 0; i < nInst; i++ {
 		d, err := core.NewDecompressor(cfg)
 		if err != nil {
 			return detectStats{}, err
@@ -58,7 +50,7 @@ func (s *scheduler) detectFaults(cs *compressedSuite, cfg core.Config, kind faul
 	err := s.parallelFiles(n, func(i int) error {
 		d := <-pool
 		defer func() { pool <- d }()
-		bad := fault.Mutate(seed+int64(i), kind, cs.compressed[i])
+		bad := fault.Mutate(seed+int64(i), kind, w.compressed[i])
 		_, err := d.Decompress(bad)
 		if err == nil {
 			return nil // corruption survived decoding; counted as undetected
@@ -87,19 +79,8 @@ func (s *scheduler) detectFaults(cs *compressedSuite, cfg core.Config, kind faul
 	return st, nil
 }
 
-// faultedSuiteCycles times the whole decompression suite on a unit carrying
-// the given fault injector and returns total cycles: the same walk over the
-// shared traces as a DSE config run (timeSuite), never memoized. Any failure —
-// including an injected device fault surfacing as a DeviceError — fails the
-// run with the config key and file index attached.
-func (s *scheduler) faultedSuiteCycles(cs *compressedSuite, cfg core.Config, plan fault.Plan) (float64, error) {
-	r, err := s.timeSuite(cfg, cs.suite, cs.compressed, plan)
-	return r.cycles, err
-}
-
 func runFaultSweep(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-	cs, err := getCompressedSuite(cfg, comp.Snappy)
+	w, err := getWorkload(cfg, comp.Snappy, comp.Decompress)
 	if err != nil {
 		return nil, err
 	}
@@ -111,13 +92,13 @@ func runFaultSweep(cfg Config) ([]*Table, error) {
 	detect := &Table{
 		Title: "Corrupt-input detection latency (snappy decompression)",
 		Note: fmt.Sprintf("%d files; seeded stream corruption; mean cycles over detected files. "+
-			"Undetected cells are corruptions the format cannot distinguish from valid data.", len(cs.compressed)),
+			"Undetected cells are corruptions the format cannot distinguish from valid data.", len(w.compressed)),
 		Columns: []string{"placement", "corruption", "detected", "mean detect cycles"},
 	}
 	for _, p := range memsys.Placements {
 		c := core.Config{Algo: comp.Snappy, Placement: p}
 		for _, kind := range fault.Kinds {
-			st, err := s.detectFaults(cs, c, kind, cfg.Seed)
+			st, err := s.detectFaults(w, c, kind, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -131,30 +112,32 @@ func runFaultSweep(cfg Config) ([]*Table, error) {
 	}
 
 	// Table 2: graceful degradation. Stalled MSHRs shrink the effective
-	// memory-level parallelism; runs complete, slower, with no error.
+	// memory-level parallelism; runs complete, slower, with no error. The
+	// stalled column is the same walk over the shared traces as the healthy
+	// config run, on a unit carrying the injector, never memoized.
 	stallPlan := fault.Plan{StallEvery: 1, StallMSHRs: 4}
 	degraded := &Table{
 		Title:   "Degraded-device throughput under stalled MSHRs",
-		Note:    fmt.Sprintf("%d files; %d of the outstanding misses stalled on every access.", len(cs.compressed), stallPlan.StallMSHRs),
+		Note:    fmt.Sprintf("%d files; %d of the outstanding misses stalled on every access.", len(w.compressed), stallPlan.StallMSHRs),
 		Columns: []string{"placement", "healthy cycles", "stalled cycles", "slowdown"},
 	}
 	for _, p := range memsys.Placements {
 		c := core.Config{Algo: comp.Snappy, Placement: p}
-		healthy, err := s.decompConfig(cs, c)
+		healthy, err := s.run(w, c)
 		if err != nil {
 			return nil, err
 		}
-		stalled, err := s.faultedSuiteCycles(cs, c, stallPlan)
+		stalled, err := s.timeSuite(w, c, stallPlan)
 		if err != nil {
 			return nil, err
 		}
-		degraded.AddRow(p.String(), f1(healthy), f1(stalled), f2(stalled/healthy)+"x")
+		degraded.AddRow(p.String(), f1(healthy.cycles), f1(stalled.cycles), f2(stalled.cycles/healthy.cycles)+"x")
 	}
 
 	// Table 3: abort behavior. An error response aborts with a memory-fault
 	// DeviceError; a latency spike far past the cycle budget trips the
 	// watchdog, which reports the budget rather than the runaway latency.
-	probe := cs.compressed[0]
+	probe := w.compressed[0]
 	scenarios := []struct {
 		name string
 		plan fault.Plan

@@ -9,24 +9,11 @@ import (
 	"cdpu/internal/stats"
 )
 
-func init() {
-	register(Experiment{ID: "fig1", Title: "Fleet (de)compression cycle shares over time, by algorithm", Run: runFig1})
-	register(Experiment{ID: "fig2a", Title: "Fleet uncompressed bytes by algorithm/op", Run: runFig2a})
-	register(Experiment{ID: "fig2b", Title: "Fleet ZStd compression level distribution", Run: runFig2b})
-	register(Experiment{ID: "fig2c", Title: "Fleet aggregate compression ratios by algorithm/level", Run: runFig2c})
-	register(Experiment{ID: "fig3", Title: "Fleet call-size CDFs (Snappy/ZStd x C/D)", Run: runFig3})
-	register(Experiment{ID: "fig4", Title: "Fleet (de)compression cycles by calling library", Run: runFig4})
-	register(Experiment{ID: "fig5", Title: "Fleet ZStd window-size CDFs", Run: runFig5})
-	register(Experiment{ID: "fig6", Title: "Open-source benchmark call-size distribution", Run: runFig6})
-	register(Experiment{ID: "fleet-summary", Title: "Section 3 headline statistics", Run: runFleetSummary})
-}
-
 func fleetAnalysis(cfg Config) *fleet.Analysis {
 	return fleet.Analyze(fleet.NewModel(cfg.Seed).SampleCalls(cfg.FleetSamples))
 }
 
 func runFig1(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
 	t := &Table{
 		Title: "Figure 1: % of fleet (de)compression cycles by algorithm, per half-year",
 		Note:  "Ground-truth timeline (synthetic fleet); final slice matches the paper's legend.",
@@ -54,7 +41,6 @@ func runFig1(cfg Config) ([]*Table, error) {
 }
 
 func runFig2a(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
 	a := fleetAnalysis(cfg)
 	t := &Table{
 		Title:   "Figure 2a: % of fleet uncompressed bytes handled, by algorithm/op",
@@ -73,7 +59,6 @@ func runFig2a(cfg Config) ([]*Table, error) {
 }
 
 func runFig2b(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
 	a := fleetAnalysis(cfg)
 	t := &Table{
 		Title:   "Figure 2b: % of ZStd-compressed bytes by compression level (cumulative)",
@@ -89,7 +74,6 @@ func runFig2b(cfg Config) ([]*Table, error) {
 }
 
 func runFig2c(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
 	a := fleetAnalysis(cfg)
 	t := &Table{
 		Title:   "Figure 2c: aggregate fleet compression ratio by algorithm/level bin",
@@ -153,7 +137,6 @@ func cdfTable(title string, sampled, target []stats.Point) *Table {
 }
 
 func runFig3(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
 	a := fleetAnalysis(cfg)
 	var out []*Table
 	for _, ao := range []fleet.AlgoOp{
@@ -169,7 +152,6 @@ func runFig3(cfg Config) ([]*Table, error) {
 }
 
 func runFig4(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
 	a := fleetAnalysis(cfg)
 	t := &Table{
 		Title:   "Figure 4: % of fleet (de)compression cycles by calling library",
@@ -184,7 +166,6 @@ func runFig4(cfg Config) ([]*Table, error) {
 }
 
 func runFig5(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
 	a := fleetAnalysis(cfg)
 	var out []*Table
 	for _, op := range comp.Ops {
@@ -195,7 +176,6 @@ func runFig5(cfg Config) ([]*Table, error) {
 }
 
 func runFig6(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
 	var h stats.Hist
 	for _, f := range corpus.StandardSuite() {
 		h.Add(len(f.Data), float64(len(f.Data)))
@@ -216,7 +196,6 @@ func runFig6(cfg Config) ([]*Table, error) {
 }
 
 func runFleetSummary(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
 	a := fleetAnalysis(cfg)
 	t := &Table{
 		Title:   "Section 3 headline statistics (sampled vs paper)",

@@ -8,17 +8,12 @@ import (
 	"cdpu/internal/xeon"
 )
 
-func init() {
-	register(Experiment{ID: "levels", Title: "Measured compression-level sweep (ratio vs cost)", Run: runLevels})
-}
-
 // runLevels measures the actual zstdlite ratio at each compression level on
 // a corpus mix, next to the modeled Xeon cost — the measured backbone behind
 // the fleet's Figure 2b/2c behaviour: levels above the default buy little
 // ratio on typical data while costing multiplicatively more CPU, which is
 // why 88% of fleet bytes stay at level <= 3.
 func runLevels(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
 	var data []byte
 	for i, k := range []corpus.Kind{corpus.Text, corpus.Log, corpus.JSON, corpus.HTML, corpus.Table} {
 		data = append(data, corpus.Generate(k, 256<<10, cfg.Seed+int64(i))...)

@@ -26,14 +26,6 @@ import (
 // sweep's headline graceful-degradation assertion.
 const goldViolationCeiling = 0.10
 
-func init() {
-	register(Experiment{
-		ID:    "overload-sweep",
-		Title: "Overload control plane: flash crowds, burn autoscaling, deadline admission",
-		Run:   runOverloadSweep,
-	})
-}
-
 // overloadBase is the sweep's reference flash-crowd replay: base rate near
 // the single-width fleet's capacity, a 20x crowd over the top tenant band,
 // tight per-class targets, and a small heavily-skewed tenant population so
@@ -69,7 +61,6 @@ func goldViolRate(r *sim.Report) float64 {
 }
 
 func runOverloadSweep(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
 
 	// Table 1: the control-plane headline. Same flash crowd, three fleets:
 	// uncontrolled (one pinned replica, class shed only), width-pinned (full

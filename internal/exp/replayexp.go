@@ -7,20 +7,11 @@ import (
 	"cdpu/internal/sim"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fleet-replay",
-		Title: "Service replay: fleet traffic through CDPU devices, by load and placement",
-		Run:   runFleetReplay,
-	})
-}
-
 // runFleetReplay sweeps offered load and placement through the sharded
 // replay engine. The replay's worker pool is sized by the package worker
 // setting (SetWorkers / cdpubench -workers); the numbers it reports are
 // independent of that setting by construction.
 func runFleetReplay(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
 	t := &Table{
 		Title: "Service replay: fleet-sampled Snappy/ZStd calls on CDPU devices",
 		Note: fmt.Sprintf("%d calls per cell; single pipeline per direction; software column is the Xeon service-time lower bound.",

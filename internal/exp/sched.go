@@ -7,42 +7,43 @@ package exp
 // configurations over a benchmark suite. Executing the grid cell-by-cell with
 // a barrier between cells leaves workers idle at every cell boundary;
 // instead, sweeps flatten their whole grid into a batch of config runs
-// (runAll) whose per-file tasks all drain through the same bounded semaphore,
+// (runGrid) whose per-file tasks all drain through the same bounded semaphore,
 // so the pool stays saturated across cell boundaries and across concurrently
 // running experiments.
 //
-// Completed runs are memoized behind (suite key, canonical core.Config.Key),
-// so fig11/fig14 cells re-requested by dse-summary or the deployment
-// experiment are never simulated twice within a process.
+// A sweep is a list of cells, each a workload (dse.go) under one core.Config;
+// runGrid runs the list and scheduler.run is the one memoized config run,
+// keyed (workload key, canonical core.Config.Key), so fig11/fig14 cells
+// re-requested by dse-summary or the deployment experiment are never simulated
+// twice within a process.
 //
 // A config run is functional once, timing many: which bytes and which LZ77
 // commands a call produces depends only on core.Config.FunctionalKey, so a
 // second memo beneath the run memo holds one core.Trace per suite file per
-// functional key (suiteTraces), and each config run is a timing walk over
-// those shared, read-only traces (timeSuite). The walk times the files in
-// index order on one unit, issuing the charges a full call would in the same
-// order, which keeps every table bit-identical regardless of worker count or
-// scheduling.
+// (workload key, functional key) (suiteTraces), and each config run is a
+// timing walk over those shared, read-only traces (timeSuite). The walk times
+// the files in index order on one unit, issuing the charges a full call would
+// in the same order, which keeps every table bit-identical regardless of
+// worker count or scheduling.
 
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"cdpu/internal/comp"
 	"cdpu/internal/core"
-	"cdpu/internal/hcbench"
 	"cdpu/internal/memsys"
 	"cdpu/internal/obs"
+	"cdpu/internal/sim"
 )
 
 // Memo-cache traffic is mirrored into the unified metrics registry. The
 // process-lifetime registry counters accumulate across scheduler
 // replacements; RunCacheStats stays scoped to the current scheduler (and
 // resets with SetWorkers), which sched_test and cdpubench's per-experiment
-// deltas rely on. Config-run memos and the suite caches in dse.go report
+// deltas rely on. Config-run memos and the workload cache report
 // under separate names so a metrics dump distinguishes simulation reuse
 // from setup reuse, and the functional passes beneath the config runs
 // (exp.trace_cache) from the runs themselves.
@@ -108,8 +109,8 @@ type runResult struct {
 
 // scheduler owns the shared worker pool, the config-run memo and the trace
 // memo beneath it. Replacing the scheduler (SetWorkers) clears both memos, so
-// a cold pass performs every functional pass again; the suite caches in dse.go
-// are configuration-independent and survive.
+// a cold pass performs every functional pass again; the workload cache is
+// configuration-independent and survives.
 type scheduler struct {
 	workers int
 	sem     chan struct{} // one slot per concurrently executing file task or timing walk
@@ -117,11 +118,9 @@ type scheduler struct {
 	traces  memoMap[[]*core.Trace]
 }
 
-func defaultWorkers() int { return max(1, min(8, runtime.NumCPU()-1)) }
-
 func newScheduler(workers int) *scheduler {
 	if workers <= 0 {
-		workers = defaultWorkers()
+		workers = sim.DefaultWorkers()
 	}
 	s := &scheduler{workers: workers, sem: make(chan struct{}, workers)}
 	s.runs.obsHits = metricRunCacheHits
@@ -208,10 +207,31 @@ func (s *scheduler) parallelFiles(n int, fn func(i int) error) error {
 	return nil
 }
 
-// runAll executes fns concurrently — each is typically one memoized config
-// run whose file tasks share the bounded pool — and returns the first error
-// in argument order. This is how sweeps flatten a whole grid: no barrier
-// separates the cells.
+// cell is one point of a sweep: a workload under one CDPU configuration.
+type cell struct {
+	w   *workload
+	cfg core.Config
+}
+
+// runGrid runs every cell as a memoized config run on the shared scheduler and
+// returns the results in cell order. This is how sweeps flatten a whole grid:
+// the cells run concurrently with no barrier between them, their file tasks and
+// timing walks sharing the bounded pool.
+func runGrid(cells []cell) ([]runResult, error) {
+	s := current()
+	out := make([]runResult, len(cells))
+	fns := make([]func() error, len(cells))
+	for i, c := range cells {
+		fns[i] = func() (err error) {
+			out[i], err = s.run(c.w, c.cfg)
+			return err
+		}
+	}
+	return out, runAll(fns...)
+}
+
+// runAll executes fns concurrently and returns the first error in argument
+// order.
 func runAll(fns ...func() error) error {
 	errs := make([]error, len(fns))
 	var wg sync.WaitGroup
@@ -231,34 +251,26 @@ func runAll(fns ...func() error) error {
 	return nil
 }
 
-// decompConfig memoizes a decompression suite run for one canonical config.
-func (s *scheduler) decompConfig(cs *compressedSuite, cfg core.Config) (float64, error) {
-	cfg.Op = comp.Decompress
-	res, err := s.runs.do("D|"+cs.key+"|"+cfg.Key(), func() (runResult, error) {
-		return s.timeSuite(cfg, cs.suite, cs.compressed, nil)
+// run is one config run of a workload, in the workload's direction, memoized
+// under the workload key and the canonical config key: repeat requests for a
+// canonically equal config are served from the memo.
+func (s *scheduler) run(w *workload, cfg core.Config) (runResult, error) {
+	cfg.Op = w.op
+	return s.runs.do(w.key+"|"+cfg.Key(), func() (runResult, error) {
+		return s.timeSuite(w, cfg, nil)
 	})
-	return res.cycles, err
 }
 
-// compConfig memoizes a compression suite run for one canonical config.
-func (s *scheduler) compConfig(suite *hcbench.Suite, cfg core.Config) (cycles, ratio float64, err error) {
-	cfg.Op = comp.Compress
-	res, err := s.runs.do("C|"+suiteKey(suite)+"|"+cfg.Key(), func() (runResult, error) {
-		return s.timeSuite(cfg, suite, nil, nil)
-	})
-	return res.cycles, res.ratio, err
-}
-
-// suiteTraces memoizes the functional pass over a suite under cfg's functional
-// key: one trace per file, taken on the shared pool. A compression pass
-// encodes each file (size-only: nothing reads the payload); a decompression
-// pass decodes compressed[i] and checks the bytes against the file, once,
-// here. The traces are shared and never written again.
-func (s *scheduler) suiteTraces(cfg core.Config, suite *hcbench.Suite, compressed [][]byte) ([]*core.Trace, error) {
-	return s.traces.do(suiteKey(suite)+"|"+cfg.FunctionalKey(), func() ([]*core.Trace, error) {
-		n := len(suite.Files)
+// suiteTraces memoizes the functional pass over a workload under cfg's
+// functional key: one trace per file, taken on the shared pool. A compression
+// pass encodes each file (size-only: nothing reads the payload); a
+// decompression pass decodes compressed[i] and checks the bytes against the
+// file, once, here. The traces are shared and never written again.
+func (s *scheduler) suiteTraces(w *workload, cfg core.Config) ([]*core.Trace, error) {
+	return s.traces.do(w.key+"|"+cfg.FunctionalKey(), func() ([]*core.Trace, error) {
+		n := len(w.suite.Files)
 		pool := make(chan *core.Device, max(1, min(s.workers, n)))
-		for w := 0; w < cap(pool); w++ {
+		for i := 0; i < cap(pool); i++ {
 			d, err := core.NewDevice(cfg, 1)
 			if err != nil {
 				return nil, err
@@ -269,9 +281,9 @@ func (s *scheduler) suiteTraces(cfg core.Config, suite *hcbench.Suite, compresse
 		err := s.parallelFiles(n, func(i int) error {
 			d := <-pool
 			defer func() { pool <- d }()
-			data := suite.Files[i].Data
-			if cfg.Op == comp.Decompress {
-				tr, err := d.Trace(compressed[i])
+			data := w.suite.Files[i].Data
+			if w.op == comp.Decompress {
+				tr, err := d.Trace(w.compressed[i])
 				if err != nil {
 					return err
 				}
@@ -290,24 +302,20 @@ func (s *scheduler) suiteTraces(cfg core.Config, suite *hcbench.Suite, compresse
 	})
 }
 
-// timeSuite is one config run: it times the suite's shared traces on a unit
-// of cfg, in file-index order, holding one pool slot for the walk, and returns
-// total cycles and the aggregate ratio. The direction is the suite's:
-// decompression when compressed payloads are given. With a fault injector the
-// unit carries it, so an injected device fault fails the run; any failure
+// timeSuite is one config run, unmemoized: it times the workload's shared
+// traces on a unit of cfg, in file-index order, holding one pool slot for the
+// walk, and returns total cycles and the aggregate ratio. With a fault injector
+// the unit carries it, so an injected device fault fails the run; any failure
 // names the config, as the caller spelled it, and the file.
-func (s *scheduler) timeSuite(cfg core.Config, suite *hcbench.Suite, compressed [][]byte, fi memsys.FaultInjector) (r runResult, err error) {
+func (s *scheduler) timeSuite(w *workload, cfg core.Config, fi memsys.FaultInjector) (r runResult, err error) {
 	asGiven := cfg
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("config %s: %w", asGiven.Key(), err)
 		}
 	}()
-	cfg.Op = comp.Compress
-	if compressed != nil {
-		cfg.Op = comp.Decompress
-	}
-	traces, err := s.suiteTraces(cfg, suite, compressed)
+	cfg.Op = w.op
+	traces, err := s.suiteTraces(w, cfg)
 	if err != nil {
 		return r, err
 	}

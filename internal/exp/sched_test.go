@@ -182,13 +182,13 @@ func TestParallelFilesNoGoroutineLeakOnError(t *testing.T) {
 func TestFaultedRunFailsWithConfigAndFileContext(t *testing.T) {
 	SetWorkers(4)
 	t.Cleanup(func() { SetWorkers(0) })
-	cs, err := getCompressedSuite(QuickConfig(), comp.Snappy)
+	w, err := getWorkload(QuickConfig(), comp.Snappy, comp.Decompress)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Algo: comp.Snappy}
 	before := runtime.NumGoroutine()
-	_, err = current().faultedSuiteCycles(cs, cfg, fault.Plan{ErrorEvery: 1})
+	_, err = current().timeSuite(w, cfg, fault.Plan{ErrorEvery: 1})
 	if err == nil {
 		t.Fatal("injected device fault did not fail the run")
 	}

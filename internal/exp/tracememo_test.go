@@ -55,18 +55,20 @@ func TestColdSweepTracesEachSuiteOnce(t *testing.T) {
 func TestDecompTracePassVerifiesBytes(t *testing.T) {
 	SetWorkers(2)
 	t.Cleanup(func() { SetWorkers(0) })
-	cs, err := getCompressedSuite(QuickConfig(), comp.Snappy)
+	w, err := getWorkload(QuickConfig(), comp.Snappy, comp.Decompress)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same suite, one source file altered in place of its last byte: every
-	// length still matches.
-	bad := *cs.suite
-	bad.Files = append(bad.Files[:0:0], cs.suite.Files...)
-	f := &bad.Files[3]
+	// Same workload under its own key, one source file altered in place of
+	// its last byte: every length still matches.
+	suite := *w.suite
+	suite.Files = append(suite.Files[:0:0], suite.Files...)
+	f := &suite.Files[3]
 	f.Data = append(f.Data[:0:0], f.Data...)
 	f.Data[len(f.Data)-1] ^= 0xff
-	_, err = current().timeSuite(core.Config{Algo: comp.Snappy}, &bad, cs.compressed, nil)
+	bad := *w
+	bad.key, bad.suite = "altered", &suite
+	_, err = current().timeSuite(&bad, core.Config{Algo: comp.Snappy}, nil)
 	if err == nil || !strings.Contains(err.Error(), "file 3: functional mismatch") {
 		t.Errorf("altered file 3: got %v, want a functional mismatch naming file 3", err)
 	}
@@ -109,23 +111,23 @@ func TestTimingWalksHoldPoolSlots(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		SetWorkers(workers)
 		s := current()
-		cs, err := getCompressedSuite(QuickConfig(), comp.Snappy)
+		w, err := getWorkload(QuickConfig(), comp.Snappy, comp.Decompress)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := s.decompConfig(cs, core.Config{Algo: comp.Snappy, HistorySRAM: 2 << 10})
+		want, err := s.run(w, core.Config{Algo: comp.Snappy, HistorySRAM: 2 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
 		probe := &execProbe{}
 		var wg sync.WaitGroup
-		for w := 0; w < 6; w++ {
+		for walk := 0; walk < 6; walk++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				r, err := s.timeSuite(core.Config{Algo: comp.Snappy, HistorySRAM: 2 << 10}, cs.suite, cs.compressed, probe)
-				if err != nil || r.cycles != want {
-					t.Errorf("probed walk: %v cycles, err %v; want %v (the probe injects nothing)", r.cycles, err, want)
+				r, err := s.timeSuite(w, core.Config{Algo: comp.Snappy, HistorySRAM: 2 << 10}, probe)
+				if err != nil || r != want {
+					t.Errorf("probed walk: %+v, err %v; want %+v (the probe injects nothing)", r, err, want)
 				}
 			}()
 		}
@@ -150,13 +152,13 @@ func TestTimingWalksHoldPoolSlots(t *testing.T) {
 func TestPlainRunErrorsNameTheConfig(t *testing.T) {
 	SetWorkers(2)
 	t.Cleanup(func() { SetWorkers(0) })
-	cs, err := getCompressedSuite(QuickConfig(), comp.Snappy)
+	w, err := getWorkload(QuickConfig(), comp.Snappy, comp.Decompress)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A watchdog no call can meet fails the first file of a plain run.
 	cfg := core.Config{Algo: comp.Snappy, WatchdogFactor: 1e-9}
-	_, err = current().decompConfig(cs, cfg)
+	_, err = current().run(w, cfg)
 	cfg.Op = comp.Decompress
 	if err == nil || !strings.HasPrefix(err.Error(), "config "+cfg.Key()+": file 0: ") {
 		t.Errorf("got %v, want an error prefixed with the config key and file 0", err)

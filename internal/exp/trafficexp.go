@@ -22,14 +22,6 @@ import (
 	"cdpu/internal/traffic"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "openloop-sweep",
-		Title: "Open-loop traffic sweep: rate knee, tenant skew, SLO sheds, autoscaling",
-		Run:   runOpenLoopSweep,
-	})
-}
-
 // openLoopBase is the sweep's reference replay: bounded per-device queues
 // (which default class-differentiated admission on) and a tenant skew that
 // populates all three SLO classes.
@@ -48,7 +40,6 @@ func openLoopBase(cfg Config, rate float64) sim.Config {
 }
 
 func runOpenLoopSweep(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
 
 	// Table 1: the rate knee. The ladder brackets the reference fleet's
 	// capacity (~3000 calls/Mcycle on 4 slots x 2 pipelines at 64 KiB max

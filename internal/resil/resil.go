@@ -110,6 +110,24 @@ type Policy struct {
 	DeadlineFactor float64
 }
 
+// ReferencePolicy is the full recovery policy the chaos and failover
+// experiments and fleetsim measure: three dispatch attempts with capped
+// jittered backoff, software fallback when the device stays sick, quarantine
+// after three faults in a 1 ms window, and a 256-deep admission queue.
+func ReferencePolicy() Policy {
+	return Policy{
+		MaxAttempts:             3,
+		BackoffBaseCycles:       2000,
+		BackoffMaxCycles:        64000,
+		JitterFrac:              0.5,
+		SoftwareFallback:        true,
+		QuarantineK:             3,
+		QuarantineWindowCycles:  2e6,
+		QuarantinePenaltyCycles: 1e5,
+		MaxQueue:                256,
+	}
+}
+
 // Enabled reports whether any recovery mechanism is active — false exactly
 // for the zero value, which callers use to keep the historical code path
 // bit-identical.

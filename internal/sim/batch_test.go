@@ -4,19 +4,7 @@ import (
 	"testing"
 
 	"cdpu/internal/fault"
-	"cdpu/internal/resil"
 )
-
-// chaosTestPolicy mirrors the full-featured recovery policy the benchmark
-// ships (bench/workloads.go), so the determinism tests cover every recovery path:
-// retries, backoff, fallback, quarantine and admission control.
-func chaosTestPolicy() resil.Policy {
-	return resil.Policy{
-		MaxAttempts: 3, BackoffBaseCycles: 2000, BackoffMaxCycles: 64000,
-		JitterFrac: 0.5, SoftwareFallback: true, QuarantineK: 3,
-		QuarantineWindowCycles: 2e6, QuarantinePenaltyCycles: 1e5, MaxQueue: 256,
-	}
-}
 
 // TestRunWorkerCountInvariantChaos extends the worker-invariance pin to a
 // stormed replay under the full recovery policy: every Report field —
@@ -28,7 +16,7 @@ func chaosTestPolicy() resil.Policy {
 func TestRunWorkerCountInvariantChaos(t *testing.T) {
 	base := Config{
 		Seed: 9, Calls: 400, MaxCallBytes: 128 << 10, Pipelines: 2,
-		Resilience: chaosTestPolicy(),
+		Resilience: testPolicy(),
 		Storm:      &fault.Storm{Seed: 1009, Rate: 0.05, MeanRepeats: 2},
 		Workers:    1,
 	}
@@ -83,7 +71,7 @@ func TestRunGoldenReport(t *testing.T) {
 			name: "chaos-500",
 			cfg: Config{
 				Seed: 1, Calls: 500, MaxCallBytes: 256 << 10,
-				Resilience: chaosTestPolicy(),
+				Resilience: testPolicy(),
 				Storm:      &fault.Storm{Seed: 1001, Rate: 0.02, MeanRepeats: 1},
 			},
 			want: Report{

@@ -10,21 +10,9 @@ import (
 	"cdpu/internal/resil"
 )
 
-// testPolicy is a representative full recovery policy: retries with jittered
+// testPolicy is the reference full recovery policy: retries with jittered
 // backoff, software fallback, quarantine and a bounded queue.
-func testPolicy() resil.Policy {
-	return resil.Policy{
-		MaxAttempts:             3,
-		BackoffBaseCycles:       2000,
-		BackoffMaxCycles:        64000,
-		JitterFrac:              0.5,
-		SoftwareFallback:        true,
-		QuarantineK:             3,
-		QuarantineWindowCycles:  2e6,
-		QuarantinePenaltyCycles: 1e5,
-		MaxQueue:                256,
-	}
-}
+func testPolicy() resil.Policy { return resil.ReferencePolicy() }
 
 func chaosConfig(workers int) Config {
 	return Config{

@@ -11,25 +11,10 @@ import (
 	"cdpu/internal/resil"
 )
 
-// clusterPolicy is a representative full failover policy: bounded failover
-// hops with a per-hop penalty, a circuit breaker armed on both consecutive
-// failures and windowed error rate, hedged dispatch, and explicit crash/
-// restart costs.
-func clusterPolicy() cluster.FailoverPolicy {
-	return cluster.FailoverPolicy{
-		MaxFailovers:          3,
-		FailoverPenaltyCycles: 2000,
-		BreakerFailures:       3,
-		BreakerWindow:         32,
-		BreakerErrorRate:      0.5,
-		BreakerOpenCycles:     2e5,
-		BreakerHalfOpenProbes: 2,
-		Hedge:                 true,
-		HedgeDelayCycles:      120000,
-		CrashDetectCycles:     4000,
-		RestartCycles:         50000,
-	}
-}
+// clusterPolicy is the reference full failover policy: bounded failover hops
+// with a per-hop penalty, a circuit breaker armed on both consecutive failures
+// and windowed error rate, hedged dispatch, and explicit crash/restart costs.
+func clusterPolicy() cluster.FailoverPolicy { return cluster.ReferenceFailoverPolicy() }
 
 // clusterConfig is the chaos replay of chaosConfig plus a replica group per
 // device slot, the failover policy above, and a seeded device-lifecycle storm

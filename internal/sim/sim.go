@@ -159,7 +159,7 @@ func (c Config) withDefaults() Config {
 		c.MaxCallBytes = 1 << 20
 	}
 	if c.Workers == 0 {
-		c.Workers = defaultWorkers()
+		c.Workers = DefaultWorkers()
 	}
 	if c.Devices == 0 {
 		c.Devices = 1
@@ -176,10 +176,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// defaultWorkers sizes the pool from GOMAXPROCS, not raw NumCPU: in a
-// container limited to fewer logical CPUs than the host exposes, NumCPU
-// would oversubscribe the pool with workers that only add scheduling churn.
-func defaultWorkers() int {
+// DefaultWorkers is the worker-pool size a zero Config.Workers means, and the
+// one exp's shared scheduler defaults to. It sizes the pool from GOMAXPROCS,
+// not raw NumCPU: in a container limited to fewer logical CPUs than the host
+// exposes, NumCPU would oversubscribe the pool with workers that only add
+// scheduling churn.
+func DefaultWorkers() int {
 	return max(1, min(8, runtime.GOMAXPROCS(0)-1))
 }
 

@@ -120,7 +120,7 @@ func TestTrafficZeroValueGolden(t *testing.T) {
 			name: "chaos-500",
 			cfg: Config{
 				Seed: 1, Calls: 500, MaxCallBytes: 256 << 10,
-				Resilience: chaosTestPolicy(),
+				Resilience: testPolicy(),
 				Storm:      &fault.Storm{Seed: 1001, Rate: 0.02, MeanRepeats: 1},
 				Traffic:    traffic.Pattern{},
 			},
@@ -151,7 +151,7 @@ func TestTrafficZeroValueGolden(t *testing.T) {
 			cfg: Config{
 				Seed: 7, Calls: 400, MaxCallBytes: 128 << 10, Pipelines: 2,
 				Replicas:   3,
-				Resilience: chaosTestPolicy(),
+				Resilience: testPolicy(),
 				Failover: cluster.FailoverPolicy{
 					MaxFailovers:          3,
 					FailoverPenaltyCycles: 2000,
@@ -211,7 +211,7 @@ func TestOpenLoopWorkerInvariance(t *testing.T) {
 	base := Config{
 		Seed: 11, Calls: 500, MaxCallBytes: 64 << 10, Pipelines: 2,
 		Replicas:   2,
-		Resilience: chaosTestPolicy(),
+		Resilience: testPolicy(),
 		Failover:   clusterPolicy(),
 		Lifecycle:  &fault.Lifecycle{Seed: 55, Rate: 0.3, EpochCalls: 64, MeanEventCalls: 24},
 		Storm:      &fault.Storm{Seed: 2011, Rate: 0.05, MeanRepeats: 1},

@@ -33,6 +33,7 @@ var optionAllow = map[string]string{
 
 // guardFile is one parsed non-test source file.
 type guardFile struct {
+	path    string            // file path from the module root
 	pkg     string            // import path of the file's package
 	imports map[string]string // local package name -> import path
 	ast     *ast.File
@@ -44,7 +45,29 @@ type optionGuard struct {
 	structs map[string]map[string]ast.Expr // "path.Type" -> field -> type expression
 	funcs   map[string]ast.Expr            // "path.Func" -> type expression of its first result
 	home    map[string]*guardFile          // "path.Type" or "path.Func" -> declaring file (resolves its type expressions)
-	set     map[string]bool                // "path.Type.Field" seen as a key or assignment target
+	set     map[string]map[string]bool     // "path.Type.Field" seen as a key or assignment target -> the files it was seen in
+}
+
+// setBy returns the files that set key, sorted, and how many of them are
+// callers in their own right: examples/ restates the experiments behind flags
+// and bench/ keeps frozen copies of them, so neither makes a second caller.
+func (g *optionGuard) setBy(key string) (files []string, callers int) {
+	for file := range g.set[key] {
+		files = append(files, file)
+		if !strings.HasPrefix(file, "examples/") && !strings.HasPrefix(file, "bench/") {
+			callers++
+		}
+	}
+	sort.Strings(files)
+	return files, callers
+}
+
+// mark records key as set by f.
+func (g *optionGuard) mark(f *guardFile, key string) {
+	if g.set[key] == nil {
+		g.set[key] = map[string]bool{}
+	}
+	g.set[key][f.path] = true
 }
 
 // typeOf resolves a type expression written in f to "path.Type", or "" when it
@@ -143,7 +166,7 @@ func (g *optionGuard) markLit(f *guardFile, lit *ast.CompositeLit, typExpr ast.E
 		if kv, ok := el.(*ast.KeyValueExpr); ok {
 			val = kv.Value
 			if id, ok := kv.Key.(*ast.Ident); ok && typ != "" {
-				g.set[typ+"."+id.Name] = true
+				g.mark(f, typ+"."+id.Name)
 			}
 		}
 		if inner, ok := val.(*ast.CompositeLit); ok && inner.Type == nil {
@@ -161,12 +184,12 @@ func (g *optionGuard) markAssign(f *guardFile, vars map[string]string, lhs ast.E
 		return
 	}
 	if typ, known := g.exprType(f, vars, sel.X); known {
-		g.set[typ+"."+sel.Sel.Name] = true
+		g.mark(f, typ+"."+sel.Sel.Name)
 		return
 	}
 	for name, fields := range g.structs {
 		if fields[sel.Sel.Name] != nil {
-			g.set[name+"."+sel.Sel.Name] = true
+			g.mark(f, name+"."+sel.Sel.Name)
 		}
 	}
 }
@@ -275,7 +298,7 @@ func loadSources(t *testing.T, root, module string) map[string][]*guardFile {
 		if err != nil {
 			return err
 		}
-		gf := &guardFile{pkg: module, imports: map[string]string{}, ast: af}
+		gf := &guardFile{path: filepath.ToSlash(path), pkg: module, imports: map[string]string{}, ast: af}
 		if rel != "." {
 			gf.pkg = module + "/" + filepath.ToSlash(rel)
 		}
@@ -302,14 +325,15 @@ func loadSources(t *testing.T, root, module string) map[string][]*guardFile {
 // TestEveryOptionHasACaller fails, naming the field, when an exported field
 // of an options struct is never a composite-literal key or an assignment
 // target outside _test.go: with one value in use the field is a constant, and
-// keeping it as an option only widens what the tests must cover.
+// keeping it as an option only widens what the tests must cover. It also logs
+// (go test -v) the single-caller fields and the files that set them.
 func TestEveryOptionHasACaller(t *testing.T) {
 	pkgs := loadSources(t, ".", "cdpu")
 	g := &optionGuard{
 		structs: map[string]map[string]ast.Expr{},
 		funcs:   map[string]ast.Expr{},
 		home:    map[string]*guardFile{},
-		set:     map[string]bool{},
+		set:     map[string]map[string]bool{},
 	}
 	for path, files := range pkgs {
 		for _, f := range files {
@@ -357,7 +381,7 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		}
 	}
 
-	var dead []string
+	var dead, single []string
 	for path, names := range optionStructs {
 		for _, name := range names {
 			fields := g.structs[path+"."+name]
@@ -366,8 +390,15 @@ func TestEveryOptionHasACaller(t *testing.T) {
 			}
 			for field := range fields {
 				key := path + "." + name + "." + field
-				if ast.IsExported(field) && !g.set[key] && optionAllow[key] == "" {
+				if !ast.IsExported(field) {
+					continue
+				}
+				files, callers := g.setBy(key)
+				switch {
+				case len(files) == 0 && optionAllow[key] == "":
 					dead = append(dead, key)
+				case len(files) > 0 && callers <= 1:
+					single = append(single, key+" <- "+strings.Join(files, ", "))
 				}
 			}
 		}
@@ -376,8 +407,12 @@ func TestEveryOptionHasACaller(t *testing.T) {
 	for _, key := range dead {
 		t.Errorf("%s is set by no caller outside _test.go: make it a constant, or give it a caller", key)
 	}
+	// Informational, never a failure: a knob only one file sets is the next
+	// candidate for a constant, or for composition from the knobs beside it.
+	sort.Strings(single)
+	t.Logf("%d option fields have at most one caller outside examples/ and bench/:\n\t%s", len(single), strings.Join(single, "\n\t"))
 	for key := range optionAllow {
-		if g.set[key] {
+		if len(g.set[key]) > 0 {
 			t.Errorf("%s now has a caller: drop it from optionAllow", key)
 		}
 	}
