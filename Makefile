@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check fmt vet build test race bench fuzz-smoke profile
+.PHONY: all check fmt vet build test race bench fuzz-smoke profile loc
 
 all: check
 
@@ -39,6 +39,12 @@ profile:
 	$(GO) test -run '^$$' -bench BenchmarkSimRun -cpuprofile cpu.pprof -memprofile mem.pprof ./internal/sim
 	$(GO) tool pprof -top -nodecount 15 cpu.pprof
 	$(GO) tool pprof -top -nodecount 10 -sample_index=alloc_space mem.pprof
+
+# The scoreboard ROADMAP quotes: non-test lines of Go under internal/ and
+# cmd/, in total and per package.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@for d in internal/* cmd/*; do printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" $$d; done
 
 # Adversarial-input smoke: run every native fuzz target for FUZZTIME each,
 # starting from the checked-in seed corpora (regenerate those with

@@ -19,6 +19,7 @@ import (
 
 	"cdpu"
 	"cdpu/internal/comp"
+	"cdpu/internal/zstdlite"
 )
 
 func main() {
@@ -51,8 +52,7 @@ func main() {
 			algoSet = true
 		}
 	})
-	if *decompress && !algoSet && len(in) >= 4 &&
-		in[0] == 'Z' && in[1] == 'S' && in[2] == 'L' && in[3] == '1' {
+	if *decompress && !algoSet && zstdlite.IsFrame(in) {
 		algo = cdpu.ZStd
 		fmt.Fprintln(os.Stderr, "detected zstd-family frame")
 	}

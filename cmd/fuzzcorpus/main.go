@@ -1,14 +1,16 @@
 // Command fuzzcorpus (re)generates the checked-in fuzz seed corpora under
 // each hardened package's testdata/fuzz/ directory, in the native Go fuzzing
 // encoding. Seeds are derived from the real encoders plus a handful of
-// adversarial shapes (forged length headers, bare magic, truncations), so
-// `make fuzz-smoke` starts from meaningful structure instead of empty input.
+// adversarial shapes (forged length and size fields, bare magic,
+// truncations), so `make fuzz-smoke` starts from meaningful structure instead
+// of empty input.
 //
 // Run from the repository root: go run ./cmd/fuzzcorpus
 package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,6 +32,7 @@ func main() {
 		snappy.Encode(nil),
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}, // forged huge length header
 		snappy.Encode(text)[:10],             // truncated
+		append([]byte{0x80, 0x80, 0x40}, snappy.Encode(runs)[2:]...), // header declares 1 MiB over a 300-byte body
 	})
 	zc, err := zstdlite.NewEncoder(zstdlite.Params{Checksum: true})
 	check(err)
@@ -39,6 +42,8 @@ func main() {
 		zc.Encode(text),
 		[]byte{'Z', 'S', 'L', '1'}, // bare magic
 		zstdlite.Encode(text)[:12], // truncated
+		forgedStreamFrame(1 << 40),
+		forgedStreamFrame(1 << 63),
 	})
 	writeSeeds("internal/lzo", "FuzzDecompress", [][]byte{
 		lzo.Encode(text, 1),
@@ -58,6 +63,14 @@ func main() {
 	}
 	writeRaw("internal/fault", "FuzzDifferential", diff)
 	_ = fault.Kinds // keep the corrupted-stream package linked in for reference
+}
+
+// forgedStreamFrame is a streaming frame whose only block declares 16 raw
+// bytes and a compressed body of compSize: what a decoder sizing a buffer on
+// the header's word would try to allocate (TestStreamForgedCompressedSize).
+func forgedStreamFrame(compSize uint64) []byte {
+	const unknownSize, compressedLast = 0x40, 2<<1 | 1
+	return binary.AppendUvarint([]byte{'Z', 'S', 'L', '1', 17 | unknownSize, compressedLast, 16}, compSize)
 }
 
 func writeSeeds(pkg, target string, seeds [][]byte) {

@@ -151,29 +151,8 @@ func zstdParams(a Algorithm, level, windowLog int) (zstdlite.Params, error) {
 // CompressCall compresses src under the given algorithm, level and window
 // log (0 means the algorithm default for both).
 func CompressCall(a Algorithm, level, windowLog int, src []byte) ([]byte, error) {
-	switch a {
-	case Snappy:
-		return snappy.Encode(src), nil
-	case Gipfeli:
-		return gipfeli.Encode(src), nil
-	case LZO:
-		if level == 0 {
-			level = 1
-		}
-		return lzo.Encode(src, level), nil
-	case ZStd, Flate, Brotli:
-		p, err := zstdParams(a, level, windowLog)
-		if err != nil {
-			return nil, err
-		}
-		e, err := zstdlite.NewEncoder(p)
-		if err != nil {
-			return nil, err
-		}
-		return e.Encode(src), nil
-	default:
-		return nil, fmt.Errorf("comp: unknown algorithm %v", a)
-	}
+	var c Coder // used once: the same dispatch, nothing pooled
+	return c.AppendCompress(nil, a, level, windowLog, src)
 }
 
 // DecompressCall decompresses src under the given algorithm.

@@ -150,9 +150,8 @@ func (c *Compressor) Time(tr *Trace) (*Result, error) {
 
 // encode runs the functional pipeline over src, appending the frame to dst
 // and recording in tr what the timing model charges for. The ZStd encoder
-// records the frame's Plan as a side effect of encoding — the same block
-// structure Inspect would parse back out — so the entropy-stage facts come for
-// free instead of re-parsing the frame.
+// records the frame's Plan as it encodes — the description Inspect would parse
+// back out — so the entropy-stage charges need no re-parse of the frame.
 func (c *Compressor) encode(tr *Trace, dst, src []byte) {
 	if c.cfg.Algo == comp.Snappy {
 		dst = c.snap.AppendEncode(dst, src)
@@ -161,36 +160,34 @@ func (c *Compressor) encode(tr *Trace, dst, src []byte) {
 		var plan *zstdlite.Plan
 		dst, plan = c.zstd.AppendEncodeWithPlan(dst, src)
 		tr.lz = c.zstd.LZStats()
-		tr.blocks = tr.blocks[:0]
-		for i := range plan.Blocks {
-			f := factsOfPlan(&plan.Blocks[i])
-			f.seqs = nil // encoder scratch, and the encode charges need only their count
-			tr.blocks = append(tr.blocks, f)
+		tr.blocks = append(tr.blocks[:0], plan.Blocks...)
+		for i := range tr.blocks {
+			tr.blocks[i].Seqs = nil // encoder scratch; the encode charges read NumSeqs
 		}
 	}
 	tr.seal(c.fkey, len(src), dst)
 }
 
-// zstdEntropyCycles derives the entropy-stage costs from the block facts of
-// the frame the functional pipeline produced (none for Snappy): literal
-// counts and sequence counts per block determine the dictionary-builder,
-// table-build and encode times (§5.6-§5.7).
-func (c *Compressor) zstdEntropyCycles(blocks []blockFacts, res *Result) {
+// zstdEntropyCycles derives the entropy-stage costs from the blocks of the
+// frame the functional pipeline produced (none for Snappy): literal counts
+// and sequence counts per block determine the dictionary-builder, table-build
+// and encode times (§5.6-§5.7).
+func (c *Compressor) zstdEntropyCycles(blocks []zstdlite.BlockInfo, res *Result) {
 	for i := range blocks {
 		b := &blocks[i]
 		res.charge(idHeader, blockHeaderCycles)
-		if !b.compressed {
+		if !b.IsCompressed() {
 			continue
 		}
-		lits := float64(b.litCount)
-		if b.litCount > 0 {
+		lits := float64(b.LitCount)
+		if b.LitCount > 0 {
 			// Huffman dictionary builder: statistics at StatsWidth bytes per
 			// cycle, then code assignment; encoder emits DefaultHuffEncLanes
 			// symbols per cycle.
 			res.charge(idHuffBuild, lits/float64(c.cfg.StatsWidth)+huffCodeAssignCycles)
-			res.chargeBytes(idHuff, lits/DefaultHuffEncLanes, b.litCount)
+			res.chargeBytes(idHuff, lits/DefaultHuffEncLanes, b.LitCount)
 		}
-		if n := float64(b.numSeqs); n > 0 {
+		if n := float64(b.NumSeqs); n > 0 {
 			// Three FSE dictionary builders run in parallel (Figure 10),
 			// each walking its normalized-count table; the encoder then
 			// processes one sequence per cycle, with extras packing

@@ -91,6 +91,9 @@ func (d *Decompressor) Trace(src []byte) (*Trace, error) {
 		return nil, err
 	}
 	tr.lits = nil
+	for i := range tr.blocks {
+		tr.blocks[i].Literals = nil
+	}
 	return tr, nil
 }
 
@@ -192,52 +195,49 @@ func (tr *Trace) decodeZStd(src []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr.blocks = tr.blocks[:0]
-	for i := range info.Blocks {
-		tr.blocks = append(tr.blocks, factsOfInfo(&info.Blocks[i]))
-	}
+	tr.blocks = info.Blocks
 	return zstdlite.Materialize(info)
 }
 
 // zstdCycles charges a ZStd frame's blocks: the one charge loop behind both
-// Decompress (facts parsed out of the frame) and DecompressPlanned (facts the
-// frame's producer recorded).
-func (d *Decompressor) zstdCycles(blocks []blockFacts, res *Result) {
+// Decompress (blocks parsed out of the frame) and DecompressPlanned (blocks
+// the frame's producer recorded).
+func (d *Decompressor) zstdCycles(blocks []zstdlite.BlockInfo, res *Result) {
 	for i := range blocks {
 		b := &blocks[i]
 		res.charge(idHeader, blockHeaderCycles)
-		if !b.compressed {
-			res.chargeBytes(idLZ77, float64(b.rawSize)/rawMoveBytesPerCycle, b.rawSize)
+		if !b.IsCompressed() {
+			res.chargeBytes(idLZ77, float64(b.RawSize)/rawMoveBytesPerCycle, b.RawSize)
 			continue
 		}
 		// Literals section: build the decode table, then expand. The
 		// speculative expander advances Speculation bit positions per cycle,
 		// so its symbol rate is speculation / mean code length (§5.3).
-		if b.litCount > 0 {
-			if b.huffMaxBits > 0 {
-				build := float64(b.huffLensN) + float64(int(1)<<b.huffMaxBits)/huffTableFillPerCycle
+		if b.LitCount > 0 {
+			if b.HuffMaxBits > 0 {
+				build := float64(b.HuffLensN) + float64(int(1)<<b.HuffMaxBits)/huffTableFillPerCycle
 				res.charge(idHuffBuild, build)
-				avgBits := float64(b.litPayload*8) / float64(b.litCount)
+				avgBits := float64(b.LitPayload*8) / float64(b.LitCount)
 				if avgBits < 1 {
 					avgBits = 1
 				}
 				symsPerCycle := float64(d.cfg.Speculation) / avgBits
-				res.chargeBytes(idHuff, float64(b.litCount)/symsPerCycle, b.litCount)
+				res.chargeBytes(idHuff, float64(b.LitCount)/symsPerCycle, b.LitCount)
 			} else {
-				res.chargeBytes(idLZ77, float64(b.litCount)/literalBytesPerCycle, b.litCount)
+				res.chargeBytes(idLZ77, float64(b.LitCount)/literalBytesPerCycle, b.LitCount)
 			}
 		}
 		// Sequence streams: FSE table builds are serial walks of the state
 		// table; the three decode lanes then run in parallel at one
 		// sequence per cycle (§5.4).
-		if b.numSeqs > 0 {
+		if b.NumSeqs > 0 {
 			for s := 0; s < 3; s++ {
-				if b.fseTableLogs[s] > 0 {
-					res.charge(idFSEBuild, float64(int(1)<<b.fseTableLogs[s]))
+				if b.FSETableLogs[s] > 0 {
+					res.charge(idFSEBuild, float64(int(1)<<b.FSETableLogs[s]))
 				}
 			}
-			res.charge(idFSE, float64(b.numSeqs))
-			d.execSeqs(b.seqs, res)
+			res.charge(idFSE, float64(b.NumSeqs))
+			d.execSeqs(b.Seqs, res)
 		}
 	}
 }
@@ -246,9 +246,9 @@ func (d *Decompressor) zstdCycles(blocks []blockFacts, res *Result) {
 // whose structure is already known: plan is the frame Plan its producer
 // recorded (comp.Coder.AppendCompressPlan / zstdlite.AppendEncodeWithPlan)
 // and content is the original plaintext the frame was encoded from. The
-// charges are bit-identical to Decompress on the same frame — the Plan holds
-// exactly the block facts Inspect would parse back out, and both go through
-// Time — but the frame parse, entropy decoding and table-cache lookups are
+// charges are bit-identical to Decompress on the same frame — the Plan is the
+// description Inspect would parse back out, and both go through Time — but
+// the frame parse, entropy decoding and table-cache lookups are
 // all skipped: the LZ77 engine re-derives each block's literals from content
 // and replays the planned sequences. The output is verified equal to
 // content, so a plan that does not match src's frame cannot silently
@@ -274,7 +274,7 @@ func (d *Decompressor) tracePlan(tr *Trace, src []byte, plan *zstdlite.Plan, con
 	if out == nil {
 		out = make([]byte, 0, plan.ContentSize)
 	}
-	tr.blocks = tr.blocks[:0]
+	tr.blocks = append(tr.blocks[:0], plan.Blocks...)
 	blockStart := 0
 	for i := range plan.Blocks {
 		b := &plan.Blocks[i]
@@ -282,7 +282,6 @@ func (d *Decompressor) tracePlan(tr *Trace, src []byte, plan *zstdlite.Plan, con
 		if end > len(content) {
 			return fmt.Errorf("core: plan block %d overruns content (%d > %d)", i, end, len(content))
 		}
-		tr.blocks = append(tr.blocks, factsOfPlan(b))
 		if !b.IsCompressed() {
 			out = append(out, content[blockStart:end]...)
 		} else {

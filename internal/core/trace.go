@@ -24,11 +24,15 @@ type Trace struct {
 	// that has checked the payload may drop it before sharing the trace.
 	Output []byte
 
-	key    string       // FunctionalKey of the instance that took the trace
-	lz     lz77.Stats   // compression: dictionary-stage statistics
-	seqs   []lz77.Seq   // Snappy decompression: the decoder's command stream
-	blocks []blockFacts // ZStd, either direction: what each block charges for
-	lits   []byte       // literal scratch of the functional pass
+	key  string     // FunctionalKey of the instance that took the trace
+	lz   lz77.Stats // compression: dictionary-stage statistics
+	seqs []lz77.Seq // Snappy decompression: the decoder's command stream
+	// blocks is the ZStd frame, either direction, as zstdlite describes it:
+	// what each block charges for. A trace that outlives its call keeps no
+	// Literals, and a compression trace no Seqs either: they are encoder
+	// scratch, and the encode charges read only their count.
+	blocks []zstdlite.BlockInfo
+	lits   []byte // literal scratch of the functional pass
 }
 
 // seal records what a functional pass over inBytes of input produced.
@@ -37,39 +41,6 @@ func (tr *Trace) seal(key string, inBytes int, out []byte) {
 	tr.InputBytes = inBytes
 	tr.OutputBytes = len(out)
 	tr.Output = out
-}
-
-// blockFacts is the charge-relevant view of one ZStd block, whether it was
-// parsed out of a frame (zstdlite.BlockInfo) or recorded by the encoder that
-// produced the frame (zstdlite.PlanBlock).
-type blockFacts struct {
-	compressed   bool
-	rawSize      int
-	litCount     int
-	litPayload   int // compressed literal bytes (Huffman mode)
-	huffMaxBits  int // 0 when literals are stored raw
-	huffLensN    int // serialized code-length count
-	fseTableLogs [3]int
-	numSeqs      int
-	seqs         []lz77.Seq // decompression only: commands the LZ77 decoder runs
-}
-
-func factsOfInfo(b *zstdlite.BlockInfo) blockFacts {
-	return blockFacts{
-		compressed: b.IsCompressed(), rawSize: b.RawSize,
-		litCount: b.LitCount, litPayload: b.LitPayload,
-		huffMaxBits: b.HuffMaxBits, huffLensN: len(b.HuffLens),
-		fseTableLogs: b.FSETableLogs, numSeqs: len(b.Seqs), seqs: b.Seqs,
-	}
-}
-
-func factsOfPlan(b *zstdlite.PlanBlock) blockFacts {
-	return blockFacts{
-		compressed: b.IsCompressed(), rawSize: b.RawSize,
-		litCount: b.LitCount, litPayload: b.LitPayload,
-		huffMaxBits: b.HuffMaxBits, huffLensN: b.HuffLensN,
-		fseTableLogs: b.FSETableLogs, numSeqs: len(b.Seqs), seqs: b.Seqs,
-	}
 }
 
 // unit is what a Compressor and a Decompressor share: the instance's place in

@@ -5,6 +5,7 @@ import (
 
 	"cdpu/internal/area"
 	"cdpu/internal/comp"
+	"cdpu/internal/zstdlite"
 )
 
 // Unified units support both fleet algorithms at run time (§5.8.1 parameter
@@ -41,7 +42,7 @@ func NewUnifiedDecompressor(cfg Config) (*UnifiedDecompressor, error) {
 // Decompress routes the call to the matching pipeline by sniffing the frame:
 // zstdlite frames carry a magic prefix, Snappy blocks a varint length.
 func (u *UnifiedDecompressor) Decompress(src []byte) (*Result, error) {
-	if isZstdFrame(src) {
+	if zstdlite.IsFrame(src) {
 		return u.zstd.Decompress(src)
 	}
 	return u.snap.Decompress(src)
@@ -62,11 +63,6 @@ func (u *UnifiedDecompressor) DecompressAs(a comp.Algorithm, src []byte) (*Resul
 // Area returns the unit's silicon area: the ZStd instance's blocks, which
 // are a superset of Snappy's (shared LZ77 decoder + history SRAM).
 func (u *UnifiedDecompressor) Area() *area.Breakdown { return u.zstd.Area() }
-
-// isZstdFrame sniffs the zstdlite frame magic.
-func isZstdFrame(src []byte) bool {
-	return len(src) >= 4 && src[0] == 'Z' && src[1] == 'S' && src[2] == 'L' && src[3] == '1'
-}
 
 // UnifiedCompressor serves Snappy and ZStd compression through shared
 // dictionary-stage blocks.

@@ -428,20 +428,12 @@ func (t *CodeTable) WriteTable(w *ibits.Writer) {
 	}
 }
 
-// ReadTable deserializes a table written by WriteTable.
-func ReadTable(r *ibits.Reader) (*CodeTable, error) {
-	lens, err := AppendReadLengths(nil, r)
-	if err != nil {
-		return nil, err
-	}
-	return FromLengths(lens)
-}
-
-// AppendReadLengths reads just the serialized code lengths of a WriteTable
-// header, appending them to dst. The lengths are the table's full canonical
-// description, so callers can key a decoder cache on them before paying for
-// FromLengths + NewDecoder (zstdlite's memoized decode tables do exactly
-// this); the lengths are not validated until FromLengths runs.
+// AppendReadLengths reads the serialized code lengths of a WriteTable header,
+// appending them to dst; FromLengths rebuilds the table from them. The
+// lengths are the table's full canonical description, so callers can key a
+// decoder cache on them before paying for FromLengths + NewDecoder (zstdlite's
+// memoized decode tables do exactly this); the lengths are not validated
+// until FromLengths runs.
 func AppendReadLengths(dst []uint8, r *ibits.Reader) ([]uint8, error) {
 	n := int(r.ReadBits(9))
 	if n == 0 || n > 256 {

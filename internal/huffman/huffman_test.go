@@ -18,6 +18,16 @@ func histogram(data []byte) []int {
 	return h
 }
 
+// readTable reads a WriteTable header back the way zstdlite's parser does:
+// the serialized lengths, then the table they describe.
+func readTable(r *ibits.Reader) (*CodeTable, error) {
+	lens, err := AppendReadLengths(nil, r)
+	if err != nil {
+		return nil, err
+	}
+	return FromLengths(lens)
+}
+
 func roundTrip(t *testing.T, data []byte, maxBits int) {
 	t.Helper()
 	table, err := Build(histogram(data), maxBits)
@@ -30,9 +40,9 @@ func roundTrip(t *testing.T, data []byte, maxBits int) {
 		t.Fatalf("Encode: %v", err)
 	}
 	r := ibits.NewReader(w.Bytes())
-	table2, err := ReadTable(r)
+	table2, err := readTable(r)
 	if err != nil {
-		t.Fatalf("ReadTable: %v", err)
+		t.Fatalf("readTable: %v", err)
 	}
 	out, err := NewDecoder(table2).Decode(r, nil, len(data))
 	if err != nil {
@@ -256,7 +266,7 @@ func TestTableSerializationRoundTrip(t *testing.T) {
 	table, _ := Build(histogram(data), 11)
 	var w ibits.Writer
 	table.WriteTable(&w)
-	got, err := ReadTable(ibits.NewReader(w.Bytes()))
+	got, err := readTable(ibits.NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

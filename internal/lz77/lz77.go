@@ -554,23 +554,10 @@ func (m *Matcher) probeWays(src []byte, q int, k uint32, tag uint8, w, end int, 
 	return bestPos, bestLen, c
 }
 
-// Literals extracts the literal bytes referenced by seqs from src, in order.
-func Literals(src []byte, seqs []Seq) []byte {
-	return LiteralsAt(src, 0, seqs)
-}
-
-// LiteralsAt extracts literal bytes for sequences that cover src[start:]
-// (the ParsePrefixed form).
-func LiteralsAt(src []byte, start int, seqs []Seq) []byte {
-	total := 0
-	for _, s := range seqs {
-		total += s.LitLen
-	}
-	return AppendLiteralsAt(make([]byte, 0, total), src, start, seqs)
-}
-
-// AppendLiteralsAt is LiteralsAt appending into a caller-owned buffer, so
-// encoders replaying many blocks can reuse one literal scratch across calls.
+// AppendLiteralsAt extracts, in order, the literal bytes referenced by
+// sequences that cover src[start:] (the ParsePrefixed form; start 0 for a
+// plain Parse), appending them to a caller-owned buffer so encoders replaying
+// many blocks can reuse one literal scratch across calls.
 func AppendLiteralsAt(dst, src []byte, start int, seqs []Seq) []byte {
 	pos := start
 	for _, s := range seqs {
@@ -580,28 +567,18 @@ func AppendLiteralsAt(dst, src []byte, start int, seqs []Seq) []byte {
 	return dst
 }
 
-// Errors returned by Reconstruct.
+// Errors returned by AppendReconstruct.
 var (
 	ErrBadOffset   = errors.New("lz77: copy offset out of range")
 	ErrBadLiterals = errors.New("lz77: literal stream exhausted")
 )
 
-// Reconstruct is the LZ77 decoder: it replays seqs against the literal
-// stream, producing the original data. window bounds the maximum legal copy
-// offset (0 means unbounded); offsets beyond it are format errors, mirroring
-// the decompressor's window-size contract (§3.6).
-func Reconstruct(seqs []Seq, literals []byte, window int, sizeHint int) ([]byte, error) {
-	out, err := AppendReconstruct(make([]byte, 0, sizeHint), seqs, literals, window)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AppendReconstruct replays seqs against the literal stream, appending the
-// produced bytes to out. Copy offsets may reach into the pre-existing out
-// contents (dictionary or earlier blocks of a frame), bounded by window
-// (0 = unbounded).
+// AppendReconstruct is the LZ77 decoder: it replays seqs against the literal
+// stream, appending the produced bytes to out. Copy offsets may reach into
+// the pre-existing out contents (dictionary or earlier blocks of a frame).
+// window bounds the maximum legal copy offset (0 means unbounded); offsets
+// beyond it are format errors, mirroring the decompressor's window-size
+// contract (§3.6).
 func AppendReconstruct(out []byte, seqs []Seq, literals []byte, window int) ([]byte, error) {
 	lp := 0
 	for _, s := range seqs {

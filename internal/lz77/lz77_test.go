@@ -33,8 +33,8 @@ func roundTrip(t *testing.T, m *Matcher, src []byte) {
 	if got := TotalLen(seqs); got != len(src) {
 		t.Fatalf("parse covers %d of %d bytes", got, len(src))
 	}
-	lits := Literals(src, seqs)
-	out, err := Reconstruct(seqs, lits, m.Config().WindowSize, len(src))
+	lits := AppendLiteralsAt(nil, src, 0, seqs)
+	out, err := AppendReconstruct(nil, seqs, lits, m.Config().WindowSize)
 	if err != nil {
 		t.Fatalf("reconstruct: %v", err)
 	}
@@ -225,18 +225,18 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestReconstructRejectsBadOffset(t *testing.T) {
-	_, err := Reconstruct([]Seq{{LitLen: 1, Offset: 5, MatchLen: 3}}, []byte{'x'}, 0, 8)
+	_, err := AppendReconstruct(nil, []Seq{{LitLen: 1, Offset: 5, MatchLen: 3}}, []byte{'x'}, 0)
 	if err == nil {
 		t.Fatal("offset beyond produced output accepted")
 	}
-	_, err = Reconstruct([]Seq{{LitLen: 4, Offset: 4, MatchLen: 2}}, []byte("abcd"), 2, 8)
+	_, err = AppendReconstruct(nil, []Seq{{LitLen: 4, Offset: 4, MatchLen: 2}}, []byte("abcd"), 2)
 	if err == nil {
 		t.Fatal("offset beyond window accepted")
 	}
 }
 
 func TestReconstructRejectsShortLiterals(t *testing.T) {
-	_, err := Reconstruct([]Seq{{LitLen: 10}}, []byte("abc"), 0, 10)
+	_, err := AppendReconstruct(nil, []Seq{{LitLen: 10}}, []byte("abc"), 0)
 	if err == nil {
 		t.Fatal("literal overrun accepted")
 	}
@@ -244,7 +244,7 @@ func TestReconstructRejectsShortLiterals(t *testing.T) {
 
 func TestReconstructOverlappingCopy(t *testing.T) {
 	// "ab" then copy 6 from offset 2 => "abababab"
-	out, err := Reconstruct([]Seq{{LitLen: 2, Offset: 2, MatchLen: 6}}, []byte("ab"), 0, 8)
+	out, err := AppendReconstruct(nil, []Seq{{LitLen: 2, Offset: 2, MatchLen: 6}}, []byte("ab"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestParseRandomizedProperty(t *testing.T) {
 		if TotalLen(seqs) != len(src) {
 			return false
 		}
-		out, err := Reconstruct(seqs, Literals(src, seqs), m.Config().WindowSize, len(src))
+		out, err := AppendReconstruct(nil, seqs, AppendLiteralsAt(nil, src, 0, seqs), m.Config().WindowSize)
 		return err == nil && bytes.Equal(out, src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -454,7 +454,7 @@ func BenchmarkLZ77Reconstruct(b *testing.B) {
 		src = gen.AppendGenerate(src, kind, 64<<10, 6)
 	}
 	seqs := m.Parse(src)
-	lits := Literals(src, seqs)
+	lits := AppendLiteralsAt(nil, src, 0, seqs)
 	out := make([]byte, 0, len(src))
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()

@@ -16,7 +16,7 @@ func TestParsePrefixedRoundTrip(t *testing.T) {
 	if TotalLen(seqs) != len(block) {
 		t.Fatalf("sequences cover %d of %d block bytes", TotalLen(seqs), len(block))
 	}
-	lits := LiteralsAt(data, len(dict), seqs)
+	lits := AppendLiteralsAt(nil, data, len(dict), seqs)
 	out, err := AppendReconstruct(append([]byte{}, dict...), seqs, lits, m.Config().WindowSize)
 	if err != nil {
 		t.Fatal(err)

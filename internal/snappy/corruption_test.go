@@ -24,7 +24,7 @@ func TestBlockDecoderTruncationRobustness(t *testing.T) {
 func TestSeqDecoderCorruptionRobustness(t *testing.T) {
 	data := corpus.Generate(corpus.JSON, 16<<10, 3)
 	decode := func(enc []byte) ([]byte, error) {
-		_, lits, _, err := DecodeSeqs(enc)
+		_, lits, _, err := AppendDecodeSeqs(nil, nil, enc)
 		return lits, err
 	}
 	testutil.CheckCorruptionRobustness(t, "snappy-seqs", Encode(data), decode, 300, 4)

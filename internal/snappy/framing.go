@@ -203,8 +203,10 @@ func (f *FrameReader) fill() {
 		crc := uint32(body[0]) | uint32(body[1])<<8 | uint32(body[2])<<16 | uint32(body[3])<<24
 		var raw []byte
 		if ctype == chunkCompressed {
+			// The chunk limit goes in with the block, so a block header that
+			// declares more is refused before anything is reserved for it.
 			var err error
-			raw, err = Decode(body[4:])
+			raw, err = DecodeLimited(body[4:], MaxFrameUncompressed)
 			if err != nil {
 				f.err = err
 				return

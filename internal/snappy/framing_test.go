@@ -137,6 +137,23 @@ func TestFrameRejectsReservedUnskippable(t *testing.T) {
 	}
 }
 
+func TestFrameRefusesOverDeclaredChunkFromHeader(t *testing.T) {
+	// A compressed chunk whose block header declares more than a chunk may
+	// hold — here a well-formed 1 MiB block, ~48 KiB on the wire — is refused
+	// on the header's word, not decoded first and measured afterwards.
+	var buf bytes.Buffer
+	w := NewFrameWriter(&buf)
+	_, _ = w.Write([]byte("before"))
+	body := Encode(make([]byte, 1<<20))
+	n := len(body) + 4
+	buf.Write([]byte{chunkCompressed, byte(n), byte(n >> 8), byte(n >> 16), 0, 0, 0, 0})
+	buf.Write(body)
+	_, err := io.ReadAll(NewFrameReader(bytes.NewReader(buf.Bytes())))
+	if !errors.Is(err, ErrSizeLimit) {
+		t.Fatalf("over-declared chunk: %v, want ErrSizeLimit", err)
+	}
+}
+
 func TestFrameTruncation(t *testing.T) {
 	enc := frameRoundTrip(t, corpus.Generate(corpus.JSON, 8<<10, 5))
 	for _, cut := range []int{2, 11, len(enc) - 3} {

@@ -3,12 +3,17 @@ package snappy
 import (
 	"bytes"
 	"testing"
+
+	"cdpu/internal/lz77"
 )
 
-// FuzzDecompress asserts the decode path's robustness contract on arbitrary
+// FuzzDecompress asserts the decode paths' robustness contract on arbitrary
 // bytes: no panics (the fuzzer catches those), deterministic results, output
-// exactly matching the declared header length on success, and the size limit
-// honored before allocation.
+// exactly matching the declared header length on success, the size limit
+// honored before allocation, and the package's two decoders — Decode, and the
+// command-stream decoder the CDPU model replays (AppendDecodeSeqs, then
+// lz77.AppendReconstruct) — agreeing on what they accept and what it decodes
+// to.
 func FuzzDecompress(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -18,6 +23,14 @@ func FuzzDecompress(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}) // forged huge length
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := Decode(data)
+		seqs, lits, _, serr := AppendDecodeSeqs(nil, nil, data)
+		var replayed []byte
+		if serr == nil {
+			replayed, serr = lz77.AppendReconstruct(nil, seqs, lits, 0)
+		}
+		if (err == nil) != (serr == nil) || !bytes.Equal(out, replayed) {
+			t.Fatalf("decoders disagree: Decode %d bytes, err %v; command stream %d bytes, err %v", len(out), err, len(replayed), serr)
+		}
 		if err != nil {
 			return
 		}

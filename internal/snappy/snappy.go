@@ -40,8 +40,8 @@ var (
 	// exceeds the caller's limit — checked before any allocation, so a
 	// forged header cannot OOM the decoder.
 	ErrSizeLimit = errors.New("snappy: declared decoded length exceeds limit")
-	// ErrTooLarge is the historical name for the default-limit violation; it
-	// wraps ErrSizeLimit so errors.Is matches either sentinel.
+	// ErrTooLarge is ErrSizeLimit at the default limit, MaxDecodedLen;
+	// errors.Is matches either sentinel.
 	ErrTooLarge = fmt.Errorf("snappy: decoded length too large: %w", ErrSizeLimit)
 )
 
@@ -262,16 +262,12 @@ func DecodeLimited(src []byte, maxLen int) ([]byte, error) {
 	return decodeBody(dst, src[hdr:], n)
 }
 
-// DecodeSeqs decodes a Snappy block into its LZ77 command stream without
-// materializing output. The CDPU decompressor model uses this to replay the
-// exact command sequence the hardware LZ77 decoder would see.
-func DecodeSeqs(src []byte) (seqs []lz77.Seq, literals []byte, decodedLen int, err error) {
-	return AppendDecodeSeqs(nil, nil, src)
-}
-
-// AppendDecodeSeqs is DecodeSeqs appending into caller-provided buffers
-// (either may be nil), letting repeated decoders reuse their allocations.
-// The returned slices alias the inputs' backing arrays when capacity allows.
+// AppendDecodeSeqs decodes a Snappy block into its LZ77 command stream
+// without materializing output: the CDPU decompressor model replays the exact
+// command sequence the hardware LZ77 decoder would see. It appends into
+// caller-provided buffers (either may be nil), letting repeated decoders reuse
+// their allocations; the returned slices alias the inputs' backing arrays
+// when capacity allows.
 func AppendDecodeSeqs(seqsBuf []lz77.Seq, literalsBuf []byte, src []byte) (seqs []lz77.Seq, literals []byte, decodedLen int, err error) {
 	seqs, literals = seqsBuf, literalsBuf
 	n, hdr, err := decodeHeader(src)

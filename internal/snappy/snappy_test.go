@@ -273,25 +273,25 @@ func TestDecodedLen(t *testing.T) {
 func TestDecodeSeqsMatchesDecode(t *testing.T) {
 	data := corpus.Generate(corpus.HTML, 96<<10, 12)
 	enc := Encode(data)
-	seqs, lits, n, err := DecodeSeqs(enc)
+	seqs, lits, n, err := AppendDecodeSeqs(nil, nil, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(data) {
 		t.Fatalf("decoded len %d != %d", n, len(data))
 	}
-	out, err := lz77.Reconstruct(seqs, lits, 0, n)
+	out, err := lz77.AppendReconstruct(nil, seqs, lits, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out, data) {
-		t.Fatal("DecodeSeqs reconstruction mismatch")
+		t.Fatal("AppendDecodeSeqs reconstruction mismatch")
 	}
 }
 
 func TestDecodeSeqsOffsetsWithinWindow(t *testing.T) {
 	data := corpus.Generate(corpus.Text, 512<<10, 13)
-	seqs, _, _, err := DecodeSeqs(Encode(data))
+	seqs, _, _, err := AppendDecodeSeqs(nil, nil, Encode(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestLongMatchSplitting(t *testing.T) {
 	// with no sub-4-byte tail.
 	src := append([]byte("0123456789abcdef"), bytes.Repeat([]byte("0123456789abcdef"), 1000)...)
 	enc := roundTrip(t, src)
-	seqs, _, _, err := DecodeSeqs(enc)
+	seqs, _, _, err := AppendDecodeSeqs(nil, nil, enc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,10 @@
 package zstdlite
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	ibits "cdpu/internal/bits"
 	"cdpu/internal/fse"
@@ -9,9 +12,18 @@ import (
 	"cdpu/internal/lz77"
 )
 
-// FrameInfo describes a parsed frame: everything the CDPU decompressor model
-// needs to replay the hardware pipeline (table builds, literal expansion,
-// sequence execution) without re-parsing the wire format.
+// The frame layout is stated once, by three parsers and one executor:
+// parseFrameHeader, parseBlock and parseTrailer each read one structure off
+// the front of a byte slice, and BlockInfo.appendTo executes a parsed block.
+// Inspect and Materialize drive them over a whole frame held in memory, the
+// streaming Reader over a frame arriving a block at a time, so every bound on
+// what a header may declare is checked in one place for both.
+
+// FrameInfo describes a frame: what its header declares and, block by block,
+// everything the CDPU decompressor model needs to replay the hardware
+// pipeline (table builds, literal expansion, sequence execution) without
+// re-parsing the wire format. Inspect parses one out of a frame; an Encoder
+// records the same description of the frame it emits (Plan).
 type FrameInfo struct {
 	WindowLog   int
 	ContentSize int // -1 when the producer did not record it (streaming)
@@ -29,16 +41,22 @@ type BlockInfo struct {
 	CompSize int // compressed body bytes (compressed blocks only)
 
 	// Literals-section detail (compressed blocks only).
-	LitMode      int // litRaw or litHuffman
-	LitCount     int // decoded literal bytes
-	LitPayload   int // compressed literal bytes (huffman mode)
-	HuffMaxBits  int // decode-table width (huffman mode)
-	HuffLens     []uint8
-	Literals     []byte // decoded literals
+	LitMode      int    // litRaw or litHuffman
+	LitCount     int    // decoded literal bytes
+	LitPayload   int    // compressed literal bytes (huffman mode)
+	HuffMaxBits  int    // decode-table width (huffman mode)
+	HuffLensN    int    // serialized code lengths (huffman mode)
 	SeqModes     [3]int // per-stream coding mode
 	FSETableLogs [3]int // per-stream accuracy (FSE mode)
+	NumSeqs      int    // len(Seqs), for a holder that keeps the description and not the commands
 	Seqs         []lz77.Seq
-	RLEByte      byte
+
+	// The block's payload, which only a parsed block carries: the bytes of a
+	// raw block or the decoded literals of a compressed one (aliasing the
+	// parsed input where the frame stores them verbatim), and an RLE block's
+	// byte.
+	Literals []byte
+	RLEByte  byte
 }
 
 // IsCompressed reports whether the block ran the full pipeline.
@@ -57,13 +75,12 @@ func DecodeWithDict(src, dict []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return MaterializeWithDict(info, dict)
+	return materialize(info, dict, MaxDecodedLen)
 }
 
-// DecodeLimited decompresses a frame, rejecting any stream that declares (or
-// whose blocks would produce) more than maxLen output bytes with
-// ErrSizeLimit, before the output is allocated. maxLen <= 0 takes the
-// default MaxDecodedLen.
+// DecodeLimited decompresses a frame, rejecting any stream whose blocks
+// declare more than maxLen output bytes with ErrSizeLimit, before the output
+// is allocated. maxLen <= 0 takes the default MaxDecodedLen.
 func DecodeLimited(src []byte, maxLen int) ([]byte, error) {
 	if maxLen <= 0 {
 		maxLen = MaxDecodedLen
@@ -72,137 +89,223 @@ func DecodeLimited(src []byte, maxLen int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if info.ContentSize > maxLen {
-		return nil, fmt.Errorf("%w: declared %d > %d", ErrSizeLimit, info.ContentSize, maxLen)
-	}
-	return materializeLimited(info, nil, maxLen)
+	return materialize(info, nil, maxLen)
 }
 
 // Materialize executes a parsed frame's blocks, producing the decompressed
 // bytes. Split from Inspect so the CDPU model can account for parse/table
 // costs and execution costs separately.
 func Materialize(info *FrameInfo) ([]byte, error) {
-	return MaterializeWithDict(info, nil)
+	return materialize(info, nil, MaxDecodedLen)
 }
 
-// MaterializeWithDict executes a parsed frame's blocks against a preset
-// dictionary. The match window is frame-wide: copies may reach across block
-// boundaries and into the dictionary, bounded by 2^WindowLog.
-func MaterializeWithDict(info *FrameInfo, dict []byte) ([]byte, error) {
-	return materializeLimited(info, dict, MaxDecodedLen)
-}
-
-func materializeLimited(info *FrameInfo, dict []byte, maxLen int) ([]byte, error) {
-	if info.NeedsDict {
-		if dict == nil {
-			return nil, fmt.Errorf("%w: frame requires a preset dictionary", ErrDictionary)
-		}
-		if DictID(dict) != info.DictID {
-			return nil, fmt.Errorf("%w: dictionary id %#02x does not match frame's %#02x",
-				ErrDictionary, DictID(dict), info.DictID)
-		}
-	} else {
-		dict = nil
+// materialize executes info's blocks against a preset dictionary. The match
+// window is frame-wide: copies may reach across block boundaries and into
+// the dictionary, bounded by 2^WindowLog.
+func materialize(info *FrameInfo, dict []byte, maxLen int) ([]byte, error) {
+	hist, err := info.history(dict)
+	if err != nil {
+		return nil, err
 	}
-	window := 1 << info.WindowLog
-	if len(dict) > window {
-		dict = dict[len(dict)-window:]
-	}
-	// Reserve the declared content size, but never more than the blocks'
-	// summed declared sizes: a forged ContentSize with a short body cannot
-	// make the decoder allocate ahead of what the body could produce.
-	hint := info.ContentSize
-	if hint < 0 {
-		hint = 0
-	}
-	sumRaw := 0
+	// A block produces exactly its declared size or fails, so the blocks'
+	// sum is the output's size: checked against the header and the caller's
+	// limit before anything is reserved, and reserved once.
+	total := 0
 	for i := range info.Blocks {
-		sumRaw += info.Blocks[i].RawSize
+		total += info.Blocks[i].RawSize
 	}
-	if hint > sumRaw {
-		hint = sumRaw
+	if err := info.checkSize(total, maxLen, true); err != nil {
+		return nil, err
 	}
-	out := make([]byte, 0, len(dict)+hint)
-	out = append(out, dict...)
-	// The growth cap: the declared content size when the frame recorded one,
-	// the caller's limit otherwise (unknown-size streaming frames).
-	limit := maxLen
-	if info.ContentSize >= 0 && info.ContentSize < limit {
-		limit = info.ContentSize
-	}
+	out := append(make([]byte, 0, len(hist)+total), hist...)
 	for i := range info.Blocks {
-		b := &info.Blocks[i]
-		switch b.Type {
-		case blockRaw, blockRLE:
-			out = append(out, b.Literals...)
-		case blockCompressed:
-			before := len(out)
-			var err error
-			out, err = lz77.AppendReconstruct(out, b.Seqs, b.Literals, window)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			if len(out)-before != b.RawSize {
-				return nil, fmt.Errorf("%w: block produced %d of %d bytes", ErrCorrupt, len(out)-before, b.RawSize)
-			}
-		}
-		if produced := len(out) - len(dict); produced > limit {
-			if info.ContentSize >= 0 && produced > info.ContentSize {
-				return nil, fmt.Errorf("%w: frame produced %d of %d bytes", ErrCorrupt, produced, info.ContentSize)
-			}
-			return nil, fmt.Errorf("%w: output %d > %d", ErrSizeLimit, produced, maxLen)
+		if out, err = info.Blocks[i].appendTo(out, 1<<info.WindowLog); err != nil {
+			return nil, err
 		}
 	}
-	out = out[len(dict):]
-	if info.ContentSize >= 0 && len(out) != info.ContentSize {
-		return nil, fmt.Errorf("%w: frame produced %d of %d bytes", ErrCorrupt, len(out), info.ContentSize)
-	}
+	out = out[len(hist):]
 	if info.HasChecksum {
-		if got := contentChecksum(out); got != info.Checksum {
-			return nil, fmt.Errorf("%w: content checksum %#08x != recorded %#08x", ErrCorrupt, got, info.Checksum)
+		if err := info.checkSum(contentChecksum(out)); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// parseFrameHeader decodes magic, flags, optional dictionary ID and content
-// size, returning the byte offset of the first block.
-func parseFrameHeader(src []byte) (*FrameInfo, int, error) {
-	if len(src) < 5 || src[0] != frameMagic[0] || src[1] != frameMagic[1] ||
-		src[2] != frameMagic[2] || src[3] != frameMagic[3] {
-		return nil, 0, ErrMagic
+// history checks the caller's dictionary against the one the header asks
+// for and returns the part of it a copy can reach: what the frame's output
+// starts from.
+func (info *FrameInfo) history(dict []byte) ([]byte, error) {
+	if !info.NeedsDict {
+		return nil, nil
 	}
-	windowByte := src[4]
-	windowLog := int(windowByte &^ (flagUnknownSize | flagDictionary | flagChecksum))
-	if windowLog < MinWindowLog || windowLog > MaxWindowLog {
-		return nil, 0, fmt.Errorf("%w: %d", ErrWindow, windowLog)
+	if dict == nil {
+		return nil, fmt.Errorf("%w: frame requires a preset dictionary", ErrDictionary)
 	}
-	info := &FrameInfo{
-		WindowLog:   windowLog,
+	if DictID(dict) != info.DictID {
+		return nil, fmt.Errorf("%w: dictionary id %#02x does not match frame's %#02x",
+			ErrDictionary, DictID(dict), info.DictID)
+	}
+	if window := 1 << info.WindowLog; len(dict) > window {
+		dict = dict[len(dict)-window:]
+	}
+	return dict, nil
+}
+
+// checkSize holds the bytes a frame's blocks have declared so far against
+// the content size its header recorded — never more, and exactly that once
+// the last block is in (done) — and against the caller's limit.
+func (info *FrameInfo) checkSize(produced, maxLen int, done bool) error {
+	switch {
+	case info.ContentSize >= 0 && (produced > info.ContentSize || done && produced != info.ContentSize):
+		return fmt.Errorf("%w: blocks declare %d of %d bytes", ErrCorrupt, produced, info.ContentSize)
+	case produced > maxLen:
+		return fmt.Errorf("%w: output %d > %d", ErrSizeLimit, produced, maxLen)
+	}
+	return nil
+}
+
+// checkSum holds the output's checksum against the trailer's.
+func (info *FrameInfo) checkSum(got uint32) error {
+	if got != info.Checksum {
+		return fmt.Errorf("%w: content checksum %#08x != recorded %#08x", ErrCorrupt, got, info.Checksum)
+	}
+	return nil
+}
+
+// appendTo executes the block, appending the RawSize bytes it stands for to
+// out. What out already holds is the frame's history — the dictionary, then
+// the earlier blocks — which copies may reach window bytes back into.
+func (b *BlockInfo) appendTo(out []byte, window int) ([]byte, error) {
+	before := len(out)
+	switch b.Type {
+	case blockRaw:
+		out = append(out, b.Literals...)
+	case blockRLE:
+		if b.RawSize > 0 {
+			out = lz77.AppendCopy(append(out, b.RLEByte), 1, b.RawSize-1)
+		}
+	case blockCompressed:
+		var err error
+		if out, err = lz77.AppendReconstruct(out, b.Seqs, b.Literals, window); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	}
+	if len(out)-before != b.RawSize {
+		return nil, fmt.Errorf("%w: block produced %d of %d bytes", ErrCorrupt, len(out)-before, b.RawSize)
+	}
+	return out, nil
+}
+
+// errShort reports that the input ends inside the structure being read; the
+// parser returns, in place of the bytes consumed, how many it now knows the
+// structure needs. To a driver holding the whole frame that is corruption.
+// The Reader reads up to the count and asks again.
+var errShort = fmt.Errorf("%w: truncated", ErrCorrupt)
+
+// sizeField reads the varint at src[pos:], which may not exceed max, and
+// returns it with the position after it.
+func sizeField(src []byte, pos int, max uint64, what string) (v, next int, err error) {
+	x, n, err := ibits.Uvarint(src[pos:])
+	switch {
+	case err != nil && len(src)-pos < binary.MaxVarintLen64:
+		return 0, len(src) + 1, errShort // a longer input may still complete it
+	case err != nil || x > max:
+		return 0, 0, fmt.Errorf("%w: %s", ErrCorrupt, what)
+	}
+	return int(x), pos + n, nil
+}
+
+// parseFrameHeader reads magic, flags, optional dictionary ID and content
+// size off the front of src, returning the byte offset of the first block.
+func parseFrameHeader(src []byte) (info FrameInfo, n int, err error) {
+	if !bytes.HasPrefix(frameMagic[:], src[:min(len(src), len(frameMagic))]) {
+		return info, 0, ErrMagic
+	}
+	if len(src) < 5 {
+		return info, 5, errShort
+	}
+	flags := src[4]
+	info = FrameInfo{
+		WindowLog:   int(flags &^ (flagUnknownSize | flagDictionary | flagChecksum)),
 		ContentSize: -1,
-		HasChecksum: windowByte&flagChecksum != 0,
+		NeedsDict:   flags&flagDictionary != 0,
+		HasChecksum: flags&flagChecksum != 0,
+	}
+	if info.WindowLog < MinWindowLog || info.WindowLog > MaxWindowLog {
+		return info, 0, fmt.Errorf("%w: %d", ErrWindow, info.WindowLog)
 	}
 	pos := 5
-	if windowByte&flagDictionary != 0 {
-		if pos >= len(src) {
-			return nil, 0, fmt.Errorf("%w: missing dictionary id", ErrCorrupt)
+	if info.NeedsDict {
+		if pos == len(src) {
+			return info, pos + 1, errShort
 		}
-		info.NeedsDict = true
 		info.DictID = src[pos]
 		pos++
 	}
-	if windowByte&flagUnknownSize == 0 {
-		contentSize, n, err := ibits.Uvarint(src[pos:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: content size", ErrCorrupt)
-		}
-		if contentSize > MaxDecodedLen {
-			return nil, 0, ErrTooLarge
-		}
-		info.ContentSize = int(contentSize)
-		pos += n
+	if flags&flagUnknownSize == 0 {
+		// Nothing is ever reserved on this number's word: checkSize holds the
+		// blocks to it.
+		info.ContentSize, pos, err = sizeField(src, pos, math.MaxInt, "content size")
 	}
-	return info, pos, nil
+	return info, pos, err
+}
+
+// parseBlock reads the block at the front of src — header, then body — into
+// b, decoding entropy-coded sections but executing no copies, and returns
+// the bytes consumed and whether the block is the frame's last. A block
+// holds at most MaxBlockSize bytes raw and, as the encoder emits a
+// compressed body only when it is smaller than its block, compressed: no
+// driver reserves more than that on a header's word.
+func parseBlock(src []byte, b *BlockInfo) (n int, last bool, err error) {
+	if len(src) == 0 {
+		return 1, false, errShort
+	}
+	last = src[0]&1 == 1
+	*b = BlockInfo{Type: int(src[0] >> 1)}
+	pos := 1
+	if b.RawSize, pos, err = sizeField(src, pos, MaxBlockSize, "block size"); err != nil {
+		return pos, last, err
+	}
+	body := b.RawSize
+	switch b.Type {
+	case blockRaw:
+	case blockRLE:
+		body = 1
+	case blockCompressed:
+		if b.CompSize, pos, err = sizeField(src, pos, MaxBlockSize, "compressed size"); err != nil {
+			return pos, last, err
+		}
+		body = b.CompSize
+	default:
+		return 0, last, fmt.Errorf("%w: block type %d", ErrCorrupt, b.Type)
+	}
+	end := pos + body
+	if end > len(src) {
+		return end, last, errShort
+	}
+	switch b.Type {
+	case blockRaw:
+		b.Literals = src[pos:end]
+	case blockRLE:
+		b.RLEByte = src[pos]
+	case blockCompressed:
+		err = parseCompressedBody(src[pos:end], b)
+	}
+	return end, last, err
+}
+
+// parseTrailer reads what follows the last block: the content checksum, when
+// the header flagged one.
+func (info *FrameInfo) parseTrailer(src []byte) (n int, err error) {
+	if !info.HasChecksum {
+		return 0, nil
+	}
+	if len(src) < 4 {
+		return 4, errShort
+	}
+	info.Checksum = binary.LittleEndian.Uint32(src)
+	return 4, nil
 }
 
 // Inspect parses a frame, decoding entropy-coded sections but not executing
@@ -212,82 +315,28 @@ func Inspect(src []byte) (*FrameInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	last := false
-	totalRaw := 0
-	for !last {
-		if pos >= len(src) {
-			return nil, fmt.Errorf("%w: missing last block", ErrCorrupt)
-		}
-		hdr := src[pos]
-		pos++
-		last = hdr&1 == 1
-		btype := int(hdr >> 1)
-		rawSize64, n, err := ibits.Uvarint(src[pos:])
-		if err != nil || rawSize64 > MaxBlockSize {
-			return nil, fmt.Errorf("%w: block size", ErrCorrupt)
+	total := 0
+	for last := false; !last; {
+		info.Blocks = append(info.Blocks, BlockInfo{})
+		b := &info.Blocks[len(info.Blocks)-1]
+		var n int
+		if n, last, err = parseBlock(src[pos:], b); err != nil {
+			return nil, err
 		}
 		pos += n
-		rawSize := int(rawSize64)
-		// Cumulative declared output caps parse-time allocation (RLE blocks
-		// materialize literals here) at the same bound Materialize enforces.
-		totalRaw += rawSize
-		if totalRaw > MaxDecodedLen {
-			return nil, ErrTooLarge
+		total += b.RawSize
+		if err := info.checkSize(total, MaxDecodedLen, last); err != nil {
+			return nil, err
 		}
-		if info.ContentSize >= 0 && totalRaw > info.ContentSize {
-			return nil, fmt.Errorf("%w: blocks declare %d of %d bytes", ErrCorrupt, totalRaw, info.ContentSize)
-		}
-		block := BlockInfo{Type: btype, RawSize: rawSize}
-		switch btype {
-		case blockRaw:
-			if pos+rawSize > len(src) {
-				return nil, fmt.Errorf("%w: raw block overruns frame", ErrCorrupt)
-			}
-			block.Literals = src[pos : pos+rawSize]
-			pos += rawSize
-		case blockRLE:
-			if pos >= len(src) {
-				return nil, fmt.Errorf("%w: rle block overruns frame", ErrCorrupt)
-			}
-			block.RLEByte = src[pos]
-			lit := make([]byte, rawSize)
-			for i := range lit {
-				lit[i] = block.RLEByte
-			}
-			block.Literals = lit
-			pos++
-		case blockCompressed:
-			compSize64, n, err := ibits.Uvarint(src[pos:])
-			if err != nil || compSize64 > uint64(len(src)) {
-				return nil, fmt.Errorf("%w: compressed size", ErrCorrupt)
-			}
-			pos += n
-			compSize := int(compSize64)
-			if pos+compSize > len(src) {
-				return nil, fmt.Errorf("%w: compressed block overruns frame", ErrCorrupt)
-			}
-			block.CompSize = compSize
-			if err := parseCompressedBody(src[pos:pos+compSize], &block); err != nil {
-				return nil, err
-			}
-			pos += compSize
-		default:
-			return nil, fmt.Errorf("%w: block type %d", ErrCorrupt, btype)
-		}
-		info.Blocks = append(info.Blocks, block)
 	}
-	if info.HasChecksum {
-		if pos+4 > len(src) {
-			return nil, fmt.Errorf("%w: missing content checksum", ErrCorrupt)
-		}
-		info.Checksum = uint32(src[pos]) | uint32(src[pos+1])<<8 |
-			uint32(src[pos+2])<<16 | uint32(src[pos+3])<<24
-		pos += 4
+	n, err := info.parseTrailer(src[pos:])
+	if err != nil {
+		return nil, err
 	}
-	if pos != len(src) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(src)-pos)
+	if pos+n != len(src) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(src)-pos-n)
 	}
-	return info, nil
+	return &info, nil
 }
 
 func parseCompressedBody(body []byte, block *BlockInfo) error {
@@ -329,13 +378,13 @@ func parseCompressedBody(body []byte, block *BlockInfo) error {
 		if err != nil {
 			return fmt.Errorf("%w: huffman table: %v", ErrCorrupt, err)
 		}
-		ent, err := tables.huffDecoder(lens)
+		dec, err := tables.huffDecoder(lens)
 		if err != nil {
 			return fmt.Errorf("%w: huffman table: %v", ErrCorrupt, err)
 		}
-		block.HuffMaxBits = ent.dec.MaxBits()
-		block.HuffLens = ent.lens // shared with the cache; read-only
-		lits, err := ent.dec.Decode(r, make([]byte, 0, block.LitCount), block.LitCount)
+		block.HuffMaxBits = dec.MaxBits()
+		block.HuffLensN = len(lens)
+		lits, err := dec.Decode(r, make([]byte, 0, block.LitCount), block.LitCount)
 		if err != nil {
 			return fmt.Errorf("%w: huffman literals: %v", ErrCorrupt, err)
 		}
@@ -411,7 +460,7 @@ func parseCompressedBody(body []byte, block *BlockInfo) error {
 	if total != block.RawSize {
 		return fmt.Errorf("%w: sequences cover %d of %d bytes", ErrCorrupt, total, block.RawSize)
 	}
-	block.Seqs = seqs
+	block.NumSeqs, block.Seqs = numSeqs, seqs
 	return nil
 }
 
@@ -472,8 +521,5 @@ func parseCodeStream(body []byte, numSeqs int) (codes []uint8, mode, tableLog, a
 // streaming frames that did not record one.
 func DecodedLen(src []byte) (int, error) {
 	info, _, err := parseFrameHeader(src)
-	if err != nil {
-		return 0, err
-	}
-	return info.ContentSize, nil
+	return info.ContentSize, err
 }

@@ -1,7 +1,9 @@
 package zstdlite
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	ibits "cdpu/internal/bits"
 	"cdpu/internal/fse"
@@ -154,9 +156,9 @@ type Encoder struct {
 	normBuf  []int
 	encTable fse.EncTable
 
-	// Frame-plan recording (AppendEncodeWithPlan).
-	recordPlan bool
-	plan       Plan
+	// plan describes the frame being emitted, block by block as encodeBlock
+	// writes them (AppendEncodeWithPlan).
+	plan Plan
 
 	// Size-only entropy coding (SetSizeOnly): entropy payloads are emitted as
 	// zeros of exactly the length the full coders would produce.
@@ -188,39 +190,13 @@ func (e *Encoder) zeroBytes(n int) []byte {
 	return e.zeroBuf[:n]
 }
 
-// Plan records the structure of the frame the encoder just produced: the
-// facts a decompressor model would otherwise recover by parsing the frame
-// (block carving, literal coding choices, sequence streams). Produced by
-// AppendEncodeWithPlan; each PlanBlock matches the BlockInfo that Inspect
-// would parse from the same frame, field for field on the modelled costs.
-//
-// PlanBlock.Seqs aliases encoder scratch, so a Plan is valid only until the
-// encoder's next Encode call.
-type Plan struct {
-	WindowLog   int
-	ContentSize int
-	Blocks      []PlanBlock
-}
-
-// PlanBlock mirrors the charge-relevant fields of BlockInfo.
-type PlanBlock struct {
-	Type    int // blockRaw, blockRLE, blockCompressed
-	RawSize int
-
-	// Literals-section detail (compressed blocks only).
-	LitMode      int // litRaw or litHuffman
-	LitCount     int
-	LitPayload   int // compressed literal bytes (huffman mode)
-	HuffMaxBits  int
-	HuffLensN    int // serialized code-length count (trailing zeros trimmed)
-	SeqModes     [3]int
-	FSETableLogs [3]int
-	Seqs         []lz77.Seq
-	CompSize     int // compressed body bytes (compressed blocks only)
-}
-
-// IsCompressed reports whether the block ran the full pipeline.
-func (b *PlanBlock) IsCompressed() bool { return b.Type == blockCompressed }
+// Plan is the FrameInfo an Encoder records of the frame it just produced:
+// what a decompressor model would otherwise recover by parsing the frame
+// (block carving, literal coding choices, sequence streams), equal to what
+// Inspect parses from the same frame in everything but the payload bytes,
+// which it leaves out. Its Seqs alias encoder scratch, so a Plan is valid
+// only until the encoder's next Encode call.
+type Plan = FrameInfo
 
 // NewEncoder returns an Encoder for p.
 func NewEncoder(p Params) (*Encoder, error) {
@@ -250,14 +226,6 @@ func (e *Encoder) Encode(src []byte) []byte {
 func (e *Encoder) AppendEncode(dst, src []byte) []byte {
 	e.matcher.ResetStats()
 	dst = e.appendFrameHeader(dst, len(src))
-	if len(src) == 0 {
-		dst = append(dst, byte(blockRaw<<1|1)) // empty last raw block
-		dst = ibits.AppendUvarint(dst, 0)
-		if e.recordPlan {
-			e.plan.Blocks = append(e.plan.Blocks, PlanBlock{Type: blockRaw})
-		}
-		return e.appendChecksum(dst, src)
-	}
 	dict := e.usableDict()
 	data := src
 	if len(dict) > 0 {
@@ -266,36 +234,25 @@ func (e *Encoder) AppendEncode(dst, src []byte) []byte {
 	}
 	seqs := e.matcher.ParsePrefixed(data, len(dict))
 	plans := e.splitBlocks(seqs, len(src))
+	e.plan.Blocks = slices.Grow(e.plan.Blocks, len(plans))
 	for i, p := range plans {
 		blockData := data[len(dict)+p.start : len(dict)+p.start+p.size]
 		e.litBuf = lz77.AppendLiteralsAt(e.litBuf[:0], data, len(dict)+p.start, p.seqs)
-		dst = e.encodeBlock(dst, blockData, e.litBuf, p.seqs, i == len(plans)-1)
+		e.plan.Blocks = append(e.plan.Blocks, BlockInfo{})
+		dst = e.encodeBlock(dst, &e.plan.Blocks[i], blockData, e.litBuf, p.seqs, i == len(plans)-1)
 	}
-	return e.appendChecksum(dst, src)
+	if e.params.Checksum {
+		e.plan.Checksum = contentChecksum(src)
+		dst = binary.LittleEndian.AppendUint32(dst, e.plan.Checksum)
+	}
+	return dst
 }
 
 // AppendEncodeWithPlan compresses src like AppendEncode and additionally
-// returns the frame's Plan — the same structural facts Inspect would parse
-// back out of the frame, recorded for free during encoding. The Plan (and
-// its Seqs slices, which alias encoder scratch) is valid only until the next
-// Encode call on this encoder.
+// returns the frame's Plan, valid only until the next Encode call on this
+// encoder.
 func (e *Encoder) AppendEncodeWithPlan(dst, src []byte) ([]byte, *Plan) {
-	e.recordPlan = true
-	e.plan.Blocks = e.plan.Blocks[:0]
-	dst = e.AppendEncode(dst, src)
-	e.recordPlan = false
-	e.plan.WindowLog = e.params.WindowLog
-	e.plan.ContentSize = len(src)
-	return dst, &e.plan
-}
-
-// appendChecksum trails the frame with the content checksum when enabled.
-func (e *Encoder) appendChecksum(dst, content []byte) []byte {
-	if !e.params.Checksum {
-		return dst
-	}
-	c := contentChecksum(content)
-	return append(dst, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
+	return e.AppendEncode(dst, src), &e.plan
 }
 
 // usableDict returns the dictionary tail within the window.
@@ -309,11 +266,18 @@ func (e *Encoder) usableDict() []byte {
 
 // appendFrameHeader emits magic, flagged window byte, optional dictionary
 // ID, and the content size (contentSize < 0 marks a streaming frame of
-// unknown size).
+// unknown size), and starts the frame's Plan from what it wrote.
 func (e *Encoder) appendFrameHeader(dst []byte, contentSize int) []byte {
+	e.plan = Plan{
+		WindowLog:   e.params.WindowLog,
+		ContentSize: contentSize,
+		NeedsDict:   len(e.params.Dict) > 0,
+		HasChecksum: e.params.Checksum,
+		Blocks:      e.plan.Blocks[:0],
+	}
 	dst = append(dst, frameMagic[:]...)
 	windowByte := byte(e.params.WindowLog)
-	if len(e.params.Dict) > 0 {
+	if e.plan.NeedsDict {
 		windowByte |= flagDictionary
 	}
 	if contentSize < 0 {
@@ -323,8 +287,9 @@ func (e *Encoder) appendFrameHeader(dst []byte, contentSize int) []byte {
 		windowByte |= flagChecksum
 	}
 	dst = append(dst, windowByte)
-	if len(e.params.Dict) > 0 {
-		dst = append(dst, DictID(e.params.Dict))
+	if e.plan.NeedsDict {
+		e.plan.DictID = DictID(e.params.Dict)
+		dst = append(dst, e.plan.DictID)
 	}
 	if contentSize >= 0 {
 		dst = ibits.AppendUvarint(dst, uint64(contentSize))
@@ -416,16 +381,10 @@ func Encode(src []byte) []byte {
 	return e.Encode(src)
 }
 
-// encodeBlock appends one block (header + body) to dst. The caller supplies
-// the block's slice of the frame-wide parse and its literal bytes. When plan
-// recording is on, one PlanBlock is appended describing the block as
-// actually emitted (RLE and raw fallbacks included).
-func (e *Encoder) encodeBlock(dst, block, literals []byte, seqs []lz77.Seq, last bool) []byte {
-	var pb *PlanBlock
-	if e.recordPlan {
-		e.plan.Blocks = append(e.plan.Blocks, PlanBlock{})
-		pb = &e.plan.Blocks[len(e.plan.Blocks)-1]
-	}
+// encodeBlock appends one block (header + body) to dst and describes it in
+// info as actually emitted (RLE and raw fallbacks included). The caller
+// supplies the block's slice of the frame-wide parse and its literal bytes.
+func (e *Encoder) encodeBlock(dst []byte, info *BlockInfo, block, literals []byte, seqs []lz77.Seq, last bool) []byte {
 	lastBit := byte(0)
 	if last {
 		lastBit = 1
@@ -433,83 +392,62 @@ func (e *Encoder) encodeBlock(dst, block, literals []byte, seqs []lz77.Seq, last
 	// RLE block: all bytes identical. (Its bytes still join the frame
 	// history; later blocks may reference them.)
 	if allSame(block) {
+		*info = BlockInfo{Type: blockRLE, RawSize: len(block)}
 		dst = append(dst, byte(blockRLE<<1)|lastBit)
 		dst = ibits.AppendUvarint(dst, uint64(len(block)))
-		if pb != nil {
-			*pb = PlanBlock{Type: blockRLE, RawSize: len(block)}
-		}
 		return append(dst, block[0])
 	}
-	body := e.appendLiteralsSection(e.bodyBuf[:0], literals, pb)
-	body = e.appendSequencesSection(body, seqs, pb)
+	*info = BlockInfo{Type: blockCompressed, RawSize: len(block)}
+	body := e.appendLiteralsSection(e.bodyBuf[:0], literals, info)
+	body = e.appendSequencesSection(body, seqs, info)
 	e.bodyBuf = body[:0] // keep the (possibly regrown) buffer for the next block
 	if len(body) >= len(block) {
-		// Incompressible: raw block.
+		// Incompressible, or the empty block that ends an empty frame: raw.
+		*info = BlockInfo{Type: blockRaw, RawSize: len(block)}
 		dst = append(dst, byte(blockRaw<<1)|lastBit)
 		dst = ibits.AppendUvarint(dst, uint64(len(block)))
-		if pb != nil {
-			*pb = PlanBlock{Type: blockRaw, RawSize: len(block)}
-		}
 		return append(dst, block...)
 	}
+	info.CompSize = len(body)
 	dst = append(dst, byte(blockCompressed<<1)|lastBit)
 	dst = ibits.AppendUvarint(dst, uint64(len(block)))
 	dst = ibits.AppendUvarint(dst, uint64(len(body)))
-	if pb != nil {
-		pb.Type = blockCompressed
-		pb.RawSize = len(block)
-		pb.CompSize = len(body)
-	}
 	return append(dst, body...)
 }
 
+// allSame reports whether b is one byte repeated.
 func allSame(b []byte) bool {
-	for _, c := range b[1:] {
+	for _, c := range b {
 		if c != b[0] {
 			return false
 		}
 	}
-	return true
+	return len(b) > 0
 }
 
 // appendLiteralsSection emits: mode byte, varint literal count, then for
 // Huffman mode a varint byte-length-prefixed bitstream holding the code
-// table and codes. pb, when non-nil, receives the literal-coding facts as a
-// decoder would parse them back.
-func (e *Encoder) appendLiteralsSection(dst, literals []byte, pb *PlanBlock) []byte {
-	if len(literals) == 0 {
-		dst = append(dst, litRaw)
-		if pb != nil {
-			pb.LitMode = litRaw
-		}
-		return ibits.AppendUvarint(dst, 0)
-	}
+// table and codes. info receives the literal-coding facts as a decoder would
+// parse them back.
+func (e *Encoder) appendLiteralsSection(dst, literals []byte, info *BlockInfo) []byte {
+	info.LitMode, info.LitCount = litRaw, len(literals)
 	huffBytes, maxBits, lensN := e.huffmanLiterals(literals)
 	if huffBytes == nil || len(huffBytes) >= len(literals) {
 		dst = append(dst, litRaw)
 		dst = ibits.AppendUvarint(dst, uint64(len(literals)))
-		if pb != nil {
-			pb.LitMode = litRaw
-			pb.LitCount = len(literals)
-		}
 		return append(dst, literals...)
 	}
+	info.LitMode, info.LitPayload = litHuffman, len(huffBytes)
+	info.HuffMaxBits, info.HuffLensN = maxBits, lensN
 	dst = append(dst, litHuffman)
 	dst = ibits.AppendUvarint(dst, uint64(len(literals)))
 	dst = ibits.AppendUvarint(dst, uint64(len(huffBytes)))
-	if pb != nil {
-		pb.LitMode = litHuffman
-		pb.LitCount = len(literals)
-		pb.LitPayload = len(huffBytes)
-		pb.HuffMaxBits = maxBits
-		pb.HuffLensN = lensN
-	}
 	return append(dst, huffBytes...)
 }
 
 // huffmanLiterals returns the Huffman-coded literal stream (table + codes)
 // with the table's max code length and serialized length count, or nil if
-// the literals are degenerate or incompressible.
+// the literals are absent, degenerate or incompressible.
 func (e *Encoder) huffmanLiterals(literals []byte) (stream []byte, maxBits, lensN int) {
 	var hist [256]int
 	for _, b := range literals {
@@ -547,13 +485,11 @@ func (e *Encoder) huffmanLiterals(literals []byte) (stream []byte, maxBits, lens
 }
 
 // appendSequencesSection emits: varint sequence count, then the three code
-// streams (LL, OF, ML) and the shared extra-bits stream. pb, when non-nil,
-// receives the per-stream coding modes, table logs and the sequence list.
-func (e *Encoder) appendSequencesSection(dst []byte, seqs []lz77.Seq, pb *PlanBlock) []byte {
+// streams (LL, OF, ML) and the shared extra-bits stream. info receives the
+// per-stream coding modes, table logs and the sequence list.
+func (e *Encoder) appendSequencesSection(dst []byte, seqs []lz77.Seq, info *BlockInfo) []byte {
 	dst = ibits.AppendUvarint(dst, uint64(len(seqs)))
-	if pb != nil {
-		pb.Seqs = seqs
-	}
+	info.NumSeqs, info.Seqs = len(seqs), seqs
 	if len(seqs) == 0 {
 		return dst
 	}
@@ -599,12 +535,7 @@ func (e *Encoder) appendSequencesSection(dst []byte, seqs []lz77.Seq, pb *PlanBl
 		}
 	}
 	for s, codes := range [3][]uint8{llCodes, ofCodes, mlCodes} {
-		var mode, tableLog int
-		dst, mode, tableLog = e.appendCodeStream(dst, codes)
-		if pb != nil {
-			pb.SeqModes[s] = mode
-			pb.FSETableLogs[s] = tableLog
-		}
+		dst, info.SeqModes[s], info.FSETableLogs[s] = e.appendCodeStream(dst, codes)
 	}
 	if e.sizeOnly {
 		sz := (ebits + 7) / 8

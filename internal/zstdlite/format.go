@@ -11,13 +11,18 @@
 package zstdlite
 
 import (
+	"bytes"
 	"errors"
-	"fmt"
 	"math/bits"
 )
 
 // Frame constants.
 var frameMagic = [4]byte{'Z', 'S', 'L', '1'}
+
+// IsFrame reports whether src opens with the zstdlite frame magic: how a
+// caller holding bytes of unknown origin tells this family's frames from a
+// Snappy block, which opens with a varint length.
+func IsFrame(src []byte) bool { return bytes.HasPrefix(src, frameMagic[:]) }
 
 // Header flag bits carried in the window byte (low 5 bits hold windowLog,
 // which is at most 27).
@@ -168,13 +173,10 @@ var (
 	ErrMagic   = errors.New("zstdlite: bad frame magic")
 	ErrCorrupt = errors.New("zstdlite: corrupt frame")
 	ErrWindow  = errors.New("zstdlite: window log out of range")
-	// ErrSizeLimit is returned when a frame declares (or its blocks sum to)
-	// more output than the caller's limit allows — checked before and during
-	// materialization, so a forged header cannot OOM the decoder.
-	ErrSizeLimit = errors.New("zstdlite: decoded length exceeds limit")
-	// ErrTooLarge is the historical name for the default-limit violation; it
-	// wraps ErrSizeLimit so errors.Is matches either sentinel.
-	ErrTooLarge   = fmt.Errorf("zstdlite: decoded length too large: %w", ErrSizeLimit)
+	// ErrSizeLimit is returned when a frame's blocks sum to more output than
+	// the caller's limit allows (MaxDecodedLen when none is given) — checked
+	// before the output is reserved, so a forged header cannot OOM the decoder.
+	ErrSizeLimit  = errors.New("zstdlite: decoded length exceeds limit")
 	ErrBadParams  = errors.New("zstdlite: invalid parameters")
 	ErrDictionary = errors.New("zstdlite: dictionary missing or mismatched")
 )

@@ -2,12 +2,16 @@ package zstdlite
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
-// FuzzDecompress asserts the frame decode path's robustness contract on
+// FuzzDecompress asserts the frame decode paths' robustness contract on
 // arbitrary bytes: no panics, deterministic results, declared content size
-// honored on success, and the size limit enforced before allocation.
+// honored on success, the size limit enforced before allocation, and the
+// streaming Reader agreeing with Decode — the same bytes wherever Decode
+// succeeds, and no failure Decode does not share (the Reader may accept more:
+// it stops at the last block, and bytes after a frame are not its business).
 func FuzzDecompress(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{'Z', 'S', 'L', '1'})
@@ -20,6 +24,10 @@ func FuzzDecompress(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := Decode(data)
+		streamed, serr := io.ReadAll(NewReader(bytes.NewReader(data), nil))
+		if err == nil && (serr != nil || !bytes.Equal(streamed, out)) {
+			t.Fatalf("Decode gave %d bytes, the Reader %d (err %v)", len(out), len(streamed), serr)
+		}
 		if err != nil {
 			return
 		}

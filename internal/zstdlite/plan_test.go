@@ -86,6 +86,10 @@ func comparePlan(t *testing.T, name string, plan *Plan, info *FrameInfo, content
 	if plan.WindowLog != info.WindowLog {
 		t.Errorf("%s: window log plan=%d inspect=%d", name, plan.WindowLog, info.WindowLog)
 	}
+	if plan.NeedsDict != info.NeedsDict || plan.DictID != info.DictID ||
+		plan.HasChecksum != info.HasChecksum || plan.Checksum != info.Checksum {
+		t.Errorf("%s: header flags plan=%+v inspect=%+v", name, *plan, *info)
+	}
 	if len(plan.Blocks) != len(info.Blocks) {
 		t.Fatalf("%s: %d planned blocks, %d inspected", name, len(plan.Blocks), len(info.Blocks))
 	}
@@ -104,15 +108,15 @@ func comparePlan(t *testing.T, name string, plan *Plan, info *FrameInfo, content
 			t.Errorf("%s block %d: literals plan=(%d,%d,%d) inspect=(%d,%d,%d)", name, i,
 				pb.LitMode, pb.LitCount, pb.LitPayload, ib.LitMode, ib.LitCount, ib.LitPayload)
 		}
-		if pb.HuffMaxBits != ib.HuffMaxBits || pb.HuffLensN != len(ib.HuffLens) {
+		if pb.HuffMaxBits != ib.HuffMaxBits || pb.HuffLensN != ib.HuffLensN {
 			t.Errorf("%s block %d: huffman plan=(%d,%d) inspect=(%d,%d)", name, i,
-				pb.HuffMaxBits, pb.HuffLensN, ib.HuffMaxBits, len(ib.HuffLens))
+				pb.HuffMaxBits, pb.HuffLensN, ib.HuffMaxBits, ib.HuffLensN)
 		}
 		if pb.SeqModes != ib.SeqModes || pb.FSETableLogs != ib.FSETableLogs {
 			t.Errorf("%s block %d: streams plan=(%v,%v) inspect=(%v,%v)", name, i,
 				pb.SeqModes, pb.FSETableLogs, ib.SeqModes, ib.FSETableLogs)
 		}
-		if len(pb.Seqs) != len(ib.Seqs) {
+		if len(pb.Seqs) != len(ib.Seqs) || pb.NumSeqs != len(pb.Seqs) || ib.NumSeqs != len(ib.Seqs) {
 			t.Errorf("%s block %d: %d planned seqs, %d inspected", name, i, len(pb.Seqs), len(ib.Seqs))
 			continue
 		}

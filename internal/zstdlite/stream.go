@@ -1,11 +1,11 @@
 package zstdlite
 
 import (
-	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
-	ibits "cdpu/internal/bits"
 	"cdpu/internal/lz77"
 )
 
@@ -89,28 +89,16 @@ func (sw *Writer) emitBlock(block []byte, last bool) error {
 		out = sw.enc.appendFrameHeader(out, -1)
 		sw.started = true
 	}
-	if len(block) == 0 {
-		if !last {
-			return nil
-		}
-		out = append(out, byte(blockRaw<<1|1))
-		out = ibits.AppendUvarint(out, 0)
-		out = sw.appendTrailer(out)
-		_, err := sw.w.Write(out)
-		if err != nil {
-			sw.err = err
-		}
-		return err
-	}
 	// Parse the block against the retained history.
 	data := make([]byte, 0, len(sw.history)+len(block))
 	data = append(append(data, sw.history...), block...)
 	seqs := sw.enc.matcher.ParsePrefixed(data, len(sw.history))
-	literals := lz77.LiteralsAt(data, len(sw.history), seqs)
-	out = sw.enc.encodeBlock(out, block, literals, seqs, last)
+	sw.enc.litBuf = lz77.AppendLiteralsAt(sw.enc.litBuf[:0], data, len(sw.history), seqs)
+	var info BlockInfo // a stream keeps no record of its blocks
+	out = sw.enc.encodeBlock(out, &info, block, sw.enc.litBuf, seqs, last)
 	sw.hash.update(block)
-	if last {
-		out = sw.appendTrailer(out)
+	if last && sw.enc.params.Checksum {
+		out = binary.LittleEndian.AppendUint32(out, sw.hash.sum32())
 	}
 	if _, err := sw.w.Write(out); err != nil {
 		sw.err = err
@@ -123,29 +111,20 @@ func (sw *Writer) emitBlock(block []byte, last bool) error {
 	return nil
 }
 
-// appendTrailer emits the frame's content checksum when enabled.
-func (sw *Writer) appendTrailer(out []byte) []byte {
-	if !sw.enc.params.Checksum {
-		return out
-	}
-	c := sw.hash.sum32()
-	return append(out, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-}
-
-// Reader is a streaming zstdlite decompressor. It decodes block by block,
-// retaining a window of produced output for cross-block copies.
+// Reader is a streaming zstdlite decompressor: the frame parsers and the
+// block executor of decode.go, driven a block at a time, retaining a window
+// of produced output for cross-block copies.
 type Reader struct {
-	r    *bufio.Reader
+	r    io.Reader
 	dict []byte
+	in   []byte // wire bytes of the structure being read: header, block or trailer
 	// out holds window history plus undelivered bytes; off is the delivery
-	// cursor, hist the number of bytes before off that are pure history.
+	// cursor.
 	out      []byte
 	off      int
-	window   int
-	needDict bool
-	dictID   byte
+	info     FrameInfo // the header, once started
+	produced int       // bytes the blocks so far have declared
 	hash     checksumState
-	check    bool
 	started  bool
 	last     bool
 	err      error
@@ -154,169 +133,91 @@ type Reader struct {
 // NewReader returns a streaming decompressor. dict may be nil for frames
 // that do not require one.
 func NewReader(r io.Reader, dict []byte) *Reader {
-	return &Reader{r: bufio.NewReader(r), dict: dict, hash: newChecksum()}
+	return &Reader{r: r, dict: dict, hash: newChecksum()}
 }
 
 // Read implements io.Reader.
 func (sr *Reader) Read(p []byte) (int, error) {
 	for sr.off == len(sr.out) {
+		if sr.err == nil && sr.last {
+			sr.err = io.EOF
+		}
 		if sr.err != nil {
 			return 0, sr.err
 		}
-		if sr.last {
-			sr.err = io.EOF
-			return 0, io.EOF
-		}
-		sr.advance()
+		sr.err = sr.advance()
 	}
 	n := copy(p, sr.out[sr.off:])
 	sr.off += n
 	return n, nil
 }
 
-func (sr *Reader) fail(err error) {
-	if sr.err == nil {
-		sr.err = err
-	}
-}
-
-// readHeaderBytes pulls the fixed frame header from the stream.
-func (sr *Reader) readHeader() {
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(sr.r, hdr); err != nil {
-		sr.fail(fmt.Errorf("%w: truncated header", ErrCorrupt))
-		return
-	}
-	windowByte := hdr[4]
-	if hdr[0] != frameMagic[0] || hdr[1] != frameMagic[1] || hdr[2] != frameMagic[2] || hdr[3] != frameMagic[3] {
-		sr.fail(ErrMagic)
-		return
-	}
-	windowLog := int(windowByte &^ (flagUnknownSize | flagDictionary | flagChecksum))
-	if windowLog < MinWindowLog || windowLog > MaxWindowLog {
-		sr.fail(fmt.Errorf("%w: %d", ErrWindow, windowLog))
-		return
-	}
-	sr.window = 1 << windowLog
-	sr.check = windowByte&flagChecksum != 0
-	if windowByte&flagDictionary != 0 {
-		id, err := sr.r.ReadByte()
-		if err != nil {
-			sr.fail(fmt.Errorf("%w: missing dictionary id", ErrCorrupt))
-			return
+// read pulls one structure off the stream into sr.in for parse, reading only
+// as many bytes as parse says the structure still needs: never past its end,
+// and never more than the parsers' bounds allow a header to ask for.
+func (sr *Reader) read(parse func([]byte) (int, error)) error {
+	sr.in = sr.in[:0]
+	for {
+		need, err := parse(sr.in)
+		if err != errShort {
+			return err
 		}
-		sr.needDict = true
-		sr.dictID = id
-		if sr.dict == nil {
-			sr.fail(fmt.Errorf("%w: frame requires a preset dictionary", ErrDictionary))
-			return
-		}
-		if DictID(sr.dict) != id {
-			sr.fail(fmt.Errorf("%w: dictionary id mismatch", ErrDictionary))
-			return
-		}
-		d := sr.dict
-		if len(d) > sr.window {
-			d = d[len(d)-sr.window:]
-		}
-		sr.out = append(sr.out, d...)
-		sr.off = len(sr.out)
-	}
-	if windowByte&flagUnknownSize == 0 {
-		// Fixed-size frames carry a content-size varint; consume it.
-		if _, err := readUvarint(sr.r); err != nil {
-			sr.fail(fmt.Errorf("%w: content size", ErrCorrupt))
-			return
+		have := len(sr.in)
+		sr.in = append(sr.in, make([]byte, need-have)...)
+		if _, err := io.ReadFull(sr.r, sr.in[have:]); err != nil {
+			return fmt.Errorf("%w (%v)", errShort, err)
 		}
 	}
-	sr.started = true
 }
 
 // advance decodes the next block into out.
-func (sr *Reader) advance() {
+func (sr *Reader) advance() error {
 	if !sr.started {
-		sr.readHeader()
-		if sr.err != nil || !sr.started {
-			return
+		err := sr.read(func(b []byte) (n int, err error) {
+			sr.info, n, err = parseFrameHeader(b)
+			return n, err
+		})
+		if err != nil {
+			return err
 		}
+		hist, err := sr.info.history(sr.dict)
+		if err != nil {
+			return err
+		}
+		sr.out = append(sr.out, hist...)
+		sr.off = len(sr.out)
+		sr.started = true
 	}
-	hdr, err := sr.r.ReadByte()
+	var block BlockInfo
+	err := sr.read(func(b []byte) (n int, err error) {
+		n, sr.last, err = parseBlock(b, &block)
+		return n, err
+	})
 	if err != nil {
-		sr.fail(fmt.Errorf("%w: missing block header", ErrCorrupt))
-		return
+		return err
 	}
-	sr.last = hdr&1 == 1
-	btype := int(hdr >> 1)
-	rawSize64, err := readUvarint(sr.r)
-	if err != nil || rawSize64 > MaxBlockSize {
-		sr.fail(fmt.Errorf("%w: block size", ErrCorrupt))
-		return
+	sr.produced += block.RawSize
+	if err := sr.info.checkSize(sr.produced, math.MaxInt, sr.last); err != nil {
+		return err
 	}
-	rawSize := int(rawSize64)
 	sr.trimWindow()
 	before := len(sr.out)
-	defer func() {
-		if sr.err != nil {
-			return
-		}
-		sr.hash.update(sr.out[before:])
-		if sr.last && sr.check {
-			var trail [4]byte
-			if _, err := io.ReadFull(sr.r, trail[:]); err != nil {
-				sr.fail(fmt.Errorf("%w: missing content checksum", ErrCorrupt))
-				return
-			}
-			want := uint32(trail[0]) | uint32(trail[1])<<8 | uint32(trail[2])<<16 | uint32(trail[3])<<24
-			if got := sr.hash.sum32(); got != want {
-				sr.fail(fmt.Errorf("%w: content checksum %#08x != recorded %#08x", ErrCorrupt, got, want))
-			}
-		}
-	}()
-	switch btype {
-	case blockRaw:
-		start := len(sr.out)
-		sr.out = append(sr.out, make([]byte, rawSize)...)
-		if _, err := io.ReadFull(sr.r, sr.out[start:]); err != nil {
-			sr.out = sr.out[:start]
-			sr.fail(fmt.Errorf("%w: raw block", ErrCorrupt))
-		}
-	case blockRLE:
-		b, err := sr.r.ReadByte()
-		if err != nil {
-			sr.fail(fmt.Errorf("%w: rle block", ErrCorrupt))
-			return
-		}
-		for i := 0; i < rawSize; i++ {
-			sr.out = append(sr.out, b)
-		}
-	case blockCompressed:
-		compSize64, err := readUvarint(sr.r)
-		if err != nil {
-			sr.fail(fmt.Errorf("%w: compressed size", ErrCorrupt))
-			return
-		}
-		body := make([]byte, int(compSize64))
-		if _, err := io.ReadFull(sr.r, body); err != nil {
-			sr.fail(fmt.Errorf("%w: compressed block", ErrCorrupt))
-			return
-		}
-		block := BlockInfo{Type: blockCompressed, RawSize: rawSize, CompSize: len(body)}
-		if err := parseCompressedBody(body, &block); err != nil {
-			sr.fail(err)
-			return
-		}
-		before := len(sr.out)
-		sr.out, err = lz77.AppendReconstruct(sr.out, block.Seqs, block.Literals, sr.window)
-		if err != nil {
-			sr.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
-			return
-		}
-		if len(sr.out)-before != rawSize {
-			sr.fail(fmt.Errorf("%w: block produced %d of %d bytes", ErrCorrupt, len(sr.out)-before, rawSize))
-		}
-	default:
-		sr.fail(fmt.Errorf("%w: block type %d", ErrCorrupt, btype))
+	out, err := block.appendTo(sr.out, 1<<sr.info.WindowLog)
+	if err != nil {
+		return err
 	}
+	sr.out = out
+	if !sr.info.HasChecksum {
+		return nil
+	}
+	sr.hash.update(out[before:])
+	if !sr.last {
+		return nil
+	}
+	if err := sr.read(sr.info.parseTrailer); err != nil {
+		return err
+	}
+	return sr.info.checkSum(sr.hash.sum32())
 }
 
 // trimWindow drops delivered bytes beyond the window so memory stays
@@ -324,29 +225,9 @@ func (sr *Reader) advance() {
 // frames may carry offsets up to 2^windowLog even when the producer was not
 // streaming.
 func (sr *Reader) trimWindow() {
-	if sr.off > sr.window {
-		drop := sr.off - sr.window
+	if window := 1 << sr.info.WindowLog; sr.off > window {
+		drop := sr.off - window
 		sr.out = append(sr.out[:0], sr.out[drop:]...)
 		sr.off -= drop
-	}
-}
-
-// readUvarint reads a base-128 varint from a ByteReader.
-func readUvarint(r io.ByteReader) (uint64, error) {
-	var x uint64
-	var shift uint
-	for i := 0; ; i++ {
-		b, err := r.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		if i == 10 || (i == 9 && b > 1) {
-			return 0, ibits.ErrVarint
-		}
-		if b < 0x80 {
-			return x | uint64(b)<<shift, nil
-		}
-		x |= uint64(b&0x7f) << shift
-		shift += 7
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
+	ibits "cdpu/internal/bits"
 	"cdpu/internal/corpus"
 )
 
@@ -121,6 +123,69 @@ func TestStreamTruncated(t *testing.T) {
 	for _, cut := range []int{3, 6, len(enc) / 2, len(enc) - 1} {
 		if _, err := io.ReadAll(NewReader(bytes.NewReader(enc[:cut]), nil)); err == nil {
 			t.Errorf("truncation at %d undetected", cut)
+		}
+	}
+}
+
+// TestStreamForgedCompressedSize: a stream of under twenty bytes whose one
+// block declares a compressed body of 2^40 or 2^63 bytes is refused by the
+// block parser's bound, and nothing is reserved on the header's word on the
+// way (sizing a buffer from it ends the process: `runtime: out of memory`,
+// or `makeslice: len out of range`).
+func TestStreamForgedCompressedSize(t *testing.T) {
+	for _, compSize := range []uint64{1 << 40, 1 << 63} {
+		frame := append([]byte("ZSL1"), 17|flagUnknownSize, blockCompressed<<1|1, 16)
+		frame = ibits.AppendUvarint(frame, compSize)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := io.ReadAll(NewReader(bytes.NewReader(frame), nil))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("compressed size %#x: err = %v, want ErrCorrupt", compSize, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > MaxBlockSize {
+			t.Errorf("compressed size %#x: %d bytes allocated reading a %d-byte stream", compSize, grew, len(frame))
+		}
+		if _, err := Decode(frame); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("compressed size %#x: Decode err = %v, want ErrCorrupt", compSize, err)
+		}
+	}
+}
+
+// TestStreamReaderStopsAtFrameEnd: the Reader takes from its source exactly
+// the frame's bytes, checksum trailer included, and leaves what follows.
+func TestStreamReaderStopsAtFrameEnd(t *testing.T) {
+	data := corpus.Generate(corpus.JSON, 200<<10, 16)
+	e, err := NewEncoder(Params{Checksum: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(append(e.Encode(data), "next"...))
+	got, err := io.ReadAll(NewReader(src, nil))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("stream decode: %v", err)
+	}
+	if rest, _ := io.ReadAll(src); string(rest) != "next" {
+		t.Fatalf("source left holding %q, want %q", rest, "next")
+	}
+}
+
+// TestStreamReaderChecksDeclaredSize: the Reader holds a fixed-size frame's
+// blocks to the content size its header declares, as the buffer decoder does.
+func TestStreamReaderChecksDeclaredSize(t *testing.T) {
+	data := corpus.Generate(corpus.Text, 3000, 6)
+	enc := Encode(data)
+	if enc[5] != byte(3000&0x7f|0x80) {
+		t.Fatalf("content size varint not where the test expects it: % x", enc[:8])
+	}
+	for _, delta := range []int{-1, 1} {
+		bad := append([]byte(nil), enc...)
+		bad[5] += byte(delta)
+		if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("declared size off by %+d: Decode err = %v, want ErrCorrupt", delta, err)
+		}
+		if out, err := io.ReadAll(NewReader(bytes.NewReader(bad), nil)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("declared size off by %+d: Reader returned %d bytes, err = %v, want ErrCorrupt", delta, len(out), err)
 		}
 	}
 }

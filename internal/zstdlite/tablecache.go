@@ -37,16 +37,9 @@ var (
 // eviction policy on the hot path.
 const maxCachedTables = 4096
 
-// huffEntry pairs a built decoder with the canonical description it was
-// built from (shared read-only with every BlockInfo that referenced it).
-type huffEntry struct {
-	dec  *huffman.Decoder
-	lens []uint8
-}
-
 type tableCache struct {
 	mu   sync.RWMutex
-	huff map[string]*huffEntry
+	huff map[string]*huffman.Decoder
 	fse  map[string]*fse.DecTable
 }
 
@@ -54,31 +47,30 @@ var tables tableCache
 
 // huffDecoder returns the memoized decoder for a set of serialized code
 // lengths, building and caching it on first sight. lens may point into a
-// caller scratch buffer; it is copied before being retained.
-func (c *tableCache) huffDecoder(lens []uint8) (*huffEntry, error) {
+// caller scratch buffer; the key is a copy of it.
+func (c *tableCache) huffDecoder(lens []uint8) (*huffman.Decoder, error) {
 	c.mu.RLock()
-	e, ok := c.huff[string(lens)]
+	d, ok := c.huff[string(lens)]
 	c.mu.RUnlock()
 	if ok {
 		metricTableHits.Inc()
-		return e, nil
+		return d, nil
 	}
 	table, err := huffman.FromLengths(lens)
 	if err != nil {
 		return nil, err
 	}
-	// table.Lens is FromLengths' own copy, safe to retain and share.
-	e = &huffEntry{dec: huffman.NewDecoder(table), lens: table.Lens}
+	d = huffman.NewDecoder(table)
 	c.mu.Lock()
 	if c.huff == nil || len(c.huff) >= maxCachedTables {
-		c.huff = make(map[string]*huffEntry)
+		c.huff = make(map[string]*huffman.Decoder)
 	}
 	// A racing builder may have inserted the same key; last write wins and
 	// both values are equivalent, so no double-check is needed.
-	c.huff[string(e.lens)] = e
+	c.huff[string(lens)] = d
 	c.mu.Unlock()
 	metricTableMisses.Inc()
-	return e, nil
+	return d, nil
 }
 
 // fseTable returns the memoized decode table for (norm, tableLog), keyed by
