@@ -2,9 +2,13 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"cdpu/internal/comp"
+	"cdpu/internal/fleet"
 )
 
 // run executes an experiment at test scale and holds what it prints to its
@@ -371,5 +375,19 @@ func TestOpenLoopSweepRuns(t *testing.T) {
 	}
 	if auto.Rows[1][0] != "autoscaled" {
 		t.Errorf("autoscale table middle row %v", auto.Rows[1])
+	}
+}
+
+// TestGroundTruthIsPure: fleet-summary's heavyweight cycle share is a sum over
+// a map's values, taken in a fixed order so that repeats agree to the bit.
+func TestGroundTruthIsPure(t *testing.T) {
+	a := fleet.Analyze(fleet.NewModel(1).SampleCalls(5000))
+	for _, op := range comp.Ops {
+		first := heavyCycleShare(a, op)
+		for i := 0; i < 200; i++ {
+			if got := heavyCycleShare(a, op); math.Float64bits(got) != math.Float64bits(first) {
+				t.Fatalf("heavyCycleShare(%v) = %v on repeat %d, %v on the first call", op, got, i, first)
+			}
+		}
 	}
 }

@@ -255,10 +255,11 @@ func runFleetSummary(cfg Config) ([]*Table, error) {
 func heavyCycleShare(a *fleet.Analysis, op comp.Op) float64 {
 	shares := a.CycleShareByAlgoOp()
 	heavy, total := 0.0, 0.0
-	for ao, v := range shares {
+	for _, ao := range fleet.AllAlgoOps() { // fixed order: float sums must be reproducible
 		if ao.Op != op {
 			continue
 		}
+		v := shares[ao]
 		total += v
 		if ao.Algo.Heavyweight() {
 			heavy += v

@@ -388,3 +388,26 @@ func TestSamplingDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestGroundTruthIsPure: the ground-truth tables are functions, so repeated
+// calls return the same bits. Sums taken while ranging over a map are not:
+// float addition depends on the order, and a map has none.
+func TestGroundTruthIsPure(t *testing.T) {
+	const repeats = 200
+	for _, month := range []int{0, 30, 50, 70, 95} {
+		first := TimelineShares(month)
+		for i := 0; i < repeats; i++ {
+			for k, v := range TimelineShares(month) {
+				if math.Float64bits(v) != math.Float64bits(first[k]) {
+					t.Fatalf("TimelineShares(%d)[%v] = %v on repeat %d, %v on the first call", month, k, v, i, first[k])
+				}
+			}
+		}
+	}
+	first := ZStdLevelByteFraction(-7, 3)
+	for i := 0; i < repeats; i++ {
+		if got := ZStdLevelByteFraction(-7, 3); math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("ZStdLevelByteFraction(-7, 3) = %v on repeat %d, %v on the first call", got, i, first)
+		}
+	}
+}

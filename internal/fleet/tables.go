@@ -140,11 +140,14 @@ var zstdLevelWeights = map[int]float64{
 	10: 0.25, 11: 0.13, 12: 0.001, 15: 0.0005, 19: 0.0003, 22: 0.0002,
 }
 
+// minZStdLevel and maxZStdLevel bound zstdLevelWeights' keys.
+const minZStdLevel, maxZStdLevel = -7, 22
+
 // ZStdLevels returns a sampler over Figure 2b's level distribution.
 func ZStdLevels() *stats.Weighted[int] {
 	levels := make([]int, 0, len(zstdLevelWeights))
 	weights := make([]float64, 0, len(zstdLevelWeights))
-	for l := -7; l <= 22; l++ {
+	for l := minZStdLevel; l <= maxZStdLevel; l++ {
 		if w, ok := zstdLevelWeights[l]; ok {
 			levels = append(levels, l)
 			weights = append(weights, w)
@@ -157,7 +160,8 @@ func ZStdLevels() *stats.Weighted[int] {
 // compressed at levels in [lo, hi].
 func ZStdLevelByteFraction(lo, hi int) float64 {
 	total, in := 0.0, 0.0
-	for l, w := range zstdLevelWeights {
+	for l := minZStdLevel; l <= maxZStdLevel; l++ { // ascending: float sums must be reproducible
+		w := zstdLevelWeights[l]
 		total += w
 		if l >= lo && l <= hi {
 			in += w
@@ -379,7 +383,8 @@ func TimelineShares(month int) map[AlgoOp]float64 {
 	}
 	out := make(map[AlgoOp]float64, len(final))
 	othersTotal := 0.0
-	for k, v := range final {
+	for _, k := range AllAlgoOps() { // fixed order: float sums must be reproducible
+		v := final[k]
 		switch k.Algo {
 		case comp.ZStd:
 			// handled after normalizing the rest
