@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check fmt vet build test race bench fuzz-smoke profile loc
+.PHONY: all check fmt vet build test race bench fuzz-smoke profile loc reach
 
 all: check
 
@@ -45,6 +45,43 @@ profile:
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@for d in internal/* cmd/*; do printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" $$d; done
+
+# What no entry point reaches: build every binary (cmd/, examples/, bench) with
+# coverage of the whole module (-coverpkg=./internal/... emits nothing on
+# go1.24.0), run each at its smallest scale, and print the functions under
+# internal/ that never executed. A function stays only if a binary, an
+# experiment, an example, the public cdpu package or a benchmark workload can
+# run it, or a safety contract needs it; CHANGES.md names the reason for each
+# one this prints.
+reach:
+	@set -e; T=$$(mktemp -d); mkdir $$T/bin $$T/cov $$T/out; : >$$T/log; B=$$T/bin; \
+	trap 's=$$?; [ $$s = 0 ] || tail -n 5 $$T/log >&2; rm -rf $$T; exit $$s' EXIT; \
+	for d in cmd/* examples/* bench; do $(GO) build -cover -coverpkg=./... -o $$B/$$(basename $$d) ./$$d; done; \
+	cat internal/exp/*.go docs/MODEL.md > $$T/payload; \
+	export GOCOVERDIR=$$T/cov; exec 3>&1 4>&2 >$$T/log 2>&1; \
+	$$B/cdpubench || true; \
+	$$B/cdpubench -all -files 6 -calls 300 -samples 20000 -workers 2 -csv $$T/out/csv -metrics; \
+	$$B/cdpubench -summary -files 6; \
+	for a in hash fse stats; do $$B/cdpubench -ablation $$a -files 6; done; \
+	for a in snappy zstd flate brotli gipfeli lzo; do \
+		$$B/cdpu -c -algo $$a $$T/payload $$T/out/p.$$a; \
+		$$B/cdpu -d -algo $$a $$T/out/p.$$a $$T/out/rt.$$a; cmp $$T/payload $$T/out/rt.$$a; \
+	done; \
+	$$B/cdpu -c -algo zstd -level 5 $$T/payload $$T/out/p.z5; $$B/cdpu -d $$T/out/p.z5 $$T/out/rt.z5; \
+	for a in snappy zstd; do \
+		$$B/cdpu -c -hw -algo $$a $$T/payload $$T/out/hw.$$a; \
+		$$B/cdpu -d -hw -algo $$a -placement chiplet -sram 8192 $$T/out/hw.$$a $$T/out/hwrt.$$a; cmp $$T/payload $$T/out/hwrt.$$a; \
+	done; \
+	$$B/lzbench -file $$T/payload -iters 1; $$B/lzbench -file $$T/payload -iters 1 -algo zstd -levels; \
+	$$B/hcbgen -out $$T/out/hcb -files 4 -maxfile 65536; \
+	(cd $$T/out && $$B/fuzzcorpus); \
+	for e in coldstorage placement quickstart rpccache; do $$B/$$e; done; \
+	F="$$B/fleetsim -calls 300 -workers 2"; \
+	$$F -metrics; $$F -chaos 0.05; $$F -failover 0.2 -replicas 3; $$F -openloop; $$F -overload; $$F -trace $$T/out/trace.json; \
+	$$B/bench -smoke -seconds 0.2; $$B/bench -smoke -seconds 0.2 -trace; \
+	exec >&3 2>&4; \
+	$(GO) tool covdata textfmt -i=$$T/cov -o=$$T/cover.txt; \
+	$(GO) tool cover -func=$$T/cover.txt | awk '$$1 ~ /^cdpu\/internal\// && $$NF == "0.0%" { print $$1, $$2; n++ } END { print n+0, "functions under internal/ no entry point executed" }'
 
 # Adversarial-input smoke: run every native fuzz target for FUZZTIME each,
 # starting from the checked-in seed corpora (regenerate those with

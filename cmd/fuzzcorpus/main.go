@@ -15,7 +15,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"cdpu/internal/fault"
 	"cdpu/internal/gipfeli"
 	"cdpu/internal/lzo"
 	"cdpu/internal/snappy"
@@ -62,7 +61,6 @@ func main() {
 		diff = append(diff, fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nint64(%d)\n", payload, i+1))
 	}
 	writeRaw("internal/fault", "FuzzDifferential", diff)
-	_ = fault.Kinds // keep the corrupted-stream package linked in for reference
 }
 
 // forgedStreamFrame is a streaming frame whose only block declares 16 raw

@@ -123,15 +123,3 @@ func WritePath(placement memsys.Placement, compressorRate, ratio float64) Config
 		InterludeCycles: 600,
 	}
 }
-
-// ReadPath returns the inverse chain: decompress then deserialize.
-func ReadPath(placement memsys.Placement, decompressorRate, ratio float64) Config {
-	return Config{
-		Placement: placement,
-		Stages: []Stage{
-			{Name: "decompress", BytesPerCycle: decompressorRate, OutScale: ratio},
-			SerDes("deserialize", 1/1.1),
-		},
-		InterludeCycles: 600,
-	}
-}

@@ -67,7 +67,14 @@ func withPlacement(c Config, p memsys.Placement) Config {
 }
 
 func TestReadPathExpands(t *testing.T) {
-	res, err := Run(ReadPath(memsys.RoCC, 5.0, 2.0), 32<<10)
+	// The inverse of WritePath: decompress (an expanding stage), then
+	// deserialize.
+	readPath := Config{
+		Placement:       memsys.RoCC,
+		Stages:          []Stage{{Name: "decompress", BytesPerCycle: 5, OutScale: 2}, SerDes("deserialize", 1/1.1)},
+		InterludeCycles: 600,
+	}
+	res, err := Run(readPath, 32<<10)
 	if err != nil {
 		t.Fatal(err)
 	}

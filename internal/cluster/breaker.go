@@ -80,16 +80,6 @@ func (b *Breaker) Opens() int { return b.opens }
 // open at the end of a replay).
 func (b *Breaker) UnavailableCycles() float64 { return b.unavail }
 
-// OpenDeadline returns the modeled time at which the current open window
-// expires into half-open, and whether the breaker is open at all. A
-// discrete-event driver uses it to schedule the half-open transition as an
-// event; processing that event via Observe(deadline) is outcome-identical to
-// the lazy transition at the next dispatch, because Observe is idempotent
-// and books the same openUntil-openedAt unavailability either way.
-func (b *Breaker) OpenDeadline() (float64, bool) {
-	return b.openUntil, b.state == BreakerOpen
-}
-
 // Observe advances the breaker to the modeled clock: an open window whose
 // deadline has passed transitions to half-open and books its unavailability.
 func (b *Breaker) Observe(now float64) {

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"cdpu/internal/core"
 	"cdpu/internal/fault"
@@ -45,8 +44,8 @@ var ErrNoReplica = errors.New("cluster: no replica available")
 
 // FailoverPolicy parameterizes the dispatcher. The zero value disables every
 // mechanism: no failover, no breakers, no hedging — a single-candidate
-// dispatch that aborts when the replica is sick, mirroring the historical
-// abort-on-first-fault contract of the zero resil.Policy.
+// dispatch that aborts when the replica is sick, as the zero resil.Policy
+// aborts on the first fault.
 type FailoverPolicy struct {
 	// MaxFailovers is how many additional replicas a failed dispatch may try
 	// (0 = the call lives or dies on its first candidate).
@@ -67,9 +66,8 @@ type FailoverPolicy struct {
 	// completion wins; the loser is cancelled and only its occupancy up to
 	// the cancel instant is charged.
 	Hedge bool
-	// HedgeDelayCycles fixes the hedge delay; 0 derives it from the running
-	// P99 of served dispatch-to-completion waits (hedging stays off until
-	// hedgeMinSamples served dispatches accumulate).
+	// HedgeDelayCycles is the hedge delay; hedging fires at this delay or,
+	// when it is 0, not at all.
 	HedgeDelayCycles float64
 	// CrashDetectCycles is the modeled cost of discovering a crashed replica
 	// (dead doorbell timeout) before failing over (0 = 4000).
@@ -217,67 +215,16 @@ type Group struct {
 	// ReplicaBase offsets this group's replica indices into the lifecycle
 	// schedule's replica space. A fleet that fans one device slot out into
 	// several instances gives each instance a disjoint base so the instances
-	// see independent lifecycle weather from the same seed (0 = historical
-	// single-instance behavior).
+	// see independent lifecycle weather from the same seed (0 for a
+	// single-instance slot).
 	ReplicaBase int
 	// Autoscale, when enabled, keeps only a sliding prefix of the deployed
 	// replicas active: the group starts at Autoscale.Min() active replicas,
 	// activates the next drained one (charged the warm-restart cost) when the
 	// admission queue reaches UpQueueDepth, and drains the highest active one
 	// back when the queue empties to DownQueueDepth. The zero value keeps
-	// every replica active — the historical behavior.
+	// every replica active.
 	Autoscale traffic.Autoscale
-}
-
-// hedgeMinSamples gates P99-derived hedging until the running histogram has
-// seen enough served dispatches to estimate a tail. Below the gate an empty or
-// sparse histogram has no usable tail — its "P99" would be bin 0, a ~1-cycle
-// delay that hedges every early call — so cold hedging stays off.
-const hedgeMinSamples = 64
-
-// svcHist is a log2 histogram of served dispatch-to-completion waits (queue
-// plus service) — the running P99 estimate behind the derived hedge delay.
-// Bin b covers [2^(b-1), 2^b).
-type svcHist struct {
-	n    int
-	bins [65]int
-}
-
-func (h *svcHist) observe(v float64) {
-	h.bins[svcBin(v)]++
-	h.n++
-}
-
-func svcBin(v float64) int {
-	if v < 1 {
-		return 0
-	}
-	if v >= float64(uint64(1)<<62) {
-		return 63
-	}
-	return bits.Len64(uint64(v))
-}
-
-// hedgeDelay returns the hedge delay under p: the fixed override when set,
-// else the histogram's P99 bin upper bound once hedgeMinSamples have
-// accumulated. An empty histogram therefore never collapses the delay to its
-// bin-0 value — cold hedging is either the explicit fixed delay or off.
-func (p FailoverPolicy) hedgeDelay(h *svcHist) (float64, bool) {
-	if p.HedgeDelayCycles > 0 {
-		return p.HedgeDelayCycles, true
-	}
-	if h.n < hedgeMinSamples {
-		return 0, false
-	}
-	rank := (h.n*99 + 99) / 100
-	cum := 0
-	for b, c := range h.bins {
-		cum += c
-		if cum >= rank {
-			return float64(uint64(1) << uint(min(b, 63))), true
-		}
-	}
-	return 0, false
 }
 
 // minFree returns the earliest next-free time across one replica's pipelines.
@@ -373,7 +320,6 @@ type GroupState struct {
 	faultLog     [][]float64
 	pending      []float64
 	pendingHead  int
-	hist         svcHist
 	cand         []int
 	busy         float64
 	first        float64
@@ -448,38 +394,16 @@ func (st *GroupState) Last() *core.JobResult {
 	return &st.results[len(st.results)-1]
 }
 
-// NextBreakerDeadline returns the earliest open-window expiry across the
-// group's breakers, and whether any breaker is open. A discrete-event driver
-// schedules the half-open transition as an event at that time.
-func (st *GroupState) NextBreakerDeadline() (float64, bool) {
-	best, any := 0.0, false
-	for r := range st.brk {
-		if until, open := st.brk[r].OpenDeadline(); open && (!any || until < best) {
-			best, any = until, true
-		}
-	}
-	return best, any
-}
-
-// ObserveBreakers advances every breaker to the modeled time, transitioning
-// expired open windows to half-open. Calling it from a scheduled event is
-// outcome-identical to the lazy per-arrival Observe (see Breaker.OpenDeadline).
-func (st *GroupState) ObserveBreakers(now float64) {
-	for r := range st.brk {
-		st.brk[r].Observe(now)
-	}
-}
-
 // autoscale applies the replica policy at one arrival instant. The trigger is
-// either the admission-queue depth (the historical mode) or, with UpBurn set,
-// the group's rolling SLO burn rate: scaling on the harm overload is doing —
-// calls shed or served over target — rather than on the queue that merely
-// predicts it. Scale-up activates the next drained replica and charges it the
-// same warm-restart cost a crash-rejoin pays, so capacity is never free;
-// scale-down drains the highest active replica (it finishes in-flight work but
-// receives no new dispatches). Both directions share one cooldown on the
-// modeled clock. Driven only by the serial arrival stream, the decision
-// sequence is independent of worker count.
+// either the admission-queue depth or, with UpBurn set, the group's rolling
+// SLO burn rate: scaling on the harm overload is doing — calls shed or served
+// over target — rather than on the queue that merely predicts it. Scale-up
+// activates the next drained replica and charges it the same warm-restart
+// cost a crash-rejoin pays, so capacity is never free; scale-down drains the
+// highest active replica (it finishes in-flight work but receives no new
+// dispatches). Both directions share one cooldown on the modeled clock. Driven
+// only by the serial arrival stream, the decision sequence is independent of
+// worker count.
 func (st *GroupState) autoscale(now float64, depth int) {
 	auto := st.g.Autoscale
 	if now < st.coolUntil {
@@ -714,52 +638,50 @@ func (st *GroupState) Step(c *Call) error {
 	// cancelled, charging only the occupancy it consumed before the
 	// cancel instant. Replicas pending a warm restart are skipped (the
 	// probe path handles their rejoin).
-	if g.Policy.Hedge && ai < len(cand) && !st.needRestart[cand[ai]] {
-		if d, ok := g.Policy.hedgeDelay(&st.hist); ok && done-now > d {
-			h := cand[ai]
-			st.tot.HedgedCalls++
-			metricHedged.Inc()
-			hkind, hsick := g.Lifecycle.State(g.ReplicaBase+h, c.Index)
-			switch {
-			case hsick && hkind == fault.LifeCrash:
-				// The hedge fails fast in the background; no occupancy.
-				st.needRestart[h] = true
-				st.brk[h].OnFailure(now + d + g.Policy.crashDetect())
-			case hsick && hkind == fault.LifeHang:
-				st.brk[h].OnFailure(now + d + c.HangBudget)
-			default:
-				hsvc := c.Service
-				if hsick && c.Brown > 0 {
-					hsvc = c.Brown
+	if d := g.Policy.HedgeDelayCycles; g.Policy.Hedge && d > 0 && ai < len(cand) && !st.needRestart[cand[ai]] && done-now > d {
+		h := cand[ai]
+		st.tot.HedgedCalls++
+		metricHedged.Inc()
+		hkind, hsick := g.Lifecycle.State(g.ReplicaBase+h, c.Index)
+		switch {
+		case hsick && hkind == fault.LifeCrash:
+			// The hedge fails fast in the background; no occupancy.
+			st.needRestart[h] = true
+			st.brk[h].OnFailure(now + d + g.Policy.crashDetect())
+		case hsick && hkind == fault.LifeHang:
+			st.brk[h].OnFailure(now + d + c.HangBudget)
+		default:
+			hsvc := c.Service
+			if hsick && c.Brown > 0 {
+				hsvc = c.Brown
+			}
+			hp := earliest(st.free[h])
+			hstart := math.Max(now+d, st.free[h][hp])
+			hdone := hstart + hsvc
+			if hdone < done {
+				// Hedge wins: cancel the primary at the win instant.
+				// A primary cancelled before its service even began
+				// releases its slot entirely (back to the pipeline's
+				// prior commitment); one cancelled mid-service keeps
+				// the occupancy it consumed.
+				if hdone <= start {
+					st.free[sr][sp] = prevFree
+					st.busy -= svc
+				} else {
+					st.free[sr][sp] = hdone
+					st.busy -= done - hdone
 				}
-				hp := earliest(st.free[h])
-				hstart := math.Max(now+d, st.free[h][hp])
-				hdone := hstart + hsvc
-				if hdone < done {
-					// Hedge wins: cancel the primary at the win instant.
-					// A primary cancelled before its service even began
-					// releases its slot entirely (back to the pipeline's
-					// prior commitment); one cancelled mid-service keeps
-					// the occupancy it consumed.
-					if hdone <= start {
-						st.free[sr][sp] = prevFree
-						st.busy -= svc
-					} else {
-						st.free[sr][sp] = hdone
-						st.busy -= done - hdone
-					}
-					st.free[h][hp] = hdone
-					st.busy += hsvc
-					done, start, svc = hdone, hstart, hsvc
-					sr, sp = h, hp
-					st.tot.HedgeWins++
-					metricHedgeWins.Inc()
-				} else if hstart < done {
-					// Primary wins: the hedge is cancelled mid-flight and
-					// charged only up to the primary's completion.
-					st.free[h][hp] = done
-					st.busy += done - hstart
-				}
+				st.free[h][hp] = hdone
+				st.busy += hsvc
+				done, start, svc = hdone, hstart, hsvc
+				sr, sp = h, hp
+				st.tot.HedgeWins++
+				metricHedgeWins.Inc()
+			} else if hstart < done {
+				// Primary wins: the hedge is cancelled mid-flight and
+				// charged only up to the primary's completion.
+				st.free[h][hp] = done
+				st.busy += done - hstart
 			}
 		}
 	}
@@ -768,7 +690,6 @@ func (st *GroupState) Step(c *Call) error {
 	if done > st.lastDone {
 		st.lastDone = done
 	}
-	st.hist.observe(done - now)
 	st.tot.Dispatches[sr]++
 
 	// Pipeline quarantine, the same books as core.ReplayState keyed by

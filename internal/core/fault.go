@@ -51,12 +51,6 @@ func (e *DeviceError) Unwrap() error { return e.Err }
 // hung replica for exactly the cycles the watchdog would let it burn before
 // declaring the call dead.
 func (c Config) WatchdogBudget(inBytes, outBytes int) float64 {
-	return c.watchdogBudget(inBytes, outBytes)
-}
-
-// watchdogBudget returns the abort threshold in cycles for a call moving the
-// given payload bytes, or 0 when the watchdog is disabled (negative factor).
-func (c Config) watchdogBudget(inBytes, outBytes int) float64 {
 	if c.WatchdogFactor < 0 {
 		return 0
 	}
@@ -74,7 +68,7 @@ func checkDeviceHealth(cfg Config, sys *memsys.System, res *Result) error {
 		metricMemFaults.Inc()
 		return &DeviceError{Reason: "memory-fault", Unit: cfg.Name(), Cycles: res.Cycles, Err: ferr}
 	}
-	if budget := cfg.watchdogBudget(res.InputBytes, res.OutputBytes); budget > 0 && res.Cycles > budget {
+	if budget := cfg.WatchdogBudget(res.InputBytes, res.OutputBytes); budget > 0 && res.Cycles > budget {
 		metricWatchdogTrips.Inc()
 		return &DeviceError{
 			Reason: "watchdog", Unit: cfg.Name(), Cycles: budget,

@@ -75,9 +75,6 @@ func newUnit(cfg Config) (unit, error) {
 	return unit{cfg: cfg, fkey: cfg.FunctionalKey(), sys: sys, iface: soc.New(sys)}, nil
 }
 
-// Config returns the instance configuration.
-func (u *unit) Config() Config { return u.cfg }
-
 // PipelineResetCycles returns the placement-aware cost of quarantining and
 // reinitializing one pipeline; see soc.Interface.PipelineResetCycles.
 func (u *unit) PipelineResetCycles() float64 {

@@ -43,7 +43,7 @@ func TestTimeOfTraceMatchesPreSplitGolden(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		tr, _ := shared(c.Config(), payload, func() (*Trace, error) { return c.Trace(payload) })
+		tr, _ := shared(c.cfg, payload, func() (*Trace, error) { return c.Trace(payload) })
 		timer := mustCompressor(t, cfg)
 		timer.SetTracing(v.trace)
 		timer.SetFaultInjector(v.injector)
@@ -54,7 +54,7 @@ func TestTimeOfTraceMatchesPreSplitGolden(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		tr, err := shared(d.Config(), payload, func() (*Trace, error) { return d.Trace(payload) })
+		tr, err := shared(d.cfg, payload, func() (*Trace, error) { return d.Trace(payload) })
 		if err != nil {
 			return nil, err
 		}

@@ -12,8 +12,8 @@ func TestQueueOrdersByTimeThenInsertion(t *testing.T) {
 	q.Push(Event{Time: 5, Kind: Arrival, Call: 0})
 	q.Push(Event{Time: 1, Kind: Arrival, Call: 1})
 	q.Push(Event{Time: 5, Kind: ServiceDone, Call: 2})
-	q.Push(Event{Time: 3, Kind: BreakerProbe, Call: 3})
-	q.Push(Event{Time: 5, Kind: LifecycleMark, Call: 4})
+	q.Push(Event{Time: 3, Kind: ServiceDone, Call: 3})
+	q.Push(Event{Time: 5, Kind: Arrival, Call: 4})
 	want := []int{1, 3, 0, 2, 4} // time order; ties (the three t=5 events) in insertion order
 	for _, w := range want {
 		ev, ok := q.Pop()

@@ -36,9 +36,9 @@ type Stretch struct {
 }
 
 // Shared configures the fleet-shared resources contended at epoch barriers.
-// Nil Shared means partitions are fully independent (the historical
-// per-device model, and the mode in which reports are byte-identical to the
-// legacy serial reduction). The model is first-order and deliberately simple:
+// Nil Shared means partitions are fully independent (the per-device model,
+// and the mode in which reports are byte-identical to a batch pass over each
+// partition's calls). The model is first-order and deliberately simple:
 // each epoch's aggregate demand is compared against each resource's budget
 // over the epoch, and the worst overcommit ratio becomes the next epoch's
 // service stretch. It is deterministic by construction — demand is summed in
@@ -130,10 +130,10 @@ type Engine struct {
 }
 
 // Run advances every partition until drained or failed and returns one error
-// slot per partition (all-nil on success). Like the legacy reduction, a
-// failing partition does not halt the others — every partition runs to its
-// own completion or first error, and the caller merges errors in its own
-// order (the replay layer picks the lowest global call index).
+// slot per partition (all-nil on success). A failing partition does not halt
+// the others — every partition runs to its own completion or first error, and
+// the caller merges errors in its own order (the replay layer picks the lowest
+// global call index).
 func (e *Engine) Run() []error {
 	errs := make([]error, len(e.Parts))
 	if len(e.Parts) == 0 {

@@ -27,31 +27,7 @@ const (
 	// use it to attribute shared-resource demand to the epoch in which the
 	// work actually finished.
 	ServiceDone
-	// BreakerProbe is a circuit breaker's open-window expiry: processing it
-	// transitions the breaker to half-open at the deadline instead of lazily
-	// at the next arrival (outcome-identical, see cluster.Breaker.OpenDeadline).
-	BreakerProbe
-	// LifecycleMark annotates a device-lifecycle window boundary (crash /
-	// hang / brownout start) for demand accounting and tracing; it carries no
-	// queueing side effects of its own because lifecycle schedules are keyed
-	// by call index, not by modeled time.
-	LifecycleMark
 )
-
-func (k Kind) String() string {
-	switch k {
-	case Arrival:
-		return "arrival"
-	case ServiceDone:
-		return "service-done"
-	case BreakerProbe:
-		return "breaker-probe"
-	case LifecycleMark:
-		return "lifecycle"
-	default:
-		return "invalid"
-	}
-}
 
 // Event is one entry on a partition's queue. Call and X are payload fields
 // interpreted by the partition: for an Arrival, Call is the global call index;

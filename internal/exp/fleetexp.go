@@ -259,10 +259,9 @@ func heavyCycleShare(a *fleet.Analysis, op comp.Op) float64 {
 		if ao.Op != op {
 			continue
 		}
-		v := shares[ao]
-		total += v
+		total += shares[ao]
 		if ao.Algo.Heavyweight() {
-			heavy += v
+			heavy += shares[ao]
 		}
 	}
 	return heavy / total

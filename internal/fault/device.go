@@ -6,14 +6,9 @@ import "cdpu/internal/memsys"
 // memsys.FaultInjector. Every field is "0 = disabled"; a non-zero Every
 // triggers on events where (event+1) % Every == 0, so Every=1 faults every
 // event (including the first). The schedule is a pure function of the event
-// index — no internal state — which makes fault runs reproducible at any
-// scheduler worker count, and lets one Plan value be shared read-only.
-//
-// PlacementMask and ClassMask scope the schedule to a subset of memory
-// events: a chaos storm can sicken only the PCIe placement, or only the raw
-// input/output stream, while every other event completes normally. Both
-// masks are "0 = any", so the zero value keeps the historical
-// fault-everything-everywhere behavior.
+// index alone, whatever the event's placement and traffic class — no internal
+// state — which makes fault runs reproducible at any scheduler worker count,
+// and lets one Plan value be shared read-only.
 type Plan struct {
 	// ErrorEvery returns an error response on every Nth memory event; the
 	// memory system records it and the CDPU call aborts with a DeviceError.
@@ -26,41 +21,11 @@ type Plan struct {
 	// Nth streaming transfer, shrinking the latency-bandwidth window.
 	StallEvery int
 	StallMSHRs int
-	// PlacementMask restricts the schedule to memory events at placements
-	// whose PlacementBit is set; 0 means any placement.
-	PlacementMask uint8
-	// ClassMask restricts the schedule to memory events of traffic classes
-	// whose ClassBit is set; 0 means any class.
-	ClassMask uint8
 }
 
-// PlacementBit returns the PlacementMask bit selecting one placement.
-func PlacementBit(p memsys.Placement) uint8 { return 1 << uint(p) }
-
-// ClassBit returns the ClassMask bit selecting one traffic class.
-func ClassBit(c memsys.Class) uint8 { return 1 << uint(c) }
-
-// Matches reports whether the plan's masks admit a memory event at the given
-// placement and class. Zero masks admit everything.
-func (p Plan) Matches(pl memsys.Placement, c memsys.Class) bool {
-	if p.PlacementMask != 0 && p.PlacementMask&PlacementBit(pl) == 0 {
-		return false
-	}
-	if p.ClassMask != 0 && p.ClassMask&ClassBit(c) == 0 {
-		return false
-	}
-	return true
-}
-
-// OnAccess implements memsys.FaultInjector. Events outside the plan's
-// placement/class masks complete normally but still advance the event index
-// (the index counts memory events, not faults, so scoping a plan does not
-// shift its schedule).
-func (p Plan) OnAccess(pl memsys.Placement, c memsys.Class, event int) memsys.Fault {
+// OnAccess implements memsys.FaultInjector.
+func (p Plan) OnAccess(_ memsys.Placement, _ memsys.Class, event int) memsys.Fault {
 	var f memsys.Fault
-	if !p.Matches(pl, c) {
-		return f
-	}
 	if p.ErrorEvery > 0 && (event+1)%p.ErrorEvery == 0 {
 		f.Error = true
 	}

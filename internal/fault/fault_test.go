@@ -78,6 +78,15 @@ func TestPlanSchedule(t *testing.T) {
 	if f := (Plan{}).OnAccess(memsys.PCIeNoCache, memsys.ClassIntermediate, 0); f != (memsys.Fault{}) {
 		t.Errorf("zero Plan injected %+v", f)
 	}
+	// The schedule is keyed by the event index alone: any placement, any class.
+	p = Plan{ErrorEvery: 1}
+	for _, pl := range memsys.Placements {
+		for _, c := range []memsys.Class{memsys.ClassRaw, memsys.ClassIntermediate} {
+			if !p.OnAccess(pl, c, 0).Error {
+				t.Errorf("plan skipped (%v, %v)", pl, c)
+			}
+		}
+	}
 }
 
 func TestPlanDrivesSystemFaultErr(t *testing.T) {
@@ -86,11 +95,11 @@ func TestPlanDrivesSystemFaultErr(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.SetFaultInjector(Plan{ErrorEvery: 2})
-	sys.StreamCycles(1024, memsys.RoCC, memsys.ClassRaw) // event 0: healthy
+	sys.FaultCycles(memsys.RoCC, memsys.ClassRaw) // event 0: healthy
 	if sys.FaultErr() != nil {
 		t.Fatalf("unexpected fault after event 0: %v", sys.FaultErr())
 	}
-	sys.StreamCycles(1024, memsys.RoCC, memsys.ClassRaw) // event 1: error
+	sys.FaultCycles(memsys.RoCC, memsys.ClassRaw) // event 1: error
 	if sys.FaultErr() == nil {
 		t.Fatal("no fault recorded after event 1")
 	}

@@ -46,10 +46,6 @@ func (k LifeKind) String() string {
 	}
 }
 
-// Failed reports whether a dispatch to a replica in this state fails (crash,
-// hang) rather than completing degraded (brownout).
-func (k LifeKind) Failed() bool { return k != LifeBrownout }
-
 // Lifecycle is a seeded device-lifecycle schedule for replicated CDPUs: which
 // replicas are crashed, hung or browned out at which call indexes. The
 // replica index identifies a physical card, so one replica's event covers all
@@ -161,16 +157,11 @@ func (l *Lifecycle) State(replica, call int) (LifeKind, bool) {
 	return 0, false
 }
 
-// AnyBrownout reports whether any of the first `replicas` replicas is browned
-// out at the given call index — the phase-B predicate deciding whether a
-// replay must also compute the call's degraded-bandwidth service time.
-func (l *Lifecycle) AnyBrownout(replicas, call int) bool {
-	return l.AnyBrownoutRange(0, replicas, call)
-}
-
-// AnyBrownoutRange is AnyBrownout over the replica-index window
-// [base, base+n): the predicate for a device instance whose replica group
-// lives at a nonzero base in the schedule's replica space (cluster.Group's
+// AnyBrownoutRange reports whether any replica in the index window
+// [base, base+n) is browned out at the given call index — the phase-B
+// predicate deciding whether a replay must also compute the call's
+// degraded-bandwidth service time, for a device instance whose replica group
+// lives at base in the schedule's replica space (cluster.Group's
 // ReplicaBase).
 func (l *Lifecycle) AnyBrownoutRange(base, n, call int) bool {
 	if l == nil || l.Rate <= 0 {

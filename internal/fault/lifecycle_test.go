@@ -93,7 +93,7 @@ func TestLifecycleNilAndZero(t *testing.T) {
 	if _, ok := l.State(0, 0); ok {
 		t.Fatal("nil lifecycle reported an event")
 	}
-	if l.AnyBrownout(4, 0) {
+	if l.AnyBrownoutRange(0, 4, 0) {
 		t.Fatal("nil lifecycle reported a brownout")
 	}
 	z := &Lifecycle{}
@@ -112,8 +112,8 @@ func TestLifecycleAnyBrownout(t *testing.T) {
 				want = true
 			}
 		}
-		if got := l.AnyBrownout(4, call); got != want {
-			t.Fatalf("AnyBrownout(4,%d)=%v, per-replica states say %v", call, got, want)
+		if got := l.AnyBrownoutRange(0, 4, call); got != want {
+			t.Fatalf("AnyBrownoutRange(0,4,%d)=%v, per-replica states say %v", call, got, want)
 		}
 		found = found || want
 	}
@@ -125,8 +125,5 @@ func TestLifecycleAnyBrownout(t *testing.T) {
 func TestLifeKindString(t *testing.T) {
 	if LifeCrash.String() != "crash" || LifeHang.String() != "hang" || LifeBrownout.String() != "brownout" {
 		t.Fatal("LifeKind strings wrong")
-	}
-	if !LifeCrash.Failed() || !LifeHang.Failed() || LifeBrownout.Failed() {
-		t.Fatal("LifeKind.Failed wrong")
 	}
 }

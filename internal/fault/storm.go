@@ -42,9 +42,6 @@ func (k StormKind) String() string {
 	}
 }
 
-// Transient reports whether a retry on the device can clear the fault.
-func (k StormKind) Transient() bool { return k != StormBitFlip }
-
 // Storm is a seeded per-call chaos schedule for fleet replays: which calls a
 // fault storm hits, with which fault kind, and for how many consecutive
 // dispatch attempts the fault persists. Every decision is a pure function of

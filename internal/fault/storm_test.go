@@ -3,60 +3,7 @@ package fault
 import (
 	"math"
 	"testing"
-
-	"cdpu/internal/memsys"
 )
-
-func TestPlanMasksScopeSchedule(t *testing.T) {
-	p := Plan{ErrorEvery: 1, SpikeEvery: 1, SpikeCycles: 100,
-		PlacementMask: PlacementBit(memsys.PCIeNoCache)}
-	for _, pl := range memsys.Placements {
-		f := p.OnAccess(pl, memsys.ClassRaw, 0)
-		if want := pl == memsys.PCIeNoCache; (f != memsys.Fault{}) != want {
-			t.Errorf("placement %v: fault %+v, want hit=%v", pl, f, want)
-		}
-	}
-
-	p = Plan{ErrorEvery: 1, ClassMask: ClassBit(memsys.ClassIntermediate)}
-	if f := p.OnAccess(memsys.RoCC, memsys.ClassRaw, 0); f != (memsys.Fault{}) {
-		t.Errorf("raw-class event faulted under intermediate-only mask: %+v", f)
-	}
-	if f := p.OnAccess(memsys.RoCC, memsys.ClassIntermediate, 0); !f.Error {
-		t.Error("intermediate-class event not faulted under its own mask")
-	}
-
-	// Zero masks keep the historical any-placement, any-class behavior.
-	p = Plan{ErrorEvery: 1}
-	for _, pl := range memsys.Placements {
-		for _, c := range []memsys.Class{memsys.ClassRaw, memsys.ClassIntermediate} {
-			if !p.OnAccess(pl, c, 0).Error {
-				t.Errorf("zero-mask plan skipped (%v, %v)", pl, c)
-			}
-		}
-	}
-
-	// Combined masks require both to admit the event.
-	p = Plan{ErrorEvery: 1,
-		PlacementMask: PlacementBit(memsys.Chiplet) | PlacementBit(memsys.RoCC),
-		ClassMask:     ClassBit(memsys.ClassRaw)}
-	if !p.Matches(memsys.RoCC, memsys.ClassRaw) || p.Matches(memsys.RoCC, memsys.ClassIntermediate) ||
-		p.Matches(memsys.PCIeNoCache, memsys.ClassRaw) {
-		t.Error("combined mask admission wrong")
-	}
-}
-
-// TestPlanMaskPreservesEventIndexing pins that masking scopes *which* events
-// fault without shifting the schedule: the event index advances on every
-// event, masked or not, so a targeted plan stays aligned with an untargeted
-// one.
-func TestPlanMaskPreservesEventIndexing(t *testing.T) {
-	masked := Plan{ErrorEvery: 2, PlacementMask: PlacementBit(memsys.RoCC)}
-	for ev := 0; ev < 8; ev++ {
-		if got, want := masked.OnAccess(memsys.RoCC, memsys.ClassRaw, ev).Error, (ev+1)%2 == 0; got != want {
-			t.Errorf("event %d: Error=%v want %v", ev, got, want)
-		}
-	}
-}
 
 func TestStormDrawDeterministic(t *testing.T) {
 	s := &Storm{Seed: 3, Rate: 0.3, MeanRepeats: 1.5}
@@ -137,13 +84,7 @@ func TestStormNilAndZeroNeverHit(t *testing.T) {
 	}
 }
 
-func TestStormKindStringsAndTransience(t *testing.T) {
-	if StormBitFlip.Transient() {
-		t.Error("bit-flip marked transient")
-	}
-	if !StormMemFault.Transient() || !StormWatchdog.Transient() {
-		t.Error("device faults not transient")
-	}
+func TestStormKindStrings(t *testing.T) {
 	for _, k := range StormKinds {
 		if k.String() == "" {
 			t.Errorf("kind %d has empty name", int(k))

@@ -152,23 +152,6 @@ func (a *Analysis) WindowCDF(op comp.Op) []stats.Point {
 	return h.CDF()
 }
 
-// WindowBytesAtMost returns the fraction of ZStd bytes using windows of at
-// most 2^maxLog (§3.6: ~50% of compression bytes fit 32 KiB).
-func (a *Analysis) WindowBytesAtMost(op comp.Op, maxLog int) float64 {
-	in, total := 0.0, 0.0
-	for _, c := range a.calls {
-		if c.Algo != comp.ZStd || c.Op != op {
-			continue
-		}
-		b := float64(c.UncompressedBytes)
-		total += b
-		if c.WindowLog <= maxLog {
-			in += b
-		}
-	}
-	return in / total
-}
-
 // LibraryCycleShares returns each calling library's share of
 // (de)compression cycles (Figure 4).
 func (a *Analysis) LibraryCycleShares() map[string]float64 {

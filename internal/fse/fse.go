@@ -383,12 +383,6 @@ func NewDecTable(norm []int, tableLog int) (*DecTable, error) {
 	return &DecTable{tableLog: tableLog, entries: entries}, nil
 }
 
-// TableLog returns the table accuracy.
-func (t *DecTable) TableLog() int { return t.tableLog }
-
-// Entries reports the number of decode-table cells (for area/timing models).
-func (t *DecTable) Entries() int { return len(t.entries) }
-
 // Decode reads n symbols from r, appending them to dst.
 func (t *DecTable) Decode(r *ibits.Reader, dst []uint8, n int) ([]uint8, error) {
 	if n == 0 {

@@ -350,7 +350,7 @@ func TestDecTableEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Entries() != 32 || dec.TableLog() != 5 {
-		t.Errorf("entries=%d tableLog=%d", dec.Entries(), dec.TableLog())
+	if len(dec.entries) != 32 || dec.tableLog != 5 {
+		t.Errorf("entries=%d tableLog=%d", len(dec.entries), dec.tableLog)
 	}
 }

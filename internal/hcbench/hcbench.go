@@ -64,9 +64,6 @@ func BuildPool(files []corpus.File, chunkSize int, refAlgo comp.Algorithm, refLe
 	return p, nil
 }
 
-// Size returns the number of pooled chunks.
-func (p *Pool) Size() int { return len(p.chunks) }
-
 // RatioRange returns the pool's achievable ratio span.
 func (p *Pool) RatioRange() (lo, hi float64) {
 	return p.chunks[0].ratio, p.chunks[len(p.chunks)-1].ratio
@@ -263,23 +260,4 @@ func (s *Suite) FleetCDFGap(maxBin int) float64 {
 		}
 	}
 	return stats.MaxCDFGap(trimmed, gotTrimmed)
-}
-
-// MeasuredAggregateRatio compresses every file with its recorded parameters
-// and returns the suite-aggregate ratio (total uncompressed over total
-// compressed), the paper's §4.1 validation metric.
-func (s *Suite) MeasuredAggregateRatio() (float64, error) {
-	var u, c float64
-	for _, f := range s.Files {
-		enc, err := comp.CompressCall(f.Algo, f.Level, f.WindowLog, f.Data)
-		if err != nil {
-			return 0, err
-		}
-		u += float64(len(f.Data))
-		c += float64(len(enc))
-	}
-	if c == 0 {
-		return 0, fmt.Errorf("hcbench: empty suite")
-	}
-	return u / c, nil
 }

@@ -46,8 +46,8 @@ func TestPoolBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Size() < 100 {
-		t.Fatalf("pool has only %d chunks", p.Size())
+	if len(p.chunks) < 100 {
+		t.Fatalf("pool has only %d chunks", len(p.chunks))
 	}
 	lo, hi := p.RatioRange()
 	if lo < 0.5 || hi < lo {
@@ -61,7 +61,7 @@ func TestPoolBuild(t *testing.T) {
 		t.Errorf("pool ceiling ratio %.2f: missing highly compressible chunks", hi)
 	}
 	// Sorted by ratio.
-	for i := 1; i < p.Size(); i++ {
+	for i := 1; i < len(p.chunks); i++ {
 		if p.chunks[i].ratio < p.chunks[i-1].ratio {
 			t.Fatal("pool not sorted")
 		}
@@ -185,16 +185,22 @@ func TestSuiteAggregateRatioNearFleet(t *testing.T) {
 	// §4.1: achieved suite ratios within ~5-10% of fleet ratios. Our
 	// synthetic corpus is not Silesia, so allow a wider band while requiring
 	// the right ordering between algorithms.
-	snappy := mustSuite(t, testSpec(comp.Snappy, comp.Compress))
-	sr, err := snappy.MeasuredAggregateRatio()
-	if err != nil {
-		t.Fatal(err)
+	// The suite-aggregate ratio (total uncompressed over total compressed,
+	// every file under its recorded parameters) is §4.1's validation metric.
+	measured := func(s *Suite) float64 {
+		var u, c float64
+		for _, f := range s.Files {
+			enc, err := comp.CompressCall(f.Algo, f.Level, f.WindowLog, f.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u += float64(len(f.Data))
+			c += float64(len(enc))
+		}
+		return u / c
 	}
-	zstd := mustSuite(t, testSpec(comp.ZStd, comp.Compress))
-	zr, err := zstd.MeasuredAggregateRatio()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sr := measured(mustSuite(t, testSpec(comp.Snappy, comp.Compress)))
+	zr := measured(mustSuite(t, testSpec(comp.ZStd, comp.Compress)))
 	if sr < 1.2 {
 		t.Errorf("snappy suite ratio %.2f too low", sr)
 	}

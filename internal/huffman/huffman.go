@@ -36,15 +36,6 @@ type CodeTable struct {
 	MaxBits int      // largest code length present
 }
 
-// Build constructs a length-limited canonical code table from freqs. Symbols
-// with zero frequency receive no code. maxBits bounds the code length
-// (1..MaxBitsLimit). At least one symbol must have nonzero frequency; a
-// single-symbol alphabet yields a 1-bit code.
-func Build(freqs []int, maxBits int) (*CodeTable, error) {
-	var b Builder
-	return b.Build(freqs, maxBits)
-}
-
 // hnode is one tree node during code-length computation.
 type hnode struct {
 	freq        int
@@ -93,7 +84,10 @@ type Builder struct {
 	enc       Encoder
 }
 
-// Build is the scratch-reusing form of the package-level Build.
+// Build constructs a length-limited canonical code table from freqs. Symbols
+// with zero frequency receive no code. maxBits bounds the code length
+// (1..MaxBitsLimit). At least one symbol must have nonzero frequency; a
+// single-symbol alphabet yields a 1-bit code.
 func (b *Builder) Build(freqs []int, maxBits int) (*CodeTable, error) {
 	if maxBits < 1 || maxBits > MaxBitsLimit {
 		return nil, fmt.Errorf("huffman: maxBits %d out of range", maxBits)
@@ -299,38 +293,11 @@ func canonicalInto(t *CodeTable, lens []uint8) error {
 	return nil
 }
 
-// Code returns the canonical code and length for symbol s; length 0 means the
-// symbol has no code.
-func (t *CodeTable) Code(s int) (code uint16, length uint8) {
-	return t.codes[s], t.Lens[s]
-}
-
-// EncodedBits returns the total encoded size in bits of data under t,
-// excluding any table header.
-func (t *CodeTable) EncodedBits(data []byte) int {
-	var hist [256]int
-	for _, b := range data {
-		hist[b]++
-	}
-	total := 0
-	for s, n := range hist {
-		if n > 0 && s < len(t.Lens) {
-			total += n * int(t.Lens[s])
-		}
-	}
-	return total
-}
-
 // Encoder writes symbols under a code table.
 type Encoder struct {
 	table *CodeTable
 	// rev holds bit-reversed codes so emission is LSB-first.
 	rev []uint16
-}
-
-// NewEncoder prepares an encoder for t.
-func NewEncoder(t *CodeTable) *Encoder {
-	return &Encoder{table: t, rev: fillRev(nil, t)}
 }
 
 // fillRev writes the bit-reversed code array for t into buf (grown as
@@ -389,10 +356,6 @@ func NewDecoder(t *CodeTable) *Decoder {
 	}
 	return d
 }
-
-// TableEntries reports the decode table size (2^MaxBits), which the area and
-// timing models use for the expander's SRAM cost.
-func (d *Decoder) TableEntries() int { return len(d.table) }
 
 // MaxBits reports the widest code length the table resolves (the peek width).
 func (d *Decoder) MaxBits() int { return d.maxBits }

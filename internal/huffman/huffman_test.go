@@ -30,13 +30,14 @@ func readTable(r *ibits.Reader) (*CodeTable, error) {
 
 func roundTrip(t *testing.T, data []byte, maxBits int) {
 	t.Helper()
-	table, err := Build(histogram(data), maxBits)
+	var b Builder
+	table, err := b.Build(histogram(data), maxBits)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	var w ibits.Writer
 	table.WriteTable(&w)
-	if err := NewEncoder(table).Encode(&w, data); err != nil {
+	if err := b.Encoder().Encode(&w, data); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
 	r := ibits.NewReader(w.Bytes())
@@ -92,7 +93,7 @@ func TestLengthLimitRespected(t *testing.T) {
 		}
 	}
 	for _, maxBits := range []int{8, 11, 15} {
-		table, err := Build(freqs, maxBits)
+		table, err := new(Builder).Build(freqs, maxBits)
 		if err != nil {
 			t.Fatalf("maxBits=%d: %v", maxBits, err)
 		}
@@ -106,7 +107,7 @@ func TestLengthLimitRespected(t *testing.T) {
 
 func TestCodesArePrefixFree(t *testing.T) {
 	data := corpus.Generate(corpus.Text, 32<<10, 3)
-	table, err := Build(histogram(data), 11)
+	table, err := new(Builder).Build(histogram(data), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +116,9 @@ func TestCodesArePrefixFree(t *testing.T) {
 		len  uint8
 	}
 	var codes []cl
-	for s := range table.Lens {
-		if c, l := table.Code(s); l > 0 {
-			codes = append(codes, cl{c, l})
+	for s, l := range table.Lens {
+		if l > 0 {
+			codes = append(codes, cl{table.codes[s], l})
 		}
 	}
 	for i := range codes {
@@ -140,11 +141,15 @@ func TestCodesArePrefixFree(t *testing.T) {
 func TestOptimalityVsUniform(t *testing.T) {
 	// Skewed data must encode to fewer bits than 8 per symbol.
 	data := corpus.Generate(corpus.Text, 64<<10, 1)
-	table, err := Build(histogram(data), 11)
+	table, err := new(Builder).Build(histogram(data), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := table.EncodedBits(data); got >= len(data)*8 {
+	got := 0
+	for _, c := range data {
+		got += int(table.Lens[c])
+	}
+	if got >= len(data)*8 {
 		t.Errorf("huffman did not compress text: %d bits for %d bytes", got, len(data))
 	}
 }
@@ -155,7 +160,7 @@ func TestMoreFrequentSymbolsGetShorterCodes(t *testing.T) {
 	freqs[1] = 10
 	freqs[2] = 5
 	freqs[3] = 1
-	table, err := Build(freqs, 11)
+	table, err := new(Builder).Build(freqs, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,20 +170,20 @@ func TestMoreFrequentSymbolsGetShorterCodes(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build(make([]int, 256), 11); err == nil {
+	if _, err := new(Builder).Build(make([]int, 256), 11); err == nil {
 		t.Error("empty alphabet accepted")
 	}
-	if _, err := Build([]int{1, 1}, 0); err == nil {
+	if _, err := new(Builder).Build([]int{1, 1}, 0); err == nil {
 		t.Error("maxBits=0 accepted")
 	}
-	if _, err := Build([]int{1, 1}, 16); err == nil {
+	if _, err := new(Builder).Build([]int{1, 1}, 16); err == nil {
 		t.Error("maxBits>limit accepted")
 	}
 	manySyms := make([]int, 256)
 	for i := range manySyms {
 		manySyms[i] = 1
 	}
-	if _, err := Build(manySyms, 7); err == nil {
+	if _, err := new(Builder).Build(manySyms, 7); err == nil {
 		t.Error("256 symbols in 7-bit codes accepted")
 	}
 }
@@ -203,21 +208,22 @@ func TestFromLengthsValidation(t *testing.T) {
 }
 
 func TestEncodeUnknownSymbol(t *testing.T) {
-	table, err := Build(histogram([]byte("aaabbb")), 11)
-	if err != nil {
+	var b Builder
+	if _, err := b.Build(histogram([]byte("aaabbb")), 11); err != nil {
 		t.Fatal(err)
 	}
 	var w ibits.Writer
-	if err := NewEncoder(table).Encode(&w, []byte("abc")); err == nil {
+	if err := b.Encoder().Encode(&w, []byte("abc")); err == nil {
 		t.Error("encoding symbol without code succeeded")
 	}
 }
 
 func TestDecodeCorruptStream(t *testing.T) {
 	data := []byte("the quick brown fox jumps over the lazy dog")
-	table, _ := Build(histogram(data), 11)
+	var b Builder
+	table, _ := b.Build(histogram(data), 11)
 	var w ibits.Writer
-	_ = NewEncoder(table).Encode(&w, data)
+	_ = b.Encoder().Encode(&w, data)
 	enc := w.Bytes()
 	dec := NewDecoder(table)
 	// Truncated stream must error, not hang or panic.
@@ -229,10 +235,10 @@ func TestDecodeCorruptStream(t *testing.T) {
 
 func TestDecoderTableEntries(t *testing.T) {
 	data := corpus.Generate(corpus.Text, 8<<10, 2)
-	table, _ := Build(histogram(data), 11)
+	table, _ := new(Builder).Build(histogram(data), 11)
 	d := NewDecoder(table)
-	if d.TableEntries() != 1<<table.MaxBits {
-		t.Errorf("table entries = %d, want %d", d.TableEntries(), 1<<table.MaxBits)
+	if len(d.table) != 1<<table.MaxBits {
+		t.Errorf("table entries = %d, want %d", len(d.table), 1<<table.MaxBits)
 	}
 }
 
@@ -245,12 +251,13 @@ func TestRoundTripProperty(t *testing.T) {
 		for i := range data {
 			data[i] = byte(rng.Intn(nsym))
 		}
-		table, err := Build(histogram(data), 11)
+		var b Builder
+		table, err := b.Build(histogram(data), 11)
 		if err != nil {
 			return false
 		}
 		var w ibits.Writer
-		if NewEncoder(table).Encode(&w, data) != nil {
+		if b.Encoder().Encode(&w, data) != nil {
 			return false
 		}
 		out, err := NewDecoder(table).Decode(ibits.NewReader(w.Bytes()), nil, size)
@@ -263,7 +270,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestTableSerializationRoundTrip(t *testing.T) {
 	data := corpus.Generate(corpus.JSON, 16<<10, 5)
-	table, _ := Build(histogram(data), 11)
+	table, _ := new(Builder).Build(histogram(data), 11)
 	var w ibits.Writer
 	table.WriteTable(&w)
 	got, err := readTable(ibits.NewReader(w.Bytes()))

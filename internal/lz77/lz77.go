@@ -192,9 +192,6 @@ func NewMatcher(cfg Config) (*Matcher, error) {
 	return m, nil
 }
 
-// Config returns the matcher's configuration.
-func (m *Matcher) Config() Config { return m.cfg }
-
 // Stats returns statistics accumulated since the last ResetStats call.
 func (m *Matcher) Stats() Stats { return m.stats }
 

@@ -34,7 +34,7 @@ func roundTrip(t *testing.T, m *Matcher, src []byte) {
 		t.Fatalf("parse covers %d of %d bytes", got, len(src))
 	}
 	lits := AppendLiteralsAt(nil, src, 0, seqs)
-	out, err := AppendReconstruct(nil, seqs, lits, m.Config().WindowSize)
+	out, err := AppendReconstruct(nil, seqs, lits, m.cfg.WindowSize)
 	if err != nil {
 		t.Fatalf("reconstruct: %v", err)
 	}
@@ -327,7 +327,7 @@ func TestParseRandomizedProperty(t *testing.T) {
 		if TotalLen(seqs) != len(src) {
 			return false
 		}
-		out, err := AppendReconstruct(nil, seqs, AppendLiteralsAt(nil, src, 0, seqs), m.Config().WindowSize)
+		out, err := AppendReconstruct(nil, seqs, AppendLiteralsAt(nil, src, 0, seqs), m.cfg.WindowSize)
 		return err == nil && bytes.Equal(out, src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -17,7 +17,7 @@ func TestParsePrefixedRoundTrip(t *testing.T) {
 		t.Fatalf("sequences cover %d of %d block bytes", TotalLen(seqs), len(block))
 	}
 	lits := AppendLiteralsAt(nil, data, len(dict), seqs)
-	out, err := AppendReconstruct(append([]byte{}, dict...), seqs, lits, m.Config().WindowSize)
+	out, err := AppendReconstruct(append([]byte{}, dict...), seqs, lits, m.cfg.WindowSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestParsePrefixedUsesDictionary(t *testing.T) {
 	// Check offsets before the next Parse call: the Matcher owns and reuses
 	// the returned slice.
 	for _, s := range withDict {
-		if s.Offset > m.Config().WindowSize {
+		if s.Offset > m.cfg.WindowSize {
 			t.Fatalf("offset %d beyond window", s.Offset)
 		}
 	}

@@ -190,27 +190,6 @@ func (s *System) StreamBandwidth(p Placement, c Class) float64 {
 	return width
 }
 
-// StreamCycles returns the cycles to stream n bytes: first-access latency
-// plus pipelined transfer. An injected fault on the stream adds its latency
-// spike and shrinks the outstanding-request window by its stalled MSHRs.
-func (s *System) StreamCycles(n int, p Placement, c Class) float64 {
-	if n <= 0 {
-		return 0
-	}
-	f := s.faultAt(p, c)
-	bw := s.StreamBandwidth(p, c)
-	if f.StalledMSHRs > 0 {
-		bw = s.streamBandwidthStalled(p, c, f.StalledMSHRs)
-	}
-	return s.RTT(p, c) + float64(n)/bw + f.ExtraCycles
-}
-
-// AccessCycles returns the cycles of one serial dependent access (no
-// overlap): the off-chip history fallback path of the LZ77 decoder.
-func (s *System) AccessCycles(p Placement, c Class) float64 {
-	return s.RTT(p, c)
-}
-
 // AccessCyclesAt returns the cycles of one dependent access whose reach is
 // `distance` bytes back: within the L2's capacity it costs an L2 round trip,
 // beyond it a DRAM one (plus the placement link, per the class rules).
@@ -220,14 +199,4 @@ func (s *System) AccessCyclesAt(p Placement, c Class, distance int) float64 {
 		base = float64(s.cfg.DRAMLatency)
 	}
 	return base + s.linkCycles(p, c) + s.faultAt(p, c).ExtraCycles
-}
-
-// NsToCycles converts nanoseconds to cycles at the system clock.
-func (s *System) NsToCycles(ns float64) float64 {
-	return ns * s.cfg.FrequencyGHz
-}
-
-// Seconds converts cycles to wall-clock seconds.
-func (s *System) Seconds(cycles float64) float64 {
-	return cycles / (s.cfg.FrequencyGHz * 1e9)
 }

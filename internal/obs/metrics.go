@@ -48,13 +48,6 @@ func (c *Counter) Add(n int64) {
 	c.shards[(uintptr(unsafe.Pointer(&probe))>>10)&(counterShards-1)].n.Add(n)
 }
 
-// AddShard increments by n on an explicit stripe hint (e.g. a pool worker
-// index), guaranteeing contention-free accumulation when the caller knows its
-// lane.
-func (c *Counter) AddShard(hint int, n int64) {
-	c.shards[uint(hint)&(counterShards-1)].n.Add(n)
-}
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
@@ -118,9 +111,6 @@ func (h *Histogram) Count() int64 {
 
 // Bin returns the observation count of one ceil(log2) bin.
 func (h *Histogram) Bin(i int) int64 { return h.bins[i].Load() }
-
-// NumBins returns the fixed bin count.
-func (h *Histogram) NumBins() int { return histogramBins }
 
 // Reset zeroes every bin.
 func (h *Histogram) Reset() {

@@ -15,16 +15,12 @@ func TestCounterConcurrentAdds(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if i%2 == 0 {
-					c.Add(1)
-				} else {
-					c.AddShard(w, 1)
-				}
+				c.Add(1)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if got := c.Value(); got != workers*per {
@@ -80,7 +76,7 @@ func TestHistogramBinning(t *testing.T) {
 	for _, c := range cases {
 		want[c.bin]++
 	}
-	for b := 0; b < h.NumBins(); b++ {
+	for b := 0; b < histogramBins; b++ {
 		if got := h.Bin(b); got != want[b] {
 			t.Errorf("bin %d = %d, want %d", b, got, want[b])
 		}

@@ -5,8 +5,7 @@
 // software codec path when the device stays sick, quarantine and reset a
 // pipeline that faults repeatedly, and shed load explicitly rather than let
 // queues grow without bound. Policy packages those four mechanisms as knobs;
-// its zero value disables all of them, reproducing the historical
-// abort-on-first-fault behavior bit-exactly.
+// its zero value disables all of them: a call aborts on its first fault.
 //
 // Every stochastic choice the policy makes (the backoff jitter) is a pure
 // function of a caller-provided seed, so a replay under any worker count —
@@ -104,9 +103,8 @@ type Policy struct {
 	// occupies a device. Equivalently: the call's remaining deadline budget
 	// (factor·target minus the wait it has already accrued at dispatch) no
 	// longer covers its service. 1 is strict; larger values admit calls with
-	// that much slack over target. 0 disables (the historical behavior).
-	// Calls with no known target (closed-loop replays) are never
-	// deadline-shed.
+	// that much slack over target. 0 disables. Calls with no known target
+	// (closed-loop replays) are never deadline-shed.
 	DeadlineFactor float64
 }
 
@@ -128,11 +126,6 @@ func ReferencePolicy() Policy {
 	}
 }
 
-// Enabled reports whether any recovery mechanism is active — false exactly
-// for the zero value, which callers use to keep the historical code path
-// bit-identical.
-func (p Policy) Enabled() bool { return p != Policy{} }
-
 // QueueBound returns the admission-queue depth at which a call of the given
 // priority (0 = highest) is shed. With MaxQueue Q and PriorityClasses C > 1,
 // priority p's bound is Q - p·(Q/2)/(C-1): class 0 keeps the full queue,
@@ -153,15 +146,6 @@ func (p Policy) QueueBound(priority int) int {
 		b = 1
 	}
 	return b
-}
-
-// Retries returns the number of re-dispatches the policy allows after the
-// first attempt.
-func (p Policy) Retries() int {
-	if p.MaxAttempts <= 1 {
-		return 0
-	}
-	return p.MaxAttempts - 1
 }
 
 // BackoffSeed derives the backoff stream for one call from the replay seed

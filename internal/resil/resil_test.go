@@ -128,25 +128,6 @@ func TestBackoffDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestPolicyEnabled(t *testing.T) {
-	var zero Policy
-	if zero.Enabled() {
-		t.Error("zero policy reports enabled")
-	}
-	if !(Policy{MaxAttempts: 2}).Enabled() {
-		t.Error("retry policy reports disabled")
-	}
-	if !(Policy{MaxQueue: 8}).Enabled() {
-		t.Error("admission policy reports disabled")
-	}
-	if got := (Policy{}).Retries(); got != 0 {
-		t.Errorf("zero policy retries = %d", got)
-	}
-	if got := (Policy{MaxAttempts: 4}).Retries(); got != 3 {
-		t.Errorf("MaxAttempts 4 retries = %d", got)
-	}
-}
-
 func TestQueueBound(t *testing.T) {
 	cases := []struct {
 		q, classes, priority, want int

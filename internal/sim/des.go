@@ -10,15 +10,16 @@ import (
 // This file is the bridge between the replay's phase C and the partitioned
 // discrete-event engine (internal/des). Each device instance is a replica
 // group — a lone FCFS device is the one-replica, zero-policy group — and a
-// des.Partition holding its own event queue: preloaded Arrival events drive
-// the group's stepper (cluster.GroupState), BreakerProbe events realize
-// open-window expiries at their deadline, and ServiceDone / LifecycleMark
-// events attribute shared-resource demand to the epoch in which the work
-// actually happened. Arrivals replay in (time, insertion) order and every
-// stretch multiplication is exactly 1.0 when Contention is nil, so the engine
-// is bit-identical to batch core.Device.ReplayPolicy / cluster.Group.Replay
-// passes over the same calls — the property the differential tests pin
-// against the test-side oracle (oracle_test.go).
+// des.Partition holding its own event queue of two event kinds: preloaded
+// Arrival events drive the group's stepper (cluster.GroupState), which
+// transitions an expired breaker window when the next dispatch observes it,
+// and the ServiceDone event each served call schedules attributes its
+// shared-resource demand to the epoch the work completed in. Arrivals replay
+// in (time, insertion) order and every stretch multiplication is exactly 1.0
+// when Contention is nil, so the engine is bit-identical to batch
+// core.Device.ReplayPolicy / cluster.Group.Replay passes over the same calls —
+// the property the differential tests pin against the test-side oracle
+// (oracle_test.go).
 
 // simPart is one phase-C partition.
 type simPart struct {
@@ -33,14 +34,10 @@ type simPart struct {
 	gst *cluster.GroupState
 
 	// Shared-resource accounting, active only when Contention is set.
-	shared  bool
-	stretch float64
-	demand  des.Demand
-	// Breaker-probe scheduling state: at most one useful probe pending.
-	hasProbe     bool
-	probeAt      float64
-	prevRestarts int
-	pos          int // arrivals processed so far
+	shared       bool
+	stretch      float64
+	demand       des.Demand
+	prevRestarts int // warm restarts already charged to demand
 }
 
 // newSimPart builds the partition for one device instance. base anchors the
@@ -108,18 +105,6 @@ func (p *simPart) Advance(limit float64) error {
 			// held LLC footprint until now, not at dispatch.
 			p.demand.StreamBytes += float64(p.specs[ev.Call].rec.UncompressedBytes)
 			p.demand.BusyCycles += ev.X
-		case des.BreakerProbe:
-			p.hasProbe = false
-			// A probe after the last arrival must not fire: Finish closes
-			// still-open windows at the last completion, and transitioning
-			// them here would book the full window instead.
-			if p.pos < len(p.idxs) {
-				p.gst.ObserveBreakers(ev.Time)
-				p.scheduleProbe()
-			}
-		case des.LifecycleMark:
-			// Warm restarts reinitialize over the shared host link.
-			p.demand.LinkOps += ev.X
 		}
 	}
 }
@@ -130,7 +115,6 @@ func (p *simPart) Advance(limit float64) error {
 func (p *simPart) stepArrival(ci int) error {
 	s := &p.specs[ci]
 	o := &p.outs[ci]
-	p.pos++
 	c := cluster.Call{
 		Arrival:    s.arrival,
 		Index:      ci,
@@ -157,27 +141,12 @@ func (p *simPart) stepArrival(ci int) error {
 		if r := p.gst.Last(); r.Err == nil && r.Pipeline >= 0 {
 			p.q.Push(des.Event{Time: r.Start + r.Service, Kind: des.ServiceDone, Call: ci, X: r.Service})
 		}
-		if n := p.gst.Restarts(); n > p.prevRestarts {
-			p.q.Push(des.Event{Time: s.arrival, Kind: des.LifecycleMark, Call: ci, X: float64(n - p.prevRestarts)})
-			p.prevRestarts = n
-		}
+		// Warm restarts reinitialize over the shared host link.
+		n := p.gst.Restarts()
+		p.demand.LinkOps += float64(n - p.prevRestarts)
+		p.prevRestarts = n
 	}
-	p.scheduleProbe()
 	return nil
-}
-
-// scheduleProbe schedules the group's earliest breaker open-window expiry as
-// a BreakerProbe event. Stale probes (a breaker re-opened with a different
-// deadline) are left in the queue; processing re-checks the books, so they
-// are harmless no-ops.
-func (p *simPart) scheduleProbe() {
-	if p.pos >= len(p.idxs) {
-		return
-	}
-	if dl, open := p.gst.NextBreakerDeadline(); open && (!p.hasProbe || dl < p.probeAt) {
-		p.q.Push(des.Event{Time: dl, Kind: des.BreakerProbe})
-		p.probeAt, p.hasProbe = dl, true
-	}
 }
 
 // EpochDemand implements des.Partition.

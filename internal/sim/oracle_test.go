@@ -5,23 +5,24 @@ import (
 
 	"cdpu/internal/cluster"
 	"cdpu/internal/core"
+	"cdpu/internal/resil"
 )
 
 // This file is the differential tests' phase-C oracle: the pre-DES serial
 // reduction, kept beside the engine as an independent driver. It walks each
 // partition's fully materialized call list through the batch APIs —
 // core.Device.ReplayPolicy for a lone device, cluster.Group.Replay for a
-// replica group — with no event queue, no breaker probes and no stretch, so a
-// Report equal to the engine's proves two things at once: that driving the
-// stepper from des events changes nothing, and that cluster.GroupState at one
-// replica with the zero failover policy is core.ReplayState. Tests reach it
-// through the run seam: run(cfg, runLegacyReduction).
+// replica group — with no event queue and no stretch, so a Report equal to the
+// engine's proves two things at once: that driving the stepper from des events
+// changes nothing, and that cluster.GroupState at one replica with the zero
+// failover policy is core.ReplayState. Tests reach it through the run seam:
+// run(cfg, runLegacyReduction).
 
 // runLegacyReduction is one goroutine per partition running the serial
 // reduction loop.
 func runLegacyReduction(perPart [][]int, specs []callSpec, outs []execOut, cfg *Config) []devReduction {
 	devices := cfg.Devices
-	chaos := cfg.Storm != nil || cfg.Resilience.Enabled()
+	chaos := cfg.Storm != nil || cfg.Resilience != (resil.Policy{})
 	clustered := cfg.clusterMode()
 	reds := make([]devReduction, len(perPart))
 	replicas := max(1, cfg.Replicas)

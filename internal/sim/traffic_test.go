@@ -143,10 +143,9 @@ func TestTrafficZeroValueGolden(t *testing.T) {
 			},
 		},
 		{
-			// Full cluster chaos with the adaptive (P99-derived) hedge delay:
-			// the shape that exercises every zero-value gate this release added
-			// (StepPri priority 0, QueueBound pass-through, order's active
-			// prefix, trackQueue, and the hedge warm-up path).
+			// Full cluster chaos, hedging at 2^17 cycles: the shape that
+			// exercises every zero-value gate of the open-loop plane (priority
+			// 0, QueueBound pass-through, order's active prefix, trackQueue).
 			name: "cluster-400",
 			cfg: Config{
 				Seed: 7, Calls: 400, MaxCallBytes: 128 << 10, Pipelines: 2,
@@ -161,6 +160,7 @@ func TestTrafficZeroValueGolden(t *testing.T) {
 					BreakerOpenCycles:     2e5,
 					BreakerHalfOpenProbes: 2,
 					Hedge:                 true,
+					HedgeDelayCycles:      1 << 17,
 					CrashDetectCycles:     4000,
 					RestartCycles:         50000,
 				},

@@ -34,7 +34,7 @@ func FuzzDecompress(f *testing.F) {
 		if err != nil {
 			return
 		}
-		n, lerr := DecodedLen(data)
+		n, _, lerr := decodeHeader(data)
 		if lerr != nil || len(out) != n {
 			t.Fatalf("decoded %d bytes, header says %d (err %v)", len(out), n, lerr)
 		}

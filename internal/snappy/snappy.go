@@ -229,12 +229,6 @@ func appendCopies(dst []byte, offset, length int) []byte {
 	return dst
 }
 
-// DecodedLen returns the decoded length claimed by a Snappy block header.
-func DecodedLen(src []byte) (int, error) {
-	n, _, err := decodeHeaderLimited(src, MaxDecodedLen)
-	return n, err
-}
-
 // Decode decompresses a Snappy block under the default MaxDecodedLen limit.
 func Decode(src []byte) ([]byte, error) {
 	return DecodeLimited(src, MaxDecodedLen)

@@ -261,11 +261,11 @@ func TestHardwareStyleNoSkipFindsMoreMatches(t *testing.T) {
 
 func TestDecodedLen(t *testing.T) {
 	enc := Encode(bytes.Repeat([]byte("ab"), 500))
-	n, err := DecodedLen(enc)
+	n, _, err := decodeHeader(enc)
 	if err != nil || n != 1000 {
-		t.Fatalf("DecodedLen = %d, %v", n, err)
+		t.Fatalf("decodeHeader = %d, %v", n, err)
 	}
-	if _, err := DecodedLen([]byte{0x80}); err == nil {
+	if _, _, err := decodeHeader([]byte{0x80}); err == nil {
 		t.Error("bad header accepted")
 	}
 }

@@ -61,9 +61,6 @@ func (h *Hist) AddBin(bin int, weight float64) {
 	h.total += weight
 }
 
-// Total returns the accumulated weight.
-func (h *Hist) Total() float64 { return h.total }
-
 // Bins returns the sorted bin indices present.
 func (h *Hist) Bins() []int {
 	out := make([]int, 0, len(h.bins))
@@ -72,14 +69,6 @@ func (h *Hist) Bins() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Frac returns the fraction of total weight in a bin.
-func (h *Hist) Frac(bin int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.bins[bin] / h.total
 }
 
 // CDF returns the cumulative distribution, one Point per present bin.
@@ -334,18 +323,6 @@ func (c *Weighted[T]) Sample(rng *rand.Rand) T {
 		i = len(c.items) - 1
 	}
 	return c.items[i]
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // SelectNth returns the n-th smallest element of xs (0-indexed), partially

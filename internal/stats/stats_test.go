@@ -120,11 +120,8 @@ func TestHistFrac(t *testing.T) {
 	var h Hist
 	h.Add(100, 30)
 	h.Add(1000, 70)
-	if got := h.Frac(BinOf(100)); math.Abs(got-0.3) > 1e-9 {
-		t.Errorf("frac = %f", got)
-	}
-	if h.Total() != 100 {
-		t.Errorf("total = %f", h.Total())
+	if got := h.CDF()[0]; got.Bin != BinOf(100) || math.Abs(got.Cum-0.3) > 1e-9 {
+		t.Errorf("first CDF point = %+v, want bin %d at 0.3 of the weight", got, BinOf(100))
 	}
 }
 
@@ -243,15 +240,6 @@ func TestSamplePropertyWithinBins(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("empty mean")
-	}
-	if got := Mean([]float64{1, 2, 3}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("mean = %f", got)
 	}
 }
 

@@ -275,6 +275,3 @@ func (t *BurnTracker) Observe(at float64, rank, class int, isBad bool) {
 
 // Alerts returns the per-class burn alert counts accumulated so far.
 func (t *BurnTracker) Alerts() [NumClasses]int { return t.alerts }
-
-// Tracked returns how many tenants currently hold burn state.
-func (t *BurnTracker) Tracked() int { return len(t.top) + len(t.res) }

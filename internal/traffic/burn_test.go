@@ -119,7 +119,7 @@ func TestBurnTrackerSampling(t *testing.T) {
 			}
 			trk.Observe(at, rank, class, i%2 == 0)
 		}
-		return trk.Alerts(), trk.Tracked()
+		return trk.Alerts(), len(trk.top) + len(trk.res)
 	}
 	a1, n1 := run(7)
 	a2, n2 := run(7)
@@ -143,7 +143,7 @@ func TestBurnTrackerUntrackedDropped(t *testing.T) {
 		at += 1e4
 		trk.Observe(at, 2+i, 2, true) // a parade of distinct tail tenants
 	}
-	if n := trk.Tracked(); n != 2 {
+	if n := len(trk.top) + len(trk.res); n != 2 {
 		t.Fatalf("tracked %d, want 2 (top-1 + 1 reservoir slot)", n)
 	}
 	// Every tail tenant was seen once; no window ever accumulates the sample

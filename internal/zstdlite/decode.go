@@ -516,10 +516,3 @@ func parseCodeStream(body []byte, numSeqs int) (codes []uint8, mode, tableLog, a
 	}
 	return codes, mode, tableLog, pos + payload, nil
 }
-
-// DecodedLen returns the content size claimed by a frame header, or -1 for
-// streaming frames that did not record one.
-func DecodedLen(src []byte) (int, error) {
-	info, _, err := parseFrameHeader(src)
-	return info.ContentSize, err
-}

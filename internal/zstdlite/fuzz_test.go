@@ -31,8 +31,8 @@ func FuzzDecompress(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n, lerr := DecodedLen(data); lerr == nil && n >= 0 && len(out) != n {
-			t.Fatalf("decoded %d bytes, frame declares %d", len(out), n)
+		if info, _, lerr := parseFrameHeader(data); lerr == nil && info.ContentSize >= 0 && len(out) != info.ContentSize {
+			t.Fatalf("decoded %d bytes, frame declares %d", len(out), info.ContentSize)
 		}
 		out2, err2 := Decode(data)
 		if err2 != nil || !bytes.Equal(out, out2) {

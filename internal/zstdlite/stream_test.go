@@ -90,8 +90,8 @@ func TestStreamFrameReadableByBlockDecoder(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("buffer decode of streaming frame: %v", err)
 	}
-	if n, err := DecodedLen(enc); err != nil || n != -1 {
-		t.Fatalf("streaming frame DecodedLen = %d, %v; want -1", n, err)
+	if info, _, err := parseFrameHeader(enc); err != nil || info.ContentSize != -1 {
+		t.Fatalf("streaming frame ContentSize = %d, %v; want -1", info.ContentSize, err)
 	}
 }
 

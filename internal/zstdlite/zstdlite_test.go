@@ -196,11 +196,11 @@ func TestInspectExposesPipelineDetail(t *testing.T) {
 func TestDecodedLen(t *testing.T) {
 	data := corpus.Generate(corpus.Text, 10<<10, 29)
 	enc := Encode(data)
-	n, err := DecodedLen(enc)
-	if err != nil || n != len(data) {
-		t.Fatalf("DecodedLen = %d, %v", n, err)
+	info, _, err := parseFrameHeader(enc)
+	if err != nil || info.ContentSize != len(data) {
+		t.Fatalf("ContentSize = %d, %v", info.ContentSize, err)
 	}
-	if _, err := DecodedLen([]byte("nope")); err != ErrMagic {
+	if _, _, err := parseFrameHeader([]byte("nope")); err != ErrMagic {
 		t.Errorf("bad magic: %v", err)
 	}
 }

@@ -326,7 +326,9 @@ func loadSources(t *testing.T, root, module string) map[string][]*guardFile {
 // of an options struct is never a composite-literal key or an assignment
 // target outside _test.go: with one value in use the field is a constant, and
 // keeping it as an option only widens what the tests must cover. It also logs
-// (go test -v) the single-caller fields and the files that set them.
+// (go test -v) the single-caller fields and the files that set them, marking
+// the ones only examples/ sets: under the option rule an example, like a test,
+// is not a caller, so those are constants in waiting.
 func TestEveryOptionHasACaller(t *testing.T) {
 	pkgs := loadSources(t, ".", "cdpu")
 	g := &optionGuard{
@@ -398,7 +400,12 @@ func TestEveryOptionHasACaller(t *testing.T) {
 				case len(files) == 0 && optionAllow[key] == "":
 					dead = append(dead, key)
 				case len(files) > 0 && callers <= 1:
-					single = append(single, key+" <- "+strings.Join(files, ", "))
+					line := key + " <- " + strings.Join(files, ", ")
+					if strings.HasPrefix(files[0], "examples/") && strings.HasPrefix(files[len(files)-1], "examples/") {
+						// files is sorted, so every setter is an example.
+						line += "  (examples/ only: the option rule counts tests and examples as no caller; reported, not failed)"
+					}
+					single = append(single, line)
 				}
 			}
 		}
