@@ -24,9 +24,10 @@ test:
 # discrete-event engine, the replica dispatcher and the open-loop traffic
 # generator are the concurrency-sensitive core; run them under the race
 # detector. internal/core is here for the traces the scheduler shares between
-# concurrent timing walks: a walk must never write to one.
+# concurrent timing walks: a walk must never write to one. internal/hcbench
+# is here for the chunk pools Generate shares between concurrent callers.
 race:
-	$(GO) test -race ./internal/cluster/... ./internal/core/... ./internal/des/... ./internal/exp/... ./internal/sim/... ./internal/traffic/...
+	$(GO) test -race ./internal/cluster/... ./internal/core/... ./internal/des/... ./internal/exp/... ./internal/hcbench/... ./internal/sim/... ./internal/traffic/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...

@@ -24,7 +24,6 @@ import (
 	"cdpu/internal/corpus"
 	"cdpu/internal/exp"
 	"cdpu/internal/fleet"
-	"cdpu/internal/hcbench"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -148,21 +147,6 @@ func BenchmarkFleetSampling(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.SampleCall()
-	}
-}
-
-func BenchmarkHCBAssembly(b *testing.B) {
-	pool, err := hcbench.BuildPool(corpus.SmallSuite(), hcbench.DefaultChunkSize, comp.Snappy, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = pool
-	spec := hcbench.Spec{Algo: comp.Snappy, Op: comp.Compress, N: 5, MaxFileBytes: 256 << 10, Seed: 9}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := hcbench.GenerateFromCorpus(spec, corpus.SmallSuite()); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -30,10 +30,12 @@ type workload struct {
 	swRatio    float64  // suite-aggregate software compression ratio
 }
 
-// Pool construction and assembly dominate experiment setup, and the four
-// workloads are shared by several experiments. The memoMap makes the cache safe
-// (and deduplicated) under concurrent experiment execution; unlike the
-// config-run memo it is worker-count independent, so it survives SetWorkers.
+// The four workloads are shared by several experiments, and building one
+// (assembling the suite from hcbench's per-algorithm chunk pool, then
+// compressing every file in software) is the larger part of a cold sweep. The
+// memoMap makes the cache safe (and deduplicated) under concurrent experiment
+// execution; unlike the config-run memo it is worker-count independent, so it
+// survives SetWorkers.
 var workloadMemo = memoMap[*workload]{obsHits: metricSuiteCacheHits, obsMisses: metricSuiteCacheMisses}
 
 func getWorkload(cfg Config, algo comp.Algorithm, op comp.Op) (*workload, error) {
@@ -53,22 +55,23 @@ func getWorkload(cfg Config, algo comp.Algorithm, op comp.Op) (*workload, error)
 		}
 		// Software compression of the suite is embarrassingly parallel (every
 		// call builds its own encoder), so it runs on the shared pool; the
-		// totals are reduced in file order below.
+		// totals are reduced in file order below. A decompression workload
+		// keeps the frames; a compression one reads only their lengths, which
+		// the size-only coder gives without entropy-coding the payloads.
 		sizes := make([]int, n)
 		err = current().parallelFiles(n, func(i int) error {
 			f := suite.Files[i]
 			// Full fleet-sampled window logs: frames may carry offsets far
 			// beyond any on-accelerator SRAM, exercising the off-chip history
 			// fallback exactly as §3.6 argues.
-			enc, err := comp.CompressCall(f.Algo, f.Level, f.WindowLog, f.Data)
-			if err != nil {
+			if op == comp.Decompress {
+				enc, err := comp.CompressCall(f.Algo, f.Level, f.WindowLog, f.Data)
+				w.compressed[i], sizes[i] = enc, len(enc)
 				return err
 			}
+			enc, _, err := comp.NewCoder().AppendCompressPlanSizeOnly(nil, f.Algo, f.Level, f.WindowLog, f.Data)
 			sizes[i] = len(enc)
-			if op == comp.Decompress {
-				w.compressed[i] = enc
-			}
-			return nil
+			return err
 		})
 		if err != nil {
 			return nil, err

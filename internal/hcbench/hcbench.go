@@ -10,6 +10,14 @@
 // with random shuffles to avoid pathological chunk orderings. The paper
 // generates 8,000–10,000 files per algorithm/op pair; Spec.N scales that
 // down for tractable runs while preserving the sampled distributions.
+//
+// A pool is a function of (corpus, chunk size, reference algorithm, reference
+// level) and nothing else, so Generate builds the standard corpus once per
+// process and one pool per reference algorithm, and both directions of an
+// algorithm assemble from the same pool. The price is retained memory: the
+// 34 MB standard corpus and the pools built over it (chunk headers only; the
+// chunks alias the corpus) stay alive for the life of the process.
+// GenerateFromCorpus and BuildPool memoize nothing.
 package hcbench
 
 import (
@@ -17,10 +25,12 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"cdpu/internal/comp"
 	"cdpu/internal/corpus"
 	"cdpu/internal/fleet"
+	"cdpu/internal/obs"
 	"cdpu/internal/stats"
 )
 
@@ -33,7 +43,8 @@ type chunk struct {
 	ratio float64
 }
 
-// Pool is a chunk pool indexed by compression ratio.
+// Pool is a chunk pool indexed by compression ratio. It is read-only once
+// built: Generate shares one between concurrent callers.
 type Pool struct {
 	chunks   []chunk // sorted by ratio ascending
 	refAlgo  comp.Algorithm
@@ -41,16 +52,20 @@ type Pool struct {
 }
 
 // BuildPool chunks the corpus files and indexes each chunk by the ratio the
-// reference algorithm achieves on it.
+// reference algorithm achieves on it. Only the encoded length is read, so
+// every chunk goes through one reused size-only coder and output buffer.
 func BuildPool(files []corpus.File, chunkSize int, refAlgo comp.Algorithm, refLevel int) (*Pool, error) {
 	if chunkSize < 256 {
 		return nil, fmt.Errorf("hcbench: chunk size %d too small", chunkSize)
 	}
 	p := &Pool{refAlgo: refAlgo, refLevel: refLevel}
+	coder := comp.NewCoder()
+	var enc []byte
 	for _, f := range files {
 		for off := 0; off+chunkSize <= len(f.Data); off += chunkSize {
 			c := f.Data[off : off+chunkSize]
-			enc, err := comp.CompressCall(refAlgo, refLevel, 0, c)
+			var err error
+			enc, _, err = coder.AppendCompressPlanSizeOnly(enc[:0], refAlgo, refLevel, 0, c)
 			if err != nil {
 				return nil, fmt.Errorf("hcbench: indexing %s: %w", f.Name, err)
 			}
@@ -69,44 +84,62 @@ func (p *Pool) RatioRange() (lo, hi float64) {
 	return p.chunks[0].ratio, p.chunks[len(p.chunks)-1].ratio
 }
 
+// assembler is one caller's scratch for assembling files from a shared pool:
+// the coder that re-evaluates a growing file, its output buffer, and the
+// marks of the chunks the current file has used.
+type assembler struct {
+	pool  *Pool
+	coder *comp.Coder
+	enc   []byte
+	used  []bool
+}
+
+func (p *Pool) newAssembler() *assembler {
+	return &assembler{pool: p, coder: comp.NewCoder(), used: make([]bool, len(p.chunks))}
+}
+
 // pick returns the index of a chunk whose ratio is near want, jittered
 // within a small neighborhood so repeated picks vary (the paper's "random
 // shuffles"), preferring chunks not yet used in the current file.
-func (p *Pool) pick(rng *rand.Rand, want float64, used map[int]bool) int {
-	i := sort.Search(len(p.chunks), func(i int) bool { return p.chunks[i].ratio >= want })
-	span := len(p.chunks)/16 + 1
+func (a *assembler) pick(rng *rand.Rand, want float64) int {
+	chunks, used := a.pool.chunks, a.used
+	i := sort.Search(len(chunks), func(i int) bool { return chunks[i].ratio >= want })
+	span := len(chunks)/16 + 1
 	i += rng.Intn(2*span+1) - span
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(p.chunks) {
-		i = len(p.chunks) - 1
+	if i >= len(chunks) {
+		i = len(chunks) - 1
 	}
 	// Walk outward for an unused chunk: re-using a chunk inside one file
 	// creates artificial long-range matches that blow past the target ratio.
-	for d := 0; d < len(p.chunks); d++ {
-		for _, j := range []int{i + d, i - d} {
-			if j >= 0 && j < len(p.chunks) && !used[j] {
-				used[j] = true
-				return j
-			}
+	for d := 0; d < len(chunks); d++ {
+		if j := i + d; j < len(chunks) && !used[j] {
+			used[j] = true
+			return j
+		}
+		if j := i - d; j >= 0 && !used[j] {
+			used[j] = true
+			return j
 		}
 	}
 	return i // pool exhausted for this file; allow reuse
 }
 
-// Assemble builds one benchmark payload of ~targetBytes whose aggregate
+// assemble builds one benchmark payload of ~targetBytes whose aggregate
 // ratio under the reference algorithm approaches targetRatio. Following the
 // paper's generator, the file is re-evaluated as it grows (actually
 // compressed at checkpoints) and the ratio requested from the pool adjusts:
 // concatenation creates cross-chunk redundancy that per-chunk ratios cannot
 // predict, so the estimator carries a measured bias term.
-func (p *Pool) Assemble(rng *rand.Rand, targetBytes int, targetRatio float64) []byte {
+func (a *assembler) assemble(rng *rand.Rand, targetBytes int, targetRatio float64) ([]byte, error) {
+	p := a.pool
 	out := make([]byte, 0, targetBytes+DefaultChunkSize)
 	var compSum float64 // compressed-size estimate of assembled chunks
 	bias := 1.0         // measured-vs-estimated compressed-size correction
 	nextEval := 8       // chunks between actual compressions, doubling
-	used := make(map[int]bool)
+	clear(a.used)
 	picks := 0
 	for len(out) < targetBytes {
 		want := targetRatio
@@ -119,19 +152,21 @@ func (p *Pool) Assemble(rng *rand.Rand, targetBytes int, targetRatio float64) []
 				want = targetRatio / 1.5
 			}
 		}
-		j := p.pick(rng, want, used)
-		c := p.chunks[j]
+		c := p.chunks[a.pick(rng, want)]
 		out = append(out, c.data...)
 		compSum += float64(len(c.data)) / c.ratio
 		picks++
 		if picks == nextEval && len(out) < targetBytes {
-			if enc, err := comp.CompressCall(p.refAlgo, p.refLevel, 0, out); err == nil {
-				bias = float64(len(enc)) / compSum
+			var err error
+			a.enc, _, err = a.coder.AppendCompressPlanSizeOnly(a.enc[:0], p.refAlgo, p.refLevel, 0, out)
+			if err != nil {
+				return nil, fmt.Errorf("hcbench: re-evaluating a %d-byte file: %w", len(out), err)
 			}
+			bias = float64(len(a.enc)) / compSum
 			nextEval *= 2
 		}
 	}
-	return out[:targetBytes]
+	return out[:targetBytes], nil
 }
 
 // File is one generated benchmark: an uncompressed payload plus the
@@ -168,21 +203,66 @@ type Spec struct {
 	Seed int64
 }
 
-// Generate produces a suite from spec, building its chunk pool from the
-// standard synthetic corpus.
-func Generate(spec Spec) (*Suite, error) {
-	return GenerateFromCorpus(spec, corpus.StandardSuite())
+// The standard corpus and the pools over it, built once per process. A cold
+// pass over both directions of two algorithms reads 2 misses and 2 hits.
+var (
+	standardCorpus = sync.OnceValue(corpus.StandardSuite)
+	pools          sync.Map // comp.Algorithm → *poolCell
+
+	metricPoolCacheHits   = obs.Default().Counter("hcbench.pool_cache.hits")
+	metricPoolCacheMisses = obs.Default().Counter("hcbench.pool_cache.misses")
+)
+
+// poolCell holds one lazily built pool; the once gate means concurrent
+// requesters of one algorithm's pool block on a single build.
+type poolCell struct {
+	once sync.Once
+	pool *Pool
+	err  error
 }
 
-// GenerateFromCorpus produces a suite using the given corpus files.
-func GenerateFromCorpus(spec Spec, files []corpus.File) (*Suite, error) {
-	if spec.N <= 0 {
-		return nil, fmt.Errorf("hcbench: N must be positive")
+// standardPool returns the pool of the standard corpus under algo at its
+// default level.
+func standardPool(algo comp.Algorithm) (*Pool, error) {
+	v, hit := pools.LoadOrStore(algo, new(poolCell))
+	if hit {
+		metricPoolCacheHits.Inc()
+	} else {
+		metricPoolCacheMisses.Inc()
 	}
+	c := v.(*poolCell)
+	c.once.Do(func() {
+		c.pool, c.err = BuildPool(standardCorpus(), DefaultChunkSize, algo, algo.DefaultLevel())
+	})
+	return c.pool, c.err
+}
+
+// Generate produces a suite from spec over the standard synthetic corpus,
+// whose pool for spec.Algo it builds at most once per process.
+func Generate(spec Spec) (*Suite, error) {
+	pool, err := standardPool(spec.Algo)
+	if err != nil {
+		return nil, err
+	}
+	return pool.generate(spec)
+}
+
+// GenerateFromCorpus produces a suite using the given corpus files, building
+// their pool anew on every call.
+func GenerateFromCorpus(spec Spec, files []corpus.File) (*Suite, error) {
 	pool, err := BuildPool(files, DefaultChunkSize, spec.Algo, spec.Algo.DefaultLevel())
 	if err != nil {
 		return nil, err
 	}
+	return pool.generate(spec)
+}
+
+// generate assembles spec's files from the pool, which it only reads.
+func (pool *Pool) generate(spec Spec) (*Suite, error) {
+	if spec.N <= 0 {
+		return nil, fmt.Errorf("hcbench: N must be positive")
+	}
+	asm := pool.newAssembler()
 	rng := rand.New(rand.NewSource(spec.Seed ^ int64(spec.Algo)<<8 ^ int64(spec.Op)<<16))
 	sizes := fleet.CallSizes(fleet.AlgoOp{Algo: spec.Algo, Op: spec.Op}).CountWeighted()
 	levels := fleet.ZStdLevels()
@@ -213,7 +293,10 @@ func GenerateFromCorpus(spec Spec, files []corpus.File) (*Suite, error) {
 		target := agg * math.Exp(rng.NormFloat64()*0.35)
 		target = math.Max(loRatio, math.Min(hiRatio, target))
 		f.TargetRatio = target
-		f.Data = pool.Assemble(rng, size, target)
+		var err error
+		if f.Data, err = asm.assemble(rng, size, target); err != nil {
+			return nil, err
+		}
 		suite.Files = append(suite.Files, f)
 	}
 	return suite, nil

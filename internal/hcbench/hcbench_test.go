@@ -82,9 +82,12 @@ func TestAssembleHitsSizeTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := newRng(2)
+	rng, asm := newRng(2), p.newAssembler()
 	for _, target := range []int{1 << 10, 100 << 10, 1 << 20} {
-		out := p.Assemble(rng, target, 2.0)
+		out, err := asm.assemble(rng, target, 2.0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(out) != target {
 			t.Errorf("assembled %d bytes, want %d", len(out), target)
 		}
@@ -96,9 +99,12 @@ func TestAssembleApproachesRatioTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := newRng(3)
+	rng, asm := newRng(3), p.newAssembler()
 	for _, target := range []float64{1.2, 2.0, 4.0} {
-		out := p.Assemble(rng, 256<<10, target)
+		out, err := asm.assemble(rng, 256<<10, target)
+		if err != nil {
+			t.Fatal(err)
+		}
 		enc, err := comp.CompressCall(comp.Snappy, 0, 0, out)
 		if err != nil {
 			t.Fatal(err)
