@@ -1,7 +1,9 @@
 GO ?= go
 FUZZTIME ?= 10s
+SEED ?= 1
+N ?= 10
 
-.PHONY: all check fmt vet build test race bench fuzz-smoke profile loc reach
+.PHONY: all check fmt vet build test race bench fuzz-smoke profile loc reach pairs
 
 all: check
 
@@ -84,6 +86,30 @@ reach:
 	$(GO) tool covdata textfmt -i=$$T/cov -o=$$T/cover.txt; \
 	$(GO) tool cover -func=$$T/cover.txt | awk '$$1 ~ /^cdpu\/internal\// && $$NF == "0.0%" { print $$1, $$2; n++ } END { print n+0, "functions under internal/ no entry point executed" }'
 
+# A speed claim's evidence: N order-alternated pairs of one benchmark
+# workload, PARENT against the working tree, judged by `bench -compare`
+# (medians, quartiles, the bound, a verdict per end-to-end metric; it fails on
+# "worse"). ./bench is built once per side — the parent's from a clone of
+# PARENT under $TMPDIR, and run from that clone so its rows carry the parent's
+# commit — and the side that runs first swaps every pair. Rows land in
+# pairs-<workload>-seed<seed>-{parent,change}.jsonl, overwritten each time.
+#
+#	make pairs PARENT=HEAD~1 WORKLOAD=replay-overload [SEED=1] [N=10]
+pairs:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make pairs PARENT=<ref> WORKLOAD=<name> [SEED=1] [N=10]" >&2; exit 2; }
+	@set -e; T=$$(mktemp -d); trap 'rm -rf $$T' EXIT; R=$$(pwd); \
+	A=$$R/pairs-$(WORKLOAD)-seed$(SEED)-parent.jsonl; B=$$R/pairs-$(WORKLOAD)-seed$(SEED)-change.jsonl; rm -f $$A $$B; \
+	git clone -q . $$T/parent; git -C $$T/parent checkout -q --detach $$(git rev-parse --verify '$(PARENT)^{commit}'); \
+	(cd $$T/parent && $(GO) build -o $$T/bench-parent ./bench); $(GO) build -o $$T/bench-change ./bench; \
+	show() { grep -E ' (ops_per_s|sim_fingerprint) ' $$T/out | sed "s/^/$$1  /"; }; \
+	parent() { (cd $$T/parent && $$T/bench-parent -workload $(WORKLOAD) -seed $(SEED) -json-out $$A) >$$T/out; show parent; }; \
+	change() { $$T/bench-change -workload $(WORKLOAD) -seed $(SEED) -json-out $$B >$$T/out; show change; }; \
+	for i in $$(seq 1 $(N)); do \
+		echo "pair $$i of $(N)"; \
+		if [ $$((i % 2)) = 1 ]; then parent; change; else change; parent; fi; \
+	done; \
+	$(GO) run ./bench -compare $$A $$B
+
 # Adversarial-input smoke: run every native fuzz target for FUZZTIME each,
 # starting from the checked-in seed corpora (regenerate those with
 # `go run ./cmd/fuzzcorpus`). Go allows one -fuzz target per invocation.
@@ -95,3 +121,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzGen$$' -fuzztime $(FUZZTIME) ./internal/traffic
 	$(GO) test -run '^$$' -fuzz '^FuzzRNGMatchesMathRand$$' -fuzztime $(FUZZTIME) ./internal/corpus
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifySeqs$$' -fuzztime $(FUZZTIME) ./internal/core

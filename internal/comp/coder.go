@@ -34,65 +34,94 @@ type Coder struct {
 // NewCoder returns an empty Coder; encoders materialize on first use.
 func NewCoder() *Coder { return new(Coder) }
 
+// Plan is what a Coder records of the frame it just produced, for the
+// algorithms a planned decompression replay covers: the structure a
+// decompressor model would otherwise parse back out of the frame. At most one
+// field is set — ZStd for zstdlite-backed algorithms (ZStd, Flate, Brotli),
+// Snappy for Snappy, neither for Gipfeli and LZO. A Plan aliases the pooled
+// encoder's scratch and is valid only until the next compression of the same
+// (algo, level, window) through this Coder.
+type Plan struct {
+	ZStd   *zstdlite.Plan
+	Snappy *snappy.Plan
+}
+
+// IsZero reports whether the algorithm recorded no plan.
+func (p Plan) IsZero() bool { return p.ZStd == nil && p.Snappy == nil }
+
 // AppendCompress compresses src under the given algorithm, level and window
 // log (0 means the algorithm default for both), appending the encoded bytes
 // to dst.
 func (c *Coder) AppendCompress(dst []byte, a Algorithm, level, windowLog int, src []byte) ([]byte, error) {
-	out, _, err := c.appendCompress(dst, a, level, windowLog, src, false)
+	out, _, err := c.appendCompress(dst, a, level, windowLog, src, false, false)
 	return out, err
 }
 
-// AppendCompressPlan is AppendCompress that additionally returns the frame
-// Plan for zstdlite-backed algorithms (ZStd, Flate, Brotli) — the structural
-// record a planned decompression replay charges from without re-parsing the
-// frame. For other algorithms the plan is nil. The returned Plan aliases the
-// pooled encoder's scratch and is valid only until the next compression of
-// the same (algo, level, window) through this Coder.
-func (c *Coder) AppendCompressPlan(dst []byte, a Algorithm, level, windowLog int, src []byte) ([]byte, *zstdlite.Plan, error) {
-	return c.appendCompress(dst, a, level, windowLog, src, false)
+// AppendCompressPlan is AppendCompress that additionally returns the frame's
+// Plan — the record a planned decompression replay (core.Device.ExecWithPlan)
+// charges from without re-parsing the frame.
+func (c *Coder) AppendCompressPlan(dst []byte, a Algorithm, level, windowLog int, src []byte) ([]byte, Plan, error) {
+	return c.appendCompress(dst, a, level, windowLog, src, true, false)
 }
 
-// AppendCompressPlanSizeOnly is AppendCompressPlan with zstdlite's size-only
-// entropy coding enabled: frame layout, Plan, and encoded length are
-// bit-identical to the full encoder's, but entropy payloads are zeros of the
-// exact length the coders would emit. The frame is NOT decodable — it exists
-// for plan-charging replay pipelines that model decode cost from the Plan and
-// only consume the frame's length. Algorithms outside the zstdlite family
-// (Snappy, Gipfeli, LZO) have byte-parsing decoders, so they always encode in
-// full.
+// AppendCompressSizeOnly is AppendCompressPlan with the encoder's size-only
+// mode on (zstdlite.Encoder.SetSizeOnly, snappy.Encoder.SetSizeOnly): frame
+// layout, Plan and encoded length are those of the full encoder, but ZStd's
+// entropy payloads are zeros and Snappy's literal payloads are unwritten. The
+// frame is NOT decodable — it exists for plan-charging replay pipelines that
+// model decode cost from the Plan and only consume the frame's length.
+// Gipfeli and LZO have no plan, so they always encode in full.
+func (c *Coder) AppendCompressSizeOnly(dst []byte, a Algorithm, level, windowLog int, src []byte) ([]byte, Plan, error) {
+	return c.appendCompress(dst, a, level, windowLog, src, true, true)
+}
+
+// AppendCompressPlanSizeOnly is AppendCompressSizeOnly as callers that know
+// only the ZStd plan take it: a nil plan sends them to a real decode, so every
+// frame outside the zstdlite family, Snappy's included, is encoded in full,
+// stays decodable and records no plan.
 func (c *Coder) AppendCompressPlanSizeOnly(dst []byte, a Algorithm, level, windowLog int, src []byte) ([]byte, *zstdlite.Plan, error) {
-	return c.appendCompress(dst, a, level, windowLog, src, true)
+	out, p, err := c.appendCompress(dst, a, level, windowLog, src, a != Snappy, a != Snappy)
+	return out, p.ZStd, err
 }
 
-func (c *Coder) appendCompress(dst []byte, a Algorithm, level, windowLog int, src []byte, sizeOnly bool) ([]byte, *zstdlite.Plan, error) {
+// appendCompress is the one dispatch. A Snappy plan costs its encoder a
+// 24-byte record per element, so it is recorded only when wanted; zstdlite
+// records its plan as it carves blocks, wanted or not.
+func (c *Coder) appendCompress(dst []byte, a Algorithm, level, windowLog int, src []byte, wantPlan, sizeOnly bool) ([]byte, Plan, error) {
 	switch a {
 	case Snappy:
 		if c.snap == nil {
 			e, err := snappy.NewEncoder(snappy.EncoderConfig{})
 			if err != nil {
-				return nil, nil, err
+				return nil, Plan{}, err
 			}
 			c.snap = e
 		}
-		return c.snap.AppendEncode(dst, src), nil, nil
+		if !wantPlan {
+			return c.snap.AppendEncode(dst, src), Plan{}, nil
+		}
+		c.snap.SetSizeOnly(sizeOnly)
+		out, plan := c.snap.AppendEncodeWithPlan(dst, src)
+		c.snap.SetSizeOnly(false)
+		return out, Plan{Snappy: plan}, nil
 	case Gipfeli:
-		return append(dst, gipfeli.Encode(src)...), nil, nil
+		return append(dst, gipfeli.Encode(src)...), Plan{}, nil
 	case LZO:
 		if level == 0 {
 			level = 1
 		}
-		return append(dst, lzo.Encode(src, level)...), nil, nil
+		return append(dst, lzo.Encode(src, level)...), Plan{}, nil
 	case ZStd, Flate, Brotli:
 		e, err := c.zstdEncoder(a, level, windowLog)
 		if err != nil {
-			return nil, nil, err
+			return nil, Plan{}, err
 		}
 		e.SetSizeOnly(sizeOnly)
 		out, plan := e.AppendEncodeWithPlan(dst, src)
 		e.SetSizeOnly(false)
-		return out, plan, nil
+		return out, Plan{ZStd: plan}, nil
 	default:
-		return nil, nil, fmt.Errorf("comp: unknown algorithm %v", a)
+		return nil, Plan{}, fmt.Errorf("comp: unknown algorithm %v", a)
 	}
 }
 

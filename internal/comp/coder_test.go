@@ -2,6 +2,8 @@ package comp
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 
 	"cdpu/internal/corpus"
@@ -47,49 +49,69 @@ func TestCoderMatchesCompressCall(t *testing.T) {
 	}
 }
 
+// snapshotPlan copies what a Plan aliases out of the pooled encoder's scratch,
+// so it can be compared after the next compression.
+func snapshotPlan(p Plan) Plan {
+	if p.ZStd != nil {
+		z := *p.ZStd
+		z.Blocks = slices.Clone(z.Blocks)
+		for i := range z.Blocks {
+			z.Blocks[i].Seqs = slices.Clone(z.Blocks[i].Seqs)
+		}
+		p.ZStd = &z
+	}
+	if p.Snappy != nil {
+		sn := *p.Snappy
+		sn.Seqs = slices.Clone(sn.Seqs)
+		p.Snappy = &sn
+	}
+	return p
+}
+
 // TestCoderSizeOnlyMatchesFullLengthAndPlan pins the size-only fast path at
-// the Coder layer: for every algorithm, AppendCompressPlanSizeOnly emits a
-// frame of exactly the full path's byte length with an identical Plan, the
-// encoder pool is not left in size-only mode afterwards, and non-zstd-family
-// frames remain fully decodable (they never get size-only treatment).
+// the Coder layer: for every algorithm, AppendCompressSizeOnly emits a frame
+// of exactly the full path's byte length with an equal Plan (ZStd's for the
+// zstdlite family, Snappy's for Snappy, none otherwise), the encoder pool is
+// not left in size-only mode afterwards, and frames without a plan remain
+// fully decodable. AppendCompressPlanSizeOnly, which hands out only the ZStd
+// plan, keeps Snappy frames decodable as well.
 func TestCoderSizeOnlyMatchesFullLengthAndPlan(t *testing.T) {
 	c := NewCoder()
 	src := corpus.Generate(corpus.Log, 48<<10, 7)
 	for round := 0; round < 2; round++ {
 		for _, a := range Algorithms {
 			level := a.DefaultLevel()
-			want, wantPlan, err := c.AppendCompressPlan(nil, a, level, 0, src)
+			want, p, err := c.AppendCompressPlan(nil, a, level, 0, src)
 			if err != nil {
 				t.Fatalf("%v: %v", a, err)
 			}
-			// The returned Plan aliases pooled encoder scratch; snapshot what
-			// the comparison needs before the next compression invalidates it.
-			hadPlan, wantBlocks := wantPlan != nil, 0
-			if hadPlan {
-				wantBlocks = len(wantPlan.Blocks)
+			wantPlan := snapshotPlan(p)
+			if zstdFamily := a == ZStd || a == Flate || a == Brotli; (wantPlan.ZStd != nil) != zstdFamily ||
+				(wantPlan.Snappy != nil) != (a == Snappy) || wantPlan.IsZero() != (a == Gipfeli || a == LZO) {
+				t.Fatalf("%v: wrong plan kind %+v", a, wantPlan)
 			}
-			got, gotPlan, err := c.AppendCompressPlanSizeOnly(nil, a, level, 0, src)
+			got, gotPlan, err := c.AppendCompressSizeOnly(nil, a, level, 0, src)
 			if err != nil {
 				t.Fatalf("%v: %v", a, err)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("round %d %v: size-only frame %d bytes, full %d", round, a, len(got), len(want))
 			}
-			if (gotPlan == nil) == hadPlan {
-				t.Fatalf("round %d %v: plan presence differs (size-only %v, full %v)",
-					round, a, gotPlan != nil, hadPlan)
+			if !reflect.DeepEqual(snapshotPlan(gotPlan), wantPlan) {
+				t.Fatalf("round %d %v: size-only plan differs from the full encode's", round, a)
 			}
-			if gotPlan != nil && len(gotPlan.Blocks) != wantBlocks {
-				t.Fatalf("round %d %v: plan blocks %d vs %d", round, a, len(gotPlan.Blocks), wantBlocks)
+			if gotPlan.IsZero() && !bytes.Equal(got, want) { // no plan: the frame must stay real
+				t.Fatalf("round %d %v: size-only path changed a frame that has no plan", round, a)
 			}
-			if gotPlan == nil { // byte-parsing decoder: frame must stay real
-				back, err := DecompressCall(a, got)
-				if err != nil {
-					t.Fatalf("round %d %v: size-only path broke non-zstd frame: %v", round, a, err)
-				}
-				if !bytes.Equal(back, src) {
-					t.Fatalf("round %d %v: round trip mismatch", round, a)
-				}
+			legacy, zplan, err := c.AppendCompressPlanSizeOnly(nil, a, level, 0, src)
+			if err != nil {
+				t.Fatalf("%v: %v", a, err)
+			}
+			if len(legacy) != len(want) || !reflect.DeepEqual(snapshotPlan(Plan{ZStd: zplan}).ZStd, wantPlan.ZStd) {
+				t.Fatalf("round %d %v: AppendCompressPlanSizeOnly: %d bytes (full %d) or a different ZStd plan", round, a, len(legacy), len(want))
+			}
+			if zplan == nil && !bytes.Equal(legacy, want) {
+				t.Fatalf("round %d %v: AppendCompressPlanSizeOnly returned no ZStd plan and not the full frame", round, a)
 			}
 			// The pooled encoder must leave size-only mode: the next full
 			// compression through the same Coder has to be decodable.

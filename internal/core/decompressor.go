@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 
@@ -243,59 +242,70 @@ func (d *Decompressor) zstdCycles(blocks []zstdlite.BlockInfo, res *Result) {
 }
 
 // DecompressPlanned runs one accelerator call over a compressed payload
-// whose structure is already known: plan is the frame Plan its producer
-// recorded (comp.Coder.AppendCompressPlan / zstdlite.AppendEncodeWithPlan)
-// and content is the original plaintext the frame was encoded from. The
-// charges are bit-identical to Decompress on the same frame — the Plan is the
-// description Inspect would parse back out, and both go through Time — but
-// the frame parse, entropy decoding and table-cache lookups are
-// all skipped: the LZ77 engine re-derives each block's literals from content
-// and replays the planned sequences. The output is verified equal to
-// content, so a plan that does not match src's frame cannot silently
-// misreport.
+// whose structure is already known: plan is the Plan the frame's producer
+// recorded (comp.Coder.AppendCompressPlan / AppendCompressSizeOnly) and
+// content is the original plaintext the frame was encoded from. The charges
+// are bit-identical to Decompress on the same frame — a ZStd plan is the
+// description Inspect would parse back out, a Snappy plan the element stream
+// AppendDecodeSeqs would, and both go through Time — but the frame parse,
+// entropy decoding, table-cache lookups and the reconstruction of bytes the
+// caller already holds are all skipped. The plan is instead proved against
+// content where it lies (tracePlan), so a plan that does not match src's
+// frame cannot silently misreport: it aborts as corrupt input.
 //
-// Only meaningful on ZStd-family instances; src is used for size accounting
-// and error paths only.
-func (d *Decompressor) DecompressPlanned(src []byte, plan *zstdlite.Plan, content []byte) (*Result, error) {
-	if d.cfg.Algo != comp.ZStd {
-		return nil, d.corruptInput(src, fmt.Errorf("core: planned decompress on algo %v", d.cfg.Algo))
-	}
-	if err := d.tracePlan(&d.scratch, src, plan, content, d.outBuf()); err != nil {
+// The Result's Output aliases content, in either result mode: it is valid for
+// as long as the caller leaves content alone. src is used for size accounting
+// and error paths only, so a size-only frame serves.
+func (d *Decompressor) DecompressPlanned(src []byte, plan comp.Plan, content []byte) (*Result, error) {
+	var tr Trace
+	if err := d.tracePlan(&tr, src, plan, content); err != nil {
 		return nil, d.corruptInput(src, err)
 	}
-	return d.Time(&d.scratch)
+	return d.Time(&tr)
 }
 
-// tracePlan is traceFrame driven by a recorded Plan instead of a frame parse:
-// materialization replays the planned sequences against literals re-derived
-// from the original content, appending to out.
-func (d *Decompressor) tracePlan(tr *Trace, src []byte, plan *zstdlite.Plan, content, out []byte) error {
-	window := 1 << plan.WindowLog
-	if out == nil {
-		out = make([]byte, 0, plan.ContentSize)
-	}
-	tr.blocks = append(tr.blocks[:0], plan.Blocks...)
-	blockStart := 0
-	for i := range plan.Blocks {
-		b := &plan.Blocks[i]
-		end := blockStart + b.RawSize
-		if end > len(content) {
-			return fmt.Errorf("core: plan block %d overruns content (%d > %d)", i, end, len(content))
+// tracePlan is traceFrame driven by a recorded Plan instead of a frame parse,
+// and the one place a plan is verified. The trace takes the plan's command
+// stream as it is, and its output is content itself once lz77.VerifySeqs has
+// shown that executing the stream reproduces it — the same predicate as
+// reconstructing into a buffer and comparing, without the buffer. On top of
+// that each ZStd block's commands must cover exactly its RawSize, and the
+// whole plan exactly content, as a frame's header would have it.
+func (d *Decompressor) tracePlan(tr *Trace, src []byte, plan comp.Plan, content []byte) error {
+	end := 0
+	switch {
+	case d.cfg.Algo == comp.Snappy && plan.Snappy != nil:
+		tr.seqs = plan.Snappy.Seqs
+		var err error
+		if end, err = lz77.VerifySeqs(content, 0, tr.seqs, 0); err != nil {
+			return err
 		}
-		if !b.IsCompressed() {
-			out = append(out, content[blockStart:end]...)
-		} else {
-			tr.lits = lz77.AppendLiteralsAt(tr.lits[:0], content, blockStart, b.Seqs)
-			var err error
-			if out, err = lz77.AppendReconstruct(out, b.Seqs, tr.lits, window); err != nil {
-				return err
+	case d.cfg.Algo == comp.ZStd && plan.ZStd != nil:
+		tr.blocks = plan.ZStd.Blocks
+		window := 1 << plan.ZStd.WindowLog
+		for i := range tr.blocks {
+			b := &tr.blocks[i]
+			start := end
+			if end += b.RawSize; end > len(content) {
+				return fmt.Errorf("core: plan block %d overruns content (%d > %d)", i, end, len(content))
+			}
+			if !b.IsCompressed() {
+				continue
+			}
+			got, err := lz77.VerifySeqs(content, start, b.Seqs, window)
+			if err != nil {
+				return fmt.Errorf("core: plan block %d: %w", i, err)
+			}
+			if got != end {
+				return fmt.Errorf("core: plan block %d commands cover %d bytes, the block %d", i, got-start, b.RawSize)
 			}
 		}
-		blockStart = end
+	default:
+		return fmt.Errorf("core: planned decompress on %s without a plan of its algorithm", d.cfg.Name())
 	}
-	if !bytes.Equal(out, content) {
-		return fmt.Errorf("core: planned decompress produced %d bytes, content %d, or bytes differ", len(out), len(content))
+	if end != len(content) {
+		return fmt.Errorf("core: plan covers %d bytes, content has %d", end, len(content))
 	}
-	tr.seal(d.fkey, len(src), out)
+	tr.seal(d.fkey, len(src), content)
 	return nil
 }

@@ -150,16 +150,22 @@ type DeviceStats struct {
 // on one Device.
 func (d *Device) Exec(payload []byte) (*Result, error) { return d.exec(payload) }
 
-// ExecPlanned is Exec for a ZStd decompression device whose input frame's
-// Plan was recorded at synthesis time: charges are bit-identical to
-// Exec(payload) but the frame parse and entropy decode are skipped; see
-// Decompressor.DecompressPlanned.
-func (d *Device) ExecPlanned(payload []byte, plan *zstdlite.Plan, content []byte) (*Result, error) {
+// ExecWithPlan is Exec for a decompression device whose input frame's Plan
+// was recorded at synthesis time, Snappy's element stream or ZStd's frame
+// description: charges are bit-identical to Exec(payload), but nothing is
+// parsed, entropy-decoded or reconstructed, and the Result's Output aliases
+// content; see Decompressor.DecompressPlanned.
+func (d *Device) ExecWithPlan(payload []byte, plan comp.Plan, content []byte) (*Result, error) {
 	dec, ok := d.pipeline.(*Decompressor)
 	if !ok {
 		return nil, fmt.Errorf("core: planned exec on a compression device")
 	}
 	return dec.DecompressPlanned(payload, plan, content)
+}
+
+// ExecPlanned is ExecWithPlan for a caller that holds only a ZStd plan.
+func (d *Device) ExecPlanned(payload []byte, plan *zstdlite.Plan, content []byte) (*Result, error) {
+	return d.ExecWithPlan(payload, comp.Plan{ZStd: plan}, content)
 }
 
 // Run services jobs FCFS across the device's pipelines (jobs must be sorted

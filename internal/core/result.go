@@ -52,7 +52,9 @@ var blockOrder = [numBlocks]string{
 
 // Result reports one accelerator call.
 type Result struct {
-	// Output is the produced payload (compressed or decompressed bytes).
+	// Output is the produced payload (compressed or decompressed bytes). From
+	// a planned decompression (Device.ExecWithPlan) it is the caller's content
+	// slice itself, not a copy: valid while the caller leaves content alone.
 	Output []byte
 	// InputBytes and OutputBytes are payload sizes.
 	InputBytes  int

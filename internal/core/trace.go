@@ -20,19 +20,24 @@ type Trace struct {
 	// InputBytes and OutputBytes are the call's payload sizes.
 	InputBytes, OutputBytes int
 	// Output is the produced payload; a Result timed from the trace aliases
-	// it. It is nil for a size-only trace (Compressor.Trace), and an owner
-	// that has checked the payload may drop it before sharing the trace.
+	// it. It is nil for a size-only trace (Compressor.Trace), the caller's
+	// own plaintext for a planned decompression (Decompressor.tracePlan), and
+	// an owner that has checked the payload may drop it before sharing the
+	// trace.
 	Output []byte
 
-	key  string     // FunctionalKey of the instance that took the trace
-	lz   lz77.Stats // compression: dictionary-stage statistics
-	seqs []lz77.Seq // Snappy decompression: the decoder's command stream
+	key string     // FunctionalKey of the instance that took the trace
+	lz  lz77.Stats // compression: dictionary-stage statistics
+	// seqs is the Snappy decompressor's element stream, one Seq per literal or
+	// copy element: parsed out of the frame, or as the frame's encoder
+	// recorded it (snappy.Plan), whose scratch it then aliases.
+	seqs []lz77.Seq
 	// blocks is the ZStd frame, either direction, as zstdlite describes it:
 	// what each block charges for. A trace that outlives its call keeps no
 	// Literals, and a compression trace no Seqs either: they are encoder
 	// scratch, and the encode charges read only their count.
 	blocks []zstdlite.BlockInfo
-	lits   []byte // literal scratch of the functional pass
+	lits   []byte // literal scratch of a Snappy frame parse
 }
 
 // seal records what a functional pass over inBytes of input produced.

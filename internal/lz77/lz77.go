@@ -12,6 +12,7 @@
 package lz77
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -609,6 +610,52 @@ func AppendCopy(out []byte, offset, n int) []byte {
 		run *= 2
 	}
 	return append(out, out[from:from+n]...)
+}
+
+// ErrMismatch is VerifySeqs' verdict on a copy whose source differs from the
+// bytes it claims to produce, or that runs past the content's end.
+var ErrMismatch = errors.New("lz77: copy does not reproduce the content")
+
+// VerifySeqs proves, without producing a byte, that replaying seqs from
+// position start rebuilds content[start:end] and returns end: the decoder's
+// checks on each copy (0 < offset ≤ position, offset ≤ window unless window is
+// 0) plus content[pos:pos+n] == content[pos-offset:pos-offset+n], where the
+// comparison reads overlapping ranges as they lie.
+//
+// It accepts exactly what AppendReconstruct, fed the literals AppendLiteralsAt
+// gathers from content and followed by a comparison with content, accepts. By
+// induction over the stream: while the output so far equals content[:pos], a
+// literal appends content's own bytes, and a copy appends byte i from output
+// position pos-offset+i, which is content's if i < offset and otherwise the
+// copy's own byte i-offset, already shown equal to content[pos+i-offset]; so
+// the copy reproduces content[pos:pos+n] exactly when the in-place comparison
+// holds. The first copy that fails it leaves a wrong or surplus byte that no
+// later append can repair.
+func VerifySeqs(content []byte, start int, seqs []Seq, window int) (end int, err error) {
+	if start < 0 || start > len(content) {
+		return 0, ErrBadLiterals
+	}
+	pos := start
+	for _, s := range seqs {
+		// pos ≤ len(content) throughout, so one unsigned comparison also
+		// rejects a negative length.
+		if uint(s.LitLen) > uint(len(content)-pos) {
+			return 0, ErrBadLiterals
+		}
+		pos += s.LitLen
+		if s.MatchLen == 0 {
+			continue
+		}
+		if s.Offset <= 0 || s.Offset > pos || (window > 0 && s.Offset > window) {
+			return 0, fmt.Errorf("%w: offset %d, produced %d, window %d", ErrBadOffset, s.Offset, pos, window)
+		}
+		if uint(s.MatchLen) > uint(len(content)-pos) ||
+			!bytes.Equal(content[pos:pos+s.MatchLen], content[pos-s.Offset:pos-s.Offset+s.MatchLen]) {
+			return 0, fmt.Errorf("%w: %d bytes at %d from offset %d", ErrMismatch, s.MatchLen, pos, s.Offset)
+		}
+		pos += s.MatchLen
+	}
+	return pos, nil
 }
 
 // TotalLen returns the number of source bytes covered by seqs.

@@ -41,6 +41,9 @@ func roundTrip(t *testing.T, m *Matcher, src []byte) {
 	if !bytes.Equal(out, src) {
 		t.Fatalf("round trip mismatch: %d vs %d bytes", len(out), len(src))
 	}
+	if end, err := VerifySeqs(src, 0, seqs, m.cfg.WindowSize); err != nil || end != len(src) {
+		t.Fatalf("VerifySeqs on a parse that reconstructs: end %d of %d, %v", end, len(src), err)
+	}
 }
 
 func TestRoundTripCorpora(t *testing.T) {

@@ -24,6 +24,9 @@ func TestParsePrefixedRoundTrip(t *testing.T) {
 	if !bytes.Equal(out[len(dict):], block) {
 		t.Fatal("prefixed round trip mismatch")
 	}
+	if end, err := VerifySeqs(data, len(dict), seqs, m.cfg.WindowSize); err != nil || end != len(data) {
+		t.Fatalf("VerifySeqs from the dictionary's end: end %d of %d, %v", end, len(data), err)
+	}
 }
 
 func TestParsePrefixedUsesDictionary(t *testing.T) {

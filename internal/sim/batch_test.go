@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 
+	"cdpu/internal/comp"
 	"cdpu/internal/fault"
 )
 
@@ -132,6 +134,75 @@ func TestShardExecSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 		t.Errorf("steady-state shard replay: %v allocs over %d calls, want 0",
 			allocs*float64(len(specs)), len(specs))
+	}
+}
+
+// TestParsedFramesAreReal pins the gate on size-only synthesis: whatever may
+// parse a frame's bytes gets a real frame. Every decompress-op call of a 100 %
+// storm (mutation, recovery re-execution, software fallback) and every
+// brownout-range call of a lifecycle replay (re-executed under the fault
+// injector) must leave the shard holding a frame that decodes to the payload;
+// the healthy calls beside them must not, or the check has no teeth. The
+// frame buffer is poisoned before each call, because a size-only Snappy frame
+// keeps whatever bytes lay under its literals.
+func TestParsedFramesAreReal(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"storm-100%", Config{
+			Seed: 5, Calls: 300, MaxCallBytes: 16 << 10, Resilience: testPolicy(),
+			Storm: &fault.Storm{Seed: 9, Rate: 1, MeanRepeats: 1},
+		}},
+		{"lifecycle", Config{
+			Seed: 5, Calls: 600, MaxCallBytes: 16 << 10, Resilience: testPolicy(), Replicas: 3, Failover: clusterPolicy(),
+			Lifecycle: &fault.Lifecycle{Seed: 404, Rate: 0.5, EpochCalls: 64, MeanEventCalls: 32},
+		}},
+	} {
+		cfg := tc.cfg.withDefaults()
+		if err := cfg.validate(); err != nil {
+			t.Fatal(err)
+		}
+		var report Report
+		specs, _, _ := sampleCalls(cfg, &report)
+		sh, err := newShard(cfg.Placement, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var parsed, healthy int
+		for i := range specs {
+			s := &specs[i]
+			if s.rec.Op != comp.Decompress {
+				continue
+			}
+			sh.plain = sh.gen.AppendGenerate(sh.plain[:0], s.kind, s.rec.UncompressedBytes, s.payloadSeed)
+			for j := range sh.enc[:cap(sh.enc)] {
+				sh.enc[:cap(sh.enc)][j] = 0xa5
+			}
+			if _, err := sh.execOne(s, i, &cfg, sh.plain); err != nil {
+				t.Fatalf("%s: call %d: %v", tc.name, i, err)
+			}
+			_, _, stormHit := cfg.Storm.Draw(i)
+			brownout := cfg.Lifecycle != nil && cfg.Lifecycle.AnyBrownoutRange(s.inst*cfg.Replicas, cfg.Replicas, i)
+			back, err := comp.DecompressCall(s.rec.Algo, sh.enc)
+			real := err == nil && bytes.Equal(back, sh.plain)
+			switch {
+			case stormHit || brownout:
+				parsed++
+				if !real {
+					t.Errorf("%s: call %d (%v, storm %v, brownout %v) reached its device with a frame that does not decode to the payload (%v)",
+						tc.name, i, s.rec.Algo, stormHit, brownout, err)
+				}
+			case len(sh.plain) >= 64:
+				healthy++
+				if real {
+					t.Errorf("%s: healthy call %d (%v) was synthesized in full", tc.name, i, s.rec.Algo)
+				}
+			}
+		}
+		if parsed == 0 || (cfg.Storm == nil && healthy == 0) {
+			t.Errorf("%s: %d parsed and %d healthy decompress calls; the run exercises nothing", tc.name, parsed, healthy)
+		}
 	}
 }
 

@@ -40,7 +40,6 @@ import (
 	"cdpu/internal/stats"
 	"cdpu/internal/traffic"
 	"cdpu/internal/xeon"
-	"cdpu/internal/zstdlite"
 )
 
 // Replay-shape instruments. Updated only in the serial phases, so they add no
@@ -583,9 +582,10 @@ const tileSize = 64
 // shard is one worker's leased execution state: a pooled Coder for
 // decompress-op payload synthesis, functional single-pipeline device clones,
 // and the scratch buffers that take steady-state replay to zero allocations
-// per call. Shards are recycled through a
-// process-wide pool across Replay invocations, so repeated Runs (benchmark
-// loops, scaling sweeps) skip device construction entirely.
+// per call. plain outlives the device call it feeds: a planned decompression's
+// Result.Output is plain itself. Shards are recycled through a process-wide
+// pool across Replay invocations, so repeated Runs (benchmark loops, scaling
+// sweeps) skip device construction entirely.
 type shard struct {
 	placement memsys.Placement
 	traced    bool
@@ -646,42 +646,38 @@ func (sh *shard) execTile(specs []callSpec, lo, hi int, cfg *Config, outs []exec
 }
 
 // execOne runs one call. Decompress-op calls synthesize their compressed
-// input through the leased coder; ZStd-family frames carry their recorded
-// Plan straight into the device clone (core.ExecPlanned), which charges
-// bit-identically to a frame parse without performing one. Storm-hit calls
-// take the unplanned recovery paths (a mutated frame has no valid plan).
+// input through the leased coder; Snappy and ZStd-family frames carry their
+// recorded Plan straight into the device clone (core.ExecWithPlan), which
+// charges bit-identically to a frame parse without performing one and checks
+// the plan against the payload the shard already holds. Storm-hit calls take
+// the unplanned recovery paths (a mutated frame has no valid plan).
 func (sh *shard) execOne(s *callSpec, call int, cfg *Config, plain []byte) (execOut, error) {
 	devInput := plain
-	var plan *zstdlite.Plan
+	var plan comp.Plan
 	// The storm draw is a pure function of (seed, call), so drawing before
 	// synthesis changes nothing downstream — it only tells the synthesizer
 	// whether anything will parse the frame's actual bytes.
 	kind, repeats, stormHit := cfg.Storm.Draw(call)
 	if s.rec.Op == comp.Decompress {
-		// Healthy zstd-family frames are consumed only through their Plan and
-		// byte length (core.ExecPlanned charges without parsing), so their
-		// entropy payloads can be size-only zeros — skipping the Huffman/FSE
-		// bit-writing that dominates synthesis. Any path that does parse real
-		// bytes — storm mutation and recovery re-execution, brownout
-		// re-execution under the fault injector — forces the full encoder.
-		// Non-zstd-family algorithms always encode in full (their decoders
-		// parse bytes); AppendCompressPlanSizeOnly falls through for them.
+		// Healthy frames are consumed only through their Plan and byte length
+		// (core.ExecWithPlan charges without parsing), so they can be
+		// size-only: ZStd's entropy payloads zeros, Snappy's literal payloads
+		// unwritten — skipping the Huffman/FSE bit-writing and the literal
+		// copies of synthesis. Any path that does parse real bytes — storm
+		// mutation and recovery re-execution, brownout re-execution under the
+		// fault injector — forces the full encoder.
 		needReal := stormHit ||
 			(cfg.Lifecycle != nil && cfg.Lifecycle.AnyBrownoutRange(s.inst*cfg.Replicas, cfg.Replicas, call))
-		var enc []byte
-		var p *zstdlite.Plan
 		var err error
 		if needReal {
-			enc, p, err = sh.coder.AppendCompressPlan(sh.enc[:0], s.rec.Algo, s.rec.Level, min(s.rec.WindowLog, 17), plain)
+			sh.enc, plan, err = sh.coder.AppendCompressPlan(sh.enc[:0], s.rec.Algo, s.rec.Level, min(s.rec.WindowLog, 17), plain)
 		} else {
-			enc, p, err = sh.coder.AppendCompressPlanSizeOnly(sh.enc[:0], s.rec.Algo, s.rec.Level, min(s.rec.WindowLog, 17), plain)
+			sh.enc, plan, err = sh.coder.AppendCompressSizeOnly(sh.enc[:0], s.rec.Algo, s.rec.Level, min(s.rec.WindowLog, 17), plain)
 		}
 		if err != nil {
 			return execOut{}, err
 		}
-		sh.enc = enc
-		devInput = enc
-		plan = p
+		devInput = sh.enc
 	}
 	if stormHit {
 		out, err := sh.chaosExec(s, call, cfg, plain, devInput, kind, repeats)
@@ -693,8 +689,8 @@ func (sh *shard) execOne(s *callSpec, call int, cfg *Config, plain []byte) (exec
 	dev := sh.devs[s.dev]
 	var res *core.Result
 	var err error
-	if plan != nil {
-		res, err = dev.ExecPlanned(devInput, plan, plain)
+	if !plan.IsZero() {
+		res, err = dev.ExecWithPlan(devInput, plan, plain)
 	} else {
 		res, err = dev.Exec(devInput)
 	}

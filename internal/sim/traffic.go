@@ -91,13 +91,34 @@ func (c Config) validate() error {
 	if c.Replicas < 0 {
 		return fmt.Errorf("sim: Replicas %d (want non-negative)", c.Replicas)
 	}
+	if c.Storm != nil && !(c.Storm.Rate >= 0 && c.Storm.Rate <= 1) {
+		return fmt.Errorf("sim: Storm.Rate %v (want a probability in [0, 1])", c.Storm.Rate)
+	}
+	if c.Lifecycle != nil && !(c.Lifecycle.Rate >= 0 && c.Lifecycle.Rate <= 1) {
+		return fmt.Errorf("sim: Lifecycle.Rate %v (want a probability in [0, 1])", c.Lifecycle.Rate)
+	}
+	if s := c.Contention; s != nil {
+		for _, b := range []struct {
+			name string
+			v    float64
+		}{
+			{"StreamBytesPerCycle", s.StreamBytesPerCycle}, {"LinkOpsPerCycle", s.LinkOpsPerCycle}, {"LLCBytes", s.LLCBytes},
+		} {
+			if !finiteNonNegative(b.v) {
+				return fmt.Errorf("sim: Contention.%s %v (want finite, non-negative; 0 = unlimited)", b.name, b.v)
+			}
+		}
+	}
+	if e := c.EpochCycles; !finiteNonNegative(e) {
+		return fmt.Errorf("sim: EpochCycles %v (want finite, non-negative; 0 = the default)", e)
+	}
 	if err := c.Traffic.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	if err := c.Burn.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if f := c.Resilience.DeadlineFactor; math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
+	if f := c.Resilience.DeadlineFactor; !finiteNonNegative(f) {
 		return fmt.Errorf("sim: Resilience.DeadlineFactor %v (want finite, non-negative)", f)
 	}
 	if !c.Traffic.Enabled() {
@@ -125,6 +146,10 @@ func (c Config) validate() error {
 	}
 	return nil
 }
+
+// finiteNonNegative is the range of a budget, a spacing or a factor: NaN fails
+// the first comparison.
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // sloCycles returns the per-class latency targets in device cycles, or nil in
 // closed-loop mode — the switch that keeps per-class accounting completely

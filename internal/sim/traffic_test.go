@@ -2,9 +2,11 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cdpu/internal/cluster"
+	"cdpu/internal/des"
 	"cdpu/internal/fault"
 	"cdpu/internal/obs"
 	"cdpu/internal/resil"
@@ -82,6 +84,47 @@ func TestConfigValidate(t *testing.T) {
 	good.Autoscale = traffic.Autoscale{UpQueueDepth: 8}
 	if err := good.withDefaults().validate(); err != nil {
 		t.Errorf("well-formed open-loop config rejected: %v", err)
+	}
+}
+
+// TestConfigValidateFaultAndContentionFields: a storm or lifecycle rate that
+// is no probability, a contention budget or an epoch that is negative or not
+// a number used to reach the engine; each is now refused with its field named,
+// and the edges of each range stay accepted.
+func TestConfigValidateFaultAndContentionFields(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	storm := func(r float64) Config { return Config{Storm: &fault.Storm{Rate: r}} }
+	life := func(r float64) Config { return Config{Lifecycle: &fault.Lifecycle{Rate: r}} }
+	stream := func(v float64) Config { return Config{Contention: &des.Shared{StreamBytesPerCycle: v}} }
+	link := func(v float64) Config { return Config{Contention: &des.Shared{LinkOpsPerCycle: v}} }
+	llc := func(v float64) Config { return Config{Contention: &des.Shared{LLCBytes: v}} }
+	epoch := func(v float64) Config { return Config{Contention: &des.Shared{}, EpochCycles: v} }
+	for _, tc := range []struct {
+		field     string
+		cfg       func(float64) Config
+		bad, good []float64
+	}{
+		{"Storm.Rate", storm, []float64{-0.01, 1.01, nan, inf}, []float64{0, 0.5, 1}},
+		{"Lifecycle.Rate", life, []float64{-0.01, 1.01, nan, inf}, []float64{0, 0.5, 1}},
+		{"Contention.StreamBytesPerCycle", stream, []float64{-1, nan, inf}, []float64{0, 64}},
+		{"Contention.LinkOpsPerCycle", link, []float64{-1, nan, inf}, []float64{0, 0.01}},
+		{"Contention.LLCBytes", llc, []float64{-1, nan, inf}, []float64{0, 32 << 20}},
+		{"EpochCycles", epoch, []float64{-1, nan, inf}, []float64{0, 1 << 16}},
+	} {
+		for _, v := range tc.bad {
+			err := tc.cfg(v).withDefaults().validate()
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s = %v: got %v, want an error naming the field", tc.field, v, err)
+			}
+		}
+		for _, v := range tc.good {
+			if err := tc.cfg(v).withDefaults().validate(); err != nil {
+				t.Errorf("%s = %v rejected: %v", tc.field, v, err)
+			}
+		}
+	}
+	if _, err := Run(storm(nan)); err == nil {
+		t.Error("Run accepted a NaN Storm.Rate")
 	}
 }
 

@@ -15,6 +15,7 @@ package snappy
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cdpu/internal/bits"
 	"cdpu/internal/lz77"
@@ -124,6 +125,22 @@ func (c EncoderConfig) lz77Config() lz77.Config {
 // table across calls. Not safe for concurrent use.
 type Encoder struct {
 	matcher *lz77.Matcher
+
+	// plan describes the block being emitted, element by element as the
+	// emission loop writes them (AppendEncodeWithPlan).
+	plan Plan
+	// sizeOnly leaves literal payloads unwritten (SetSizeOnly).
+	sizeOnly bool
+}
+
+// Plan is the element stream an Encoder records of the block it just
+// produced: one Seq per element, a literal as {LitLen} and a copy as {Offset,
+// MatchLen}, exactly what AppendDecodeSeqs parses back out of the block. A
+// decompressor model charges per element, so a long match appears here as the
+// copies it was split into. Seqs aliases encoder scratch: a Plan is valid only
+// until the encoder's next Encode call.
+type Plan struct {
+	Seqs []lz77.Seq
 }
 
 // NewEncoder returns an Encoder for cfg (zero fields take defaults).
@@ -139,6 +156,18 @@ func NewEncoder(cfg EncoderConfig) (*Encoder, error) {
 // Stats returns dictionary-stage statistics for the most recent Encode.
 func (e *Encoder) Stats() lz77.Stats { return e.matcher.Stats() }
 
+// SetSizeOnly toggles size-only emission. When on, the encoder runs the
+// dictionary stage and writes the length header and every element's tag bytes
+// exactly as before, so the Plan and the block's length are those of a full
+// encode, but a literal element's payload is left as whatever dst's backing
+// array held instead of being copied from src.
+//
+// A size-only block is NOT decodable; like zstdlite's, it exists for replay
+// pipelines that charge from the Plan and the block's length
+// (core.Device.ExecWithPlan). Callers that may hand the block to a real
+// decoder must keep size-only off.
+func (e *Encoder) SetSizeOnly(on bool) { e.sizeOnly = on }
+
 // Encode compresses src into the Snappy block format.
 func (e *Encoder) Encode(src []byte) []byte {
 	return e.AppendEncode(nil, src)
@@ -146,25 +175,52 @@ func (e *Encoder) Encode(src []byte) []byte {
 
 // AppendEncode compresses src, appending the Snappy block to dst — the
 // zero-steady-state-allocation form for callers that replay many payloads
-// through one buffer.
+// through one buffer. It records no Plan.
 func (e *Encoder) AppendEncode(dst, src []byte) []byte {
+	return e.emit(dst, src, false)
+}
+
+// AppendEncodeWithPlan compresses src like AppendEncode and additionally
+// returns the block's Plan, valid only until the next Encode call on this
+// encoder.
+func (e *Encoder) AppendEncodeWithPlan(dst, src []byte) ([]byte, *Plan) {
+	return e.emit(dst, src, true), &e.plan
+}
+
+// emit is the one emission loop. With record set, each element goes into the
+// Plan in the iteration that writes its bytes, from the same lengths: the
+// split rule (copyStep) runs once and decides both.
+func (e *Encoder) emit(dst, src []byte, record bool) []byte {
 	e.matcher.ResetStats()
 	dst = bits.AppendUvarint(dst, uint64(len(src)))
-	if len(src) == 0 {
-		return dst
-	}
-	seqs := e.matcher.Parse(src)
-	pos := 0
-	for _, s := range seqs {
-		if s.LitLen > 0 {
-			dst = appendLiteral(dst, src[pos:pos+s.LitLen])
-			pos += s.LitLen
-		}
-		if s.MatchLen > 0 {
-			dst = appendCopies(dst, s.Offset, s.MatchLen)
+	els := e.plan.Seqs[:0]
+	if len(src) > 0 {
+		pos := 0
+		for _, s := range e.matcher.Parse(src) {
+			if s.LitLen > 0 {
+				dst = appendLiteralTag(dst, s.LitLen)
+				if e.sizeOnly {
+					dst = slices.Grow(dst, s.LitLen)[:len(dst)+s.LitLen]
+				} else {
+					dst = append(dst, src[pos:pos+s.LitLen]...)
+				}
+				if record {
+					els = append(els, lz77.Seq{LitLen: s.LitLen})
+				}
+				pos += s.LitLen
+			}
+			for rest := s.MatchLen; rest > 0; {
+				n := copyStep(rest)
+				dst = appendCopy(dst, s.Offset, n)
+				if record {
+					els = append(els, lz77.Seq{Offset: s.Offset, MatchLen: n})
+				}
+				rest -= n
+			}
 			pos += s.MatchLen
 		}
 	}
+	e.plan.Seqs = els
 	return dst
 }
 
@@ -177,56 +233,54 @@ func Encode(src []byte) []byte {
 	return e.Encode(src)
 }
 
-// appendLiteral emits a literal element. Runs longer than 60 bytes use the
-// 1-4 extra length bytes the format defines.
-func appendLiteral(dst, lit []byte) []byte {
-	n := len(lit) - 1
+// appendLiteralTag emits the tag of a literal element of n bytes, which the
+// payload follows. Runs longer than 60 bytes use the 1-4 extra length bytes
+// the format defines.
+func appendLiteralTag(dst []byte, n int) []byte {
+	n--
 	switch {
 	case n < 60:
-		dst = append(dst, byte(n)<<2|tagLiteral)
+		return append(dst, byte(n)<<2|tagLiteral)
 	case n < 1<<8:
-		dst = append(dst, 60<<2|tagLiteral, byte(n))
+		return append(dst, 60<<2|tagLiteral, byte(n))
 	case n < 1<<16:
-		dst = append(dst, 61<<2|tagLiteral, byte(n), byte(n>>8))
+		return append(dst, 61<<2|tagLiteral, byte(n), byte(n>>8))
 	case n < 1<<24:
-		dst = append(dst, 62<<2|tagLiteral, byte(n), byte(n>>8), byte(n>>16))
+		return append(dst, 62<<2|tagLiteral, byte(n), byte(n>>8), byte(n>>16))
 	default:
-		dst = append(dst, 63<<2|tagLiteral, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
+		return append(dst, 63<<2|tagLiteral, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
 	}
-	return append(dst, lit...)
 }
 
-// appendCopies emits one or more copy elements covering length bytes at
-// offset. Long matches are split: copy-2 elements carry up to 64 bytes.
-func appendCopies(dst []byte, offset, length int) []byte {
-	// Prefer copy-1 when it fits (4..11 bytes, offset < 2048); then copy-2
-	// (1..64 bytes, offset < 65536). A match at exactly the window bound
-	// (offset 65536) does not fit copy-2's 16 bits and uses copy-4.
-	for length > 0 {
-		if length >= 4 && length <= 11 && offset < 2048 {
-			dst = append(dst,
-				byte(offset>>8)<<5|byte(length-4)<<2|tagCopy1,
-				byte(offset))
-			return dst
-		}
-		n := length
-		if n > 64 {
-			n = 64
-			// Avoid leaving a tail shorter than 4 bytes, which could not be
-			// re-encoded as copy-1 and wastes a copy-2; split 60/rest.
-			if length-n < 4 && length-n > 0 {
-				n = 60
-			}
-		}
-		if offset < 1<<16 {
-			dst = append(dst, byte(n-1)<<2|tagCopy2, byte(offset), byte(offset>>8))
-		} else {
-			dst = append(dst, byte(n-1)<<2|tagCopy4,
-				byte(offset), byte(offset>>8), byte(offset>>16), byte(offset>>24))
-		}
-		length -= n
+// copyStep is the split rule: how many of a match's remaining length bytes
+// its next copy element carries. A copy element holds at most 64 bytes, and a
+// split never leaves a tail shorter than 4 bytes, which could not be a copy-1
+// and would waste a copy-2: 65..67 split 60/rest.
+func copyStep(length int) int {
+	switch {
+	case length <= 64:
+		return length
+	case length < 68:
+		return 60
+	default:
+		return 64
 	}
-	return dst
+}
+
+// appendCopy emits one copy element of n ≤ 64 bytes at offset. It prefers
+// copy-1 when that fits (4..11 bytes, offset < 2048), then copy-2 (offset <
+// 65536). A match at exactly the window bound (offset 65536) does not fit
+// copy-2's 16 bits and uses copy-4.
+func appendCopy(dst []byte, offset, n int) []byte {
+	switch {
+	case n >= 4 && n <= 11 && offset < 2048:
+		return append(dst, byte(offset>>8)<<5|byte(n-4)<<2|tagCopy1, byte(offset))
+	case offset < 1<<16:
+		return append(dst, byte(n-1)<<2|tagCopy2, byte(offset), byte(offset>>8))
+	default:
+		return append(dst, byte(n-1)<<2|tagCopy4,
+			byte(offset), byte(offset>>8), byte(offset>>16), byte(offset>>24))
+	}
 }
 
 // Decode decompresses a Snappy block under the default MaxDecodedLen limit.
