@@ -27,9 +27,11 @@ test:
 # generator are the concurrency-sensitive core; run them under the race
 # detector. internal/core is here for the traces the scheduler shares between
 # concurrent timing walks: a walk must never write to one. internal/hcbench
-# is here for the chunk pools Generate shares between concurrent callers.
+# is here for the chunk pools Generate shares between concurrent callers, and
+# internal/comp and the root package for the pool of Coders that concurrent
+# CompressCall / cdpu.Compress callers lease from.
 race:
-	$(GO) test -race ./internal/cluster/... ./internal/core/... ./internal/des/... ./internal/exp/... ./internal/hcbench/... ./internal/sim/... ./internal/traffic/...
+	$(GO) test -race . ./internal/cluster/... ./internal/comp/... ./internal/core/... ./internal/des/... ./internal/exp/... ./internal/hcbench/... ./internal/sim/... ./internal/traffic/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...

@@ -3,6 +3,7 @@ package cdpu
 import (
 	"bytes"
 	"io"
+	"sync"
 	"testing"
 
 	"cdpu/internal/corpus"
@@ -54,6 +55,35 @@ func TestFacadeSoftwareCodecs(t *testing.T) {
 			t.Fatalf("%v round trip failed", algo)
 		}
 	}
+}
+
+// TestFacadeCompressIsConcurrent: Compress leases its encoder from a pool
+// shared by every caller, so goroutines compressing at once, each its own
+// payloads under its own mix of algorithms, must each get their own bytes
+// back. The race detector (make race runs this package) sees the sharing.
+func TestFacadeCompressIsConcurrent(t *testing.T) {
+	algos := []Algorithm{Snappy, ZStd, Flate, Brotli, Gipfeli, LZO}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				algo := algos[(g+i)%len(algos)]
+				data := corpus.Generate(corpus.Kinds[(g+i)%len(corpus.Kinds)], 1<<10+977*i, int64(100*g+i))
+				enc, err := Compress(algo, 0, 0, data)
+				if err != nil {
+					t.Errorf("goroutine %d call %d: %v: %v", g, i, algo, err)
+					return
+				}
+				if got, err := Decompress(algo, enc); err != nil || !bytes.Equal(got, data) {
+					t.Errorf("goroutine %d call %d: %v round trip failed: %v", g, i, algo, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestFacadeFleetSampling(t *testing.T) {

@@ -54,18 +54,21 @@ func TestWriteReadSequence(t *testing.T) {
 	}
 }
 
+// TestBitLen: Bytes holds every bit written and pads only the last byte.
 func TestBitLen(t *testing.T) {
 	var w Writer
-	if w.BitLen() != 0 {
-		t.Fatalf("empty writer BitLen = %d", w.BitLen())
+	if b := w.Bytes(); len(b) != 0 {
+		t.Fatalf("empty writer Bytes = %x", b)
 	}
-	w.WriteBits(0, 3)
-	if w.BitLen() != 3 {
-		t.Fatalf("BitLen after 3 bits = %d", w.BitLen())
+	w.WriteBits(0b101, 3)
+	w.WriteBits(0x1fff, 13)
+	if b := w.Bytes(); len(b) != 2 || b[0] != 0xfd || b[1] != 0xff {
+		t.Fatalf("Bytes after 3 + 13 bits = %x", b)
 	}
-	w.WriteBits(0, 13)
-	if w.BitLen() != 16 {
-		t.Fatalf("BitLen after 16 bits = %d", w.BitLen())
+	var short Writer
+	short.WriteBits(0b101, 3)
+	if b := short.Bytes(); len(b) != 1 || b[0] != 0b101 {
+		t.Fatalf("Bytes after 3 bits = %x", b)
 	}
 }
 
@@ -82,7 +85,9 @@ func TestAlignPadsWithZeros(t *testing.T) {
 	if r.ReadBits(1) != 1 {
 		t.Fatal("first bit lost")
 	}
-	r.Align()
+	if pad := r.ReadBits(7); pad != 0 {
+		t.Fatalf("padding = %#b", pad)
+	}
 	if got := r.ReadBits(8); got != 0xab {
 		t.Fatalf("post-align byte = %#x", got)
 	}
@@ -128,8 +133,8 @@ func TestWriterReset(t *testing.T) {
 	var w Writer
 	w.WriteBits(0xffff, 16)
 	w.Reset()
-	if w.BitLen() != 0 {
-		t.Fatalf("BitLen after reset = %d", w.BitLen())
+	if b := w.Bytes(); len(b) != 0 {
+		t.Fatalf("Bytes after reset = %x", b)
 	}
 	w.WriteBits(0x1, 1)
 	if b := w.Bytes(); len(b) != 1 || b[0] != 1 {

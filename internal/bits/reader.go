@@ -91,13 +91,6 @@ func (r *Reader) PeekBits(n uint) uint64 {
 // stream; otherwise ErrOverread is recorded.
 func (r *Reader) Skip(n uint) { r.ReadBits(n) }
 
-// Align discards bits up to the next byte boundary.
-func (r *Reader) Align() {
-	drop := r.nacc % 8
-	r.acc >>= drop
-	r.nacc -= drop
-}
-
 // BitsRemaining reports how many unread bits remain in the stream.
 func (r *Reader) BitsRemaining() int {
 	return (len(r.buf)-r.pos)*8 + int(r.nacc)

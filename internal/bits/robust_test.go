@@ -39,13 +39,13 @@ func TestWriterBitCountSticky(t *testing.T) {
 	if !errors.Is(w.Err(), ErrBitCount) {
 		t.Fatalf("Err() = %v, want ErrBitCount", w.Err())
 	}
-	if got := w.BitLen(); got != 3 {
-		t.Fatalf("BitLen() = %d after rejected write, want 3", got)
-	}
 	first := w.Err()
 	w.WriteBits(1, 1)
 	if w.Err() != first {
 		t.Fatalf("Err() changed after later write: %v", w.Err())
+	}
+	if b := w.Bytes(); len(b) != 1 || b[0] != 0b1101 {
+		t.Fatalf("Bytes() = %x: the rejected write must add nothing between the 3 bits before it and the 1 after", b)
 	}
 	w.Reset()
 	if w.Err() != nil {

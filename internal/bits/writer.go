@@ -51,9 +51,6 @@ func (w *Writer) Align() {
 	}
 }
 
-// BitLen reports the total number of bits written so far.
-func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nacc) }
-
 // Bytes flushes any partial byte (zero padded) and returns the underlying
 // buffer. The Writer remains usable; further writes continue byte-aligned.
 func (w *Writer) Bytes() []byte {

@@ -22,13 +22,15 @@ type zstdKey struct {
 // into caller-owned buffers. Fleet traffic cycles through a handful of
 // (algorithm, level, window) combinations, so a replay worker's Coder
 // converges to a small fixed working set and the synthesis hot path stops
-// allocating. CompressCall is a Coder used once.
+// allocating. CompressCall and SizeCall lease a Coder from a package pool for
+// the length of one call; what they hand back is a copy, or a length.
 //
 // A Coder is not safe for concurrent use; parallel replays give each worker
 // its own.
 type Coder struct {
-	snap *snappy.Encoder
-	zstd map[zstdKey]*zstdlite.Encoder
+	snap  *snappy.Encoder
+	zstd  map[zstdKey]*zstdlite.Encoder
+	frame []byte // the one-shot calls' output scratch
 }
 
 // NewCoder returns an empty Coder; encoders materialize on first use.

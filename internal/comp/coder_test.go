@@ -9,10 +9,13 @@ import (
 	"cdpu/internal/corpus"
 )
 
-// TestCoderMatchesCompressCall pins the Coder's contract: reusing encoders
-// across calls must produce byte-identical output to the one-shot path, for
-// every algorithm and across repeated calls (stale encoder state would show
-// up on the second round).
+// TestCoderMatchesCompressCall pins the reuse contract against a Coder built
+// for one call: a Coder kept across calls, and CompressCall's leased one,
+// must produce its bytes for every algorithm, over an interleaved sequence of
+// (algorithm, level, window log) and across repeated rounds (stale encoder
+// state would show up on the second). The sequence holds more zstdlite
+// configurations than a pooled Coder may keep, so the lease is also dropped
+// and rebuilt on the way. SizeCall must report the same frame's length.
 func TestCoderMatchesCompressCall(t *testing.T) {
 	c := NewCoder()
 	payloads := [][]byte{
@@ -21,30 +24,92 @@ func TestCoderMatchesCompressCall(t *testing.T) {
 		corpus.Generate(corpus.Log, 48<<10, 3),
 		nil,
 	}
+	calls := []zstdKey{
+		{Snappy, 0, 0}, {ZStd, 3, 0}, {Gipfeli, 0, 0}, {ZStd, 1, 17}, {Flate, 3, 0}, {Snappy, 0, 0},
+		{ZStd, 12, 20}, {LZO, 1, 0}, {Brotli, 2, 0}, {ZStd, 3, 0}, {ZStd, 19, 0}, {Flate, 9, 0}, {ZStd, -3, 0},
+	}
+	zstds := map[zstdKey]bool{}
+	for _, k := range calls {
+		if k.algo.Heavyweight() { // the zstdlite-backed three
+			zstds[k] = true
+		}
+	}
+	if len(zstds) <= maxPooledEncoders {
+		t.Fatalf("the sequence has %d zstdlite configurations, too few to overflow a pooled Coder (%d)", len(zstds), maxPooledEncoders)
+	}
 	for round := 0; round < 2; round++ {
-		for _, a := range Algorithms {
-			for _, src := range payloads {
-				level := a.DefaultLevel()
-				want, err := CompressCall(a, level, 0, src)
-				if err != nil {
-					t.Fatalf("%v: %v", a, err)
-				}
-				got, err := c.AppendCompress(nil, a, level, 0, src)
-				if err != nil {
-					t.Fatalf("%v: %v", a, err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("round %d %v: coder output differs from CompressCall (%d vs %d bytes)",
-						round, a, len(got), len(want))
-				}
-				back, err := DecompressCall(a, got)
-				if err != nil {
-					t.Fatalf("%v: decode: %v", a, err)
-				}
-				if !bytes.Equal(back, src) {
-					t.Fatalf("round %d %v: round trip mismatch", round, a)
-				}
+		for i, k := range calls {
+			src := payloads[(round+i)%len(payloads)]
+			want, err := new(Coder).AppendCompress(nil, k.algo, k.level, k.windowLog, src)
+			if err != nil {
+				t.Fatalf("%+v: %v", k, err)
 			}
+			got, err := c.AppendCompress(nil, k.algo, k.level, k.windowLog, src)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("round %d %+v: reused Coder differs from a fresh one (%d vs %d bytes, %v)", round, k, len(got), len(want), err)
+			}
+			got, err = CompressCall(k.algo, k.level, k.windowLog, src)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("round %d %+v: CompressCall differs from a fresh Coder (%d vs %d bytes, %v)", round, k, len(got), len(want), err)
+			}
+			if n, err := SizeCall(k.algo, k.level, k.windowLog, src); err != nil || n != len(want) {
+				t.Fatalf("round %d %+v: SizeCall %d, %v; the frame has %d bytes", round, k, n, err, len(want))
+			}
+			back, err := DecompressCall(k.algo, got)
+			if err != nil || !bytes.Equal(back, src) {
+				t.Fatalf("round %d %+v: round trip: %v", round, k, err)
+			}
+		}
+	}
+}
+
+// TestCompressCallFrameIsTheCallers: the frame CompressCall returns shares no
+// memory with the pooled Coder that produced it. A later call does not write
+// into a frame returned earlier, and scribbling over a returned frame (through
+// its whole capacity) does not reach the next call's.
+func TestCompressCallFrameIsTheCallers(t *testing.T) {
+	src, other := corpus.Generate(corpus.Log, 16<<10, 4), corpus.Generate(corpus.Text, 16<<10, 5)
+	for _, a := range Algorithms {
+		compress := func(src []byte) []byte {
+			frame, err := CompressCall(a, a.DefaultLevel(), 0, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return frame
+		}
+		first := compress(src)
+		want := bytes.Clone(first)
+		second := compress(other)
+		if !bytes.Equal(first, want) {
+			t.Errorf("%v: the next call wrote into a frame already returned", a)
+		}
+		second = second[:cap(second)]
+		for i := range second {
+			second[i] ^= 0xA5
+		}
+		if !bytes.Equal(compress(src), want) {
+			t.Errorf("%v: overwriting a returned frame changed the next call's", a)
+		}
+	}
+}
+
+// TestCompressCallSteadyStateAllocs is the lease's point as a ceiling: once a
+// Coder for the configuration is pooled, a one-shot call allocates the frame
+// it returns and nothing else (a Coder built per call allocated its match
+// table, its encoder and every scratch slice: dozens of objects).
+func TestCompressCallSteadyStateAllocs(t *testing.T) {
+	if poolDropsPuts {
+		t.Skip("under the race detector sync.Pool drops a quarter of its Puts on purpose")
+	}
+	src := corpus.Generate(corpus.JSON, 4<<10, 5)
+	for _, k := range []zstdKey{{Snappy, 0, 0}, {ZStd, 3, 0}} {
+		call := func() {
+			if _, err := CompressCall(k.algo, k.level, k.windowLog, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, call); allocs > 1 {
+			t.Errorf("%+v: a steady-state one-shot call allocates %.2f objects, want the frame alone", k, allocs)
 		}
 	}
 }

@@ -11,8 +11,10 @@
 package comp
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 
 	"cdpu/internal/brotlidict"
 	"cdpu/internal/gipfeli"
@@ -148,11 +150,54 @@ func zstdParams(a Algorithm, level, windowLog int) (zstdlite.Params, error) {
 	return p, nil
 }
 
+// coders holds the Coders the one-shot calls lease: a call that finds one idle
+// compresses at the reused encoder's speed instead of building a hash table
+// and every scratch slice for one payload.
+//
+// What that retains is bounded. A pooled Coder keeps one encoder per (algo,
+// level, windowLog) it has served — 320 KiB of match table at zstdlite
+// levels up to 9, about 5 MiB from level 16 — plus scratch the size of the
+// largest payload it has seen. sync.Pool drops idle entries at garbage
+// collection, and a Coder that has gathered more than maxPooledEncoders
+// encoders is not put back at all.
+var coders = sync.Pool{New: func() any { return new(Coder) }}
+
+const maxPooledEncoders = 4
+
+// release returns a leased Coder to the pool. A call that panics never gets
+// here, so a Coder a bug left half-updated is not reused.
+func (c *Coder) release() {
+	if len(c.zstd) <= maxPooledEncoders {
+		coders.Put(c)
+	}
+}
+
 // CompressCall compresses src under the given algorithm, level and window
-// log (0 means the algorithm default for both).
+// log (0 means the algorithm default for both). It is safe for concurrent
+// use. The frame is encoded in a leased Coder's scratch and returned as a
+// copy of exactly its length: the caller owns it, and nothing pooled aliases
+// it.
 func CompressCall(a Algorithm, level, windowLog int, src []byte) ([]byte, error) {
-	var c Coder // used once: the same dispatch, nothing pooled
-	return c.AppendCompress(nil, a, level, windowLog, src)
+	c := coders.Get().(*Coder)
+	out, err := c.AppendCompress(c.frame[:0], a, level, windowLog, src)
+	if err == nil {
+		c.frame, out = out[:0], bytes.Clone(out)
+	}
+	c.release()
+	return out, err
+}
+
+// SizeCall is the length of the frame CompressCall would return, from a
+// size-only encode (AppendCompressPlanSizeOnly) that never leaves the leased
+// Coder's scratch.
+func SizeCall(a Algorithm, level, windowLog int, src []byte) (int, error) {
+	c := coders.Get().(*Coder)
+	out, _, err := c.AppendCompressPlanSizeOnly(c.frame[:0], a, level, windowLog, src)
+	if err == nil {
+		c.frame = out[:0]
+	}
+	c.release()
+	return len(out), err
 }
 
 // DecompressCall decompresses src under the given algorithm.

@@ -54,7 +54,7 @@ func getWorkload(cfg Config, algo comp.Algorithm, op comp.Op) (*workload, error)
 			w.compressed = make([][]byte, n)
 		}
 		// Software compression of the suite is embarrassingly parallel (every
-		// call builds its own encoder), so it runs on the shared pool; the
+		// call leases its own coder), so it runs on the shared pool; the
 		// totals are reduced in file order below. A decompression workload
 		// keeps the frames; a compression one reads only their lengths, which
 		// the size-only coder gives without entropy-coding the payloads.
@@ -69,8 +69,8 @@ func getWorkload(cfg Config, algo comp.Algorithm, op comp.Op) (*workload, error)
 				w.compressed[i], sizes[i] = enc, len(enc)
 				return err
 			}
-			enc, _, err := comp.NewCoder().AppendCompressPlanSizeOnly(nil, f.Algo, f.Level, f.WindowLog, f.Data)
-			sizes[i] = len(enc)
+			size, err := comp.SizeCall(f.Algo, f.Level, f.WindowLog, f.Data)
+			sizes[i] = size
 			return err
 		})
 		if err != nil {

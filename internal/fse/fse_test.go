@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -141,7 +142,10 @@ func TestEncodedBitsMatchesActual(t *testing.T) {
 	if err := enc.Encode(&w, syms); err != nil {
 		t.Fatal(err)
 	}
-	got := w.BitLen()
+	// A sentinel bit marks where the stream ends inside its last byte.
+	w.WriteBits(1, 1)
+	b := w.Bytes()
+	got := 8*(len(b)-1) + bits.Len8(b[len(b)-1]) - 1
 	want := enc.EncodedBits(syms)
 	if got != want {
 		t.Errorf("actual %d bits != estimated %d bits", got, want)

@@ -151,10 +151,14 @@ type Stats struct {
 // written, so stale entries decode below the current epoch and read as
 // absent. That makes starting a parse O(1) instead of an O(table) clear —
 // the table is physically zeroed only when the 32-bit encoding would wrap.
+//
+// Only the storage the chosen walk reads is allocated: pairs for walkPair,
+// table (and tags, when the ways carry them) for the other two.
 type Matcher struct {
 	cfg    Config
 	table  []uint32 // TableEntries * Associativity encoded positions
 	tags   []uint8  // parallel tags when ContentsOffsetAndTag
+	pairs  []byte   // walkPair's buckets, pairBytes each
 	shift  uint     // hash shift for fibonacci/xorshift
 	direct bool     // the table's shape admits walkDirect (see NewMatcher)
 	maxLen int      // MaxMatch as matchLen takes it: unlimited is MaxInt
@@ -169,9 +173,13 @@ type Matcher struct {
 // The per-position walk is picked here, once, from the table's shape. A
 // direct-mapped, untagged, Fibonacci-hashed table searched greedily for
 // 4-byte matches — the hardware default and every point of the paper's
-// history and table-size sweeps, and both Snappy encoders — runs walkDirect, where a probe is one table word and one history word;
-// every other shape runs walkAssoc. The two produce the same Seqs and Stats
-// on the shapes they share; the split buys host time only.
+// history and table-size sweeps, and both Snappy encoders — runs walkDirect,
+// where a probe is one table word and one history word. A two-way, tagged,
+// Fibonacci-hashed table searched for 4-byte matches, greedily or lazily —
+// every zstdlite software level up to 9 — runs walkPair, where a bucket's
+// positions and tags are ten adjacent bytes. Every other shape runs walkAssoc. The
+// three produce the same Seqs and Stats on the shapes they share; the split
+// buys host time only.
 func NewMatcher(cfg Config) (*Matcher, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -183,13 +191,17 @@ func NewMatcher(cfg Config) (*Matcher, error) {
 	if cfg.SkipIncompressible {
 		m.stride = 1
 	}
+	m.shift = uint(32 - mathbits.TrailingZeros(uint(cfg.TableEntries)))
+	fib4 := cfg.Hash == HashFibonacci && cfg.MinMatch == 4
+	m.direct = fib4 && cfg.Associativity == 1 && cfg.Contents == ContentsOffsetOnly && !cfg.Lazy
+	if fib4 && cfg.Associativity == 2 && cfg.Contents == ContentsOffsetAndTag {
+		m.pairs = make([]byte, cfg.TableEntries*pairBytes)
+		return m, nil
+	}
 	m.table = make([]uint32, cfg.TableEntries*cfg.Associativity)
 	if cfg.Contents == ContentsOffsetAndTag {
 		m.tags = make([]uint8, len(m.table))
 	}
-	m.shift = uint(32 - mathbits.TrailingZeros(uint(cfg.TableEntries)))
-	m.direct = cfg.Associativity == 1 && cfg.Contents == ContentsOffsetOnly &&
-		cfg.Hash == HashFibonacci && cfg.MinMatch == 4 && !cfg.Lazy
 	return m, nil
 }
 
@@ -299,6 +311,7 @@ func (m *Matcher) ParsePrefixed(src []byte, start int) []Seq {
 	// Start a fresh epoch instead of clearing the table (see Matcher doc).
 	if m.next > ^uint32(0)-uint32(len(src))-1 {
 		clear(m.table)
+		clear(m.pairs)
 		m.next = 1
 	}
 	epoch := m.next
@@ -312,12 +325,19 @@ func (m *Matcher) ParsePrefixed(src []byte, start int) []Seq {
 		// used inside matches.
 		three, mask := m.cfg.MinMatch == 3, uint32(m.cfg.TableEntries-1)
 		for j := max(0, start-m.cfg.WindowSize); j < start; j += 2 {
+			if m.pairs != nil {
+				insertPair(m.pairs, load32(src, j), m.shift, uint32(j)+epoch)
+				continue
+			}
 			idx, tag := bucket(m.cfg.Hash, keyAt(src, j, three), m.shift, mask)
 			push(m.table, m.tags, int(idx)*m.cfg.Associativity, m.cfg.Associativity, uint32(j)+epoch, tag)
 		}
-		if m.direct {
+		switch {
+		case m.direct:
 			seqs, litStart, st = m.walkDirect(src, start, epoch, seqs)
-		} else {
+		case m.pairs != nil:
+			seqs, litStart, st = m.walkPair(src, start, epoch, seqs)
+		default:
 			seqs, litStart, st = m.walkAssoc(src, start, epoch, seqs)
 		}
 	}
@@ -546,6 +566,182 @@ func (m *Matcher) probeWays(src []byte, q int, k uint32, tag uint8, w, end int, 
 			continue
 		}
 		if l > bestLen || (l == bestLen && p > bestPos) {
+			bestPos, bestLen = p, l
+		}
+	}
+	return bestPos, bestLen, c
+}
+
+// pairBytes is the size of a walkPair bucket: the two ways' encoded positions
+// as one little-endian 64-bit word, way 0 in its low half, then their two tags
+// as one 16-bit word, way 0 in its low byte. Ten bytes a bucket is what the
+// table and tag arrays of the same shape take together; in one array a probe
+// reads them from one cache line (two for the bucket in eight that straddles),
+// and pushing a position is a shift of each word. A zero bucket is empty, like
+// a zero table entry.
+const pairBytes = 10
+
+// pairAt returns the offset of the bucket of a key whose Fibonacci product is
+// h, and the bucket's two words.
+func pairAt(pairs []byte, h uint32, shift uint) (off int, ways uint64, tags uint16) {
+	off = int(h>>shift) * pairBytes
+	b := pairs[off : off+pairBytes]
+	return off, binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint16(b[8:])
+}
+
+// pushPair records the encoded position enc, whose way tag is tag, at the
+// head of the bucket at off as read: the old head becomes the second way and
+// the old second way is evicted, as push does.
+func pushPair(pairs []byte, off int, ways uint64, tags uint16, enc uint32, tag uint8) {
+	b := pairs[off : off+pairBytes]
+	binary.LittleEndian.PutUint64(b, ways<<32|uint64(enc))
+	binary.LittleEndian.PutUint16(b[8:], tags<<8|uint16(tag))
+}
+
+// insertPair pushes the encoded position enc, whose key is k, into k's
+// bucket: pairAt then pushPair, written out because their sum is past what
+// the compiler inlines and a call per in-match insert costs the parse a tenth.
+func insertPair(pairs []byte, k uint32, shift uint, enc uint32) {
+	h := k * fibMul
+	off := int(h>>shift) * pairBytes
+	b := pairs[off : off+pairBytes]
+	binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)<<32|uint64(enc))
+	binary.LittleEndian.PutUint16(b[8:], binary.LittleEndian.Uint16(b[8:])<<8|uint16(uint8(h>>8)))
+}
+
+// walkPair is the per-position walk for the shape NewMatcher names: two
+// tagged ways per bucket, Fibonacci hash, 4-byte key, greedy or lazy. Same
+// contract and structure as walkAssoc, over pairBytes buckets: a probe reads
+// a bucket's two words into locals, the miss path and probePair judge that
+// snapshot, and the push writes it back shifted without reading the bucket
+// again. The miss path spells the two ways out: as a loop over them it ran up
+// to a third slower on miss-heavy input.
+func (m *Matcher) walkPair(src []byte, start int, epoch uint32, seqs []Seq) ([]Seq, int, Stats) {
+	pairs, shift, window, stride := m.pairs, m.shift, m.cfg.WindowSize, m.stride
+	limit := len(src) - 4
+	var positions, peeks, matchBytes, maxOffset int
+	var c wayCounts
+	i, litStart, skip := start, start, 32
+walk:
+	for {
+		var (
+			k    uint32
+			tag  uint8
+			off  int
+			ways uint64 // the bucket as probed
+			tags uint16
+			w    int // the first way whose key bytes verify
+		)
+		for {
+			if i > limit {
+				break walk
+			}
+			k = load32(src, i)
+			h := k * fibMul
+			tag = uint8(h >> 8)
+			off, ways, tags = pairAt(pairs, h, shift)
+			positions++
+			w = 0
+			if pos := uint32(ways); pos >= epoch { // else empty, or left over from an earlier parse
+				if uint8(tags) != tag {
+					c.tagFiltered++
+				} else {
+					p := int(pos - epoch)
+					inWindow := p < i && i-p <= window
+					if inWindow && load32(src, p) == k {
+						break
+					}
+					c.checked++
+					if inWindow {
+						c.falses++
+					}
+				}
+			}
+			w = 1
+			if pos := uint32(ways >> 32); pos >= epoch {
+				if uint8(tags>>8) != tag {
+					c.tagFiltered++
+				} else {
+					p := int(pos - epoch)
+					inWindow := p < i && i-p <= window
+					if inWindow && load32(src, p) == k {
+						break
+					}
+					c.checked++
+					if inWindow {
+						c.falses++
+					}
+				}
+			}
+			pushPair(pairs, off, ways, tags, uint32(i)+epoch, tag)
+			i += skip >> 5
+			skip += stride
+		}
+		// The verified way's four key bytes are MinMatch, so the probe finds a
+		// match: unlike walkAssoc there is no falling short of it.
+		pushPair(pairs, off, ways, tags, uint32(i)+epoch, tag)
+		if w == 1 {
+			ways &^= 1<<32 - 1 // the miss path has judged and counted way 0
+		}
+		cand, length, d := m.probePair(src, i, k, ways, tags, epoch)
+		c = c.plus(d)
+		skip = 32
+		if m.cfg.Lazy && i+1 <= limit {
+			// Peek one position ahead; prefer a strictly longer match there.
+			k := load32(src, i+1)
+			peeks++
+			_, ways, tags := pairAt(pairs, k*fibMul, shift)
+			cand2, length2, d := m.probePair(src, i+1, k, ways, tags, epoch)
+			c = c.plus(d)
+			if length2 > length {
+				i++
+				cand, length = cand2, length2
+			}
+		}
+		offset := i - cand
+		seqs = append(seqs, Seq{LitLen: i - litStart, Offset: offset, MatchLen: length})
+		matchBytes += length
+		maxOffset = max(maxOffset, offset)
+		// Index a sparse set of positions inside the match, as walkDirect does.
+		end := i + length
+		for j := i + 1; j < end && j <= limit; j += 2 {
+			insertPair(pairs, load32(src, j), shift, uint32(j)+epoch)
+		}
+		i, litStart = end, end
+	}
+	return seqs, litStart, Stats{
+		Positions: positions, Probes: positions + peeks, WaysChecked: c.checked, FalseProbes: c.falses,
+		TagFiltered: c.tagFiltered, MatchBytes: matchBytes, MaxOffset: maxOffset,
+	}
+}
+
+// probePair is probeWays on a walkPair bucket as read: the two words of the
+// bucket of position q, whose key is k.
+func (m *Matcher) probePair(src []byte, q int, k uint32, ways uint64, tags uint16, epoch uint32) (bestPos, bestLen int, c wayCounts) {
+	tag := uint8(k * fibMul >> 8)
+	bestPos = -1
+	for w := 0; w < 2; w, ways, tags = w+1, ways>>32, tags>>8 {
+		pos := uint32(ways)
+		if pos < epoch {
+			continue
+		}
+		if uint8(tags) != tag {
+			c.tagFiltered++
+			continue
+		}
+		c.checked++
+		p := int(pos - epoch)
+		if p >= q || q-p > m.cfg.WindowSize {
+			continue
+		}
+		if p < bestPos && q+bestLen < len(src) && src[p+bestLen] != src[q+bestLen] {
+			continue
+		}
+		if load32(src, p) != k {
+			c.falses++
+			continue
+		}
+		if l := matchLen(src, p, q, m.maxLen); l > bestLen || (l == bestLen && p > bestPos) {
 			bestPos, bestLen = p, l
 		}
 	}

@@ -374,8 +374,8 @@ func TestMatchLenWordCompare(t *testing.T) {
 	}
 }
 
-// zstd3Config is the set-associative, tagged, lazy shape ZStd level 3 parses
-// with: the configuration that exercises everything walkDirect leaves out.
+// zstd3Config is the two-way, tagged, lazy shape ZStd level 3 parses with:
+// walkPair's.
 func zstd3Config() Config {
 	return Config{
 		WindowSize: 1 << 17, TableEntries: 1 << 15, Associativity: 2, MinMatch: 4,
@@ -383,11 +383,19 @@ func zstd3Config() Config {
 	}
 }
 
-// TestParseReusesSeqBuffer asserts the buffer-reuse contract on both walks:
-// steady-state Parse calls allocate nothing.
+// zstd12Config is the four-way shape ZStd levels 10 to 15 parse with, one of
+// those walkAssoc is left with.
+func zstd12Config() Config {
+	cfg := zstd3Config()
+	cfg.TableEntries, cfg.Associativity = 1<<16, 4
+	return cfg
+}
+
+// TestParseReusesSeqBuffer asserts the buffer-reuse contract on the three
+// walks: steady-state Parse calls allocate nothing.
 func TestParseReusesSeqBuffer(t *testing.T) {
 	src := corpus.Generate(corpus.Log, 64<<10, 5)
-	for _, cfg := range []Config{defaultConfig(), zstd3Config()} {
+	for _, cfg := range []Config{defaultConfig(), zstd3Config(), zstd12Config()} {
 		m := mustMatcher(t, cfg)
 		m.Parse(src) // warm the seq buffer
 		allocs := testing.AllocsPerRun(10, func() {
@@ -414,33 +422,49 @@ func BenchmarkLZ77MatchLen(b *testing.B) {
 	_ = total
 }
 
-// BenchmarkLZ77Parse measures whole parses as config/kind sub-benchmarks:
+// BenchmarkLZ77Parse measures whole parses as config/kind/size sub-benchmarks:
 // the hardware shape, the software Snappy shape (the same table, skipping
-// on) and ZStd-3's set-associative lazy shape, each over compressible,
-// false-probe-heavy (protobuf) and incompressible data.
+// on), ZStd-3's two-way tagged lazy shape and ZStd-12's four-way one — two
+// shapes on walkDirect, one on walkPair, one on walkAssoc — each over
+// compressible, false-probe-heavy (protobuf) and incompressible data. The
+// size axis is there because one size describes one regime: at 4 KiB and
+// 16 KiB (the replays' payloads) nearly every table entry a parse meets is
+// stale, at 64 KiB zstd-3's 64 K entries stay half stale for the whole parse
+// and the epoch test is a coin flip, and at 1 MiB (codec-sw's large buffers)
+// the table is live.
 func BenchmarkLZ77Parse(b *testing.B) {
 	snappySW := defaultConfig()
 	snappySW.SkipIncompressible = true
 	configs := []struct {
 		name string
 		cfg  Config
-	}{{"hw", defaultConfig()}, {"snappy-sw", snappySW}, {"zstd-3", zstd3Config()}}
+	}{{"hw", defaultConfig()}, {"snappy-sw", snappySW}, {"zstd-3", zstd3Config()}, {"zstd-12", zstd12Config()}}
+	sizes := []struct {
+		name string
+		n    int
+	}{{"4K", 4 << 10}, {"16K", 16 << 10}, {"64K", 64 << 10}, {"1M", 1 << 20}}
 	for _, c := range configs {
-		for _, kind := range []corpus.Kind{corpus.Text, corpus.Log, corpus.JSON, corpus.Protobuf, corpus.Random} {
-			b.Run(c.name+"/"+kind.String(), func(b *testing.B) {
-				m, err := NewMatcher(c.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				src := corpus.Generate(kind, 64<<10, 6)
-				b.SetBytes(int64(len(src)))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.Parse(src)
-				}
-			})
-		}
+		b.Run(c.name, func(b *testing.B) {
+			for _, kind := range []corpus.Kind{corpus.Text, corpus.Log, corpus.JSON, corpus.Protobuf, corpus.Random} {
+				b.Run(kind.String(), func(b *testing.B) {
+					for _, size := range sizes {
+						b.Run(size.name, func(b *testing.B) {
+							m, err := NewMatcher(c.cfg)
+							if err != nil {
+								b.Fatal(err)
+							}
+							src := corpus.Generate(kind, size.n, 6)
+							b.SetBytes(int64(len(src)))
+							b.ReportAllocs()
+							b.ResetTimer()
+							for i := 0; i < b.N; i++ {
+								m.Parse(src)
+							}
+						})
+					}
+				})
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"cdpu/internal/corpus"
@@ -276,14 +277,75 @@ func diffInputs() [][]byte {
 	return append(inputs, noise, []byte("abc"), bytes.Repeat([]byte("abcabcd"), size/7), nil)
 }
 
+// walkOf names the walk NewMatcher picked for m.
+func walkOf(m *Matcher) string {
+	switch {
+	case m.direct:
+		return "direct"
+	case m.pairs != nil:
+		return "pair"
+	default:
+		return "assoc"
+	}
+}
+
+// TestWalkSelection pins which shapes leave walkAssoc, and that a Matcher
+// allocates the storage of its own walk only.
+func TestWalkSelection(t *testing.T) {
+	pair := zstd3Config()
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want string
+	}{
+		{"hardware default", func(c *Config) { *c = defaultConfig() }, "direct"},
+		{"zstd-3", func(*Config) {}, "pair"},
+		{"greedy", func(c *Config) { c.Lazy = false }, "pair"},
+		{"skipping, capped", func(c *Config) { c.SkipIncompressible, c.MaxMatch = true, 64 }, "pair"},
+		{"one way", func(c *Config) { c.Associativity = 1 }, "assoc"},
+		{"four ways", func(c *Config) { c.Associativity = 4 }, "assoc"},
+		{"untagged", func(c *Config) { c.Contents = ContentsOffsetOnly }, "assoc"},
+		{"xorshift", func(c *Config) { c.Hash = HashXorShift }, "assoc"},
+		{"3-byte key", func(c *Config) { c.MinMatch = 3 }, "assoc"},
+		{"6-byte minimum", func(c *Config) { c.MinMatch = 6 }, "assoc"},
+	} {
+		cfg := pair
+		tc.set(&cfg)
+		m := mustMatcher(t, cfg)
+		if got := walkOf(m); got != tc.want {
+			t.Errorf("%s: %s walk, want %s", tc.name, got, tc.want)
+		}
+		pairs, table, tags := 0, cfg.TableEntries*cfg.Associativity, 0
+		if cfg.Contents == ContentsOffsetAndTag {
+			tags = table
+		}
+		if tc.want == "pair" {
+			pairs, table, tags = cfg.TableEntries*pairBytes, 0, 0
+		}
+		if len(m.pairs) != pairs || len(m.table) != table || len(m.tags) != tags {
+			t.Errorf("%s: %d bytes of pairs, %d table words, %d tags; want %d, %d, %d",
+				tc.name, len(m.pairs), len(m.table), len(m.tags), pairs, table, tags)
+		}
+	}
+}
+
 // TestParseMatchesReference holds the parse kernels to the reference parser:
 // over the configuration matrix below, on every input, plain and prefixed,
 // the Seqs are deep-equal and the accumulated Stats are ==. Each
 // configuration's matcher pair is reused from input to input, so every parse
 // but the first runs over a table full of stale epochs; the input order
-// rotates with the configuration so each input also meets a fresh table.
+// rotates with the configuration so each input also meets a fresh table. The
+// matrix has to reach walkDirect, walkAssoc, and walkPair greedy and lazy
+// (under the 1 KiB window the inputs outgrow); the cleanup counts.
 func TestParseMatchesReference(t *testing.T) {
 	inputs := diffInputs()
+	var direct, assocN, pairGreedy, pairLazy atomic.Int32
+	t.Cleanup(func() {
+		if direct.Load() == 0 || assocN.Load() == 0 || pairGreedy.Load() == 0 || pairLazy.Load() == 0 {
+			t.Errorf("configurations per walk: direct %d, assoc %d, pair %d greedy and %d lazy; want every one reached",
+				direct.Load(), assocN.Load(), pairGreedy.Load(), pairLazy.Load())
+		}
+	})
 	type option struct {
 		name string
 		set  func(*Config)
@@ -309,7 +371,16 @@ func TestParseMatchesReference(t *testing.T) {
 										MinMatch: minMatch, Hash: h, Contents: c,
 									}
 									opt.set(&cfg)
-									diffConfig(t, cfg, opt.name, inputs, nth)
+									switch walk := diffConfig(t, cfg, opt.name, inputs, nth); {
+									case walk == "direct":
+										direct.Add(1)
+									case walk == "assoc":
+										assocN.Add(1)
+									case cfg.Lazy:
+										pairLazy.Add(1)
+									default:
+										pairGreedy.Add(1)
+									}
 									nth++
 								}
 							}
@@ -322,8 +393,8 @@ func TestParseMatchesReference(t *testing.T) {
 }
 
 // diffConfig runs one configuration's matcher pair over inputs, starting at
-// the first-th.
-func diffConfig(t *testing.T, cfg Config, name string, inputs [][]byte, first int) {
+// the first-th, and names the walk that ran.
+func diffConfig(t *testing.T, cfg Config, name string, inputs [][]byte, first int) string {
 	t.Helper()
 	m := mustMatcher(t, cfg)
 	ref, err := newRefMatcher(cfg)
@@ -344,16 +415,24 @@ func diffConfig(t *testing.T, cfg Config, name string, inputs [][]byte, first in
 			}
 		}
 	}
+	return walkOf(m)
 }
 
-// TestParseMatchesReferenceAcrossEpochWrap drives both walks through the one
-// physical table clear: the parse whose reach would wrap the 32-bit encoding.
+// TestParseMatchesReferenceAcrossEpochWrap drives the three walks through the
+// one physical clear of their storage: the parse whose reach would wrap the
+// 32-bit encoding. An entry that survived it would decode far past the input
+// and be counted as a way checked.
 func TestParseMatchesReferenceAcrossEpochWrap(t *testing.T) {
 	in := corpus.Generate(corpus.Log, 8<<10, 23)
-	lazy := defaultConfig()
-	lazy.Associativity, lazy.Contents, lazy.Lazy = 2, ContentsOffsetAndTag, true
-	for _, cfg := range []Config{defaultConfig(), lazy} {
+	greedy := defaultConfig()
+	greedy.Associativity, greedy.Contents = 2, ContentsOffsetAndTag
+	lazy, four := greedy, greedy
+	lazy.Lazy, four.Associativity = true, 4
+	for i, cfg := range []Config{defaultConfig(), greedy, lazy, four} {
 		m := mustMatcher(t, cfg)
+		if want := []string{"direct", "pair", "pair", "assoc"}[i]; walkOf(m) != want {
+			t.Fatalf("%+v: %s walk, want %s", cfg, walkOf(m), want)
+		}
 		ref, err := newRefMatcher(cfg)
 		if err != nil {
 			t.Fatal(err)

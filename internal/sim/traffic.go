@@ -68,10 +68,9 @@ func burnPass(cfg *Config, specs []callSpec, reds []devReduction, report *Report
 }
 
 // validate rejects configurations the replay cannot give meaning to, after
-// defaults have been applied. Historically a non-finite or negative
-// OfferedGBps slipped through withDefaults (only exact 0 is remapped) and
-// produced NaN arrival schedules that surfaced as a confusing stepper error
-// many layers down; now it fails fast here with the field named.
+// defaults have been applied, with the field named: withDefaults remaps only
+// an exact 0, so a negative or non-finite value would otherwise reach the
+// engine and surface as NaN schedules or a stepper error many layers down.
 func (c Config) validate() error {
 	if math.IsNaN(c.OfferedGBps) || math.IsInf(c.OfferedGBps, 0) || c.OfferedGBps <= 0 {
 		return fmt.Errorf("sim: OfferedGBps %v (want finite, positive)", c.OfferedGBps)
@@ -97,20 +96,46 @@ func (c Config) validate() error {
 	if c.Lifecycle != nil && !(c.Lifecycle.Rate >= 0 && c.Lifecycle.Rate <= 1) {
 		return fmt.Errorf("sim: Lifecycle.Rate %v (want a probability in [0, 1])", c.Lifecycle.Rate)
 	}
-	if s := c.Contention; s != nil {
-		for _, b := range []struct {
-			name string
-			v    float64
-		}{
-			{"StreamBytesPerCycle", s.StreamBytesPerCycle}, {"LinkOpsPerCycle", s.LinkOpsPerCycle}, {"LLCBytes", s.LLCBytes},
-		} {
-			if !finiteNonNegative(b.v) {
-				return fmt.Errorf("sim: Contention.%s %v (want finite, non-negative; 0 = unlimited)", b.name, b.v)
-			}
-		}
+	if r := c.Failover.BreakerErrorRate; !(r >= 0 && r <= 1) {
+		return fmt.Errorf("sim: Failover.BreakerErrorRate %v (want a rate in [0, 1])", r)
 	}
-	if e := c.EpochCycles; !finiteNonNegative(e) {
-		return fmt.Errorf("sim: EpochCycles %v (want finite, non-negative; 0 = the default)", e)
+	// Counts, lengths, budgets and cycle charges, where 0 means off, unlimited
+	// or the default.
+	type field struct {
+		name string
+		v    float64
+	}
+	f := c.Failover
+	fields := []field{
+		{"EpochCycles", c.EpochCycles},
+		{"Failover.MaxFailovers", float64(f.MaxFailovers)},
+		{"Failover.FailoverPenaltyCycles", f.FailoverPenaltyCycles},
+		{"Failover.BreakerFailures", float64(f.BreakerFailures)},
+		{"Failover.BreakerWindow", float64(f.BreakerWindow)},
+		{"Failover.BreakerOpenCycles", f.BreakerOpenCycles},
+		{"Failover.BreakerHalfOpenProbes", float64(f.BreakerHalfOpenProbes)},
+		{"Failover.HedgeDelayCycles", f.HedgeDelayCycles},
+		{"Failover.CrashDetectCycles", f.CrashDetectCycles},
+		{"Failover.RestartCycles", f.RestartCycles},
+	}
+	if s := c.Storm; s != nil {
+		fields = append(fields, field{"Storm.MeanRepeats", s.MeanRepeats})
+	}
+	if l := c.Lifecycle; l != nil {
+		fields = append(fields,
+			field{"Lifecycle.EpochCalls", float64(l.EpochCalls)},
+			field{"Lifecycle.MeanEventCalls", float64(l.MeanEventCalls)})
+	}
+	if s := c.Contention; s != nil {
+		fields = append(fields,
+			field{"Contention.StreamBytesPerCycle", s.StreamBytesPerCycle},
+			field{"Contention.LinkOpsPerCycle", s.LinkOpsPerCycle},
+			field{"Contention.LLCBytes", s.LLCBytes})
+	}
+	for _, f := range fields {
+		if !finiteNonNegative(f.v) {
+			return fmt.Errorf("sim: %s %v (want finite, non-negative)", f.name, f.v)
+		}
 	}
 	if err := c.Traffic.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)

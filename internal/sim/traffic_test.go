@@ -87,14 +87,23 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestConfigValidateFaultAndContentionFields: a storm or lifecycle rate that
-// is no probability, a contention budget or an epoch that is negative or not
-// a number used to reach the engine; each is now refused with its field named,
-// and the edges of each range stay accepted.
+// TestConfigValidateFaultAndContentionFields: a storm, lifecycle or breaker
+// rate that is no probability, and a contention budget, an epoch, a fault
+// length, a failover count or a cycle charge that is negative or not a number,
+// are each refused with the field named, and the edges of each range stay
+// accepted.
 func TestConfigValidateFaultAndContentionFields(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	storm := func(r float64) Config { return Config{Storm: &fault.Storm{Rate: r}} }
 	life := func(r float64) Config { return Config{Lifecycle: &fault.Lifecycle{Rate: r}} }
+	failover := func(set func(*cluster.FailoverPolicy, float64)) func(float64) Config {
+		return func(v float64) Config {
+			c := Config{Replicas: 3, Failover: cluster.ReferenceFailoverPolicy()}
+			set(&c.Failover, v)
+			return c
+		}
+	}
+	type fp = cluster.FailoverPolicy
 	stream := func(v float64) Config { return Config{Contention: &des.Shared{StreamBytesPerCycle: v}} }
 	link := func(v float64) Config { return Config{Contention: &des.Shared{LinkOpsPerCycle: v}} }
 	llc := func(v float64) Config { return Config{Contention: &des.Shared{LLCBytes: v}} }
@@ -110,6 +119,22 @@ func TestConfigValidateFaultAndContentionFields(t *testing.T) {
 		{"Contention.LinkOpsPerCycle", link, []float64{-1, nan, inf}, []float64{0, 0.01}},
 		{"Contention.LLCBytes", llc, []float64{-1, nan, inf}, []float64{0, 32 << 20}},
 		{"EpochCycles", epoch, []float64{-1, nan, inf}, []float64{0, 1 << 16}},
+		{"Storm.MeanRepeats", func(v float64) Config { return Config{Storm: &fault.Storm{Rate: 0.1, MeanRepeats: v}} },
+			[]float64{-0.5, nan, inf}, []float64{0, 2.5}},
+		{"Lifecycle.EpochCalls", func(v float64) Config { return Config{Lifecycle: &fault.Lifecycle{Rate: 0.1, EpochCalls: int(v)}} },
+			[]float64{-1}, []float64{0, 64}},
+		{"Lifecycle.MeanEventCalls", func(v float64) Config { return Config{Lifecycle: &fault.Lifecycle{Rate: 0.1, MeanEventCalls: int(v)}} },
+			[]float64{-1}, []float64{0, 24}},
+		{"Failover.MaxFailovers", failover(func(p *fp, v float64) { p.MaxFailovers = int(v) }), []float64{-1}, []float64{0, 3}},
+		{"Failover.FailoverPenaltyCycles", failover(func(p *fp, v float64) { p.FailoverPenaltyCycles = v }), []float64{-1, nan, inf}, []float64{0, 2000}},
+		{"Failover.BreakerFailures", failover(func(p *fp, v float64) { p.BreakerFailures = int(v) }), []float64{-1}, []float64{0, 3}},
+		{"Failover.BreakerWindow", failover(func(p *fp, v float64) { p.BreakerWindow = int(v) }), []float64{-1}, []float64{0, 32}},
+		{"Failover.BreakerErrorRate", failover(func(p *fp, v float64) { p.BreakerErrorRate = v }), []float64{-0.01, 1.01, nan, inf}, []float64{0, 0.5, 1}},
+		{"Failover.BreakerOpenCycles", failover(func(p *fp, v float64) { p.BreakerOpenCycles = v }), []float64{-1, nan, inf}, []float64{0, 2e5}},
+		{"Failover.BreakerHalfOpenProbes", failover(func(p *fp, v float64) { p.BreakerHalfOpenProbes = int(v) }), []float64{-1}, []float64{0, 2}},
+		{"Failover.HedgeDelayCycles", failover(func(p *fp, v float64) { p.HedgeDelayCycles = v }), []float64{-1, nan, inf}, []float64{0, 120000}},
+		{"Failover.CrashDetectCycles", failover(func(p *fp, v float64) { p.CrashDetectCycles = v }), []float64{-1, nan, inf}, []float64{0, 4000}},
+		{"Failover.RestartCycles", failover(func(p *fp, v float64) { p.RestartCycles = v }), []float64{-1, nan, inf}, []float64{0, 50000}},
 	} {
 		for _, v := range tc.bad {
 			err := tc.cfg(v).withDefaults().validate()
