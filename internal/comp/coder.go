@@ -106,13 +106,8 @@ func (c *Coder) appendCompress(dst []byte, a Algorithm, level, windowLog int, sr
 		out, plan := c.snap.AppendEncodeWithPlan(dst, src)
 		c.snap.SetSizeOnly(false)
 		return out, Plan{Snappy: plan}, nil
-	case Gipfeli:
-		return append(dst, gipfeli.Encode(src)...), Plan{}, nil
-	case LZO:
-		if level == 0 {
-			level = 1
-		}
-		return append(dst, lzo.Encode(src, level)...), Plan{}, nil
+	case Gipfeli, LZO:
+		return append(dst, encodeStateless(a, level, src)...), Plan{}, nil
 	case ZStd, Flate, Brotli:
 		e, err := c.zstdEncoder(a, level, windowLog)
 		if err != nil {
@@ -125,6 +120,18 @@ func (c *Coder) appendCompress(dst []byte, a Algorithm, level, windowLog int, sr
 	default:
 		return nil, Plan{}, fmt.Errorf("comp: unknown algorithm %v", a)
 	}
+}
+
+// encodeStateless is Gipfeli and LZO, whose encoders keep nothing between
+// calls: a frame in a slice of its own.
+func encodeStateless(a Algorithm, level int, src []byte) []byte {
+	if a == Gipfeli {
+		return gipfeli.Encode(src)
+	}
+	if level == 0 {
+		level = 1
+	}
+	return lzo.Encode(src, level)
 }
 
 // zstdEncoder returns the pooled zstdlite encoder for the key, building it

@@ -12,8 +12,11 @@ import (
 // TestCoderMatchesCompressCall pins the reuse contract against a Coder built
 // for one call: a Coder kept across calls, and CompressCall's leased one,
 // must produce its bytes for every algorithm, over an interleaved sequence of
-// (algorithm, level, window log) and across repeated rounds (stale encoder
-// state would show up on the second). The sequence holds more zstdlite
+// (algorithm, level, window log). The payload each call gets rotates from
+// pass to pass, so every configuration meets every payload, the empty one
+// included, twice, each time on an encoder the other configurations and
+// payloads have been through (stale encoder state would show up there). The
+// sequence holds every algorithm at its default and more zstdlite
 // configurations than a pooled Coder may keep, so the lease is also dropped
 // and rebuilt on the way. SizeCall must report the same frame's length.
 func TestCoderMatchesCompressCall(t *testing.T) {
@@ -37,27 +40,32 @@ func TestCoderMatchesCompressCall(t *testing.T) {
 	if len(zstds) <= maxPooledEncoders {
 		t.Fatalf("the sequence has %d zstdlite configurations, too few to overflow a pooled Coder (%d)", len(zstds), maxPooledEncoders)
 	}
-	for round := 0; round < 2; round++ {
+	for _, a := range Algorithms {
+		if !slices.Contains(calls, zstdKey{a, a.DefaultLevel(), 0}) {
+			t.Fatalf("the sequence does not hold %v at its default level", a)
+		}
+	}
+	for pass := 0; pass < 2*len(payloads); pass++ {
 		for i, k := range calls {
-			src := payloads[(round+i)%len(payloads)]
+			src := payloads[(pass+i)%len(payloads)]
 			want, err := new(Coder).AppendCompress(nil, k.algo, k.level, k.windowLog, src)
 			if err != nil {
 				t.Fatalf("%+v: %v", k, err)
 			}
 			got, err := c.AppendCompress(nil, k.algo, k.level, k.windowLog, src)
 			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("round %d %+v: reused Coder differs from a fresh one (%d vs %d bytes, %v)", round, k, len(got), len(want), err)
+				t.Fatalf("pass %d %+v: reused Coder differs from a fresh one (%d vs %d bytes, %v)", pass, k, len(got), len(want), err)
 			}
 			got, err = CompressCall(k.algo, k.level, k.windowLog, src)
 			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("round %d %+v: CompressCall differs from a fresh Coder (%d vs %d bytes, %v)", round, k, len(got), len(want), err)
+				t.Fatalf("pass %d %+v: CompressCall differs from a fresh Coder (%d vs %d bytes, %v)", pass, k, len(got), len(want), err)
 			}
 			if n, err := SizeCall(k.algo, k.level, k.windowLog, src); err != nil || n != len(want) {
-				t.Fatalf("round %d %+v: SizeCall %d, %v; the frame has %d bytes", round, k, n, err, len(want))
+				t.Fatalf("pass %d %+v: SizeCall %d, %v; the frame has %d bytes", pass, k, n, err, len(want))
 			}
 			back, err := DecompressCall(k.algo, got)
 			if err != nil || !bytes.Equal(back, src) {
-				t.Fatalf("round %d %+v: round trip: %v", round, k, err)
+				t.Fatalf("pass %d %+v: round trip: %v", pass, k, err)
 			}
 		}
 	}
@@ -90,6 +98,35 @@ func TestCompressCallFrameIsTheCallers(t *testing.T) {
 		if !bytes.Equal(compress(src), want) {
 			t.Errorf("%v: overwriting a returned frame changed the next call's", a)
 		}
+	}
+}
+
+// TestPooledCoderIsBounded holds the pool comment's two bounds: a Coder goes
+// back with up to maxPooledEncoders zstdlite encoders and after a payload of
+// up to maxPooledPayload, and not beyond either; Gipfeli and LZO, which never
+// lease, leave nothing on a Coder to retain.
+func TestPooledCoderIsBounded(t *testing.T) {
+	c := NewCoder()
+	src := corpus.Generate(corpus.JSON, 1<<10, 6)
+	for _, a := range []Algorithm{Snappy, Gipfeli, LZO} {
+		if _, err := c.AppendCompress(nil, a, 0, 0, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for level := 1; level <= maxPooledEncoders+1; level++ {
+		if !c.poolable(maxPooledPayload) || c.poolable(maxPooledPayload+1) {
+			t.Fatalf("%d encoders: poolable is %v at the payload bound and %v above it", len(c.zstd),
+				c.poolable(maxPooledPayload), c.poolable(maxPooledPayload+1))
+		}
+		if _, err := c.AppendCompress(nil, ZStd, level, 0, src); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.zstd) != level {
+			t.Fatalf("after %d zstdlite levels the Coder holds %d encoders", level, len(c.zstd))
+		}
+	}
+	if c.poolable(0) {
+		t.Fatalf("a Coder holding %d encoders would still be pooled", len(c.zstd))
 	}
 }
 

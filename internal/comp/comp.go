@@ -152,22 +152,35 @@ func zstdParams(a Algorithm, level, windowLog int) (zstdlite.Params, error) {
 
 // coders holds the Coders the one-shot calls lease: a call that finds one idle
 // compresses at the reused encoder's speed instead of building a hash table
-// and every scratch slice for one payload.
+// and every scratch slice for one payload. Gipfeli and LZO have no encoder to
+// reuse and take no lease.
 //
 // What that retains is bounded. A pooled Coder keeps one encoder per (algo,
 // level, windowLog) it has served — 320 KiB of match table at zstdlite
-// levels up to 9, about 5 MiB from level 16 — plus scratch the size of the
-// largest payload it has seen. sync.Pool drops idle entries at garbage
-// collection, and a Coder that has gathered more than maxPooledEncoders
-// encoders is not put back at all.
+// levels up to 9, about 5 MiB from level 16 — plus scratch that grows with
+// the largest payload it has seen: the frame, and 24 bytes per sequence of
+// it. sync.Pool drops idle entries at garbage collection; a Coder that has
+// gathered more than maxPooledEncoders encoders, or has just served a payload
+// above maxPooledPayload (where set-up is noise beside the bytes), is not put
+// back at all.
 var coders = sync.Pool{New: func() any { return new(Coder) }}
 
-const maxPooledEncoders = 4
+const (
+	maxPooledEncoders = 4
+	maxPooledPayload  = 4 << 20
+)
 
-// release returns a leased Coder to the pool. A call that panics never gets
-// here, so a Coder a bug left half-updated is not reused.
-func (c *Coder) release() {
-	if len(c.zstd) <= maxPooledEncoders {
+// poolable is the retention bound: whether a Coder that has just served n
+// bytes may go back to the pool.
+func (c *Coder) poolable(n int) bool {
+	return len(c.zstd) <= maxPooledEncoders && n <= maxPooledPayload
+}
+
+// release returns a leased Coder that has just served n bytes to the pool. A
+// call that panics never gets here, so a Coder a bug left half-updated is not
+// reused.
+func (c *Coder) release(n int) {
+	if c.poolable(n) {
 		coders.Put(c)
 	}
 }
@@ -178,12 +191,15 @@ func (c *Coder) release() {
 // copy of exactly its length: the caller owns it, and nothing pooled aliases
 // it.
 func CompressCall(a Algorithm, level, windowLog int, src []byte) ([]byte, error) {
+	if a == Gipfeli || a == LZO {
+		return encodeStateless(a, level, src), nil
+	}
 	c := coders.Get().(*Coder)
 	out, err := c.AppendCompress(c.frame[:0], a, level, windowLog, src)
 	if err == nil {
 		c.frame, out = out[:0], bytes.Clone(out)
 	}
-	c.release()
+	c.release(len(src))
 	return out, err
 }
 
@@ -191,12 +207,15 @@ func CompressCall(a Algorithm, level, windowLog int, src []byte) ([]byte, error)
 // size-only encode (AppendCompressPlanSizeOnly) that never leaves the leased
 // Coder's scratch.
 func SizeCall(a Algorithm, level, windowLog int, src []byte) (int, error) {
+	if a == Gipfeli || a == LZO {
+		return len(encodeStateless(a, level, src)), nil
+	}
 	c := coders.Get().(*Coder)
 	out, _, err := c.AppendCompressPlanSizeOnly(c.frame[:0], a, level, windowLog, src)
 	if err == nil {
 		c.frame = out[:0]
 	}
-	c.release()
+	c.release(len(src))
 	return len(out), err
 }
 

@@ -2,8 +2,9 @@ package zstdlite
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
+
+	"cdpu/internal/lz77"
 )
 
 // TestStaticParamsConstruct pins down that Encode's panic(err) guard is
@@ -33,24 +34,19 @@ func TestStaticParamsConstruct(t *testing.T) {
 	}
 }
 
-// TestLevelsSelectPairWalk holds the level table to lz77's fast path: levels
-// 0 (the default, 3) to 9 parse with the two-way tagged shape walkPair
-// serves, so an edit to lzConfig cannot drop them to walkAssoc unnoticed; the
-// fast negative levels (one way) and levels from 10 (four and eight) do not.
-// Which walk a Matcher runs shows only in the storage it allocated, a field
-// this package cannot name: it is read by reflection, and a rename fails here.
-func TestLevelsSelectPairWalk(t *testing.T) {
+// TestLevelsKeepPairShape holds the level table to lz77's fast path: levels 0
+// (the default, 3) to 9 parse with a two-way tagged Fibonacci table keyed on
+// four bytes, the shape lz77.NewMatcher serves with walkPair (lz77's
+// TestWalkSelection owns that mapping), so an edit to lzConfig cannot drop
+// them to walkAssoc unnoticed; the fast negative levels (one way) and levels
+// from 10 (four and eight ways) have another shape.
+func TestLevelsKeepPairShape(t *testing.T) {
 	for level := MinLevel; level <= MaxLevel; level++ {
-		e, err := NewEncoder(Params{Level: level})
-		if err != nil {
-			t.Fatalf("level %d: %v", level, err)
-		}
-		pairs := reflect.ValueOf(e.matcher).Elem().FieldByName("pairs")
-		if !pairs.IsValid() {
-			t.Fatal("lz77.Matcher has no field pairs: name walkPair's storage here")
-		}
-		if got, want := pairs.Len() > 0, level >= 0 && level <= 9; got != want {
-			t.Errorf("level %d: walkPair selected %v, want %v (%+v)", level, got, want, Params{Level: level}.withDefaults().lzConfig())
+		cfg := Params{Level: level}.withDefaults().lzConfig()
+		got := cfg.Associativity == 2 && cfg.Contents == lz77.ContentsOffsetAndTag &&
+			cfg.Hash == lz77.HashFibonacci && cfg.MinMatch == 4
+		if want := level >= 0 && level <= 9; got != want {
+			t.Errorf("level %d: pair shape %v, want %v (%+v)", level, got, want, cfg)
 		}
 	}
 }
