@@ -121,18 +121,26 @@ func (c *Compressor) Compress(src []byte) (*Result, error) {
 
 // Trace encodes src once and returns the call's functional trace, which any
 // Compressor with the same Config.FunctionalKey can Time. The trace is
-// size-only: ZStd entropy payloads are never written (the zstdlite size-only
-// path yields the same Plan and the same frame length) and Output is nil. The
-// error is always nil; it is there so both directions trace alike.
+// size-only: neither Snappy literal payloads nor ZStd entropy payloads are
+// written (both encoders' size-only paths yield the same statistics, Plan and
+// frame length) and Output is nil. The error is always nil; it is there so
+// both directions trace alike.
 func (c *Compressor) Trace(src []byte) (*Trace, error) {
 	tr := new(Trace)
-	if c.zstd != nil {
-		c.zstd.SetSizeOnly(true)
-		defer c.zstd.SetSizeOnly(false)
-	}
+	c.setSizeOnly(true)
 	c.encode(tr, c.discard[:0], src)
+	c.setSizeOnly(false)
 	c.discard, tr.Output = tr.Output, nil
 	return tr, nil
+}
+
+// setSizeOnly switches the instance's encoder in or out of size-only emission.
+func (c *Compressor) setSizeOnly(on bool) {
+	if c.snap != nil {
+		c.snap.SetSizeOnly(on)
+	} else {
+		c.zstd.SetSizeOnly(on)
+	}
 }
 
 // Time charges a traced call under this instance's configuration and returns

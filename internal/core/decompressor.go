@@ -93,21 +93,33 @@ func (d *Decompressor) Trace(src []byte) (*Trace, error) {
 	for i := range tr.blocks {
 		tr.blocks[i].Literals = nil
 	}
+	tr.fold = tr.foldCommands()
 	return tr, nil
 }
 
 // Time charges a traced call under this instance's configuration and returns
 // the modeled Result, exactly as Decompress over the traced payload would:
 // it is the one charge path of the decompressor. The trace is only read.
+//
+// A trace that carries a fold is charged from it, in time proportional to its
+// far copies, not its commands. A traced call walks the commands regardless:
+// span layout is per charge.
 func (d *Decompressor) Time(tr *Trace) (*Result, error) {
 	res, err := d.begin(tr)
 	if err != nil {
 		return nil, err
 	}
-	if d.cfg.Algo == comp.Snappy {
+	var fold *seqFold
+	if tr.fold.folded && !d.tracing {
+		fold = &tr.fold
+	}
+	switch {
+	case d.cfg.Algo == comp.ZStd:
+		d.zstdCycles(tr.blocks, fold, res)
+	case fold != nil:
+		d.execFold(fold, res)
+	default:
 		d.execSeqs(tr.seqs, res)
-	} else {
-		d.zstdCycles(tr.blocks, res)
 	}
 	return d.end(res)
 }
@@ -142,9 +154,14 @@ func (d *Decompressor) copyCycles(offset, length int, res *Result) {
 		res.chargeBytes(idLZ77, float64(length)/historyBytesPerCycle, length)
 		return
 	}
+	res.chargeBytes(idHistFall, d.fallbackCycles(offset, length), length)
+}
+
+// fallbackCycles is one copy's off-chip history lookup: a burst per chunk,
+// fallbackOverlap of them in flight. It consults the fault injector once.
+func (d *Decompressor) fallbackCycles(offset, length int) float64 {
 	chunks := math.Ceil(float64(length) / fallbackChunkBytes)
-	c := chunks * d.sys.AccessCyclesAt(d.cfg.Placement, memsys.ClassIntermediate, offset) / fallbackOverlap
-	res.chargeBytes(idHistFall, c, length)
+	return chunks * d.sys.AccessCyclesAt(d.cfg.Placement, memsys.ClassIntermediate, offset) / fallbackOverlap
 }
 
 // execSeqs charges the LZ77 decoder for a command stream: element parsing up
@@ -159,6 +176,69 @@ func (d *Decompressor) execSeqs(seqs []lz77.Seq, res *Result) {
 			d.copyCycles(s.Offset, s.MatchLen, res)
 		}
 	}
+}
+
+// execFold is execSeqs over a folded command stream. Every idLZ77 charge of
+// the walk is a multiple of 1/32 cycle, so their sum is exact in any order and
+// one charge carries it; fallback charges are not (link latency, injected
+// cycles), so they stay one charge per copy, in stream order — which is also
+// the order the fault injector sees them in.
+func (d *Decompressor) execFold(f *seqFold, res *Result) {
+	near := f.nearBytes
+	for _, c := range f.far {
+		if int(c.offset) <= d.cfg.HistorySRAM {
+			near += int(c.length)
+			continue
+		}
+		res.charge(idHistFall, d.fallbackCycles(int(c.offset), int(c.length)))
+	}
+	res.charge(idLZ77, float64(f.commands)*elementParseCycles+
+		float64(f.litBytes)/literalBytesPerCycle+float64(near)/historyBytesPerCycle)
+}
+
+// commandStreams calls visit with each command stream Time executes, in
+// order. A trace holds one kind: the Snappy element stream, or the Seqs of
+// every ZStd block that has sequences (zstdCycles).
+func (tr *Trace) commandStreams(visit func([]lz77.Seq)) {
+	visit(tr.seqs)
+	for i := range tr.blocks {
+		if b := &tr.blocks[i]; b.IsCompressed() && b.NumSeqs > 0 {
+			visit(b.Seqs)
+		}
+	}
+}
+
+// foldCommands folds the trace's command streams, visiting them twice: to
+// count the far copies, then to fill a list of exactly that size.
+func (tr *Trace) foldCommands() seqFold {
+	f := seqFold{folded: true}
+	far := 0
+	tr.commandStreams(func(seqs []lz77.Seq) {
+		f.commands += len(seqs)
+		for _, s := range seqs {
+			f.litBytes += s.LitLen
+			if s.MatchLen == 0 {
+				continue
+			}
+			if s.Offset <= MinHistorySRAM {
+				f.nearBytes += s.MatchLen
+			} else {
+				far++
+			}
+		}
+	})
+	if far == 0 {
+		return f
+	}
+	f.far = make([]farCopy, 0, far)
+	tr.commandStreams(func(seqs []lz77.Seq) {
+		for _, s := range seqs {
+			if s.MatchLen > 0 && s.Offset > MinHistorySRAM {
+				f.far = append(f.far, farCopy{uint32(s.Offset), uint32(s.MatchLen)})
+			}
+		}
+	})
+	return f
 }
 
 // traceFrame runs the functional decode of a compressed payload into tr,
@@ -200,8 +280,9 @@ func (tr *Trace) decodeZStd(src []byte) ([]byte, error) {
 
 // zstdCycles charges a ZStd frame's blocks: the one charge loop behind both
 // Decompress (blocks parsed out of the frame) and DecompressPlanned (blocks
-// the frame's producer recorded).
-func (d *Decompressor) zstdCycles(blocks []zstdlite.BlockInfo, res *Result) {
+// the frame's producer recorded). With a fold, the blocks' commands are charged
+// from it after the loop and not block by block.
+func (d *Decompressor) zstdCycles(blocks []zstdlite.BlockInfo, fold *seqFold, res *Result) {
 	for i := range blocks {
 		b := &blocks[i]
 		res.charge(idHeader, blockHeaderCycles)
@@ -236,8 +317,13 @@ func (d *Decompressor) zstdCycles(blocks []zstdlite.BlockInfo, res *Result) {
 				}
 			}
 			res.charge(idFSE, float64(b.NumSeqs))
-			d.execSeqs(b.Seqs, res)
+			if fold == nil {
+				d.execSeqs(b.Seqs, res)
+			}
 		}
+	}
+	if fold != nil && fold.commands > 0 {
+		d.execFold(fold, res)
 	}
 }
 

@@ -98,7 +98,7 @@ type Job struct {
 	Payload []byte
 	// Priority selects the job's admission bound under a priority-classed
 	// policy (resil.Policy.QueueBound; 0 = highest priority, the full
-	// MaxQueue — the historical behavior).
+	// MaxQueue).
 	Priority int
 	// Target is the job's latency deadline in cycles for deadline-aware
 	// admission (resil.Policy.DeadlineFactor); 0 = no deadline, never

@@ -38,7 +38,31 @@ type Trace struct {
 	// scratch, and the encode charges read only their count.
 	blocks []zstdlite.BlockInfo
 	lits   []byte // literal scratch of a Snappy frame parse
+	// fold summarizes the command stream of a decompression trace that outlives
+	// its call (Decompressor.Trace); the zero value means there is none and the
+	// timing walk reads the commands.
+	fold seqFold
 }
+
+// seqFold is a decompression trace's command stream — seqs, or every ZStd
+// block's Seqs in block order — reduced to what Decompressor.Time charges for
+// under any Config: the sums that land in idLZ77 whatever the configuration,
+// and the copies whose charge depends on it. docs/MODEL.md has the argument
+// that charging from the fold equals the per-command walk bit for bit.
+type seqFold struct {
+	folded    bool // a fold was taken; it may be of no commands
+	commands  int  // elements parsed
+	litBytes  int  // bytes moved by literal runs
+	nearBytes int  // bytes of copies with offset <= MinHistorySRAM: a history SRAM hit under every valid Config
+	// far is every other copy, in stream order and exactly sized: whether one
+	// hits the history SRAM or falls back off-chip is the timing instance's
+	// HistorySRAM to decide.
+	far []farCopy
+}
+
+// farCopy is one copy command. A decoded frame's offsets and lengths are
+// bounded by the codecs' MaxDecodedLen (1 GiB), so 32 bits hold either.
+type farCopy struct{ offset, length uint32 }
 
 // seal records what a functional pass over inBytes of input produced.
 func (tr *Trace) seal(key string, inBytes int, out []byte) {

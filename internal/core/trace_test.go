@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -183,6 +185,49 @@ func TestFunctionalKeyCoversConfig(t *testing.T) {
 	}
 }
 
+// TestCompressorTraceIsSizeOnly holds a compression trace to a full Compress
+// of the same payload: same frame length, dictionary-stage statistics and block
+// facts, for both algorithms — while the frame it discarded carries no payload,
+// and the encoder is back to writing one for the instance's next Compress.
+func TestCompressorTraceIsSizeOnly(t *testing.T) {
+	for _, algo := range []comp.Algorithm{comp.Snappy, comp.ZStd} {
+		withheld := 0 // frames a trace discarded that are not the full frame's bytes
+		for _, f := range corpus.SmallSuite() {
+			name := fmt.Sprintf("%v/%s", algo, f.Name)
+			tracer := mustCompressor(t, Config{Algo: algo})
+			tr, err := tracer.Trace(f.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := mustCompressor(t, Config{Algo: algo})
+			res, err := full.Compress(f.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := &full.scratch
+			if tr.InputBytes != want.InputBytes || tr.OutputBytes != want.OutputBytes || tr.Output != nil {
+				t.Errorf("%s: trace sizes (%d, %d), output %d bytes; Compress (%d, %d)", name,
+					tr.InputBytes, tr.OutputBytes, len(tr.Output), want.InputBytes, want.OutputBytes)
+			}
+			if tr.lz != want.lz {
+				t.Errorf("%s: trace lz stats %+v, Compress %+v", name, tr.lz, want.lz)
+			}
+			if !reflect.DeepEqual(tr.blocks, want.blocks) {
+				t.Errorf("%s: trace blocks differ from Compress's", name)
+			}
+			if !bytes.Equal(tracer.discard, res.Output) {
+				withheld++
+			}
+			if again, err := tracer.Compress(f.Data); err != nil || !bytes.Equal(again.Output, res.Output) {
+				t.Errorf("%s: Compress after Trace does not produce the full frame (err %v)", name, err)
+			}
+		}
+		if withheld == 0 {
+			t.Errorf("%v: every traced frame carries its payload: the encoder was not size-only", algo)
+		}
+	}
+}
+
 // TestTimeRejectsForeignTrace pins the guard behind the memo key: a unit
 // refuses a trace taken under another functional key rather than charging a
 // parse it could not have produced.
@@ -258,6 +303,11 @@ func TestConcurrentTimingWalksShareOneTrace(t *testing.T) {
 			base := Config{Algo: algo, Op: op, HistorySRAM: 2 << 10}
 			tr := traceUnder(t, base, plain)
 			before := fmt.Sprintf("%+v", *tr)
+			fold := tr.fold
+			fold.far = slices.Clone(fold.far)
+			if folded := op == comp.Decompress; tr.fold.folded != folded {
+				t.Fatalf("%s: trace carries a fold: %v, want %v", base.Name(), tr.fold.folded, folded)
+			}
 			var cfgs []Config
 			for _, p := range memsys.Placements {
 				for _, spec := range []int{4, 32} {
@@ -305,6 +355,9 @@ func TestConcurrentTimingWalksShareOneTrace(t *testing.T) {
 			wg.Wait()
 			if after := fmt.Sprintf("%+v", *tr); after != before {
 				t.Errorf("%s: timing walks changed the shared trace", base.Name())
+			}
+			if !reflect.DeepEqual(tr.fold, fold) {
+				t.Errorf("%s: timing changed the shared trace's fold: %+v, was %+v", base.Name(), tr.fold, fold)
 			}
 		}
 	}

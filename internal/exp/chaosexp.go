@@ -4,12 +4,12 @@ package exp
 // through the full fleet replay: seeded fault storms hit a stated fraction of
 // calls with bit flips, memory faults and watchdog hangs, and the tables
 // measure what each recovery mechanism — retry with backoff, software
-// fallback, pipeline quarantine, admission control — buys over the historical
-// abort-on-first-fault behavior. The sweep asserts its own invariants: no
-// corrupt bytes ever surface (any would fail the replay's round-trip
-// verification and error out), goodput is monotone non-increasing in fault
-// rate, tail latency stays within the stated bound of the healthy replay, and
-// the abort-policy baseline demonstrably does not survive the same storm.
+// fallback, pipeline quarantine, admission control — buys over aborting on the
+// first fault. The sweep asserts its own invariants: no corrupt bytes ever
+// surface (any would fail the replay's round-trip verification and error out),
+// goodput is monotone non-increasing in fault rate, tail latency stays within
+// the stated bound of the healthy replay, and the abort-policy baseline
+// demonstrably does not survive the same storm.
 
 import (
 	"errors"

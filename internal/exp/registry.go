@@ -20,7 +20,7 @@ type Config struct {
 	// scales to.
 	Replicas int
 	// Devices is the number of device instances per fleet slot the replay
-	// experiments fan calls across (0/1 = the historical 4-device fleet).
+	// experiments fan calls across (0/1 = one per slot, a 4-device fleet).
 	Devices int
 	// Seed makes every experiment deterministic.
 	Seed int64
