@@ -82,7 +82,7 @@ reach:
 	(cd $$T/out && $$B/fuzzcorpus); \
 	for e in coldstorage placement quickstart rpccache; do $$B/$$e; done; \
 	F="$$B/fleetsim -calls 300 -workers 2"; \
-	$$F -metrics; $$F -chaos 0.05; $$F -failover 0.2 -replicas 3; $$F -openloop; $$F -overload; $$F -trace $$T/out/trace.json; \
+	$$F -metrics; $$F -replicas 3; $$F -openloop; $$F -trace $$T/out/trace.json; \
 	$$B/bench -smoke -seconds 0.2; $$B/bench -smoke -seconds 0.2 -trace; \
 	exec >&3 2>&4; \
 	$(GO) tool covdata textfmt -i=$$T/cov -o=$$T/cover.txt; \
@@ -125,3 +125,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRNGMatchesMathRand$$' -fuzztime $(FUZZTIME) ./internal/corpus
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifySeqs$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldMatchesWalk$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzPreparedRun$$' -fuzztime $(FUZZTIME) ./internal/sim

@@ -49,7 +49,7 @@ func main() {
 	workers := flag.Int("workers", 0, "simulation worker-pool size (default min(8, GOMAXPROCS-1), at least 1)")
 	calls := flag.Int("calls", 0, "fleet calls per service-replay cell (default 10000)")
 	replicas := flag.Int("replicas", 0, "maximum replica-group width the failover sweep scales to (default 4)")
-	devices := flag.Int("devices", 0, "device instances per fleet slot in replay experiments (default 1: the historical 4-device fleet)")
+	devices := flag.Int("devices", 0, "device instances per fleet slot in replay experiments (default 1: one per slot, a 4-device fleet)")
 	csvDir := flag.String("csv", "", "directory to write per-table CSV files into")
 	metrics := flag.Bool("metrics", false, "dump the metrics registry to stderr after the run")
 	flag.Parse()

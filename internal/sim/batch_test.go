@@ -116,8 +116,7 @@ func TestRunGoldenReport(t *testing.T) {
 // execution, result reuse — allocates nothing per call.
 func TestShardExecSteadyStateAllocs(t *testing.T) {
 	cfg := Config{Seed: 21, Calls: 192, MaxCallBytes: 64 << 10}.withDefaults()
-	var report Report
-	specs, _, _ := sampleCalls(cfg, &report)
+	specs, _, _ := sampleCalls(cfg)
 	sh, err := newShard(cfg.Placement, false)
 	if err != nil {
 		t.Fatal(err)
@@ -163,8 +162,7 @@ func TestParsedFramesAreReal(t *testing.T) {
 		if err := cfg.validate(); err != nil {
 			t.Fatal(err)
 		}
-		var report Report
-		specs, _, _ := sampleCalls(cfg, &report)
+		specs, _, _ := sampleCalls(cfg)
 		sh, err := newShard(cfg.Placement, false)
 		if err != nil {
 			t.Fatal(err)
@@ -217,8 +215,7 @@ type replayFixture struct {
 
 func newReplayFixture(b *testing.B, calls int) *replayFixture {
 	cfg := Config{Seed: 1, Calls: calls, MaxCallBytes: 256 << 10}.withDefaults()
-	var report Report
-	specs, _, _ := sampleCalls(cfg, &report)
+	specs, _, _ := sampleCalls(cfg)
 	sh, err := newShard(cfg.Placement, false)
 	if err != nil {
 		b.Fatal(err)
@@ -284,11 +281,12 @@ func BenchmarkReplayShard(b *testing.B) {
 		for i, s := range f.specs {
 			perDev[s.dev] = append(perDev[s.dev], i)
 		}
+		sched, _ := schedule(f.specs, &f.cfg)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for d := range perDev {
-				red := reduceDevice(d, perDev[d], f.specs, f.outs, &f.cfg, false)
+				red := reduceDevice(d, perDev[d], sched, f.outs, &f.cfg, false)
 				if red.err != nil {
 					b.Fatal(red.err)
 				}

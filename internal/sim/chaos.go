@@ -163,7 +163,6 @@ func (sh *shard) chaosTransient(s *callSpec, call int, cfg *Config, plain, devIn
 		}
 		if attempt > 0 {
 			out.retries++
-			resil.MetricRetries.Inc()
 		}
 		if err == nil {
 			if faulted {
@@ -227,7 +226,6 @@ func (sh *shard) fallback(s *callSpec, out execOut, cfg *Config, plain, devInput
 	}
 	out.post = cycles
 	out.degraded = true
-	resil.MetricFallbacks.Inc()
 	out.spans = appendSpan(out.spans, cfg.Trace != nil, blockFallback, out.service, cycles)
 	return out, nil
 }

@@ -87,8 +87,8 @@ func mergeClusterTotals(report *Report, d int, tot *cluster.Totals) {
 }
 
 // firstReductionError surfaces the deterministic first error across the
-// partition reductions: construction and validation errors return as-is in
-// partition order (the historical behavior), while cluster CallErrors — each
+// partition reductions: construction and validation errors return as-is, the
+// first in partition order, while cluster CallErrors — each
 // already the lowest failing index within its group — merge by global call
 // index, so the surfaced abort is exactly the first failure a serial
 // single-group run would hit, at any worker or device count.

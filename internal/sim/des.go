@@ -24,7 +24,7 @@ import (
 // simPart is one phase-C partition.
 type simPart struct {
 	cfg   *Config
-	specs []callSpec
+	specs []scheduled
 	outs  []execOut
 	idxs  []int
 	slo   *[traffic.NumClasses]float64 // per-class targets; nil in closed loop
@@ -42,7 +42,7 @@ type simPart struct {
 
 // newSimPart builds the partition for one device instance. base anchors the
 // group's replicas in the lifecycle schedule's replica space.
-func newSimPart(slot, base int, idxs []int, specs []callSpec, outs []execOut, cfg *Config) (*simPart, error) {
+func newSimPart(slot, base int, idxs []int, specs []scheduled, outs []execOut, cfg *Config) (*simPart, error) {
 	so := deviceOrder[slot]
 	devCfg := core.Config{Algo: so.algo, Op: so.op, Placement: cfg.Placement}
 	dev, err := core.NewDevice(devCfg, cfg.Pipelines)
@@ -131,7 +131,7 @@ func (p *simPart) stepArrival(ci int) error {
 		c.Target = p.slo[s.class]
 	}
 	if p.cfg.Resilience.SoftwareFallback {
-		c.Software = softwareCycles(s)
+		c.Software = softwareCycles(s.callSpec)
 	}
 	if err := p.gst.Step(&c); err != nil {
 		return err
@@ -174,7 +174,7 @@ func (p *simPart) finish(err error) devReduction {
 // runEngineReduction is phase C on the discrete-event engine: one partition
 // per device instance, advanced by the engine's worker pool, results
 // collected in partition order.
-func runEngineReduction(perPart [][]int, specs []callSpec, outs []execOut, cfg *Config) []devReduction {
+func runEngineReduction(perPart [][]int, specs []scheduled, outs []execOut, cfg *Config) []devReduction {
 	reds := make([]devReduction, len(perPart))
 	sps := make([]*simPart, len(perPart))
 	parts := make([]des.Partition, 0, len(perPart))

@@ -20,7 +20,7 @@ import (
 
 // runLegacyReduction is one goroutine per partition running the serial
 // reduction loop.
-func runLegacyReduction(perPart [][]int, specs []callSpec, outs []execOut, cfg *Config) []devReduction {
+func runLegacyReduction(perPart [][]int, specs []scheduled, outs []execOut, cfg *Config) []devReduction {
 	devices := cfg.Devices
 	chaos := cfg.Storm != nil || cfg.Resilience != (resil.Policy{})
 	clustered := cfg.clusterMode()
@@ -46,7 +46,7 @@ func runLegacyReduction(perPart [][]int, specs []callSpec, outs []execOut, cfg *
 // cycles. The recovery-aware pass only materializes its extra per-job inputs
 // when something can populate them; with the zero policy ReplayPolicy is
 // arithmetically identical to Replay.
-func reduceDevice(d int, idxs []int, specs []callSpec, outs []execOut, cfg *Config, chaos bool) devReduction {
+func reduceDevice(d int, idxs []int, specs []scheduled, outs []execOut, cfg *Config, chaos bool) devReduction {
 	slot := deviceOrder[d]
 	dev, err := core.NewDevice(core.Config{Algo: slot.algo, Op: slot.op, Placement: cfg.Placement}, cfg.Pipelines)
 	if err != nil {
@@ -87,7 +87,7 @@ func reduceDevice(d int, idxs []int, specs []callSpec, outs []execOut, cfg *Conf
 // outcomes. base anchors the group's replicas in the lifecycle schedule's
 // replica space (inst*Replicas; 0 when Devices is 1). The probe device
 // supplies the placement-aware reset cost and the per-replica silicon area.
-func reduceCluster(d, base int, idxs []int, specs []callSpec, outs []execOut, cfg *Config) devReduction {
+func reduceCluster(d, base int, idxs []int, specs []scheduled, outs []execOut, cfg *Config) devReduction {
 	slot := deviceOrder[d]
 	devCfg := core.Config{Algo: slot.algo, Op: slot.op, Placement: cfg.Placement}
 	dev, err := core.NewDevice(devCfg, cfg.Pipelines)
@@ -125,7 +125,7 @@ func reduceCluster(d, base int, idxs []int, specs []callSpec, outs []execOut, cf
 			calls[ji].Target = slo[s.class]
 		}
 		if cfg.Resilience.SoftwareFallback {
-			calls[ji].Software = softwareCycles(s)
+			calls[ji].Software = softwareCycles(s.callSpec)
 		}
 	}
 	results, devStats, tot, err := g.Replay(calls)

@@ -21,7 +21,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -43,9 +45,11 @@ import (
 )
 
 // Replay-shape instruments. Updated only in the serial phases, so they add no
-// contention to the worker pool and never perturb the Report.
+// contention to the worker pool and never perturb the Report. sim.calls and
+// sim.call_bytes move once per Run, sim.prepares once per phase B.
 var (
 	metricSimCalls     = obs.Default().Counter("sim.calls")
+	metricSimPrepares  = obs.Default().Counter("sim.prepares")
 	metricSimWorkers   = obs.Default().Gauge("sim.workers")
 	metricSimCallBytes = obs.Default().Histogram("sim.call_bytes")
 )
@@ -76,8 +80,7 @@ type Config struct {
 	Trace *obs.Trace
 	// Resilience is the recovery policy threaded through the replay: retry
 	// with backoff, software fallback, pipeline quarantine, and admission
-	// control. The zero value reproduces the historical abort-on-first-fault
-	// behavior bit-exactly.
+	// control. The zero value aborts the replay on its first fault.
 	Resilience resil.Policy
 	// Storm, when non-nil, subjects the replay to a seeded chaos fault storm
 	// (bit flips, memory faults, watchdog hangs at Storm.Rate). The storm's
@@ -85,9 +88,9 @@ type Config struct {
 	// a stormed replay keeps the exact call mix of the healthy one.
 	Storm *fault.Storm
 	// Replicas turns each deviceOrder slot into a cluster.Group of N devices
-	// behind the failover dispatcher (0/1 = a lone device: the one-replica
-	// group with the zero Failover policy and no Lifecycle is the historical
-	// single-device FCFS queue, bit for bit).
+	// behind the failover dispatcher (0/1 = a lone device: with the zero
+	// Failover policy and no Lifecycle the one-replica group is a single FCFS
+	// queue, bit for bit).
 	Replicas int
 	// Failover parameterizes the replica dispatcher: circuit breakers,
 	// failover re-dispatch, hedging, crash detection and warm-restart costs.
@@ -97,7 +100,7 @@ type Config struct {
 	// from an independent stream, so the call mix is unperturbed.
 	Lifecycle *fault.Lifecycle
 	// Devices fans each deviceOrder slot out into N device instances (0/1 =
-	// the historical one instance per slot). Calls route to instances
+	// one instance per slot, a 4-device fleet). Calls route to instances
 	// round-robin within their slot during the serial sampling phase, so the
 	// routing — like every other per-call decision — is independent of worker
 	// count. Each instance is its own discrete-event partition (its own FCFS
@@ -121,8 +124,8 @@ type Config struct {
 	// open-loop arrivals: the schedule comes from a seeded modulated-Poisson
 	// generator (diurnal rate curve, on/off bursts) instead of being spaced
 	// from OfferedGBps, and every call carries the SLO class of its sampled
-	// tenant. The zero value keeps the closed-loop schedule bit-identical to
-	// previous releases.
+	// tenant. The zero value keeps the closed-loop schedule: arrivals spaced
+	// from OfferedGBps, no tenants, no classes.
 	Traffic traffic.Pattern
 	// Tenants shapes the open-loop tenant population: a Zipf(s) rank
 	// distribution over N tenants. Ignored unless Traffic is enabled.
@@ -292,31 +295,29 @@ type callSpec struct {
 	rec         fleet.CallRecord
 	kind        corpus.Kind
 	payloadSeed int64
-	arrival     float64
+	jitter      float64 // closed-loop spacing factor in [0.5, 1.5)
 	dev         int
 	inst        int // device instance within the slot, in [0, Config.Devices)
-	class       int // SLO class (0 in closed-loop mode, where no class exists)
-	tenant      int // sampled tenant rank (0 in closed-loop mode)
 }
 
-// sampleCalls is phase A: sample the call mix and lay out the arrival
-// schedule. The fleet model's sampler and the arrival clock are stateful, so
-// this stays single-threaded; it draws no payload bytes and is cheap. Each
+// scheduled is a call as one Run's phase C sees it: its spec and its place in
+// that Run's arrival schedule.
+type scheduled struct {
+	*callSpec
+	arrival float64
+	class   int // SLO class (0 in closed-loop mode, where no class exists)
+	tenant  int // sampled tenant rank (0 in closed-loop mode)
+}
+
+// sampleCalls is phase A's call mix. The fleet model's sampler is stateful,
+// so this stays single-threaded; it draws no payload bytes and is cheap. Each
 // call's draws (payload kind, payload seed, arrival jitter) come from its own
 // splitmix64 stream keyed on (seed, call index), so any worker reproduces them
 // regardless of which shard the call lands on, and the call mix is the same in
-// both arrival modes. Closed loop, arrivals are spaced to the offered
-// bandwidth (bytes / (GB/s) * cycles/ns); open loop, they come from the seeded
-// traffic generator and carry the sampled tenant's rank and SLO class. Returns
-// the specs, the summed software baseline cycles, and the arrival-clock end
-// time.
-func sampleCalls(cfg Config, report *Report) (specs []callSpec, xeonCycles, at float64) {
+// both arrival modes. Returns the specs, their summed uncompressed bytes and
+// the summed software baseline cycles.
+func sampleCalls(cfg Config) (specs []callSpec, bytes int, xeonCycles float64) {
 	model := fleet.NewModel(cfg.Seed)
-	var gen *traffic.Gen
-	if cfg.Traffic.Enabled() {
-		gen = traffic.NewGen(cfg.Traffic, cfg.Tenants, cfg.SLO, cfg.Seed)
-	}
-	cyclesPerByte := memsys.DeviceGHz / cfg.OfferedGBps
 	specs = make([]callSpec, 0, cfg.Calls)
 	// Instance routing: calls round-robin across a slot's device instances in
 	// sampling order. A per-slot counter in this serial phase keeps the routing
@@ -337,24 +338,43 @@ func sampleCalls(cfg Config, report *Report) (specs []callSpec, xeonCycles, at f
 			rec:         rec,
 			kind:        payloadKinds[r.Intn(len(payloadKinds))],
 			payloadSeed: int64(r.Next() >> 1),
-			arrival:     at,
+			jitter:      0.5 + r.Float64(),
 			dev:         deviceIndex(rec.Algo, rec.Op),
 		}
 		s.inst = rr[s.dev] % cfg.Devices
 		rr[s.dev]++
+		bytes += rec.UncompressedBytes
+		xeonCycles += xeon.Cycles(rec.Algo, rec.Op, rec.Level, rec.UncompressedBytes)
+		specs = append(specs, s)
+	}
+	return specs, bytes, xeonCycles
+}
+
+// schedule is phase A's arrival schedule over specs. Closed loop, arrivals are
+// spaced to the offered bandwidth (bytes / (GB/s) * cycles/ns, times each
+// call's jitter); open loop, they come from the seeded traffic generator and
+// carry the sampled tenant's rank and SLO class. Neither draws from a stream
+// the call mix uses, so phase B never sees the schedule. Returns the schedule
+// and the arrival-clock end time.
+func schedule(specs []callSpec, cfg *Config) (calls []scheduled, at float64) {
+	var gen *traffic.Gen
+	if cfg.Traffic.Enabled() {
+		gen = traffic.NewGen(cfg.Traffic, cfg.Tenants, cfg.SLO, cfg.Seed)
+	}
+	cyclesPerByte := memsys.DeviceGHz / cfg.OfferedGBps
+	calls = make([]scheduled, len(specs))
+	for i := range specs {
+		s := &calls[i]
+		s.callSpec = &specs[i]
 		if gen != nil {
 			a := gen.Next()
 			s.arrival, s.class, s.tenant, at = a.At, a.Class, a.Tenant, a.At
 		} else {
-			at += float64(rec.UncompressedBytes) * cyclesPerByte * (0.5 + r.Float64())
+			s.arrival = at
+			at += float64(s.rec.UncompressedBytes) * cyclesPerByte * s.jitter
 		}
-		report.UncompressedBytes += rec.UncompressedBytes
-		xeonCycles += xeon.Cycles(rec.Algo, rec.Op, rec.Level, rec.UncompressedBytes)
-		metricSimCallBytes.Observe(int64(rec.UncompressedBytes))
-		specs = append(specs, s)
 	}
-	report.Calls = len(specs)
-	return specs, xeonCycles, at
+	return calls, at
 }
 
 // devReduction is one partition's partial queueing reduction — one device
@@ -380,7 +400,7 @@ type devReduction struct {
 // in open-loop mode, carries the per-class latency targets in cycles and
 // turns on the per-class accounting; closed-loop replays pass nil and touch
 // none of it.
-func (red *devReduction) summarize(specs []callSpec, slo *[traffic.NumClasses]float64) {
+func (red *devReduction) summarize(specs []scheduled, slo *[traffic.NumClasses]float64) {
 	red.latencies = make([]float64, 0, len(red.results))
 	for ji, r := range red.results {
 		ci := red.idxs[ji]
@@ -412,42 +432,127 @@ func (red *devReduction) summarize(specs []callSpec, slo *[traffic.NumClasses]fl
 // partition's calls in call order. Production has one, runEngineReduction; the
 // seam exists so the differential tests can run the same phases A, B and merge
 // over their independent batch oracle (oracle_test.go).
-type phaseC func(perPart [][]int, specs []callSpec, outs []execOut, cfg *Config) []devReduction
+type phaseC func(perPart [][]int, specs []scheduled, outs []execOut, cfg *Config) []devReduction
 
-// Run replays cfg.Calls fleet calls through CDPU devices.
+// Run replays cfg.Calls fleet calls through CDPU devices: Prepare, then
+// Prepared.Run.
 func Run(cfg Config) (*Report, error) { return run(cfg, runEngineReduction) }
 
 func run(cfg Config, reduce phaseC) (*Report, error) {
+	p, err := Prepare(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.run(cfg, reduce)
+}
+
+// prepareKey names every Config field phases A and B read, after defaults.
+// Prepared.Run refuses a config whose key differs from the one it was
+// prepared with. A field left out of the key while phase B reads it would
+// replay stale outcomes, so the key errs on the side of inclusion: including
+// one costs a sweep over it a Prepare per point.
+type prepareKey struct {
+	Seed         int64            // the call mix, payloads and backoff draws
+	Calls        int              // how many calls are sampled
+	MaxCallBytes int              // caps each call's size
+	Devices      int              // instance routing
+	Placement    memsys.Placement // every device clone's timing
+	Trace        bool             // whether execOuts carry spans
+	Storm        *fault.Storm     // which calls take the recovery path
+	Resilience   resil.Policy     // with a Storm: the recovery half only
+	Lifecycle    *fault.Lifecycle // which calls re-execute under brownout
+	Replicas     int              // with a Lifecycle: each instance's replica range
+}
+
+func (c *Config) prepareKey() prepareKey {
+	k := prepareKey{
+		Seed: c.Seed, Calls: c.Calls, MaxCallBytes: c.MaxCallBytes, Devices: c.Devices,
+		Placement: c.Placement, Trace: c.Trace != nil, Storm: c.Storm, Lifecycle: c.Lifecycle,
+	}
+	if r := c.Resilience; c.Storm != nil {
+		k.Resilience = resil.Policy{MaxAttempts: r.MaxAttempts, BackoffBaseCycles: r.BackoffBaseCycles,
+			BackoffMaxCycles: r.BackoffMaxCycles, JitterFrac: r.JitterFrac, SoftwareFallback: r.SoftwareFallback}
+	}
+	if c.Lifecycle != nil {
+		k.Replicas = c.Replicas
+	}
+	return k
+}
+
+// Prepared is a replay with phases A and B done: the sampled call mix and
+// every call's execution outcome. Run completes it for any config with the
+// same prepareKey, re-deriving the arrival schedule and running phase C, so
+// a sweep over fields outside the key pays phase B once. Run never modifies
+// a Prepared; concurrent Runs on one are safe.
+type Prepared struct {
+	key        prepareKey
+	specs      []callSpec
+	outs       []execOut
+	bytes      int
+	xeonCycles float64
+}
+
+// Prepare runs phase A's sampling and phase B: synthesize each payload and run
+// it through a functional device clone for its service cycles — under the
+// storm and recovery policy when configured — plus, when tracing, each call's
+// per-block span layout. cfg is validated whole, as Run would.
+func Prepare(cfg Config) (*Prepared, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	report := &Report{}
-
-	// Phase A (serial): sampling and the arrival schedule — closed-loop
-	// bandwidth spacing, or the open-loop generator when Traffic is enabled.
-	openLoop := cfg.Traffic.Enabled()
-	specs, xeonCycles, at := sampleCalls(cfg, report)
-	metricSimCalls.Add(int64(len(specs)))
-	metricSimWorkers.Set(float64(cfg.Workers))
-
-	// Phase B (parallel): synthesize each payload and run it through a
-	// functional device clone for its service cycles — under the storm and
-	// recovery policy when configured — plus, when tracing, each call's
-	// per-block span layout.
-	outs, err := execCalls(specs, cfg)
-	if err != nil {
+	p := &Prepared{key: cfg.prepareKey()}
+	p.specs, p.bytes, p.xeonCycles = sampleCalls(cfg)
+	metricSimPrepares.Inc()
+	var err error
+	if p.outs, err = execCalls(p.specs, cfg); err != nil {
 		return nil, err
 	}
-	for i := range outs {
-		if outs[i].faults > 0 {
+	return p, nil
+}
+
+// ErrNotPrepared is what Prepared.Run returns, naming the field, for a config
+// whose phases A and B would differ from the prepared ones.
+var ErrNotPrepared = errors.New("config differs from the prepared one")
+
+// Run replays the prepared calls under cfg, which must have the key the
+// Prepared was made with.
+func (p *Prepared) Run(cfg Config) (*Report, error) { return p.run(cfg, runEngineReduction) }
+
+func (p *Prepared) run(cfg Config, reduce phaseC) (*Report, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if k := cfg.prepareKey(); k != p.key {
+		a, b := reflect.ValueOf(k), reflect.ValueOf(p.key)
+		for i := 0; i < a.NumField(); i++ {
+			if !reflect.DeepEqual(a.Field(i).Interface(), b.Field(i).Interface()) {
+				return nil, fmt.Errorf("sim: %w in %s", ErrNotPrepared, a.Type().Field(i).Name)
+			}
+		}
+	}
+	report := &Report{Calls: len(p.specs), UncompressedBytes: p.bytes}
+	openLoop := cfg.Traffic.Enabled()
+	specs, at := schedule(p.specs, &cfg)
+
+	// Counters move per Run, from the prepared outcomes, so each Run's deltas
+	// reconcile with its own Report.
+	metricSimCalls.Add(int64(len(specs)))
+	metricSimWorkers.Set(float64(cfg.Workers))
+	for i := range p.outs {
+		o := &p.outs[i]
+		metricSimCallBytes.Observe(int64(specs[i].rec.UncompressedBytes))
+		if o.faults > 0 {
 			report.FaultedCalls++
 		}
-		report.RetryAttempts += outs[i].retries
-		if outs[i].degraded {
+		report.RetryAttempts += o.retries
+		if o.degraded {
 			report.DegradedCalls++
 		}
 	}
+	resil.MetricRetries.Add(int64(report.RetryAttempts))
+	resil.MetricFallbacks.Add(int64(report.DegradedCalls))
 
 	// Phase C (partitioned discrete-event reduction, serial merge): each
 	// device instance is one event-queue partition — its replica group (a lone
@@ -463,14 +568,14 @@ func run(cfg Config, reduce phaseC) (*Report, error) {
 		perPart[s.dev*devices+s.inst] = append(perPart[s.dev*devices+s.inst], i)
 	}
 	clustered := cfg.clusterMode()
-	reds := reduce(perPart, specs, outs, &cfg)
+	reds := reduce(perPart, specs, p.outs, &cfg)
 	if err := firstReductionError(reds, len(specs)); err != nil {
 		return nil, err
 	}
 	latencies := make([]float64, 0, len(specs))
-	for p := range reds {
-		red := &reds[p]
-		slot := deviceOrder[p/devices]
+	for pid := range reds {
+		red := &reds[pid]
+		slot := deviceOrder[pid/devices]
 		latencies = append(latencies, red.latencies...)
 		report.ShedCalls += red.shed
 		report.GoodputBytes += red.goodput
@@ -487,10 +592,10 @@ func run(cfg Config, reduce phaseC) (*Report, error) {
 			}
 		}
 		if clustered {
-			mergeClusterTotals(report, p, &red.tot)
+			mergeClusterTotals(report, pid, &red.tot)
 		}
 		if cfg.Trace != nil {
-			emitDeviceTrace(cfg.Trace, p, slot.algo, slot.op, p%devices, devices, cfg.Replicas, cfg.Pipelines, red.idxs, red.results, outs)
+			emitDeviceTrace(cfg.Trace, pid, slot.algo, slot.op, pid%devices, devices, cfg.Replicas, cfg.Pipelines, red.idxs, red.results, p.outs)
 		}
 		if slot.op == comp.Compress {
 			report.CompUtil = max(report.CompUtil, red.stats.Utilization)
@@ -518,16 +623,16 @@ func run(cfg Config, reduce phaseC) (*Report, error) {
 	// Baseline: the same load on Xeon cores.
 	wallSeconds := at / (memsys.DeviceGHz * 1e9)
 	if wallSeconds > 0 {
-		report.XeonCoresNeeded = xeon.Seconds(xeonCycles) / wallSeconds
+		report.XeonCoresNeeded = xeon.Seconds(p.xeonCycles) / wallSeconds
 	}
-	report.SoftwareMeanLatencyUs = xeon.Seconds(xeonCycles/float64(len(specs))) * 1e6
+	report.SoftwareMeanLatencyUs = xeon.Seconds(p.xeonCycles/float64(len(specs))) * 1e6
 
 	// Silicon: every deployed device instance (areas already share interfaces
 	// within each device; a real SoC would share across directions too, so
 	// this is the conservative bound). Cluster mode deploys Replicas full
 	// copies of each instance, and Devices fans each slot out N-wide.
-	for p := range reds {
-		report.AreaMM2 += reds[p].dev.Area().Total() * float64(cfg.Replicas)
+	for pid := range reds {
+		report.AreaMM2 += reds[pid].dev.Area().Total() * float64(cfg.Replicas)
 	}
 	return report, nil
 }

@@ -45,7 +45,7 @@ func publishClassMetrics(report *Report) {
 // were partitioned — and feeds the per-tenant tracker in call-index order,
 // which in open-loop mode is arrival order (the generator's clock only moves
 // forward). Alert counts are therefore byte-identical at any worker count.
-func burnPass(cfg *Config, specs []callSpec, reds []devReduction, report *Report) {
+func burnPass(cfg *Config, specs []scheduled, reds []devReduction, report *Report) {
 	slo := cfg.sloCycles()
 	bad := make([]bool, len(specs))
 	for p := range reds {
@@ -146,6 +146,13 @@ func (c Config) validate() error {
 	if f := c.Resilience.DeadlineFactor; !finiteNonNegative(f) {
 		return fmt.Errorf("sim: Resilience.DeadlineFactor %v (want finite, non-negative)", f)
 	}
+	// Every replica group applies Autoscale, in either arrival mode.
+	if err := c.Autoscale.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if c.Autoscale.Enabled() && c.Replicas < 2 {
+		return fmt.Errorf("sim: Autoscale requires Replicas > 1 (got %d)", c.Replicas)
+	}
 	if !c.Traffic.Enabled() {
 		// Burn tracking and deadline admission key on per-call tenant ranks
 		// and class targets, which only open-loop arrivals carry.
@@ -163,12 +170,6 @@ func (c Config) validate() error {
 	if err := c.SLO.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if err := c.Autoscale.Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	if c.Autoscale.Enabled() && c.Replicas < 2 {
-		return fmt.Errorf("sim: Autoscale requires Replicas > 1 (got %d)", c.Replicas)
-	}
 	return nil
 }
 
@@ -177,8 +178,8 @@ func (c Config) validate() error {
 func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // sloCycles returns the per-class latency targets in device cycles, or nil in
-// closed-loop mode — the switch that keeps per-class accounting completely
-// out of the historical reduction paths.
+// closed-loop mode — the switch that keeps per-class accounting out of
+// closed-loop replays.
 func (c *Config) sloCycles() *[traffic.NumClasses]float64 {
 	if !c.Traffic.Enabled() {
 		return nil

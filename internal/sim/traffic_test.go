@@ -27,10 +27,11 @@ func openLoopConfig(rate float64) Config {
 	}
 }
 
-// TestConfigValidate pins the fail-fast input validation: a non-finite or
-// negative OfferedGBps historically slipped past withDefaults (only exact 0
-// is remapped) and surfaced as a NaN-arrival stepper error deep in phase C;
-// now Run rejects it by name, along with malformed open-loop parameters.
+// TestConfigValidate pins the fail-fast input validation: withDefaults remaps
+// only an exact 0, so a non-finite or negative OfferedGBps would surface as a
+// NaN-arrival stepper error deep in phase C; Run rejects it by name, along
+// with malformed open-loop parameters and an Autoscale policy in either
+// arrival mode (every replica group applies it).
 func TestConfigValidate(t *testing.T) {
 	bad := []struct {
 		name string
@@ -66,6 +67,16 @@ func TestConfigValidate(t *testing.T) {
 			Traffic:   traffic.Pattern{CallsPerMcycle: 10},
 			Autoscale: traffic.Autoscale{UpQueueDepth: 4, DownQueueDepth: 9},
 		}},
+		{"burst-period-between-arrivals", Config{
+			Traffic: traffic.Pattern{CallsPerMcycle: 0.0175, BurstFactor: 27, BurstOnCycles: 8, BurstOffCycles: 16},
+		}},
+		{"flash-period-between-arrivals", Config{
+			Traffic: traffic.Pattern{CallsPerMcycle: 1, Diurnal: []float64{1, 0.01}, FlashFactor: 4, FlashOnCycles: 2, FlashOffCycles: 2},
+		}},
+		{"closed-loop-autoscale-one-replica", Config{Replicas: 1, Autoscale: traffic.Autoscale{UpQueueDepth: 2}}},
+		{"closed-loop-autoscale-inverted", Config{Replicas: 3, Autoscale: traffic.Autoscale{UpQueueDepth: 4, DownQueueDepth: 5}}},
+		{"closed-loop-autoscale-negative-min", Config{Replicas: 3, Autoscale: traffic.Autoscale{MinReplicas: -4, UpQueueDepth: 4}}},
+		{"closed-loop-autoscale-negative-cooldown", Config{Replicas: 3, Autoscale: traffic.Autoscale{UpQueueDepth: 4, CooldownCycles: -1}}},
 	}
 	// validate() itself must refuse each one — before phases A and B run, not
 	// when a later layer trips over the value.

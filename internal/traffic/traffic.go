@@ -16,6 +16,7 @@ package traffic
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cdpu/internal/memsys"
 	"cdpu/internal/prng"
@@ -150,8 +151,31 @@ func (p Pattern) Validate() error {
 	if p.FlashRankFrac != 0 && (!finitePos(p.FlashRankFrac) || p.FlashRankFrac > 1) {
 		return fmt.Errorf("traffic: FlashRankFrac %v (want in (0, 1])", p.FlashRankFrac)
 	}
+	// Each on/off window flip costs the generator one draw, so a burst or
+	// flash period that holds almost no arrivals at the curve's slowest rate
+	// costs many draws per arrival, and shapes nothing an arrival can see.
+	lowest := p.CallsPerMcycle / 1e6
+	if len(p.Diurnal) > 0 {
+		lowest *= slices.Min(p.Diurnal)
+	}
+	if p.burstEnabled() {
+		lowest *= min(1, p.BurstFactor)
+	}
+	if p.flashEnabled() {
+		lowest *= min(1, p.FlashFactor)
+	}
+	if n := (p.burstOn() + p.burstOff()) * lowest; p.burstEnabled() && n < minArrivalsPerPeriod {
+		return fmt.Errorf("traffic: BurstOnCycles + BurstOffCycles hold %.3g arrivals at the slowest rate (want at least %g)", n, minArrivalsPerPeriod)
+	}
+	if n := (p.flashOn() + p.flashOff()) * lowest; p.flashEnabled() && n < minArrivalsPerPeriod {
+		return fmt.Errorf("traffic: FlashOnCycles + FlashOffCycles hold %.3g arrivals at the slowest rate (want at least %g)", n, minArrivalsPerPeriod)
+	}
 	return nil
 }
+
+// minArrivalsPerPeriod bounds the generator's window draws at a thousand per
+// arrival.
+const minArrivalsPerPeriod = 1e-3
 
 func finitePos(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v > 0
@@ -356,8 +380,8 @@ func (a Autoscale) Cooldown() float64 {
 
 // Validate rejects thresholds the scaler cannot act on: inverted Down >= Up
 // pairs, non-positive or non-finite cooldowns, NaN/Inf burn thresholds, and
-// mixing the two trigger modes. Misconfigurations here used to be silently
-// accepted and produced a scaler that never (or always) acted.
+// mixing the two trigger modes. A scaler configured so would never (or
+// always) act.
 func (a Autoscale) Validate() error {
 	if !a.Enabled() {
 		if a.UpQueueDepth < 0 {
