@@ -46,9 +46,11 @@ profile:
 	$(GO) tool pprof -top -nodecount 10 -sample_index=alloc_space mem.pprof
 
 # The scoreboard ROADMAP quotes: non-test lines of Go under internal/ and
-# cmd/, in total and per package.
+# cmd/, in total, for the four replay-engine packages together, and per
+# package.
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf '%6d sim + cluster + core + des\n' "$$(find internal/sim internal/cluster internal/core internal/des -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@for d in internal/* cmd/*; do printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" $$d; done
 
 # What no entry point reaches: build every binary (cmd/, examples/, bench) with

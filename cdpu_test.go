@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cdpu/internal/corpus"
+	"cdpu/internal/resil"
 )
 
 func TestFacadeHardwareRoundTrip(t *testing.T) {
@@ -169,7 +170,12 @@ func TestFacadeDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc, _ := Compress(Snappy, 0, 0, corpus.Generate(corpus.JSON, 32<<10, 7))
-	results, stats, err := dev.Run([]Job{{Arrival: 0, Payload: enc}, {Arrival: 0, Payload: enc}})
+	res, err := dev.Exec(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := []float64{res.Cycles, res.Cycles}
+	results, stats, err := dev.ReplayPolicy([]Job{{Arrival: 0}, {Arrival: 0}}, svc, nil, nil, resil.Policy{})
 	if err != nil || len(results) != 2 || stats.Jobs != 2 {
 		t.Fatalf("device run: %v", err)
 	}

@@ -48,9 +48,6 @@ type Plan struct {
 	Snappy *snappy.Plan
 }
 
-// IsZero reports whether the algorithm recorded no plan.
-func (p Plan) IsZero() bool { return p.ZStd == nil && p.Snappy == nil }
-
 // AppendCompress compresses src under the given algorithm, level and window
 // log (0 means the algorithm default for both), appending the encoded bytes
 // to dst.
@@ -59,15 +56,10 @@ func (c *Coder) AppendCompress(dst []byte, a Algorithm, level, windowLog int, sr
 	return out, err
 }
 
-// AppendCompressPlan is AppendCompress that additionally returns the frame's
-// Plan — the record a planned decompression replay (core.Device.ExecWithPlan)
-// charges from without re-parsing the frame.
-func (c *Coder) AppendCompressPlan(dst []byte, a Algorithm, level, windowLog int, src []byte) ([]byte, Plan, error) {
-	return c.appendCompress(dst, a, level, windowLog, src, true, false)
-}
-
-// AppendCompressSizeOnly is AppendCompressPlan with the encoder's size-only
-// mode on (zstdlite.Encoder.SetSizeOnly, snappy.Encoder.SetSizeOnly): frame
+// AppendCompressSizeOnly is AppendCompress with the encoder's size-only mode
+// on (zstdlite.Encoder.SetSizeOnly, snappy.Encoder.SetSizeOnly), returning the
+// frame's Plan — the record a planned decompression replay
+// (core.Device.ExecWithPlan) charges from without re-parsing the frame. Frame
 // layout, Plan and encoded length are those of the full encoder, but ZStd's
 // entropy payloads are zeros and Snappy's literal payloads are unwritten. The
 // frame is NOT decodable — it exists for plan-charging replay pipelines that

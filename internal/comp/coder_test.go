@@ -183,13 +183,13 @@ func TestCoderSizeOnlyMatchesFullLengthAndPlan(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, a := range Algorithms {
 			level := a.DefaultLevel()
-			want, p, err := c.AppendCompressPlan(nil, a, level, 0, src)
+			want, p, err := c.appendCompress(nil, a, level, 0, src, true, false)
 			if err != nil {
 				t.Fatalf("%v: %v", a, err)
 			}
 			wantPlan := snapshotPlan(p)
 			if zstdFamily := a == ZStd || a == Flate || a == Brotli; (wantPlan.ZStd != nil) != zstdFamily ||
-				(wantPlan.Snappy != nil) != (a == Snappy) || wantPlan.IsZero() != (a == Gipfeli || a == LZO) {
+				(wantPlan.Snappy != nil) != (a == Snappy) {
 				t.Fatalf("%v: wrong plan kind %+v", a, wantPlan)
 			}
 			got, gotPlan, err := c.AppendCompressSizeOnly(nil, a, level, 0, src)
@@ -202,7 +202,7 @@ func TestCoderSizeOnlyMatchesFullLengthAndPlan(t *testing.T) {
 			if !reflect.DeepEqual(snapshotPlan(gotPlan), wantPlan) {
 				t.Fatalf("round %d %v: size-only plan differs from the full encode's", round, a)
 			}
-			if gotPlan.IsZero() && !bytes.Equal(got, want) { // no plan: the frame must stay real
+			if gotPlan == (Plan{}) && !bytes.Equal(got, want) { // no plan: the frame must stay real
 				t.Fatalf("round %d %v: size-only path changed a frame that has no plan", round, a)
 			}
 			legacy, zplan, err := c.AppendCompressPlanSizeOnly(nil, a, level, 0, src)
@@ -216,10 +216,14 @@ func TestCoderSizeOnlyMatchesFullLengthAndPlan(t *testing.T) {
 				t.Fatalf("round %d %v: AppendCompressPlanSizeOnly returned no ZStd plan and not the full frame", round, a)
 			}
 			// The pooled encoder must leave size-only mode: the next full
-			// compression through the same Coder has to be decodable.
+			// compression through the same Coder has to be decodable, and it is
+			// the very frame the plan describes.
 			full, err := c.AppendCompress(nil, a, level, 0, src)
 			if err != nil {
 				t.Fatalf("%v: %v", a, err)
+			}
+			if !bytes.Equal(full, want) {
+				t.Fatalf("round %d %v: AppendCompress differs from the planned full encode", round, a)
 			}
 			back, err := DecompressCall(a, full)
 			if err != nil {

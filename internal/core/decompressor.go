@@ -329,7 +329,7 @@ func (d *Decompressor) zstdCycles(blocks []zstdlite.BlockInfo, fold *seqFold, re
 
 // DecompressPlanned runs one accelerator call over a compressed payload
 // whose structure is already known: plan is the Plan the frame's producer
-// recorded (comp.Coder.AppendCompressPlan / AppendCompressSizeOnly) and
+// recorded (comp.Coder.AppendCompressSizeOnly) and
 // content is the original plaintext the frame was encoded from. The charges
 // are bit-identical to Decompress on the same frame — a ZStd plan is the
 // description Inspect would parse back out, a Snappy plan the element stream

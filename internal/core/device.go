@@ -93,9 +93,6 @@ func (d *Device) Area() *area.Breakdown {
 type Job struct {
 	// Arrival is the submission time in device cycles.
 	Arrival float64
-	// Payload is the call input (plaintext for compression devices,
-	// compressed bytes for decompression devices).
-	Payload []byte
 	// Priority selects the job's admission bound under a priority-classed
 	// policy (resil.Policy.QueueBound; 0 = highest priority, the full
 	// MaxQueue).
@@ -124,8 +121,6 @@ type JobResult struct {
 	// rejected by admission control (zero service cycles, zero latency).
 	// Served jobs carry a nil Err.
 	Err error
-	// Result is the underlying call result.
-	Result *Result
 }
 
 // DeviceStats aggregates a batch. Latency statistics cover served jobs only;
@@ -146,8 +141,8 @@ type DeviceStats struct {
 // the modeled call result with no queueing applied. It is the unit of work a
 // sharded replay parallelizes: service cycles depend only on the payload and
 // the device configuration, so per-worker Device clones can Exec calls in any
-// order and Replay merges them deterministically. Not safe for concurrent use
-// on one Device.
+// order and ReplayPolicy queues them deterministically. Not safe for
+// concurrent use on one Device.
 func (d *Device) Exec(payload []byte) (*Result, error) { return d.exec(payload) }
 
 // ExecWithPlan is Exec for a decompression device whose input frame's Plan
@@ -168,48 +163,15 @@ func (d *Device) ExecPlanned(payload []byte, plan *zstdlite.Plan, content []byte
 	return d.ExecWithPlan(payload, comp.Plan{ZStd: plan}, content)
 }
 
-// Run services jobs FCFS across the device's pipelines (jobs must be sorted
-// by arrival time) and reports per-job latency plus batch statistics. It is
-// Exec + Replay in one serial pass.
-func (d *Device) Run(jobs []Job) ([]JobResult, DeviceStats, error) {
-	if len(jobs) == 0 {
-		return nil, DeviceStats{}, nil
-	}
-	execResults := make([]*Result, len(jobs))
-	service := make([]float64, len(jobs))
-	for i, job := range jobs {
-		res, err := d.Exec(job.Payload)
-		if err != nil {
-			return nil, DeviceStats{}, fmt.Errorf("core: job %d: %w", i, err)
-		}
-		execResults[i] = res
-		service[i] = res.Cycles
-	}
-	results, devStats, err := d.Replay(jobs, service)
-	if err != nil {
-		return nil, DeviceStats{}, err
-	}
-	for i := range results {
-		results[i].Result = execResults[i]
-	}
-	return results, devStats, nil
-}
-
-// Replay schedules jobs FCFS across the device's pipelines using precomputed
-// per-job service cycles — the reuse point for sharded replays that Exec
-// payloads on per-worker clones and then need one deterministic queueing
-// pass. Jobs must be sorted by arrival time; service[i] holds jobs[i]'s
-// modeled cycles (finite and non-negative — NaN, infinite or negative values
-// would silently poison Utilization, Makespan and the quickselect percentiles,
-// so they are rejected) and payloads are not touched (they may be nil).
-// JobResult.Result is nil in this mode.
-func (d *Device) Replay(jobs []Job, service []float64) ([]JobResult, DeviceStats, error) {
-	return d.ReplayPolicy(jobs, service, nil, nil, resil.Policy{})
-}
-
-// ReplayPolicy is Replay under a recovery policy: the same deterministic
-// FCFS queueing pass, extended with the two device-side recovery mechanisms
-// that depend on queue state rather than on a single call.
+// ReplayPolicy schedules jobs FCFS across the device's pipelines using
+// precomputed per-job service cycles, under a recovery policy — the reuse
+// point for replays that Exec payloads on per-worker clones and then need one
+// deterministic queueing pass. Jobs must be sorted by arrival time;
+// service[i] holds jobs[i]'s modeled cycles (finite and non-negative — NaN,
+// infinite or negative values would silently poison Utilization, Makespan and
+// the quickselect percentiles, so they are rejected). The policy adds the two
+// device-side recovery mechanisms that depend on queue state rather than on a
+// single call.
 //
 //   - Admission control: with pol.MaxQueue > 0, an arrival that finds
 //     MaxQueue jobs already waiting is shed — JobResult.Err = resil.ErrShed,
@@ -227,7 +189,7 @@ func (d *Device) Replay(jobs []Job, service []float64) ([]JobResult, DeviceStats
 // the device — the software-fallback service time of a degraded call — and
 // is charged to that job's Latency and the batch statistics, but not to
 // pipeline occupancy. With the zero policy and nil post/faults the pass is
-// bit-identical to Replay.
+// plain FCFS.
 func (d *Device) ReplayPolicy(jobs []Job, service, post []float64, faults []int, pol resil.Policy) ([]JobResult, DeviceStats, error) {
 	if len(jobs) != len(service) {
 		return nil, DeviceStats{}, fmt.Errorf("core: %d jobs with %d service times", len(jobs), len(service))

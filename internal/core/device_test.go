@@ -7,20 +7,37 @@ import (
 
 	"cdpu/internal/comp"
 	"cdpu/internal/corpus"
+	"cdpu/internal/resil"
 	"cdpu/internal/snappy"
 )
 
-func makeJobs(t *testing.T, n int, gapCycles float64) []Job {
+func makeJobs(t *testing.T, n int, gapCycles float64) ([]Job, [][]byte) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	jobs := make([]Job, n)
+	payloads := make([][]byte, n)
 	at := 0.0
 	for i := range jobs {
 		data := corpus.Generate(corpus.JSON, 8<<10+rng.Intn(32<<10), int64(i))
-		jobs[i] = Job{Arrival: at, Payload: snappy.Encode(data)}
+		jobs[i] = Job{Arrival: at}
+		payloads[i] = snappy.Encode(data)
 		at += gapCycles * (0.5 + rng.Float64())
 	}
-	return jobs
+	return jobs, payloads
+}
+
+// run services jobs FCFS across d's pipelines: each payload's Exec gives its
+// job's service cycles, and ReplayPolicy under the zero policy queues them.
+func run(d *Device, jobs []Job, payloads [][]byte) ([]JobResult, DeviceStats, error) {
+	service := make([]float64, len(payloads))
+	for i, p := range payloads {
+		res, err := d.Exec(p)
+		if err != nil {
+			return nil, DeviceStats{}, err
+		}
+		service[i] = res.Cycles
+	}
+	return d.ReplayPolicy(jobs, service, nil, nil, resil.Policy{})
 }
 
 func TestDeviceSinglePipelineMatchesInstance(t *testing.T) {
@@ -29,8 +46,8 @@ func TestDeviceSinglePipelineMatchesInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Huge gaps: no queueing; latency == service.
-	jobs := makeJobs(t, 20, 1e9)
-	results, stats, err := d.Run(jobs)
+	jobs, payloads := makeJobs(t, 20, 1e9)
+	results, stats, err := run(d, jobs, payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +70,8 @@ func TestDeviceQueueingUnderOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All jobs arrive at once: queue grows linearly.
-	jobs := makeJobs(t, 30, 0)
-	results, stats, err := d.Run(jobs)
+	jobs, payloads := makeJobs(t, 30, 0)
+	results, stats, err := run(d, jobs, payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +87,14 @@ func TestDeviceQueueingUnderOverload(t *testing.T) {
 }
 
 func TestMorePipelinesCutLatencyUnderLoad(t *testing.T) {
-	jobs := makeJobs(t, 60, 2000) // arrivals faster than one pipeline drains
+	jobs, payloads := makeJobs(t, 60, 2000) // arrivals faster than one pipeline drains
 	var prevP99 float64
 	for i, pipes := range []int{1, 2, 4} {
 		d, err := NewDevice(Config{Algo: comp.Snappy, Op: comp.Decompress}, pipes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stats, err := d.Run(jobs)
+		_, stats, err := run(d, jobs, payloads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,11 +127,11 @@ func TestDeviceCompressionDirection(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := corpus.Generate(corpus.Log, 64<<10, 9)
-	results, _, err := d.Run([]Job{{Arrival: 0, Payload: data}})
+	res, err := d.Exec(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Result.OutputBytes >= len(data) {
+	if res.OutputBytes >= len(data) {
 		t.Error("compression device did not compress")
 	}
 }
@@ -133,18 +150,16 @@ func TestDeviceValidation(t *testing.T) {
 
 func TestDeviceRejectsUnsortedJobs(t *testing.T) {
 	d, _ := NewDevice(Config{Algo: comp.Snappy, Op: comp.Decompress}, 1)
-	jobs := []Job{
-		{Arrival: 100, Payload: snappy.Encode([]byte("abcd"))},
-		{Arrival: 50, Payload: snappy.Encode([]byte("efgh"))},
-	}
-	if _, _, err := d.Run(jobs); err == nil {
+	jobs := []Job{{Arrival: 100}, {Arrival: 50}}
+	payloads := [][]byte{snappy.Encode([]byte("abcd")), snappy.Encode([]byte("efgh"))}
+	if _, _, err := run(d, jobs, payloads); err == nil {
 		t.Error("unsorted jobs accepted")
 	}
 }
 
 func TestDeviceEmptyBatch(t *testing.T) {
 	d, _ := NewDevice(Config{Algo: comp.Snappy, Op: comp.Decompress}, 1)
-	results, stats, err := d.Run(nil)
+	results, stats, err := run(d, nil, nil)
 	if err != nil || results != nil || stats.Jobs != 0 {
 		t.Errorf("empty batch: %v %v %+v", results, err, stats)
 	}
@@ -162,12 +177,12 @@ func TestReplayRejectsInvalidService(t *testing.T) {
 		{100, math.Inf(1), 100},
 		{math.Inf(-1), 100, 100},
 	} {
-		if _, _, err := d.Replay(jobs, bad); err == nil {
-			t.Errorf("Replay accepted service %v", bad)
+		if _, _, err := d.ReplayPolicy(jobs, bad, nil, nil, resil.Policy{}); err == nil {
+			t.Errorf("ReplayPolicy accepted service %v", bad)
 		}
 	}
 	// Zero service is legitimate (a degenerate but finite call).
-	results, stats, err := d.Replay(jobs, []float64{100, 0, 100})
+	results, stats, err := d.ReplayPolicy(jobs, []float64{100, 0, 100}, nil, nil, resil.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +199,7 @@ func TestReplayReportsStartAndPipeline(t *testing.T) {
 	// Two simultaneous arrivals fill both pipelines; the third waits for the
 	// earliest-free one.
 	jobs := []Job{{Arrival: 0}, {Arrival: 0}, {Arrival: 0}}
-	results, _, err := d.Replay(jobs, []float64{100, 50, 10})
+	results, _, err := d.ReplayPolicy(jobs, []float64{100, 50, 10}, nil, nil, resil.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -311,7 +311,7 @@ func TestMutatedPlansRejectedLikeReconstructAndCompare(t *testing.T) {
 			t.Fatal(err)
 		}
 		for cname, content := range map[string][]byte{"periodic": periodic, "mixed": mixed} {
-			_, plan, err := coder.AppendCompressPlan(nil, algo, 0, 10, content)
+			_, plan, err := coder.AppendCompressSizeOnly(nil, algo, 0, 10, content)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,7 +389,7 @@ func TestPlannedOffsetPastWindow(t *testing.T) {
 // does not export the block types, so the Type comes from a real plan.
 func compressedBlock(t testing.TB, rawSize int, seqs []lz77.Seq) zstdlite.BlockInfo {
 	t.Helper()
-	_, real, err := comp.NewCoder().AppendCompressPlan(nil, comp.ZStd, 0, 0, bytes.Repeat([]byte("compressible "), 100))
+	_, real, err := comp.NewCoder().AppendCompressSizeOnly(nil, comp.ZStd, 0, 0, bytes.Repeat([]byte("compressible "), 100))
 	if err != nil || !real.ZStd.Blocks[0].IsCompressed() {
 		t.Fatalf("no compressed block to copy (%v)", err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -28,24 +29,48 @@ func replayFixture(t *testing.T, pipes, n int, gap float64) (*Device, []Job, []f
 }
 
 // TestReplayPolicyZeroMatchesReplay pins that the zero policy with nil
-// post/faults is arithmetically identical to Replay — the guarantee the
-// sharded replay relies on to keep existing Reports byte-stable.
+// post/faults is arithmetically identical to a plain FCFS replay — the
+// earliest-free pipeline, the lowest index on a tie, computed here
+// independently — and that all-zero post and fault slices change nothing: the
+// guarantee the sharded replay relies on to keep existing Reports byte-stable.
 func TestReplayPolicyZeroMatchesReplay(t *testing.T) {
-	d, jobs, service := replayFixture(t, 3, 200, 1500)
-	want, wantStats, err := d.Replay(jobs, service)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const pipes = 3
+	d, jobs, service := replayFixture(t, pipes, 200, 1500)
 	got, gotStats, err := d.ReplayPolicy(jobs, service, nil, nil, resil.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotStats != wantStats {
-		t.Fatalf("stats diverged:\n got %+v\nwant %+v", gotStats, wantStats)
+	free := make([]float64, pipes)
+	busy, last := 0.0, 0.0
+	for i, job := range jobs {
+		p := 0
+		for k := 1; k < pipes; k++ {
+			if free[k] < free[p] {
+				p = k
+			}
+		}
+		start := math.Max(job.Arrival, free[p])
+		free[p] = start + service[i]
+		busy, last = busy+service[i], math.Max(last, free[p])
+		want := JobResult{Queue: start - job.Arrival, Service: service[i], Latency: free[p] - job.Arrival, Start: start, Pipeline: p}
+		if got[i] != want {
+			t.Fatalf("job %d diverged from FCFS:\n got %+v\nwant %+v", i, got[i], want)
+		}
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("job %d diverged:\n got %+v\nwant %+v", i, got[i], want[i])
+	makespan := last - jobs[0].Arrival
+	if gotStats.Jobs != len(jobs) || gotStats.Makespan != makespan || gotStats.Utilization != busy/(pipes*makespan) {
+		t.Errorf("stats %+v, want %d jobs over makespan %v at utilization %v", gotStats, len(jobs), makespan, busy/(pipes*makespan))
+	}
+	zeroed, zeroedStats, err := d.ReplayPolicy(jobs, service, make([]float64, len(jobs)), make([]int, len(jobs)), resil.Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zeroedStats != gotStats {
+		t.Fatalf("zero post and faults moved the stats:\n got %+v\nwant %+v", zeroedStats, gotStats)
+	}
+	for i := range got {
+		if zeroed[i] != got[i] {
+			t.Fatalf("job %d moved under zero post and faults:\n got %+v\nwant %+v", i, zeroed[i], got[i])
 		}
 	}
 }

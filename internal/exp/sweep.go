@@ -5,8 +5,10 @@ package exp
 // sweep: a title and note, its columns — label columns, then cells from one
 // Report→cell vocabulary — its points, each a tweak of the sweep's base
 // sim.Config, and checks from one small predicate set. runSweeps prepares once
-// per distinct sim prepare key, so a point that moves only what phase C reads
-// costs one phase C.
+// per distinct sim prepare key (seed, calls, call-size cap, placement, trace),
+// so a point that moves anything else costs one sim.Prepared.Run: phase C,
+// plus a re-cost of the calls its storm hits or its brownouts touch. The
+// chaos sweeps prepare once per placement, the failover sweeps once.
 
 import (
 	"errors"

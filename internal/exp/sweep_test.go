@@ -17,8 +17,8 @@ func TestReplaySweepsPrepareOncePerKey(t *testing.T) {
 		prepares, replays int
 	}{
 		{"fleet-replay", 2, 6},
-		{"chaos-sweep", 18, 18},
-		{"failover-sweep", 8, 8},
+		{"chaos-sweep", 2, 18}, // one per placement
+		{"failover-sweep", 1, 8},
 		{"openloop-sweep", 2, 10}, // the burst table needs 1200 calls, QuickConfig has 400
 		{"overload-sweep", 1, 9},
 	} {

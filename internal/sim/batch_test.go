@@ -123,7 +123,7 @@ func TestShardExecSteadyStateAllocs(t *testing.T) {
 	}
 	outs := make([]execOut, len(specs))
 	run := func() {
-		if at, err := sh.execTile(specs, 0, len(specs), &cfg, outs); err != nil {
+		if at, err := sh.execTile(specs, nil, 0, len(specs), &cfg, outs); err != nil {
 			t.Fatalf("call %d: %v", at, err)
 		}
 	}
@@ -136,14 +136,15 @@ func TestShardExecSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestParsedFramesAreReal pins the gate on size-only synthesis: whatever may
-// parse a frame's bytes gets a real frame. Every decompress-op call of a 100 %
-// storm (mutation, recovery re-execution, software fallback) and every
-// brownout-range call of a lifecycle replay (re-executed under the fault
-// injector) must leave the shard holding a frame that decodes to the payload;
-// the healthy calls beside them must not, or the check has no teeth. The
-// frame buffer is poisoned before each call, because a size-only Snappy frame
-// keeps whatever bytes lay under its literals.
+// TestParsedFramesAreReal pins the gate on size-only synthesis: Prepare never
+// synthesizes a real frame, and the re-cost, where anything may parse one,
+// always does. After its healthy execution no decompress-op call of at least
+// 64 bytes may leave the shard holding a frame that decodes to the payload,
+// storm-hit or not; after its re-cost every call of a 100 % storm (mutation,
+// recovery re-execution, software fallback) and every brownout-range call of a
+// lifecycle replay (re-executed under the fault injector) must. The frame
+// buffer is poisoned before each call, because a size-only Snappy frame keeps
+// whatever bytes lay under its literals.
 func TestParsedFramesAreReal(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -163,43 +164,55 @@ func TestParsedFramesAreReal(t *testing.T) {
 			t.Fatal(err)
 		}
 		specs, _, _ := sampleCalls(cfg)
+		sched, _, _ := schedule(specs, &cfg)
 		sh, err := newShard(cfg.Placement, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var parsed, healthy int
+		poison := func() {
+			for j := range sh.enc[:cap(sh.enc)] {
+				sh.enc[:cap(sh.enc)][j] = 0xa5
+			}
+		}
+		decodes := func(s *callSpec) (bool, error) {
+			back, err := comp.DecompressCall(s.rec.Algo, sh.enc)
+			return err == nil && bytes.Equal(back, sh.plain), err
+		}
+		var healthy, recosted int
 		for i := range specs {
 			s := &specs[i]
 			if s.rec.Op != comp.Decompress {
 				continue
 			}
 			sh.plain = sh.gen.AppendGenerate(sh.plain[:0], s.kind, s.rec.UncompressedBytes, s.payloadSeed)
-			for j := range sh.enc[:cap(sh.enc)] {
-				sh.enc[:cap(sh.enc)][j] = 0xa5
-			}
-			if _, err := sh.execOne(s, i, &cfg, sh.plain); err != nil {
+			poison()
+			out, err := sh.execOne(s, sh.plain)
+			if err != nil {
 				t.Fatalf("%s: call %d: %v", tc.name, i, err)
 			}
-			_, _, stormHit := cfg.Storm.Draw(i)
-			brownout := cfg.Lifecycle != nil && cfg.Lifecycle.AnyBrownoutRange(s.inst*cfg.Replicas, cfg.Replicas, i)
-			back, err := comp.DecompressCall(s.rec.Algo, sh.enc)
-			real := err == nil && bytes.Equal(back, sh.plain)
-			switch {
-			case stormHit || brownout:
-				parsed++
-				if !real {
-					t.Errorf("%s: call %d (%v, storm %v, brownout %v) reached its device with a frame that does not decode to the payload (%v)",
-						tc.name, i, s.rec.Algo, stormHit, brownout, err)
-				}
-			case len(sh.plain) >= 64:
+			if ok, _ := decodes(s); len(sh.plain) >= 64 {
 				healthy++
-				if real {
-					t.Errorf("%s: healthy call %d (%v) was synthesized in full", tc.name, i, s.rec.Algo)
+				if ok {
+					t.Errorf("%s: Prepare synthesized call %d (%v) in full", tc.name, i, s.rec.Algo)
 				}
 			}
+			_, _, stormHit := cfg.Storm.Draw(i)
+			brownout := cfg.Lifecycle.AnyBrownoutRange(sched[i].inst*cfg.Replicas, cfg.Replicas, i)
+			if !stormHit && !brownout {
+				continue
+			}
+			recosted++
+			poison()
+			if err := sh.recostCall(s, i, &cfg, sh.plain, &out); err != nil {
+				t.Fatalf("%s: re-costing call %d: %v", tc.name, i, err)
+			}
+			if ok, err := decodes(s); !ok {
+				t.Errorf("%s: call %d (%v, storm %v, brownout %v) was re-costed on a frame that does not decode to the payload (%v)",
+					tc.name, i, s.rec.Algo, stormHit, brownout, err)
+			}
 		}
-		if parsed == 0 || (cfg.Storm == nil && healthy == 0) {
-			t.Errorf("%s: %d parsed and %d healthy decompress calls; the run exercises nothing", tc.name, parsed, healthy)
+		if recosted == 0 || healthy == 0 {
+			t.Errorf("%s: %d re-costed of %d healthy decompress calls; the run exercises nothing", tc.name, recosted, healthy)
 		}
 	}
 }
@@ -221,7 +234,7 @@ func newReplayFixture(b *testing.B, calls int) *replayFixture {
 		b.Fatal(err)
 	}
 	f := &replayFixture{cfg: cfg, specs: specs, sh: sh, outs: make([]execOut, len(specs))}
-	if at, err := sh.execTile(specs, 0, len(specs), &cfg, f.outs); err != nil {
+	if at, err := sh.execTile(specs, nil, 0, len(specs), &cfg, f.outs); err != nil {
 		b.Fatalf("warmup call %d: %v", at, err)
 	}
 	return f
@@ -266,7 +279,7 @@ func BenchmarkReplayShard(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := range f.specs {
-				out, err := sh.execOne(&f.specs[j], j, &f.cfg, arena[offs[j]:offs[j+1]])
+				out, err := sh.execOne(&f.specs[j], arena[offs[j]:offs[j+1]])
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -281,7 +294,7 @@ func BenchmarkReplayShard(b *testing.B) {
 		for i, s := range f.specs {
 			perDev[s.dev] = append(perDev[s.dev], i)
 		}
-		sched, _ := schedule(f.specs, &f.cfg)
+		sched, _, _ := schedule(f.specs, &f.cfg)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

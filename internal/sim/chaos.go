@@ -27,10 +27,10 @@ const (
 // the device-side service cycles (all dispatches plus backoff waits), the
 // software-fallback cycles appended after the device gives up, how many
 // dispatches faulted (feeds pipeline quarantine), how many re-dispatches the
-// call consumed, and whether it was ultimately served degraded. Cluster-mode
-// replays (Config.Lifecycle set) additionally carry the call's watchdog
-// budget (what a hung replica burns before failing the dispatch) and, for
-// calls landing in a brownout window, the degraded-bandwidth service cycles.
+// call consumed, and whether it was ultimately served degraded. Every call
+// carries its watchdog budget (what a hung replica burns before failing the
+// dispatch) and, under a Lifecycle, a call landing in a brownout window
+// carries its degraded-bandwidth service cycles.
 type execOut struct {
 	service  float64
 	post     float64
@@ -68,19 +68,6 @@ func stormPlan(kind fault.StormKind) fault.Plan {
 func corruptErr(s *callSpec, cfg *Config, cycles float64, cause error) error {
 	unit := core.Config{Algo: s.rec.Algo, Op: s.rec.Op, Placement: cfg.Placement}.Name()
 	return &core.DeviceError{Reason: "corrupt-input", Unit: unit, Cycles: cycles, Err: cause}
-}
-
-// chaosExec runs one storm-hit call through the recovery policy. Corruption
-// is non-transient and skips straight to the fallback decision; device faults
-// retry with seeded backoff first. plain is the call's uncompressed payload
-// (the shard's reused buffer); devInput is what the device actually
-// consumes — the compressed frame for decompress-op calls, plain itself for
-// compression.
-func (sh *shard) chaosExec(s *callSpec, call int, cfg *Config, plain, devInput []byte, kind fault.StormKind, repeats int) (execOut, error) {
-	if kind == fault.StormBitFlip {
-		return sh.chaosBitFlip(s, call, cfg, plain, devInput)
-	}
-	return sh.chaosTransient(s, call, cfg, plain, devInput, kind, repeats)
 }
 
 // chaosBitFlip models payload corruption on the device path. The host's copy

@@ -6,7 +6,6 @@ import (
 
 	"cdpu/internal/cluster"
 	"cdpu/internal/comp"
-	"cdpu/internal/core"
 	"cdpu/internal/fault"
 	"cdpu/internal/memsys"
 	"cdpu/internal/obs"
@@ -22,42 +21,47 @@ func (c Config) clusterMode() bool {
 	return c.Replicas > 1 || c.Failover.Enabled() || c.Lifecycle != nil
 }
 
-// annotateCluster fills the cluster-mode fields of one call's phase-B
-// outcome: the watchdog budget a hung replica would burn, and — for calls
-// whose index lands in any replica's brownout window — the
-// degraded-bandwidth service cycles, measured by re-executing the call with
-// the brownout's stalled-MSHR injector installed. Both are pure functions of
-// (spec, seed, call index), so the annotation is byte-identical at any
-// worker count. Storm-hit calls keep brown zero: their service time already
-// reflects the storm's recovery arc, and layering a second degradation model
-// on top would double-charge them.
-func (sh *shard) annotateCluster(out *execOut, s *callSpec, call int, cfg *Config, plain, devInput []byte, stormHit bool) error {
-	devCfg := core.Config{Algo: s.rec.Algo, Op: s.rec.Op, Placement: cfg.Placement}
-	// Budget bytes mirror the real watchdog's post-call accounting where the
-	// sizes are knowable up front: a decompression call's output is the
-	// uncompressed payload; a compression call's output size is unknown
-	// before it runs, so its budget conservatively covers the input only.
-	inB, outB := len(plain), 0
+// recostCall re-costs one call a storm hits or a brownout touches, over its
+// prepared healthy outcome out. Everything here may parse the frame, so a
+// decompress-op call's input is encoded in full; plain is the call's payload
+// (the shard's reused buffer). A call the storm misses is inside a brownout
+// window of its replica group: it keeps its healthy service and gains the
+// degraded-bandwidth cycles of a re-execution under the brownout's
+// stalled-MSHR injector. A storm hit's recovery arc replaces its outcome but
+// for the watchdog budget — corruption is non-transient and skips straight to
+// the fallback decision, device faults retry with seeded backoff first — and
+// gains no brownout cycles: its service already reflects the arc, and a
+// second degradation model would double-charge it.
+func (sh *shard) recostCall(s *callSpec, call int, cfg *Config, plain []byte, out *execOut) error {
+	devInput := plain
 	if s.rec.Op == comp.Decompress {
-		inB, outB = len(devInput), len(plain)
+		var err error
+		if sh.enc, err = sh.coder.AppendCompress(sh.enc[:0], s.rec.Algo, s.rec.Level, min(s.rec.WindowLog, 17), plain); err != nil {
+			return err
+		}
+		devInput = sh.enc
 	}
-	out.budget = devCfg.WatchdogBudget(inB, outB)
-	// The brownout window that matters is the one covering this call's own
-	// replica group: instance inst of a slot owns replicas
-	// [inst*Replicas, (inst+1)*Replicas) of the lifecycle schedule's replica
-	// space, so each device instance sees independent lifecycle weather.
-	if stormHit || !cfg.Lifecycle.AnyBrownoutRange(s.inst*cfg.Replicas, cfg.Replicas, call) {
+	kind, repeats, hit := cfg.Storm.Draw(call)
+	if !hit {
+		dev := sh.devs[s.dev]
+		dev.SetFaultInjector(fault.Plan{StallEvery: 1, StallMSHRs: fault.BrownoutStallMSHRs})
+		res, err := dev.Exec(devInput)
+		dev.SetFaultInjector(nil)
+		if err != nil {
+			return fmt.Errorf("sim: brownout service for call %d: %w", call, err)
+		}
+		out.brown = res.Cycles
 		return nil
 	}
-	dev := sh.devs[s.dev]
-	dev.SetFaultInjector(fault.Plan{StallEvery: 1, StallMSHRs: fault.BrownoutStallMSHRs})
-	res, err := dev.Exec(devInput)
-	dev.SetFaultInjector(nil)
-	if err != nil {
-		return fmt.Errorf("sim: brownout service for call %d: %w", call, err)
+	budget := out.budget
+	var err error
+	if kind == fault.StormBitFlip {
+		*out, err = sh.chaosBitFlip(s, call, cfg, plain, devInput)
+	} else {
+		*out, err = sh.chaosTransient(s, call, cfg, plain, devInput, kind, repeats)
 	}
-	out.brown = res.Cycles
-	return nil
+	out.budget = budget
+	return err
 }
 
 // softwareCycles is the Xeon-baseline service time of one call in device

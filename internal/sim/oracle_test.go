@@ -45,7 +45,7 @@ func runLegacyReduction(perPart [][]int, specs []scheduled, outs []execOut, cfg 
 // reduceDevice replays one device's FCFS queue over the precomputed service
 // cycles. The recovery-aware pass only materializes its extra per-job inputs
 // when something can populate them; with the zero policy ReplayPolicy is
-// arithmetically identical to Replay.
+// arithmetically identical to plain FCFS.
 func reduceDevice(d int, idxs []int, specs []scheduled, outs []execOut, cfg *Config, chaos bool) devReduction {
 	slot := deviceOrder[d]
 	dev, err := core.NewDevice(core.Config{Algo: slot.algo, Op: slot.op, Placement: cfg.Placement}, cfg.Pipelines)

@@ -18,8 +18,8 @@ import (
 	"cdpu/internal/traffic"
 )
 
-// prepareBase has a Storm and a Lifecycle, so every conditionally keyed field
-// (Resilience's recovery half, Replicas) is in its key.
+// prepareBase has a Storm and a Lifecycle, so a Run on it re-costs storm hits
+// and brownout-range calls both.
 func prepareBase() Config {
 	return Config{
 		Seed: 3, Calls: 96, MaxCallBytes: 16 << 10, Workers: 2,
@@ -33,9 +33,10 @@ func prepareBase() Config {
 
 // configFields places every Config field: keyed fields change what phases A
 // and B compute, so Prepared.Run must refuse a change to one and name it; the
-// rest are read by phase C alone (Workers by nothing the Report depends on),
-// so Prepared.Run must accept a change and return what Run does. perturb
-// moves the field off prepareBase to another valid config.
+// rest are read by Run alone — the schedule, the re-cost of the calls a fault
+// touches, phase C (Workers by nothing the Report depends on) — so
+// Prepared.Run must accept a change and return what Run does. perturb moves
+// the field off prepareBase to another valid config.
 var configFields = map[string]struct {
 	keyed   bool
 	perturb func(*Config)
@@ -43,13 +44,13 @@ var configFields = map[string]struct {
 	"Seed":         {true, func(c *Config) { c.Seed++ }},
 	"Calls":        {true, func(c *Config) { c.Calls++ }},
 	"MaxCallBytes": {true, func(c *Config) { c.MaxCallBytes = 8 << 10 }},
-	"Devices":      {true, func(c *Config) { c.Devices = 2 }},
 	"Placement":    {true, func(c *Config) { c.Placement = memsys.PCIeNoCache }},
 	"Trace":        {true, func(c *Config) { c.Trace = obs.NewTrace(2) }},
-	"Storm":        {true, func(c *Config) { c.Storm = &fault.Storm{Seed: 5, Rate: 0.2, MeanRepeats: 1} }},
-	"Resilience":   {true, func(c *Config) { c.Resilience.MaxAttempts = 2 }},
-	"Lifecycle":    {true, func(c *Config) { c.Lifecycle = &fault.Lifecycle{Seed: 9, Rate: 0.3, EpochCalls: 16, MeanEventCalls: 8} }},
-	"Replicas":     {true, func(c *Config) { c.Replicas = 2 }},
+	"Devices":      {false, func(c *Config) { c.Devices = 2 }},
+	"Storm":        {false, func(c *Config) { c.Storm = &fault.Storm{Seed: 5, Rate: 0.2, MeanRepeats: 1} }},
+	"Resilience":   {false, func(c *Config) { c.Resilience.MaxAttempts = 2 }},
+	"Lifecycle":    {false, func(c *Config) { c.Lifecycle = &fault.Lifecycle{Seed: 9, Rate: 0.3, EpochCalls: 16, MeanEventCalls: 8} }},
+	"Replicas":     {false, func(c *Config) { c.Replicas = 2 }},
 	"OfferedGBps":  {false, func(c *Config) { c.OfferedGBps = 6 }},
 	"Pipelines":    {false, func(c *Config) { c.Pipelines = 2 }},
 	"Workers":      {false, func(c *Config) { c.Workers = 3 }},
@@ -84,7 +85,7 @@ func TestPrepareKeyCoversConfig(t *testing.T) {
 		name := typ.Field(i).Name
 		f, ok := configFields[name]
 		if !ok {
-			t.Errorf("Config.%s is neither in prepareKey nor read by phase C alone: place it in configFields", name)
+			t.Errorf("Config.%s is neither in prepareKey nor read by Run alone: place it in configFields", name)
 			continue
 		}
 		if f.keyed != slices.Contains(keyed, name) {
@@ -106,34 +107,6 @@ func TestPrepareKeyCoversConfig(t *testing.T) {
 	}
 	if len(configFields) != typ.NumField() {
 		t.Errorf("configFields places %d fields, Config has %d", len(configFields), typ.NumField())
-	}
-}
-
-// TestPreparedRunKeyIsConditional: Resilience is keyed only with a Storm and
-// Replicas only with a Lifecycle, so without them a sweep over either is all
-// phase C — and a storm's key ignores the admission half of the policy.
-func TestPreparedRunKeyIsConditional(t *testing.T) {
-	base := Config{Seed: 3, Calls: 96, MaxCallBytes: 16 << 10}
-	p, err := Prepare(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := base
-	cfg.Resilience, cfg.Replicas, cfg.Failover = testPolicy(), 3, clusterPolicy()
-	got, err := p.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, err := Run(cfg); err != nil || *got != *want {
-		t.Errorf("Prepared.Run = %+v; Run = %+v, %v", got, want, err)
-	}
-	stormed := prepareBase()
-	if p, err = Prepare(stormed); err != nil {
-		t.Fatal(err)
-	}
-	stormed.Resilience.MaxQueue, stormed.Resilience.QuarantineK = 8, 1
-	if _, err := p.Run(stormed); err != nil {
-		t.Errorf("admission and quarantine changed a storm's key: %v", err)
 	}
 }
 
@@ -183,11 +156,29 @@ func TestPreparedRunRepeatable(t *testing.T) {
 
 // TestPreparedRunCountersReconcile: each Run's sim, resil, traffic-class and
 // cluster counter deltas equal its own Report, though phase B ran once for
-// both Runs.
+// all Runs, and sim.recosted_calls moves by the calls the Run's faults touch:
+// every storm hit, and every other call inside a brownout window of one of its
+// own replica group's replicas. A Run with no fault schedule re-costs none.
 func TestPreparedRunCountersReconcile(t *testing.T) {
 	cfg := prepareBase()
 	cfg.Traffic, cfg.Resilience.MaxQueue = traffic.Pattern{CallsPerMcycle: 4000}, 16
 	reg := obs.Default()
+	touched := func(c Config) (n int) {
+		c = c.withDefaults()
+		specs, _, _ := sampleCalls(c)
+		sched, _, _ := schedule(specs, &c)
+		for i, s := range sched {
+			_, _, hit := c.Storm.Draw(i)
+			for r := s.inst * c.Replicas; !hit && r < (s.inst+1)*c.Replicas; r++ {
+				kind, sick := c.Lifecycle.State(r, i)
+				hit = sick && kind == fault.LifeBrownout
+			}
+			if hit {
+				n++
+			}
+		}
+		return n
+	}
 	counters := map[string]func(*Report) int{
 		"sim.calls":                    func(r *Report) int { return r.Calls },
 		"resil.retries":                func(r *Report) int { return r.RetryAttempts },
@@ -204,17 +195,19 @@ func TestPreparedRunCountersReconcile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for run := 0; run < 2; run++ {
+	healthy := cfg
+	healthy.Storm, healthy.Lifecycle = nil, nil
+	for run, c := range []Config{cfg, cfg, healthy} {
 		before := map[string]int64{}
 		for name := range counters {
 			before[name] = reg.Counter(name).Value()
 		}
-		n0 := metricSimCallBytes.Count()
-		r, err := p.Run(cfg)
+		n0, recosted0 := metricSimCallBytes.Count(), metricSimRecosted.Value()
+		r, err := p.Run(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.RetryAttempts == 0 || r.DegradedCalls == 0 || r.Failovers == 0 || r.ShedCalls == 0 {
+		if c.Storm != nil && (r.RetryAttempts == 0 || r.DegradedCalls == 0 || r.Failovers == 0 || r.ShedCalls == 0) {
 			t.Fatalf("the run exercises too little: %+v", r)
 		}
 		for name, want := range counters {
@@ -225,19 +218,26 @@ func TestPreparedRunCountersReconcile(t *testing.T) {
 		if n := metricSimCallBytes.Count() - n0; n != int64(r.Calls) {
 			t.Errorf("Run %d: sim.call_bytes observed %d calls, Report says %d", run, n, r.Calls)
 		}
+		want := touched(c)
+		if c.Storm != nil && (want == 0 || want == r.Calls) {
+			t.Fatalf("the faults touch %d of %d calls; the count has no teeth", want, r.Calls)
+		}
+		if d := metricSimRecosted.Value() - recosted0; d != int64(want) {
+			t.Errorf("Run %d: sim.recosted_calls moved by %d, the faults touch %d calls", run, d, want)
+		}
 	}
 }
 
-// FuzzPreparedRun prepares one phase-A/B shape per target — closed loop, open
-// loop, storm, lifecycle — and fuzzes only what the key leaves out: Prepared.Run
-// must equal Run exactly, the same Report or the same error, and an accepted
-// Report holds no NaN, Inf or negative number.
+// FuzzPreparedRun prepares the healthy replay of two shapes — closed and open
+// loop — and fuzzes what the key leaves out, the fault schedules included:
+// Prepared.Run must equal Run exactly, the same Report or the same error, and
+// an accepted Report holds no NaN, Inf or negative number. kinds selects the
+// storm's kinds in its low three bits and the lifecycle's in the next three,
+// an empty selection meaning all; a zero rate leaves the schedule off.
 func FuzzPreparedRun(f *testing.F) {
 	shapes := []Config{
 		{Seed: 1, Calls: 64, MaxCallBytes: 8 << 10},
 		{Seed: 2, Calls: 64, MaxCallBytes: 8 << 10, Traffic: traffic.Pattern{CallsPerMcycle: 3000}},
-		{Seed: 3, Calls: 64, MaxCallBytes: 8 << 10, Resilience: testPolicy(), Storm: &fault.Storm{Seed: 4, Rate: 0.2, MeanRepeats: 1}},
-		{Seed: 4, Calls: 64, MaxCallBytes: 8 << 10, Replicas: 2, Lifecycle: &fault.Lifecycle{Seed: 6, Rate: 0.4, EpochCalls: 16, MeanEventCalls: 8}},
 	}
 	preps := make([]*Prepared, len(shapes))
 	for i, c := range shapes {
@@ -247,25 +247,43 @@ func FuzzPreparedRun(f *testing.F) {
 		}
 		preps[i] = p
 	}
-	f.Add(uint8(0), uint8(1), uint8(1), int16(0), int16(0), int16(0), 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-	f.Add(uint8(1), uint8(2), uint8(3), int16(16), int16(4), int16(1), 0.5, 3000.0, 2.0, 1.5, 10.0, 2e5, 0.001)
-	f.Add(uint8(2), uint8(1), uint8(1), int16(32), int16(0), int16(3), 6.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0)
-	f.Add(uint8(3), uint8(2), uint8(2), int16(8), int16(2), int16(2), 1.0, 12000.0, 6.0, 0.0, 40.0, 1e5, 0.0)
+	f.Add(uint8(0), uint8(1), uint8(1), int16(0), int16(0), int16(0), 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+		int64(0), uint8(0), 0.0, 0.0, 0.0, int16(0), int16(0))
+	f.Add(uint8(1), uint8(2), uint8(3), int16(16), int16(4), int16(1), 0.5, 3000.0, 2.0, 1.5, 10.0, 2e5, 0.001,
+		int64(7), uint8(0o25), 0.1, 1.0, 0.3, int16(16), int16(8))
+	f.Add(uint8(0), uint8(1), uint8(1), int16(32), int16(0), int16(3), 6.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0,
+		int64(4), uint8(0), 0.2, 1.0, 0.0, int16(0), int16(0))
+	f.Add(uint8(1), uint8(2), uint8(2), int16(8), int16(2), int16(2), 1.0, 12000.0, 6.0, 0.0, 40.0, 1e5, 0.0,
+		int64(6), uint8(0o40), 0.0, 0.0, 0.4, int16(16), int16(8))
 	f.Fuzz(func(t *testing.T, shape, pipelines, replicas uint8, queue, up, k int16,
-		gbps, rate, burst, deadline, target, window, budget float64) {
+		gbps, rate, burst, deadline, target, window, budget float64,
+		faultSeed int64, kinds uint8, stormRate, repeats, lifeRate float64, epoch, mean int16) {
 		i := int(shape) % len(shapes)
 		cfg := shapes[i]
 		cfg.Workers = 2
 		cfg.Pipelines = int(pipelines % 5)
 		cfg.OfferedGBps = gbps
-		if cfg.Lifecycle == nil {
-			cfg.Replicas = int(replicas % 5)
+		cfg.Replicas = int(replicas % 5)
+		cfg.Devices = int(replicas / 5 % 3)
+		if stormRate != 0 {
+			cfg.Storm = &fault.Storm{Seed: faultSeed, Rate: stormRate, MeanRepeats: repeats}
+			for j, kind := range fault.StormKinds {
+				if kinds>>j&1 != 0 {
+					cfg.Storm.Kinds = append(cfg.Storm.Kinds, kind)
+				}
+			}
 		}
-		if cfg.Storm == nil {
-			cfg.Resilience = resil.Policy{MaxQueue: int(queue), QuarantineK: int(k), QuarantineWindowCycles: window,
-				QuarantinePenaltyCycles: window, SoftwareFallback: k%2 == 0, PriorityClasses: int(up)}
+		if lifeRate != 0 {
+			cfg.Lifecycle = &fault.Lifecycle{Seed: faultSeed + 1, Rate: lifeRate, EpochCalls: int(epoch), MeanEventCalls: int(mean)}
+			for j, kind := range fault.LifeKinds {
+				if kinds>>(3+j)&1 != 0 {
+					cfg.Lifecycle.Kinds = append(cfg.Lifecycle.Kinds, kind)
+				}
+			}
 		}
-		cfg.Resilience.DeadlineFactor = deadline
+		cfg.Resilience = resil.Policy{MaxAttempts: int(k % 4), BackoffBaseCycles: window / 8, BackoffMaxCycles: window, JitterFrac: 0.5,
+			MaxQueue: int(queue), QuarantineK: int(k), QuarantineWindowCycles: window,
+			QuarantinePenaltyCycles: window, SoftwareFallback: k%2 == 0, PriorityClasses: int(up), DeadlineFactor: deadline}
 		cfg.Failover = cluster.FailoverPolicy{MaxFailovers: int(k), HedgeDelayCycles: window, BreakerFailures: int(up)}
 		cfg.Autoscale = traffic.Autoscale{UpQueueDepth: int(up), DownQueueDepth: int(k), CooldownCycles: window}
 		cfg.Traffic = traffic.Pattern{CallsPerMcycle: rate, BurstFactor: burst, BurstOnCycles: window, BurstOffCycles: 2 * window}

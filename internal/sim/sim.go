@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -45,11 +46,13 @@ import (
 )
 
 // Replay-shape instruments. Updated only in the serial phases, so they add no
-// contention to the worker pool and never perturb the Report. sim.calls and
-// sim.call_bytes move once per Run, sim.prepares once per phase B.
+// contention to the worker pool and never perturb the Report. sim.calls,
+// sim.call_bytes and sim.recosted_calls move once per Run, sim.prepares once
+// per phase B.
 var (
 	metricSimCalls     = obs.Default().Counter("sim.calls")
 	metricSimPrepares  = obs.Default().Counter("sim.prepares")
+	metricSimRecosted  = obs.Default().Counter("sim.recosted_calls")
 	metricSimWorkers   = obs.Default().Gauge("sim.workers")
 	metricSimCallBytes = obs.Default().Histogram("sim.call_bytes")
 )
@@ -101,7 +104,7 @@ type Config struct {
 	Lifecycle *fault.Lifecycle
 	// Devices fans each deviceOrder slot out into N device instances (0/1 =
 	// one instance per slot, a 4-device fleet). Calls route to instances
-	// round-robin within their slot during the serial sampling phase, so the
+	// round-robin within their slot in the serial arrival schedule, so the
 	// routing — like every other per-call decision — is independent of worker
 	// count. Each instance is its own discrete-event partition (its own FCFS
 	// queue, or its own replica group in cluster mode, with a disjoint
@@ -297,14 +300,14 @@ type callSpec struct {
 	payloadSeed int64
 	jitter      float64 // closed-loop spacing factor in [0.5, 1.5)
 	dev         int
-	inst        int // device instance within the slot, in [0, Config.Devices)
 }
 
-// scheduled is a call as one Run's phase C sees it: its spec and its place in
-// that Run's arrival schedule.
+// scheduled is a call as one Run sees it: its spec, its place in that Run's
+// arrival schedule and the device instance it routes to.
 type scheduled struct {
 	*callSpec
 	arrival float64
+	inst    int // device instance within the slot, in [0, Config.Devices)
 	class   int // SLO class (0 in closed-loop mode, where no class exists)
 	tenant  int // sampled tenant rank (0 in closed-loop mode)
 }
@@ -319,11 +322,6 @@ type scheduled struct {
 func sampleCalls(cfg Config) (specs []callSpec, bytes int, xeonCycles float64) {
 	model := fleet.NewModel(cfg.Seed)
 	specs = make([]callSpec, 0, cfg.Calls)
-	// Instance routing: calls round-robin across a slot's device instances in
-	// sampling order. A per-slot counter in this serial phase keeps the routing
-	// a pure function of the call sequence — no extra RNG draws, so the call
-	// mix is unperturbed relative to Devices=1.
-	var rr [numDevices]int
 	for len(specs) < cfg.Calls {
 		rec := model.SampleCall()
 		// The CDPU serves the dominant pair; other algorithms stay on CPU.
@@ -341,8 +339,6 @@ func sampleCalls(cfg Config) (specs []callSpec, bytes int, xeonCycles float64) {
 			jitter:      0.5 + r.Float64(),
 			dev:         deviceIndex(rec.Algo, rec.Op),
 		}
-		s.inst = rr[s.dev] % cfg.Devices
-		rr[s.dev]++
 		bytes += rec.UncompressedBytes
 		xeonCycles += xeon.Cycles(rec.Algo, rec.Op, rec.Level, rec.UncompressedBytes)
 		specs = append(specs, s)
@@ -350,22 +346,29 @@ func sampleCalls(cfg Config) (specs []callSpec, bytes int, xeonCycles float64) {
 	return specs, bytes, xeonCycles
 }
 
-// schedule is phase A's arrival schedule over specs. Closed loop, arrivals are
-// spaced to the offered bandwidth (bytes / (GB/s) * cycles/ns, times each
-// call's jitter); open loop, they come from the seeded traffic generator and
-// carry the sampled tenant's rank and SLO class. Neither draws from a stream
-// the call mix uses, so phase B never sees the schedule. Returns the schedule
-// and the arrival-clock end time.
-func schedule(specs []callSpec, cfg *Config) (calls []scheduled, at float64) {
+// schedule is what one Run derives from the call mix, serially. Closed loop,
+// arrivals are spaced to the offered bandwidth (bytes / (GB/s) * cycles/ns,
+// times each call's jitter); open loop, they come from the seeded traffic
+// generator and carry the sampled tenant's rank and SLO class. Neither draws
+// from a stream the call mix uses, so phase B never sees the schedule. Calls
+// round-robin across their slot's device instances in call order, a pure
+// function of the call sequence. touched lists, ascending, the calls cfg's
+// faults reach: every call cfg.Storm hits and, under a Lifecycle, every call
+// inside a brownout window of its own replica group. Returns the schedule,
+// the arrival-clock end time and touched.
+func schedule(specs []callSpec, cfg *Config) (calls []scheduled, at float64, touched []int) {
 	var gen *traffic.Gen
 	if cfg.Traffic.Enabled() {
 		gen = traffic.NewGen(cfg.Traffic, cfg.Tenants, cfg.SLO, cfg.Seed)
 	}
 	cyclesPerByte := memsys.DeviceGHz / cfg.OfferedGBps
+	var rr [numDevices]int
 	calls = make([]scheduled, len(specs))
 	for i := range specs {
 		s := &calls[i]
 		s.callSpec = &specs[i]
+		s.inst = rr[s.dev] % cfg.Devices
+		rr[s.dev]++
 		if gen != nil {
 			a := gen.Next()
 			s.arrival, s.class, s.tenant, at = a.At, a.Class, a.Tenant, a.At
@@ -373,8 +376,13 @@ func schedule(specs []callSpec, cfg *Config) (calls []scheduled, at float64) {
 			s.arrival = at
 			at += float64(s.rec.UncompressedBytes) * cyclesPerByte * s.jitter
 		}
+		// Instance inst of a slot owns replicas [inst*Replicas,
+		// (inst+1)*Replicas) of the lifecycle schedule's replica space.
+		if _, _, hit := cfg.Storm.Draw(i); hit || cfg.Lifecycle.AnyBrownoutRange(s.inst*cfg.Replicas, cfg.Replicas, i) {
+			touched = append(touched, i)
+		}
 	}
-	return calls, at
+	return calls, at, touched
 }
 
 // devReduction is one partition's partial queueing reduction — one device
@@ -448,42 +456,26 @@ func run(cfg Config, reduce phaseC) (*Report, error) {
 
 // prepareKey names every Config field phases A and B read, after defaults.
 // Prepared.Run refuses a config whose key differs from the one it was
-// prepared with. A field left out of the key while phase B reads it would
-// replay stale outcomes, so the key errs on the side of inclusion: including
-// one costs a sweep over it a Prepare per point.
+// prepared with: a field phase B reads outside the key would replay stale
+// outcomes.
 type prepareKey struct {
-	Seed         int64            // the call mix, payloads and backoff draws
+	Seed         int64            // the call mix and payloads
 	Calls        int              // how many calls are sampled
 	MaxCallBytes int              // caps each call's size
-	Devices      int              // instance routing
 	Placement    memsys.Placement // every device clone's timing
 	Trace        bool             // whether execOuts carry spans
-	Storm        *fault.Storm     // which calls take the recovery path
-	Resilience   resil.Policy     // with a Storm: the recovery half only
-	Lifecycle    *fault.Lifecycle // which calls re-execute under brownout
-	Replicas     int              // with a Lifecycle: each instance's replica range
 }
 
 func (c *Config) prepareKey() prepareKey {
-	k := prepareKey{
-		Seed: c.Seed, Calls: c.Calls, MaxCallBytes: c.MaxCallBytes, Devices: c.Devices,
-		Placement: c.Placement, Trace: c.Trace != nil, Storm: c.Storm, Lifecycle: c.Lifecycle,
-	}
-	if r := c.Resilience; c.Storm != nil {
-		k.Resilience = resil.Policy{MaxAttempts: r.MaxAttempts, BackoffBaseCycles: r.BackoffBaseCycles,
-			BackoffMaxCycles: r.BackoffMaxCycles, JitterFrac: r.JitterFrac, SoftwareFallback: r.SoftwareFallback}
-	}
-	if c.Lifecycle != nil {
-		k.Replicas = c.Replicas
-	}
-	return k
+	return prepareKey{Seed: c.Seed, Calls: c.Calls, MaxCallBytes: c.MaxCallBytes, Placement: c.Placement, Trace: c.Trace != nil}
 }
 
 // Prepared is a replay with phases A and B done: the sampled call mix and
-// every call's execution outcome. Run completes it for any config with the
-// same prepareKey, re-deriving the arrival schedule and running phase C, so
-// a sweep over fields outside the key pays phase B once. Run never modifies
-// a Prepared; concurrent Runs on one are safe.
+// every call's healthy execution outcome. Run completes it for any config with
+// the same prepareKey: it re-derives the arrival schedule and instance
+// routing, re-costs the calls its faults touch, and runs phase C, so a sweep
+// over fields outside the key pays phase B once. Run never modifies a
+// Prepared; concurrent Runs on one are safe.
 type Prepared struct {
 	key        prepareKey
 	specs      []callSpec
@@ -492,10 +484,10 @@ type Prepared struct {
 	xeonCycles float64
 }
 
-// Prepare runs phase A's sampling and phase B: synthesize each payload and run
-// it through a functional device clone for its service cycles — under the
-// storm and recovery policy when configured — plus, when tracing, each call's
-// per-block span layout. cfg is validated whole, as Run would.
+// Prepare runs phase A's sampling and phase B, the healthy replay: synthesize
+// each payload and run it through a functional device clone for its service
+// cycles and watchdog budget, plus, when tracing, its per-block span layout.
+// No fault reaches phase B. cfg is validated whole, as Run would.
 func Prepare(cfg Config) (*Prepared, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -504,8 +496,8 @@ func Prepare(cfg Config) (*Prepared, error) {
 	p := &Prepared{key: cfg.prepareKey()}
 	p.specs, p.bytes, p.xeonCycles = sampleCalls(cfg)
 	metricSimPrepares.Inc()
-	var err error
-	if p.outs, err = execCalls(p.specs, cfg); err != nil {
+	p.outs = make([]execOut, len(p.specs))
+	if err := execCalls(p.specs, nil, &cfg, p.outs); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -534,14 +526,24 @@ func (p *Prepared) run(cfg Config, reduce phaseC) (*Report, error) {
 	}
 	report := &Report{Calls: len(p.specs), UncompressedBytes: p.bytes}
 	openLoop := cfg.Traffic.Enabled()
-	specs, at := schedule(p.specs, &cfg)
+	// The calls this Run's faults touch are re-costed on a copy of the
+	// prepared outcomes; a Run that touches none copies nothing.
+	specs, at, touched := schedule(p.specs, &cfg)
+	metricSimRecosted.Add(int64(len(touched)))
+	outs := p.outs
+	if len(touched) > 0 {
+		outs = slices.Clone(p.outs)
+		if err := execCalls(p.specs, touched, &cfg, outs); err != nil {
+			return nil, err
+		}
+	}
 
-	// Counters move per Run, from the prepared outcomes, so each Run's deltas
+	// Counters move per Run, from this Run's outcomes, so each Run's deltas
 	// reconcile with its own Report.
 	metricSimCalls.Add(int64(len(specs)))
 	metricSimWorkers.Set(float64(cfg.Workers))
-	for i := range p.outs {
-		o := &p.outs[i]
+	for i := range outs {
+		o := &outs[i]
 		metricSimCallBytes.Observe(int64(specs[i].rec.UncompressedBytes))
 		if o.faults > 0 {
 			report.FaultedCalls++
@@ -568,7 +570,7 @@ func (p *Prepared) run(cfg Config, reduce phaseC) (*Report, error) {
 		perPart[s.dev*devices+s.inst] = append(perPart[s.dev*devices+s.inst], i)
 	}
 	clustered := cfg.clusterMode()
-	reds := reduce(perPart, specs, p.outs, &cfg)
+	reds := reduce(perPart, specs, outs, &cfg)
 	if err := firstReductionError(reds, len(specs)); err != nil {
 		return nil, err
 	}
@@ -595,7 +597,7 @@ func (p *Prepared) run(cfg Config, reduce phaseC) (*Report, error) {
 			mergeClusterTotals(report, pid, &red.tot)
 		}
 		if cfg.Trace != nil {
-			emitDeviceTrace(cfg.Trace, pid, slot.algo, slot.op, pid%devices, devices, cfg.Replicas, cfg.Pipelines, red.idxs, red.results, p.outs)
+			emitDeviceTrace(cfg.Trace, pid, slot.algo, slot.op, pid%devices, devices, cfg.Replicas, cfg.Pipelines, red.idxs, red.results, outs)
 		}
 		if slot.op == comp.Compress {
 			report.CompUtil = max(report.CompUtil, red.stats.Utilization)
@@ -734,106 +736,91 @@ func newShard(placement memsys.Placement, traced bool) (*shard, error) {
 	return sh, nil
 }
 
-// execTile runs calls [lo, hi) one after another: synthesize the payload into
-// the shard's reused buffer, execute it. On error it reports the failing call
-// index.
-func (sh *shard) execTile(specs []callSpec, lo, hi int, cfg *Config, outs []execOut) (int, error) {
-	for i := lo; i < hi; i++ {
+// execTile runs positions [lo, hi) of a call list one after another:
+// synthesize the payload into the shard's reused buffer, then execute it —
+// healthy when idxs is nil and the list is every call in order (Prepare), a
+// re-cost over the call's outcome when the list is idxs (a Run). On error it
+// reports the failing position and an error naming the call.
+func (sh *shard) execTile(specs []callSpec, idxs []int, lo, hi int, cfg *Config, outs []execOut) (int, error) {
+	for k := lo; k < hi; k++ {
+		i := k
+		if idxs != nil {
+			i = idxs[k]
+		}
 		s := &specs[i]
 		sh.plain = sh.gen.AppendGenerate(sh.plain[:0], s.kind, s.rec.UncompressedBytes, s.payloadSeed)
-		out, err := sh.execOne(s, i, cfg, sh.plain)
-		if err != nil {
-			return i, err
+		var err error
+		if idxs == nil {
+			outs[i], err = sh.execOne(s, sh.plain)
+		} else {
+			err = sh.recostCall(s, i, cfg, sh.plain, &outs[i])
 		}
-		outs[i] = out
+		if err != nil {
+			return k, fmt.Errorf("sim: call %d: %w", i, err)
+		}
 	}
 	return 0, nil
 }
 
-// execOne runs one call. Decompress-op calls synthesize their compressed
-// input through the leased coder; Snappy and ZStd-family frames carry their
-// recorded Plan straight into the device clone (core.ExecWithPlan), which
-// charges bit-identically to a frame parse without performing one and checks
-// the plan against the payload the shard already holds. Storm-hit calls take
-// the unplanned recovery paths (a mutated frame has no valid plan).
-func (sh *shard) execOne(s *callSpec, call int, cfg *Config, plain []byte) (execOut, error) {
-	devInput := plain
-	var plan comp.Plan
-	// The storm draw is a pure function of (seed, call), so drawing before
-	// synthesis changes nothing downstream — it only tells the synthesizer
-	// whether anything will parse the frame's actual bytes.
-	kind, repeats, stormHit := cfg.Storm.Draw(call)
-	if s.rec.Op == comp.Decompress {
-		// Healthy frames are consumed only through their Plan and byte length
-		// (core.ExecWithPlan charges without parsing), so they can be
-		// size-only: ZStd's entropy payloads zeros, Snappy's literal payloads
-		// unwritten — skipping the Huffman/FSE bit-writing and the literal
-		// copies of synthesis. Any path that does parse real bytes — storm
-		// mutation and recovery re-execution, brownout re-execution under the
-		// fault injector — forces the full encoder.
-		needReal := stormHit ||
-			(cfg.Lifecycle != nil && cfg.Lifecycle.AnyBrownoutRange(s.inst*cfg.Replicas, cfg.Replicas, call))
-		var err error
-		if needReal {
-			sh.enc, plan, err = sh.coder.AppendCompressPlan(sh.enc[:0], s.rec.Algo, s.rec.Level, min(s.rec.WindowLog, 17), plain)
-		} else {
-			sh.enc, plan, err = sh.coder.AppendCompressSizeOnly(sh.enc[:0], s.rec.Algo, s.rec.Level, min(s.rec.WindowLog, 17), plain)
-		}
-		if err != nil {
-			return execOut{}, err
-		}
-		devInput = sh.enc
-	}
-	if stormHit {
-		out, err := sh.chaosExec(s, call, cfg, plain, devInput, kind, repeats)
-		if err == nil && cfg.Lifecycle != nil {
-			err = sh.annotateCluster(&out, s, call, cfg, plain, devInput, true)
-		}
-		return out, err
-	}
+// execOne runs one call healthy. A decompress-op call's compressed input is
+// synthesized size-only — ZStd's entropy payloads zeros, Snappy's literal
+// payloads unwritten — because nothing here parses it: the frame's recorded
+// Plan carries it into the device clone (core.ExecWithPlan), which charges
+// bit-identically to a frame parse without performing one, reads only the
+// frame's length, and checks the plan against the payload the shard already
+// holds.
+func (sh *shard) execOne(s *callSpec, plain []byte) (execOut, error) {
 	dev := sh.devs[s.dev]
+	// The watchdog budget's bytes mirror the real watchdog's post-call
+	// accounting where the sizes are knowable up front: a compression call's
+	// output size is unknown before it runs, so its budget covers the input.
+	inB, outB := len(plain), 0
 	var res *core.Result
 	var err error
-	if !plan.IsZero() {
-		res, err = dev.ExecWithPlan(devInput, plan, plain)
+	if s.rec.Op == comp.Compress {
+		res, err = dev.Exec(plain)
 	} else {
-		res, err = dev.Exec(devInput)
+		var plan comp.Plan
+		if sh.enc, plan, err = sh.coder.AppendCompressSizeOnly(sh.enc[:0], s.rec.Algo, s.rec.Level, min(s.rec.WindowLog, 17), plain); err != nil {
+			return execOut{}, err
+		}
+		inB, outB = len(sh.enc), len(plain)
+		res, err = dev.ExecWithPlan(sh.enc, plan, plain)
 	}
 	if err != nil {
 		return execOut{}, err
 	}
-	out := execOut{service: res.Cycles, spans: res.Spans}
-	if cfg.Lifecycle != nil {
-		if err := sh.annotateCluster(&out, s, call, cfg, plain, devInput, false); err != nil {
-			return execOut{}, err
-		}
-	}
-	return out, nil
+	budget := core.Config{Algo: s.rec.Algo, Op: s.rec.Op, Placement: sh.placement}.WatchdogBudget(inB, outB)
+	return execOut{service: res.Cycles, budget: budget, spans: res.Spans}, nil
 }
 
-// execCalls distributes specs over a bounded worker pool by atomic tile
-// claims and returns each call's execution outcome. Results are
-// index-addressed and each call's inputs derive only from its spec (and the
-// seeded storm/backoff streams), so the output is independent of worker
-// count and scheduling.
+// execCalls runs a call list over a bounded worker pool by atomic tile claims,
+// writing each outcome to outs by call index: every call of specs, healthy,
+// when idxs is nil; else the ascending calls of idxs, each re-costed over its
+// outcome. Each call's outcome derives only from its spec and the seeded
+// storm and backoff streams, so outs is independent of worker count and
+// scheduling.
 //
-// Error capture is deterministic: minErr tracks the lowest failing call
-// index, workers stop claiming tiles at or above it, and — because tiles
-// hand out index ranges in increasing order and every claimed tile runs to
-// its first error — every call below the final minErr has been fully
-// processed. The reported error is therefore exactly the first error a
-// serial run would hit, at any worker count.
-func execCalls(specs []callSpec, cfg Config) ([]execOut, error) {
-	tiles := (len(specs) + tileSize - 1) / tileSize
+// Error capture is deterministic: minErr tracks the lowest failing position,
+// workers stop claiming tiles at or above it, and — because tiles hand out
+// position ranges in increasing order and every claimed tile runs to its
+// first error — every call before the final minErr has been fully processed.
+// The reported error is therefore exactly the first error a serial run would
+// hit, at any worker count.
+func execCalls(specs []callSpec, idxs []int, cfg *Config, outs []execOut) error {
+	n := len(specs)
+	if idxs != nil {
+		n = len(idxs)
+	}
+	tiles := (n + tileSize - 1) / tileSize
 	workers := max(1, min(cfg.Workers, tiles))
 	traced := cfg.Trace != nil
-	outs := make([]execOut, len(specs))
-	callErrs := make([]error, len(specs))
+	callErrs := make([]error, n)
 	poolErrs := make([]error, workers)
 	var nextTile atomic.Int64
 	var poolFailed atomic.Bool
 	var minErr atomic.Int64
-	minErr.Store(int64(len(specs)))
+	minErr.Store(int64(n))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -848,11 +835,11 @@ func execCalls(specs []callSpec, cfg Config) ([]execOut, error) {
 			defer shardPool.Put(sh)
 			for !poolFailed.Load() {
 				lo := (int(nextTile.Add(1)) - 1) * tileSize
-				if lo >= len(specs) || int64(lo) >= minErr.Load() {
+				if lo >= n || int64(lo) >= minErr.Load() {
 					return
 				}
-				hi := min(lo+tileSize, len(specs))
-				if at, err := sh.execTile(specs, lo, hi, &cfg, outs); err != nil {
+				hi := min(lo+tileSize, n)
+				if at, err := sh.execTile(specs, idxs, lo, hi, cfg, outs); err != nil {
 					callErrs[at] = err
 					for {
 						cur := minErr.Load()
@@ -865,13 +852,13 @@ func execCalls(specs []callSpec, cfg Config) ([]execOut, error) {
 		}(w)
 	}
 	wg.Wait()
-	if m := int(minErr.Load()); m < len(specs) {
-		return nil, fmt.Errorf("sim: call %d: %w", m, callErrs[m])
+	if m := int(minErr.Load()); m < n {
+		return callErrs[m]
 	}
 	for _, err := range poolErrs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return outs, nil
+	return nil
 }

@@ -3,8 +3,10 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cdpu/internal/core"
+	"cdpu/internal/fault"
 	"cdpu/internal/obs"
 	"cdpu/internal/traffic"
 )
@@ -90,12 +92,6 @@ func (c Config) validate() error {
 	if c.Replicas < 0 {
 		return fmt.Errorf("sim: Replicas %d (want non-negative)", c.Replicas)
 	}
-	if c.Storm != nil && !(c.Storm.Rate >= 0 && c.Storm.Rate <= 1) {
-		return fmt.Errorf("sim: Storm.Rate %v (want a probability in [0, 1])", c.Storm.Rate)
-	}
-	if c.Lifecycle != nil && !(c.Lifecycle.Rate >= 0 && c.Lifecycle.Rate <= 1) {
-		return fmt.Errorf("sim: Lifecycle.Rate %v (want a probability in [0, 1])", c.Lifecycle.Rate)
-	}
 	if r := c.Failover.BreakerErrorRate; !(r >= 0 && r <= 1) {
 		return fmt.Errorf("sim: Failover.BreakerErrorRate %v (want a rate in [0, 1])", r)
 	}
@@ -118,10 +114,24 @@ func (c Config) validate() error {
 		{"Failover.CrashDetectCycles", f.CrashDetectCycles},
 		{"Failover.RestartCycles", f.RestartCycles},
 	}
+	// An unknown storm kind would run as a watchdog hang, an unknown lifecycle
+	// kind as a sick replica served at healthy speed.
 	if s := c.Storm; s != nil {
+		if !(s.Rate >= 0 && s.Rate <= 1) {
+			return fmt.Errorf("sim: Storm.Rate %v (want a probability in [0, 1])", s.Rate)
+		}
+		if i := unknownKind(s.Kinds, fault.StormKinds); i >= 0 {
+			return fmt.Errorf("sim: Storm.Kinds[%d] %v (want one of fault.StormKinds)", i, s.Kinds[i])
+		}
 		fields = append(fields, field{"Storm.MeanRepeats", s.MeanRepeats})
 	}
 	if l := c.Lifecycle; l != nil {
+		if !(l.Rate >= 0 && l.Rate <= 1) {
+			return fmt.Errorf("sim: Lifecycle.Rate %v (want a probability in [0, 1])", l.Rate)
+		}
+		if i := unknownKind(l.Kinds, fault.LifeKinds); i >= 0 {
+			return fmt.Errorf("sim: Lifecycle.Kinds[%d] %v (want one of fault.LifeKinds)", i, l.Kinds[i])
+		}
 		fields = append(fields,
 			field{"Lifecycle.EpochCalls", float64(l.EpochCalls)},
 			field{"Lifecycle.MeanEventCalls", float64(l.MeanEventCalls)})
@@ -176,6 +186,11 @@ func (c Config) validate() error {
 // finiteNonNegative is the range of a budget, a spacing or a factor: NaN fails
 // the first comparison.
 func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
+// unknownKind is the index of the first of kinds outside known, or -1.
+func unknownKind[K comparable](kinds, known []K) int {
+	return slices.IndexFunc(kinds, func(k K) bool { return !slices.Contains(known, k) })
+}
 
 // sloCycles returns the per-class latency targets in device cycles, or nil in
 // closed-loop mode — the switch that keeps per-class accounting out of

@@ -77,6 +77,11 @@ func TestConfigValidate(t *testing.T) {
 		{"closed-loop-autoscale-inverted", Config{Replicas: 3, Autoscale: traffic.Autoscale{UpQueueDepth: 4, DownQueueDepth: 5}}},
 		{"closed-loop-autoscale-negative-min", Config{Replicas: 3, Autoscale: traffic.Autoscale{MinReplicas: -4, UpQueueDepth: 4}}},
 		{"closed-loop-autoscale-negative-cooldown", Config{Replicas: 3, Autoscale: traffic.Autoscale{UpQueueDepth: 4, CooldownCycles: -1}}},
+		// An unknown storm kind would run as a watchdog hang; an unknown
+		// lifecycle kind would count its replica sick and serve it at healthy
+		// speed.
+		{"unknown-storm-kind", Config{Storm: &fault.Storm{Rate: 0.1, Kinds: []fault.StormKind{fault.StormBitFlip, fault.StormKind(7)}}}},
+		{"unknown-lifecycle-kind", Config{Replicas: 2, Lifecycle: &fault.Lifecycle{Rate: 0.1, Kinds: []fault.LifeKind{fault.LifeKind(7)}}}},
 	}
 	// validate() itself must refuse each one — before phases A and B run, not
 	// when a later layer trips over the value.
