@@ -91,28 +91,36 @@ reach:
 	$(GO) tool cover -func=$$T/cover.txt | awk '$$1 ~ /^cdpu\/internal\// && $$NF == "0.0%" { print $$1, $$2; n++ } END { print n+0, "functions under internal/ no entry point executed" }'
 
 # A speed claim's evidence: N order-alternated pairs of one benchmark
-# workload, PARENT against the working tree, judged by `bench -compare`
-# (medians, quartiles, the bound, a verdict per end-to-end metric; it fails on
+# workload per seed in SEEDS (default: SEED), PARENT against the working tree,
+# each seed judged by its own `bench -compare` (medians, quartiles, the bound,
+# a verdict per end-to-end metric; the target fails if any seed reads
 # "worse"). ./bench is built once per side — the parent's from a clone of
 # PARENT under $TMPDIR, and run from that clone so its rows carry the parent's
 # commit — and the side that runs first swaps every pair. Rows land in
 # pairs-<workload>-seed<seed>-{parent,change}.jsonl, overwritten each time.
 #
-#	make pairs PARENT=HEAD~1 WORKLOAD=replay-overload [SEED=1] [N=10]
+#	make pairs PARENT=HEAD~1 WORKLOAD=replay-overload [SEED=1 | SEEDS="1 7"] [N=10]
+SEEDS ?= $(SEED)
 pairs:
-	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make pairs PARENT=<ref> WORKLOAD=<name> [SEED=1] [N=10]" >&2; exit 2; }
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make pairs PARENT=<ref> WORKLOAD=<name> [SEED=1 | SEEDS=\"1 7\"] [N=10]" >&2; exit 2; }
 	@set -e; T=$$(mktemp -d); trap 'rm -rf $$T' EXIT; R=$$(pwd); \
-	A=$$R/pairs-$(WORKLOAD)-seed$(SEED)-parent.jsonl; B=$$R/pairs-$(WORKLOAD)-seed$(SEED)-change.jsonl; rm -f $$A $$B; \
 	git clone -q . $$T/parent; git -C $$T/parent checkout -q --detach $$(git rev-parse --verify '$(PARENT)^{commit}'); \
 	(cd $$T/parent && $(GO) build -o $$T/bench-parent ./bench); $(GO) build -o $$T/bench-change ./bench; \
+	rows() { echo $$R/pairs-$(WORKLOAD)-seed$$1-$$2.jsonl; }; \
 	show() { grep -E ' (ops_per_s|sim_fingerprint) ' $$T/out | sed "s/^/$$1  /"; }; \
-	parent() { (cd $$T/parent && $$T/bench-parent -workload $(WORKLOAD) -seed $(SEED) -json-out $$A) >$$T/out; show parent; }; \
-	change() { $$T/bench-change -workload $(WORKLOAD) -seed $(SEED) -json-out $$B >$$T/out; show change; }; \
-	for i in $$(seq 1 $(N)); do \
-		echo "pair $$i of $(N)"; \
-		if [ $$((i % 2)) = 1 ]; then parent; change; else change; parent; fi; \
+	parent() { (cd $$T/parent && $$T/bench-parent -workload $(WORKLOAD) -seed $$1 -json-out $$(rows $$1 parent)) >$$T/out; show parent; }; \
+	change() { $$T/bench-change -workload $(WORKLOAD) -seed $$1 -json-out $$(rows $$1 change) >$$T/out; show change; }; \
+	for s in $(SEEDS); do \
+		rm -f $$(rows $$s parent) $$(rows $$s change); \
+		for i in $$(seq 1 $(N)); do \
+			echo "seed $$s: pair $$i of $(N)"; \
+			if [ $$((i % 2)) = 1 ]; then parent $$s; change $$s; else change $$s; parent $$s; fi; \
+		done; \
 	done; \
-	$(GO) run ./bench -compare $$A $$B
+	rc=0; for s in $(SEEDS); do \
+		echo "== $(WORKLOAD) seed $$s"; \
+		$$T/bench-change -compare $$(rows $$s parent) $$(rows $$s change) || rc=1; \
+	done; exit $$rc
 
 # Adversarial-input smoke: run every native fuzz target for FUZZTIME each,
 # starting from the checked-in seed corpora (regenerate those with
@@ -120,6 +128,7 @@ pairs:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecompress$$' -fuzztime $(FUZZTIME) ./internal/snappy
 	$(GO) test -run '^$$' -fuzz '^FuzzDecompress$$' -fuzztime $(FUZZTIME) ./internal/zstdlite
+	$(GO) test -run '^$$' -fuzz '^FuzzSizeOnlyMatchesFull$$' -fuzztime $(FUZZTIME) ./internal/zstdlite
 	$(GO) test -run '^$$' -fuzz '^FuzzDecompress$$' -fuzztime $(FUZZTIME) ./internal/lzo
 	$(GO) test -run '^$$' -fuzz '^FuzzDecompress$$' -fuzztime $(FUZZTIME) ./internal/gipfeli
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) ./internal/fault

@@ -326,8 +326,9 @@ func (t *EncTable) firstState(s uint8) uint16 {
 	return t.stateTable[t.deltaFindState[s]+int32(t.norm[s])]
 }
 
-// EncodedBits estimates the encoded size of symbols in bits (excluding the
-// table header) without building the output.
+// EncodedBits returns the exact number of bits Encode writes for symbols
+// (the table header excluded), walking the same state chain without building
+// the output.
 func (t *EncTable) EncodedBits(symbols []uint8) int {
 	if len(symbols) == 0 {
 		return 0
@@ -341,6 +342,38 @@ func (t *EncTable) EncodedBits(symbols []uint8) int {
 		state = uint32(t.stateTable[(state>>nb)+uint32(t.deltaFindState[s])])
 	}
 	return total
+}
+
+// EncodedBits3 is EncodedBits of three equal-length streams, each under its
+// own table, in one backward walk: the three state chains are independent,
+// so interleaving them lets their table loads overlap. Streams of unequal
+// length are sized one by one.
+func EncodedBits3(ta, tb, tc *EncTable, a, b, c []uint8) (na, nb, nc int) {
+	n := len(a)
+	if len(b) != n || len(c) != n {
+		return ta.EncodedBits(a), tb.EncodedBits(b), tc.EncodedBits(c)
+	}
+	if n == 0 {
+		return 0, 0, 0
+	}
+	b, c = b[:n], c[:n]
+	sa := uint32(ta.firstState(a[n-1]))
+	sb := uint32(tb.firstState(b[n-1]))
+	sc := uint32(tc.firstState(c[n-1]))
+	na, nb, nc = ta.tableLog, tb.tableLog, tc.tableLog
+	for i := n - 2; i >= 0; i-- {
+		x, y, z := a[i], b[i], c[i]
+		ka := (sa + ta.deltaNbBits[x]) >> 16
+		kb := (sb + tb.deltaNbBits[y]) >> 16
+		kc := (sc + tc.deltaNbBits[z]) >> 16
+		na += int(ka)
+		nb += int(kb)
+		nc += int(kc)
+		sa = uint32(ta.stateTable[(sa>>ka)+uint32(ta.deltaFindState[x])])
+		sb = uint32(tb.stateTable[(sb>>kb)+uint32(tb.deltaFindState[y])])
+		sc = uint32(tc.stateTable[(sc>>kc)+uint32(tc.deltaFindState[z])])
+	}
+	return na, nb, nc
 }
 
 // decEntry is one decode-table cell.

@@ -148,7 +148,90 @@ func TestEncodedBitsMatchesActual(t *testing.T) {
 	got := 8*(len(b)-1) + bits.Len8(b[len(b)-1]) - 1
 	want := enc.EncodedBits(syms)
 	if got != want {
-		t.Errorf("actual %d bits != estimated %d bits", got, want)
+		t.Errorf("actual %d bits != EncodedBits %d bits", got, want)
+	}
+}
+
+// writtenBits returns how many bits Encode writes for symbols.
+func writtenBits(t *testing.T, enc *EncTable, symbols []uint8) int {
+	t.Helper()
+	var w ibits.Writer
+	if err := enc.Encode(&w, symbols); err != nil {
+		t.Fatal(err)
+	}
+	w.WriteBits(1, 1) // sentinel, as in TestEncodedBitsMatchesActual
+	b := w.Bytes()
+	return 8*(len(b)-1) + bits.Len8(b[len(b)-1]) - 1
+}
+
+// tableFor builds an encode table that codes symbols. A stream of a single
+// symbol gets a second symbol in its histogram, since Normalize refuses a
+// one-symbol alphabet.
+func tableFor(t *testing.T, symbols []uint8, alphabet, tableLog int) *EncTable {
+	t.Helper()
+	h := histogram(symbols, alphabet)
+	h[(int(symbols[0])+1)%alphabet]++
+	norm, err := Normalize(h, tableLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := NewEncTable(norm, tableLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// TestEncodedBits3MatchesOneByOne holds the interleaved three-stream walk to
+// EncodedBits of each stream and to the bits Encode writes, over skewed,
+// uniform, single-symbol and length-1 streams under different table logs.
+func TestEncodedBits3MatchesOneByOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	uniform := func(n, alphabet int) []uint8 {
+		out := make([]uint8, n)
+		for i := range out {
+			out[i] = uint8(rng.Intn(alphabet))
+		}
+		return out
+	}
+	single := func(n int, s uint8) []uint8 { return bytes.Repeat([]byte{s}, n) }
+	cases := []struct {
+		name    string
+		streams [3][]uint8
+	}{
+		{"skewed", [3][]uint8{skewedSymbols(rng, 4000, 36), skewedSymbols(rng, 4000, 32), skewedSymbols(rng, 4000, 53)}},
+		{"uniform", [3][]uint8{uniform(3000, 36), uniform(3000, 2), uniform(3000, 53)}},
+		{"single-symbol", [3][]uint8{single(700, 0), single(700, 31), skewedSymbols(rng, 700, 20)}},
+		{"length-1", [3][]uint8{{5}, {0}, {52}}},
+		{"length-2", [3][]uint8{{5, 6}, {0, 0}, {52, 1}}},
+		{"mixed-skew", [3][]uint8{single(500, 9), uniform(500, 53), skewedSymbols(rng, 500, 53)}},
+	}
+	for _, tc := range cases {
+		for _, tls := range [][3]int{{6, 6, 6}, {9, 8, 9}, {7, 12, 8}} {
+			var tabs [3]*EncTable
+			var want [3]int
+			for s, syms := range tc.streams {
+				tabs[s] = tableFor(t, syms, 64, tls[s])
+				want[s] = tabs[s].EncodedBits(syms)
+				if got := writtenBits(t, tabs[s], syms); got != want[s] {
+					t.Fatalf("%s %v stream %d: Encode wrote %d bits, EncodedBits says %d", tc.name, tls, s, got, want[s])
+				}
+			}
+			a, b, c := EncodedBits3(tabs[0], tabs[1], tabs[2], tc.streams[0], tc.streams[1], tc.streams[2])
+			if got := [3]int{a, b, c}; got != want {
+				t.Errorf("%s %v: EncodedBits3 = %v, one by one %v", tc.name, tls, got, want)
+			}
+		}
+	}
+	// Unequal lengths are sized one by one.
+	st := [3][]uint8{skewedSymbols(rng, 300, 16), skewedSymbols(rng, 200, 16), nil}
+	ta, tb := tableFor(t, st[0], 16, 6), tableFor(t, st[1], 16, 6)
+	a, b, c := EncodedBits3(ta, tb, ta, st[0], st[1], st[2])
+	if a != ta.EncodedBits(st[0]) || b != tb.EncodedBits(st[1]) || c != 0 {
+		t.Errorf("unequal lengths: EncodedBits3 = %d %d %d", a, b, c)
+	}
+	if a, b, c := EncodedBits3(ta, tb, ta, nil, nil, nil); a|b|c != 0 {
+		t.Errorf("empty streams: EncodedBits3 = %d %d %d", a, b, c)
 	}
 }
 

@@ -10,10 +10,11 @@
 package huffman
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	ibits "cdpu/internal/bits"
 )
@@ -46,25 +47,6 @@ type hnode struct {
 // hitem is one stack entry of the iterative depth assignment.
 type hitem struct{ n, depth int }
 
-// leafSorter orders leaf indices by (freq, symbol) through sort.Sort without
-// the per-call closure allocation of sort.Slice.
-type leafSorter struct {
-	leaves []int
-	nodes  []hnode
-}
-
-func (ls *leafSorter) Len() int { return len(ls.leaves) }
-func (ls *leafSorter) Less(a, b int) bool {
-	na, nb := ls.nodes[ls.leaves[a]], ls.nodes[ls.leaves[b]]
-	if na.freq != nb.freq {
-		return na.freq < nb.freq
-	}
-	return na.sym < nb.sym
-}
-func (ls *leafSorter) Swap(a, b int) {
-	ls.leaves[a], ls.leaves[b] = ls.leaves[b], ls.leaves[a]
-}
-
 // Builder constructs code tables into reusable scratch: the tree nodes, code
 // lengths, canonical codes and the encoder's bit-reversed code array all live
 // on the Builder and are recycled across Build calls, so a steady-state
@@ -78,7 +60,7 @@ type Builder struct {
 	leaves    []int
 	internals []int
 	stack     []hitem
-	sorter    leafSorter
+	keys      []uint64
 	table     CodeTable
 	rev       []uint16
 	enc       Encoder
@@ -151,10 +133,12 @@ func (b *Builder) Encoder() *Encoder {
 func (b *Builder) lengths(freqs []int) ([]uint8, error) {
 	nodes := b.nodes[:0]
 	leaves := b.leaves[:0]
+	maxFreq := 0
 	for s, f := range freqs {
 		if f > 0 {
 			nodes = append(nodes, hnode{freq: f, sym: s, left: -1, right: -1})
 			leaves = append(leaves, len(nodes)-1)
+			maxFreq = max(maxFreq, f)
 		}
 	}
 	if cap(b.lens) >= len(freqs) {
@@ -173,8 +157,7 @@ func (b *Builder) lengths(freqs []int) ([]uint8, error) {
 		b.nodes, b.leaves = nodes, leaves
 		return lens, nil
 	}
-	b.sorter = leafSorter{leaves: leaves, nodes: nodes}
-	sort.Sort(&b.sorter)
+	b.sortLeaves(leaves, nodes, maxFreq)
 	// Two-queue merge: leaves (sorted) and internal nodes (produced in
 	// non-decreasing freq order).
 	internals := b.internals[:0]
@@ -214,6 +197,40 @@ func (b *Builder) lengths(freqs []int) ([]uint8, error) {
 	}
 	b.nodes, b.leaves, b.internals, b.stack = nodes, leaves, internals, stack
 	return lens, nil
+}
+
+// sortLeaves orders leaf node indices by (freq, symbol), a total order, so
+// any correct sort yields the same sequence. Leaves are numbered in symbol
+// order, which makes (freq, index) the same order; when both fit one uint64
+// the leaves sort as packed keys, otherwise by comparison.
+func (b *Builder) sortLeaves(leaves []int, nodes []hnode, maxFreq int) {
+	shift, ok := packShift(len(leaves), maxFreq)
+	if !ok {
+		slices.SortFunc(leaves, func(x, y int) int {
+			if c := cmp.Compare(nodes[x].freq, nodes[y].freq); c != 0 {
+				return c
+			}
+			return x - y
+		})
+		return
+	}
+	keys := b.keys[:0]
+	for _, l := range leaves {
+		keys = append(keys, uint64(nodes[l].freq)<<shift|uint64(l))
+	}
+	slices.Sort(keys)
+	mask := uint64(1)<<shift - 1
+	for i, k := range keys {
+		leaves[i] = int(k & mask)
+	}
+	b.keys = keys
+}
+
+// packShift returns how far a frequency is shifted to pack it above a leaf
+// index below n, and whether frequencies up to maxFreq still fit in a uint64.
+func packShift(n, maxFreq int) (shift uint, ok bool) {
+	shift = uint(bits.Len(uint(n - 1)))
+	return shift, bits.Len(uint(maxFreq))+int(shift) <= 64
 }
 
 // FromLengths builds a canonical table from code lengths, validating the

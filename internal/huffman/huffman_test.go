@@ -2,7 +2,10 @@ package huffman
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -284,6 +287,125 @@ func TestTableSerializationRoundTrip(t *testing.T) {
 		}
 		if gl != table.Lens[s] {
 			t.Fatalf("symbol %d: length %d != %d", s, gl, table.Lens[s])
+		}
+	}
+}
+
+// refLengths is the length computation Build runs, over leaves ordered by a
+// stable sort of the symbols by frequency: the (freq, symbol) order the
+// Builder's typed leaf sort must reproduce. It follows Build's flattening
+// retry, so the two agree only if every attempt's leaf order agrees.
+func refLengths(freqs []int, maxBits int) []uint8 {
+	type node struct{ freq, sym, left, right int }
+	work := append([]int(nil), freqs...)
+	for {
+		var nodes []node
+		var leaves []int
+		for s, f := range work {
+			if f > 0 {
+				nodes = append(nodes, node{f, s, -1, -1})
+				leaves = append(leaves, len(nodes)-1)
+			}
+		}
+		sort.SliceStable(leaves, func(i, j int) bool { return nodes[leaves[i]].freq < nodes[leaves[j]].freq })
+		lens := make([]uint8, len(work))
+		if len(leaves) == 1 {
+			lens[nodes[leaves[0]].sym] = 1
+			return lens
+		}
+		var internals []int
+		li, ii := 0, 0
+		pop := func() int {
+			if li < len(leaves) && (ii >= len(internals) || nodes[leaves[li]].freq <= nodes[internals[ii]].freq) {
+				li++
+				return leaves[li-1]
+			}
+			ii++
+			return internals[ii-1]
+		}
+		for range len(leaves) - 1 {
+			x, y := pop(), pop()
+			nodes = append(nodes, node{nodes[x].freq + nodes[y].freq, -1, x, y})
+			internals = append(internals, len(nodes)-1)
+		}
+		var depth func(n, d int)
+		depth = func(n, d int) {
+			if nd := nodes[n]; nd.sym >= 0 {
+				lens[nd.sym] = uint8(d)
+			} else {
+				depth(nd.left, d+1)
+				depth(nd.right, d+1)
+			}
+		}
+		depth(pop(), 0)
+		if slices.Max(lens) <= uint8(maxBits) {
+			return lens
+		}
+		for i, f := range work {
+			if f > 0 {
+				work[i] = f/2 + 1
+			}
+		}
+	}
+}
+
+// TestBuildMatchesStableSortReference holds Build's code lengths to
+// refLengths on random frequency vectors with heavy ties, and on vectors
+// whose largest frequency sits at the edge of what packs into a uint64 leaf
+// key beside a symbol index, where the Builder must fall back to a
+// comparison sort.
+func TestBuildMatchesStableSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var b Builder // reused, as the codecs reuse theirs
+	check := func(name string, freqs []int, maxBits int) {
+		t.Helper()
+		table, err := b.Build(freqs, maxBits)
+		if err != nil {
+			t.Fatalf("%s: Build: %v", name, err)
+		}
+		want := refLengths(freqs, maxBits)
+		if !slices.Equal(table.Lens, want) {
+			t.Fatalf("%s maxBits=%d: lengths\n got %v\nwant %v", name, maxBits, table.Lens, want)
+		}
+	}
+	for i := range 300 {
+		n := 2 + rng.Intn(255)
+		distinct := 1 + rng.Intn(4) // few distinct values: many ties
+		values := make([]int, distinct)
+		for j := range values {
+			values[j] = 1 + rng.Intn(1+rng.Intn(5000))
+		}
+		freqs := make([]int, n)
+		for j := range freqs {
+			if rng.Intn(4) > 0 {
+				freqs[j] = values[rng.Intn(distinct)]
+			}
+		}
+		freqs[rng.Intn(n)] = values[0]
+		for _, maxBits := range []int{8, 11, MaxBitsLimit} {
+			check(fmt.Sprintf("ties-%d", i), freqs, maxBits)
+		}
+	}
+	// With 256 leaves a leaf index takes 8 bits, so 1<<56-1 is the largest
+	// frequency that packs and 1<<56 the smallest that must not.
+	limit := 1 << (64 - 8)
+	if _, ok := packShift(256, limit-1); !ok {
+		t.Fatal("packShift: 1<<56-1 with 256 leaves should pack")
+	}
+	if _, ok := packShift(256, limit); ok {
+		t.Fatal("packShift: 1<<56 with 256 leaves should not pack")
+	}
+	for _, top := range []int{limit - 1, limit, limit + 12345} {
+		freqs := make([]int, 256)
+		for j := range freqs {
+			freqs[j] = 1 + rng.Intn(3)
+		}
+		for _, j := range []int{3, 77, 200} {
+			freqs[j] = top
+		}
+		freqs[150] = top - 1
+		for _, maxBits := range []int{11, MaxBitsLimit} {
+			check(fmt.Sprintf("limit-%d", top), freqs, maxBits)
 		}
 	}
 }

@@ -136,10 +136,10 @@ type Encoder struct {
 	matcher *lz77.Matcher
 
 	// Per-call scratch, reused across Encode calls so the steady-state frame
-	// hot path stops allocating: block literals, the assembled block body,
-	// the three sequence-code lanes and the extra-bits writer. None of these
-	// alias the returned frame (bodies are copied into dst), so reuse is
-	// invisible to callers.
+	// hot path stops allocating: block literals (full mode only), the
+	// assembled block body, the three sequence-code lanes and the extra-bits
+	// writer. None of these alias the returned frame (bodies are copied into
+	// dst), so reuse is invisible to callers.
 	litBuf    []byte
 	bodyBuf   []byte
 	dictBuf   []byte
@@ -149,12 +149,12 @@ type Encoder struct {
 	planBuf   []blockPlan
 	planSeqs  []lz77.Seq
 
-	// Entropy-stage scratch: the literal Huffman builder, the sequence-code
-	// normalized histogram and the FSE encode table are rebuilt in place each
-	// block instead of reallocated.
-	huffB    huffman.Builder
-	normBuf  []int
-	encTable fse.EncTable
+	// Entropy-stage scratch: the literal Huffman builder and, per sequence-code
+	// stream (LL, OF, ML), the normalized histogram and the FSE encode table
+	// are rebuilt in place each block instead of reallocated.
+	huffB     huffman.Builder
+	normBuf   [3][]int
+	encTables [3]fse.EncTable
 
 	// plan describes the frame being emitted, block by block as encodeBlock
 	// writes them (AppendEncodeWithPlan).
@@ -171,8 +171,10 @@ type Encoder struct {
 // mode decision exactly as before — so the frame layout, every recorded Plan
 // field and the total frame length are bit-identical to a full encode — but
 // the Huffman/FSE/extra-bits payloads are emitted as zero bytes of exactly
-// the length the full bitstream writers would produce (computed from the
-// built tables' EncodedBits), skipping the per-symbol bit-writing loops.
+// the length the full bitstream writers would produce, skipping the
+// per-symbol bit-writing loops. The literal histogram is read straight from
+// the source (no literal copy), and the three sequence-code streams are
+// sized in one walk over their built tables (fse.EncodedBits3).
 //
 // A size-only frame is NOT decodable; it exists for replay pipelines that
 // charge from the recorded Plan and the frame's byte counts without ever
@@ -237,9 +239,8 @@ func (e *Encoder) AppendEncode(dst, src []byte) []byte {
 	e.plan.Blocks = slices.Grow(e.plan.Blocks, len(plans))
 	for i, p := range plans {
 		blockData := data[len(dict)+p.start : len(dict)+p.start+p.size]
-		e.litBuf = lz77.AppendLiteralsAt(e.litBuf[:0], data, len(dict)+p.start, p.seqs)
 		e.plan.Blocks = append(e.plan.Blocks, BlockInfo{})
-		dst = e.encodeBlock(dst, &e.plan.Blocks[i], blockData, e.litBuf, p.seqs, i == len(plans)-1)
+		dst = e.encodeBlock(dst, &e.plan.Blocks[i], blockData, p.seqs, i == len(plans)-1)
 	}
 	if e.params.Checksum {
 		e.plan.Checksum = contentChecksum(src)
@@ -383,8 +384,9 @@ func Encode(src []byte) []byte {
 
 // encodeBlock appends one block (header + body) to dst and describes it in
 // info as actually emitted (RLE and raw fallbacks included). The caller
-// supplies the block's slice of the frame-wide parse and its literal bytes.
-func (e *Encoder) encodeBlock(dst []byte, info *BlockInfo, block, literals []byte, seqs []lz77.Seq, last bool) []byte {
+// supplies the block's slice of the frame-wide parse, whose literals the
+// block's bytes hold.
+func (e *Encoder) encodeBlock(dst []byte, info *BlockInfo, block []byte, seqs []lz77.Seq, last bool) []byte {
 	lastBit := byte(0)
 	if last {
 		lastBit = 1
@@ -398,7 +400,7 @@ func (e *Encoder) encodeBlock(dst []byte, info *BlockInfo, block, literals []byt
 		return append(dst, block[0])
 	}
 	*info = BlockInfo{Type: blockCompressed, RawSize: len(block)}
-	body := e.appendLiteralsSection(e.bodyBuf[:0], literals, info)
+	body := e.appendLiteralsSection(e.bodyBuf[:0], block, seqs, info)
 	body = e.appendSequencesSection(body, seqs, info)
 	e.bodyBuf = body[:0] // keep the (possibly regrown) buffer for the next block
 	if len(body) >= len(block) {
@@ -427,32 +429,47 @@ func allSame(b []byte) bool {
 
 // appendLiteralsSection emits: mode byte, varint literal count, then for
 // Huffman mode a varint byte-length-prefixed bitstream holding the code
-// table and codes. info receives the literal-coding facts as a decoder would
-// parse them back.
-func (e *Encoder) appendLiteralsSection(dst, literals []byte, info *BlockInfo) []byte {
-	info.LitMode, info.LitCount = litRaw, len(literals)
-	huffBytes, maxBits, lensN := e.huffmanLiterals(literals)
-	if huffBytes == nil || len(huffBytes) >= len(literals) {
+// table and codes. The literals are the bytes of block that seqs do not
+// copy. info receives the literal-coding facts as a decoder would parse them
+// back.
+func (e *Encoder) appendLiteralsSection(dst, block []byte, seqs []lz77.Seq, info *BlockInfo) []byte {
+	var hist [256]int
+	n := literalHistogram(&hist, block, seqs)
+	info.LitMode, info.LitCount = litRaw, n
+	huffBytes, maxBits, lensN := e.huffmanLiterals(&hist, block, seqs)
+	if huffBytes == nil || len(huffBytes) >= n {
 		dst = append(dst, litRaw)
-		dst = ibits.AppendUvarint(dst, uint64(len(literals)))
-		return append(dst, literals...)
+		dst = ibits.AppendUvarint(dst, uint64(n))
+		return lz77.AppendLiteralsAt(dst, block, 0, seqs)
 	}
 	info.LitMode, info.LitPayload = litHuffman, len(huffBytes)
 	info.HuffMaxBits, info.HuffLensN = maxBits, lensN
 	dst = append(dst, litHuffman)
-	dst = ibits.AppendUvarint(dst, uint64(len(literals)))
+	dst = ibits.AppendUvarint(dst, uint64(n))
 	dst = ibits.AppendUvarint(dst, uint64(len(huffBytes)))
 	return append(dst, huffBytes...)
 }
 
-// huffmanLiterals returns the Huffman-coded literal stream (table + codes)
-// with the table's max code length and serialized length count, or nil if
-// the literals are absent, degenerate or incompressible.
-func (e *Encoder) huffmanLiterals(literals []byte) (stream []byte, maxBits, lensN int) {
-	var hist [256]int
-	for _, b := range literals {
-		hist[b]++
+// literalHistogram adds the literal bytes seqs take from block to hist and
+// returns their count. Both modes histogram the source in place; only a full
+// encode copies the literals out, for the Huffman coder.
+func literalHistogram(hist *[256]int, block []byte, seqs []lz77.Seq) int {
+	pos, n := 0, 0
+	for _, s := range seqs {
+		for _, c := range block[pos : pos+s.LitLen] {
+			hist[c]++
+		}
+		n += s.LitLen
+		pos += s.LitLen + s.MatchLen
 	}
+	return n
+}
+
+// huffmanLiterals returns the Huffman-coded literal stream (table + codes)
+// for the literal histogram hist of block's seqs, with the table's max code
+// length and serialized length count, or nil if the literals are absent,
+// degenerate or incompressible.
+func (e *Encoder) huffmanLiterals(hist *[256]int, block []byte, seqs []lz77.Seq) (stream []byte, maxBits, lensN int) {
 	table, err := e.huffB.Build(hist[:], e.params.HuffMaxBits)
 	if err != nil {
 		return nil, 0, 0
@@ -473,12 +490,13 @@ func (e *Encoder) huffmanLiterals(literals []byte) (stream []byte, maxBits, lens
 		}
 		return e.zeroBytes((bits + 7) / 8), table.MaxBits, lensN
 	}
+	e.litBuf = lz77.AppendLiteralsAt(e.litBuf[:0], block, 0, seqs)
 	// The stream scratch is free here: sequence-section encoding only starts
 	// after the literals section is fully copied into the block body.
 	w := &e.streamBuf
 	w.Reset()
 	table.WriteTable(w)
-	if err := e.huffB.Encoder().Encode(w, literals); err != nil {
+	if err := e.huffB.Encoder().Encode(w, e.litBuf); err != nil {
 		return nil, 0, 0
 	}
 	return w.Bytes(), table.MaxBits, lensN
@@ -486,7 +504,10 @@ func (e *Encoder) huffmanLiterals(literals []byte) (stream []byte, maxBits, lens
 
 // appendSequencesSection emits: varint sequence count, then the three code
 // streams (LL, OF, ML) and the shared extra-bits stream. info receives the
-// per-stream coding modes, table logs and the sequence list.
+// per-stream coding modes, table logs and the sequence list. The three
+// streams are histogrammed as their codes are produced and their FSE tables
+// built before any stream is emitted, so a size-only encode can size all
+// three coded streams in one walk.
 func (e *Encoder) appendSequencesSection(dst []byte, seqs []lz77.Seq, info *BlockInfo) []byte {
 	dst = ibits.AppendUvarint(dst, uint64(len(seqs)))
 	info.NumSeqs, info.Seqs = len(seqs), seqs
@@ -504,10 +525,12 @@ func (e *Encoder) appendSequencesSection(dst []byte, seqs []lz77.Seq, info *Bloc
 	extras.Reset()
 	reps := newRepHistory() // per-block recent-offset state, as the decoder's
 	ebits := 0              // size-only: extras length in bits, no writes
+	var hist [3][maxSeqCode]int
 	for i, s := range seqs {
 		var w uint8
 		var x uint32
 		llCodes[i], x, w = seqCode(uint32(s.LitLen))
+		hist[0][llCodes[i]]++
 		if e.sizeOnly {
 			ebits += int(w)
 		} else {
@@ -517,9 +540,12 @@ func (e *Encoder) appendSequencesSection(dst []byte, seqs []lz77.Seq, info *Bloc
 			// Terminal literal run: offset code 0 / matchlen code 0 encode
 			// "no match" (offset value 0 is otherwise impossible).
 			ofCodes[i], mlCodes[i] = 0, 0
+			hist[1][0]++
+			hist[2][0]++
 			continue
 		}
 		ofCodes[i], x, w = seqCode(reps.encode(s.Offset))
+		hist[1][ofCodes[i]]++
 		if e.sizeOnly {
 			ebits += int(w)
 		} else {
@@ -528,14 +554,32 @@ func (e *Encoder) appendSequencesSection(dst []byte, seqs []lz77.Seq, info *Bloc
 		// Match lengths are coded directly (not biased by MinMatch): block
 		// splitting can leave match continuations shorter than MinMatch.
 		mlCodes[i], x, w = seqCode(uint32(s.MatchLen))
+		hist[2][mlCodes[i]]++
 		if e.sizeOnly {
 			ebits += int(w)
 		} else {
 			extras.WriteBits(uint64(x), uint(w))
 		}
 	}
-	for s, codes := range [3][]uint8{llCodes, ofCodes, mlCodes} {
-		dst, info.SeqModes[s], info.FSETableLogs[s] = e.appendCodeStream(dst, codes)
+	var fseOK [3]bool
+	for s := range fseOK {
+		fseOK[s] = e.buildCodeTable(s, hist[s][:])
+	}
+	var codedBits [3]int // size-only: each FSE-coded stream's exact length
+	if e.sizeOnly {
+		t := &e.encTables
+		if fseOK == [3]bool{true, true, true} {
+			codedBits[0], codedBits[1], codedBits[2] = fse.EncodedBits3(&t[0], &t[1], &t[2], llCodes, ofCodes, mlCodes)
+		} else {
+			for s, ok := range fseOK {
+				if ok {
+					codedBits[s] = t[s].EncodedBits(e.codeBuf[s])
+				}
+			}
+		}
+	}
+	for s, codes := range e.codeBuf {
+		dst, info.SeqModes[s], info.FSETableLogs[s] = e.appendCodeStream(dst, s, codes, fseOK[s], codedBits[s])
 	}
 	if e.sizeOnly {
 		sz := (ebits + 7) / 8
@@ -547,58 +591,64 @@ func (e *Encoder) appendSequencesSection(dst []byte, seqs []lz77.Seq, info *Bloc
 	return append(dst, eb...)
 }
 
-// appendCodeStream emits one sequence-code stream: mode byte, varint byte
-// length, payload. FSE mode embeds the normalized counts ahead of the coded
-// bits; raw mode packs 6-bit codes (and is forced by DisableFSE, the
-// Flate-class configuration). Returns the coding mode chosen and the FSE
-// table log (0 in raw mode), matching what parseCodeStream reports.
-func (e *Encoder) appendCodeStream(dst []byte, codes []uint8) (out []byte, mode, tableLog int) {
-	tl := e.params.TableLog
-	var histBuf [maxSeqCode]int
-	hist := histBuf[:]
-	for _, c := range codes {
-		hist[c]++
-	}
+// buildCodeTable builds stream s's FSE table from the histogram of its codes
+// into e.encTables[s] (normalized counts in e.normBuf[s]) and reports whether
+// the stream can be FSE-coded: not under DisableFSE, the Flate-class
+// configuration, nor when the codes are degenerate (a single symbol).
+func (e *Encoder) buildCodeTable(s int, hist []int) bool {
 	if e.params.DisableFSE {
-		hist = nil // fall through to the raw encoding below
+		return false
 	}
+	norm, err := fse.AppendNormalize(e.normBuf[s][:0], hist, e.params.TableLog)
+	if err != nil {
+		return false
+	}
+	e.normBuf[s] = norm
+	return e.encTables[s].Init(norm, e.params.TableLog) == nil
+}
+
+// appendCodeStream emits sequence-code stream s: mode byte, varint byte
+// length, payload. FSE mode (when fseOK, the table built by buildCodeTable)
+// embeds the normalized counts ahead of the coded bits, and is kept only if
+// it is shorter than raw mode, which packs 6-bit codes. A size-only encode
+// passes the coded stream's length in codedBits. Returns the coding mode
+// chosen and the FSE table log (0 in raw mode), matching what
+// parseCodeStream reports.
+func (e *Encoder) appendCodeStream(dst []byte, s int, codes []uint8, fseOK bool, codedBits int) (out []byte, mode, tableLog int) {
+	tl := e.params.TableLog
+	rawSize := (len(codes)*seqCodeBits + 7) / 8
 	w := &e.streamBuf // payload scratch; contents are copied into dst below
-	if norm, err := fse.AppendNormalize(e.normBuf[:0], hist, tl); err == nil {
-		e.normBuf = norm
-		if err := e.encTable.Init(norm, tl); err == nil {
-			if e.sizeOnly {
-				// WriteNorm emits 8+4 header bits plus (tableLog+1) bits per
-				// count with trailing zeros trimmed; EncodedBits is the exact
-				// coded-stream length the table would produce.
-				n := len(norm)
-				for n > 0 && norm[n-1] == 0 {
-					n--
-				}
-				bits := 8 + 4 + n*(tl+1) + e.encTable.EncodedBits(codes)
-				if sz := (bits + 7) / 8; sz < (len(codes)*seqCodeBits+7)/8 {
+	if fseOK {
+		if e.sizeOnly {
+			// WriteNorm emits 8+4 header bits plus (tableLog+1) bits per
+			// count with trailing zeros trimmed.
+			norm := e.normBuf[s]
+			n := len(norm)
+			for n > 0 && norm[n-1] == 0 {
+				n--
+			}
+			if sz := (8 + 4 + n*(tl+1) + codedBits + 7) / 8; sz < rawSize {
+				dst = append(dst, seqFSE)
+				dst = ibits.AppendUvarint(dst, uint64(sz))
+				return append(dst, e.zeroBytes(sz)...), seqFSE, tl
+			}
+		} else {
+			w.Reset()
+			if fse.WriteNorm(w, e.normBuf[s], tl) == nil && e.encTables[s].Encode(w, codes) == nil {
+				payload := w.Bytes()
+				if len(payload) < rawSize {
 					dst = append(dst, seqFSE)
-					dst = ibits.AppendUvarint(dst, uint64(sz))
-					return append(dst, e.zeroBytes(sz)...), seqFSE, tl
-				}
-			} else {
-				w.Reset()
-				if fse.WriteNorm(w, norm, tl) == nil && e.encTable.Encode(w, codes) == nil {
-					payload := w.Bytes()
-					if len(payload) < (len(codes)*seqCodeBits+7)/8 {
-						dst = append(dst, seqFSE)
-						dst = ibits.AppendUvarint(dst, uint64(len(payload)))
-						return append(dst, payload...), seqFSE, tl
-					}
+					dst = ibits.AppendUvarint(dst, uint64(len(payload)))
+					return append(dst, payload...), seqFSE, tl
 				}
 			}
 		}
 	}
 	// Raw fallback: fixed-width codes (degenerate or FSE-unprofitable).
 	if e.sizeOnly {
-		sz := (len(codes)*seqCodeBits + 7) / 8
 		dst = append(dst, seqRaw)
-		dst = ibits.AppendUvarint(dst, uint64(sz))
-		return append(dst, e.zeroBytes(sz)...), seqRaw, 0
+		dst = ibits.AppendUvarint(dst, uint64(rawSize))
+		return append(dst, e.zeroBytes(rawSize)...), seqRaw, 0
 	}
 	w.Reset()
 	for _, c := range codes {

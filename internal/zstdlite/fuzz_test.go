@@ -3,7 +3,12 @@ package zstdlite
 import (
 	"bytes"
 	"io"
+	"reflect"
+	"slices"
 	"testing"
+
+	"cdpu/internal/fse"
+	"cdpu/internal/huffman"
 )
 
 // FuzzDecompress asserts the frame decode paths' robustness contract on
@@ -42,4 +47,77 @@ func FuzzDecompress(f *testing.F) {
 			t.Fatalf("DecodeLimited(64) returned %d bytes", len(limited))
 		}
 	})
+}
+
+// FuzzSizeOnlyMatchesFull is TestSizeOnlyMatchesFullLayout over fuzzed
+// payloads and parameters: a size-only frame has the full frame's length and
+// an equal Plan, and the full frame round-trips. Size-only mode histograms
+// literals from the source and sizes the three code streams in one walk, so
+// this holds its layout to the coders it skips. Out-of-range parameters wrap
+// into the range Params.Validate accepts (0 keeps the default).
+func FuzzSizeOnlyMatchesFull(f *testing.F) {
+	payloads := planPayloads(f)
+	names := make([]string, 0, len(payloads))
+	for name := range payloads {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		f.Add(payloads[name], 0, 0, 0, 0, false)
+	}
+	f.Add(payloads["mixed"], 0, 0, 0, 0, true)
+	f.Add(payloads["mixed"], -3, 0, 0, 0, false)
+	f.Add(payloads["text-3block"], 12, 22, 10, 12, false)
+	f.Add(payloads["noise-small"], 22, 10, 5, 8, false)
+	// The last parameter set's two encoders are reused, as the replays reuse
+	// theirs; a new set replaces them, so memory stays bounded.
+	var last Params
+	var full, sizeOnly *Encoder
+	f.Fuzz(func(t *testing.T, data []byte, level, windowLog, tableLog, huffMaxBits int, disableFSE bool) {
+		p := Params{
+			Level:       wrap(level, MinLevel, MaxLevel),
+			WindowLog:   wrap(windowLog, MinWindowLog, MaxWindowLog),
+			TableLog:    wrap(tableLog, fse.MinTableLog, fse.MaxTableLog),
+			HuffMaxBits: wrap(huffMaxBits, 8, huffman.MaxBitsLimit),
+			DisableFSE:  disableFSE,
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("wrapped params %+v: %v", p, err)
+		}
+		if full == nil || !reflect.DeepEqual(p, last) {
+			var err error
+			if full, err = NewEncoder(p); err != nil {
+				t.Fatalf("NewEncoder(%+v): %v", p, err)
+			}
+			if sizeOnly, err = NewEncoder(p); err != nil {
+				t.Fatalf("NewEncoder(%+v): %v", p, err)
+			}
+			sizeOnly.SetSizeOnly(true)
+			last = p
+		}
+		fullFrame, fullPlan := full.AppendEncodeWithPlan(nil, data)
+		soFrame, soPlan := sizeOnly.AppendEncodeWithPlan(nil, data)
+		if len(soFrame) != len(fullFrame) {
+			t.Fatalf("%+v: size-only frame %d bytes, full frame %d", p, len(soFrame), len(fullFrame))
+		}
+		if !reflect.DeepEqual(soPlan, fullPlan) {
+			t.Fatalf("%+v: size-only plan diverges from full plan:\n got %+v\nwant %+v", p, soPlan, fullPlan)
+		}
+		dec, err := Decode(fullFrame)
+		if err != nil {
+			t.Fatalf("%+v: full frame does not decode: %v", p, err)
+		}
+		if !bytes.Equal(dec, data) {
+			t.Fatalf("%+v: full frame round trip mismatch", p)
+		}
+	})
+}
+
+// wrap maps v into [lo, hi] by modular reduction, keeping 0 (the default).
+func wrap(v, lo, hi int) int {
+	if v == 0 || (v >= lo && v <= hi) {
+		return v
+	}
+	n := hi - lo + 1
+	return lo + ((v-lo)%n+n)%n
 }

@@ -7,7 +7,7 @@ import (
 
 // planPayloads builds a spread of payload shapes: compressible text-like,
 // RLE runs, incompressible noise, multi-block sizes, and edge sizes.
-func planPayloads(t *testing.T) map[string][]byte {
+func planPayloads(t testing.TB) map[string][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	textish := func(n int) []byte {

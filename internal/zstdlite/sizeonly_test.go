@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"cdpu/internal/corpus"
 )
 
 // TestSizeOnlyMatchesFullLayout is the size-only fast path's differential
@@ -74,5 +76,36 @@ func TestSizeOnlyToggleRestoresFullEncoding(t *testing.T) {
 	}
 	if !bytes.Equal(dec, payload) {
 		t.Fatal("round trip mismatch after toggling size-only off")
+	}
+}
+
+// BenchmarkEncodeSizeOnly measures the size-only encode the replays and the
+// DSE compression traces run: the frame-wide parse, block carving and the
+// entropy stage's sizing, per corpus kind and payload size.
+func BenchmarkEncodeSizeOnly(b *testing.B) {
+	sizes := []struct {
+		name string
+		n    int
+	}{{"4K", 4 << 10}, {"64K", 64 << 10}, {"1M", 1 << 20}}
+	for _, kind := range []corpus.Kind{corpus.Text, corpus.Log, corpus.JSON, corpus.Protobuf, corpus.Skewed, corpus.Random} {
+		b.Run(kind.String(), func(b *testing.B) {
+			for _, size := range sizes {
+				b.Run(size.name, func(b *testing.B) {
+					enc, err := NewEncoder(Params{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					enc.SetSizeOnly(true)
+					src := corpus.Generate(kind, size.n, 6)
+					dst := enc.AppendEncode(nil, src)
+					b.SetBytes(int64(len(src)))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						dst = enc.AppendEncode(dst[:0], src)
+					}
+				})
+			}
+		})
 	}
 }

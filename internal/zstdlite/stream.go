@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"cdpu/internal/lz77"
 )
 
 // This file implements the streaming form of the format — the paper notes
@@ -93,9 +91,8 @@ func (sw *Writer) emitBlock(block []byte, last bool) error {
 	data := make([]byte, 0, len(sw.history)+len(block))
 	data = append(append(data, sw.history...), block...)
 	seqs := sw.enc.matcher.ParsePrefixed(data, len(sw.history))
-	sw.enc.litBuf = lz77.AppendLiteralsAt(sw.enc.litBuf[:0], data, len(sw.history), seqs)
 	var info BlockInfo // a stream keeps no record of its blocks
-	out = sw.enc.encodeBlock(out, &info, block, sw.enc.litBuf, seqs, last)
+	out = sw.enc.encodeBlock(out, &info, block, seqs, last)
 	sw.hash.update(block)
 	if last && sw.enc.params.Checksum {
 		out = binary.LittleEndian.AppendUint32(out, sw.hash.sum32())
