@@ -2,6 +2,8 @@ package bits
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -66,5 +68,128 @@ func TestReaderWriterBoundaryCount(t *testing.T) {
 	}
 	if r.Err() != nil {
 		t.Fatalf("ReadBits(56): %v", r.Err())
+	}
+}
+
+// byteReader is the Reader contract one byte at a time, with no accumulator:
+// the reference TestReaderMatchesByteReference holds the refilling Reader to.
+type byteReader struct {
+	buf []byte
+	pos uint // bits consumed
+	err error
+}
+
+func (b *byteReader) bit(i uint) uint64 {
+	if i >= uint(len(b.buf))*8 {
+		return 0
+	}
+	return uint64(b.buf[i/8]>>(i%8)) & 1
+}
+
+func (b *byteReader) peek(n uint) uint64 {
+	var v uint64
+	for i := uint(0); i < n; i++ {
+		v |= b.bit(b.pos+i) << i
+	}
+	return v
+}
+
+func (b *byteReader) remaining() int { return len(b.buf)*8 - int(b.pos) }
+
+func (b *byteReader) fail(err error) {
+	if b.err == nil {
+		b.err = err
+	}
+}
+
+func (b *byteReader) ReadBits(n uint) uint64 {
+	switch {
+	case n > 56:
+		b.fail(ErrBitCount)
+		return 0
+	case int(n) > b.remaining():
+		b.fail(ErrOverread)
+		return 0
+	}
+	v := b.peek(n)
+	b.pos += n
+	return v
+}
+
+func (b *byteReader) PeekBits(n uint) uint64 {
+	if n > 56 {
+		b.fail(ErrBitCount)
+		return 0
+	}
+	return b.peek(n)
+}
+
+// TestReaderMatchesByteReference runs random interleavings of ReadBits,
+// PeekBits and Skip, widths 0–57, over streams of 0–17 bytes — short enough
+// that refills keep landing on the stream's tail, where the 64-bit load gives
+// way to byte loads — and holds every value, BitsRemaining and Err, through
+// and after the first error, to the byte-at-a-time reference.
+func TestReaderMatchesByteReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	sameErr := func(got, want error) bool {
+		if want == nil {
+			return got == nil
+		}
+		return errors.Is(got, want)
+	}
+	for trial := 0; trial < 20000; trial++ {
+		buf := make([]byte, rng.Intn(18))
+		rng.Read(buf)
+		r, ref := NewReader(buf), &byteReader{buf: buf}
+		var log []string
+		for op := 0; op < 12; op++ {
+			n := uint(rng.Intn(58))
+			var got, want uint64
+			switch rng.Intn(3) {
+			case 0:
+				got, want = r.ReadBits(n), ref.ReadBits(n)
+				log = append(log, fmt.Sprintf("ReadBits(%d)", n))
+			case 1:
+				got, want = r.PeekBits(n), ref.PeekBits(n)
+				log = append(log, fmt.Sprintf("PeekBits(%d)", n))
+			default:
+				r.Skip(n)
+				ref.ReadBits(n)
+				log = append(log, fmt.Sprintf("Skip(%d)", n))
+			}
+			if got != want || r.BitsRemaining() != ref.remaining() || !sameErr(r.Err(), ref.err) {
+				t.Fatalf("%d-byte stream %x after %v: value %#x want %#x, remaining %d want %d, err %v want %v",
+					len(buf), buf, log, got, want, r.BitsRemaining(), ref.remaining(), r.Err(), ref.err)
+			}
+		}
+	}
+}
+
+// TestTakeOverrunIsReported holds the unchecked trio to its contract: Fill
+// then Take reads what ReadBits reads, and a Take past the end reads zeros,
+// leaves BitsRemaining negative by the overrun and makes Err report
+// ErrOverread, which later reads keep.
+func TestTakeOverrunIsReported(t *testing.T) {
+	buf := []byte{0xb5, 0x3c, 0xff}
+	r, ref := NewReader(buf), NewReader(buf)
+	for _, n := range []uint{3, 9, 0, 7} {
+		r.Fill(n)
+		if p, got, want := r.Peek(n), r.Take(n), ref.ReadBits(n); p != want || got != want {
+			t.Fatalf("Peek/Take(%d) = %#x/%#x, ReadBits = %#x", n, p, got, want)
+		}
+	}
+	if r.Err() != nil || r.BitsRemaining() != 5 {
+		t.Fatalf("err %v, remaining %d; want nil, 5", r.Err(), r.BitsRemaining())
+	}
+	r.Fill(8)
+	if v := r.Take(8); v != 0x1f {
+		t.Fatalf("overrunning Take = %#x, want the 5 bits left zero-extended (0x1f)", v)
+	}
+	if !errors.Is(r.Err(), ErrOverread) || r.BitsRemaining() != -3 {
+		t.Fatalf("after overrun: err %v, remaining %d; want ErrOverread, -3", r.Err(), r.BitsRemaining())
+	}
+	first := r.Err()
+	if v := r.ReadBits(1); v != 0 || r.Err() != first {
+		t.Fatalf("read after overrun = %d, err %v; want 0 and the first error", v, r.Err())
 	}
 }

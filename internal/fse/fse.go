@@ -376,20 +376,27 @@ func EncodedBits3(ta, tb, tc *EncTable, a, b, c []uint8) (na, nb, nc int) {
 	return na, nb, nc
 }
 
-// decEntry is one decode-table cell.
-type decEntry struct {
-	newState uint16
-	sym      uint8
-	nbBits   uint8
+// DecEntry is one decode-table cell: the symbol its state emits, and the
+// next state, Base plus the next NbBits stream bits.
+type DecEntry struct {
+	Base   uint16
+	Sym    uint8
+	NbBits uint8
 }
 
-// DecTable is a built FSE decoding table. A built table is immutable: Decode
-// keeps its walk state on the stack and only reads the entries, so one
-// DecTable may serve any number of goroutines concurrently — which is what
-// lets zstdlite memoize tables behind a shared cache.
+// DecTable is a built FSE decoding table. A built table is immutable: a
+// decoder keeps its walk state on the stack and only reads the entries, so
+// one DecTable may serve any number of goroutines concurrently — which is
+// what lets zstdlite memoize tables behind a shared cache.
+//
+// A lane is one decode walk: its first state is the stream's first TableLog
+// bits, and each state emits Entries()[state].Sym and moves on to Base plus
+// the next NbBits bits. Every next state is a valid index, so a lane needs no
+// range check: NbBits ≤ TableLog and Base + 2^NbBits ≤ 2^TableLog in every
+// cell NewDecTable builds.
 type DecTable struct {
 	tableLog int
-	entries  []decEntry
+	entries  []DecEntry
 }
 
 // NewDecTable builds a decoding table from normalized counts.
@@ -399,7 +406,7 @@ func NewDecTable(norm []int, tableLog int) (*DecTable, error) {
 	}
 	size := 1 << tableLog
 	tableSymbol := spread(nil, norm, tableLog)
-	entries := make([]decEntry, size)
+	entries := make([]DecEntry, size)
 	symbolNext := make([]int, len(norm))
 	copy(symbolNext, norm)
 	for u := 0; u < size; u++ {
@@ -407,37 +414,39 @@ func NewDecTable(norm []int, tableLog int) (*DecTable, error) {
 		x := symbolNext[s]
 		symbolNext[s]++
 		nb := tableLog - (bits.Len32(uint32(x)) - 1)
-		entries[u] = decEntry{
-			sym:      s,
-			nbBits:   uint8(nb),
-			newState: uint16(x<<uint(nb) - size),
+		entries[u] = DecEntry{
+			Sym:    s,
+			NbBits: uint8(nb),
+			Base:   uint16(x<<uint(nb) - size),
 		}
 	}
 	return &DecTable{tableLog: tableLog, entries: entries}, nil
 }
 
-// Decode reads n symbols from r, appending them to dst.
+// TableLog returns the table's accuracy: the width of a lane's first state.
+func (t *DecTable) TableLog() int { return t.tableLog }
+
+// Entries returns the table's cells, indexed by state. The slice is the
+// table's own and must not be modified.
+func (t *DecTable) Entries() []DecEntry { return t.entries }
+
+// Decode reads n symbols from r, appending them to dst: one lane walked to
+// its end, with the reader checked once, after the last field.
 func (t *DecTable) Decode(r *ibits.Reader, dst []uint8, n int) ([]uint8, error) {
 	if n == 0 {
 		return dst, nil
 	}
-	state := uint32(r.ReadBits(uint(t.tableLog)))
-	if r.Err() != nil {
-		return dst, fmt.Errorf("%w: %v", ErrBadStream, r.Err())
-	}
-	for i := 0; i < n; i++ {
+	r.Fill(uint(t.tableLog))
+	state := uint32(r.Take(uint(t.tableLog)))
+	for i := 1; i < n; i++ {
 		e := t.entries[state]
-		dst = append(dst, e.sym)
-		if i == n-1 {
-			break
-		}
-		state = uint32(e.newState) + uint32(r.ReadBits(uint(e.nbBits)))
-		if r.Err() != nil {
-			return dst, fmt.Errorf("%w: %v", ErrBadStream, r.Err())
-		}
-		if int(state) >= len(t.entries) {
-			return dst, ErrBadStream
-		}
+		dst = append(dst, e.Sym)
+		r.Fill(MaxTableLog)
+		state = uint32(e.Base) + uint32(r.Take(uint(e.NbBits)))
+	}
+	dst = append(dst, t.entries[state].Sym)
+	if err := r.Err(); err != nil {
+		return dst, fmt.Errorf("%w: %v", ErrBadStream, err)
 	}
 	return dst, nil
 }
@@ -482,16 +491,18 @@ func WriteNorm(w *ibits.Writer, norm []int, tableLog int) error {
 	return nil
 }
 
-// ReadNorm deserializes counts written by WriteNorm.
-func ReadNorm(r *ibits.Reader) (norm []int, tableLog int, err error) {
+// AppendReadNorm deserializes counts written by WriteNorm, appending them to
+// dst, so a decoder reading a table per block can read it into a reused or
+// stack buffer.
+func AppendReadNorm(dst []int, r *ibits.Reader) (norm []int, tableLog int, err error) {
 	n := int(r.ReadBits(8)) + 1
 	tableLog = int(r.ReadBits(4))
 	if tableLog < MinTableLog || tableLog > MaxTableLog {
 		return nil, 0, fmt.Errorf("%w: %d", ErrBadTableLog, tableLog)
 	}
-	norm = make([]int, n)
-	for i := range norm {
-		norm[i] = int(r.ReadBits(uint(tableLog + 1)))
+	norm = dst
+	for i := 0; i < n; i++ {
+		norm = append(norm, int(r.ReadBits(uint(tableLog+1))))
 	}
 	if r.Err() != nil {
 		return nil, 0, r.Err()

@@ -38,9 +38,9 @@ func roundTrip(t *testing.T, symbols []uint8, alphabet, tableLog int) {
 		t.Fatalf("Encode: %v", err)
 	}
 	r := ibits.NewReader(w.Bytes())
-	norm2, tl2, err := ReadNorm(r)
+	norm2, tl2, err := AppendReadNorm(nil, r)
 	if err != nil {
-		t.Fatalf("ReadNorm: %v", err)
+		t.Fatalf("AppendReadNorm: %v", err)
 	}
 	if tl2 != tableLog {
 		t.Fatalf("tableLog %d != %d", tl2, tableLog)
@@ -387,9 +387,9 @@ func TestNormSerializationRoundTrip(t *testing.T) {
 	if err := WriteNorm(&w, norm, 6); err != nil {
 		t.Fatal(err)
 	}
-	got, tl, err := ReadNorm(ibits.NewReader(w.Bytes()))
+	got, tl, err := AppendReadNorm(nil, ibits.NewReader(w.Bytes()))
 	if err != nil || tl != 6 {
-		t.Fatalf("ReadNorm: %v (tl=%d)", err, tl)
+		t.Fatalf("AppendReadNorm: %v (tl=%d)", err, tl)
 	}
 	for i, n := range norm {
 		if got[i] != n {
@@ -439,5 +439,41 @@ func TestDecTableEntries(t *testing.T) {
 	}
 	if len(dec.entries) != 32 || dec.tableLog != 5 {
 		t.Errorf("entries=%d tableLog=%d", len(dec.entries), dec.tableLog)
+	}
+}
+
+// TestDecTableNextStatesInRange is why a lane needs no range check on its
+// next state: over random normalized counts at table logs 5–12, every cell
+// NewDecTable builds reads at most TableLog bits and can only move to a state
+// inside the table, base + 2^nbBits ≤ 2^tableLog.
+func TestDecTableNextStatesInRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for tableLog := MinTableLog; tableLog <= MaxTableLog; tableLog++ {
+		for trial := 0; trial < 40; trial++ {
+			alphabet := 2 + rng.Intn(min(254, 1<<tableLog-1))
+			hist := make([]int, alphabet)
+			for i := range hist {
+				if rng.Intn(4) > 0 {
+					hist[i] = 1 + rng.Intn(1+rng.Intn(5000))
+				}
+			}
+			hist[0], hist[alphabet-1] = hist[0]+1, hist[alphabet-1]+1
+			norm, err := Normalize(hist, tableLog)
+			if err != nil {
+				t.Fatalf("log %d: Normalize: %v", tableLog, err)
+			}
+			dec, err := NewDecTable(norm, tableLog)
+			if err != nil {
+				t.Fatalf("log %d: NewDecTable: %v", tableLog, err)
+			}
+			if dec.TableLog() != tableLog || len(dec.Entries()) != 1<<tableLog {
+				t.Fatalf("log %d: TableLog %d, %d entries", tableLog, dec.TableLog(), len(dec.Entries()))
+			}
+			for state, e := range dec.Entries() {
+				if int(e.NbBits) > tableLog || int(e.Base)+1<<e.NbBits > 1<<tableLog {
+					t.Fatalf("log %d, norm %v: state %d reads %d bits from base %d", tableLog, norm, state, e.NbBits, e.Base)
+				}
+			}
+		}
 	}
 }

@@ -377,11 +377,28 @@ func NewDecoder(t *CodeTable) *Decoder {
 // MaxBits reports the widest code length the table resolves (the peek width).
 func (d *Decoder) MaxBits() int { return d.maxBits }
 
-// Decode reads n symbols from r into dst, returning dst.
+// Decode reads n symbols from r into dst, returning dst. While the stream
+// holds a whole batch, it refills once per batch — as many symbols as 56 bits
+// cover at MaxBits each — and takes the batch's codes unchecked; the tail
+// checks every symbol against the bits left.
 func (d *Decoder) Decode(r *ibits.Reader, dst []byte, n int) ([]byte, error) {
-	for i := 0; i < n; i++ {
-		peek := r.PeekBits(uint(d.maxBits))
-		entry := d.table[peek]
+	mb := uint(d.maxBits)
+	batch := 56 / d.maxBits
+	i := 0
+	for n-i >= batch && r.BitsRemaining() >= batch*d.maxBits {
+		r.Fill(56)
+		for end := i + batch; i < end; i++ {
+			entry := d.table[r.Peek(mb)]
+			l := uint(entry & 0xf)
+			if l == 0 {
+				return dst, fmt.Errorf("huffman: invalid code at symbol %d", i)
+			}
+			r.Take(l)
+			dst = append(dst, byte(entry>>4))
+		}
+	}
+	for ; i < n; i++ {
+		entry := d.table[r.PeekBits(mb)]
 		l := uint(entry & 0xf)
 		if l == 0 {
 			return dst, fmt.Errorf("huffman: invalid code at symbol %d", i)

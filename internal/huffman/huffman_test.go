@@ -409,3 +409,64 @@ func TestBuildMatchesStableSortReference(t *testing.T) {
 		}
 	}
 }
+
+// refDecode is Decode one symbol at a time: a checked peek, a remaining-bits
+// check and a skip per symbol, as it stood before batched refills.
+func refDecode(d *Decoder, r *ibits.Reader, dst []byte, n int) ([]byte, error) {
+	for i := 0; i < n; i++ {
+		entry := d.table[r.PeekBits(uint(d.maxBits))]
+		l := uint(entry & 0xf)
+		if l == 0 {
+			return dst, fmt.Errorf("huffman: invalid code at symbol %d", i)
+		}
+		if r.BitsRemaining() < int(l) {
+			return dst, ibits.ErrOverread
+		}
+		r.Skip(l)
+		dst = append(dst, byte(entry>>4))
+	}
+	return dst, nil
+}
+
+// TestDecodeMatchesPerSymbolReference holds the batched Decode to the
+// per-symbol loop on valid streams, truncated ones and random bytes (a
+// one-symbol table leaves half its codes invalid), asking for symbols past
+// the stream's end: the same symbols, the same error at the same symbol, the
+// same bits left.
+func TestDecodeMatchesPerSymbolReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 3000; trial++ {
+		data := make([]byte, 1+rng.Intn(300))
+		alphabet := 1 + rng.Intn(256)
+		for i := range data {
+			data[i] = byte(rng.Intn(1 + rng.Intn(alphabet)))
+		}
+		maxBits := 8 + rng.Intn(MaxBitsLimit-7)
+		var b Builder
+		table, err := b.Build(histogram(data), maxBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w ibits.Writer
+		if err := b.Encoder().Encode(&w, data); err != nil {
+			t.Fatal(err)
+		}
+		stream := w.Bytes()
+		switch trial % 3 {
+		case 1:
+			stream = stream[:rng.Intn(len(stream)+1)]
+		case 2:
+			stream = make([]byte, rng.Intn(40))
+			rng.Read(stream)
+		}
+		n := len(data) + rng.Intn(8)
+		d := NewDecoder(table)
+		r, ref := ibits.NewReader(stream), ibits.NewReader(stream)
+		got, err := d.Decode(r, nil, n)
+		want, werr := refDecode(d, ref, nil, n)
+		if !bytes.Equal(got, want) || fmt.Sprint(err) != fmt.Sprint(werr) || r.BitsRemaining() != ref.BitsRemaining() {
+			t.Fatalf("trial %d (maxBits %d, %d-byte stream, n %d): got %d symbols, err %v, %d bits left; reference %d, %v, %d",
+				trial, table.MaxBits, len(stream), n, len(got), err, r.BitsRemaining(), len(want), werr, ref.BitsRemaining())
+		}
+	}
+}

@@ -371,3 +371,30 @@ func TestAppendDecodeSeqsReusesBuffers(t *testing.T) {
 		t.Errorf("AppendDecodeSeqs with pre-grown buffers allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// BenchmarkDecode measures Decode per corpus kind and payload size, on
+// frames of the default encoder. SetBytes counts decoded bytes.
+func BenchmarkDecode(b *testing.B) {
+	sizes := []struct {
+		name string
+		n    int
+	}{{"4K", 4 << 10}, {"64K", 64 << 10}, {"1M", 1 << 20}}
+	for _, kind := range []corpus.Kind{corpus.Text, corpus.Log, corpus.JSON, corpus.Protobuf, corpus.Skewed, corpus.Random} {
+		b.Run(kind.String(), func(b *testing.B) {
+			for _, size := range sizes {
+				b.Run(size.name, func(b *testing.B) {
+					src := corpus.Generate(kind, size.n, 6)
+					frame := Encode(src)
+					b.SetBytes(int64(len(src)))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := Decode(frame); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
+}

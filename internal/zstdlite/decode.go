@@ -406,15 +406,16 @@ func parseCompressedBody(body []byte, block *BlockInfo) error {
 		}
 		return nil
 	}
-	var codeStreams [3][]uint8
-	for s := 0; s < 3; s++ {
-		codes, mode, tableLog, adv, err := parseCodeStream(body[pos:], numSeqs)
+	// The three code streams are three independent lanes. Each is opened —
+	// mode, payload, table, first state — before the extras, as the streams
+	// lie in the body; then one loop walks all three and the extras together,
+	// a sequence per step, the way the hardware's three FSE lanes do.
+	var lanes [3]seqLane
+	for s := range lanes {
+		adv, err := lanes[s].open(body[pos:], block, s)
 		if err != nil {
 			return err
 		}
-		block.SeqModes[s] = mode
-		block.FSETableLogs[s] = tableLog
-		codeStreams[s] = codes
 		pos += adv
 	}
 	extraLen64, n, err := ibits.Uvarint(body[pos:])
@@ -434,25 +435,50 @@ func parseCompressedBody(body []byte, block *BlockInfo) error {
 	seqs := make([]lz77.Seq, numSeqs)
 	total := 0
 	reps := newRepHistory() // mirrors the encoder's per-block offset state
-	for i := 0; i < numSeqs; i++ {
-		ll := seqValue(codeStreams[0][i], uint32(extras.ReadBits(uint(extraWidth(codeStreams[0][i])))))
-		seqs[i].LitLen = int(ll)
-		ofCode, mlCode := codeStreams[1][i], codeStreams[2][i]
-		if ofCode == 0 && mlCode == 0 {
-			// terminal literal run
-		} else {
-			ofValue := seqValue(ofCode, uint32(extras.ReadBits(uint(extraWidth(ofCode)))))
-			ml := seqValue(mlCode, uint32(extras.ReadBits(uint(extraWidth(mlCode)))))
-			of := uint32(reps.decode(ofValue))
-			if of == 0 || ml == 0 {
+	ll, of, ml := &lanes[0], &lanes[1], &lanes[2]
+	for i := range seqs {
+		el, eo, em := ll.entries[ll.state], of.entries[of.state], ml.entries[ml.state]
+		llCode, ofCode, mlCode := el.Sym, eo.Sym, em.Sym
+		if llCode >= maxSeqCode || ofCode >= maxSeqCode || mlCode >= maxSeqCode {
+			return fmt.Errorf("%w: sequence code %d/%d/%d", ErrCorrupt, llCode, ofCode, mlCode)
+		}
+		seq := &seqs[i]
+		w := uint(extraWidth(llCode))
+		extras.Fill(w)
+		seq.LitLen = int(seqValue(llCode, uint32(extras.Take(w))))
+		if ofCode != 0 || mlCode != 0 { // both zero: the terminal literal run
+			w = uint(extraWidth(ofCode))
+			extras.Fill(w)
+			ofValue := seqValue(ofCode, uint32(extras.Take(w)))
+			w = uint(extraWidth(mlCode))
+			extras.Fill(w)
+			mlValue := seqValue(mlCode, uint32(extras.Take(w)))
+			offset := reps.decode(ofValue)
+			if offset == 0 || mlValue == 0 {
 				return fmt.Errorf("%w: zero offset or length in match", ErrCorrupt)
 			}
 			// Offsets may reference earlier blocks or the dictionary; the
 			// frame-wide executor validates them against produced history.
-			seqs[i].Offset = int(of)
-			seqs[i].MatchLen = int(ml)
+			seq.Offset = offset
+			seq.MatchLen = int(mlValue)
 		}
-		total += seqs[i].LitLen + seqs[i].MatchLen
+		total += seq.LitLen + seq.MatchLen
+		if i == numSeqs-1 {
+			break
+		}
+		// Every state's bits fit in MaxTableLog, so one Fill per lane covers
+		// the step, and a load serves several steps.
+		ll.r.Fill(fse.MaxTableLog)
+		of.r.Fill(fse.MaxTableLog)
+		ml.r.Fill(fse.MaxTableLog)
+		ll.state = uint32(el.Base) + uint32(ll.r.Take(uint(el.NbBits)))
+		of.state = uint32(eo.Base) + uint32(of.r.Take(uint(eo.NbBits)))
+		ml.state = uint32(em.Base) + uint32(ml.r.Take(uint(em.NbBits)))
+	}
+	for s := range lanes {
+		if lanes[s].r.Err() != nil {
+			return fmt.Errorf("%w: code stream %d underrun", ErrCorrupt, s)
+		}
 	}
 	if extras.Err() != nil {
 		return fmt.Errorf("%w: extras underrun", ErrCorrupt)
@@ -464,55 +490,68 @@ func parseCompressedBody(body []byte, block *BlockInfo) error {
 	return nil
 }
 
-// parseCodeStream decodes one sequence-code stream, returning the codes, the
-// coding mode, the FSE table log (0 for raw mode) and bytes consumed.
-func parseCodeStream(body []byte, numSeqs int) (codes []uint8, mode, tableLog, adv int, err error) {
-	if len(body) < 1 {
-		return nil, 0, 0, 0, fmt.Errorf("%w: missing code stream", ErrCorrupt)
+// seqLane is one sequence-code stream being decoded: an FSE table walk, or a
+// raw stream walked as one (rawCodeTable).
+type seqLane struct {
+	r       ibits.Reader
+	entries []fse.DecEntry
+	state   uint32
+}
+
+// rawCodeTable decodes a raw code stream as an FSE lane: state s emits code s
+// and is followed by the next seqCodeBits bits, so the walk reads exactly the
+// stream's fixed-width codes.
+var rawCodeTable = func() []fse.DecEntry {
+	t := make([]fse.DecEntry, 1<<seqCodeBits)
+	for s := range t {
+		t[s] = fse.DecEntry{Sym: uint8(s), NbBits: seqCodeBits}
 	}
-	mode = int(body[0])
+	return t
+}()
+
+// open reads stream s's header — mode, payload size, and an FSE stream's
+// normalized counts — off the front of body, records its mode and table log
+// in block, and reads the lane's first state. It returns the bytes the stream
+// occupies.
+func (l *seqLane) open(body []byte, block *BlockInfo, s int) (adv int, err error) {
+	if len(body) < 1 {
+		return 0, fmt.Errorf("%w: missing code stream", ErrCorrupt)
+	}
+	mode := int(body[0])
 	pos := 1
 	payload64, n, uerr := ibits.Uvarint(body[pos:])
 	if uerr != nil || payload64 > uint64(len(body)) {
-		return nil, 0, 0, 0, fmt.Errorf("%w: code stream size", ErrCorrupt)
+		return 0, fmt.Errorf("%w: code stream size", ErrCorrupt)
 	}
 	pos += n
 	payload := int(payload64)
 	if pos+payload > len(body) {
-		return nil, 0, 0, 0, fmt.Errorf("%w: code stream overruns body", ErrCorrupt)
+		return 0, fmt.Errorf("%w: code stream overruns body", ErrCorrupt)
 	}
-	r := ibits.NewReader(body[pos : pos+payload])
+	l.r = *ibits.NewReader(body[pos : pos+payload])
+	tableLog := 0
 	switch mode {
 	case seqFSE:
-		norm, tl, nerr := fse.ReadNorm(r)
+		var normBuf [256]int // the widest alphabet a norm can declare
+		norm, tl, nerr := fse.AppendReadNorm(normBuf[:0], &l.r)
 		if nerr != nil {
-			return nil, 0, 0, 0, fmt.Errorf("%w: fse norm: %v", ErrCorrupt, nerr)
+			return 0, fmt.Errorf("%w: fse norm: %v", ErrCorrupt, nerr)
 		}
 		var keyBuf [1 + 2*maxSeqCode]byte
 		dec, derr := tables.fseTable(fse.AppendNormKey(keyBuf[:0], norm, tl), norm, tl)
 		if derr != nil {
-			return nil, 0, 0, 0, fmt.Errorf("%w: fse table: %v", ErrCorrupt, derr)
+			return 0, fmt.Errorf("%w: fse table: %v", ErrCorrupt, derr)
 		}
-		codes, err = dec.Decode(r, make([]uint8, 0, numSeqs), numSeqs)
-		if err != nil {
-			return nil, 0, 0, 0, fmt.Errorf("%w: fse codes: %v", ErrCorrupt, err)
-		}
-		tableLog = tl
+		l.entries, tableLog = dec.Entries(), dec.TableLog()
+		l.r.Fill(uint(tableLog))
+		l.state = uint32(l.r.Take(uint(tableLog)))
 	case seqRaw:
-		codes = make([]uint8, numSeqs)
-		for i := range codes {
-			codes[i] = uint8(r.ReadBits(seqCodeBits))
-		}
-		if r.Err() != nil {
-			return nil, 0, 0, 0, fmt.Errorf("%w: raw codes underrun", ErrCorrupt)
-		}
+		l.entries = rawCodeTable
+		l.r.Fill(seqCodeBits)
+		l.state = uint32(l.r.Take(seqCodeBits))
 	default:
-		return nil, 0, 0, 0, fmt.Errorf("%w: code stream mode %d", ErrCorrupt, mode)
+		return 0, fmt.Errorf("%w: code stream mode %d", ErrCorrupt, mode)
 	}
-	for _, c := range codes {
-		if int(c) >= maxSeqCode {
-			return nil, 0, 0, 0, fmt.Errorf("%w: sequence code %d", ErrCorrupt, c)
-		}
-	}
-	return codes, mode, tableLog, pos + payload, nil
+	block.SeqModes[s], block.FSETableLogs[s] = mode, tableLog
+	return pos + payload, nil
 }
