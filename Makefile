@@ -130,6 +130,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecompress$$' -fuzztime $(FUZZTIME) ./internal/zstdlite
 	$(GO) test -run '^$$' -fuzz '^FuzzSizeOnlyMatchesFull$$' -fuzztime $(FUZZTIME) ./internal/zstdlite
 	$(GO) test -run '^$$' -fuzz '^FuzzInspectMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/zstdlite
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayMatchesAppendReconstruct$$' -fuzztime $(FUZZTIME) ./internal/lz77
 	$(GO) test -run '^$$' -fuzz '^FuzzDecompress$$' -fuzztime $(FUZZTIME) ./internal/lzo
 	$(GO) test -run '^$$' -fuzz '^FuzzDecompress$$' -fuzztime $(FUZZTIME) ./internal/gipfeli
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) ./internal/fault

@@ -15,7 +15,7 @@ import "fmt"
 type Writer struct {
 	buf  []byte
 	acc  uint64 // pending bits, LSB-aligned
-	nacc uint   // number of valid bits in acc (always < 8 after flushAcc)
+	nacc uint   // number of valid bits in acc (always < 8 between calls)
 	err  error
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cdpu/internal/area"
 	"cdpu/internal/comp"
@@ -263,10 +264,11 @@ func (tr *Trace) decodeSnappy(src, out []byte) ([]byte, error) {
 		return nil, err
 	}
 	tr.seqs, tr.lits = seqs, lits
-	if out == nil {
-		out = make([]byte, 0, n)
+	out = slices.Grow(out[:0], n+lz77.Slack)[:n+lz77.Slack]
+	if _, err := lz77.Replay(out, 0, n, seqs, lits, 0); err != nil {
+		return nil, err
 	}
-	return lz77.AppendReconstruct(out, seqs, lits, 0)
+	return out[:n], nil
 }
 
 func (tr *Trace) decodeZStd(src []byte) ([]byte, error) {

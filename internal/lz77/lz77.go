@@ -792,12 +792,105 @@ func AppendReconstruct(out []byte, seqs []Seq, literals []byte, window int) ([]b
 	return out, nil
 }
 
+// ErrOverrun is Replay's verdict on a command that would write past the end
+// of the output it was given.
+var ErrOverrun = errors.New("lz77: command runs past the output's end")
+
+// Slack is how many bytes past the end of its output Replay and CopyMatch may
+// write: a short literal run or copy is one 16-byte move, whatever its length.
+// A decoder that owns its output buffer sizes it to the output plus Slack and
+// reslices to the output when done.
+const Slack = 16
+
+// Replay is AppendReconstruct into a buffer the caller owns: it replays seqs
+// against the literal stream into out[d:end], where out[:d] is the history
+// copies may reach into, and returns the position after the last command. It
+// rejects what AppendReconstruct rejects, with the same sentinels, and also
+// any command that would run past end (ErrOverrun). It writes nothing outside
+// out[d:end+Slack], and len(out) must be at least end+Slack.
+//
+// Each command is checked in full before any of it is written, in
+// AppendReconstruct's order: the literal run, the copy's offset, then the
+// command's extent.
+func Replay(out []byte, d, end int, seqs []Seq, lits []byte, window int) (int, error) {
+	out = out[:end+Slack]
+	lp := 0
+	for _, s := range seqs {
+		ll, ml := s.LitLen, s.MatchLen
+		if uint(ll) > uint(len(lits)-lp) {
+			return 0, ErrBadLiterals
+		}
+		if ml != 0 && (s.Offset <= 0 || s.Offset > d+ll || (window > 0 && s.Offset > window)) {
+			return 0, fmt.Errorf("%w: offset %d, produced %d, window %d", ErrBadOffset, s.Offset, d+ll, window)
+		}
+		if uint(ll) > uint(end-d) || uint(ml) > uint(end-d-ll) {
+			return 0, fmt.Errorf("%w: %d+%d bytes at %d, end %d", ErrOverrun, ll, ml, d, end)
+		}
+		if ll <= 16 && len(lits)-lp >= 16 {
+			*(*[16]byte)(out[d:]) = *(*[16]byte)(lits[lp:])
+		} else {
+			copy(out[d:d+ll], lits[lp:lp+ll])
+		}
+		d += ll
+		lp += ll
+		if ml == 0 {
+			continue
+		}
+		if s.Offset >= 16 && ml <= 16 {
+			*(*[16]byte)(out[d:]) = *(*[16]byte)(out[d-s.Offset:])
+		} else {
+			CopyMatch(out, d, s.Offset, ml)
+		}
+		d += ml
+	}
+	return d, nil
+}
+
+// CopyMatch writes the n bytes at out[d:] that a copy from offset bytes back
+// produces: AppendCopy into a buffer the caller owns. The caller has checked
+// 0 < offset ≤ d and sized out to at least d+n+Slack; CopyMatch writes nothing
+// outside out[d:d+n+Slack]. A move reads only bytes already final: at offset
+// ≥ 16 a 16-byte move reads 16 bytes that end at or before the byte it starts
+// writing, at 8 ≤ offset < 16 an 8-byte move does, and below 8 bytes apart a
+// long copy doubles its run from a fixed origin as AppendCopy does.
+//
+// A call does not fit Go's inlining budget, so a hot loop takes the common
+// copy, at least 16 bytes back and at most 16 long, as one 16-byte move of its
+// own, as Replay and the Snappy decoder do.
+func CopyMatch(out []byte, d, offset, n int) {
+	s := d - offset
+	switch {
+	case offset >= n && n > 64:
+		copy(out[d:d+n], out[s:s+n])
+	case offset >= 16:
+		for i := 0; i < n; i += 16 {
+			*(*[16]byte)(out[d+i:]) = *(*[16]byte)(out[s+i:])
+		}
+	case offset >= 8:
+		for i := 0; i < n; i += 8 {
+			*(*[8]byte)(out[d+i:]) = *(*[8]byte)(out[s+i:])
+		}
+	case n <= 32:
+		for i := range n {
+			out[d+i] = out[s+i]
+		}
+	default:
+		for run := offset; n > run; run *= 2 {
+			copy(out[d:d+run], out[s:s+run])
+			d += run
+			n -= run
+		}
+		copy(out[d:d+n], out[s:s+n])
+	}
+}
+
 // AppendCopy appends n bytes to out, copied from offset bytes before its end:
-// the LZ77 copy every decoder in this module replays. The caller has checked
-// 0 < offset ≤ len(out). A copy may overlap what it writes (offset < n), the
-// RLE-style encoding all LZ77 formats rely on; it then proceeds in chunks from
-// the same fixed origin, each reading only bytes already produced, the
-// available run doubling every time.
+// the LZ77 copy the append-based decoders replay (Replay's CopyMatch is the
+// same copy into an owned buffer). The caller has checked 0 < offset ≤
+// len(out). A copy may overlap what it writes (offset < n), the RLE-style
+// encoding all LZ77 formats rely on; it then proceeds in chunks from the same
+// fixed origin, each reading only bytes already produced, the available run
+// doubling every time.
 func AppendCopy(out []byte, offset, n int) []byte {
 	from, run := len(out)-offset, offset
 	for n > run {

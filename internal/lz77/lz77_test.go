@@ -469,7 +469,8 @@ func BenchmarkLZ77Parse(b *testing.B) {
 }
 
 // BenchmarkLZ77Reconstruct measures the decoder half: replaying a parse of
-// mixed data (matches averaging a few bytes) against its literal stream.
+// mixed data (matches averaging a few bytes) against its literal stream, by
+// appending (AppendReconstruct) and into an owned buffer (Replay).
 func BenchmarkLZ77Reconstruct(b *testing.B) {
 	m, err := NewMatcher(defaultConfig())
 	if err != nil {
@@ -482,13 +483,24 @@ func BenchmarkLZ77Reconstruct(b *testing.B) {
 	}
 	seqs := m.Parse(src)
 	lits := AppendLiteralsAt(nil, src, 0, seqs)
-	out := make([]byte, 0, len(src))
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out, err = AppendReconstruct(out[:0], seqs, lits, 0); err != nil {
-			b.Fatal(err)
+	b.Run("AppendReconstruct", func(b *testing.B) {
+		out := make([]byte, 0, len(src))
+		b.SetBytes(int64(len(src)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if out, err = AppendReconstruct(out[:0], seqs, lits, 0); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("Replay", func(b *testing.B) {
+		out := make([]byte, len(src)+Slack)
+		b.SetBytes(int64(len(src)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err = Replay(out, 0, len(src), seqs, lits, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

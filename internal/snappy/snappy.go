@@ -50,11 +50,16 @@ var (
 // when no explicit limit is given (DecodeLimited).
 const MaxDecodedLen = 1 << 30
 
-// maxExpansion is the worst-case output/input ratio of a valid Snappy body:
-// a 3-byte copy-2 element emits up to 64 bytes. Initial allocations are
-// capped by it so a forged length header cannot reserve more memory than the
-// input could ever legitimately produce.
+// maxExpansion bounds the output/input ratio of a valid Snappy body: a
+// 3-byte copy-2 element emits at most 64 bytes, so a body emits at most 64/3
+// bytes per byte. A header declaring more than maxExpansion times its body is
+// rejected before anything is allocated, so a forged length cannot reserve
+// more memory than the input could ever legitimately produce.
 const maxExpansion = 64
+
+// errForgedLength is DecodeLimited's verdict on such a header. It is built
+// once, so the rejection allocates nothing.
+var errForgedLength = fmt.Errorf("%w: declared length exceeds what the body can produce", ErrCorrupt)
 
 // EncoderConfig exposes the dictionary-stage parameters. The zero value is
 // replaced by Defaults().
@@ -299,15 +304,14 @@ func DecodeLimited(src []byte, maxLen int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The up-front reservation is additionally capped by what the body bytes
-	// could produce at worst-case expansion; decodeBody re-checks the true
-	// size incrementally, so a short reservation only costs regrowth.
-	reserve := n
-	if bound := (len(src) - hdr) * maxExpansion; bound >= 0 && bound < reserve {
-		reserve = bound
+	if uint64(n) > uint64(len(src)-hdr)*maxExpansion {
+		return nil, errForgedLength
 	}
-	dst := make([]byte, 0, reserve)
-	return decodeBody(dst, src[hdr:], n)
+	dst := make([]byte, n+lz77.Slack)
+	if err := decodeBody(dst, src[hdr:]); err != nil {
+		return nil, err
+	}
+	return dst[:n], nil
 }
 
 // AppendDecodeSeqs decodes a Snappy block into its LZ77 command stream
@@ -326,9 +330,11 @@ func AppendDecodeSeqs(seqsBuf []lz77.Seq, literalsBuf []byte, src []byte) (seqs 
 	i := 0
 	produced := 0
 	for i < len(body) {
-		litLen, offset, copyLen, adv, err := decodeElement(body, i)
-		if err != nil {
-			return nil, nil, 0, err
+		litLen, offset, copyLen, adv, ok := element(body, i)
+		if !ok {
+			if litLen, offset, copyLen, adv, err = decodeElement(body, i); err != nil {
+				return nil, nil, 0, err
+			}
 		}
 		if litLen > 0 {
 			if i+adv-litLen+litLen > len(body) {
@@ -365,6 +371,45 @@ func decodeHeaderLimited(src []byte, maxLen int) (decodedLen, headerLen int, err
 		return 0, 0, fmt.Errorf("%w: %d > %d", ErrSizeLimit, v, maxLen)
 	}
 	return int(v), hdr, nil
+}
+
+// elemCode is what an element's tag alone says, for the tags element decodes:
+// a literal of at most 60 bytes, a copy-1 and a copy-2. adv is 0 for the rest.
+// A copy's offset is offHi | the little-endian 16 bits after the tag, masked
+// by offMask.
+type elemCode struct {
+	litLen, copyLen, adv uint8
+	offHi, offMask       uint16
+}
+
+var elemCodes = func() (t [256]elemCode) {
+	for tag := range t {
+		switch tag & 0x03 {
+		case tagLiteral:
+			if n := tag >> 2; n < 60 {
+				t[tag] = elemCode{litLen: uint8(n + 1), adv: uint8(n + 2)}
+			}
+		case tagCopy1:
+			t[tag] = elemCode{copyLen: uint8(tag>>2&0x7 + 4), adv: 2, offHi: uint16(tag>>5) << 8, offMask: 0xff}
+		case tagCopy2:
+			t[tag] = elemCode{copyLen: uint8(tag>>2 + 1), adv: 3, offMask: 0xffff}
+		}
+	}
+	return t
+}()
+
+// element is decodeElement's inlinable fast path: the element at body[i] when
+// it is a literal of at most 60 bytes, a copy-1 or a copy-2, and at least
+// three body bytes remain. Otherwise ok is false and the caller asks
+// decodeElement, which decodes the rest and reports every error.
+func element(body []byte, i int) (litLen, offset, copyLen, adv int, ok bool) {
+	if i+2 >= len(body) {
+		return
+	}
+	c := &elemCodes[body[i]]
+	w := int(body[i+1]) | int(body[i+2])<<8
+	adv = int(c.adv)
+	return int(c.litLen), int(c.offHi) | w&int(c.offMask), int(c.copyLen), adv, adv != 0 && adv <= len(body)-i
 }
 
 // decodeElement parses one element at body[i], returning the literal length
@@ -435,29 +480,49 @@ func decodeElement(body []byte, i int) (litLen, offset, copyLen, adv int, err er
 	}
 }
 
-func decodeBody(dst, body []byte, want int) ([]byte, error) {
-	i := 0
-	for i < len(body) {
-		litLen, offset, copyLen, adv, err := decodeElement(body, i)
-		if err != nil {
-			return nil, err
+// decodeBody decodes body into dst, which holds the declared length plus
+// lz77.Slack bytes, writing by index: a short literal run or copy is one
+// 16-byte move (lz77.CopyMatch). The body must produce exactly the declared
+// length.
+func decodeBody(dst, body []byte) error {
+	end := len(dst) - lz77.Slack
+	d := 0
+	for i := 0; i < len(body); {
+		litLen, offset, copyLen, adv, ok := element(body, i)
+		if !ok {
+			var err error
+			if litLen, offset, copyLen, adv, err = decodeElement(body, i); err != nil {
+				return err
+			}
 		}
 		if litLen > 0 {
-			dst = append(dst, body[i+adv-litLen:i+adv]...)
-		}
-		if copyLen > 0 {
-			if offset <= 0 || offset > len(dst) {
-				return nil, fmt.Errorf("%w: copy offset %d with %d bytes produced", ErrCorrupt, offset, len(dst))
+			if litLen > end-d {
+				return fmt.Errorf("%w: output exceeds header length", ErrCorrupt)
 			}
-			dst = lz77.AppendCopy(dst, offset, copyLen)
-		}
-		if len(dst) > want {
-			return nil, fmt.Errorf("%w: output exceeds header length", ErrCorrupt)
+			if lit := i + adv - litLen; litLen <= 16 && len(body)-lit >= 16 {
+				*(*[16]byte)(dst[d:]) = *(*[16]byte)(body[lit:])
+			} else {
+				copy(dst[d:d+litLen], body[lit:i+adv])
+			}
+			d += litLen
+		} else {
+			if offset <= 0 || offset > d {
+				return fmt.Errorf("%w: copy offset %d with %d bytes produced", ErrCorrupt, offset, d)
+			}
+			if copyLen > end-d {
+				return fmt.Errorf("%w: output exceeds header length", ErrCorrupt)
+			}
+			if offset >= 16 && copyLen <= 16 {
+				*(*[16]byte)(dst[d:]) = *(*[16]byte)(dst[d-offset:])
+			} else {
+				lz77.CopyMatch(dst, d, offset, copyLen)
+			}
+			d += copyLen
 		}
 		i += adv
 	}
-	if len(dst) != want {
-		return nil, fmt.Errorf("%w: decoded %d bytes, header says %d", ErrCorrupt, len(dst), want)
+	if d != end {
+		return fmt.Errorf("%w: decoded %d bytes, header says %d", ErrCorrupt, d, end)
 	}
-	return dst, nil
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	ibits "cdpu/internal/bits"
 	"cdpu/internal/fse"
@@ -109,7 +110,8 @@ func materialize(info *FrameInfo, dict []byte, maxLen int) ([]byte, error) {
 	}
 	// A block produces exactly its declared size or fails, so the blocks'
 	// sum is the output's size: checked against the header and the caller's
-	// limit before anything is reserved, and reserved once.
+	// limit before anything is reserved, and reserved once, with the slack the
+	// last block's replay may write past its end.
 	total := 0
 	for i := range info.Blocks {
 		total += info.Blocks[i].RawSize
@@ -117,7 +119,7 @@ func materialize(info *FrameInfo, dict []byte, maxLen int) ([]byte, error) {
 	if err := info.checkSize(total, maxLen, true); err != nil {
 		return nil, err
 	}
-	out := append(make([]byte, 0, len(hist)+total), hist...)
+	out := append(make([]byte, 0, len(hist)+total+lz77.Slack), hist...)
 	for i := range info.Blocks {
 		if out, err = info.Blocks[i].appendTo(out, 1<<info.WindowLog); err != nil {
 			return nil, err
@@ -175,26 +177,37 @@ func (info *FrameInfo) checkSum(got uint32) error {
 
 // appendTo executes the block, appending the RawSize bytes it stands for to
 // out. What out already holds is the frame's history — the dictionary, then
-// the earlier blocks — which copies may reach window bytes back into.
+// the earlier blocks — which copies may reach window bytes back into. The
+// block is written by index into out grown by RawSize+lz77.Slack: a
+// compressed block through lz77.Replay, a raw one by one copy, an RLE one as
+// a copy at offset 1.
 func (b *BlockInfo) appendTo(out []byte, window int) ([]byte, error) {
-	before := len(out)
+	d := len(out)
+	end := d + b.RawSize
+	out = slices.Grow(out, b.RawSize+lz77.Slack)[:end+lz77.Slack]
+	produced := 0
 	switch b.Type {
 	case blockRaw:
-		out = append(out, b.Literals...)
+		if produced = len(b.Literals); produced == b.RawSize {
+			copy(out[d:end], b.Literals)
+		}
 	case blockRLE:
 		if b.RawSize > 0 {
-			out = lz77.AppendCopy(append(out, b.RLEByte), 1, b.RawSize-1)
+			out[d] = b.RLEByte
+			lz77.CopyMatch(out, d+1, 1, b.RawSize-1)
 		}
+		produced = b.RawSize
 	case blockCompressed:
-		var err error
-		if out, err = lz77.AppendReconstruct(out, b.Seqs, b.Literals, window); err != nil {
+		n, err := lz77.Replay(out, d, end, b.Seqs, b.Literals, window)
+		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
+		produced = n - d
 	}
-	if len(out)-before != b.RawSize {
-		return nil, fmt.Errorf("%w: block produced %d of %d bytes", ErrCorrupt, len(out)-before, b.RawSize)
+	if produced != b.RawSize {
+		return nil, fmt.Errorf("%w: block produced %d of %d bytes", ErrCorrupt, produced, b.RawSize)
 	}
-	return out, nil
+	return out[:end], nil
 }
 
 // errShort reports that the input ends inside the structure being read; the

@@ -71,3 +71,31 @@ func TestInspectAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeAllocs pins what Decode allocates: Inspect's allocations (see
+// TestInspectAllocs) and one output, at every size. The slack the blocks are
+// replayed into is reserved with the output and never costs a second.
+func TestDecodeAllocs(t *testing.T) {
+	for _, c := range []struct {
+		kind corpus.Kind
+		size int
+		want float64
+	}{
+		{corpus.Log, 4 << 10, 5},
+		{corpus.Log, 64 << 10, 5},
+		{corpus.Log, 1 << 20, 22}, // eight compressed blocks
+		{corpus.Random, 4 << 10, 3},
+		{corpus.Random, 64 << 10, 3},
+		{corpus.Random, 1 << 20, 6}, // eight raw blocks
+	} {
+		frame := Encode(corpus.Generate(c.kind, c.size, 30))
+		got := testing.AllocsPerRun(10, func() {
+			if _, err := Decode(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("Decode of %v/%d allocates %v times, want %v", c.kind, c.size, got, c.want)
+		}
+	}
+}

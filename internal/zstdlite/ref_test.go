@@ -1,6 +1,7 @@
 package zstdlite
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -26,7 +27,9 @@ import (
 // Huffman literal decoder are the production ones (huffman_test.go holds the
 // decoder to its own per-symbol reference). A FrameInfo equal to this one's
 // proves the fused lane loop in decode.go changed how fast the body is parsed
-// and nothing it yields.
+// and nothing it yields. Beside it is the block executor as it stood before
+// blocks were replayed into an owned buffer (refMaterialize): equal bytes and
+// equal verdicts prove the same of lz77.Replay under materialize.
 
 // refInspect is Inspect with every compressed body parsed by refParseBody.
 func refInspect(src []byte) (*FrameInfo, error) {
@@ -263,25 +266,96 @@ func refFSEDecode(t *fse.DecTable, r *ibits.Reader, dst []uint8, n int) ([]uint8
 	return dst, nil
 }
 
-// sameInspect fails t unless Inspect and refInspect agree on src: both fail,
-// on the same sentinel errors, or both return equal FrameInfos.
+// refMaterialize is materialize as it stood before blocks were replayed into
+// an owned buffer: every block appended to the output, a compressed one by
+// lz77.AppendReconstruct and an RLE one by lz77.AppendCopy.
+func refMaterialize(info *FrameInfo, dict []byte, maxLen int) ([]byte, error) {
+	hist, err := info.history(dict)
+	if err != nil {
+		return nil, err
+	}
+	total := 0
+	for i := range info.Blocks {
+		total += info.Blocks[i].RawSize
+	}
+	if err := info.checkSize(total, maxLen, true); err != nil {
+		return nil, err
+	}
+	out := append(make([]byte, 0, len(hist)+total), hist...)
+	for i := range info.Blocks {
+		if out, err = refAppendTo(&info.Blocks[i], out, 1<<info.WindowLog); err != nil {
+			return nil, err
+		}
+	}
+	out = out[len(hist):]
+	if info.HasChecksum {
+		if err := info.checkSum(contentChecksum(out)); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// refAppendTo is BlockInfo.appendTo by appending.
+func refAppendTo(b *BlockInfo, out []byte, window int) ([]byte, error) {
+	before := len(out)
+	switch b.Type {
+	case blockRaw:
+		out = append(out, b.Literals...)
+	case blockRLE:
+		if b.RawSize > 0 {
+			out = lz77.AppendCopy(append(out, b.RLEByte), 1, b.RawSize-1)
+		}
+	case blockCompressed:
+		var err error
+		if out, err = lz77.AppendReconstruct(out, b.Seqs, b.Literals, window); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	}
+	if len(out)-before != b.RawSize {
+		return nil, fmt.Errorf("%w: block produced %d of %d bytes", ErrCorrupt, len(out)-before, b.RawSize)
+	}
+	return out, nil
+}
+
+// refDict is the preset dictionary of refSeedFrames' dictionary frames.
+func refDict() []byte { return corpus.Generate(corpus.Log, 8<<10, 60) }
+
+// sameErr fails t unless err and werr are both nil or both errors of the same
+// sentinels.
+func sameErr(t *testing.T, what string, err, werr error) {
+	t.Helper()
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("%s err %v, reference err %v", what, err, werr)
+	}
+	for _, s := range []error{ErrCorrupt, ErrMagic, ErrWindow, ErrSizeLimit, ErrDictionary} {
+		if errors.Is(err, s) != errors.Is(werr, s) {
+			t.Fatalf("%s err %v, reference err %v", what, err, werr)
+		}
+	}
+}
+
+// sameInspect fails t unless Inspect and refInspect agree on src — both fail,
+// on the same sentinel errors, or both return equal FrameInfos — and unless
+// DecodeWithDict and the reference parse executed by refMaterialize, given
+// refDict, agree likewise: the same sentinels or the same bytes.
 func sameInspect(t *testing.T, name string, src []byte) {
 	t.Helper()
 	got, err := Inspect(src)
 	want, werr := refInspect(src)
-	if (err == nil) != (werr == nil) {
-		t.Fatalf("%s: Inspect err %v, reference err %v", name, err, werr)
-	}
+	sameErr(t, name+": Inspect", err, werr)
 	if err != nil {
-		for _, s := range []error{ErrCorrupt, ErrMagic, ErrWindow, ErrSizeLimit} {
-			if errors.Is(err, s) != errors.Is(werr, s) {
-				t.Fatalf("%s: Inspect err %v, reference err %v", name, err, werr)
-			}
-		}
 		return
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: Inspect and the reference parse differ", name)
+	}
+	dict := refDict()
+	out, err := DecodeWithDict(src, dict)
+	wantOut, werr := refMaterialize(want, dict, MaxDecodedLen)
+	sameErr(t, name+": DecodeWithDict", err, werr)
+	if !bytes.Equal(out, wantOut) {
+		t.Fatalf("%s: DecodeWithDict and the reference materialize differ", name)
 	}
 }
 
@@ -295,7 +369,7 @@ func refSeedFrames(t testing.TB) (names []string, frames [][]byte) {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	dict := corpus.Generate(corpus.Log, 8<<10, 60)
+	dict := refDict()
 	for _, level := range []int{-3, 3, 12} {
 		for _, wlog := range []int{12, 17, 22} {
 			for _, noFSE := range []bool{false, true} {
@@ -346,9 +420,9 @@ func readCorpusSeeds(t testing.TB, dir string) [][]byte {
 	return out
 }
 
-// TestInspectMatchesReference holds Inspect to the reference parse on the
-// fuzz seeds: valid frames at every parameter mix, and the checked-in
-// FuzzDecompress corpus.
+// TestInspectMatchesReference holds Inspect to the reference parse, and
+// Decode to the reference materialize, on the fuzz seeds: valid frames at
+// every parameter mix, and the checked-in FuzzDecompress corpus.
 func TestInspectMatchesReference(t *testing.T) {
 	names, frames := refSeedFrames(t)
 	for i, f := range frames {
@@ -362,7 +436,8 @@ func TestInspectMatchesReference(t *testing.T) {
 // FuzzInspectMatchesReference is TestInspectMatchesReference on arbitrary
 // bytes: the fused lane loop must accept exactly what the reference accepts,
 // reject the rest as the reference does, and parse every accepted frame to
-// an equal FrameInfo. Seed frames over 2 KiB are left to the test: the
+// an equal FrameInfo, which Decode must execute to the reference's bytes or
+// verdict. Seed frames over 2 KiB are left to the test: the
 // fuzzer minimizes each new input it finds byte by byte, which on a frame of
 // tens of KiB stalls it for most of a short run.
 func FuzzInspectMatchesReference(f *testing.F) {
