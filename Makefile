@@ -36,14 +36,15 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
-# Profile the replay hot path: pprof CPU + heap profiles of full sim.Run
-# replays (BenchmarkSimRun), with the top entries printed for a quick read.
+# Profile the replay hot path: pprof CPU + heap profiles of three
+# replay-healthy-shaped sim.Run replays on one worker (BenchmarkSimRun:
+# Seed 1, 12000 calls, Workers 1), with the top cumulative entries printed.
 # Open the interactive views with `go tool pprof cpu.pprof` / `go tool pprof
 # mem.pprof`. End-to-end and per-layer timing is `go run ./bench`.
 profile:
-	$(GO) test -run '^$$' -bench BenchmarkSimRun -cpuprofile cpu.pprof -memprofile mem.pprof ./internal/sim
-	$(GO) tool pprof -top -nodecount 15 cpu.pprof
-	$(GO) tool pprof -top -nodecount 10 -sample_index=alloc_space mem.pprof
+	$(GO) test -run '^$$' -bench '^BenchmarkSimRun$$' -benchtime 3x -cpuprofile cpu.pprof -memprofile mem.pprof ./internal/sim
+	$(GO) tool pprof -top -cum -nodecount 40 sim.test cpu.pprof
+	$(GO) tool pprof -top -nodecount 10 -sample_index=alloc_space sim.test mem.pprof
 
 # The scoreboard ROADMAP quotes: non-test lines of Go under internal/ and
 # cmd/, in total, for the four replay-engine packages together, and per

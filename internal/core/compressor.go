@@ -121,17 +121,35 @@ func (c *Compressor) Compress(src []byte) (*Result, error) {
 
 // Trace encodes src once and returns the call's functional trace, which any
 // Compressor with the same Config.FunctionalKey can Time. The trace is
-// size-only: neither Snappy literal payloads nor ZStd entropy payloads are
-// written (both encoders' size-only paths yield the same statistics, Plan and
-// frame length) and Output is nil. The error is always nil; it is there so
-// both directions trace alike.
+// size-only (traceSizeOnly) and its Output is nil. The error is always nil; it
+// is there so both directions trace alike.
 func (c *Compressor) Trace(src []byte) (*Trace, error) {
 	tr := new(Trace)
+	c.traceSizeOnly(tr, src)
+	return tr, nil
+}
+
+// compressSizeOnly is Compress without the frame: the same Result, Output
+// nil, from a size-only encode into the instance's scratch trace. The owned
+// output buffer of result-reuse mode is kept for the next Compress.
+func (c *Compressor) compressSizeOnly(src []byte) (*Result, error) {
+	out := c.scratch.Output
+	c.traceSizeOnly(&c.scratch, src)
+	res, err := c.Time(&c.scratch)
+	c.scratch.Output = out
+	return res, err
+}
+
+// traceSizeOnly runs the functional pipeline over src into tr with neither
+// Snappy literal payloads nor ZStd entropy payloads written: both encoders'
+// size-only paths yield the same statistics, Plan and frame length. The frame
+// lands in the instance's discard buffer, of which only the length is kept,
+// and tr.Output is left nil.
+func (c *Compressor) traceSizeOnly(tr *Trace, src []byte) {
 	c.setSizeOnly(true)
 	c.encode(tr, c.discard[:0], src)
 	c.setSizeOnly(false)
 	c.discard, tr.Output = tr.Output, nil
-	return tr, nil
 }
 
 // setSizeOnly switches the instance's encoder in or out of size-only emission.

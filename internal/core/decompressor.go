@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -40,6 +42,10 @@ const (
 // Decompressor is a generated decompression pipeline (Figure 9).
 type Decompressor struct {
 	unit
+
+	// far backs the far-copy list of a planned call's fold, reused across
+	// calls: a planned trace never outlives DecompressPlanned.
+	far []farCopy
 }
 
 // NewDecompressor generates a decompressor instance from cfg (Op is forced
@@ -285,6 +291,7 @@ func (tr *Trace) decodeZStd(src []byte) ([]byte, error) {
 // the frame's producer recorded). With a fold, the blocks' commands are charged
 // from it after the loop and not block by block.
 func (d *Decompressor) zstdCycles(blocks []zstdlite.BlockInfo, fold *seqFold, res *Result) {
+	executed := false // a block executed commands: the walk charged lz77 for them
 	for i := range blocks {
 		b := &blocks[i]
 		res.charge(idHeader, blockHeaderCycles)
@@ -322,9 +329,10 @@ func (d *Decompressor) zstdCycles(blocks []zstdlite.BlockInfo, fold *seqFold, re
 			if fold == nil {
 				d.execSeqs(b.Seqs, res)
 			}
+			executed = true
 		}
 	}
-	if fold != nil && fold.commands > 0 {
+	if fold != nil && executed {
 		d.execFold(fold, res)
 	}
 }
@@ -346,7 +354,9 @@ func (d *Decompressor) zstdCycles(blocks []zstdlite.BlockInfo, fold *seqFold, re
 // and error paths only, so a size-only frame serves.
 func (d *Decompressor) DecompressPlanned(src []byte, plan comp.Plan, content []byte) (*Result, error) {
 	var tr Trace
-	if err := d.tracePlan(&tr, src, plan, content); err != nil {
+	err := d.tracePlan(&tr, src, plan, content)
+	d.far = tr.fold.far[:0]
+	if err != nil {
 		return nil, d.corruptInput(src, err)
 	}
 	return d.Time(&tr)
@@ -354,18 +364,21 @@ func (d *Decompressor) DecompressPlanned(src []byte, plan comp.Plan, content []b
 
 // tracePlan is traceFrame driven by a recorded Plan instead of a frame parse,
 // and the one place a plan is verified. The trace takes the plan's command
-// stream as it is, and its output is content itself once lz77.VerifySeqs has
-// shown that executing the stream reproduces it — the same predicate as
+// stream as it is, and its output is content itself once verifyFold has shown
+// that executing the stream reproduces it — the same predicate as
 // reconstructing into a buffer and comparing, without the buffer. On top of
 // that each ZStd block's commands must cover exactly its RawSize, and the
-// whole plan exactly content, as a frame's header would have it.
+// whole plan exactly content, as a frame's header would have it. The same walk
+// folds the commands Time executes under this instance's HistorySRAM, so an
+// untraced Time charges them from the fold.
 func (d *Decompressor) tracePlan(tr *Trace, src []byte, plan comp.Plan, content []byte) error {
 	end := 0
+	tr.fold = seqFold{folded: true, far: d.far[:0]}
 	switch {
 	case d.cfg.Algo == comp.Snappy && plan.Snappy != nil:
 		tr.seqs = plan.Snappy.Seqs
 		var err error
-		if end, err = lz77.VerifySeqs(content, 0, tr.seqs, 0); err != nil {
+		if end, err = d.verifyFold(content, 0, tr.seqs, 0, &tr.fold); err != nil {
 			return err
 		}
 	case d.cfg.Algo == comp.ZStd && plan.ZStd != nil:
@@ -380,7 +393,11 @@ func (d *Decompressor) tracePlan(tr *Trace, src []byte, plan comp.Plan, content 
 			if !b.IsCompressed() {
 				continue
 			}
-			got, err := lz77.VerifySeqs(content, start, b.Seqs, window)
+			f := &tr.fold
+			if b.NumSeqs == 0 {
+				f = new(seqFold) // verified, but Time executes no commands of this block
+			}
+			got, err := d.verifyFold(content, start, b.Seqs, window, f)
 			if err != nil {
 				return fmt.Errorf("core: plan block %d: %w", i, err)
 			}
@@ -396,4 +413,58 @@ func (d *Decompressor) tracePlan(tr *Trace, src []byte, plan comp.Plan, content 
 	}
 	tr.seal(d.fkey, len(src), content)
 	return nil
+}
+
+// verifyFold proves, without producing a byte, that replaying seqs from
+// position start rebuilds content[start:end] and returns end, folding the
+// commands into f as it goes: a copy with offset ≤ this instance's
+// HistorySRAM adds to the near bytes, any other is appended to the far list.
+// The proof is the decoder's checks on each copy (0 < offset ≤ position,
+// offset ≤ window unless window is 0) plus content[pos:pos+n] ==
+// content[pos-offset:pos-offset+n], the two ranges compared as they lie even
+// where they overlap, which holds exactly when reconstructing the stream into
+// a buffer and comparing the buffer with content would (docs/MODEL.md,
+// "Planned decompression", has the induction).
+func (d *Decompressor) verifyFold(content []byte, start int, seqs []lz77.Seq, window int, f *seqFold) (end int, err error) {
+	if start < 0 || start > len(content) {
+		return 0, lz77.ErrBadLiterals
+	}
+	pos, near, lits := start, 0, 0
+	for _, s := range seqs {
+		// pos ≤ len(content) throughout, so one unsigned comparison also
+		// rejects a negative length.
+		if uint(s.LitLen) > uint(len(content)-pos) {
+			return 0, lz77.ErrBadLiterals
+		}
+		pos += s.LitLen
+		lits += s.LitLen
+		n := s.MatchLen
+		if n == 0 {
+			continue
+		}
+		if s.Offset <= 0 || s.Offset > pos || (window > 0 && s.Offset > window) {
+			return 0, fmt.Errorf("%w: offset %d, produced %d, window %d", lz77.ErrBadOffset, s.Offset, pos, window)
+		}
+		same := uint(n) <= uint(len(content)-pos)
+		if same && n <= 8 && len(content)-pos >= 8 {
+			// One word each side; the shift keeps the copy's n bytes.
+			x := binary.LittleEndian.Uint64(content[pos:]) ^ binary.LittleEndian.Uint64(content[pos-s.Offset:])
+			same = x<<(64-8*uint(n)) == 0
+		} else if same {
+			same = bytes.Equal(content[pos:pos+n], content[pos-s.Offset:pos-s.Offset+n])
+		}
+		if !same {
+			return 0, fmt.Errorf("%w: %d bytes at %d from offset %d", lz77.ErrMismatch, n, pos, s.Offset)
+		}
+		if s.Offset <= d.cfg.HistorySRAM {
+			near += n
+		} else {
+			f.far = append(f.far, farCopy{uint32(s.Offset), uint32(n)})
+		}
+		pos += n
+	}
+	f.commands += len(seqs)
+	f.litBytes += lits
+	f.nearBytes += near
+	return pos, nil
 }

@@ -141,9 +141,22 @@ type DeviceStats struct {
 // the modeled call result with no queueing applied. It is the unit of work a
 // sharded replay parallelizes: service cycles depend only on the payload and
 // the device configuration, so per-worker Device clones can Exec calls in any
-// order and ReplayPolicy queues them deterministically. Not safe for
-// concurrent use on one Device.
+// order and a stepper (cluster.GroupState) queues them deterministically
+// afterwards. Not safe for concurrent use on one Device.
 func (d *Device) Exec(payload []byte) (*Result, error) { return d.exec(payload) }
+
+// ExecSizeOnly is Exec for a compression device whose caller reads only the
+// call's timing: the Result, or the DeviceError, that Exec(payload) returns,
+// with Output nil. The encode writes no Snappy literal payloads and no ZStd
+// entropy payloads, into scratch the pipeline owns, so with result reuse on a
+// warm device allocates nothing. A decompression device refuses the call.
+func (d *Device) ExecSizeOnly(payload []byte) (*Result, error) {
+	c, ok := d.pipeline.(*Compressor)
+	if !ok {
+		return nil, fmt.Errorf("core: size-only exec on a decompression device")
+	}
+	return c.compressSizeOnly(payload)
+}
 
 // ExecWithPlan is Exec for a decompression device whose input frame's Plan
 // was recorded at synthesis time, Snappy's element stream or ZStd's frame

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"cdpu/internal/comp"
 	"cdpu/internal/corpus"
+	"cdpu/internal/fault"
+	"cdpu/internal/memsys"
 	"cdpu/internal/resil"
 	"cdpu/internal/snappy"
 )
@@ -213,5 +216,66 @@ func TestReplayReportsStartAndPipeline(t *testing.T) {
 		if r.Start != jobs[i].Arrival+r.Queue {
 			t.Errorf("job %d: Start %v != Arrival+Queue %v", i, r.Start, jobs[i].Arrival+r.Queue)
 		}
+	}
+}
+
+// TestExecSizeOnlyMatchesExec holds a compression device's size-only exec to
+// Exec: on both codecs, every placement, every corpus kind and size, traced or
+// not, healthy, under a memory fault and under a watchdog-tripping latency
+// spike, the two calls yield the same Result bit for bit but for Output, which
+// the size-only call leaves nil, or the same DeviceError. A decompression
+// device refuses the call.
+func TestExecSizeOnlyMatchesExec(t *testing.T) {
+	injectors := []struct {
+		name string
+		fi   memsys.FaultInjector
+	}{
+		{"healthy", nil},
+		{"mem-fault", fault.Plan{ErrorEvery: 1}},
+		{"watchdog", fault.Plan{SpikeEvery: 1, SpikeCycles: 1e12}},
+	}
+	payloads := make(map[corpus.Kind][][]byte)
+	for _, kind := range corpus.Kinds {
+		for _, size := range []int{0, 64, 4 << 10, 1 << 20} {
+			if raceEnabled && size == 1<<20 {
+				continue
+			}
+			payloads[kind] = append(payloads[kind], corpus.Generate(kind, size, int64(size)+5))
+		}
+	}
+	for _, algo := range []comp.Algorithm{comp.Snappy, comp.ZStd} {
+		for _, placement := range memsys.Placements {
+			for _, traced := range []bool{false, true} {
+				d, err := NewDevice(Config{Algo: algo, Op: comp.Compress, Placement: placement}, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.SetTracing(traced)
+				d.SetResultReuse(!traced) // each Result is rendered before the device's next call
+				for _, inj := range injectors {
+					d.SetFaultInjector(inj.fi)
+					for _, kind := range corpus.Kinds {
+						for _, payload := range payloads[kind] {
+							name := fmt.Sprintf("%v/%v/traced=%v/%s/%v/%d", algo, placement, traced, inj.name, kind, len(payload))
+							want := outcome(d.Exec(payload))
+							res, err := d.ExecSizeOnly(payload)
+							if got := outcome(res, err); got != want {
+								t.Fatalf("%s: size-only exec differs from Exec:\n got %s want %s", name, got, want)
+							}
+							if err == nil && res.Output != nil {
+								t.Fatalf("%s: size-only exec returned %d output bytes", name, len(res.Output))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	dec, err := NewDevice(Config{Algo: comp.Snappy, Op: comp.Decompress}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := dec.ExecSizeOnly(snappy.Encode([]byte("abc"))); err == nil {
+		t.Errorf("a decompression device ran a size-only exec: %+v", res)
 	}
 }

@@ -31,21 +31,28 @@ func plannedTestData() map[string][]byte {
 
 // TestDecompressPlannedMatchesDecompress pins the planned decompress path to
 // the parse-based one, Result for Result: same Cycles, same per-block
-// attribution, same output bytes, for both codecs on every placement, corpus
-// kind and size. The parse-based side decodes the full frame; the planned side
-// gets what the replay engine hands it, the size-only frame and its Plan. The
-// engine depends on this equivalence to keep Reports byte-identical while
-// skipping the frame parse and the reconstruction.
+// attribution, same output bytes, or the same abort, for both codecs on every
+// placement, history SRAM size (the planned fold's near threshold), corpus
+// kind and size, with and without a fault injector. The parse-based side
+// decodes the full frame; the planned side gets what the replay engine hands
+// it, the size-only frame and its Plan. The engine depends on this
+// equivalence to keep Reports byte-identical while skipping the frame parse
+// and the reconstruction.
 func TestDecompressPlannedMatchesDecompress(t *testing.T) {
 	coder := comp.NewCoder()
 	for _, algo := range []comp.Algorithm{comp.Snappy, comp.ZStd} {
-		decs := make([]*Decompressor, len(memsys.Placements))
-		for i, placement := range memsys.Placements {
-			d, err := NewDecompressor(Config{Algo: algo, Placement: placement})
-			if err != nil {
-				t.Fatal(err)
+		var decs []*Decompressor
+		for _, placement := range memsys.Placements {
+			for _, sram := range []int{1 << 10, 8 << 10, 64 << 10} {
+				for _, fi := range []memsys.FaultInjector{nil, foldFaults(4000)} {
+					d, err := NewDecompressor(Config{Algo: algo, Placement: placement, HistorySRAM: sram})
+					if err != nil {
+						t.Fatal(err)
+					}
+					d.SetFaultInjector(fi)
+					decs = append(decs, d)
+				}
 			}
-			decs[i] = d
 		}
 		for _, kind := range corpus.Kinds {
 			for _, size := range []int{0, 64, 4 << 10, 1 << 20} {
@@ -62,36 +69,24 @@ func TestDecompressPlannedMatchesDecompress(t *testing.T) {
 				if len(sizeOnly) != len(full) {
 					t.Fatalf("%s: size-only frame %d bytes, full %d", name, len(sizeOnly), len(full))
 				}
-				for _, d := range decs {
-					want, err := d.Decompress(full)
-					if err != nil {
-						t.Fatalf("%s: Decompress: %v", name, err)
+				for i, d := range decs {
+					if raceEnabled && size == 1<<20 && (d.cfg.HistorySRAM != DefaultHistorySRAM || i%2 == 1) {
+						continue // the ordinary pass runs these; the race pass keeps the placement axis
 					}
+					want, werr := d.Decompress(full)
 					got, err := d.DecompressPlanned(sizeOnly, plan, content)
-					if err != nil {
-						t.Fatalf("%s: DecompressPlanned: %v", name, err)
+					name := fmt.Sprintf("%s/%v/%dK/faults=%v", name, d.cfg.Placement, d.cfg.HistorySRAM>>10, i%2 == 1)
+					if g, w := outcome(got, err), outcome(want, werr); g != w {
+						t.Errorf("%s: planned %s parsed %s", name, g, w)
 					}
-					name := name + "/" + d.cfg.Placement.String()
-					if got.Cycles != want.Cycles {
-						t.Errorf("%s: planned cycles %v != parsed %v", name, got.Cycles, want.Cycles)
-					}
-					if !reflect.DeepEqual(got.Blocks, want.Blocks) {
-						t.Errorf("%s: planned attribution %v != parsed %v", name, got.Blocks, want.Blocks)
-					}
-					if got.StreamCycles != want.StreamCycles {
-						t.Errorf("%s: planned stream %v != parsed %v", name, got.StreamCycles, want.StreamCycles)
+					if err != nil || werr != nil {
+						continue
 					}
 					if !bytes.Equal(got.Output, want.Output) || !bytes.Equal(got.Output, content) {
 						t.Errorf("%s: planned output differs from parsed output or content", name)
 					}
 					if len(content) > 0 && &got.Output[0] != &content[0] {
 						t.Errorf("%s: planned output is a copy, not content itself", name)
-					}
-					if got.InputBytes != want.InputBytes || got.OutputBytes != want.OutputBytes ||
-						got.UncompressedBytes != want.UncompressedBytes {
-						t.Errorf("%s: planned sizes (%d,%d,%d) != parsed (%d,%d,%d)", name,
-							got.InputBytes, got.OutputBytes, got.UncompressedBytes,
-							want.InputBytes, want.OutputBytes, want.UncompressedBytes)
 					}
 				}
 			}
@@ -385,6 +380,47 @@ func TestPlannedOffsetPastWindow(t *testing.T) {
 	}
 }
 
+// TestPlanShapesMatchReference offers ZStd plans whose block layout no encoder
+// writes — a negative block size that moves the next block's start before the
+// content, commands on a block that declares none, a block that declares
+// commands and has none — to the fused walk and its references
+// (checkPlanFold), under both a near-only and a small history SRAM.
+func TestPlanShapesMatchReference(t *testing.T) {
+	content := bytes.Repeat(corpus.Generate(corpus.Text, 64, 3), 64)
+	seqs := []lz77.Seq{{LitLen: 64, Offset: 64, MatchLen: 2048 - 64}, {Offset: 64 * 17, MatchLen: 2048}}
+	whole := compressedBlock(t, len(content), seqs)
+	undeclared := whole
+	undeclared.NumSeqs = 0
+	undeclaredHalf := compressedBlock(t, 2048, seqs[:1])
+	undeclaredHalf.NumSeqs = 0
+	empty := compressedBlock(t, 0, nil)
+	empty.NumSeqs = 3
+	shapes := []struct {
+		name    string
+		blocks  []zstdlite.BlockInfo
+		content []byte
+	}{
+		{"whole", []zstdlite.BlockInfo{whole}, content},
+		{"negative-raw", []zstdlite.BlockInfo{{RawSize: -5}, compressedBlock(t, len(content)+5, seqs)}, content},
+		{"negative-start", []zstdlite.BlockInfo{{RawSize: -5}, {RawSize: 5}, whole}, content},
+		{"undeclared-seqs", []zstdlite.BlockInfo{undeclared}, content},
+		{"undeclared-first", []zstdlite.BlockInfo{undeclaredHalf, compressedBlock(t, 2048, seqs[1:])}, content},
+		{"declared-no-seqs", []zstdlite.BlockInfo{empty, whole}, content},
+		{"declared-no-seqs-only", []zstdlite.BlockInfo{empty}, nil},
+		{"short-of-content", []zstdlite.BlockInfo{compressedBlock(t, 2048, seqs[:1])}, content},
+		{"past-the-content", []zstdlite.BlockInfo{whole, {RawSize: 1}}, content},
+		{"commands-too-long", []zstdlite.BlockInfo{compressedBlock(t, 64, seqs[:1]), compressedBlock(t, len(content)-64, nil)}, content},
+	}
+	for _, sram := range []int{1 << 10, 64 << 10} {
+		d := mustDecompressor(t, Config{Algo: comp.ZStd, HistorySRAM: sram})
+		for _, c := range shapes {
+			t.Run(fmt.Sprintf("%s/%dK", c.name, sram>>10), func(t *testing.T) {
+				checkPlanFold(t, d, comp.Plan{ZStd: &zstdlite.Plan{WindowLog: 16, Blocks: c.blocks}}, c.content)
+			})
+		}
+	}
+}
+
 // compressedBlock is a hand-made compressed block of a ZStd plan. zstdlite
 // does not export the block types, so the Type comes from a real plan.
 func compressedBlock(t testing.TB, rawSize int, seqs []lz77.Seq) zstdlite.BlockInfo {
@@ -418,12 +454,18 @@ func snapshotPlan(p comp.Plan) comp.Plan {
 // reconstruct-and-compare oracle on arbitrary content and command streams:
 // the fuzzer's bytes are read as (literal length, offset, match length)
 // triples and offered as a Snappy plan and as a one-block ZStd plan under a
-// 256-byte window.
+// 256-byte window. The same streams then go, as a Snappy plan and as a ZStd
+// plan under a 64 KiB window, to decompressors with a 1 KiB and a 64 KiB
+// history SRAM, with and without a fault injector: a plan the walk accepts
+// must time bit-equal to the per-command walk over the same commands, and a
+// plan it rejects must fail as the reference verifier does (checkPlanFold).
 func FuzzVerifySeqs(f *testing.F) {
 	f.Add([]byte("abcabcabcabc"), []byte{3, 3, 0, 9})
 	f.Add([]byte("aaaaaaaaaaaaaaaa"), []byte{1, 1, 0, 15})
 	f.Add([]byte("abcdabcd"), []byte{4, 4, 0, 3, 1, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte("0123456789abcdef"), 40), []byte{16, 16, 0, 200, 0, 16, 1, 124, 100, 0, 0, 0})
+	f.Add(bytes.Repeat([]byte("0123456789abcdef"), 110), []byte{
+		16, 16, 0, 255, 1, 16, 0, 255, 0, 16, 1, 255, 2, 16, 0, 255, 1, 16, 0, 255, 0, 0, 5, 255, 10, 0, 6, 200}) // copies 1280 and 1536 back
 	f.Add([]byte{}, []byte{})
 	snap, err := NewDecompressor(Config{Algo: comp.Snappy})
 	if err != nil {
@@ -433,14 +475,175 @@ func FuzzVerifySeqs(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	var folders []*Decompressor
+	for _, algo := range []comp.Algorithm{comp.Snappy, comp.ZStd} {
+		for _, sram := range []int{1 << 10, 64 << 10} {
+			for _, fi := range []memsys.FaultInjector{nil, foldFaults(29)} {
+				d, err := NewDecompressor(Config{Algo: algo, HistorySRAM: sram})
+				if err != nil {
+					f.Fatal(err)
+				}
+				d.SetFaultInjector(fi)
+				folders = append(folders, d)
+			}
+		}
+	}
 	block := compressedBlock(f, 0, nil)
 	f.Fuzz(func(t *testing.T, content, stream []byte) {
 		var seqs []lz77.Seq
 		for ; len(stream) >= 4; stream = stream[4:] {
 			seqs = append(seqs, lz77.Seq{LitLen: int(stream[0]), Offset: int(stream[1]) | int(stream[2])<<8, MatchLen: int(stream[3])})
 		}
-		checkPlanVerdict(t, "snappy", snap, comp.Plan{Snappy: &snappy.Plan{Seqs: seqs}}, content)
+		snapPlan := comp.Plan{Snappy: &snappy.Plan{Seqs: seqs}}
+		checkPlanVerdict(t, "snappy", snap, snapPlan, content)
 		block.RawSize, block.NumSeqs, block.Seqs = len(content), len(seqs), seqs
 		checkPlanVerdict(t, "zstd", zstd, comp.Plan{ZStd: &zstdlite.Plan{WindowLog: 8, Blocks: []zstdlite.BlockInfo{block}}}, content)
+		for _, d := range folders {
+			plan := snapPlan
+			if d.cfg.Algo == comp.ZStd {
+				plan = comp.Plan{ZStd: &zstdlite.Plan{WindowLog: 16, Blocks: []zstdlite.BlockInfo{block}}}
+			}
+			checkPlanFold(t, d, plan, content)
+		}
 	})
+}
+
+// checkPlanFold holds DecompressPlanned on one plan to its two references. A
+// plan refPlanCheck rejects must be rejected as corrupt input with the same
+// error, sentinel and text. A plan it accepts must time exactly as Time over
+// the plan's trace with its fold dropped, which walks every command.
+func checkPlanFold(t *testing.T, d *Decompressor, plan comp.Plan, content []byte) {
+	t.Helper()
+	name := fmt.Sprintf("%s/%dK", d.cfg.Name(), d.cfg.HistorySRAM>>10)
+	res, err := d.DecompressPlanned(nil, plan, content)
+	if want := refPlanCheck(d, plan, content); want != nil {
+		var derr *DeviceError
+		if !errors.As(err, &derr) || derr.Reason != "corrupt-input" {
+			t.Fatalf("%s: the reference rejects (%v), the planned path returns %v", name, want, err)
+		}
+		for _, sentinel := range []error{lz77.ErrBadLiterals, lz77.ErrBadOffset, lz77.ErrMismatch} {
+			if errors.Is(derr.Err, sentinel) != errors.Is(want, sentinel) {
+				t.Fatalf("%s: rejected with %v, the reference with %v", name, derr.Err, want)
+			}
+		}
+		if derr.Err.Error() != want.Error() {
+			t.Fatalf("%s: rejected with %q, the reference with %q", name, derr.Err, want)
+		}
+		return
+	}
+	got := outcome(res, err)
+	var tr Trace
+	if err := d.tracePlan(&tr, nil, plan, content); err != nil {
+		t.Fatalf("%s: the reference accepts, tracePlan rejects: %v", name, err)
+	}
+	if walk := outcome(d.Time(unfolded(&tr))); got != walk {
+		t.Fatalf("%s: planned %s per-command walk %s", name, got, walk)
+	}
+}
+
+// refPlanCheck is tracePlan's verification as it stood before the fold joined
+// it: refVerifySeqs over each command stream, each ZStd block's commands held
+// to its RawSize and the whole plan to content. It returns the error tracePlan
+// must wrap, or nil for a plan it must accept.
+func refPlanCheck(d *Decompressor, plan comp.Plan, content []byte) error {
+	end := 0
+	switch {
+	case d.cfg.Algo == comp.Snappy && plan.Snappy != nil:
+		var err error
+		if end, err = refVerifySeqs(content, 0, plan.Snappy.Seqs, 0); err != nil {
+			return err
+		}
+	case d.cfg.Algo == comp.ZStd && plan.ZStd != nil:
+		window := 1 << plan.ZStd.WindowLog
+		for i := range plan.ZStd.Blocks {
+			b := &plan.ZStd.Blocks[i]
+			start := end
+			if end += b.RawSize; end > len(content) {
+				return fmt.Errorf("core: plan block %d overruns content (%d > %d)", i, end, len(content))
+			}
+			if !b.IsCompressed() {
+				continue
+			}
+			got, err := refVerifySeqs(content, start, b.Seqs, window)
+			if err != nil {
+				return fmt.Errorf("core: plan block %d: %w", i, err)
+			}
+			if got != end {
+				return fmt.Errorf("core: plan block %d commands cover %d bytes, the block %d", i, got-start, b.RawSize)
+			}
+		}
+	default:
+		return fmt.Errorf("core: planned decompress on %s without a plan of its algorithm", d.cfg.Name())
+	}
+	if end != len(content) {
+		return fmt.Errorf("core: plan covers %d bytes, content has %d", end, len(content))
+	}
+	return nil
+}
+
+// refVerifySeqs is lz77's reference VerifySeqs (lz77/ref_test.go), the plan
+// verifier before verifyFold, repeated here because test files do not cross
+// packages: replaying seqs from start must rebuild content[start:end], every
+// copy checked where it lies with bytes.Equal.
+func refVerifySeqs(content []byte, start int, seqs []lz77.Seq, window int) (end int, err error) {
+	if start < 0 || start > len(content) {
+		return 0, lz77.ErrBadLiterals
+	}
+	pos := start
+	for _, s := range seqs {
+		if uint(s.LitLen) > uint(len(content)-pos) {
+			return 0, lz77.ErrBadLiterals
+		}
+		pos += s.LitLen
+		if s.MatchLen == 0 {
+			continue
+		}
+		if s.Offset <= 0 || s.Offset > pos || (window > 0 && s.Offset > window) {
+			return 0, fmt.Errorf("%w: offset %d, produced %d, window %d", lz77.ErrBadOffset, s.Offset, pos, window)
+		}
+		if uint(s.MatchLen) > uint(len(content)-pos) ||
+			!bytes.Equal(content[pos:pos+s.MatchLen], content[pos-s.Offset:pos-s.Offset+s.MatchLen]) {
+			return 0, fmt.Errorf("%w: %d bytes at %d from offset %d", lz77.ErrMismatch, s.MatchLen, pos, s.Offset)
+		}
+		pos += s.MatchLen
+	}
+	return pos, nil
+}
+
+// BenchmarkDecompressPlanned is the replay's decompress-op device call on its
+// own: DecompressPlanned over the plans of one payload of each corpus kind, at
+// a fleet-typical size and a large one, plans taken once up front.
+func BenchmarkDecompressPlanned(b *testing.B) {
+	coder := comp.NewCoder()
+	for _, algo := range []comp.Algorithm{comp.Snappy, comp.ZStd} {
+		for _, size := range []int{8 << 10, 256 << 10} {
+			b.Run(fmt.Sprintf("%v/%dK", algo, size>>10), func(b *testing.B) {
+				d, err := NewDecompressor(Config{Algo: algo})
+				if err != nil {
+					b.Fatal(err)
+				}
+				d.SetResultReuse(true)
+				var contents [][]byte
+				var frames [][]byte
+				var plans []comp.Plan
+				for _, kind := range corpus.Kinds {
+					content := corpus.Generate(kind, size, int64(size)+int64(kind))
+					frame, plan, err := coder.AppendCompressSizeOnly(nil, algo, 0, 0, content)
+					if err != nil {
+						b.Fatal(err)
+					}
+					contents, frames, plans = append(contents, content), append(frames, frame), append(plans, snapshotPlan(plan))
+				}
+				b.SetBytes(int64(size * len(contents)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for k := range contents {
+						if _, err := d.DecompressPlanned(frames[k], plans[k], contents[k]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
+	}
 }

@@ -39,24 +39,32 @@ type Trace struct {
 	blocks []zstdlite.BlockInfo
 	lits   []byte // literal scratch of a Snappy frame parse
 	// fold summarizes the command stream of a decompression trace that outlives
-	// its call (Decompressor.Trace); the zero value means there is none and the
-	// timing walk reads the commands.
+	// its call (Decompressor.Trace) or of a planned one (tracePlan); the zero
+	// value means there is none and the timing walk reads the commands.
 	fold seqFold
 }
 
 // seqFold is a decompression trace's command stream — seqs, or every ZStd
-// block's Seqs in block order — reduced to what Decompressor.Time charges for
-// under any Config: the sums that land in idLZ77 whatever the configuration,
-// and the copies whose charge depends on it. docs/MODEL.md has the argument
-// that charging from the fold equals the per-command walk bit for bit.
+// block's Seqs in block order — reduced to what Decompressor.Time charges for:
+// the sums that land in idLZ77, and the copies whose charge is a history
+// fallback. docs/MODEL.md has the argument that charging from the fold equals
+// the per-command walk bit for bit.
+//
+// Which copies are near depends on who folds. A trace that outlives its call
+// (Decompressor.Trace) may be timed under any Config, so near is offset ≤
+// MinHistorySRAM, a history SRAM hit under every valid Config, and far holds
+// every other copy for the timing instance to sort. A planned trace
+// (tracePlan) is timed only by the instance that folded it, inside
+// DecompressPlanned, so near is offset ≤ that instance's HistorySRAM and far
+// holds exactly its hist-fallback copies. Time re-checks each far copy against
+// its own HistorySRAM either way.
 type seqFold struct {
 	folded    bool // a fold was taken; it may be of no commands
 	commands  int  // elements parsed
 	litBytes  int  // bytes moved by literal runs
-	nearBytes int  // bytes of copies with offset <= MinHistorySRAM: a history SRAM hit under every valid Config
-	// far is every other copy, in stream order and exactly sized: whether one
-	// hits the history SRAM or falls back off-chip is the timing instance's
-	// HistorySRAM to decide.
+	nearBytes int  // bytes of copies at most the near threshold back
+	// far is every other copy, in stream order: exactly sized on a trace that
+	// outlives its call, the decompressor's reused backing on a planned one.
 	far []farCopy
 }
 

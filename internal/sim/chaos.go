@@ -111,7 +111,7 @@ func (sh *shard) chaosBitFlip(s *callSpec, call int, cfg *Config, plain, devInpu
 	// Compression: the call itself runs on healthy input and the result
 	// buffer is corrupted on the device->host return path, so the full
 	// call's cycles are spent before verification rejects the output.
-	res, err := dev.Exec(devInput)
+	res, err := dev.ExecSizeOnly(devInput)
 	if err != nil {
 		return execOut{}, err
 	}
@@ -144,7 +144,7 @@ func (sh *shard) chaosTransient(s *callSpec, call int, cfg *Config, plain, devIn
 		if faulted {
 			dev.SetFaultInjector(stormPlan(kind))
 		}
-		res, err := dev.Exec(devInput)
+		res, err := sh.exec(s, devInput)
 		if faulted {
 			dev.SetFaultInjector(nil)
 		}

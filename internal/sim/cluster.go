@@ -6,6 +6,7 @@ import (
 
 	"cdpu/internal/cluster"
 	"cdpu/internal/comp"
+	"cdpu/internal/core"
 	"cdpu/internal/fault"
 	"cdpu/internal/memsys"
 	"cdpu/internal/obs"
@@ -22,9 +23,10 @@ func (c Config) clusterMode() bool {
 }
 
 // recostCall re-costs one call a storm hits or a brownout touches, over its
-// prepared healthy outcome out. Everything here may parse the frame, so a
-// decompress-op call's input is encoded in full; plain is the call's payload
-// (the shard's reused buffer). A call the storm misses is inside a brownout
+// prepared healthy outcome out. Everything here may parse a decompress-op
+// call's frame, so its input is encoded in full; a compress-op call's device
+// still runs size-only (exec). plain is the call's payload (the shard's
+// reused buffer). A call the storm misses is inside a brownout
 // window of its replica group: it keeps its healthy service and gains the
 // degraded-bandwidth cycles of a re-execution under the brownout's
 // stalled-MSHR injector. A storm hit's recovery arc replaces its outcome but
@@ -45,7 +47,7 @@ func (sh *shard) recostCall(s *callSpec, call int, cfg *Config, plain []byte, ou
 	if !hit {
 		dev := sh.devs[s.dev]
 		dev.SetFaultInjector(fault.Plan{StallEvery: 1, StallMSHRs: fault.BrownoutStallMSHRs})
-		res, err := dev.Exec(devInput)
+		res, err := sh.exec(s, devInput)
 		dev.SetFaultInjector(nil)
 		if err != nil {
 			return fmt.Errorf("sim: brownout service for call %d: %w", call, err)
@@ -62,6 +64,17 @@ func (sh *shard) recostCall(s *callSpec, call int, cfg *Config, plain []byte, ou
 	}
 	out.budget = budget
 	return err
+}
+
+// exec runs one dispatch of call s on its device clone. A compress-op call
+// runs size-only: nothing reads a compression device's frame, and the
+// software fallback verifies with the shard's own Coder. A decompress-op call
+// parses devInput, its frame.
+func (sh *shard) exec(s *callSpec, devInput []byte) (*core.Result, error) {
+	if s.rec.Op == comp.Compress {
+		return sh.devs[s.dev].ExecSizeOnly(devInput)
+	}
+	return sh.devs[s.dev].Exec(devInput)
 }
 
 // softwareCycles is the Xeon-baseline service time of one call in device

@@ -687,12 +687,13 @@ func emitDeviceTrace(tr *obs.Trace, pid int, algo comp.Algorithm, op comp.Op, in
 const tileSize = 64
 
 // shard is one worker's leased execution state: a pooled Coder for
-// decompress-op payload synthesis, functional single-pipeline device clones,
-// and the scratch buffers that take steady-state replay to zero allocations
-// per call. plain outlives the device call it feeds: a planned decompression's
-// Result.Output is plain itself. Shards are recycled through a process-wide
-// pool across Replay invocations, so repeated Runs (benchmark loops, scaling
-// sweeps) skip device construction entirely.
+// decompress-op payload synthesis, single-pipeline device clones (compress-op
+// calls run them size-only, decompress-op calls planned), and the scratch
+// buffers that take steady-state replay to zero allocations per call. plain
+// outlives the device call it feeds: a planned decompression's Result.Output
+// is plain itself. Shards are recycled through a process-wide pool across Run
+// invocations, so repeated Runs (benchmark loops, scaling sweeps) skip device
+// construction entirely.
 type shard struct {
 	placement memsys.Placement
 	traced    bool
@@ -762,13 +763,17 @@ func (sh *shard) execTile(specs []callSpec, idxs []int, lo, hi int, cfg *Config,
 	return 0, nil
 }
 
-// execOne runs one call healthy. A decompress-op call's compressed input is
-// synthesized size-only — ZStd's entropy payloads zeros, Snappy's literal
-// payloads unwritten — because nothing here parses it: the frame's recorded
-// Plan carries it into the device clone (core.ExecWithPlan), which charges
-// bit-identically to a frame parse without performing one, reads only the
-// frame's length, and checks the plan against the payload the shard already
-// holds.
+// execOne runs one call healthy and keeps only what phase C reads of it: the
+// service cycles, the watchdog budget and, when tracing, the spans. Neither
+// direction produces a byte nobody reads. A compress-op call runs the device
+// size-only (core.ExecSizeOnly): the same Result as a full encode, without
+// the frame. A decompress-op call's compressed input is synthesized size-only
+// — ZStd's entropy payloads zeros, Snappy's literal payloads unwritten —
+// because nothing here parses it: the frame's recorded Plan carries it into
+// the device clone (core.ExecWithPlan), which charges bit-identically to a
+// frame parse without performing one, reads only the frame's length, and
+// checks the plan against the payload the shard already holds in the same
+// walk that folds its commands for the charge.
 func (sh *shard) execOne(s *callSpec, plain []byte) (execOut, error) {
 	dev := sh.devs[s.dev]
 	// The watchdog budget's bytes mirror the real watchdog's post-call
@@ -778,7 +783,7 @@ func (sh *shard) execOne(s *callSpec, plain []byte) (execOut, error) {
 	var res *core.Result
 	var err error
 	if s.rec.Op == comp.Compress {
-		res, err = dev.Exec(plain)
+		res, err = dev.ExecSizeOnly(plain)
 	} else {
 		var plan comp.Plan
 		if sh.enc, plan, err = sh.coder.AppendCompressSizeOnly(sh.enc[:0], s.rec.Algo, s.rec.Level, min(s.rec.WindowLog, 17), plain); err != nil {

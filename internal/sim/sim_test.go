@@ -125,12 +125,13 @@ func TestOffloadBeatsSoftwareServiceTime(t *testing.T) {
 }
 
 // BenchmarkSimRun measures one full replay (sampling, parallel synthesis,
-// queueing replay). Divide ns/op and allocs/op by the call count for
-// per-call figures; `go run ./bench` reports the same replay as ops_per_s and
-// allocs_per_op, and this benchmark is the profiling target
-// (go test -run '^$' -bench BenchmarkSimRun -cpuprofile cpu.pprof ./internal/sim).
+// queueing replay) in the shape of the benchmark's replay-healthy workload,
+// on one worker so a profile reads as one thread's time. Divide ns/op and
+// allocs/op by the call count for per-call figures; `go run ./bench` reports
+// the same replay as ops_per_s and allocs_per_op. `make profile` profiles
+// three iterations of it.
 func BenchmarkSimRun(b *testing.B) {
-	cfg := Config{Seed: 1, Calls: 2000, MaxCallBytes: 256 << 10}
+	cfg := Config{Seed: 1, Calls: 12000, Workers: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
