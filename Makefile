@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 SEED ?= 1
 N ?= 10
 
-.PHONY: all check fmt vet build test race bench fuzz-smoke profile loc reach pairs
+.PHONY: all check fmt vet build test race bench fuzz-smoke profile loc reach pairs fingerprints
 
 all: check
 
@@ -122,6 +122,27 @@ pairs:
 		echo "== $(WORKLOAD) seed $$s"; \
 		$$T/bench-change -compare $$(rows $$s parent) $$(rows $$s change) || rc=1; \
 	done; exit $$rc
+
+# A "same behaviour" claim's evidence: the sim_fingerprint of each benchmark
+# workload at each seed in SEEDS (default: SEED), PARENT against the working
+# tree, with ./bench built once per side as pairs builds it. One timed second
+# per run is enough: the fingerprint hashes what the workload simulates or
+# encodes, not how long it ran. Prints one line per workload and seed and
+# fails if any pair differs or is missing.
+#
+#	make fingerprints PARENT=HEAD~1 [SEED=1 | SEEDS="1 7"]
+WORKLOADS = replay-healthy replay-overload dse-sweep codec-sw
+fingerprints:
+	@test -n "$(PARENT)" || { echo "usage: make fingerprints PARENT=<ref> [SEED=1 | SEEDS=\"1 7\"]" >&2; exit 2; }
+	@set -e; T=$$(mktemp -d); trap 'rm -rf $$T' EXIT; \
+	git clone -q . $$T/parent; git -C $$T/parent checkout -q --detach $$(git rev-parse --verify '$(PARENT)^{commit}'); \
+	(cd $$T/parent && $(GO) build -o $$T/bench-parent ./bench); $(GO) build -o $$T/bench-change ./bench; \
+	fp() { $$1 -workload $$2 -seed $$3 -seconds 1 | awk '$$2 == "sim_fingerprint" { print $$4 }'; }; \
+	rc=0; for s in $(SEEDS); do for w in $(WORKLOADS); do \
+		p=$$(cd $$T/parent && fp $$T/bench-parent $$w $$s); c=$$(fp $$T/bench-change $$w $$s); \
+		v=equal; if [ -z "$$p" ] || [ "$$p" != "$$c" ]; then v=DIFFERENT; rc=1; fi; \
+		printf '%-16s seed %-2s parent %s change %s %s\n' $$w $$s "$$p" "$$c" $$v; \
+	done; done; exit $$rc
 
 # Adversarial-input smoke: run every native fuzz target for FUZZTIME each,
 # starting from the checked-in seed corpora (regenerate those with

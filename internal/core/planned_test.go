@@ -12,6 +12,7 @@ import (
 
 	"cdpu/internal/comp"
 	"cdpu/internal/corpus"
+	"cdpu/internal/fault"
 	"cdpu/internal/lz77"
 	"cdpu/internal/memsys"
 	"cdpu/internal/snappy"
@@ -33,7 +34,10 @@ func plannedTestData() map[string][]byte {
 // the parse-based one, Result for Result: same Cycles, same per-block
 // attribution, same output bytes, or the same abort, for both codecs on every
 // placement, history SRAM size (the planned fold's near threshold), corpus
-// kind and size, with and without a fault injector. The parse-based side
+// kind and size, with and without a fault injector: a mixed one, and the three
+// the replay's re-cost installs (a storm's memory fault, a storm's watchdog
+// spike, a brownout's stalled MSHRs). One unit per codec is traced, so the
+// spans are compared too. The parse-based side
 // decodes the full frame; the planned side gets what the replay engine hands
 // it, the size-only frame and its Plan. The engine depends on this
 // equivalence to keep Reports byte-identical while skipping the frame parse
@@ -42,18 +46,30 @@ func TestDecompressPlannedMatchesDecompress(t *testing.T) {
 	coder := comp.NewCoder()
 	for _, algo := range []comp.Algorithm{comp.Snappy, comp.ZStd} {
 		var decs []*Decompressor
+		var units []string
+		unit := func(cfg Config, fi memsys.FaultInjector, name string) *Decompressor {
+			d, err := NewDecompressor(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.SetFaultInjector(fi)
+			decs = append(decs, d)
+			units = append(units, name)
+			return d
+		}
 		for _, placement := range memsys.Placements {
 			for _, sram := range []int{1 << 10, 8 << 10, 64 << 10} {
 				for _, fi := range []memsys.FaultInjector{nil, foldFaults(4000)} {
-					d, err := NewDecompressor(Config{Algo: algo, Placement: placement, HistorySRAM: sram})
-					if err != nil {
-						t.Fatal(err)
-					}
-					d.SetFaultInjector(fi)
-					decs = append(decs, d)
+					unit(Config{Algo: algo, Placement: placement, HistorySRAM: sram}, fi,
+						fmt.Sprintf("%v/%dK/faults=%v", placement, sram>>10, fi != nil))
 				}
 			}
 		}
+		matrix := len(decs)
+		unit(Config{Algo: algo}, fault.Plan{ErrorEvery: 1}, "storm-memory-fault")
+		unit(Config{Algo: algo}, fault.Plan{SpikeEvery: 1, SpikeCycles: 1e12}, "storm-watchdog")
+		unit(Config{Algo: algo}, fault.Plan{StallEvery: 1, StallMSHRs: fault.BrownoutStallMSHRs}, "brownout")
+		unit(Config{Algo: algo}, nil, "traced").SetTracing(true)
 		for _, kind := range corpus.Kinds {
 			for _, size := range []int{0, 64, 4 << 10, 1 << 20} {
 				name := fmt.Sprintf("%v/%v/%d", algo, kind, size)
@@ -70,12 +86,12 @@ func TestDecompressPlannedMatchesDecompress(t *testing.T) {
 					t.Fatalf("%s: size-only frame %d bytes, full %d", name, len(sizeOnly), len(full))
 				}
 				for i, d := range decs {
-					if raceEnabled && size == 1<<20 && (d.cfg.HistorySRAM != DefaultHistorySRAM || i%2 == 1) {
+					if raceEnabled && size == 1<<20 && (i >= matrix || d.cfg.HistorySRAM != DefaultHistorySRAM || i%2 == 1) {
 						continue // the ordinary pass runs these; the race pass keeps the placement axis
 					}
 					want, werr := d.Decompress(full)
 					got, err := d.DecompressPlanned(sizeOnly, plan, content)
-					name := fmt.Sprintf("%s/%v/%dK/faults=%v", name, d.cfg.Placement, d.cfg.HistorySRAM>>10, i%2 == 1)
+					name := name + "/" + units[i]
 					if g, w := outcome(got, err), outcome(want, werr); g != w {
 						t.Errorf("%s: planned %s parsed %s", name, g, w)
 					}

@@ -17,7 +17,8 @@ type Demand struct {
 	// LinkOps is doorbell/descriptor operations on the shared host link.
 	LinkOps float64
 	// BusyCycles is pipeline-busy cycles (an LLC-pressure proxy: busier
-	// pipelines keep more stream footprint resident).
+	// pipelines keep more stream footprint resident). No stretch reads it;
+	// it stays only because bench/shadow.go still writes it.
 	BusyCycles float64
 }
 

@@ -136,16 +136,19 @@ func TestShardExecSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestParsedFramesAreReal pins the gate on size-only synthesis: Prepare never
-// synthesizes a real frame, and the re-cost, where anything may parse one,
-// always does. After its healthy execution no decompress-op call of at least
-// 64 bytes may leave the shard holding a frame that decodes to the payload,
-// storm-hit or not; after its re-cost every call of a 100 % storm (mutation,
-// recovery re-execution, software fallback) and every brownout-range call of a
-// lifecycle replay (re-executed under the fault injector) must. The frame
-// buffer is poisoned before each call, because a size-only Snappy frame keeps
-// whatever bytes lay under its literals.
+// TestParsedFramesAreReal pins the gate on real frames: phase B builds one
+// only where something reads its bytes. After its healthy execution no
+// decompress-op call of at least 64 bytes may leave the shard holding a frame
+// that decodes to the payload, and neither may a brownout-only re-cost or a
+// transient re-cost the device recovers from, since both price the call as
+// Prepare does. A bit-flip re-cost (whose mutation the device parses) and a
+// re-cost the software fallback serves (whose round trip decodes the frame)
+// must leave one: fault.Mutate copies, so the unmutated frame survives. The
+// run must exercise all four kinds of re-cost. The frame buffer is poisoned
+// before each call, because a size-only Snappy frame keeps whatever bytes lay
+// under its literals.
 func TestParsedFramesAreReal(t *testing.T) {
+	recosts := map[string]int{"bit flip": 0, "fallback": 0, "device-recovered transient": 0, "brownout": 0}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -178,7 +181,7 @@ func TestParsedFramesAreReal(t *testing.T) {
 			back, err := comp.DecompressCall(s.rec.Algo, sh.enc)
 			return err == nil && bytes.Equal(back, sh.plain), err
 		}
-		var healthy, recosted int
+		healthy := 0
 		for i := range specs {
 			s := &specs[i]
 			if s.rec.Op != comp.Decompress {
@@ -196,23 +199,42 @@ func TestParsedFramesAreReal(t *testing.T) {
 					t.Errorf("%s: Prepare synthesized call %d (%v) in full", tc.name, i, s.rec.Algo)
 				}
 			}
-			_, _, stormHit := cfg.Storm.Draw(i)
+			kind, _, stormHit := cfg.Storm.Draw(i)
 			brownout := cfg.Lifecycle.AnyBrownoutRange(sched[i].inst*cfg.Replicas, cfg.Replicas, i)
 			if !stormHit && !brownout {
 				continue
 			}
-			recosted++
 			poison()
 			if err := sh.recostCall(s, i, &cfg, sh.plain, &out); err != nil {
 				t.Fatalf("%s: re-costing call %d: %v", tc.name, i, err)
 			}
-			if ok, err := decodes(s); !ok {
-				t.Errorf("%s: call %d (%v, storm %v, brownout %v) was re-costed on a frame that does not decode to the payload (%v)",
-					tc.name, i, s.rec.Algo, stormHit, brownout, err)
+			what, real := "brownout", false
+			switch {
+			case stormHit && kind == fault.StormBitFlip:
+				what, real = "bit flip", true
+			case out.degraded:
+				what, real = "fallback", true
+			case stormHit:
+				what = "device-recovered transient"
 			}
+			ok, err := decodes(s)
+			switch {
+			case real && !ok:
+				t.Errorf("%s: %s re-cost of call %d (%v) left no frame that decodes to the payload (%v)", tc.name, what, i, s.rec.Algo, err)
+			case !real && len(sh.plain) < 64:
+				continue
+			case !real && ok:
+				t.Errorf("%s: %s re-cost of call %d (%v) synthesized its frame in full", tc.name, what, i, s.rec.Algo)
+			}
+			recosts[what]++
 		}
-		if recosted == 0 || healthy == 0 {
-			t.Errorf("%s: %d re-costed of %d healthy decompress calls; the run exercises nothing", tc.name, recosted, healthy)
+		if healthy == 0 {
+			t.Errorf("%s: no healthy decompress call of at least 64 bytes; the run exercises nothing", tc.name)
+		}
+	}
+	for what, n := range recosts {
+		if n == 0 {
+			t.Errorf("no %s re-cost of a decompress-op call; the run no longer exercises that kind", what)
 		}
 	}
 }

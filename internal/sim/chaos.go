@@ -75,14 +75,18 @@ func corruptErr(s *callSpec, cfg *Config, cycles float64, cause error) error {
 // either detects the corruption mid-decode (charging the detection latency)
 // or completes and fails the end-to-end verification (charging the full
 // call). Retrying is pointless — the corrupt buffer reads back identically —
-// so a bit flip never consumes retry attempts.
-func (sh *shard) chaosBitFlip(s *callSpec, call int, cfg *Config, plain, devInput []byte) (execOut, error) {
-	dev := sh.devs[s.dev]
+// so a bit flip never consumes retry attempts. The device parses a
+// decompress-op call's mutated frame, so that frame is encoded in full.
+func (sh *shard) chaosBitFlip(s *callSpec, call int, cfg *Config, plain []byte) (execOut, error) {
 	traced := cfg.Trace != nil
 	var out execOut
 	if s.rec.Op == comp.Decompress {
-		mutated := fault.Mutate(cfg.Storm.MutationSeed(call), fault.BitFlip, devInput)
-		res, err := dev.Exec(mutated)
+		var err error
+		if sh.enc, err = sh.coder.AppendCompress(sh.enc[:0], s.rec.Algo, s.rec.Level, min(s.rec.WindowLog, 17), plain); err != nil {
+			return execOut{}, err
+		}
+		mutated := fault.Mutate(cfg.Storm.MutationSeed(call), fault.BitFlip, sh.enc)
+		res, err := sh.devs[s.dev].Exec(mutated)
 		switch {
 		case err == nil && bytes.Equal(res.Output, plain):
 			// The flips landed in don't-care bytes: the output still
@@ -106,12 +110,12 @@ func (sh *shard) chaosBitFlip(s *callSpec, call int, cfg *Config, plain, devInpu
 		if !cfg.Resilience.SoftwareFallback {
 			return out, err
 		}
-		return sh.fallback(s, out, cfg, plain, devInput)
+		return sh.fallback(s, out, cfg, plain)
 	}
 	// Compression: the call itself runs on healthy input and the result
 	// buffer is corrupted on the device->host return path, so the full
 	// call's cycles are spent before verification rejects the output.
-	res, err := dev.ExecSizeOnly(devInput)
+	res, err := sh.exec(s, plain)
 	if err != nil {
 		return execOut{}, err
 	}
@@ -121,7 +125,7 @@ func (sh *shard) chaosBitFlip(s *callSpec, call int, cfg *Config, plain, devInpu
 	if !cfg.Resilience.SoftwareFallback {
 		return out, corruptErr(s, cfg, res.Cycles, errors.New("sim: compressed output failed verification"))
 	}
-	return sh.fallback(s, out, cfg, plain, devInput)
+	return sh.fallback(s, out, cfg, plain)
 }
 
 // chaosTransient retries a device fault (memory fault or watchdog trip) with
@@ -130,7 +134,7 @@ func (sh *shard) chaosBitFlip(s *callSpec, call int, cfg *Config, plain, devInpu
 // the call may consume. Failed dispatches charge their abort-detection
 // latency, backoff waits charge into the same modeled service time (the
 // dispatch slot is held), and exhaustion falls back to software or aborts.
-func (sh *shard) chaosTransient(s *callSpec, call int, cfg *Config, plain, devInput []byte, kind fault.StormKind, repeats int) (execOut, error) {
+func (sh *shard) chaosTransient(s *callSpec, call int, cfg *Config, plain []byte, kind fault.StormKind, repeats int) (execOut, error) {
 	dev := sh.devs[s.dev]
 	pol := cfg.Resilience
 	traced := cfg.Trace != nil
@@ -144,7 +148,7 @@ func (sh *shard) chaosTransient(s *callSpec, call int, cfg *Config, plain, devIn
 		if faulted {
 			dev.SetFaultInjector(stormPlan(kind))
 		}
-		res, err := sh.exec(s, devInput)
+		res, err := sh.exec(s, plain)
 		if faulted {
 			dev.SetFaultInjector(nil)
 		}
@@ -185,32 +189,23 @@ func (sh *shard) chaosTransient(s *callSpec, call int, cfg *Config, plain, devIn
 	if !pol.SoftwareFallback {
 		return out, lastErr
 	}
-	return sh.fallback(s, out, cfg, plain, devInput)
+	return sh.fallback(s, out, cfg, plain)
 }
 
 // fallback serves the call on the modeled CPU codec path after device
 // recovery is exhausted: the xeon cost tables give the software service time
 // (converted to device-clock cycles and charged after the device time already
-// spent), and the result is verified functionally by round trip so no corrupt
+// spent), and plain is verified by a full-frame round trip, so no corrupt
 // bytes can ever surface from a degraded call.
-func (sh *shard) fallback(s *callSpec, out execOut, cfg *Config, plain, devInput []byte) (execOut, error) {
-	cycles := softwareCycles(s)
-	if s.rec.Op == comp.Decompress {
-		got, err := comp.DecompressCall(s.rec.Algo, devInput)
-		if err != nil || !bytes.Equal(got, plain) {
-			return execOut{}, fmt.Errorf("sim: software fallback verification failed: %v", err)
-		}
-	} else {
-		enc, err := sh.coder.AppendCompress(sh.fb[:0], s.rec.Algo, s.rec.Level, min(s.rec.WindowLog, 17), plain)
-		if err != nil {
-			return execOut{}, fmt.Errorf("sim: software fallback compress: %w", err)
-		}
-		sh.fb = enc
-		got, err := comp.DecompressCall(s.rec.Algo, enc)
-		if err != nil || !bytes.Equal(got, plain) {
-			return execOut{}, fmt.Errorf("sim: software fallback verification failed: %v", err)
-		}
+func (sh *shard) fallback(s *callSpec, out execOut, cfg *Config, plain []byte) (execOut, error) {
+	var err error
+	if sh.enc, err = sh.coder.AppendCompress(sh.enc[:0], s.rec.Algo, s.rec.Level, min(s.rec.WindowLog, 17), plain); err != nil {
+		return execOut{}, fmt.Errorf("sim: software fallback compress: %w", err)
 	}
+	if got, err := comp.DecompressCall(s.rec.Algo, sh.enc); err != nil || !bytes.Equal(got, plain) {
+		return execOut{}, fmt.Errorf("sim: software fallback verification failed: %v", err)
+	}
+	cycles := softwareCycles(s)
 	out.post = cycles
 	out.degraded = true
 	out.spans = appendSpan(out.spans, cfg.Trace != nil, blockFallback, out.service, cycles)

@@ -23,31 +23,22 @@ func (c Config) clusterMode() bool {
 }
 
 // recostCall re-costs one call a storm hits or a brownout touches, over its
-// prepared healthy outcome out. Everything here may parse a decompress-op
-// call's frame, so its input is encoded in full; a compress-op call's device
-// still runs size-only (exec). plain is the call's payload (the shard's
-// reused buffer). A call the storm misses is inside a brownout
-// window of its replica group: it keeps its healthy service and gains the
-// degraded-bandwidth cycles of a re-execution under the brownout's
-// stalled-MSHR injector. A storm hit's recovery arc replaces its outcome but
-// for the watchdog budget — corruption is non-transient and skips straight to
-// the fallback decision, device faults retry with seeded backoff first — and
-// gains no brownout cycles: its service already reflects the arc, and a
-// second degradation model would double-charge it.
+// prepared healthy outcome out; plain is the call's payload, and every
+// dispatch of it is priced as Prepare prices it (exec). A call the storm
+// misses is inside a brownout window of its replica group: it keeps its
+// healthy service and gains the degraded-bandwidth cycles of a re-execution
+// under the brownout's stalled-MSHR injector. A storm hit's recovery arc
+// replaces its outcome but for the watchdog budget — corruption is
+// non-transient and skips straight to the fallback decision, device faults
+// retry with seeded backoff first — and gains no brownout cycles: its service
+// already reflects the arc, and a second degradation model would
+// double-charge it.
 func (sh *shard) recostCall(s *callSpec, call int, cfg *Config, plain []byte, out *execOut) error {
-	devInput := plain
-	if s.rec.Op == comp.Decompress {
-		var err error
-		if sh.enc, err = sh.coder.AppendCompress(sh.enc[:0], s.rec.Algo, s.rec.Level, min(s.rec.WindowLog, 17), plain); err != nil {
-			return err
-		}
-		devInput = sh.enc
-	}
 	kind, repeats, hit := cfg.Storm.Draw(call)
 	if !hit {
 		dev := sh.devs[s.dev]
 		dev.SetFaultInjector(fault.Plan{StallEvery: 1, StallMSHRs: fault.BrownoutStallMSHRs})
-		res, err := sh.exec(s, devInput)
+		res, err := sh.exec(s, plain)
 		dev.SetFaultInjector(nil)
 		if err != nil {
 			return fmt.Errorf("sim: brownout service for call %d: %w", call, err)
@@ -58,23 +49,32 @@ func (sh *shard) recostCall(s *callSpec, call int, cfg *Config, plain []byte, ou
 	budget := out.budget
 	var err error
 	if kind == fault.StormBitFlip {
-		*out, err = sh.chaosBitFlip(s, call, cfg, plain, devInput)
+		*out, err = sh.chaosBitFlip(s, call, cfg, plain)
 	} else {
-		*out, err = sh.chaosTransient(s, call, cfg, plain, devInput, kind, repeats)
+		*out, err = sh.chaosTransient(s, call, cfg, plain, kind, repeats)
 	}
 	out.budget = budget
 	return err
 }
 
-// exec runs one dispatch of call s on its device clone. A compress-op call
-// runs size-only: nothing reads a compression device's frame, and the
-// software fallback verifies with the shard's own Coder. A decompress-op call
-// parses devInput, its frame.
-func (sh *shard) exec(s *callSpec, devInput []byte) (*core.Result, error) {
+// exec prices one dispatch of call s over its healthy payload plain, under
+// whatever fault injector its device clone carries: the one way phase B
+// prices a dispatch, producing no byte nobody reads. A compress-op call runs
+// the device size-only (core.Device.ExecSizeOnly). A decompress-op call's
+// frame is synthesized size-only into sh.enc and its recorded Plan goes to
+// core.Device.ExecWithPlan, which charges bit-identically to a frame parse,
+// injector included, and proves the plan against plain as it folds it.
+func (sh *shard) exec(s *callSpec, plain []byte) (*core.Result, error) {
+	dev := sh.devs[s.dev]
 	if s.rec.Op == comp.Compress {
-		return sh.devs[s.dev].ExecSizeOnly(devInput)
+		return dev.ExecSizeOnly(plain)
 	}
-	return sh.devs[s.dev].Exec(devInput)
+	var plan comp.Plan
+	var err error
+	if sh.enc, plan, err = sh.coder.AppendCompressSizeOnly(sh.enc[:0], s.rec.Algo, s.rec.Level, min(s.rec.WindowLog, 17), plain); err != nil {
+		return nil, err
+	}
+	return dev.ExecWithPlan(sh.enc, plan, plain)
 }
 
 // softwareCycles is the Xeon-baseline service time of one call in device

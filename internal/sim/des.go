@@ -101,10 +101,8 @@ func (p *simPart) Advance(limit float64) error {
 			}
 		case des.ServiceDone:
 			// Demand lands in the epoch the work completed in: the stream
-			// bytes crossed the shared fabric and the pipeline-busy cycles
-			// held LLC footprint until now, not at dispatch.
+			// bytes crossed the shared fabric until now, not at dispatch.
 			p.demand.StreamBytes += float64(p.specs[ev.Call].rec.UncompressedBytes)
-			p.demand.BusyCycles += ev.X
 		}
 	}
 }
@@ -139,7 +137,7 @@ func (p *simPart) stepArrival(ci int) error {
 	if p.shared {
 		p.demand.LinkOps++ // dispatch doorbell
 		if r := p.gst.Last(); r.Err == nil && r.Pipeline >= 0 {
-			p.q.Push(des.Event{Time: r.Start + r.Service, Kind: des.ServiceDone, Call: ci, X: r.Service})
+			p.q.Push(des.Event{Time: r.Start + r.Service, Kind: des.ServiceDone, Call: ci})
 		}
 		// Warm restarts reinitialize over the shared host link.
 		n := p.gst.Restarts()

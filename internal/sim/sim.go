@@ -525,7 +525,6 @@ func (p *Prepared) run(cfg Config, reduce phaseC) (*Report, error) {
 		}
 	}
 	report := &Report{Calls: len(p.specs), UncompressedBytes: p.bytes}
-	openLoop := cfg.Traffic.Enabled()
 	// The calls this Run's faults touch are re-costed on a copy of the
 	// prepared outcomes; a Run that touches none copies nothing.
 	specs, at, touched := schedule(p.specs, &cfg)
@@ -584,14 +583,12 @@ func (p *Prepared) run(cfg Config, reduce phaseC) (*Report, error) {
 		report.Quarantines += red.stats.Quarantines
 		report.DeadlineSheds += red.stats.DeadlineShed
 		report.WastedCycles += red.wasted
-		if openLoop {
-			for cl := range red.classes {
-				report.PerClass[cl].Calls += red.classes[cl].Calls
-				report.PerClass[cl].ShedCalls += red.classes[cl].ShedCalls
-				report.PerClass[cl].SLOViolations += red.classes[cl].SLOViolations
-				report.PerClass[cl].GoodputBytes += red.classes[cl].GoodputBytes
-				report.SLOViolations += red.classes[cl].SLOViolations
-			}
+		for cl := range red.classes {
+			report.PerClass[cl].Calls += red.classes[cl].Calls
+			report.PerClass[cl].ShedCalls += red.classes[cl].ShedCalls
+			report.PerClass[cl].SLOViolations += red.classes[cl].SLOViolations
+			report.PerClass[cl].GoodputBytes += red.classes[cl].GoodputBytes
+			report.SLOViolations += red.classes[cl].SLOViolations
 		}
 		if clustered {
 			mergeClusterTotals(report, pid, &red.tot)
@@ -605,12 +602,10 @@ func (p *Prepared) run(cfg Config, reduce phaseC) (*Report, error) {
 			report.DecompUtil = max(report.DecompUtil, red.stats.Utilization)
 		}
 	}
-	if openLoop {
-		if cfg.Burn.Enabled() {
-			burnPass(&cfg, specs, reds, report)
-		}
-		publishClassMetrics(report)
+	if cfg.Burn.Enabled() {
+		burnPass(&cfg, specs, reds, report)
 	}
+	publishClassMetrics(report)
 	if len(latencies) == 0 {
 		return nil, fmt.Errorf("sim: no device traffic")
 	}
@@ -701,8 +696,7 @@ type shard struct {
 	gen       corpus.Gen
 	devs      [numDevices]*core.Device
 	plain     []byte // the current call's synthesized payload
-	enc       []byte // compressed-input scratch for decompress-op calls
-	fb        []byte // software-fallback compression scratch
+	enc       []byte // frame scratch: size-only for exec, real for a bit flip or the fallback
 }
 
 // shardPool recycles shards across Run invocations. Entries are keyed by
@@ -764,38 +758,20 @@ func (sh *shard) execTile(specs []callSpec, idxs []int, lo, hi int, cfg *Config,
 }
 
 // execOne runs one call healthy and keeps only what phase C reads of it: the
-// service cycles, the watchdog budget and, when tracing, the spans. Neither
-// direction produces a byte nobody reads. A compress-op call runs the device
-// size-only (core.ExecSizeOnly): the same Result as a full encode, without
-// the frame. A decompress-op call's compressed input is synthesized size-only
-// — ZStd's entropy payloads zeros, Snappy's literal payloads unwritten —
-// because nothing here parses it: the frame's recorded Plan carries it into
-// the device clone (core.ExecWithPlan), which charges bit-identically to a
-// frame parse without performing one, reads only the frame's length, and
-// checks the plan against the payload the shard already holds in the same
-// walk that folds its commands for the charge.
+// service cycles, the watchdog budget and, when tracing, the spans.
 func (sh *shard) execOne(s *callSpec, plain []byte) (execOut, error) {
-	dev := sh.devs[s.dev]
-	// The watchdog budget's bytes mirror the real watchdog's post-call
-	// accounting where the sizes are knowable up front: a compression call's
-	// output size is unknown before it runs, so its budget covers the input.
-	inB, outB := len(plain), 0
-	var res *core.Result
-	var err error
-	if s.rec.Op == comp.Compress {
-		res, err = dev.ExecSizeOnly(plain)
-	} else {
-		var plan comp.Plan
-		if sh.enc, plan, err = sh.coder.AppendCompressSizeOnly(sh.enc[:0], s.rec.Algo, s.rec.Level, min(s.rec.WindowLog, 17), plain); err != nil {
-			return execOut{}, err
-		}
-		inB, outB = len(sh.enc), len(plain)
-		res, err = dev.ExecWithPlan(sh.enc, plan, plain)
-	}
+	res, err := sh.exec(s, plain)
 	if err != nil {
 		return execOut{}, err
 	}
-	budget := core.Config{Algo: s.rec.Algo, Op: s.rec.Op, Placement: sh.placement}.WatchdogBudget(inB, outB)
+	// The watchdog budget's bytes mirror the real watchdog's post-call
+	// accounting where the sizes are knowable up front: a compression call's
+	// output size is unknown before it runs, so its budget covers the input.
+	outB := res.OutputBytes
+	if s.rec.Op == comp.Compress {
+		outB = 0
+	}
+	budget := core.Config{Algo: s.rec.Algo, Op: s.rec.Op, Placement: sh.placement}.WatchdogBudget(res.InputBytes, outB)
 	return execOut{service: res.Cycles, budget: budget, spans: res.Spans}, nil
 }
 

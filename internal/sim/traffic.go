@@ -30,7 +30,8 @@ func classCounters(name string) [traffic.NumClasses]*obs.Counter {
 }
 
 // publishClassMetrics rolls the Report's per-class totals into the traffic.*
-// counters. Called once per open-loop Run, after the serial merge.
+// counters. Called once per Run, after the serial merge; a closed-loop Run's
+// per-class totals are all zero.
 func publishClassMetrics(report *Report) {
 	for c := range report.PerClass {
 		metricClassCalls[c].Add(int64(report.PerClass[c].Calls))

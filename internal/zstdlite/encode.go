@@ -178,7 +178,7 @@ type Encoder struct {
 //
 // A size-only frame is NOT decodable; it exists for replay pipelines that
 // charge from the recorded Plan and the frame's byte counts without ever
-// entropy-decoding the payload (core.ExecPlanned). Callers that may hand the
+// entropy-decoding the payload (core.Device.ExecWithPlan). Callers that may hand the
 // frame to a real decoder — corruption storms, unplanned decode paths — must
 // keep size-only off.
 func (e *Encoder) SetSizeOnly(on bool) { e.sizeOnly = on }
