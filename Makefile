@@ -47,11 +47,12 @@ profile:
 	$(GO) tool pprof -top -nodecount 10 -sample_index=alloc_space sim.test mem.pprof
 
 # The scoreboard ROADMAP quotes: non-test lines of Go under internal/ and
-# cmd/, in total, for the four replay-engine packages together, and per
-# package.
+# cmd/, in total, for the four replay-engine packages together, for the six
+# codec packages together, and per package.
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf '%6d sim + cluster + core + des\n' "$$(find internal/sim internal/cluster internal/core internal/des -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf '%6d bits + fse + huffman + lz77 + snappy + zstdlite\n' "$$(find internal/bits internal/fse internal/huffman internal/lz77 internal/snappy internal/zstdlite -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@for d in internal/* cmd/*; do printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" $$d; done
 
 # What no entry point reaches: build every binary (cmd/, examples/, bench) with
@@ -160,4 +161,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRNGMatchesMathRand$$' -fuzztime $(FUZZTIME) ./internal/corpus
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifySeqs$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldMatchesWalk$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecompressMatchesCodec$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPreparedRun$$' -fuzztime $(FUZZTIME) ./internal/sim

@@ -111,7 +111,8 @@ func TestPeekDoesNotConsume(t *testing.T) {
 	var w Writer
 	w.WriteBits(0b110101, 6)
 	r := NewReader(w.Bytes())
-	if p := r.PeekBits(4); p != 0b0101 {
+	r.Fill(4)
+	if p := r.Peek(4); p != 0b0101 {
 		t.Fatalf("peek = %#b", p)
 	}
 	if got := r.ReadBits(6); got != 0b110101 {
@@ -121,7 +122,8 @@ func TestPeekDoesNotConsume(t *testing.T) {
 
 func TestPeekPastEndIsZeroPadded(t *testing.T) {
 	r := NewReader([]byte{0x03})
-	if p := r.PeekBits(16); p != 0x0003 {
+	r.Fill(16)
+	if p := r.Peek(16); p != 0x0003 {
 		t.Fatalf("peek past end = %#x", p)
 	}
 	if r.Err() != nil {

@@ -30,10 +30,10 @@ func NewReader(buf []byte) *Reader {
 // The accumulator holds at most 63 bits, and a refill leaves at least 56 of
 // them buffered while the stream has them.
 //
-// ReadBits, PeekBits and Skip check every call. A decode loop that knows how
-// many bits its next fields take uses the unchecked trio instead, which
-// inlines: Fill once (the out-of-line refill loads whole bytes, so one load
-// serves several fields), then Take or Peek buffered bits. A Take past the
+// ReadBits checks every call. A decode loop that knows how many bits its next
+// fields take uses the unchecked trio instead, which inlines: Fill once (the
+// out-of-line refill loads whole bytes, so one load serves several fields),
+// then Take or Peek buffered bits. A Take past the
 // end of the stream is not checked when it happens; it leaves the reader
 // overrun, which Err reports as ErrOverread. Any other error is recorded when
 // it happens, and the first error recorded is the one Err keeps.
@@ -113,28 +113,6 @@ func (r *Reader) readSlow(n uint) uint64 {
 	}
 	return r.Take(n)
 }
-
-// PeekBits returns the next n bits without consuming them. If fewer than n
-// bits remain, the missing high bits are zero; no error is recorded. This
-// mirrors how a hardware speculative Huffman decoder reads past the end of a
-// bitstream during the final symbols.
-func (r *Reader) PeekBits(n uint) uint64 {
-	if n > 56 {
-		if r.err == nil {
-			r.err = fmt.Errorf("%w: PeekBits(%d)", ErrBitCount, n)
-		}
-		return 0
-	}
-	r.Fill(n)
-	if r.nacc > 63 {
-		return 0
-	}
-	return r.Peek(n)
-}
-
-// Skip consumes n bits, which must already be available via PeekBits or the
-// stream; otherwise ErrOverread is recorded.
-func (r *Reader) Skip(n uint) { r.ReadBits(n) }
 
 // BitsRemaining reports how many unread bits remain in the stream: negative,
 // by how far, once a Take has overrun it.

@@ -24,16 +24,6 @@ func TestReaderBitCountSticky(t *testing.T) {
 	}
 }
 
-func TestReaderPeekBitCount(t *testing.T) {
-	r := NewReader([]byte{0xab})
-	if v := r.PeekBits(60); v != 0 {
-		t.Fatalf("PeekBits(60) = %d, want 0", v)
-	}
-	if !errors.Is(r.Err(), ErrBitCount) {
-		t.Fatalf("Err() = %v, want ErrBitCount", r.Err())
-	}
-}
-
 func TestWriterBitCountSticky(t *testing.T) {
 	w := NewWriter(16)
 	w.WriteBits(0x5, 3)
@@ -116,19 +106,12 @@ func (b *byteReader) ReadBits(n uint) uint64 {
 	return v
 }
 
-func (b *byteReader) PeekBits(n uint) uint64 {
-	if n > 56 {
-		b.fail(ErrBitCount)
-		return 0
-	}
-	return b.peek(n)
-}
-
-// TestReaderMatchesByteReference runs random interleavings of ReadBits,
-// PeekBits and Skip, widths 0–57, over streams of 0–17 bytes — short enough
-// that refills keep landing on the stream's tail, where the 64-bit load gives
-// way to byte loads — and holds every value, BitsRemaining and Err, through
-// and after the first error, to the byte-at-a-time reference.
+// TestReaderMatchesByteReference runs random interleavings of ReadBits (widths
+// 0–57), Fill then Peek, and Fill then Take within the bits left (widths
+// 0–56), over streams of 0–17 bytes — short enough that refills keep landing
+// on the stream's tail, where the 64-bit load gives way to byte loads — and
+// holds every value, BitsRemaining and Err, through and after the first
+// error, to the byte-at-a-time reference.
 func TestReaderMatchesByteReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	sameErr := func(got, want error) bool {
@@ -150,12 +133,15 @@ func TestReaderMatchesByteReference(t *testing.T) {
 				got, want = r.ReadBits(n), ref.ReadBits(n)
 				log = append(log, fmt.Sprintf("ReadBits(%d)", n))
 			case 1:
-				got, want = r.PeekBits(n), ref.PeekBits(n)
-				log = append(log, fmt.Sprintf("PeekBits(%d)", n))
+				n = min(n, 56)
+				r.Fill(n)
+				got, want = r.Peek(n), ref.peek(n)
+				log = append(log, fmt.Sprintf("Fill+Peek(%d)", n))
 			default:
-				r.Skip(n)
-				ref.ReadBits(n)
-				log = append(log, fmt.Sprintf("Skip(%d)", n))
+				n = min(n, 56, uint(ref.remaining()))
+				r.Fill(n)
+				got, want = r.Take(n), ref.ReadBits(n)
+				log = append(log, fmt.Sprintf("Fill+Take(%d)", n))
 			}
 			if got != want || r.BitsRemaining() != ref.remaining() || !sameErr(r.Err(), ref.err) {
 				t.Fatalf("%d-byte stream %x after %v: value %#x want %#x, remaining %d want %d, err %v want %v",

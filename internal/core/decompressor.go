@@ -43,8 +43,9 @@ const (
 type Decompressor struct {
 	unit
 
-	// far backs the far-copy list of a planned call's fold, reused across
-	// calls: a planned trace never outlives DecompressPlanned.
+	// far backs the far-copy list of every fold this instance takes, reused
+	// across calls: Trace keeps a copy, and the other two traces never
+	// outlive their call.
 	far []farCopy
 }
 
@@ -82,7 +83,7 @@ func (d *Decompressor) Area() *area.Breakdown {
 // before it can reject); injected memory faults and watchdog expiry abort
 // likewise.
 func (d *Decompressor) Decompress(src []byte) (*Result, error) {
-	if err := d.traceFrame(&d.scratch, src, d.outBuf()); err != nil {
+	if err := d.traceFrame(&d.scratch, src, d.outBuf(), d.cfg.HistorySRAM); err != nil {
 		return nil, err
 	}
 	return d.Time(&d.scratch)
@@ -93,14 +94,19 @@ func (d *Decompressor) Decompress(src []byte) (*Result, error) {
 // needs to Time the call. Corrupt input fails as in Decompress.
 func (d *Decompressor) Trace(src []byte) (*Trace, error) {
 	tr := new(Trace)
-	if err := d.traceFrame(tr, src, nil); err != nil {
+	if err := d.traceFrame(tr, src, nil, MinHistorySRAM); err != nil {
 		return nil, err
 	}
 	tr.lits = nil
 	for i := range tr.blocks {
 		tr.blocks[i].Literals = nil
 	}
-	tr.fold = tr.foldCommands()
+	far := tr.fold.far
+	tr.fold.far = nil
+	if len(far) > 0 { // the trace outlives the call: an exactly sized copy
+		tr.fold.far = make([]farCopy, len(far))
+		copy(tr.fold.far, far)
+	}
 	return tr, nil
 }
 
@@ -108,16 +114,16 @@ func (d *Decompressor) Trace(src []byte) (*Trace, error) {
 // the modeled Result, exactly as Decompress over the traced payload would:
 // it is the one charge path of the decompressor. The trace is only read.
 //
-// A trace that carries a fold is charged from it, in time proportional to its
-// far copies, not its commands. A traced call walks the commands regardless:
-// span layout is per charge.
+// An untraced call is charged from the trace's fold, in time proportional to
+// its far copies, not its commands. A traced call walks the commands: span
+// layout is per charge.
 func (d *Decompressor) Time(tr *Trace) (*Result, error) {
 	res, err := d.begin(tr)
 	if err != nil {
 		return nil, err
 	}
 	var fold *seqFold
-	if tr.fold.folded && !d.tracing {
+	if !d.tracing {
 		fold = &tr.fold
 	}
 	switch {
@@ -185,7 +191,7 @@ func (d *Decompressor) execSeqs(seqs []lz77.Seq, res *Result) {
 	}
 }
 
-// execFold is execSeqs over a folded command stream. Every idLZ77 charge of
+// execFold is execSeqs over a command stream's fold. Every idLZ77 charge of
 // the walk is a multiple of 1/32 cycle, so their sum is exact in any order and
 // one charge carries it; fallback charges are not (link latency, injected
 // cycles), so they stay one charge per copy, in stream order — which is also
@@ -203,59 +209,19 @@ func (d *Decompressor) execFold(f *seqFold, res *Result) {
 		float64(f.litBytes)/literalBytesPerCycle+float64(near)/historyBytesPerCycle)
 }
 
-// commandStreams calls visit with each command stream Time executes, in
-// order. A trace holds one kind: the Snappy element stream, or the Seqs of
-// every ZStd block that has sequences (zstdCycles).
-func (tr *Trace) commandStreams(visit func([]lz77.Seq)) {
-	visit(tr.seqs)
-	for i := range tr.blocks {
-		if b := &tr.blocks[i]; b.IsCompressed() && b.NumSeqs > 0 {
-			visit(b.Seqs)
-		}
-	}
-}
-
-// foldCommands folds the trace's command streams, visiting them twice: to
-// count the far copies, then to fill a list of exactly that size.
-func (tr *Trace) foldCommands() seqFold {
-	f := seqFold{folded: true}
-	far := 0
-	tr.commandStreams(func(seqs []lz77.Seq) {
-		f.commands += len(seqs)
-		for _, s := range seqs {
-			f.litBytes += s.LitLen
-			if s.MatchLen == 0 {
-				continue
-			}
-			if s.Offset <= MinHistorySRAM {
-				f.nearBytes += s.MatchLen
-			} else {
-				far++
-			}
-		}
-	})
-	if far == 0 {
-		return f
-	}
-	f.far = make([]farCopy, 0, far)
-	tr.commandStreams(func(seqs []lz77.Seq) {
-		for _, s := range seqs {
-			if s.MatchLen > 0 && s.Offset > MinHistorySRAM {
-				f.far = append(f.far, farCopy{uint32(s.Offset), uint32(s.MatchLen)})
-			}
-		}
-	})
-	return f
-}
-
 // traceFrame runs the functional decode of a compressed payload into tr,
-// appending the decoded bytes to out.
-func (d *Decompressor) traceFrame(tr *Trace, src, out []byte) error {
+// appending the decoded bytes to out, and folds its commands at near. The
+// decoders have checked every offset against the output and the window, so the
+// fold takes no window and its checks pass on their output.
+func (d *Decompressor) traceFrame(tr *Trace, src, out []byte, near int) error {
 	var err error
 	if d.cfg.Algo == comp.Snappy {
 		out, err = tr.decodeSnappy(src, out)
 	} else {
 		out, err = tr.decodeZStd(src)
+	}
+	if err == nil {
+		err = d.fold(tr, out, 0, near)
 	}
 	if err != nil {
 		return d.corruptInput(src, err)
@@ -354,9 +320,7 @@ func (d *Decompressor) zstdCycles(blocks []zstdlite.BlockInfo, fold *seqFold, re
 // and error paths only, so a size-only frame serves.
 func (d *Decompressor) DecompressPlanned(src []byte, plan comp.Plan, content []byte) (*Result, error) {
 	var tr Trace
-	err := d.tracePlan(&tr, src, plan, content)
-	d.far = tr.fold.far[:0]
-	if err != nil {
+	if err := d.tracePlan(&tr, src, plan, content); err != nil {
 		return nil, d.corruptInput(src, err)
 	}
 	return d.Time(&tr)
@@ -364,72 +328,85 @@ func (d *Decompressor) DecompressPlanned(src []byte, plan comp.Plan, content []b
 
 // tracePlan is traceFrame driven by a recorded Plan instead of a frame parse,
 // and the one place a plan is verified. The trace takes the plan's command
-// stream as it is, and its output is content itself once verifyFold has shown
-// that executing the stream reproduces it — the same predicate as
-// reconstructing into a buffer and comparing, without the buffer. On top of
-// that each ZStd block's commands must cover exactly its RawSize, and the
-// whole plan exactly content, as a frame's header would have it. The same walk
-// folds the commands Time executes under this instance's HistorySRAM, so an
-// untraced Time charges them from the fold.
+// stream as it is, and its output is content itself once fold has shown that
+// executing the stream reproduces it. The fold's near threshold is this
+// instance's HistorySRAM: the trace is timed only here.
 func (d *Decompressor) tracePlan(tr *Trace, src []byte, plan comp.Plan, content []byte) error {
-	end := 0
-	tr.fold = seqFold{folded: true, far: d.far[:0]}
+	window := 0
 	switch {
 	case d.cfg.Algo == comp.Snappy && plan.Snappy != nil:
 		tr.seqs = plan.Snappy.Seqs
-		var err error
-		if end, err = d.verifyFold(content, 0, tr.seqs, 0, &tr.fold); err != nil {
-			return err
-		}
 	case d.cfg.Algo == comp.ZStd && plan.ZStd != nil:
-		tr.blocks = plan.ZStd.Blocks
-		window := 1 << plan.ZStd.WindowLog
-		for i := range tr.blocks {
-			b := &tr.blocks[i]
-			start := end
-			if end += b.RawSize; end > len(content) {
-				return fmt.Errorf("core: plan block %d overruns content (%d > %d)", i, end, len(content))
-			}
-			if !b.IsCompressed() {
-				continue
-			}
-			f := &tr.fold
-			if b.NumSeqs == 0 {
-				f = new(seqFold) // verified, but Time executes no commands of this block
-			}
-			got, err := d.verifyFold(content, start, b.Seqs, window, f)
-			if err != nil {
-				return fmt.Errorf("core: plan block %d: %w", i, err)
-			}
-			if got != end {
-				return fmt.Errorf("core: plan block %d commands cover %d bytes, the block %d", i, got-start, b.RawSize)
-			}
-		}
+		tr.blocks, window = plan.ZStd.Blocks, 1<<plan.ZStd.WindowLog
 	default:
 		return fmt.Errorf("core: planned decompress on %s without a plan of its algorithm", d.cfg.Name())
 	}
-	if end != len(content) {
-		return fmt.Errorf("core: plan covers %d bytes, content has %d", end, len(content))
+	if err := d.fold(tr, content, window, d.cfg.HistorySRAM); err != nil {
+		return err
 	}
 	tr.seal(d.fkey, len(src), content)
 	return nil
 }
 
+// fold proves that executing tr's command stream reproduces content and folds
+// the commands Time executes into tr.fold, copies with offset ≤ near as near
+// bytes, over the instance's reused far list. verifyFold proves each stream —
+// the same predicate as reconstructing into a buffer and comparing, without
+// the buffer — and on top of that each ZStd block's commands must cover
+// exactly its RawSize, and the whole stream exactly content, as a frame's
+// header would have it. window bounds ZStd offsets; 0 leaves them unbounded.
+func (d *Decompressor) fold(tr *Trace, content []byte, window, near int) (err error) {
+	tr.fold = seqFold{far: d.far[:0]}
+	defer func() { d.far = tr.fold.far[:0] }()
+	end := 0
+	if d.cfg.Algo == comp.Snappy {
+		end, err = verifyFold(content, 0, tr.seqs, 0, near, &tr.fold)
+		if err != nil {
+			return err
+		}
+	}
+	for i := range tr.blocks { // a ZStd trace's; a Snappy trace has none
+		b := &tr.blocks[i]
+		start := end
+		if end += b.RawSize; end > len(content) {
+			return fmt.Errorf("core: plan block %d overruns content (%d > %d)", i, end, len(content))
+		}
+		if !b.IsCompressed() {
+			continue
+		}
+		f := &tr.fold
+		if b.NumSeqs == 0 {
+			f = new(seqFold) // verified, but Time executes no commands of this block
+		}
+		got, err := verifyFold(content, start, b.Seqs, window, near, f)
+		if err != nil {
+			return fmt.Errorf("core: plan block %d: %w", i, err)
+		}
+		if got != end {
+			return fmt.Errorf("core: plan block %d commands cover %d bytes, the block %d", i, got-start, b.RawSize)
+		}
+	}
+	if end != len(content) {
+		return fmt.Errorf("core: plan covers %d bytes, content has %d", end, len(content))
+	}
+	return nil
+}
+
 // verifyFold proves, without producing a byte, that replaying seqs from
 // position start rebuilds content[start:end] and returns end, folding the
-// commands into f as it goes: a copy with offset ≤ this instance's
-// HistorySRAM adds to the near bytes, any other is appended to the far list.
+// commands into f as it goes: a copy with offset ≤ near adds to the near
+// bytes, any other is appended to the far list.
 // The proof is the decoder's checks on each copy (0 < offset ≤ position,
 // offset ≤ window unless window is 0) plus content[pos:pos+n] ==
 // content[pos-offset:pos-offset+n], the two ranges compared as they lie even
 // where they overlap, which holds exactly when reconstructing the stream into
 // a buffer and comparing the buffer with content would (docs/MODEL.md,
 // "Planned decompression", has the induction).
-func (d *Decompressor) verifyFold(content []byte, start int, seqs []lz77.Seq, window int, f *seqFold) (end int, err error) {
+func verifyFold(content []byte, start int, seqs []lz77.Seq, window, near int, f *seqFold) (end int, err error) {
 	if start < 0 || start > len(content) {
 		return 0, lz77.ErrBadLiterals
 	}
-	pos, near, lits := start, 0, 0
+	pos, nearBytes, lits := start, 0, 0
 	for _, s := range seqs {
 		// pos ≤ len(content) throughout, so one unsigned comparison also
 		// rejects a negative length.
@@ -456,8 +433,8 @@ func (d *Decompressor) verifyFold(content []byte, start int, seqs []lz77.Seq, wi
 		if !same {
 			return 0, fmt.Errorf("%w: %d bytes at %d from offset %d", lz77.ErrMismatch, n, pos, s.Offset)
 		}
-		if s.Offset <= d.cfg.HistorySRAM {
-			near += n
+		if s.Offset <= near {
+			nearBytes += n
 		} else {
 			f.far = append(f.far, farCopy{uint32(s.Offset), uint32(n)})
 		}
@@ -465,6 +442,6 @@ func (d *Decompressor) verifyFold(content []byte, start int, seqs []lz77.Seq, wi
 	}
 	f.commands += len(seqs)
 	f.litBytes += lits
-	f.nearBytes += near
+	f.nearBytes += nearBytes
 	return pos, nil
 }

@@ -3,12 +3,17 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	ibits "cdpu/internal/bits"
 	"cdpu/internal/comp"
+	"cdpu/internal/corpus"
 	"cdpu/internal/lz77"
 	"cdpu/internal/memsys"
+	"cdpu/internal/snappy"
+	"cdpu/internal/zstdlite"
 )
 
 // TestDifferentialHardwareSoftware cross-checks randomly-configured hardware
@@ -72,4 +77,105 @@ func TestDifferentialHardwareSoftware(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzDecompressMatchesCodec offers arbitrary bytes to Decompress as a Snappy
+// and as a ZStd frame, on units with a 2 KiB and a 64 KiB history SRAM, each
+// with and without a fault injector, each with a traced twin. A frame that
+// declares more than 1 MiB is skipped. Without an injector Decompress must
+// accept exactly the frames the software decoder accepts, with its bytes. With
+// or without one, the untraced unit (charged from the fold) and its traced
+// twin (the per-command walk) must return the same verdict, and Trace then
+// Time must return exactly what Decompress does.
+func FuzzDecompressMatchesCodec(f *testing.F) {
+	algos := []comp.Algorithm{comp.Snappy, comp.ZStd}
+	for _, file := range corpus.SmallSuite() {
+		for _, algo := range algos {
+			// 4 KiB of each file: copies past the small SRAM, in frames
+			// short enough for the fuzzer to mutate and minimize quickly.
+			frame, err := comp.CompressCall(algo, 0, 0, file.Data[:4<<10])
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(frame)
+		}
+	}
+	type twin struct {
+		plain, traced *Decompressor
+		healthy       bool // no fault injector
+	}
+	unit := func(cfg Config, fi memsys.FaultInjector, tracing bool) *Decompressor {
+		d, err := NewDecompressor(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		d.SetFaultInjector(fi)
+		d.SetTracing(tracing)
+		return d
+	}
+	units := map[comp.Algorithm][]twin{}
+	for _, algo := range algos {
+		for _, sram := range []int{2 << 10, 64 << 10} {
+			for _, fi := range []memsys.FaultInjector{nil, foldFaults(29)} {
+				cfg := Config{Algo: algo, HistorySRAM: sram}
+				units[algo] = append(units[algo], twin{unit(cfg, fi, false), unit(cfg, fi, true), fi == nil})
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		for _, algo := range algos {
+			var want []byte
+			var werr error
+			if algo == comp.Snappy {
+				if n, _, err := ibits.Uvarint(frame); err == nil && n > 1<<20 {
+					continue
+				}
+				want, werr = snappy.Decode(frame)
+			} else {
+				if info, err := zstdlite.Inspect(frame); err == nil {
+					declared := 0
+					for _, b := range info.Blocks {
+						declared += b.RawSize
+					}
+					if declared > 1<<20 || info.ContentSize > 1<<20 {
+						continue
+					}
+				}
+				want, werr = zstdlite.Decode(frame)
+			}
+			for _, u := range units[algo] {
+				name := u.plain.cfg.Name()
+				res, err := u.plain.Decompress(frame)
+				if u.healthy {
+					if (err == nil) != (werr == nil) || err == nil && !bytes.Equal(res.Output, want) {
+						t.Fatalf("%s: Decompress returns %v, the software decoder %v", name, err, werr)
+					}
+				}
+				got := outcomeWithOutput(res, err)
+				var timed string
+				if tr, err := u.plain.Trace(frame); err != nil {
+					timed = outcomeWithOutput(nil, err)
+				} else {
+					timed = outcomeWithOutput(u.plain.Time(tr))
+				}
+				if timed != got {
+					t.Fatalf("%s: Trace then Time %s Decompress %s", name, timed, got)
+				}
+				walk, err := u.traced.Decompress(frame)
+				if walk != nil {
+					walk.Spans = nil
+				}
+				if walked := outcomeWithOutput(walk, err); walked != got {
+					t.Fatalf("%s: the fold %s the traced walk %s", name, got, walked)
+				}
+			}
+		}
+	})
+}
+
+// outcomeWithOutput is outcome with a digest of the produced bytes.
+func outcomeWithOutput(res *Result, err error) string {
+	var sb strings.Builder
+	renderOutcome(&sb, res, err, true)
+	return sb.String()
 }

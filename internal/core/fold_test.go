@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,12 +39,32 @@ func TestLZ77ChargesAreDyadic(t *testing.T) {
 	}
 }
 
-// unfolded returns a copy of tr without its fold: what Time charges by the
-// per-command walk, the oracle the fold is held to.
-func unfolded(tr *Trace) *Trace {
-	walk := *tr
-	walk.fold = seqFold{}
-	return &walk
+// walkTime charges tr on d by the per-command walk, whatever the trace's fold
+// holds: Time's begin and end around execSeqs or zstdCycles without a fold, the
+// oracle the fold is held to. On a traced unit it is what Time does.
+func walkTime(d *Decompressor, tr *Trace) (*Result, error) {
+	res, err := d.begin(tr)
+	if err != nil {
+		return nil, err
+	}
+	if d.cfg.Algo == comp.ZStd {
+		d.zstdCycles(tr.blocks, nil, res)
+	} else {
+		d.execSeqs(tr.seqs, res)
+	}
+	return d.end(res)
+}
+
+// traceCommands is every command Time executes for tr, in order: the Snappy
+// element stream, or the Seqs of every ZStd block that has sequences.
+func traceCommands(tr *Trace) []lz77.Seq {
+	seqs := slices.Clone(tr.seqs)
+	for i := range tr.blocks {
+		if b := &tr.blocks[i]; b.IsCompressed() && b.NumSeqs > 0 {
+			seqs = append(seqs, b.Seqs...)
+		}
+	}
+	return seqs
 }
 
 // outcome renders everything a caller can read of a timed call, bit for bit.
@@ -92,29 +113,40 @@ func newFoldTimers(t testing.TB, algo comp.Algorithm) foldTimers {
 	return timers
 }
 
-// check times tr, which carries a fold, against its unfolded copy: an untraced
-// Result must be the walk's to the last bit, and a traced call must return the
-// walk's spans.
+// check times tr, folded at MinHistorySRAM as Decompressor.Trace folds, against
+// the per-command walk: an untraced Result must be the walk's to the last bit,
+// and a traced call must return the walk's spans. Each untraced unit also times
+// tr folded again at its own HistorySRAM, as Decompress and DecompressPlanned
+// fold.
 func (timers foldTimers) check(t *testing.T, name string, tr *Trace) {
 	t.Helper()
-	if !tr.fold.folded {
-		t.Fatalf("%s: the trace carries no fold", name)
-	}
-	walk := unfolded(tr)
+	own := map[int]*Trace{} // tr folded at each HistorySRAM
 	for _, d := range timers.plain {
-		want := outcome(d.Time(walk))
+		want := outcome(walkTime(d, tr))
 		if got := outcome(d.Time(tr)); got != want {
 			t.Fatalf("%s on %s: the fold differs from the walk:\n fold %s walk %s", name, d.cfg.Name(), got, want)
+		}
+		sram := d.cfg.HistorySRAM
+		if own[sram] == nil {
+			re := *tr
+			if err := d.fold(&re, tr.Output, 0, sram); err != nil {
+				t.Fatalf("%s on %s: %v", name, d.cfg.Name(), err)
+			}
+			re.fold.far = slices.Clone(re.fold.far) // d reuses its backing
+			own[sram] = &re
+		}
+		if got := outcome(d.Time(own[sram])); got != want {
+			t.Fatalf("%s on %s: the fold at the unit's own HistorySRAM differs from the walk:\n fold %s walk %s", name, d.cfg.Name(), got, want)
 		}
 	}
 	for _, d := range timers.traced {
 		res, err := d.Time(tr)
 		if err == nil && len(res.Spans) == 0 {
-			t.Fatalf("%s on %s: a traced call over a folded trace returned no spans", name, d.cfg.Name())
+			t.Fatalf("%s on %s: a traced call returned no spans", name, d.cfg.Name())
 		}
 		got := outcome(res, err)
-		if want := outcome(d.Time(walk)); got != want {
-			t.Fatalf("%s on %s: traced call over a folded trace:\n got  %s want %s", name, d.cfg.Name(), got, want)
+		if want := outcome(walkTime(d, tr)); got != want {
+			t.Fatalf("%s on %s: traced call:\n got  %s want %s", name, d.cfg.Name(), got, want)
 		}
 	}
 }
@@ -150,13 +182,11 @@ func TestFoldMatchesWalk(t *testing.T) {
 				}
 				timers.check(t, fmt.Sprintf("%v/%s/wlog%d", algo, f.Name, wlog), tr)
 				far += len(tr.fold.far)
-				tr.commandStreams(func(seqs []lz77.Seq) {
-					for _, s := range seqs {
-						if s.MatchLen > 0 {
-							copies++
-						}
+				for _, s := range traceCommands(tr) {
+					if s.MatchLen > 0 {
+						copies++
 					}
-				})
+				}
 			}
 		}
 		if far == 0 || far == copies {
@@ -166,25 +196,39 @@ func TestFoldMatchesWalk(t *testing.T) {
 }
 
 // foldCase is a hand-built command stream: the edges of the fold's two
-// comparisons, and the streams that leave one of its parts empty. They are
-// FuzzFoldMatchesWalk's seeds as well.
+// comparisons, and the streams that leave one of its parts empty. Every copy
+// reaches back into bytes already produced, so each stream replays into the
+// content its fold is verified against. They are FuzzFoldMatchesWalk's seeds
+// as well.
 type foldCase struct {
 	name string
 	seqs []lz77.Seq
 }
 
+// history is n bytes of literal runs, each short enough for encodeCommands:
+// the bytes a later copy reaches back into.
+func history(n int) []lz77.Seq {
+	var seqs []lz77.Seq
+	for ; n > 0; n -= 1<<16 - 1 {
+		seqs = append(seqs, lz77.Seq{LitLen: min(n, 1<<16-1)})
+	}
+	return seqs
+}
+
 var foldCases = []foldCase{
 	{"no-commands", nil},
 	{"one-literal-run", []lz77.Seq{{LitLen: 100}}},
-	{"terminal-literal-run", []lz77.Seq{{LitLen: 3, Offset: 5000, MatchLen: 40}, {LitLen: 17}}},
-	{"offset-at-min-sram", []lz77.Seq{{LitLen: 1, Offset: MinHistorySRAM, MatchLen: 33}, {Offset: MinHistorySRAM + 1, MatchLen: 33}}},
-	{"offset-at-sram", []lz77.Seq{
+	{"terminal-literal-run", []lz77.Seq{{LitLen: 5003, Offset: 5000, MatchLen: 40}, {LitLen: 17}}},
+	{"offset-at-min-sram", []lz77.Seq{{LitLen: MinHistorySRAM, Offset: MinHistorySRAM, MatchLen: 33}, {Offset: MinHistorySRAM + 1, MatchLen: 33}}},
+	{"offset-at-sram", append(history(MaxHistorySRAM+1), []lz77.Seq{
 		{LitLen: 9, Offset: 8<<10 - 1, MatchLen: 64}, {Offset: 8 << 10, MatchLen: 31}, {Offset: 8<<10 + 1, MatchLen: 32},
 		{Offset: 64 << 10, MatchLen: 7}, {Offset: 64<<10 + 1, MatchLen: 65}, {Offset: MaxHistorySRAM, MatchLen: 4}, {Offset: MaxHistorySRAM + 1, MatchLen: 4},
-	}},
-	{"all-near", []lz77.Seq{{LitLen: 40, Offset: 1, MatchLen: 300}, {Offset: 40, MatchLen: 5}, {LitLen: 2, Offset: 1000, MatchLen: 64}}},
-	{"all-far", []lz77.Seq{{Offset: 2 << 20, MatchLen: 300}, {Offset: 3 << 20, MatchLen: 5}, {Offset: 1<<30 - 1, MatchLen: 1 << 20}}},
-	{"thirds-of-a-cycle", []lz77.Seq{{LitLen: 1, Offset: 3, MatchLen: 1}, {LitLen: 3, Offset: 2000, MatchLen: 3}, {LitLen: 5, Offset: 7, MatchLen: 11}}},
+	}...)},
+	{"all-near", []lz77.Seq{{LitLen: 1000, Offset: 1, MatchLen: 300}, {Offset: 40, MatchLen: 5}, {LitLen: 2, Offset: 1000, MatchLen: 64}}},
+	{"all-far", append(history(MaxHistorySRAM+1), []lz77.Seq{
+		{Offset: MaxHistorySRAM + 1, MatchLen: 300}, {Offset: 2000, MatchLen: 5}, {Offset: 3 << 18, MatchLen: 1<<16 - 1},
+	}...)},
+	{"thirds-of-a-cycle", []lz77.Seq{{LitLen: 3, Offset: 3, MatchLen: 1}, {LitLen: 2001, Offset: 2000, MatchLen: 3}, {LitLen: 5, Offset: 7, MatchLen: 11}}},
 }
 
 // zstdBlockCompressed is the format's Compressed_Block type, which zstdlite
@@ -200,10 +244,15 @@ func foldFaults(errorEvery int) fault.Plan {
 // handTrace builds the decompression trace of a command stream no frame was
 // parsed for. The Snappy trace is the stream itself; the ZStd trace deals it
 // out over compressed blocks of perBlock commands with a raw block after each,
-// so raw moves land in idLZ77 between the blocks' commands. The byte counts a
-// frame parse would seal are made up to match.
-func handTrace(algo comp.Algorithm, seqs []lz77.Seq, perBlock int) *Trace {
-	tr := &Trace{InputBytes: 7 * len(seqs)}
+// so raw moves land in idLZ77 between the blocks' commands. The content is the
+// stream replayed over generated literals, raw blocks filled the same way, and
+// the production fold verifies the stream against it, folding at near.
+func handTrace(t testing.TB, algo comp.Algorithm, seqs []lz77.Seq, perBlock, near int) *Trace {
+	t.Helper()
+	tr := &Trace{}
+	inBytes := 7 * len(seqs)
+	whole := zstdlite.BlockInfo{Type: zstdBlockCompressed, NumSeqs: len(seqs), Seqs: seqs}
+	blocks := []zstdlite.BlockInfo{whole}
 	if algo == comp.Snappy {
 		tr.seqs = seqs
 	} else {
@@ -212,19 +261,51 @@ func handTrace(algo comp.Algorithm, seqs []lz77.Seq, perBlock int) *Trace {
 			b := zstdlite.BlockInfo{Type: zstdBlockCompressed, NumSeqs: n, Seqs: seqs[:n], FSETableLogs: [3]int{9, 8, 9}}
 			for _, s := range b.Seqs {
 				b.LitCount += s.LitLen
-				b.RawSize += s.LitLen + s.MatchLen
 			}
 			tr.blocks = append(tr.blocks, b, zstdlite.BlockInfo{RawSize: 100 + n})
 			seqs = seqs[n:]
 		}
+		blocks = tr.blocks
 	}
-	tr.commandStreams(func(seqs []lz77.Seq) {
-		for _, s := range seqs {
-			tr.OutputBytes += s.LitLen + s.MatchLen
+	total, lits := 0, 0
+	for i := range blocks {
+		b := &blocks[i]
+		for _, s := range b.Seqs {
+			b.RawSize += s.LitLen + s.MatchLen
+			lits += s.LitLen
 		}
-	})
-	tr.key = Config{Algo: algo, Op: comp.Decompress}.FunctionalKey()
-	tr.fold = tr.foldCommands()
+		if !b.IsCompressed() {
+			lits += b.RawSize
+		}
+		total += b.RawSize
+	}
+	src := corpus.Generate(corpus.Text, lits, 17)
+	content := make([]byte, total+lz77.Slack)
+	pos := 0
+	for _, b := range blocks {
+		if !b.IsCompressed() {
+			pos += copy(content[pos:pos+b.RawSize], src)
+			src = src[b.RawSize:]
+			continue
+		}
+		n := b.RawSize
+		for _, s := range b.Seqs {
+			n -= s.MatchLen
+		}
+		if _, err := lz77.Replay(content, pos, pos+b.RawSize, b.Seqs, src[:n], 0); err != nil {
+			t.Fatalf("the stream does not replay: %v", err)
+		}
+		pos += b.RawSize
+		src = src[n:]
+	}
+	d, err := NewDecompressor(Config{Algo: algo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.fold(tr, content[:total], 0, near); err != nil {
+		t.Fatal(err)
+	}
+	tr.seal(d.fkey, inBytes, content[:total])
 	return tr
 }
 
@@ -238,7 +319,7 @@ func TestFoldEdgeCases(t *testing.T) {
 		timers := newFoldTimers(t, algo)
 		for _, c := range foldCases {
 			for _, perBlock := range []int{1, 3} {
-				tr := handTrace(algo, c.seqs, perBlock)
+				tr := handTrace(t, algo, c.seqs, perBlock, MinHistorySRAM)
 				timers.check(t, fmt.Sprintf("%v/%s/%d", algo, c.name, perBlock), tr)
 			}
 		}
@@ -301,29 +382,47 @@ func encodeCommands(seqs []lz77.Seq) []byte {
 	return out
 }
 
+// decodeCommands clamps each offset into [1, bytes produced], so the stream
+// replays; a copy with nothing before it loses its match.
 func decodeCommands(data []byte) []lz77.Seq {
 	seqs := make([]lz77.Seq, 0, len(data)/7)
+	pos := 0
 	for ; len(data) >= 7; data = data[7:] {
-		seqs = append(seqs, lz77.Seq{
+		s := lz77.Seq{
 			LitLen:   int(data[0]) | int(data[1])<<8,
 			Offset:   int(data[2]) | int(data[3])<<8 | int(data[4])<<16,
 			MatchLen: int(data[5]) | int(data[6])<<8,
-		})
+		}
+		pos += s.LitLen
+		if pos == 0 {
+			s.MatchLen = 0
+		}
+		s.Offset = min(max(s.Offset, 1), max(pos, 1))
+		pos += s.MatchLen
+		seqs = append(seqs, s)
 	}
 	return seqs
 }
 
-// FuzzFoldMatchesWalk times arbitrary command streams — the model charges
-// commands, decodable or not — from their fold and by the per-command walk, as
-// a Snappy stream and dealt over ZStd blocks, under an arbitrary HistorySRAM,
-// placement and speculation, with and without a fault injector: the two
-// Results, or the two aborts, must agree in every bit.
+// FuzzFoldMatchesWalk times arbitrary replayable command streams from their
+// fold and by the per-command walk, as a Snappy stream and dealt over ZStd
+// blocks, under an arbitrary HistorySRAM, placement and speculation, with and
+// without a fault injector, folded at MinHistorySRAM as Trace folds or at the
+// unit's HistorySRAM as Decompress does: the two Results, or the two aborts,
+// must agree in every bit.
 func FuzzFoldMatchesWalk(f *testing.F) {
 	for i, c := range foldCases {
 		f.Add(encodeCommands(c.seqs), uint8(i), uint8(i), uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, sramLog, placement, flags uint8) {
 		seqs := decodeCommands(data)
+		total := 0
+		for _, s := range seqs {
+			total += s.LitLen + s.MatchLen
+		}
+		if total > 4<<20 {
+			t.Skip("content over 4 MiB")
+		}
 		algo := comp.Snappy
 		if flags&1 != 0 {
 			algo = comp.ZStd
@@ -340,8 +439,12 @@ func FuzzFoldMatchesWalk(f *testing.F) {
 		if flags&2 != 0 {
 			d.SetFaultInjector(foldFaults(29))
 		}
-		tr := handTrace(algo, seqs, 1+int(placement>>2)%8)
-		want := outcome(d.Time(unfolded(tr)))
+		near := MinHistorySRAM
+		if sramLog&0x80 != 0 {
+			near = d.cfg.HistorySRAM
+		}
+		tr := handTrace(t, algo, seqs, 1+int(placement>>2)%8, near)
+		want := outcome(walkTime(d, tr))
 		if got := outcome(d.Time(tr)); got != want {
 			t.Fatalf("%s over %d commands: the fold differs from the walk:\n fold %s walk %s", d.cfg.Name(), len(seqs), got, want)
 		}
@@ -351,8 +454,8 @@ func FuzzFoldMatchesWalk(f *testing.F) {
 // BenchmarkDecompressorTime is the timing half of time(trace(x)) on its own:
 // one pass over the small suite's decompression traces per iteration, under
 // the configurations at the ends of the sweeps (everything near / most copies
-// far, cheapest / dearest fallback), charged from the fold as the DSE does and
-// by the per-command walk that traced and one-call paths take.
+// far, cheapest / dearest fallback), charged from the fold as every untraced
+// call is and by the per-command walk that traced calls take.
 func BenchmarkDecompressorTime(b *testing.B) {
 	for _, algo := range []comp.Algorithm{comp.Snappy, comp.ZStd} {
 		b.Run(algo.String(), func(b *testing.B) {
@@ -360,7 +463,7 @@ func BenchmarkDecompressorTime(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var folded, walked []*Trace
+			var traces []*Trace
 			commands := 0
 			for _, f := range corpus.SmallSuite() {
 				frame, err := comp.CompressCall(algo, 0, 0, f.Data)
@@ -371,7 +474,7 @@ func BenchmarkDecompressorTime(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				folded, walked = append(folded, tr), append(walked, unfolded(tr))
+				traces = append(traces, tr)
 				commands += tr.fold.commands
 			}
 			for _, sram := range []int{64 << 10, 2 << 10} {
@@ -379,9 +482,9 @@ func BenchmarkDecompressorTime(b *testing.B) {
 					for _, p := range []memsys.Placement{memsys.RoCC, memsys.PCIeNoCache} {
 						b.Run(p.String(), func(b *testing.B) {
 							for _, path := range []struct {
-								name   string
-								traces []*Trace
-							}{{"fold", folded}, {"walk", walked}} {
+								name string
+								time func(*Decompressor, *Trace) (*Result, error)
+							}{{"fold", (*Decompressor).Time}, {"walk", walkTime}} {
 								b.Run(path.name, func(b *testing.B) {
 									d, err := NewDecompressor(Config{Algo: algo, HistorySRAM: sram, Placement: p})
 									if err != nil {
@@ -391,8 +494,8 @@ func BenchmarkDecompressorTime(b *testing.B) {
 									b.ReportAllocs()
 									b.ResetTimer()
 									for i := 0; i < b.N; i++ {
-										for _, tr := range path.traces {
-											if _, err := d.Time(tr); err != nil {
+										for _, tr := range traces {
+											if _, err := path.time(d, tr); err != nil {
 												b.Fatal(err)
 											}
 										}

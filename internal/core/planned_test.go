@@ -526,8 +526,8 @@ func FuzzVerifySeqs(f *testing.F) {
 
 // checkPlanFold holds DecompressPlanned on one plan to its two references. A
 // plan refPlanCheck rejects must be rejected as corrupt input with the same
-// error, sentinel and text. A plan it accepts must time exactly as Time over
-// the plan's trace with its fold dropped, which walks every command.
+// error, sentinel and text. A plan it accepts must time exactly as the
+// per-command walk over the plan's trace (walkTime).
 func checkPlanFold(t *testing.T, d *Decompressor, plan comp.Plan, content []byte) {
 	t.Helper()
 	name := fmt.Sprintf("%s/%dK", d.cfg.Name(), d.cfg.HistorySRAM>>10)
@@ -552,7 +552,7 @@ func checkPlanFold(t *testing.T, d *Decompressor, plan comp.Plan, content []byte
 	if err := d.tracePlan(&tr, nil, plan, content); err != nil {
 		t.Fatalf("%s: the reference accepts, tracePlan rejects: %v", name, err)
 	}
-	if walk := outcome(d.Time(unfolded(&tr))); got != walk {
+	if walk := outcome(walkTime(d, &tr)); got != walk {
 		t.Fatalf("%s: planned %s per-command walk %s", name, got, walk)
 	}
 }

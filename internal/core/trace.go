@@ -38,9 +38,8 @@ type Trace struct {
 	// scratch, and the encode charges read only their count.
 	blocks []zstdlite.BlockInfo
 	lits   []byte // literal scratch of a Snappy frame parse
-	// fold summarizes the command stream of a decompression trace that outlives
-	// its call (Decompressor.Trace) or of a planned one (tracePlan); the zero
-	// value means there is none and the timing walk reads the commands.
+	// fold summarizes a decompression trace's command stream, taken by the
+	// walk that verified it (Decompressor.fold).
 	fold seqFold
 }
 
@@ -53,18 +52,17 @@ type Trace struct {
 // Which copies are near depends on who folds. A trace that outlives its call
 // (Decompressor.Trace) may be timed under any Config, so near is offset ≤
 // MinHistorySRAM, a history SRAM hit under every valid Config, and far holds
-// every other copy for the timing instance to sort. A planned trace
-// (tracePlan) is timed only by the instance that folded it, inside
-// DecompressPlanned, so near is offset ≤ that instance's HistorySRAM and far
-// holds exactly its hist-fallback copies. Time re-checks each far copy against
-// its own HistorySRAM either way.
+// every other copy for the timing instance to sort. A trace timed inside its
+// call (Decompress, DecompressPlanned) is timed only by the instance that
+// took its fold, so near is offset ≤ that instance's HistorySRAM and far holds
+// exactly its hist-fallback copies. Time re-checks each far copy against its
+// own HistorySRAM either way.
 type seqFold struct {
-	folded    bool // a fold was taken; it may be of no commands
-	commands  int  // elements parsed
-	litBytes  int  // bytes moved by literal runs
-	nearBytes int  // bytes of copies at most the near threshold back
+	commands  int // elements parsed
+	litBytes  int // bytes moved by literal runs
+	nearBytes int // bytes of copies at most the near threshold back
 	// far is every other copy, in stream order: exactly sized on a trace that
-	// outlives its call, the decompressor's reused backing on a planned one.
+	// outlives its call, the decompressor's reused backing on any other.
 	far []farCopy
 }
 

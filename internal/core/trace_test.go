@@ -305,8 +305,11 @@ func TestConcurrentTimingWalksShareOneTrace(t *testing.T) {
 			before := fmt.Sprintf("%+v", *tr)
 			fold := tr.fold
 			fold.far = slices.Clone(fold.far)
-			if folded := op == comp.Decompress; tr.fold.folded != folded {
-				t.Fatalf("%s: trace carries a fold: %v, want %v", base.Name(), tr.fold.folded, folded)
+			if folded := tr.fold.commands > 0; folded != (op == comp.Decompress) {
+				t.Fatalf("%s: the trace folds %d commands", base.Name(), tr.fold.commands)
+			}
+			if far := tr.fold.far; cap(far) != len(far) || (far == nil) != (len(far) == 0) {
+				t.Fatalf("%s: the trace's far list has %d copies in a backing of %d (nil: %v), want it exactly sized and nil when empty", base.Name(), len(far), cap(far), far == nil)
 			}
 			var cfgs []Config
 			for _, p := range memsys.Placements {

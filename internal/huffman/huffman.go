@@ -398,7 +398,8 @@ func (d *Decoder) Decode(r *ibits.Reader, dst []byte, n int) ([]byte, error) {
 		}
 	}
 	for ; i < n; i++ {
-		entry := d.table[r.PeekBits(mb)]
+		r.Fill(mb)
+		entry := d.table[r.Peek(mb)]
 		l := uint(entry & 0xf)
 		if l == 0 {
 			return dst, fmt.Errorf("huffman: invalid code at symbol %d", i)
@@ -406,7 +407,7 @@ func (d *Decoder) Decode(r *ibits.Reader, dst []byte, n int) ([]byte, error) {
 		if r.BitsRemaining() < int(l) {
 			return dst, ibits.ErrOverread
 		}
-		r.Skip(l)
+		r.Take(l)
 		dst = append(dst, byte(entry>>4))
 	}
 	return dst, nil

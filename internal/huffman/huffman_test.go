@@ -410,11 +410,13 @@ func TestBuildMatchesStableSortReference(t *testing.T) {
 	}
 }
 
-// refDecode is Decode one symbol at a time: a checked peek, a remaining-bits
-// check and a skip per symbol, as it stood before batched refills.
+// refDecode is Decode one symbol at a time on the checked ReadBits: a peek of
+// MaxBits through a copy of the reader (the bits past the stream's end read as
+// zero), a remaining-bits check and a ReadBits of the code per symbol.
 func refDecode(d *Decoder, r *ibits.Reader, dst []byte, n int) ([]byte, error) {
 	for i := 0; i < n; i++ {
-		entry := d.table[r.PeekBits(uint(d.maxBits))]
+		peek := *r
+		entry := d.table[peek.ReadBits(uint(min(d.maxBits, max(r.BitsRemaining(), 0))))]
 		l := uint(entry & 0xf)
 		if l == 0 {
 			return dst, fmt.Errorf("huffman: invalid code at symbol %d", i)
@@ -422,7 +424,7 @@ func refDecode(d *Decoder, r *ibits.Reader, dst []byte, n int) ([]byte, error) {
 		if r.BitsRemaining() < int(l) {
 			return dst, ibits.ErrOverread
 		}
-		r.Skip(l)
+		r.ReadBits(l)
 		dst = append(dst, byte(entry>>4))
 	}
 	return dst, nil

@@ -30,7 +30,7 @@ type simPart struct {
 	slo   *[traffic.NumClasses]float64 // per-class targets; nil in closed loop
 
 	q   des.Queue
-	dev *core.Device // probe device: reset cost and per-replica silicon area
+	dev *core.Device // the slot's shared probe device: reset cost and per-replica silicon area
 	gst *cluster.GroupState
 
 	// Shared-resource accounting, active only when Contention is set.
@@ -40,15 +40,10 @@ type simPart struct {
 	prevRestarts int // warm restarts already charged to demand
 }
 
-// newSimPart builds the partition for one device instance. base anchors the
+// newSimPart builds the partition for one device instance of the unit named
+// unit, whose probe device dev the unit's instances share. base anchors the
 // group's replicas in the lifecycle schedule's replica space.
-func newSimPart(slot, base int, idxs []int, specs []scheduled, outs []execOut, cfg *Config) (*simPart, error) {
-	so := deviceOrder[slot]
-	devCfg := core.Config{Algo: so.algo, Op: so.op, Placement: cfg.Placement}
-	dev, err := core.NewDevice(devCfg, cfg.Pipelines)
-	if err != nil {
-		return nil, err
-	}
+func newSimPart(unit string, base int, dev *core.Device, idxs []int, specs []scheduled, outs []execOut, cfg *Config) *simPart {
 	p := &simPart{
 		cfg:     cfg,
 		specs:   specs,
@@ -63,7 +58,7 @@ func newSimPart(slot, base int, idxs []int, specs []scheduled, outs []execOut, c
 		Replicas:    cfg.Replicas,
 		Pipelines:   cfg.Pipelines,
 		ResetCycles: dev.PipelineResetCycles(),
-		Unit:        devCfg.Name(),
+		Unit:        unit,
 		Resil:       cfg.Resilience,
 		Policy:      cfg.Failover,
 		Lifecycle:   cfg.Lifecycle,
@@ -77,7 +72,7 @@ func newSimPart(slot, base int, idxs []int, specs []scheduled, outs []execOut, c
 	for _, ci := range idxs {
 		p.q.Push(des.Event{Time: specs[ci].arrival, Kind: des.Arrival, Call: ci})
 	}
-	return p, nil
+	return p
 }
 
 // NextTime implements des.Partition.
@@ -171,29 +166,31 @@ func (p *simPart) finish(err error) devReduction {
 
 // runEngineReduction is phase C on the discrete-event engine: one partition
 // per device instance, advanced by the engine's worker pool, results
-// collected in partition order.
+// collected in partition order. The instances of a slot share one probe
+// device.
 func runEngineReduction(perPart [][]int, specs []scheduled, outs []execOut, cfg *Config) []devReduction {
-	reds := make([]devReduction, len(perPart))
-	sps := make([]*simPart, len(perPart))
-	parts := make([]des.Partition, 0, len(perPart))
-	for pid := range perPart {
-		sp, err := newSimPart(pid/cfg.Devices, (pid%cfg.Devices)*cfg.Replicas, perPart[pid], specs, outs, cfg)
+	var probes [numDevices]*core.Device
+	var units [numDevices]string
+	for slot, so := range deviceOrder {
+		devCfg := core.Config{Algo: so.algo, Op: so.op, Placement: cfg.Placement}
+		dev, err := core.NewDevice(devCfg, cfg.Pipelines)
 		if err != nil {
-			reds[pid] = devReduction{err: err}
-			continue
+			return []devReduction{{err: err}}
 		}
-		sps[pid] = sp
-		parts = append(parts, sp)
+		probes[slot], units[slot] = dev, devCfg.Name()
+	}
+	sps := make([]*simPart, len(perPart))
+	parts := make([]des.Partition, len(perPart))
+	for pid := range perPart {
+		slot := pid / cfg.Devices
+		sps[pid] = newSimPart(units[slot], (pid%cfg.Devices)*cfg.Replicas, probes[slot], perPart[pid], specs, outs, cfg)
+		parts[pid] = sps[pid]
 	}
 	eng := des.Engine{Workers: cfg.Workers, EpochCycles: cfg.EpochCycles, Shared: cfg.Contention, Parts: parts}
 	errs := eng.Run()
-	ei := 0
+	reds := make([]devReduction, len(perPart))
 	for pid, sp := range sps {
-		if sp == nil {
-			continue
-		}
-		reds[pid] = sp.finish(errs[ei])
-		ei++
+		reds[pid] = sp.finish(errs[pid])
 	}
 	return reds
 }
