@@ -162,7 +162,9 @@ func zstdParams(a Algorithm, level, windowLog int) (zstdlite.Params, error) {
 // it. sync.Pool drops idle entries at garbage collection; a Coder that has
 // gathered more than maxPooledEncoders encoders, or has just served a payload
 // above maxPooledPayload (where set-up is noise beside the bytes), is not put
-// back at all.
+// back at all. So one-shot calls with fleet-shaped parameters, which span
+// dozens of (level, window) pairs (see Coder), soon gather more than
+// maxPooledEncoders encoders, and the Coder serving them is dropped.
 var coders = sync.Pool{New: func() any { return new(Coder) }}
 
 const (

@@ -11,8 +11,11 @@ package corpus
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 )
 
 // Kind identifies a synthetic data family.
@@ -422,43 +425,68 @@ type File struct {
 	Data []byte
 }
 
+// standardSpecs is StandardSuite's file table, in suite order.
+var standardSpecs = [...]struct {
+	name string
+	kind Kind
+	size int
+	seed int64
+}{
+	{"dickens.txt", Text, 2 << 20, 11},
+	{"webster.txt", Text, 8 << 20, 12},
+	{"nci.log", Log, 6 << 20, 13},
+	{"mr.table", Table, 2 << 20, 14},
+	{"samba.json", JSON, 4 << 20, 15},
+	{"sao.bin", Random, 1 << 20, 16},
+	{"osdb.pb", Protobuf, 2 << 20, 17},
+	{"xml.html", HTML, 1 << 20, 18},
+	{"x-ray.bin", Random, 2 << 20, 19},
+	{"zeros.bin", Zeros, 1 << 20, 20},
+	{"kennedy.table", Table, 256 << 10, 21},
+	{"plrabn12.txt", Text, 512 << 10, 22},
+	{"world192.txt", Text, 1 << 20, 23},
+	{"fireworks.json", JSON, 128 << 10, 24},
+	{"geo.pb", Protobuf, 128 << 10, 25},
+	{"urls.log", Log, 512 << 10, 26},
+	{"ooffice.bin", Skewed, 1 << 20, 27},
+	{"reymont.bin", Skewed, 512 << 10, 28},
+}
+
 // StandardSuite returns a fixed set of corpus files resembling the size
 // distribution of the open-source benchmarks the paper analyzes in Figure 6:
 // whole files in the hundreds of KiB to tens of MiB, with a median call size
 // roughly 256x the fleet's median (~100 KiB vs fleet ~0.4 KiB-biased mix).
 // Sizes here are scaled down ~4x from Silesia's to keep test runtime sane
 // while preserving the "vastly larger than fleet calls" property.
+//
+// The files are generated on GOMAXPROCS goroutines, each writing the files it
+// claims by position, so the suite is the same at any parallelism.
 func StandardSuite() []File {
-	specs := []struct {
-		name string
-		kind Kind
-		size int
-		seed int64
-	}{
-		{"dickens.txt", Text, 2 << 20, 11},
-		{"webster.txt", Text, 8 << 20, 12},
-		{"nci.log", Log, 6 << 20, 13},
-		{"mr.table", Table, 2 << 20, 14},
-		{"samba.json", JSON, 4 << 20, 15},
-		{"sao.bin", Random, 1 << 20, 16},
-		{"osdb.pb", Protobuf, 2 << 20, 17},
-		{"xml.html", HTML, 1 << 20, 18},
-		{"x-ray.bin", Random, 2 << 20, 19},
-		{"zeros.bin", Zeros, 1 << 20, 20},
-		{"kennedy.table", Table, 256 << 10, 21},
-		{"plrabn12.txt", Text, 512 << 10, 22},
-		{"world192.txt", Text, 1 << 20, 23},
-		{"fireworks.json", JSON, 128 << 10, 24},
-		{"geo.pb", Protobuf, 128 << 10, 25},
-		{"urls.log", Log, 512 << 10, 26},
-		{"ooffice.bin", Skewed, 1 << 20, 27},
-		{"reymont.bin", Skewed, 512 << 10, 28},
+	files := make([]File, len(standardSpecs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(files)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(files); i = int(next.Add(1)) - 1 {
+				s := &standardSpecs[i]
+				files[i] = File{Name: s.name, Kind: s.kind, Data: Generate(s.kind, s.size, s.seed)}
+			}
+		}()
 	}
-	files := make([]File, len(specs))
-	for i, s := range specs {
-		files[i] = File{Name: s.name, Kind: s.kind, Data: Generate(s.kind, s.size, s.seed)}
-	}
+	wg.Wait()
 	return files
+}
+
+// StandardSizes returns the sizes of StandardSuite's files, in suite order,
+// without generating them.
+func StandardSizes() []int {
+	sizes := make([]int, len(standardSpecs))
+	for i, s := range standardSpecs {
+		sizes[i] = s.size
+	}
+	return sizes
 }
 
 // SmallSuite returns a reduced suite for fast unit tests: same kinds, much

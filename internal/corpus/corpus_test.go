@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -87,6 +88,38 @@ func TestStandardSuite(t *testing.T) {
 	}
 	if total < 16<<20 {
 		t.Errorf("suite total %d bytes, want >= 16 MiB", total)
+	}
+}
+
+// TestStandardSuiteMatchesSerial holds the parallel build to a serial loop
+// over the spec table, at one and at four Ps, and StandardSizes to the sizes
+// of the files it builds.
+func TestStandardSuiteMatchesSerial(t *testing.T) {
+	want := make([]File, len(standardSpecs))
+	for i, s := range standardSpecs {
+		want[i] = File{Name: s.name, Kind: s.kind, Data: Generate(s.kind, s.size, s.seed)}
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := StandardSuite()
+		runtime.GOMAXPROCS(prev)
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS %d: %d files, want %d", procs, len(got), len(want))
+		}
+		for i, w := range want {
+			if g := got[i]; g.Name != w.Name || g.Kind != w.Kind || !bytes.Equal(g.Data, w.Data) {
+				t.Fatalf("GOMAXPROCS %d: file %d (%s) differs from the serial build", procs, i, w.Name)
+			}
+		}
+	}
+	sizes := StandardSizes()
+	if len(sizes) != len(want) {
+		t.Fatalf("StandardSizes has %d entries, the suite %d files", len(sizes), len(want))
+	}
+	for i, n := range sizes {
+		if n != len(want[i].Data) {
+			t.Errorf("StandardSizes()[%d] = %d, %s has %d bytes", i, n, want[i].Name, len(want[i].Data))
+		}
 	}
 }
 

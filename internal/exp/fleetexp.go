@@ -177,8 +177,8 @@ func runFig5(cfg Config) ([]*Table, error) {
 
 func runFig6(cfg Config) ([]*Table, error) {
 	var h stats.Hist
-	for _, f := range corpus.StandardSuite() {
-		h.Add(len(f.Data), float64(len(f.Data)))
+	for _, n := range corpus.StandardSizes() {
+		h.Add(n, float64(n))
 	}
 	t := cdfTable("Figure 6: open-source benchmark call-size CDF (whole files)", h.CDF(), nil)
 	fleetBin := 0

@@ -18,14 +18,21 @@
 // 34 MB standard corpus and the pools built over it (chunk headers only; the
 // chunks alias the corpus) stay alive for the life of the process.
 // GenerateFromCorpus and BuildPool memoize nothing.
+//
+// The corpus and each pool are built on GOMAXPROCS goroutines (a caller that
+// wants a pool blocks on its build), and both are byte-identical at any
+// parallelism: workers write results by position, and the pool is sorted from
+// the serial collection order.
 package hcbench
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"cdpu/internal/comp"
 	"cdpu/internal/corpus"
@@ -52,31 +59,79 @@ type Pool struct {
 }
 
 // BuildPool chunks the corpus files and indexes each chunk by the ratio the
-// reference algorithm achieves on it. Only the encoded length is read, so
-// every chunk goes through one reused size-only coder and output buffer.
+// reference algorithm achieves on it. The chunks are collected file by file,
+// indexed on GOMAXPROCS goroutines (index), and sorted from that collection
+// order, so the pool is the same at any parallelism. An indexing error is the
+// one the first failing chunk in collection order returns.
 func BuildPool(files []corpus.File, chunkSize int, refAlgo comp.Algorithm, refLevel int) (*Pool, error) {
 	if chunkSize < 256 {
 		return nil, fmt.Errorf("hcbench: chunk size %d too small", chunkSize)
 	}
 	p := &Pool{refAlgo: refAlgo, refLevel: refLevel}
-	coder := comp.NewCoder()
-	var enc []byte
 	for _, f := range files {
 		for off := 0; off+chunkSize <= len(f.Data); off += chunkSize {
-			c := f.Data[off : off+chunkSize]
-			var err error
-			enc, _, err = coder.AppendCompressPlanSizeOnly(enc[:0], refAlgo, refLevel, 0, c)
-			if err != nil {
-				return nil, fmt.Errorf("hcbench: indexing %s: %w", f.Name, err)
-			}
-			p.chunks = append(p.chunks, chunk{data: c, ratio: float64(len(c)) / float64(len(enc))})
+			p.chunks = append(p.chunks, chunk{data: f.Data[off : off+chunkSize]})
 		}
 	}
 	if len(p.chunks) == 0 {
 		return nil, fmt.Errorf("hcbench: empty pool")
 	}
+	if at, err := p.index(); err != nil {
+		f := 0 // the file of chunk at: each file holds len/chunkSize of them
+		for ; at >= len(files[f].Data)/chunkSize; f++ {
+			at -= len(files[f].Data) / chunkSize
+		}
+		return nil, fmt.Errorf("hcbench: indexing %s: %w", files[f].Name, err)
+	}
 	sort.Slice(p.chunks, func(i, j int) bool { return p.chunks[i].ratio < p.chunks[j].ratio })
 	return p, nil
+}
+
+// index writes every chunk's ratio on up to GOMAXPROCS goroutines. Only the
+// encoded length is read, so each worker sends its chunks through one reused
+// size-only coder and output buffer. Workers claim chunks in collection order
+// and stop claiming once one of them fails; every chunk before a failed one
+// was claimed before it and is indexed to completion, so the lowest failing
+// position, which index returns with its error, is the one a serial loop would
+// stop at.
+func (p *Pool) index() (int, error) {
+	n := len(p.chunks)
+	workers := min(runtime.GOMAXPROCS(0), n)
+	errAt := make([]int, workers)
+	errs := make([]error, workers)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			coder := comp.NewCoder()
+			var enc []byte
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				c := &p.chunks[i]
+				var err error
+				if enc, _, err = coder.AppendCompressPlanSizeOnly(enc[:0], p.refAlgo, p.refLevel, 0, c.data); err != nil {
+					errAt[w], errs[w] = i, err
+					failed.Store(true)
+					return
+				}
+				c.ratio = float64(len(c.data)) / float64(len(enc))
+			}
+		}()
+	}
+	wg.Wait()
+	at, first := n, error(nil)
+	for w, err := range errs {
+		if err != nil && errAt[w] < at {
+			at, first = errAt[w], err
+		}
+	}
+	return at, first
 }
 
 // RatioRange returns the pool's achievable ratio span.

@@ -3,7 +3,9 @@ package hcbench
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -144,6 +146,60 @@ func TestSizeOnlyLengthsWhereTheGeneratorReadsThem(t *testing.T) {
 	}
 }
 
+// withGOMAXPROCS runs f with GOMAXPROCS at n and restores it afterwards.
+func withGOMAXPROCS(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// TestBuildPoolIndependentOfGOMAXPROCS holds the parallel index to the serial
+// one-shot pool at one and at four Ps: every entry the same chunk of the
+// corpus, at the same position, with a bit-equal ratio.
+func TestBuildPoolIndependentOfGOMAXPROCS(t *testing.T) {
+	files := corpus.SmallSuite()
+	for _, algo := range []comp.Algorithm{comp.Snappy, comp.ZStd} {
+		want := oneShotPool(t, files, algo)
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%v/procs=%d", algo, procs), func(t *testing.T) {
+				var pool *Pool
+				var err error
+				withGOMAXPROCS(procs, func() {
+					pool, err = BuildPool(files, DefaultChunkSize, algo, algo.DefaultLevel())
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(pool.chunks) != len(want) {
+					t.Fatalf("pool of %d chunks, one-shot pool of %d", len(pool.chunks), len(want))
+				}
+				for i, c := range pool.chunks {
+					if c.ratio != want[i].ratio || &c.data[0] != &want[i].data[0] {
+						t.Fatalf("pool entry %d differs from the one-shot pool's", i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBuildPoolErrorIsTheSerialOne: when every chunk fails to index, the
+// error names the file of the first chunk, at any parallelism. File "short"
+// holds no whole chunk, so that is file "a".
+func TestBuildPoolErrorIsTheSerialOne(t *testing.T) {
+	files := []corpus.File{
+		{Name: "short", Data: make([]byte, DefaultChunkSize-1)},
+		{Name: "a", Data: make([]byte, 3*DefaultChunkSize)},
+		{Name: "b", Data: make([]byte, 64*DefaultChunkSize)},
+	}
+	for _, procs := range []int{1, 4} {
+		var err error
+		withGOMAXPROCS(procs, func() { _, err = BuildPool(files, DefaultChunkSize, comp.Algorithm(99), 0) })
+		if err == nil || !strings.HasPrefix(err.Error(), "hcbench: indexing a: ") {
+			t.Errorf("GOMAXPROCS %d: error %v, want one indexing file \"a\"", procs, err)
+		}
+	}
+}
+
 // TestAssembleReturnsCheckpointError: a checkpoint compression that fails
 // stops the file instead of leaving the estimator on a stale bias.
 func TestAssembleReturnsCheckpointError(t *testing.T) {
@@ -203,6 +259,27 @@ func BenchmarkGenerate(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.SetBytes(int64(s.TotalUncompressedBytes()))
+			}
+		})
+	}
+}
+
+// BenchmarkBuildPool times one pool over the standard corpus per reference
+// algorithm, at the benchmark's GOMAXPROCS (-cpu).
+func BenchmarkBuildPool(b *testing.B) {
+	files := corpus.StandardSuite()
+	n := 0
+	for _, f := range files {
+		n += len(f.Data)
+	}
+	for _, algo := range []comp.Algorithm{comp.Snappy, comp.ZStd} {
+		b.Run(strings.ToLower(algo.String()), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildPool(files, DefaultChunkSize, algo, algo.DefaultLevel()); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
