@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 SEED ?= 1
 N ?= 10
 
-.PHONY: all check fmt vet build test race bench fuzz-smoke profile loc reach pairs fingerprints
+.PHONY: all check fmt vet build test race bench fuzz-smoke profile loc options reach pairs fingerprints
 
 all: check
 
@@ -55,6 +55,12 @@ loc:
 	@printf '%6d sim + cluster + core + des\n' "$$(find internal/sim internal/cluster internal/core internal/des -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf '%6d bits + fse + huffman + lz77 + snappy + zstdlite\n' "$$(find internal/bits internal/fse internal/huffman internal/lz77 internal/snappy internal/zstdlite -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@for d in internal/* cmd/*; do printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" $$d; done
+
+# The option budget ROADMAP's aim 2 counts: the settable fields of the option
+# structs TestEveryOptionHasACaller guards (options_guard_test.go), a nested
+# config counted field by field.
+options:
+	@$(GO) test -count=1 -run '^TestEveryOptionHasACaller$$' -v . | grep -o 'option budget: .*'
 
 # What no entry point reaches: build every binary (cmd/, examples/, bench) with
 # coverage of the whole module (-coverpkg=./internal/... emits nothing on

@@ -187,9 +187,8 @@ func TestFacadeDevice(t *testing.T) {
 
 func TestFacadeChain(t *testing.T) {
 	res, err := RunChain(ChainConfig{
-		Placement:       PlacementChiplet,
-		Stages:          []ChainStage{{Name: "s", BytesPerCycle: 8, OutScale: 0.5}},
-		InterludeCycles: 100,
+		Placement: PlacementChiplet,
+		Stages:    []ChainStage{{Name: "s", BytesPerCycle: 8, OutScale: 0.5}},
 	}, 64<<10)
 	if err != nil || res.Cycles <= 0 {
 		t.Fatalf("chain: %v", err)

@@ -19,6 +19,10 @@ import (
 	"cdpu/internal/soc"
 )
 
+// interludeCycles is the CPU book-keeping between consecutive stages
+// (file-format header writes, accounting; §3.5.2).
+const interludeCycles = 600
+
 // Stage is one accelerated step of a chained operation.
 type Stage struct {
 	// Name labels the stage ("deserialize", "compress", ...).
@@ -41,15 +45,13 @@ func Compressor(bytesPerCycle, ratio float64) Stage {
 	return Stage{Name: "compress", BytesPerCycle: bytesPerCycle, OutScale: 1 / ratio}
 }
 
-// Config describes a chained operation.
+// Config describes a chained operation. Consecutive stages are separated by
+// a fixed CPU interlude of interludeCycles.
 type Config struct {
 	// Placement locates every accelerator in the chain.
 	Placement memsys.Placement
 	// Stages in execution order.
 	Stages []Stage
-	// InterludeCycles is the CPU book-keeping between consecutive stages
-	// (file-format header writes, accounting; §3.5.2).
-	InterludeCycles float64
 }
 
 // Result reports one chained operation.
@@ -73,10 +75,7 @@ func Run(cfg Config, inputBytes int) (*Result, error) {
 	if inputBytes <= 0 {
 		return nil, fmt.Errorf("chain: input bytes %d", inputBytes)
 	}
-	sys, err := memsys.New(memsys.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
+	sys := &memsys.System{}
 	iface := soc.New(sys)
 
 	res := &Result{PerStage: make([]float64, len(cfg.Stages))}
@@ -100,7 +99,7 @@ func Run(cfg Config, inputBytes int) (*Result, error) {
 			// accelerators — the intermediate buffer crossing back to the
 			// host and out to the next device once more than the raw
 			// streaming already accounted for.
-			res.Cycles += cfg.InterludeCycles
+			res.Cycles += interludeCycles
 			if link := cfg.Placement.LinkLatencyNs(); link > 0 {
 				extra := 2*sys.RTT(cfg.Placement, memsys.ClassRaw) +
 					bytesOut/sys.StreamBandwidth(cfg.Placement, memsys.ClassRaw)
@@ -118,8 +117,7 @@ func Run(cfg Config, inputBytes int) (*Result, error) {
 // with file-format book-keeping in between.
 func WritePath(placement memsys.Placement, compressorRate, ratio float64) Config {
 	return Config{
-		Placement:       placement,
-		Stages:          []Stage{SerDes("serialize", 1.1), Compressor(compressorRate, ratio)},
-		InterludeCycles: 600,
+		Placement: placement,
+		Stages:    []Stage{SerDes("serialize", 1.1), Compressor(compressorRate, ratio)},
 	}
 }

@@ -70,9 +70,8 @@ func TestReadPathExpands(t *testing.T) {
 	// The inverse of WritePath: decompress (an expanding stage), then
 	// deserialize.
 	readPath := Config{
-		Placement:       memsys.RoCC,
-		Stages:          []Stage{{Name: "decompress", BytesPerCycle: 5, OutScale: 2}, SerDes("deserialize", 1/1.1)},
-		InterludeCycles: 600,
+		Placement: memsys.RoCC,
+		Stages:    []Stage{{Name: "decompress", BytesPerCycle: 5, OutScale: 2}, SerDes("deserialize", 1/1.1)},
 	}
 	res, err := Run(readPath, 32<<10)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"cdpu/internal/comp"
@@ -19,6 +20,21 @@ func knownBlocks() map[string]bool {
 		m[b] = true
 	}
 	return m
+}
+
+// TestBlockStringBreaksTiesByBlockOrder holds BlockString to one rendering:
+// blocks with equal cycles print in blockOrder, not in map order.
+func TestBlockStringBreaksTiesByBlockOrder(t *testing.T) {
+	r := &Result{Blocks: map[string]float64{BlockLZ77: 7, BlockStream: 7, BlockInvocation: 7, BlockHuff: 9}}
+	want := fmt.Sprintf("%-14s %12.0f cycles\n", BlockHuff, 9.0)
+	for _, b := range []string{BlockInvocation, BlockStream, BlockLZ77} {
+		want += fmt.Sprintf("%-14s %12.0f cycles\n", b, 7.0)
+	}
+	for i := 0; i < 100; i++ {
+		if got := r.BlockString(); got != want {
+			t.Fatalf("call %d:\n%s\nwant\n%s", i, got, want)
+		}
+	}
 }
 
 // cornerConfigs mirrors the DSE corners the experiments sweep (SRAM and

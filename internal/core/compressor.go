@@ -51,7 +51,6 @@ func NewCompressor(cfg Config) (*Compressor, error) {
 			Associativity: cfg.HashAssociativity,
 			WindowSize:    min(cfg.HistorySRAM, snappy.MaxBlockWindow),
 			Hash:          cfg.HashFunc,
-			Contents:      cfg.TableContents,
 			// Hardware probes every position: skipping saves nothing at one
 			// position per cycle, which is why the 64K instance slightly
 			// beats software's compression ratio (§6.3).
@@ -67,7 +66,6 @@ func NewCompressor(cfg Config) (*Compressor, error) {
 			Associativity: cfg.HashAssociativity,
 			MinMatch:      4,
 			Hash:          cfg.HashFunc,
-			Contents:      cfg.TableContents,
 		}
 		c.zstd, err = zstdlite.NewEncoder(zstdlite.Params{
 			WindowLog:   log2(cfg.HistorySRAM),

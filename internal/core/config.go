@@ -9,9 +9,10 @@
 // the shared codec packages, and the timing half charges cycles according to
 // the block's microarchitectural parameters (§5.8).
 //
-// A unit is instantiated from a Config carrying the paper's twelve
-// parameters; Compress/Decompress calls return both the payload result and a
-// per-stage cycle breakdown, so design-space exploration (Section 6) can
+// A unit is instantiated from a Config carrying the paper's generator
+// parameters (item 7, the hash-way payload, is fixed at offset-only);
+// Compress/Decompress calls return both the payload result and a per-stage
+// cycle breakdown, so design-space exploration (Section 6) can
 // sweep placements, history SRAM sizes, hash table shapes, Huffman
 // speculation widths and FSE accuracies and observe speedup, compression
 // ratio and area move exactly as the paper's Figures 11–15 describe.
@@ -60,12 +61,11 @@ type Config struct {
 	HistorySRAM int
 	// HashTableEntries is the LZ77 encoder's bucket count (§5.8.3 item 5).
 	HashTableEntries int
-	// HashAssociativity is ways per bucket (§5.8.3 item 6).
+	// HashAssociativity is ways per bucket (§5.8.3 item 6). Each way holds
+	// an offset only (item 7's untagged payload).
 	HashAssociativity int
 	// HashFunc selects the hash function (§5.8.3 item 8).
 	HashFunc lz77.HashFunc
-	// TableContents selects per-way payloads (§5.8.3 item 7).
-	TableContents lz77.TableContents
 	// Speculation is the Huffman expander's speculative decode width
 	// (§5.8.4 item 9; the z15 uses 32).
 	Speculation int
@@ -80,8 +80,6 @@ type Config struct {
 	// hanging software forever. Zero takes DefaultWatchdogFactor; negative
 	// disables the watchdog.
 	WatchdogFactor float64
-	// Mem configures the host memory system; zero takes memsys defaults.
-	Mem memsys.Config
 }
 
 // withDefaults fills zero fields.
@@ -106,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WatchdogFactor == 0 {
 		c.WatchdogFactor = DefaultWatchdogFactor
-	}
-	if c.Mem == (memsys.Config{}) {
-		c.Mem = memsys.DefaultConfig()
 	}
 	return c
 }
@@ -136,7 +131,7 @@ func (c Config) Validate() error {
 	case c.FSETableLog < fse.MinTableLog || c.FSETableLog > fse.MaxTableLog:
 		return fmt.Errorf("core: FSE table log %d", c.FSETableLog)
 	}
-	return c.Mem.Validate()
+	return nil
 }
 
 // Name returns a compact instance label, e.g. "ZStd-D-RoCC-64K-spec16".
@@ -159,17 +154,17 @@ func (c Config) Name() string {
 // requested with every default spelled out share one simulation.
 func (c Config) Key() string {
 	c = c.withDefaults()
-	return fmt.Sprintf("%d.%d.%d.%d.%d.%d.%d.%d.%d.%d.%d.%g.%+v",
+	return fmt.Sprintf("%d.%d.%d.%d.%d.%d.%d.%d.%d.%d.%g",
 		c.Algo, c.Op, c.Placement, c.HistorySRAM, c.HashTableEntries,
-		c.HashAssociativity, c.HashFunc, c.TableContents, c.Speculation,
-		c.StatsWidth, c.FSETableLog, c.WatchdogFactor, c.Mem)
+		c.HashAssociativity, c.HashFunc, c.Speculation,
+		c.StatsWidth, c.FSETableLog, c.WatchdogFactor)
 }
 
 // FunctionalKey identifies, with defaults applied, everything about the
 // configuration that decides which bytes and which LZ77 commands a call
 // produces — what a Trace holds. A decompressor decodes whatever it is handed,
 // so only its algorithm counts; a compressor's parse depends on the window,
-// the hash table and, for ZStd, the FSE accuracy. Placement, Mem, Speculation,
+// the hash table and, for ZStd, the FSE accuracy. Placement, Speculation,
 // StatsWidth and WatchdogFactor only change what the call is charged: units
 // whose FunctionalKeys are equal can time one another's traces.
 func (c Config) FunctionalKey() string {
@@ -177,8 +172,8 @@ func (c Config) FunctionalKey() string {
 	if c.Op == comp.Decompress {
 		return fmt.Sprintf("%d.%d", c.Algo, c.Op)
 	}
-	return fmt.Sprintf("%d.%d.%d.%d.%d.%d.%d.%d", c.Algo, c.Op, c.HistorySRAM,
-		c.HashTableEntries, c.HashAssociativity, c.HashFunc, c.TableContents, c.FSETableLog)
+	return fmt.Sprintf("%d.%d.%d.%d.%d.%d.%d", c.Algo, c.Op, c.HistorySRAM,
+		c.HashTableEntries, c.HashAssociativity, c.HashFunc, c.FSETableLog)
 }
 
 func log2(v int) int {

@@ -223,17 +223,20 @@ func (r *Result) Ratio() float64 {
 	return float64(u) / float64(c)
 }
 
-// BlockString renders the per-block cycle attribution, largest first.
+// BlockString renders the per-block cycle attribution, largest first; equal
+// charges (a zero-cycle charge still names its block) keep blockOrder.
 func (r *Result) BlockString() string {
 	type kv struct {
 		k string
 		v float64
 	}
 	var items []kv
-	for k, v := range r.Blocks {
-		items = append(items, kv{k, v})
+	for _, k := range blockOrder {
+		if v, ok := r.Blocks[k]; ok {
+			items = append(items, kv{k, v})
+		}
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].v > items[j].v })
+	sort.SliceStable(items, func(i, j int) bool { return items[i].v > items[j].v })
 	s := ""
 	for _, it := range items {
 		s += fmt.Sprintf("%-14s %12.0f cycles\n", it.k, it.v)

@@ -103,10 +103,7 @@ func newUnit(cfg Config) (unit, error) {
 	if err := cfg.Validate(); err != nil {
 		return unit{}, err
 	}
-	sys, err := memsys.New(cfg.Mem)
-	if err != nil {
-		return unit{}, err
-	}
+	sys := &memsys.System{}
 	return unit{cfg: cfg, fkey: cfg.FunctionalKey(), sys: sys, iface: soc.New(sys)}, nil
 }
 

@@ -107,17 +107,11 @@ var configFieldClass = map[string]struct {
 	"HashTableEntries":  {true, func(c *Config) { c.HashTableEntries = 1 << 9 }},
 	"HashAssociativity": {true, func(c *Config) { c.HashAssociativity = 4 }},
 	"HashFunc":          {true, func(c *Config) { c.HashFunc = lz77.HashXorShift }},
-	"TableContents":     {true, func(c *Config) { c.TableContents = lz77.ContentsOffsetAndTag }},
 	"FSETableLog":       {true, func(c *Config) { c.FSETableLog = 7 }},
 	"Placement":         {false, func(c *Config) { c.Placement = memsys.PCIeNoCache }},
 	"Speculation":       {false, func(c *Config) { c.Speculation = 4 }},
 	"StatsWidth":        {false, func(c *Config) { c.StatsWidth = 2 }},
 	"WatchdogFactor":    {false, func(c *Config) { c.WatchdogFactor = -1 }},
-	"Mem": {false, func(c *Config) {
-		c.Mem = memsys.DefaultConfig()
-		c.Mem.DRAMLatency += 80
-		c.Mem.MSHRs = 8
-	}},
 }
 
 // traceUnder takes the trace of payload on a unit of cfg (compressing it, or

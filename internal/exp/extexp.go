@@ -135,10 +135,10 @@ func runDeployment(cfg Config) ([]*Table, error) {
 	cs := fleet.CycleShares()
 	offloadable := 0.0
 	residual := 0.0
-	for ao, share := range cs {
+	for _, ao := range fleet.AllAlgoOps() { // fixed order: float sums must be reproducible
 		if s, ok := speedup[ao]; ok {
-			offloadable += share
-			residual += share / s
+			offloadable += cs[ao]
+			residual += cs[ao] / s
 		}
 	}
 	cpuSaved := fleet.FleetCompressionCycleFraction * (offloadable - residual)
@@ -148,13 +148,19 @@ func runDeployment(cfg Config) ([]*Table, error) {
 	// calls can move to the ZStd compressor's format at hardware ratio.
 	bytes := fleet.OpByteShares(comp.Compress)
 	curCompressed := 0.0
-	for a, share := range bytes {
-		curCompressed += share / fleet.RatioFor(a, a.DefaultLevel())
+	for _, a := range comp.Algorithms {
+		if share, ok := bytes[a]; ok {
+			curCompressed += share / fleet.RatioFor(a, a.DefaultLevel())
+		}
 	}
 	newCompressed := 0.0
 	// Scale the fleet's ZStd aggregate by the measured hw/sw ratio factor.
 	hwFleetZstdRatio := fleet.RatioFor(comp.ZStd, 3) * (zstdCRun.ratio / zstdC.swRatio)
-	for a, share := range bytes {
+	for _, a := range comp.Algorithms {
+		share, ok := bytes[a]
+		if !ok {
+			continue
+		}
 		ratio := fleet.RatioFor(a, a.DefaultLevel())
 		if !a.Heavyweight() {
 			ratio = hwFleetZstdRatio // lightweight callers upgrade to the ZStd CDPU

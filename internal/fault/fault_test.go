@@ -90,10 +90,7 @@ func TestPlanSchedule(t *testing.T) {
 }
 
 func TestPlanDrivesSystemFaultErr(t *testing.T) {
-	sys, err := memsys.New(memsys.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := &memsys.System{}
 	sys.SetFaultInjector(Plan{ErrorEvery: 2})
 	sys.FaultCycles(memsys.RoCC, memsys.ClassRaw) // event 0: healthy
 	if sys.FaultErr() != nil {

@@ -107,16 +107,16 @@ func (s *System) faultAt(p Placement, c Class) Fault {
 // held by stuck requests. At least one slot always survives, so a stall
 // degrades a stream rather than dividing by zero.
 func (s *System) streamBandwidthStalled(p Placement, c Class, stalled int) float64 {
-	width := float64(s.cfg.BeatBytes)
-	outstanding := s.cfg.MSHRs
+	width := float64(beatBytes)
+	outstanding := mshrs
 	if s.linkCycles(p, c) > 0 && (p == PCIeLocalCache || p == PCIeNoCache) {
-		outstanding = min(outstanding, s.cfg.PCIeTags)
+		outstanding = min(outstanding, pcieTags)
 	}
 	outstanding -= stalled
 	if outstanding < 1 {
 		outstanding = 1
 	}
-	window := float64(outstanding*s.cfg.BeatBytes) / s.RTT(p, c)
+	window := float64(outstanding*beatBytes) / s.RTT(p, c)
 	if window < width {
 		return window
 	}

@@ -6,11 +6,11 @@
 // serial dependent accesses (off-chip history fallback lookups).
 //
 // Streaming bandwidth is limited both by the 256-bit NoC width and by the
-// MSHR-limited outstanding-request window: bandwidth = min(BeatBytes,
-// MSHRs*BeatBytes/RTT) bytes per cycle. This is the mechanism behind the
-// paper's placement results — a PCIe round trip of 400 cycles with 16
-// outstanding 32-byte beats caps streaming at 1.28 B/cycle, while the same
-// engine near-core streams at NoC width.
+// MSHR-limited outstanding-request window: bandwidth = min(beatBytes,
+// mshrs*beatBytes/RTT) bytes per cycle (pcieTags replaces mshrs across PCIe).
+// This is the mechanism behind the paper's placement results — a PCIe round
+// trip of 400 cycles with 16 outstanding 32-byte beats caps streaming at
+// 1.28 B/cycle, while the same engine near-core streams at NoC width.
 package memsys
 
 import "fmt"
@@ -74,91 +74,49 @@ const (
 	ClassIntermediate
 )
 
-// Config describes the host memory system. Defaults (via DefaultConfig)
-// model the paper's SoC: 2 GHz, 256-bit TileLink, shared L2.
-type Config struct {
-	FrequencyGHz float64 // CDPU and NoC clock
-	BeatBytes    int     // NoC width per cycle (256-bit TileLink = 32)
-	L2Latency    int     // cycles, load-to-use from the shared L2
-	DRAMLatency  int     // cycles, for cold/streaming misses past the LLC
-	MSHRs        int     // outstanding request budget of the CDPU port
-	// PCIeTags caps requests in flight across a PCIe link (non-posted
+// The paper's SoC (§5.8): one fixed host, a 2 GHz clock, 256-bit TileLink
+// and a shared L2. The CDPU's generator parameters vary; these do not.
+const (
+	// DeviceGHz is the CDPU and NoC clock: the one rate at which the device
+	// model converts link nanoseconds to cycles and the layers above it
+	// (fleet replay, traffic, experiments) convert device cycles to
+	// wall-clock time.
+	DeviceGHz = 2.0
+	// beatBytes is the NoC width per cycle (256-bit TileLink).
+	beatBytes = 32
+	// l2Latency is load-to-use cycles from the shared L2.
+	l2Latency = 24
+	// dramLatency is cycles for cold/streaming misses past the LLC.
+	dramLatency = 120
+	// mshrs is the outstanding request budget of the CDPU port: 32
+	// outstanding 32-byte requests cover the near-core latency-bandwidth
+	// product (24 cycles x 32 B/cycle), so RoCC streaming runs at NoC width
+	// while long-latency placements become window-limited.
+	mshrs = 32
+	// pcieTags caps requests in flight across a PCIe link (non-posted
 	// credit budget), independently of the on-die MSHR budget. The paper's
 	// PCIe placements are bandwidth-starved precisely because a 200 ns
 	// round trip with a limited tag budget bounds streaming well below NoC
 	// width (§6.2).
-	PCIeTags int
-	// L2Capacity is the shared L2's size in bytes: history fallbacks whose
+	pcieTags = 16
+	// l2Capacity is the shared L2's size in bytes: history fallbacks whose
 	// reach exceeds it are served from DRAM instead (§3.6: the near-core
 	// accelerator "falls back to accessing the history from the L2 cache or
 	// main memory").
-	L2Capacity int
-}
+	l2Capacity = 1 << 20
+)
 
-// DeviceGHz is the CDPU and NoC clock of the paper's SoC, DefaultConfig's
-// FrequencyGHz: the one rate at which the layers above the device model
-// (fleet replay, traffic, experiments) convert device cycles to wall-clock
-// time.
-const DeviceGHz = 2.0
-
-// DefaultConfig returns the SoC parameters used across the paper's DSE.
-func DefaultConfig() Config {
-	return Config{
-		FrequencyGHz: DeviceGHz,
-		BeatBytes:    32,
-		L2Latency:    24,
-		DRAMLatency:  120,
-		// 32 outstanding 32-byte requests cover the near-core
-		// latency-bandwidth product (24 cycles x 32 B/cycle), so RoCC
-		// streaming runs at NoC width while long-latency placements become
-		// window-limited.
-		MSHRs:      32,
-		PCIeTags:   16,
-		L2Capacity: 1 << 20,
-	}
-}
-
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
-	switch {
-	case c.FrequencyGHz <= 0:
-		return fmt.Errorf("memsys: frequency %f", c.FrequencyGHz)
-	case c.BeatBytes <= 0:
-		return fmt.Errorf("memsys: beat bytes %d", c.BeatBytes)
-	case c.L2Latency <= 0 || c.DRAMLatency < c.L2Latency:
-		return fmt.Errorf("memsys: latencies L2=%d DRAM=%d", c.L2Latency, c.DRAMLatency)
-	case c.MSHRs <= 0:
-		return fmt.Errorf("memsys: MSHRs %d", c.MSHRs)
-	case c.PCIeTags <= 0:
-		return fmt.Errorf("memsys: PCIeTags %d", c.PCIeTags)
-	case c.L2Capacity <= 0:
-		return fmt.Errorf("memsys: L2Capacity %d", c.L2Capacity)
-	}
-	return nil
-}
-
-// System computes access timings for one placement.
+// System computes access timings for one placement. Its zero value is ready
+// to use.
 //
 // A System with no fault injector installed is stateless and safe for
 // concurrent use; installing an injector (SetFaultInjector) adds per-call
 // event-counter state and restricts the System to one goroutine.
 type System struct {
-	cfg      Config
 	injector FaultInjector
 	events   int   // memory events observed since the last ResetFaults
 	faultErr error // first injected error response, sticky until ResetFaults
 }
-
-// New returns a System for cfg.
-func New(cfg Config) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &System{cfg: cfg}, nil
-}
-
-// Config returns the system's configuration.
-func (s *System) Config() Config { return s.cfg }
 
 // linkCycles converts a placement's injected latency to cycles, honoring the
 // class rules (PCIeLocalCache exempts intermediate traffic).
@@ -166,24 +124,24 @@ func (s *System) linkCycles(p Placement, c Class) float64 {
 	if p == PCIeLocalCache && c == ClassIntermediate {
 		return 0
 	}
-	return p.LinkLatencyNs() * s.cfg.FrequencyGHz
+	return p.LinkLatencyNs() * DeviceGHz
 }
 
 // RTT returns the round-trip cycles of a single memory request.
 func (s *System) RTT(p Placement, c Class) float64 {
-	return float64(s.cfg.L2Latency) + s.linkCycles(p, c)
+	return float64(l2Latency) + s.linkCycles(p, c)
 }
 
 // StreamBandwidth returns the sustainable streaming rate in bytes/cycle:
 // NoC width, unless the latency-bandwidth product runs out of outstanding
 // requests (MSHRs on-die, the smaller PCIe tag budget across the link).
 func (s *System) StreamBandwidth(p Placement, c Class) float64 {
-	width := float64(s.cfg.BeatBytes)
-	outstanding := s.cfg.MSHRs
+	width := float64(beatBytes)
+	outstanding := mshrs
 	if s.linkCycles(p, c) > 0 && (p == PCIeLocalCache || p == PCIeNoCache) {
-		outstanding = min(outstanding, s.cfg.PCIeTags)
+		outstanding = min(outstanding, pcieTags)
 	}
-	window := float64(outstanding*s.cfg.BeatBytes) / s.RTT(p, c)
+	window := float64(outstanding*beatBytes) / s.RTT(p, c)
 	if window < width {
 		return window
 	}
@@ -194,9 +152,9 @@ func (s *System) StreamBandwidth(p Placement, c Class) float64 {
 // `distance` bytes back: within the L2's capacity it costs an L2 round trip,
 // beyond it a DRAM one (plus the placement link, per the class rules).
 func (s *System) AccessCyclesAt(p Placement, c Class, distance int) float64 {
-	base := float64(s.cfg.L2Latency)
-	if distance > s.cfg.L2Capacity {
-		base = float64(s.cfg.DRAMLatency)
+	base := float64(l2Latency)
+	if distance > l2Capacity {
+		base = float64(dramLatency)
 	}
 	return base + s.linkCycles(p, c) + s.faultAt(p, c).ExtraCycles
 }

@@ -5,15 +5,6 @@ import (
 	"testing"
 )
 
-func defaultSystem(t *testing.T) *System {
-	t.Helper()
-	s, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 func TestPlacementLatencies(t *testing.T) {
 	if RoCC.LinkLatencyNs() != 0 || Chiplet.LinkLatencyNs() != 25 ||
 		PCIeLocalCache.LinkLatencyNs() != 200 || PCIeNoCache.LinkLatencyNs() != 200 {
@@ -22,7 +13,7 @@ func TestPlacementLatencies(t *testing.T) {
 }
 
 func TestRTTOrdering(t *testing.T) {
-	s := defaultSystem(t)
+	s := &System{}
 	if !(s.RTT(RoCC, ClassRaw) < s.RTT(Chiplet, ClassRaw)) ||
 		!(s.RTT(Chiplet, ClassRaw) < s.RTT(PCIeNoCache, ClassRaw)) {
 		t.Error("RTT not ordered RoCC < Chiplet < PCIe")
@@ -30,7 +21,7 @@ func TestRTTOrdering(t *testing.T) {
 }
 
 func TestLocalCacheExemptsIntermediateTraffic(t *testing.T) {
-	s := defaultSystem(t)
+	s := &System{}
 	// Raw traffic pays PCIe on both PCIe placements.
 	if s.RTT(PCIeLocalCache, ClassRaw) != s.RTT(PCIeNoCache, ClassRaw) {
 		t.Error("raw RTT differs between PCIe variants")
@@ -45,18 +36,17 @@ func TestLocalCacheExemptsIntermediateTraffic(t *testing.T) {
 }
 
 func TestStreamBandwidthNoCWidthNearCore(t *testing.T) {
-	s := defaultSystem(t)
+	s := &System{}
 	bw := s.StreamBandwidth(RoCC, ClassRaw)
-	if bw != float64(DefaultConfig().BeatBytes) {
+	if bw != beatBytes {
 		t.Errorf("near-core bandwidth %f B/cycle, want NoC width", bw)
 	}
 }
 
 func TestStreamBandwidthTagLimitedOverPCIe(t *testing.T) {
-	s := defaultSystem(t)
-	cfg := DefaultConfig()
+	s := &System{}
 	// Across PCIe the smaller tag budget governs, not the on-die MSHRs.
-	want := float64(cfg.PCIeTags*cfg.BeatBytes) / s.RTT(PCIeNoCache, ClassRaw)
+	want := float64(pcieTags*beatBytes) / s.RTT(PCIeNoCache, ClassRaw)
 	got := s.StreamBandwidth(PCIeNoCache, ClassRaw)
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("PCIe bandwidth %f, want %f", got, want)
@@ -77,7 +67,7 @@ func streamCycles(s *System, n int, p Placement, c Class) float64 {
 }
 
 func TestStreamCyclesScaleLinearly(t *testing.T) {
-	s := defaultSystem(t)
+	s := &System{}
 	small := streamCycles(s, 1<<10, RoCC, ClassRaw)
 	large := streamCycles(s, 1<<20, RoCC, ClassRaw)
 	if large <= small {
@@ -90,7 +80,7 @@ func TestStreamCyclesScaleLinearly(t *testing.T) {
 }
 
 func TestSmallTransfersDominatedByLatency(t *testing.T) {
-	s := defaultSystem(t)
+	s := &System{}
 	// A 1 KiB transfer over PCIe: latency >> transfer time. The ratio to
 	// near-core must exceed the pure bandwidth ratio, the paper's mechanism
 	// for why small fleet calls kill PCIe offload (§3.5.1, §6.2).
@@ -102,27 +92,9 @@ func TestSmallTransfersDominatedByLatency(t *testing.T) {
 }
 
 func TestAccessCyclesSerial(t *testing.T) {
-	s := defaultSystem(t)
+	s := &System{}
 	if s.AccessCyclesAt(RoCC, ClassIntermediate, 0) != s.RTT(RoCC, ClassIntermediate) {
 		t.Error("dependent access within the L2's reach should cost one RTT")
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{},
-		{FrequencyGHz: 2, BeatBytes: 0, L2Latency: 10, DRAMLatency: 100, MSHRs: 4},
-		{FrequencyGHz: 2, BeatBytes: 32, L2Latency: 0, DRAMLatency: 100, MSHRs: 4},
-		{FrequencyGHz: 2, BeatBytes: 32, L2Latency: 200, DRAMLatency: 100, MSHRs: 4},
-		{FrequencyGHz: 2, BeatBytes: 32, L2Latency: 10, DRAMLatency: 100, MSHRs: 0},
-	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("case %d accepted: %+v", i, cfg)
-		}
-	}
-	if _, err := New(DefaultConfig()); err != nil {
-		t.Errorf("default config rejected: %v", err)
 	}
 }
 
@@ -135,15 +107,14 @@ func TestPlacementStrings(t *testing.T) {
 }
 
 func TestAccessCyclesAtDistance(t *testing.T) {
-	s := defaultSystem(t)
-	cfg := DefaultConfig()
+	s := &System{}
 	near := s.AccessCyclesAt(RoCC, ClassIntermediate, 64<<10)
 	far := s.AccessCyclesAt(RoCC, ClassIntermediate, 8<<20)
-	if near != float64(cfg.L2Latency) {
-		t.Errorf("L2-reach access = %f, want %d", near, cfg.L2Latency)
+	if near != l2Latency {
+		t.Errorf("L2-reach access = %f, want %d", near, l2Latency)
 	}
-	if far != float64(cfg.DRAMLatency) {
-		t.Errorf("DRAM-reach access = %f, want %d", far, cfg.DRAMLatency)
+	if far != dramLatency {
+		t.Errorf("DRAM-reach access = %f, want %d", far, dramLatency)
 	}
 	// Across a link both still pay the link.
 	if s.AccessCyclesAt(PCIeNoCache, ClassIntermediate, 8<<20) <= far {
@@ -156,13 +127,13 @@ func TestAccessCyclesAtDistance(t *testing.T) {
 }
 
 func TestStreamBandwidthClassRulesExact(t *testing.T) {
-	// Direct pin of the class rules at DefaultConfig (Beat 32, L2 24,
+	// Direct pin of the class rules at the SoC constants (Beat 32, L2 24,
 	// MSHRs 32, PCIeTags 16): bandwidth = min(width, outstanding*width/RTT),
 	// where the PCIe tag cap applies only to traffic that actually crosses
 	// PCIe — so PCIeLocalCache intermediate traffic runs at full NoC width
 	// while its raw traffic is tag-capped, and the chiplet link is governed
 	// by the on-die MSHR budget even though it is smaller than no cap at all.
-	s := defaultSystem(t)
+	s := &System{}
 	cases := []struct {
 		p    Placement
 		c    Class

@@ -75,8 +75,6 @@ type EncoderConfig struct {
 	WindowSize int
 	// Hash selects the hash function (default Fibonacci).
 	Hash lz77.HashFunc
-	// Contents selects hash-way payloads (default offset-only).
-	Contents lz77.TableContents
 	// SkipIncompressible enables the software stride heuristic (default
 	// true, matching the reference encoder; the CDPU model sets it false —
 	// the paper notes hardware gains nothing from skipping, §6.3).
@@ -90,7 +88,6 @@ func Defaults() EncoderConfig {
 		Associativity:      1,
 		WindowSize:         MaxBlockWindow,
 		Hash:               lz77.HashFibonacci,
-		Contents:           lz77.ContentsOffsetOnly,
 		SkipIncompressible: true,
 	}
 }
@@ -121,7 +118,7 @@ func (c EncoderConfig) lz77Config() lz77.Config {
 		MinMatch:           4,
 		MaxMatch:           0, // long matches are split into 64-byte copies
 		Hash:               c.Hash,
-		Contents:           c.Contents,
+		Contents:           lz77.ContentsOffsetOnly,
 		SkipIncompressible: c.SkipIncompressible,
 	}
 }

@@ -18,7 +18,7 @@ func TestStaticConfigsConstruct(t *testing.T) {
 		{TableEntries: 1 << 10},
 		{Associativity: 4},
 		{WindowSize: 1 << 12},
-		{Hash: lz77.HashFibonacci, Contents: lz77.ContentsOffsetOnly},
+		{Hash: lz77.HashFibonacci},
 		{SkipIncompressible: true},
 	}
 	for i, cfg := range cfgs {

@@ -40,7 +40,7 @@ func New(sys *memsys.System) *Interface {
 // completion. This fixed cost is what amortizes poorly over the fleet's
 // small calls (§3.5.1).
 func (i *Interface) InvocationCycles(p memsys.Placement) float64 {
-	link := p.LinkLatencyNs() * i.sys.Config().FrequencyGHz
+	link := p.LinkLatencyNs() * memsys.DeviceGHz
 	return RoCCDispatchCycles + SetupCycles + 2*link + i.doorbellFault(p)
 }
 
@@ -59,6 +59,6 @@ func (i *Interface) doorbellFault(p memsys.Placement) float64 {
 // the management round trips add ~3200 cycles more. The replay charges it
 // for every pipeline quarantine and, per pipeline, for every warm restart.
 func (i *Interface) PipelineResetCycles(p memsys.Placement) float64 {
-	link := p.LinkLatencyNs() * i.sys.Config().FrequencyGHz
+	link := p.LinkLatencyNs() * memsys.DeviceGHz
 	return PipelineResetBaseCycles + 4*(2*link+RoCCDispatchCycles)
 }

@@ -7,11 +7,7 @@ import (
 )
 
 func TestInvocationCosts(t *testing.T) {
-	sys, err := memsys.New(memsys.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := New(sys)
+	i := New(&memsys.System{})
 	rocc := i.InvocationCycles(memsys.RoCC)
 	chiplet := i.InvocationCycles(memsys.Chiplet)
 	pcie := i.InvocationCycles(memsys.PCIeNoCache)
@@ -32,13 +28,9 @@ func TestInvocationCosts(t *testing.T) {
 }
 
 func TestInvocationCyclesExactPerPlacement(t *testing.T) {
-	// Direct pin of the invocation model at DefaultConfig (2 GHz):
+	// Direct pin of the invocation model at memsys.DeviceGHz (2 GHz):
 	// dispatch 12 + setup 40 + two link crossings (doorbell + completion).
-	sys, err := memsys.New(memsys.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := New(sys)
+	i := New(&memsys.System{})
 	cases := []struct {
 		p    memsys.Placement
 		want float64
