@@ -29,10 +29,11 @@ test:
 # concurrent timing walks: a walk must never write to one. internal/hcbench
 # is here for the chunk pools Generate shares between concurrent callers and
 # indexes on GOMAXPROCS goroutines, internal/corpus for the standard corpus it
-# generates the same way, and internal/comp and the root package for the pool
-# of Coders that concurrent CompressCall / cdpu.Compress callers lease from.
+# generates the same way, internal/comp and the root package for the pool of
+# Coders that concurrent CompressCall / cdpu.Compress callers lease from, and
+# internal/par for the one parallel loop all of the above fan out through.
 race:
-	$(GO) test -race . ./internal/cluster/... ./internal/comp/... ./internal/core/... ./internal/corpus/... ./internal/des/... ./internal/exp/... ./internal/hcbench/... ./internal/sim/... ./internal/traffic/...
+	$(GO) test -race . ./internal/cluster/... ./internal/comp/... ./internal/core/... ./internal/corpus/... ./internal/des/... ./internal/exp/... ./internal/hcbench/... ./internal/par/... ./internal/sim/... ./internal/traffic/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
@@ -170,3 +171,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldMatchesWalk$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecompressMatchesCodec$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPreparedRun$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzForMatchesSerial$$' -fuzztime $(FUZZTIME) ./internal/par

@@ -14,8 +14,8 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
-	"sync"
-	"sync/atomic"
+
+	"cdpu/internal/par"
 )
 
 // Kind identifies a synthetic data family.
@@ -463,19 +463,11 @@ var standardSpecs = [...]struct {
 // claims by position, so the suite is the same at any parallelism.
 func StandardSuite() []File {
 	files := make([]File, len(standardSpecs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(files)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(files); i = int(next.Add(1)) - 1 {
-				s := &standardSpecs[i]
-				files[i] = File{Name: s.name, Kind: s.kind, Data: Generate(s.kind, s.size, s.seed)}
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(files), runtime.GOMAXPROCS(0), func(_, i int) error {
+		s := &standardSpecs[i]
+		files[i] = File{Name: s.name, Kind: s.kind, Data: Generate(s.kind, s.size, s.seed)}
+		return nil
+	})
 	return files
 }
 

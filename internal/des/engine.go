@@ -2,8 +2,8 @@ package des
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
+
+	"cdpu/internal/par"
 )
 
 // Demand is the shared-resource demand one partition accumulated over one
@@ -116,9 +116,9 @@ const DefaultEpochCycles = 1 << 20
 // parallel, barrier, aggregate demand in fixed partition order, hand the
 // resulting stretch back, repeat.
 type Engine struct {
-	// Workers bounds the worker pool (0 = 1; it never pays to exceed the
-	// partition count, and the pool claims partitions atomically so any
-	// Workers value yields identical results).
+	// Workers bounds the goroutines a sweep runs on (at most 1 = inline; it
+	// never pays to exceed the partition count, and each partition advances
+	// on its own state, so any Workers value yields identical results).
 	Workers int
 	// EpochCycles is the barrier spacing on the modeled clock (0 =
 	// DefaultEpochCycles). Only meaningful with Shared set.
@@ -194,39 +194,14 @@ func (e *Engine) Run() []error {
 	}
 }
 
-// sweep advances every live, unerrored partition to limit using the worker
-// pool, returning after all have finished (the barrier).
+// sweep advances every live, unerrored partition to limit on e.Workers
+// goroutines, returning after all have finished (the barrier). A partition's
+// error stays its own: no other partition stops for it.
 func (e *Engine) sweep(errs []error, limit float64, live []bool) {
-	workers := max(1, e.Workers)
-	if workers > len(e.Parts) {
-		workers = len(e.Parts)
-	}
-	if workers == 1 {
-		for i, p := range e.Parts {
-			if errs[i] != nil || (live != nil && !live[i]) {
-				continue
-			}
-			errs[i] = p.Advance(limit)
+	par.For(len(e.Parts), e.Workers, func(_, i int) error {
+		if errs[i] == nil && (live == nil || live[i]) {
+			errs[i] = e.Parts[i].Advance(limit)
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(e.Parts) {
-					return
-				}
-				if errs[i] != nil || (live != nil && !live[i]) {
-					continue
-				}
-				errs[i] = e.Parts[i].Advance(limit)
-			}
-		}()
-	}
-	wg.Wait()
+		return nil
+	})
 }

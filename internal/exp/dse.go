@@ -59,7 +59,7 @@ func getWorkload(cfg Config, algo comp.Algorithm, op comp.Op) (*workload, error)
 		// keeps the frames; a compression one reads only their lengths, which
 		// the size-only coder gives without entropy-coding the payloads.
 		sizes := make([]int, n)
-		err = current().parallelFiles(n, func(i int) error {
+		err = current().parallelFiles(n, func(_, i int) error {
 			f := suite.Files[i]
 			// Full fleet-sampled window logs: frames may carry offsets far
 			// beyond any on-accelerator SRAM, exercising the off-chip history

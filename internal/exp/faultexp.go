@@ -36,20 +36,17 @@ type detectStats struct {
 // other error is an internal failure and propagates with config context.
 func (s *scheduler) detectFaults(w *workload, cfg core.Config, kind fault.Kind, seed int64) (detectStats, error) {
 	n := len(w.compressed)
-	nInst := max(1, min(s.workers, n))
-	pool := make(chan *core.Decompressor, nInst)
-	for i := 0; i < nInst; i++ {
-		d, err := core.NewDecompressor(cfg)
-		if err != nil {
+	decs := make([]*core.Decompressor, max(1, min(s.workers, n)))
+	for i := range decs {
+		var err error
+		if decs[i], err = core.NewDecompressor(cfg); err != nil {
 			return detectStats{}, err
 		}
-		pool <- d
 	}
 	cycles := make([]float64, n)
 	hit := make([]bool, n)
-	err := s.parallelFiles(n, func(i int) error {
-		d := <-pool
-		defer func() { pool <- d }()
+	err := s.parallelFiles(n, func(unit, i int) error {
+		d := decs[unit]
 		bad := fault.Mutate(seed+int64(i), kind, w.compressed[i])
 		_, err := d.Decompress(bad)
 		if err == nil {

@@ -36,6 +36,7 @@ import (
 	"cdpu/internal/core"
 	"cdpu/internal/memsys"
 	"cdpu/internal/obs"
+	"cdpu/internal/par"
 	"cdpu/internal/sim"
 )
 
@@ -174,35 +175,19 @@ func TraceCacheStats() CacheStats {
 	return CacheStats{Hits: s.traces.hits.Load(), Misses: s.traces.misses.Load()}
 }
 
-// parallelFiles runs fn over [0,n) on the shared bounded pool. Submission
-// stops at the first observed failure; the lowest-index error is returned
-// after every started task has drained (no goroutines outlive the call).
-func (s *scheduler) parallelFiles(n int, fn func(i int) error) error {
-	var (
-		wg     sync.WaitGroup
-		failed atomic.Bool
-		errs   = make([]error, n)
-	)
-	for i := 0; i < n && !failed.Load(); i++ {
+// parallelFiles runs fn over [0,n) on s.workers goroutines (par.For), each
+// task holding a slot of the shared pool. w, in [0, min(s.workers, n)), names
+// the goroutine running the task, for per-goroutine scratch. Claiming stops at
+// the first failure; the lowest failing index's error is returned, naming the
+// file, once every started task has drained.
+func (s *scheduler) parallelFiles(n int, fn func(w, i int) error) error {
+	at, err := par.For(n, s.workers, func(w, i int) error {
 		s.sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-s.sem }()
-			if failed.Load() {
-				return
-			}
-			if err := fn(i); err != nil {
-				errs[i] = err
-				failed.Store(true)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("file %d: %w", i, err)
-		}
+		defer func() { <-s.sem }()
+		return fn(w, i)
+	})
+	if err != nil {
+		return fmt.Errorf("file %d: %w", at, err)
 	}
 	return nil
 }
@@ -215,40 +200,17 @@ type cell struct {
 
 // runGrid runs every cell as a memoized config run on the shared scheduler and
 // returns the results in cell order. This is how sweeps flatten a whole grid:
-// the cells run concurrently with no barrier between them, their file tasks and
-// timing walks sharing the bounded pool.
+// the cells run concurrently, one goroutine each, with no barrier between
+// them, their file tasks and timing walks sharing the bounded pool. The error
+// is the first failing cell's, in cell order.
 func runGrid(cells []cell) ([]runResult, error) {
 	s := current()
 	out := make([]runResult, len(cells))
-	fns := make([]func() error, len(cells))
-	for i, c := range cells {
-		fns[i] = func() (err error) {
-			out[i], err = s.run(c.w, c.cfg)
-			return err
-		}
-	}
-	return out, runAll(fns...)
-}
-
-// runAll executes fns concurrently and returns the first error in argument
-// order.
-func runAll(fns ...func() error) error {
-	errs := make([]error, len(fns))
-	var wg sync.WaitGroup
-	for i, fn := range fns {
-		wg.Add(1)
-		go func(i int, fn func() error) {
-			defer wg.Done()
-			errs[i] = fn()
-		}(i, fn)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := par.For(len(cells), len(cells), func(_, i int) (err error) {
+		out[i], err = s.run(cells[i].w, cells[i].cfg)
+		return err
+	})
+	return out, err
 }
 
 // run is one config run of a workload, in the workload's direction, memoized
@@ -269,18 +231,16 @@ func (s *scheduler) run(w *workload, cfg core.Config) (runResult, error) {
 func (s *scheduler) suiteTraces(w *workload, cfg core.Config) ([]*core.Trace, error) {
 	return s.traces.do(w.key+"|"+cfg.FunctionalKey(), func() ([]*core.Trace, error) {
 		n := len(w.suite.Files)
-		pool := make(chan *core.Device, max(1, min(s.workers, n)))
-		for i := 0; i < cap(pool); i++ {
-			d, err := core.NewDevice(cfg, 1)
-			if err != nil {
+		devs := make([]*core.Device, max(1, min(s.workers, n)))
+		for i := range devs {
+			var err error
+			if devs[i], err = core.NewDevice(cfg, 1); err != nil {
 				return nil, err
 			}
-			pool <- d
 		}
 		traces := make([]*core.Trace, n)
-		err := s.parallelFiles(n, func(i int) error {
-			d := <-pool
-			defer func() { pool <- d }()
+		err := s.parallelFiles(n, func(unit, i int) error {
+			d := devs[unit]
 			data := w.suite.Files[i].Data
 			if w.op == comp.Decompress {
 				tr, err := d.Trace(w.compressed[i])

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,6 +78,23 @@ func TestGoldenTablesComplete(t *testing.T) {
 	for _, f := range files {
 		if id, ok := strings.CutSuffix(filepath.Base(f), ".txt"); !ok || !registered[id] {
 			t.Errorf("stray file %s: no such experiment", f)
+		}
+	}
+}
+
+// TestEveryExperimentWorkerInvariant holds every registered experiment to its
+// golden at one worker and at three, in one process. The goldens are written
+// at the default worker count, one on a two-CPU host, so without this the
+// tables of most experiments would be pinned at a single width only.
+func TestEveryExperimentWorkerInvariant(t *testing.T) {
+	if *updateTables {
+		t.Skip("-update writes the goldens; this test only reads them")
+	}
+	t.Cleanup(func() { SetWorkers(0) })
+	for _, workers := range []int{1, 3} {
+		SetWorkers(workers)
+		for _, id := range IDs() {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, id), func(t *testing.T) { run(t, id) })
 		}
 	}
 }

@@ -134,7 +134,7 @@ func TestTimingWalksHoldPoolSlots(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := s.parallelFiles(200, func(int) error { probe.enter(); return nil }); err != nil {
+			if err := s.parallelFiles(200, func(_, _ int) error { probe.enter(); return nil }); err != nil {
 				t.Error(err)
 			}
 		}()

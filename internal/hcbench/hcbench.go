@@ -19,10 +19,10 @@
 // chunks alias the corpus) stay alive for the life of the process.
 // GenerateFromCorpus and BuildPool memoize nothing.
 //
-// The corpus and each pool are built on GOMAXPROCS goroutines (a caller that
-// wants a pool blocks on its build), and both are byte-identical at any
-// parallelism: workers write results by position, and the pool is sorted from
-// the serial collection order.
+// The corpus and each pool are built on GOMAXPROCS goroutines (par.For; a
+// caller that wants a pool blocks on its build), and both are byte-identical
+// at any parallelism: results are written by position, and the pool is sorted
+// from the serial collection order.
 package hcbench
 
 import (
@@ -32,12 +32,12 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"cdpu/internal/comp"
 	"cdpu/internal/corpus"
 	"cdpu/internal/fleet"
 	"cdpu/internal/obs"
+	"cdpu/internal/par"
 	"cdpu/internal/stats"
 )
 
@@ -87,51 +87,25 @@ func BuildPool(files []corpus.File, chunkSize int, refAlgo comp.Algorithm, refLe
 	return p, nil
 }
 
-// index writes every chunk's ratio on up to GOMAXPROCS goroutines. Only the
-// encoded length is read, so each worker sends its chunks through one reused
-// size-only coder and output buffer. Workers claim chunks in collection order
-// and stop claiming once one of them fails; every chunk before a failed one
-// was claimed before it and is indexed to completion, so the lowest failing
-// position, which index returns with its error, is the one a serial loop would
-// stop at.
+// index writes every chunk's ratio on GOMAXPROCS goroutines (par.For) and
+// returns what For does: the first failing chunk in collection order and its
+// error. Only the encoded length is read, so each goroutine sends its chunks
+// through one reused size-only coder and output buffer.
 func (p *Pool) index() (int, error) {
-	n := len(p.chunks)
-	workers := min(runtime.GOMAXPROCS(0), n)
-	errAt := make([]int, workers)
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			coder := comp.NewCoder()
-			var enc []byte
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				c := &p.chunks[i]
-				var err error
-				if enc, _, err = coder.AppendCompressPlanSizeOnly(enc[:0], p.refAlgo, p.refLevel, 0, c.data); err != nil {
-					errAt[w], errs[w] = i, err
-					failed.Store(true)
-					return
-				}
-				c.ratio = float64(len(c.data)) / float64(len(enc))
-			}
-		}()
-	}
-	wg.Wait()
-	at, first := n, error(nil)
-	for w, err := range errs {
-		if err != nil && errAt[w] < at {
-			at, first = errAt[w], err
+	workers := runtime.GOMAXPROCS(0)
+	scratch := make([]struct {
+		coder comp.Coder
+		enc   []byte
+	}, max(1, min(workers, len(p.chunks))))
+	return par.For(len(p.chunks), workers, func(w, i int) error {
+		s, c := &scratch[w], &p.chunks[i]
+		var err error
+		if s.enc, _, err = s.coder.AppendCompressPlanSizeOnly(s.enc[:0], p.refAlgo, p.refLevel, 0, c.data); err != nil {
+			return err
 		}
-	}
-	return at, first
+		c.ratio = float64(len(c.data)) / float64(len(s.enc))
+		return nil
+	})
 }
 
 // RatioRange returns the pool's achievable ratio span.

@@ -8,13 +8,13 @@
 //
 // The replay is sharded: call sampling and the arrival schedule are drawn
 // serially (they are cheap and order-dependent); payload synthesis and
-// functional execution fan out across a bounded worker pool — each worker
+// functional execution fan out on Config.Workers goroutines (par.For) — each
 // claims a tile of consecutive calls and runs them one after another through
 // its leased coder, device clones and reused scratch buffers; and the FCFS
 // queueing reduction runs as a partitioned discrete-event engine
 // (internal/des): one event-queue partition per device instance — 4×Devices
 // partitions, so a 128-device fleet replays as 128 independently advanceable
-// event queues — advanced in parallel by a worker pool and merged in a
+// event queues — advanced in parallel through the same loop and merged in a
 // deterministic fixed order. Every per-call random draw comes from a stream
 // keyed on (seed, call index) and every partition's events replay in (time,
 // insertion) order, so the Report is byte-identical at any worker count.
@@ -27,7 +27,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"cdpu/internal/cluster"
 	"cdpu/internal/comp"
@@ -38,6 +37,7 @@ import (
 	"cdpu/internal/fleet"
 	"cdpu/internal/memsys"
 	"cdpu/internal/obs"
+	"cdpu/internal/par"
 	"cdpu/internal/prng"
 	"cdpu/internal/resil"
 	"cdpu/internal/stats"
@@ -73,8 +73,9 @@ type Config struct {
 	Placement memsys.Placement
 	// MaxCallBytes caps replayed call sizes for runtime (0 = 1 MiB).
 	MaxCallBytes int
-	// Workers bounds the payload-synthesis pool (0 = GOMAXPROCS-1, clamped
-	// to [1, 8]). The Report does not depend on it.
+	// Workers bounds the goroutines of phases B and C (0 = GOMAXPROCS-1,
+	// clamped to [1, 8]; negative is rejected). The Report does not depend on
+	// it.
 	Workers int
 	// Trace, when non-nil, collects every call's per-block spans into a
 	// Chrome trace-event timeline: one process per device, one exec lane and
@@ -775,71 +776,38 @@ func (sh *shard) execOne(s *callSpec, plain []byte) (execOut, error) {
 	return execOut{service: res.Cycles, budget: budget, spans: res.Spans}, nil
 }
 
-// execCalls runs a call list over a bounded worker pool by atomic tile claims,
-// writing each outcome to outs by call index: every call of specs, healthy,
-// when idxs is nil; else the ascending calls of idxs, each re-costed over its
-// outcome. Each call's outcome derives only from its spec and the seeded
-// storm and backoff streams, so outs is independent of worker count and
-// scheduling.
-//
-// Error capture is deterministic: minErr tracks the lowest failing position,
-// workers stop claiming tiles at or above it, and — because tiles hand out
-// position ranges in increasing order and every claimed tile runs to its
-// first error — every call before the final minErr has been fully processed.
-// The reported error is therefore exactly the first error a serial run would
-// hit, at any worker count.
+// execCalls runs a call list on cfg.Workers goroutines, 64-call tiles at a
+// time (par.For), writing each outcome to outs by call index: every call of
+// specs, healthy, when idxs is nil; else the ascending calls of idxs, each
+// re-costed over its outcome. Each call's outcome derives only from its spec
+// and the seeded storm and backoff streams, so outs is independent of worker
+// count and scheduling. A tile runs to its first error, so the lowest failing
+// tile's error, which For returns, is the first a serial run would hit.
 func execCalls(specs []callSpec, idxs []int, cfg *Config, outs []execOut) error {
 	n := len(specs)
 	if idxs != nil {
 		n = len(idxs)
 	}
 	tiles := (n + tileSize - 1) / tileSize
-	workers := max(1, min(cfg.Workers, tiles))
-	traced := cfg.Trace != nil
-	callErrs := make([]error, n)
-	poolErrs := make([]error, workers)
-	var nextTile atomic.Int64
-	var poolFailed atomic.Bool
-	var minErr atomic.Int64
-	minErr.Store(int64(n))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sh, err := getShard(cfg.Placement, traced)
-			if err != nil {
-				poolErrs[w] = err
-				poolFailed.Store(true)
-				return
+	shards := make([]*shard, max(1, min(cfg.Workers, tiles)))
+	defer func() {
+		for _, sh := range shards {
+			if sh != nil {
+				shardPool.Put(sh)
 			}
-			defer shardPool.Put(sh)
-			for !poolFailed.Load() {
-				lo := (int(nextTile.Add(1)) - 1) * tileSize
-				if lo >= n || int64(lo) >= minErr.Load() {
-					return
-				}
-				hi := min(lo+tileSize, n)
-				if at, err := sh.execTile(specs, idxs, lo, hi, cfg, outs); err != nil {
-					callErrs[at] = err
-					for {
-						cur := minErr.Load()
-						if int64(at) >= cur || minErr.CompareAndSwap(cur, int64(at)) {
-							break
-						}
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if m := int(minErr.Load()); m < n {
-		return callErrs[m]
-	}
-	for _, err := range poolErrs {
-		if err != nil {
-			return err
 		}
-	}
-	return nil
+	}()
+	_, err := par.For(tiles, cfg.Workers, func(w, t int) error {
+		if shards[w] == nil {
+			sh, err := getShard(cfg.Placement, cfg.Trace != nil)
+			if err != nil {
+				return err
+			}
+			shards[w] = sh
+		}
+		lo := t * tileSize
+		_, err := shards[w].execTile(specs, idxs, lo, min(lo+tileSize, n), cfg, outs)
+		return err
+	})
+	return err
 }

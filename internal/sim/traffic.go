@@ -93,6 +93,9 @@ func (c Config) validate() error {
 	if c.Replicas < 0 {
 		return fmt.Errorf("sim: Replicas %d (want non-negative)", c.Replicas)
 	}
+	if c.Workers < 0 {
+		return fmt.Errorf("sim: Workers %d (want non-negative)", c.Workers)
+	}
 	if r := c.Failover.BreakerErrorRate; !(r >= 0 && r <= 1) {
 		return fmt.Errorf("sim: Failover.BreakerErrorRate %v (want a rate in [0, 1])", r)
 	}

@@ -40,6 +40,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative-max-call-bytes", Config{MaxCallBytes: -1}},
 		{"negative-devices", Config{Devices: -2}},
 		{"negative-replicas", Config{Replicas: -2}},
+		{"negative-workers", Config{Workers: -3}},
 		{"negative-pipelines", Config{Pipelines: -1}},
 		{"too-many-pipelines", Config{Pipelines: 65}},
 		{"negative-gbps", Config{OfferedGBps: -1}},
@@ -89,6 +90,9 @@ func TestConfigValidate(t *testing.T) {
 		if err := tc.cfg.withDefaults().validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+	if _, err := Run(Config{Workers: -3}); err == nil || err.Error() != "sim: Workers -3 (want non-negative)" {
+		t.Errorf("Run(Workers: -3): %v, want the field named", err)
 	}
 	// The zero config (all defaults) and a well-formed open-loop config stay
 	// accepted.
