@@ -104,16 +104,6 @@ func cdfTable(title string, sampled, target []stats.Point) *Table {
 		Title:   title,
 		Columns: []string{"ceil(lg2(B))", "sampled-cum", "target-cum"},
 	}
-	at := func(cdf []stats.Point, bin int) float64 {
-		v := 0.0
-		for _, p := range cdf {
-			if p.Bin > bin {
-				break
-			}
-			v = p.Cum
-		}
-		return v
-	}
 	bins := map[int]bool{}
 	for _, p := range sampled {
 		bins[p.Bin] = true
@@ -131,7 +121,7 @@ func cdfTable(title string, sampled, target []stats.Point) *Table {
 		}
 	}
 	for b := lo; b <= hi; b++ {
-		t.AddRow(fmt.Sprintf("%d", b), pct(at(sampled, b)), pct(at(target, b)))
+		t.AddRow(fmt.Sprintf("%d", b), pct(stats.CumAt(sampled, b)), pct(stats.CumAt(target, b)))
 	}
 	return t
 }

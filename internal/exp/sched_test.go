@@ -29,22 +29,6 @@ func renderAll(t *testing.T, ids ...string) string {
 	return sb.String()
 }
 
-// TestSweepDeterministicAcrossWorkers is the scheduler's core guarantee:
-// per-file results are reduced in file-index order, so tables are
-// byte-identical at workers=1 and workers=N. SetWorkers resets the config-run
-// memo, so both passes actually simulate.
-func TestSweepDeterministicAcrossWorkers(t *testing.T) {
-	t.Cleanup(func() { SetWorkers(0) })
-	ids := []string{"fig11", "fig12", "fig14"}
-	SetWorkers(1)
-	serial := renderAll(t, ids...)
-	SetWorkers(6)
-	parallel := renderAll(t, ids...)
-	if serial != parallel {
-		t.Errorf("tables differ between workers=1 and workers=6:\n--- workers=1 ---\n%s\n--- workers=6 ---\n%s", serial, parallel)
-	}
-}
-
 // TestConfigRunMemoization asserts that re-running a sweep simulates nothing
 // new, and that dse-summary's corner cells are served from the fig11/fig14
 // grids.
@@ -167,20 +151,6 @@ func TestFaultedRunFailsWithConfigAndFileContext(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Errorf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
-}
-
-// TestFaultSweepDeterministicAcrossWorkers pins the fault-sweep acceptance
-// criterion: the emitted tables are byte-identical at workers=1 and
-// workers=N.
-func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
-	t.Cleanup(func() { SetWorkers(0) })
-	SetWorkers(1)
-	serial := renderAll(t, "fault-sweep")
-	SetWorkers(6)
-	parallel := renderAll(t, "fault-sweep")
-	if serial != parallel {
-		t.Errorf("fault-sweep tables differ between workers=1 and workers=6:\n--- workers=1 ---\n%s\n--- workers=6 ---\n%s", serial, parallel)
-	}
 }
 
 func TestSetWorkersClampsAndResets(t *testing.T) {

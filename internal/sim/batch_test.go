@@ -123,8 +123,8 @@ func TestShardExecSteadyStateAllocs(t *testing.T) {
 	}
 	outs := make([]execOut, len(specs))
 	run := func() {
-		if at, err := sh.execTile(specs, nil, 0, len(specs), &cfg, outs); err != nil {
-			t.Fatalf("call %d: %v", at, err)
+		if err := sh.execTile(specs, nil, 0, len(specs), &cfg, outs); err != nil {
+			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
@@ -256,8 +256,8 @@ func newReplayFixture(b *testing.B, calls int) *replayFixture {
 		b.Fatal(err)
 	}
 	f := &replayFixture{cfg: cfg, specs: specs, sh: sh, outs: make([]execOut, len(specs))}
-	if at, err := sh.execTile(specs, nil, 0, len(specs), &cfg, f.outs); err != nil {
-		b.Fatalf("warmup call %d: %v", at, err)
+	if err := sh.execTile(specs, nil, 0, len(specs), &cfg, f.outs); err != nil {
+		b.Fatalf("warmup: %v", err)
 	}
 	return f
 }

@@ -735,9 +735,9 @@ func newShard(placement memsys.Placement, traced bool) (*shard, error) {
 // execTile runs positions [lo, hi) of a call list one after another:
 // synthesize the payload into the shard's reused buffer, then execute it —
 // healthy when idxs is nil and the list is every call in order (Prepare), a
-// re-cost over the call's outcome when the list is idxs (a Run). On error it
-// reports the failing position and an error naming the call.
-func (sh *shard) execTile(specs []callSpec, idxs []int, lo, hi int, cfg *Config, outs []execOut) (int, error) {
+// re-cost over the call's outcome when the list is idxs (a Run). An error
+// names the failing call.
+func (sh *shard) execTile(specs []callSpec, idxs []int, lo, hi int, cfg *Config, outs []execOut) error {
 	for k := lo; k < hi; k++ {
 		i := k
 		if idxs != nil {
@@ -752,10 +752,10 @@ func (sh *shard) execTile(specs []callSpec, idxs []int, lo, hi int, cfg *Config,
 			err = sh.recostCall(s, i, cfg, sh.plain, &outs[i])
 		}
 		if err != nil {
-			return k, fmt.Errorf("sim: call %d: %w", i, err)
+			return fmt.Errorf("sim: call %d: %w", i, err)
 		}
 	}
-	return 0, nil
+	return nil
 }
 
 // execOne runs one call healthy and keeps only what phase C reads of it: the
@@ -806,8 +806,7 @@ func execCalls(specs []callSpec, idxs []int, cfg *Config, outs []execOut) error 
 			shards[w] = sh
 		}
 		lo := t * tileSize
-		_, err := shards[w].execTile(specs, idxs, lo, min(lo+tileSize, n), cfg, outs)
-		return err
+		return shards[w].execTile(specs, idxs, lo, min(lo+tileSize, n), cfg, outs)
 	})
 	return err
 }

@@ -124,19 +124,22 @@ func (h *Hist) PercentileBin(p float64) int {
 // MedianBin returns the 50th-percentile bin.
 func (h *Hist) MedianBin() int { return h.PercentileBin(0.5) }
 
+// CumAt returns a CDF's cumulative fraction through bin: the Cum of its last
+// step at or below bin, or 0 below its first.
+func CumAt(cdf []Point, bin int) float64 {
+	v := 0.0
+	for _, pt := range cdf {
+		if pt.Bin > bin {
+			break
+		}
+		v = pt.Cum
+	}
+	return v
+}
+
 // MaxCDFGap returns the Kolmogorov–Smirnov-style maximum vertical distance
 // between two log2-bin CDFs, evaluating both at every bin present in either.
 func MaxCDFGap(a, b []Point) float64 {
-	at := func(cdf []Point, bin int) float64 {
-		v := 0.0
-		for _, pt := range cdf {
-			if pt.Bin > bin {
-				break
-			}
-			v = pt.Cum
-		}
-		return v
-	}
 	binSet := map[int]bool{}
 	for _, pt := range a {
 		binSet[pt.Bin] = true
@@ -146,7 +149,7 @@ func MaxCDFGap(a, b []Point) float64 {
 	}
 	gap := 0.0
 	for bin := range binSet {
-		d := math.Abs(at(a, bin) - at(b, bin))
+		d := math.Abs(CumAt(a, bin) - CumAt(b, bin))
 		if d > gap {
 			gap = d
 		}

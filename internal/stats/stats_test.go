@@ -125,6 +125,18 @@ func TestHistFrac(t *testing.T) {
 	}
 }
 
+func TestCumAt(t *testing.T) {
+	cdf := []Point{{Bin: 10, Cum: 0.5}, {Bin: 20, Cum: 1.0}}
+	for bin, want := range map[int]float64{9: 0, 10: 0.5, 15: 0.5, 20: 1, 99: 1} {
+		if got := CumAt(cdf, bin); got != want {
+			t.Errorf("CumAt(%d) = %v, want %v", bin, got, want)
+		}
+	}
+	if got := CumAt(nil, 10); got != 0 {
+		t.Errorf("CumAt of an empty CDF = %v, want 0", got)
+	}
+}
+
 func TestMaxCDFGap(t *testing.T) {
 	a := []Point{{Bin: 10, Cum: 0.5}, {Bin: 20, Cum: 1.0}}
 	b := []Point{{Bin: 10, Cum: 0.5}, {Bin: 20, Cum: 1.0}}
