@@ -155,13 +155,13 @@ type Stats struct {
 // table (and tags, when the ways carry them) for the other two.
 type Matcher struct {
 	cfg    Config
-	table  []uint32 // TableEntries * Associativity encoded positions
-	tags   []uint8  // parallel tags when ContentsOffsetAndTag
-	pairs  []byte   // walkPair's buckets, pairBytes each
-	shift  uint     // hash shift for fibonacci/xorshift
-	direct bool     // the table's shape admits walkDirect (see NewMatcher)
-	maxLen int      // MaxMatch as matchLen takes it: unlimited is MaxInt
-	stride int      // what a miss adds to the skip accumulator: 1 when skipping, else 0
+	table  []uint32     // TableEntries * Associativity encoded positions
+	tags   []uint8      // parallel tags when ContentsOffsetAndTag
+	pairs  []pairBucket // walkPair's buckets
+	shift  uint         // hash shift for fibonacci/xorshift
+	direct bool         // the table's shape admits walkDirect (see NewMatcher)
+	maxLen int          // MaxMatch as matchLen takes it: unlimited is MaxInt
+	stride int          // what a miss adds to the skip accumulator: 1 when skipping, else 0
 	stats  Stats
 	seqs   []Seq  // parse output buffer, reused across calls
 	next   uint32 // epoch for the next parse (last epoch + that parse's reach)
@@ -174,11 +174,11 @@ type Matcher struct {
 // 4-byte matches — the hardware default and every point of the paper's
 // history and table-size sweeps, and both Snappy encoders — runs walkDirect,
 // where a probe is one table word and one history word. A two-way, tagged,
-// Fibonacci-hashed table searched for 4-byte matches, greedily or lazily —
-// every zstdlite software level up to 9 — runs walkPair, where a bucket's
-// positions and tags are ten adjacent bytes. Every other shape runs walkAssoc. The
-// three produce the same Seqs and Stats on the shapes they share; the split
-// buys host time only.
+// Fibonacci-hashed table searched for 4-byte matches, greedily or lazily and
+// without skipping — every zstdlite software level up to 9 — runs walkPair,
+// where a bucket's positions and tags are ten adjacent bytes. Every other
+// shape runs walkAssoc. The three produce the same Seqs and Stats on the
+// shapes they share; the split buys host time only.
 func NewMatcher(cfg Config) (*Matcher, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -193,8 +193,8 @@ func NewMatcher(cfg Config) (*Matcher, error) {
 	m.shift = uint(32 - mathbits.TrailingZeros(uint(cfg.TableEntries)))
 	fib4 := cfg.Hash == HashFibonacci && cfg.MinMatch == 4
 	m.direct = fib4 && cfg.Associativity == 1 && cfg.Contents == ContentsOffsetOnly && !cfg.Lazy
-	if fib4 && cfg.Associativity == 2 && cfg.Contents == ContentsOffsetAndTag {
-		m.pairs = make([]byte, cfg.TableEntries*pairBytes)
+	if fib4 && cfg.Associativity == 2 && cfg.Contents == ContentsOffsetAndTag && !cfg.SkipIncompressible {
+		m.pairs = make([]pairBucket, cfg.TableEntries)
 		return m, nil
 	}
 	m.table = make([]uint32, cfg.TableEntries*cfg.Associativity)
@@ -220,8 +220,11 @@ const fibMul = 0x9E3779B1
 // would reload them after every table store, and a call inside the
 // per-position loop parks the loop's state on the stack.
 
+// load32 reads the 4-byte word at i. The three-index slice is checked against
+// cap(src), and has a constant length: no pointer mask, no second register
+// for the length of a src sliced to its own length.
 func load32(src []byte, i int) uint32 {
-	return binary.LittleEndian.Uint32(src[i:])
+	return binary.LittleEndian.Uint32(src[i : i+4 : i+4])
 }
 
 // keyAt returns the MinMatch-byte hash key at position i, folded into 32
@@ -278,7 +281,7 @@ func matchLen(src []byte, a, b, maxLen int) int {
 	maxLen = min(maxLen, len(src)-b)
 	n := 0
 	for n+8 <= maxLen {
-		x := binary.LittleEndian.Uint64(src[a+n:]) ^ binary.LittleEndian.Uint64(src[b+n:])
+		x := binary.LittleEndian.Uint64(src[a+n:a+n+8:a+n+8]) ^ binary.LittleEndian.Uint64(src[b+n:b+n+8:b+n+8])
 		if x != 0 {
 			return n + mathbits.TrailingZeros64(x)>>3
 		}
@@ -315,6 +318,7 @@ func (m *Matcher) ParsePrefixed(src []byte, start int) []Seq {
 	}
 	epoch := m.next
 	m.next += uint32(len(src))
+	src = src[:len(src):len(src)] // load32 and matchLen check against the capacity
 	n := len(src)
 	seqs, litStart := m.seqs[:0], start
 	var st Stats
@@ -325,7 +329,7 @@ func (m *Matcher) ParsePrefixed(src []byte, start int) []Seq {
 		three, mask := m.cfg.MinMatch == 3, uint32(m.cfg.TableEntries-1)
 		for j := max(0, start-m.cfg.WindowSize); j < start; j += 2 {
 			if m.pairs != nil {
-				insertPair(m.pairs, load32(src, j), m.shift, uint32(j)+epoch)
+				insertPair(m.pairs, load32(src, j), uint32(j)+epoch)
 				continue
 			}
 			idx, tag := bucket(m.cfg.Hash, keyAt(src, j, three), m.shift, mask)
@@ -363,62 +367,118 @@ func (m *Matcher) ParsePrefixed(src []byte, start int) []Seq {
 // match sequences appended to seqs, the position literals resume from, and
 // the walk's counters (Matches and LiteralBytes are left to the caller).
 //
-// The inner loop is the miss path. It makes no calls — Go has no callee-saved
+// The inner loop is the miss path, in two copies that share everything
+// around them: one steps a position at a time (skipping off: the hardware
+// shape, every compress-op device and every sweep point), the other strides
+// by the skip accumulator. Each makes no calls — Go has no callee-saved
 // registers, so one call would spill every loop-carried value each position —
 // and leaves only on a candidate whose four key bytes are verified, or at the
 // end of the input. The probed position always replaces the bucket's entry
 // (insert follows probe on hit and miss alike), so the key is hashed once.
-// With skipping off the skip accumulator is frozen at 32 (stride 0), which
-// makes the step 32>>5 = 1 without a branch.
+// The loops carry only what they read, in registers: Positions is derived
+// once per miss run from how far i or the skip accumulator moved, the ways
+// checked and the false probes share one word (see missCounts), the bucket
+// index is a multiply by the table length (see slot), and the window test is
+// one unsigned comparison.
 func (m *Matcher) walkDirect(src []byte, start int, epoch uint32, seqs []Seq) ([]Seq, int, Stats) {
-	table, shift, window, maxLen, stride := m.table, m.shift, m.cfg.WindowSize, m.maxLen, m.stride
-	limit := len(src) - 4
-	var positions, ways, falses, matchBytes, maxOffset int
-	i, litStart := start, start
-walk:
+	table, window := m.table, m.cfg.WindowSize
+	src = src[:len(src):len(src)] // as ParsePrefixed did: here the compiler sees it
+	var st Stats
+	// What the match path reads and the miss loops never lives in memory: a
+	// struct past four words is never put in registers, where locals would be
+	// reloaded at every position's back edge.
+	var w struct {
+		seqs                     []Seq
+		litStart, maxLen, stride int
+	}
+	w.seqs, w.litStart, w.maxLen, w.stride = seqs, start, m.maxLen, m.stride
+	i := start
 	for {
-		cand, skip := 0, 32
-		for {
-			if i > limit {
-				break walk
-			}
-			k := load32(src, i)
-			h := k * fibMul >> shift
-			pos := table[h]
-			table[h] = uint32(i) + epoch
-			positions++
-			if pos >= epoch { // else empty, or left over from an earlier parse
-				ways++
-				cand = int(pos - epoch)
-				if cand < i && i-cand <= window {
-					if load32(src, cand) == k {
-						break
+		var c missCounts
+		cand := -1
+		if w.stride == 0 {
+			st.Positions -= i
+			for ; i+4 <= len(src); i++ {
+				k := load32(src, i)
+				h := slot(k*fibMul, len(table))
+				pos := table[h]
+				table[h] = uint32(i) + epoch
+				if pos >= epoch { // else empty, or left over from an earlier parse
+					c += wayChecked
+					p := int(pos - epoch)
+					if uint(i-p-1) < uint(window) { // p < i && i-p <= window
+						if load32(src, p) == k {
+							cand = p
+							break
+						}
+						c += wayFalse
 					}
-					falses++
 				}
 			}
-			i += skip >> 5
-			skip += stride
+			st.Positions += i
+		} else {
+			skip := 32
+			for ; i+4 <= len(src); i, skip = i+skip>>5, skip+1 {
+				k := load32(src, i)
+				h := slot(k*fibMul, len(table))
+				pos := table[h]
+				table[h] = uint32(i) + epoch
+				if pos >= epoch {
+					c += wayChecked
+					p := int(pos - epoch)
+					if uint(i-p-1) < uint(window) {
+						if load32(src, p) == k {
+							cand = p
+							break
+						}
+						c += wayFalse
+					}
+				}
+			}
+			st.Positions += skip - 32
 		}
-		length := matchLen(src, cand, i, maxLen)
+		st.WaysChecked += c.checked()
+		st.FalseProbes += c.falses()
+		if cand < 0 {
+			break
+		}
+		st.Positions++ // the position that matched
+		length := matchLen(src, cand, i, w.maxLen)
 		offset := i - cand
-		seqs = append(seqs, Seq{LitLen: i - litStart, Offset: offset, MatchLen: length})
-		matchBytes += length
-		maxOffset = max(maxOffset, offset)
+		w.seqs = append(w.seqs, Seq{LitLen: i - w.litStart, Offset: offset, MatchLen: length})
+		st.MatchBytes += length
+		st.MaxOffset = max(st.MaxOffset, offset)
 		// Index a sparse set of positions inside the match so later data can
 		// still find this region (one insert every 2 bytes keeps the table
 		// warm without quadratic work).
 		end := i + length
-		for j := i + 1; j < end && j <= limit; j += 2 {
-			table[load32(src, j)*fibMul>>shift] = uint32(j) + epoch
+		for j := i + 1; j < end && j+4 <= len(src); j += 2 {
+			table[slot(load32(src, j)*fibMul, len(table))] = uint32(j) + epoch
 		}
-		i, litStart = end, end
+		i, w.litStart = end, end
 	}
-	return seqs, litStart, Stats{
-		Positions: positions, Probes: positions, WaysChecked: ways, FalseProbes: falses,
-		MatchBytes: matchBytes, MaxOffset: maxOffset,
-	}
+	st.Probes = st.Positions
+	return w.seqs, w.litStart, st
 }
+
+// missCounts is a miss run's ways checked, in its low half, and false probes,
+// in its high half: one register where two counters would spill. Neither half
+// carries into the other: walkDirect's run counts at most one way a position,
+// of fewer than 2^32 (the table holds positions in 32 bits), and walkPair's
+// at most two, over at most maxPairRun.
+type missCounts uint64
+
+const (
+	wayChecked missCounts = 1
+	wayFalse   missCounts = 1 << 32
+)
+
+func (c missCounts) checked() int { return int(uint32(c)) }
+func (c missCounts) falses() int  { return int(c >> 32) }
+
+// maxPairRun bounds the positions of one walkPair miss run between folds of
+// its missCounts.
+const maxPairRun = 1 << 30
 
 // walkAssoc is the per-position walk for every other shape: any
 // associativity, hash, contents and MinMatch, greedy or lazy. Same contract
@@ -580,145 +640,165 @@ func (m *Matcher) probeWays(src []byte, q int, k uint32, tag uint8, w, end int, 
 // a zero table entry.
 const pairBytes = 10
 
-// pairAt returns the offset of the bucket of a key whose Fibonacci product is
-// h, and the bucket's two words.
-func pairAt(pairs []byte, h uint32, shift uint) (off int, ways uint64, tags uint16) {
-	off = int(h>>shift) * pairBytes
-	b := pairs[off : off+pairBytes]
-	return off, binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint16(b[8:])
+// pairBucket is one walkPair bucket. As an array element it is indexed with
+// one bounds check against the bucket count, and its words load at constant
+// offsets.
+type pairBucket [pairBytes]byte
+
+// slot returns the index of the bucket of a key whose Fibonacci product is h
+// in a table of n buckets, n a power of two: the top log2(n) bits of h, which
+// is h >> shift written as a multiply. The multiply needs no shift count in CX,
+// and a walk that indexes with n = len(table) spends one register on both the
+// index and its bounds check.
+func slot(h uint32, n int) uint64 {
+	return uint64(h) * uint64(n) >> 32
 }
 
-// pushPair records the encoded position enc, whose way tag is tag, at the
-// head of the bucket at off as read: the old head becomes the second way and
-// the old second way is evicted, as push does.
-func pushPair(pairs []byte, off int, ways uint64, tags uint16, enc uint32, tag uint8) {
-	b := pairs[off : off+pairBytes]
-	binary.LittleEndian.PutUint64(b, ways<<32|uint64(enc))
+// words returns the bucket's two words.
+func (b *pairBucket) words() (ways uint64, tags uint16) {
+	return binary.LittleEndian.Uint64(b[:]), binary.LittleEndian.Uint16(b[8:])
+}
+
+// push records the encoded position enc, whose way tag is tag, at the head of
+// the bucket — the old head becomes the second way and the old second way is
+// evicted, as push does — and returns the bucket's words as they were.
+func (b *pairBucket) push(enc uint32, tag uint8) (ways uint64, tags uint16) {
+	ways, tags = b.words()
+	binary.LittleEndian.PutUint64(b[:], ways<<32|uint64(enc))
 	binary.LittleEndian.PutUint16(b[8:], tags<<8|uint16(tag))
+	return ways, tags
 }
 
-// insertPair pushes the encoded position enc, whose key is k, into k's
-// bucket: pairAt then pushPair, written out because their sum is past what
-// the compiler inlines and a call per in-match insert costs the parse a tenth.
-func insertPair(pairs []byte, k uint32, shift uint, enc uint32) {
+// insertPair pushes the encoded position enc, whose key is k, into k's bucket.
+func insertPair(pairs []pairBucket, k uint32, enc uint32) {
 	h := k * fibMul
-	off := int(h>>shift) * pairBytes
-	b := pairs[off : off+pairBytes]
-	binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)<<32|uint64(enc))
-	binary.LittleEndian.PutUint16(b[8:], binary.LittleEndian.Uint16(b[8:])<<8|uint16(uint8(h>>8)))
+	pairs[slot(h, len(pairs))].push(enc, uint8(h>>8))
 }
 
 // walkPair is the per-position walk for the shape NewMatcher names: two
-// tagged ways per bucket, Fibonacci hash, 4-byte key, greedy or lazy. Same
-// contract and structure as walkAssoc, over pairBytes buckets: a probe reads
-// a bucket's two words into locals, the miss path and probePair judge that
-// snapshot, and the push writes it back shifted without reading the bucket
-// again. The miss path spells the two ways out: as a loop over them it ran up
-// to a third slower on miss-heavy input.
+// tagged ways per bucket, Fibonacci hash, 4-byte key, greedy or lazy, no
+// skipping. Same contract and structure as walkDirect's stepping loop, over
+// pairBuckets: a probe pushes the position at once (insert follows probe on
+// hit and miss alike) and keeps the bucket's words as they were, the snapshot
+// the miss path and probePair judge. The miss path spells the two ways out:
+// as a loop over them it ran up to a third slower on miss-heavy input. It
+// counts ways checked and false probes in one word, and TagFiltered straight
+// into memory: a third counter would not fit the registers the loop has.
 func (m *Matcher) walkPair(src []byte, start int, epoch uint32, seqs []Seq) ([]Seq, int, Stats) {
-	pairs, shift, window, stride := m.pairs, m.shift, m.cfg.WindowSize, m.stride
-	limit := len(src) - 4
-	var positions, peeks, matchBytes, maxOffset int
-	var c wayCounts
-	i, litStart, skip := start, start, 32
-walk:
+	pairs, window := m.pairs, m.cfg.WindowSize
+	src = src[:len(src):len(src)]
+	var st Stats
+	var w struct { // memory-resident, as walkDirect's
+		seqs             []Seq
+		litStart, maxLen int
+		lazy             bool
+	}
+	w.seqs, w.litStart, w.maxLen, w.lazy = seqs, start, m.maxLen, m.cfg.Lazy
+	i := start
 	for {
 		var (
-			k    uint32
-			tag  uint8
-			off  int
-			ways uint64 // the bucket as probed
-			tags uint16
-			w    int // the first way whose key bytes verify
+			c    missCounts
+			ways uint64 // the bucket as probed, less any way the miss path judged
+			tags uint16 // its tags, xor the probe's tag in each byte (tx)
 		)
-		for {
-			if i > limit {
-				break walk
-			}
-			k = load32(src, i)
-			h := k * fibMul
-			tag = uint8(h >> 8)
-			off, ways, tags = pairAt(pairs, h, shift)
-			positions++
-			w = 0
-			if pos := uint32(ways); pos >= epoch { // else empty, or left over from an earlier parse
-				if uint8(tags) != tag {
-					c.tagFiltered++
+		// A position adds at most two to either half of c, so a miss run
+		// stops every maxPairRun positions to fold it.
+		n := min(len(src), i+maxPairRun)
+		run := src[:n:n]
+		st.Positions -= i
+		for ; i+4 <= len(run); i++ {
+			ki := load32(run, i)
+			h := ki * fibMul
+			wi, ti := pairs[slot(h, len(pairs))].push(uint32(i)+epoch, uint8(h>>8))
+			tx := ti ^ uint16(uint8(h>>8))*0x0101 // a way's byte is 0 where its tag matches
+			if pos := uint32(wi); pos >= epoch {  // else empty, or left over from an earlier parse
+				if uint8(tx) != 0 {
+					st.TagFiltered++
+				} else if p := int(pos - epoch); uint(i-p-1) >= uint(window) { // p >= i || i-p > window
+					c += wayChecked
+				} else if load32(run, p) == ki {
+					ways, tags = wi, tx
+					break
 				} else {
-					p := int(pos - epoch)
-					inWindow := p < i && i-p <= window
-					if inWindow && load32(src, p) == k {
-						break
-					}
-					c.checked++
-					if inWindow {
-						c.falses++
-					}
+					c += wayChecked + wayFalse
 				}
 			}
-			w = 1
-			if pos := uint32(ways >> 32); pos >= epoch {
-				if uint8(tags>>8) != tag {
-					c.tagFiltered++
+			if pos := uint32(wi >> 32); pos >= epoch {
+				if tx>>8 != 0 {
+					st.TagFiltered++
+				} else if p := int(pos - epoch); uint(i-p-1) >= uint(window) {
+					c += wayChecked
+				} else if load32(run, p) == ki {
+					ways, tags = wi&^(1<<32-1), tx // way 0 is judged and counted
+					break
 				} else {
-					p := int(pos - epoch)
-					inWindow := p < i && i-p <= window
-					if inWindow && load32(src, p) == k {
-						break
-					}
-					c.checked++
-					if inWindow {
-						c.falses++
-					}
+					c += wayChecked + wayFalse
 				}
 			}
-			pushPair(pairs, off, ways, tags, uint32(i)+epoch, tag)
-			i += skip >> 5
-			skip += stride
 		}
+		st.Positions += i
+		st.WaysChecked += c.checked()
+		st.FalseProbes += c.falses()
+		if i+4 > len(run) {
+			if len(run) == len(src) {
+				break
+			}
+			continue // the miss run goes on past maxPairRun positions
+		}
+		k := load32(src, i)
+		tags ^= uint16(uint8(k*fibMul>>8)) * 0x0101
 		// The verified way's four key bytes are MinMatch, so the probe finds a
 		// match: unlike walkAssoc there is no falling short of it.
-		pushPair(pairs, off, ways, tags, uint32(i)+epoch, tag)
-		if w == 1 {
-			ways &^= 1<<32 - 1 // the miss path has judged and counted way 0
-		}
-		cand, length, d := m.probePair(src, i, k, ways, tags, epoch)
-		c = c.plus(d)
-		skip = 32
-		if m.cfg.Lazy && i+1 <= limit {
+		st.Positions++
+		cand, length, d := probePair(src, i, k, ways, tags, epoch, window, w.maxLen, 0)
+		st.addWays(d)
+		if w.lazy && i+5 <= len(src) {
 			// Peek one position ahead; prefer a strictly longer match there.
 			k := load32(src, i+1)
-			peeks++
-			_, ways, tags := pairAt(pairs, k*fibMul, shift)
-			cand2, length2, d := m.probePair(src, i+1, k, ways, tags, epoch)
-			c = c.plus(d)
+			st.Probes++
+			ways, tags := pairs[slot(k*fibMul, len(pairs))].words()
+			cand2, length2, d := probePair(src, i+1, k, ways, tags, epoch, window, w.maxLen, length)
+			st.addWays(d)
 			if length2 > length {
 				i++
 				cand, length = cand2, length2
 			}
 		}
 		offset := i - cand
-		seqs = append(seqs, Seq{LitLen: i - litStart, Offset: offset, MatchLen: length})
-		matchBytes += length
-		maxOffset = max(maxOffset, offset)
+		w.seqs = append(w.seqs, Seq{LitLen: i - w.litStart, Offset: offset, MatchLen: length})
+		st.MatchBytes += length
+		st.MaxOffset = max(st.MaxOffset, offset)
 		// Index a sparse set of positions inside the match, as walkDirect does.
 		end := i + length
-		for j := i + 1; j < end && j <= limit; j += 2 {
-			insertPair(pairs, load32(src, j), shift, uint32(j)+epoch)
+		for j := i + 1; j < end && j+4 <= len(src); j += 2 {
+			insertPair(pairs, load32(src, j), uint32(j)+epoch)
 		}
-		i, litStart = end, end
+		i, w.litStart = end, end
 	}
-	return seqs, litStart, Stats{
-		Positions: positions, Probes: positions + peeks, WaysChecked: c.checked, FalseProbes: c.falses,
-		TagFiltered: c.tagFiltered, MatchBytes: matchBytes, MaxOffset: maxOffset,
-	}
+	st.Probes += st.Positions
+	return w.seqs, w.litStart, st
+}
+
+// addWays adds a probe's per-way counts.
+func (st *Stats) addWays(c wayCounts) {
+	st.WaysChecked += c.checked
+	st.FalseProbes += c.falses
+	st.TagFiltered += c.tagFiltered
 }
 
 // probePair is probeWays on a walkPair bucket as read: the two words of the
-// bucket of position q, whose key is k.
-func (m *Matcher) probePair(src []byte, q int, k uint32, ways uint64, tags uint16, epoch uint32) (bestPos, bestLen int, c wayCounts) {
+// bucket of position q, whose key is k. Only a way longer than floor wins —
+// the probe at a match's position passes 0, the lazy peek the incumbent's
+// length — so a way that cannot beat it is counted as probeWays counts it but
+// never measured. That count depends on one measurement: a way whose key
+// bytes differ is a false probe unless it lies below a verified way 0 and
+// differs from q at way 0's length, where probeWays's cheap reject passes
+// over it first. Way 0 is measured for that rule alone when the floor spared
+// it. If no way beats the floor, bestLen is floor.
+func probePair(src []byte, q int, k uint32, ways uint64, tags uint16, epoch uint32, window, maxLen, floor int) (bestPos, bestLen int, c wayCounts) {
 	tag := uint8(k * fibMul >> 8)
-	bestPos = -1
+	bestPos, bestLen = math.MaxInt, floor
+	p0, l0 := -1, -1 // way 0 when its key bytes verify, and its length once measured
 	for w := 0; w < 2; w, ways, tags = w+1, ways>>32, tags>>8 {
 		pos := uint32(ways)
 		if pos < epoch {
@@ -730,17 +810,34 @@ func (m *Matcher) probePair(src []byte, q int, k uint32, ways uint64, tags uint1
 		}
 		c.checked++
 		p := int(pos - epoch)
-		if p >= q || q-p > m.cfg.WindowSize {
-			continue
-		}
-		if p < bestPos && q+bestLen < len(src) && src[p+bestLen] != src[q+bestLen] {
+		if p >= q || q-p > window {
 			continue
 		}
 		if load32(src, p) != k {
+			if p < p0 {
+				if l0 < 0 {
+					l0 = matchLen(src, p0, q, maxLen)
+				}
+				if q+l0 < len(src) && src[p+l0] != src[q+l0] {
+					continue
+				}
+			}
 			c.falses++
 			continue
 		}
-		if l := matchLen(src, p, q, m.maxLen); l > bestLen || (l == bestLen && p > bestPos) {
+		if w == 0 {
+			p0 = p
+		}
+		// A way displaces the best only by being longer, or as long at a
+		// larger position; if its byte at bestLen already differs it cannot.
+		if p < bestPos && (q+bestLen >= len(src) || src[p+bestLen] != src[q+bestLen]) {
+			continue
+		}
+		l := matchLen(src, p, q, maxLen)
+		if w == 0 {
+			l0 = l
+		}
+		if l > bestLen || (l == bestLen && p > bestPos) {
 			bestPos, bestLen = p, l
 		}
 	}

@@ -423,29 +423,32 @@ func BenchmarkLZ77MatchLen(b *testing.B) {
 }
 
 // BenchmarkLZ77Parse measures whole parses as config/kind/size sub-benchmarks:
-// the hardware shape, the software Snappy shape (the same table, skipping
-// on), ZStd-3's two-way tagged lazy shape and ZStd-12's four-way one — two
-// shapes on walkDirect, one on walkPair, one on walkAssoc — each over
-// compressible, false-probe-heavy (protobuf) and incompressible data. The
-// size axis is there because one size describes one regime: at 4 KiB and
-// 16 KiB (the replays' payloads) nearly every table entry a parse meets is
-// stale, at 64 KiB zstd-3's 64 K entries stay half stale for the whole parse
-// and the epoch test is a coin flip, and at 1 MiB (codec-sw's large buffers)
-// the table is live.
+// the hardware shape at the sweeps' largest history and at their smallest
+// (hw-2K, where the window is shorter than every input),
+// the software Snappy shape (the same table, skipping on), ZStd-3's two-way
+// tagged lazy shape and ZStd-12's four-way one — three shapes on walkDirect,
+// one on walkPair, one on walkAssoc — each over the six replay payload kinds
+// (sim's payloadKinds), among them false-probe-heavy protobuf, and
+// incompressible data. The size axis is there because one size describes one
+// regime: at 4 KiB and 16 KiB (the replays' payloads) nearly every table
+// entry a parse meets is stale, at 64 KiB zstd-3's 64 K entries stay half
+// stale for the whole parse and the epoch test is a coin flip, and at 1 MiB
+// (codec-sw's large buffers) the table is live.
 func BenchmarkLZ77Parse(b *testing.B) {
-	snappySW := defaultConfig()
+	snappySW, hw2K := defaultConfig(), defaultConfig()
 	snappySW.SkipIncompressible = true
+	hw2K.WindowSize = 2 << 10
 	configs := []struct {
 		name string
 		cfg  Config
-	}{{"hw", defaultConfig()}, {"snappy-sw", snappySW}, {"zstd-3", zstd3Config()}, {"zstd-12", zstd12Config()}}
+	}{{"hw", defaultConfig()}, {"hw-2K", hw2K}, {"snappy-sw", snappySW}, {"zstd-3", zstd3Config()}, {"zstd-12", zstd12Config()}}
 	sizes := []struct {
 		name string
 		n    int
 	}{{"4K", 4 << 10}, {"16K", 16 << 10}, {"64K", 64 << 10}, {"1M", 1 << 20}}
 	for _, c := range configs {
 		b.Run(c.name, func(b *testing.B) {
-			for _, kind := range []corpus.Kind{corpus.Text, corpus.Log, corpus.JSON, corpus.Protobuf, corpus.Random} {
+			for _, kind := range []corpus.Kind{corpus.Text, corpus.Log, corpus.JSON, corpus.Protobuf, corpus.Table, corpus.HTML, corpus.Random} {
 				b.Run(kind.String(), func(b *testing.B) {
 					for _, size := range sizes {
 						b.Run(size.name, func(b *testing.B) {

@@ -257,8 +257,9 @@ func (m *refMatcher) insert(src []byte, i int) {
 }
 
 // diffInputs are the differential test's payloads: every corpus kind, a
-// low-alphabet noise whose buckets collide and whose matches tie, and the
-// inputs at and below the parser's edges.
+// low-alphabet noise whose buckets collide and whose matches tie, one text
+// that outgrows the largest window, and the inputs at and below the parser's
+// edges.
 func diffInputs() [][]byte {
 	const size = 6 << 10
 	var inputs [][]byte
@@ -274,7 +275,12 @@ func diffInputs() [][]byte {
 			noise[i] = byte(rng.Intn(4))
 		}
 	}
-	return append(inputs, noise, []byte("abc"), bytes.Repeat([]byte("abcabcd"), size/7), nil)
+	// The 6 KiB inputs fit in every window but the smallest, so only the
+	// 1 KiB one ever rejects a far candidate. This one's last 6 KiB repeat its
+	// first from 66 KiB back, past every window of the matrix.
+	far := corpus.Generate(corpus.Text, 72<<10, 24)
+	copy(far[66<<10:], far[:size])
+	return append(inputs, noise, far, []byte("abc"), bytes.Repeat([]byte("abcabcd"), size/7), nil)
 }
 
 // walkOf names the walk NewMatcher picked for m.
@@ -301,7 +307,8 @@ func TestWalkSelection(t *testing.T) {
 		{"hardware default", func(c *Config) { *c = defaultConfig() }, "direct"},
 		{"zstd-3", func(*Config) {}, "pair"},
 		{"greedy", func(c *Config) { c.Lazy = false }, "pair"},
-		{"skipping, capped", func(c *Config) { c.SkipIncompressible, c.MaxMatch = true, 64 }, "pair"},
+		{"capped", func(c *Config) { c.MaxMatch = 64 }, "pair"},
+		{"skipping", func(c *Config) { c.SkipIncompressible = true }, "assoc"},
 		{"one way", func(c *Config) { c.Associativity = 1 }, "assoc"},
 		{"four ways", func(c *Config) { c.Associativity = 4 }, "assoc"},
 		{"untagged", func(c *Config) { c.Contents = ContentsOffsetOnly }, "assoc"},
@@ -322,9 +329,9 @@ func TestWalkSelection(t *testing.T) {
 		if tc.want == "pair" {
 			pairs, table, tags = cfg.TableEntries*pairBytes, 0, 0
 		}
-		if len(m.pairs) != pairs || len(m.table) != table || len(m.tags) != tags {
+		if len(m.pairs)*pairBytes != pairs || len(m.table) != table || len(m.tags) != tags {
 			t.Errorf("%s: %d bytes of pairs, %d table words, %d tags; want %d, %d, %d",
-				tc.name, len(m.pairs), len(m.table), len(m.tags), pairs, table, tags)
+				tc.name, len(m.pairs)*pairBytes, len(m.table), len(m.tags), pairs, table, tags)
 		}
 	}
 }
@@ -448,6 +455,64 @@ func TestParseMatchesReferenceAcrossEpochWrap(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzConfig decodes a valid Config from sixteen bits: window 2^10–2^17
+// (bits 0–2), entries 2^9–2^16 (3–5), associativity 1, 2 or 4 (6–7), hash
+// (8–9), contents (10), MinMatch 3, 4 or 6 (11–12), lazy (13), skipping (14)
+// and MaxMatch 64 or unlimited (15). Every walk is reachable.
+func fuzzConfig(knobs uint16) Config {
+	cfg := Config{
+		WindowSize:         1 << (10 + knobs&7),
+		TableEntries:       1 << (9 + knobs>>3&7),
+		Associativity:      []int{1, 2, 4}[knobs>>6&3%3],
+		Hash:               HashFunc(knobs >> 8 & 3 % 3),
+		Contents:           TableContents(knobs >> 10 & 1),
+		MinMatch:           []int{3, 4, 6}[knobs>>11&3%3],
+		Lazy:               knobs>>13&1 == 1,
+		SkipIncompressible: knobs>>14&1 == 1,
+	}
+	if knobs>>15 == 1 {
+		cfg.MaxMatch = 64
+	}
+	return cfg
+}
+
+// FuzzParseMatchesReference is TestParseMatchesReference on configurations
+// and inputs decoded from the fuzzer's arguments: one matcher pair under
+// fuzzConfig(knobs) parses a, then b, each plain and then prefixed at cut
+// (mod the input's length + 1), so the second input meets a table full of the
+// first's stale epochs. Seqs must be deep-equal and Stats == after every
+// parse.
+func FuzzParseMatchesReference(f *testing.F) {
+	text := corpus.Generate(corpus.Text, 1200, 5)
+	log := corpus.Generate(corpus.Log, 1200, 6)
+	f.Add(uint16(0), uint16(0), []byte{}, []byte("abc"))
+	f.Add(uint16(1<<11|5<<3|3), uint16(400), text, log)                              // walkDirect
+	f.Add(uint16(1<<14|1<<11|3<<3), uint16(0), log, text)                            // walkDirect, skipping
+	f.Add(uint16(1<<13|1<<11|1<<10|1<<6|2), uint16(900), text, text)                 // walkPair, lazy
+	f.Add(uint16(1<<15|1<<11|1<<10|1<<6|7<<3), uint16(9), log, log[:500])            // walkPair, greedy, capped
+	f.Add(uint16(1<<13|2<<11|1<<10|1<<8|2<<6), uint16(64), text, log)                // walkAssoc: four ways, xorshift, 6-byte minimum
+	f.Add(uint16(2<<8|1<<6), uint16(33), bytes.Repeat([]byte("abcabcd"), 300), text) // walkAssoc: trivial hash, 3-byte key
+	f.Fuzz(func(t *testing.T, knobs, cut uint16, a, b []byte) {
+		cfg := fuzzConfig(knobs)
+		m := mustMatcher(t, cfg)
+		ref, err := newRefMatcher(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, in := range [][]byte{a, b} {
+			for _, start := range []int{0, int(cut) % (len(in) + 1)} {
+				got, want := m.ParsePrefixed(in, start), ref.ParsePrefixed(in, start)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%+v (%s walk): input %d start %d: Seqs\n got %v\nwant %v", cfg, walkOf(m), n, start, got, want)
+				}
+				if m.Stats() != ref.stats {
+					t.Fatalf("%+v (%s walk): input %d start %d: Stats\n got %+v\nwant %+v", cfg, walkOf(m), n, start, m.Stats(), ref.stats)
+				}
+			}
+		}
+	})
 }
 
 // VerifySeqs is the in-place plan check as it stood before core fused it with
