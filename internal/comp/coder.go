@@ -5,9 +5,15 @@ import (
 
 	"cdpu/internal/gipfeli"
 	"cdpu/internal/lzo"
+	"cdpu/internal/obs"
 	"cdpu/internal/snappy"
 	"cdpu/internal/zstdlite"
 )
+
+// metricEncoderBuilds counts the zstdlite encoders Coders build: each one
+// allocates an LZ77 table, so a count that moves in a steady state is reuse
+// that failed.
+var metricEncoderBuilds = obs.Default().Counter("comp.encoder_builds")
 
 // zstdKey identifies one zstdlite-backed encoder configuration.
 type zstdKey struct {
@@ -143,6 +149,7 @@ func (c *Coder) zstdEncoder(a Algorithm, level, windowLog int) (*zstdlite.Encode
 		if err != nil {
 			return nil, err
 		}
+		metricEncoderBuilds.Inc()
 		if c.zstd == nil {
 			c.zstd = make(map[zstdKey]*zstdlite.Encoder)
 		}

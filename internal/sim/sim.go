@@ -48,13 +48,15 @@ import (
 // Replay-shape instruments. Updated only in the serial phases, so they add no
 // contention to the worker pool and never perturb the Report. sim.calls,
 // sim.call_bytes and sim.recosted_calls move once per Run, sim.prepares once
-// per phase B.
+// per phase B. sim.shard_builds moves in phase B, but once per worker shard
+// built, never per call.
 var (
-	metricSimCalls     = obs.Default().Counter("sim.calls")
-	metricSimPrepares  = obs.Default().Counter("sim.prepares")
-	metricSimRecosted  = obs.Default().Counter("sim.recosted_calls")
-	metricSimWorkers   = obs.Default().Gauge("sim.workers")
-	metricSimCallBytes = obs.Default().Histogram("sim.call_bytes")
+	metricSimCalls       = obs.Default().Counter("sim.calls")
+	metricSimPrepares    = obs.Default().Counter("sim.prepares")
+	metricSimShardBuilds = obs.Default().Counter("sim.shard_builds")
+	metricSimRecosted    = obs.Default().Counter("sim.recosted_calls")
+	metricSimWorkers     = obs.Default().Gauge("sim.workers")
+	metricSimCallBytes   = obs.Default().Histogram("sim.call_bytes")
 )
 
 // Config parameterizes a service replay.
@@ -716,6 +718,7 @@ func getShard(placement memsys.Placement, traced bool) (*shard, error) {
 }
 
 func newShard(placement memsys.Placement, traced bool) (*shard, error) {
+	metricSimShardBuilds.Inc()
 	sh := &shard{placement: placement, traced: traced, coder: comp.NewCoder()}
 	for d, slot := range deviceOrder {
 		dev, err := core.NewDevice(core.Config{Algo: slot.algo, Op: slot.op, Placement: placement}, 1)
