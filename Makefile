@@ -29,8 +29,10 @@ test:
 # concurrent timing walks: a walk must never write to one. internal/hcbench
 # is here for the chunk pools Generate shares between concurrent callers and
 # indexes on GOMAXPROCS goroutines, internal/corpus for the standard corpus it
-# generates the same way, internal/comp and the root package for the pool of
-# Coders that concurrent CompressCall / cdpu.Compress callers lease from, and
+# generates the same way, internal/comp and the root package for the bounded
+# lease of Coders that concurrent CompressCall / cdpu.Compress callers share
+# (TestCompressCallSteadyStateAllocs runs here too: a lease, unlike the
+# sync.Pool it replaced, drops no Put under the race detector), and
 # internal/par for the one parallel loop all of the above fan out through.
 race:
 	$(GO) test -race . ./internal/cluster/... ./internal/comp/... ./internal/core/... ./internal/corpus/... ./internal/des/... ./internal/exp/... ./internal/hcbench/... ./internal/par/... ./internal/sim/... ./internal/traffic/...
@@ -186,3 +188,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecompressMatchesCodec$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPreparedRun$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzForMatchesSerial$$' -fuzztime $(FUZZTIME) ./internal/par
+	$(GO) test -run '^$$' -fuzz '^FuzzCoderMatchesFresh$$' -fuzztime $(FUZZTIME) ./internal/comp

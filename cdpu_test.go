@@ -58,7 +58,7 @@ func TestFacadeSoftwareCodecs(t *testing.T) {
 	}
 }
 
-// TestFacadeCompressIsConcurrent: Compress leases its encoder from a pool
+// TestFacadeCompressIsConcurrent: Compress takes its encoder from a lease
 // shared by every caller, so goroutines compressing at once, each its own
 // payloads under its own mix of algorithms, must each get their own bytes
 // back. The race detector (make race runs this package) sees the sharing.

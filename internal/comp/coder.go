@@ -10,36 +10,25 @@ import (
 	"cdpu/internal/zstdlite"
 )
 
-// metricEncoderBuilds counts the zstdlite encoders Coders build: each one
-// allocates an LZ77 table, so a count that moves in a steady state is reuse
-// that failed.
+// metricEncoderBuilds counts the zstdlite encoders Coders build, each with
+// its LZ77 table: in a steady state it stands still.
 var metricEncoderBuilds = obs.Default().Counter("comp.encoder_builds")
 
-// zstdKey identifies one zstdlite-backed encoder configuration.
-type zstdKey struct {
-	algo      Algorithm
-	level     int
-	windowLog int
-}
-
 // Coder is the one compression dispatch. It builds each concrete encoder (and
-// its LZ77 hash tables, the dominant per-call allocation) once per distinct
-// parameter set and reuses it for every subsequent call, appending output
-// into caller-owned buffers. The working set is one encoder per (algorithm,
-// level, window) the Coder has served, and fleet traffic spans many of them:
-// at seed 1 the ZStd decompress-op calls of the replay-healthy and
-// replay-overload benchmark workloads carry 59 and 85 distinct (level, window)
-// pairs, so a replay worker's Coder holds that many zstdlite encoders, each
-// with its own LZ77 table of at least 320 KiB. CompressCall and SizeCall lease
-// a Coder from a package pool for the length of one call; what they hand back
-// is a copy, or a length.
+// its LZ77 hash table, the dominant per-call allocation) once and reuses it
+// for every later call, appending output into caller-owned buffers. It keeps
+// one zstdlite encoder per (algorithm, table shape) it has served and sets
+// each frame's window on it, as a CDPU fixes its match table when generated
+// and takes the window at run time (§5.8): whatever levels and windows fleet
+// traffic spans, ZStd has four shapes, Flate one and Brotli two. CompressCall
+// and SizeCall lease a Coder for one call and hand back a copy, or a length.
 //
 // A Coder is not safe for concurrent use; parallel replays give each worker
 // its own.
 type Coder struct {
 	snap  *snappy.Encoder
-	zstd  map[zstdKey]*zstdlite.Encoder
-	frame []byte // the one-shot calls' output scratch
+	zstd  [3][zstdlite.Shapes]*zstdlite.Encoder // by algorithm (ZStd, Flate, Brotli) and table shape
+	frame []byte                                // the one-shot calls' output scratch
 }
 
 // NewCoder returns an empty Coder; encoders materialize on first use.
@@ -49,9 +38,10 @@ func NewCoder() *Coder { return new(Coder) }
 // algorithms a planned decompression replay covers: the structure a
 // decompressor model would otherwise parse back out of the frame. At most one
 // field is set — ZStd for zstdlite-backed algorithms (ZStd, Flate, Brotli),
-// Snappy for Snappy, neither for Gipfeli and LZO. A Plan aliases the pooled
-// encoder's scratch and is valid only until the next compression of the same
-// (algo, level, window) through this Coder.
+// Snappy for Snappy, neither for Gipfeli and LZO. A Plan aliases the
+// encoder's scratch and is valid only until the next compression through this
+// Coder of the same algorithm and table shape (zstdlite.Shape), at any level
+// and window of that shape.
 type Plan struct {
 	ZStd   *zstdlite.Plan
 	Snappy *snappy.Plan
@@ -135,25 +125,20 @@ func encodeStateless(a Algorithm, level int, src []byte) []byte {
 	return lzo.Encode(src, level)
 }
 
-// zstdEncoder returns the pooled zstdlite encoder for the key, building it
-// on first use.
+// zstdEncoder returns the Coder's zstdlite encoder for the algorithm and the
+// level's table shape, building it on first use, with its window set to this
+// frame's.
 func (c *Coder) zstdEncoder(a Algorithm, level, windowLog int) (*zstdlite.Encoder, error) {
-	key := zstdKey{algo: a, level: level, windowLog: windowLog}
-	e := c.zstd[key]
-	if e == nil {
-		p, err := zstdParams(a, level, windowLog)
-		if err != nil {
-			return nil, err
-		}
-		e, err = zstdlite.NewEncoder(p)
-		if err != nil {
+	p, err := zstdParams(a, level, windowLog)
+	if err != nil {
+		return nil, err
+	}
+	e := &c.zstd[a-ZStd][zstdlite.Shape(p.Level)]
+	if *e == nil {
+		if *e, err = zstdlite.NewEncoder(p); err != nil {
 			return nil, err
 		}
 		metricEncoderBuilds.Inc()
-		if c.zstd == nil {
-			c.zstd = make(map[zstdKey]*zstdlite.Encoder)
-		}
-		c.zstd[key] = e
 	}
-	return e, nil
+	return *e, (*e).SetWindowLog(p.WindowLog)
 }

@@ -7,7 +7,20 @@ import (
 	"testing"
 
 	"cdpu/internal/corpus"
+	"cdpu/internal/zstdlite"
 )
+
+// call is one compression's parameters.
+type call struct {
+	algo             Algorithm
+	level, windowLog int
+}
+
+// sameShape reports whether two calls reach the same zstdlite encoder of a
+// Coder: one of the zstdlite-backed algorithms, at levels of one table shape.
+func sameShape(a, b call) bool {
+	return a.algo == b.algo && a.algo.Heavyweight() && zstdlite.Shape(a.level) == zstdlite.Shape(b.level)
+}
 
 // TestCoderMatchesCompressCall pins the reuse contract against a Coder built
 // for one call: a Coder kept across calls, and CompressCall's leased one,
@@ -16,9 +29,9 @@ import (
 // pass to pass, so every configuration meets every payload, the empty one
 // included, twice, each time on an encoder the other configurations and
 // payloads have been through (stale encoder state would show up there). The
-// sequence holds every algorithm at its default and more zstdlite
-// configurations than a pooled Coder may keep, so the lease is also dropped
-// and rebuilt on the way. SizeCall must report the same frame's length.
+// sequence holds every algorithm at its default, and two windows of one
+// shape, so one encoder serves both with its window set per frame.
+// SizeCall must report the same frame's length.
 func TestCoderMatchesCompressCall(t *testing.T) {
 	c := NewCoder()
 	payloads := [][]byte{
@@ -27,21 +40,21 @@ func TestCoderMatchesCompressCall(t *testing.T) {
 		corpus.Generate(corpus.Log, 48<<10, 3),
 		nil,
 	}
-	calls := []zstdKey{
+	calls := []call{
 		{Snappy, 0, 0}, {ZStd, 3, 0}, {Gipfeli, 0, 0}, {ZStd, 1, 17}, {Flate, 3, 0}, {Snappy, 0, 0},
 		{ZStd, 12, 20}, {LZO, 1, 0}, {Brotli, 2, 0}, {ZStd, 3, 0}, {ZStd, 19, 0}, {Flate, 9, 0}, {ZStd, -3, 0},
 	}
-	zstds := map[zstdKey]bool{}
-	for _, k := range calls {
-		if k.algo.Heavyweight() { // the zstdlite-backed three
-			zstds[k] = true
+	twoWindows := false
+	for i, a := range calls {
+		for _, b := range calls[i+1:] {
+			twoWindows = twoWindows || sameShape(a, b) && a.windowLog != b.windowLog
 		}
 	}
-	if len(zstds) <= maxPooledEncoders {
-		t.Fatalf("the sequence has %d zstdlite configurations, too few to overflow a pooled Coder (%d)", len(zstds), maxPooledEncoders)
+	if !twoWindows {
+		t.Fatal("the sequence has no two windows of one shape")
 	}
 	for _, a := range Algorithms {
-		if !slices.Contains(calls, zstdKey{a, a.DefaultLevel(), 0}) {
+		if !slices.Contains(calls, call{a, a.DefaultLevel(), 0}) {
 			t.Fatalf("the sequence does not hold %v at its default level", a)
 		}
 	}
@@ -72,7 +85,7 @@ func TestCoderMatchesCompressCall(t *testing.T) {
 }
 
 // TestCompressCallFrameIsTheCallers: the frame CompressCall returns shares no
-// memory with the pooled Coder that produced it. A later call does not write
+// memory with the leased Coder that produced it. A later call does not write
 // into a frame returned earlier, and scribbling over a returned frame (through
 // its whole capacity) does not reach the next call's.
 func TestCompressCallFrameIsTheCallers(t *testing.T) {
@@ -101,9 +114,10 @@ func TestCompressCallFrameIsTheCallers(t *testing.T) {
 	}
 }
 
-// TestPooledCoderIsBounded holds the pool comment's two bounds: a Coder goes
-// back with up to maxPooledEncoders zstdlite encoders and after a payload of
-// up to maxPooledPayload, and not beyond either; Gipfeli and LZO, which never
+// TestPooledCoderIsBounded holds the lease comment's two bounds: a Coder goes
+// back to the lease after a payload of up to maxLeasedPayload and not beyond,
+// and it holds at most one encoder per (algorithm, table shape) after any
+// sequence of levels and windows — seven in all; Gipfeli and LZO, which never
 // lease, leave nothing on a Coder to retain.
 func TestPooledCoderIsBounded(t *testing.T) {
 	c := NewCoder()
@@ -113,33 +127,74 @@ func TestPooledCoderIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for level := 1; level <= maxPooledEncoders+1; level++ {
-		if !c.poolable(maxPooledPayload) || c.poolable(maxPooledPayload+1) {
-			t.Fatalf("%d encoders: poolable is %v at the payload bound and %v above it", len(c.zstd),
-				c.poolable(maxPooledPayload), c.poolable(maxPooledPayload+1))
-		}
-		if _, err := c.AppendCompress(nil, ZStd, level, 0, src); err != nil {
-			t.Fatal(err)
-		}
-		if len(c.zstd) != level {
-			t.Fatalf("after %d zstdlite levels the Coder holds %d encoders", level, len(c.zstd))
+	if n := c.encoders(); n != 0 {
+		t.Fatalf("Snappy, Gipfeli and LZO left %d zstdlite encoders", n)
+	}
+	shapes := map[[2]int]bool{}
+	for _, a := range []Algorithm{ZStd, Flate, Brotli} {
+		for level := zstdlite.MinLevel; level <= zstdlite.MaxLevel; level++ {
+			for _, w := range []int{0, zstdlite.MinWindowLog, 17, zstdlite.MaxWindowLog} {
+				if _, err := c.AppendCompress(nil, a, level, w, src); err != nil {
+					t.Fatal(err)
+				}
+				p, err := zstdParams(a, level, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shapes[[2]int{int(a), zstdlite.Shape(p.Level)}] = true
+				if n := c.encoders(); n != len(shapes) {
+					t.Fatalf("%v level %d window %d: %d encoders for %d shapes", a, level, w, n, len(shapes))
+				}
+			}
 		}
 	}
-	if c.poolable(0) {
-		t.Fatalf("a Coder holding %d encoders would still be pooled", len(c.zstd))
+	if len(shapes) != 7 {
+		t.Errorf("ZStd, Flate and Brotli span %d table shapes, want 4 + 1 + 2", len(shapes))
+	}
+	for _, n := range []int{0, maxLeasedPayload, maxLeasedPayload + 1} {
+		drainLease()
+		c.release(n)
+		if kept := len(coders) == 1; kept != (n <= maxLeasedPayload) {
+			t.Errorf("a Coder that served %d bytes was kept: %v", n, kept)
+		}
+	}
+	drainLease()
+	for range cap(coders) + 1 {
+		new(Coder).release(0)
+	}
+	if len(coders) != cap(coders) {
+		t.Errorf("the lease holds %d idle Coders, want at most %d", len(coders), cap(coders))
+	}
+	drainLease()
+}
+
+// encoders counts the zstdlite encoders c holds.
+func (c *Coder) encoders() int {
+	n := 0
+	for _, byShape := range c.zstd {
+		for _, e := range byShape {
+			if e != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// drainLease drops every idle Coder, as if the process had just started.
+func drainLease() {
+	for len(coders) > 0 {
+		<-coders
 	}
 }
 
 // TestCompressCallSteadyStateAllocs is the lease's point as a ceiling: once a
-// Coder for the configuration is pooled, a one-shot call allocates the frame
-// it returns and nothing else (a Coder built per call allocated its match
-// table, its encoder and every scratch slice: dozens of objects).
+// Coder for the configuration is idle in the lease, a one-shot call allocates
+// the frame it returns and nothing else (a Coder built per call allocated its
+// match table, its encoder and every scratch slice: dozens of objects).
 func TestCompressCallSteadyStateAllocs(t *testing.T) {
-	if poolDropsPuts {
-		t.Skip("under the race detector sync.Pool drops a quarter of its Puts on purpose")
-	}
 	src := corpus.Generate(corpus.JSON, 4<<10, 5)
-	for _, k := range []zstdKey{{Snappy, 0, 0}, {ZStd, 3, 0}} {
+	for _, k := range []call{{Snappy, 0, 0}, {ZStd, 3, 0}} {
 		call := func() {
 			if _, err := CompressCall(k.algo, k.level, k.windowLog, src); err != nil {
 				t.Fatal(err)
@@ -151,7 +206,7 @@ func TestCompressCallSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// snapshotPlan copies what a Plan aliases out of the pooled encoder's scratch,
+// snapshotPlan copies what a Plan aliases out of the encoder's scratch,
 // so it can be compared after the next compression.
 func snapshotPlan(p Plan) Plan {
 	if p.ZStd != nil {
@@ -173,7 +228,7 @@ func snapshotPlan(p Plan) Plan {
 // TestCoderSizeOnlyMatchesFullLengthAndPlan pins the size-only fast path at
 // the Coder layer: for every algorithm, AppendCompressSizeOnly emits a frame
 // of exactly the full path's byte length with an equal Plan (ZStd's for the
-// zstdlite family, Snappy's for Snappy, none otherwise), the encoder pool is
+// zstdlite family, Snappy's for Snappy, none otherwise), the reused encoder is
 // not left in size-only mode afterwards, and frames without a plan remain
 // fully decodable. AppendCompressPlanSizeOnly, which hands out only the ZStd
 // plan, keeps Snappy frames decodable as well.
@@ -215,7 +270,7 @@ func TestCoderSizeOnlyMatchesFullLengthAndPlan(t *testing.T) {
 			if zplan == nil && !bytes.Equal(legacy, want) {
 				t.Fatalf("round %d %v: AppendCompressPlanSizeOnly returned no ZStd plan and not the full frame", round, a)
 			}
-			// The pooled encoder must leave size-only mode: the next full
+			// The reused encoder must leave size-only mode: the next full
 			// compression through the same Coder has to be decodable, and it is
 			// the very frame the plan describes.
 			full, err := c.AppendCompress(nil, a, level, 0, src)

@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
 
 	"cdpu/internal/brotlidict"
 	"cdpu/internal/gipfeli"
@@ -114,7 +113,7 @@ func (a Algorithm) DefaultLevel() int {
 	}
 }
 
-// zstdParams maps adapter algorithms onto zstdlite parameters.
+// zstdParams maps adapter algorithms onto zstdlite parameters, validated.
 func zstdParams(a Algorithm, level, windowLog int) (zstdlite.Params, error) {
 	p := zstdlite.Params{Level: level, WindowLog: windowLog}
 	switch a {
@@ -147,56 +146,53 @@ func zstdParams(a Algorithm, level, windowLog int) (zstdlite.Params, error) {
 	if p.Level == 0 {
 		p.Level = 3
 	}
-	return p, nil
+	return p, p.Validate()
 }
 
-// coders holds the Coders the one-shot calls lease: a call that finds one idle
-// compresses at the reused encoder's speed instead of building a hash table
-// and every scratch slice for one payload. Gipfeli and LZO have no encoder to
-// reuse and take no lease.
-//
-// What that retains is bounded. A pooled Coder keeps one encoder per (algo,
-// level, windowLog) it has served — 320 KiB of match table at zstdlite
-// levels up to 9, about 5 MiB from level 16 — plus scratch that grows with
-// the largest payload it has seen: the frame, and 24 bytes per sequence of
-// it. sync.Pool drops idle entries at garbage collection; a Coder that has
-// gathered more than maxPooledEncoders encoders, or has just served a payload
-// above maxPooledPayload (where set-up is noise beside the bytes), is not put
-// back at all. So one-shot calls with fleet-shaped parameters, which span
-// dozens of (level, window) pairs (see Coder), soon gather more than
-// maxPooledEncoders encoders, and the Coder serving them is dropped.
-var coders = sync.Pool{New: func() any { return new(Coder) }}
+// coders is the lease of idle Coders the one-shot calls take, so a call runs
+// at a reused encoder's speed (Gipfeli and LZO have none and take none). It
+// is a channel, not a sync.Pool: whether a call finds a Coder depends on
+// neither the collector nor the caller's P. It keeps at most eight, each with
+// an encoder per table shape it has served and scratch the size of its largest
+// payload; a Coder returned to a full lease, or just past maxLeasedPayload
+// bytes (where set-up is noise beside the bytes), is dropped.
+var coders = make(chan *Coder, 8)
 
-const (
-	maxPooledEncoders = 4
-	maxPooledPayload  = 4 << 20
-)
+const maxLeasedPayload = 4 << 20
 
-// poolable is the retention bound: whether a Coder that has just served n
-// bytes may go back to the pool.
-func (c *Coder) poolable(n int) bool {
-	return len(c.zstd) <= maxPooledEncoders && n <= maxPooledPayload
+// leaseCoder takes an idle Coder, or builds one.
+func leaseCoder() *Coder {
+	select {
+	case c := <-coders:
+		return c
+	default:
+		return new(Coder)
+	}
 }
 
-// release returns a leased Coder that has just served n bytes to the pool. A
-// call that panics never gets here, so a Coder a bug left half-updated is not
-// reused.
+// release returns a leased Coder that has just served n bytes to the lease.
+// A call that panics never gets here, so a Coder a bug left half-updated is
+// not reused.
 func (c *Coder) release(n int) {
-	if c.poolable(n) {
-		coders.Put(c)
+	if n > maxLeasedPayload {
+		return
+	}
+	select {
+	case coders <- c:
+	default:
 	}
 }
 
 // CompressCall compresses src under the given algorithm, level and window
 // log (0 means the algorithm default for both). It is safe for concurrent
 // use. The frame is encoded in a leased Coder's scratch and returned as a
-// copy of exactly its length: the caller owns it, and nothing pooled aliases
+// copy of exactly its length: the caller owns it, and nothing leased aliases
 // it.
 func CompressCall(a Algorithm, level, windowLog int, src []byte) ([]byte, error) {
 	if a == Gipfeli || a == LZO {
 		return encodeStateless(a, level, src), nil
 	}
-	c := coders.Get().(*Coder)
+	c := leaseCoder()
 	out, err := c.AppendCompress(c.frame[:0], a, level, windowLog, src)
 	if err == nil {
 		c.frame, out = out[:0], bytes.Clone(out)
@@ -212,7 +208,7 @@ func SizeCall(a Algorithm, level, windowLog int, src []byte) (int, error) {
 	if a == Gipfeli || a == LZO {
 		return len(encodeStateless(a, level, src)), nil
 	}
-	c := coders.Get().(*Coder)
+	c := leaseCoder()
 	out, _, err := c.AppendCompressPlanSizeOnly(c.frame[:0], a, level, windowLog, src)
 	if err == nil {
 		c.frame = out[:0]

@@ -204,6 +204,10 @@ func NewMatcher(cfg Config) (*Matcher, error) {
 	return m, nil
 }
 
+// SetWindow sets WindowSize, a power of two, for the parses that follow. The
+// window bounds offsets, not the table, so one Matcher serves every window.
+func (m *Matcher) SetWindow(size int) { m.cfg.WindowSize = size }
+
 // Stats returns statistics accumulated since the last ResetStats call.
 func (m *Matcher) Stats() Stats { return m.stats }
 

@@ -26,7 +26,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"sync"
 
 	"cdpu/internal/cluster"
 	"cdpu/internal/comp"
@@ -48,8 +47,7 @@ import (
 // Replay-shape instruments. Updated only in the serial phases, so they add no
 // contention to the worker pool and never perturb the Report. sim.calls,
 // sim.call_bytes and sim.recosted_calls move once per Run, sim.prepares once
-// per phase B. sim.shard_builds moves in phase B, but once per worker shard
-// built, never per call.
+// per phase B, sim.shard_builds once per shard built.
 var (
 	metricSimCalls       = obs.Default().Counter("sim.calls")
 	metricSimPrepares    = obs.Default().Counter("sim.prepares")
@@ -684,14 +682,13 @@ func emitDeviceTrace(tr *obs.Trace, pid int, algo comp.Algorithm, op comp.Op, in
 // while keeping the tail balanced.
 const tileSize = 64
 
-// shard is one worker's leased execution state: a pooled Coder for
-// decompress-op payload synthesis, single-pipeline device clones (compress-op
-// calls run them size-only, decompress-op calls planned), and the scratch
-// buffers that take steady-state replay to zero allocations per call. plain
-// outlives the device call it feeds: a planned decompression's Result.Output
-// is plain itself. Shards are recycled through a process-wide pool across Run
-// invocations, so repeated Runs (benchmark loops, scaling sweeps) skip device
-// construction entirely.
+// shard is one worker's leased execution state: a Coder for decompress-op
+// payload synthesis, single-pipeline device clones (compress-op calls run them
+// size-only, decompress-op calls planned), and the scratch buffers that take
+// steady-state replay to zero allocations per call. plain outlives the device
+// call it feeds: a planned decompression's Result.Output is plain itself.
+// Shards outlive a Run in idleShards, so repeated Runs skip device
+// construction and find their Coders' encoders built.
 type shard struct {
 	placement memsys.Placement
 	traced    bool
@@ -702,20 +699,11 @@ type shard struct {
 	enc       []byte // frame scratch: size-only for exec, real for a bit flip or the fallback
 }
 
-// shardPool recycles shards across Run invocations. Entries are keyed by
-// construction parameters (placement, traced); a Get that pulls a mismatched
-// shard drops it and builds fresh.
-var shardPool sync.Pool
-
-func getShard(placement memsys.Placement, traced bool) (*shard, error) {
-	if v := shardPool.Get(); v != nil {
-		sh := v.(*shard)
-		if sh.placement == placement && sh.traced == traced {
-			return sh, nil
-		}
-	}
-	return newShard(placement, traced)
-}
+// idleShards is the lease of shards between Runs: a channel, not a
+// sync.Pool, so whether a Run reuses a shard depends neither on the collector
+// nor on which P a goroutine last ran on. A shard built for another placement
+// or tracing is dropped when taken, one returned to a full lease when put.
+var idleShards = make(chan *shard, 8)
 
 func newShard(placement memsys.Placement, traced bool) (*shard, error) {
 	metricSimShardBuilds.Inc()
@@ -796,17 +784,25 @@ func execCalls(specs []callSpec, idxs []int, cfg *Config, outs []execOut) error 
 	defer func() {
 		for _, sh := range shards {
 			if sh != nil {
-				shardPool.Put(sh)
+				select {
+				case idleShards <- sh:
+				default:
+				}
 			}
 		}
 	}()
-	_, err := par.For(tiles, cfg.Workers, func(w, t int) error {
-		if shards[w] == nil {
-			sh, err := getShard(cfg.Placement, cfg.Trace != nil)
-			if err != nil {
-				return err
+	_, err := par.For(tiles, cfg.Workers, func(w, t int) (err error) {
+		for shards[w] == nil {
+			select {
+			case sh := <-idleShards:
+				if sh.placement == cfg.Placement && sh.traced == (cfg.Trace != nil) {
+					shards[w] = sh
+				}
+			default:
+				if shards[w], err = newShard(cfg.Placement, cfg.Trace != nil); err != nil {
+					return err
+				}
 			}
-			shards[w] = sh
 		}
 		lo := t * tileSize
 		return shards[w].execTile(specs, idxs, lo, min(lo+tileSize, n), cfg, outs)

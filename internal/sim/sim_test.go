@@ -114,6 +114,42 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	t.Errorf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
 
+// TestRunsReuseWorkerState: the lease, not the collector or the scheduler,
+// decides whether a Run reuses worker state. Four shards that have each
+// replayed the whole call list (the warm Run, once per shard) sit in the
+// lease; Runs at 1, 2 and 4 workers, each after a collection, then build no
+// shard and no zstdlite encoder (sim.shard_builds, comp.encoder_builds).
+func TestRunsReuseWorkerState(t *testing.T) {
+	cfg := Config{Seed: 1, Calls: 1000, MaxCallBytes: 8 << 10}.withDefaults()
+	for len(idleShards) > 0 {
+		<-idleShards
+	}
+	specs, _, _ := sampleCalls(cfg)
+	outs := make([]execOut, len(specs))
+	for range 4 {
+		sh, err := newShard(cfg.Placement, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sh.execTile(specs, nil, 0, len(specs), &cfg, outs); err != nil {
+			t.Fatal(err)
+		}
+		idleShards <- sh
+	}
+	encoders := obs.Default().Counter("comp.encoder_builds")
+	for _, w := range []int{1, 2, 4} {
+		runtime.GC()
+		shards0, encoders0 := metricSimShardBuilds.Value(), encoders.Value()
+		cfg.Workers = w
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if n, m := metricSimShardBuilds.Value()-shards0, encoders.Value()-encoders0; n != 0 || m != 0 {
+			t.Errorf("a Run at %d workers built %d shards and %d encoders, want none", w, n, m)
+		}
+	}
+}
+
 func TestOffloadBeatsSoftwareServiceTime(t *testing.T) {
 	r, err := Run(Config{Seed: 4, Calls: 80, OfferedGBps: 1.0, MaxCallBytes: 256 << 10})
 	if err != nil {

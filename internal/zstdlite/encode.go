@@ -87,50 +87,53 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// lzConfig derives the dictionary-stage configuration from the level, the
-// same way ZStd's level table trades search effort for ratio.
+// shapes are the four LZ77 tables of ZStd's level table, which trades search
+// effort for ratio: each serves the levels up to maxLevel no earlier one does.
+var shapes = [...]struct{ maxLevel, entries, ways int }{
+	{-1, 1 << 12, 1},
+	{9, 1 << 15, 2},
+	{15, 1 << 16, 4},
+	{MaxLevel, 1 << 17, 8},
+}
+
+// Shapes is the number of LZ77 table shapes.
+const Shapes = len(shapes)
+
+// Shape is the LZ77 table shape level selects (level 0, the default 3, is in
+// 1–9's). Levels of one shape build the same encoder but for the window,
+// which SetWindowLog sets per frame: a caller keeping encoders needs one each.
+func Shape(level int) (s int) {
+	for s < Shapes-1 && level > shapes[s].maxLevel {
+		s++
+	}
+	return s
+}
+
+// lzConfig derives the dictionary-stage configuration from the level's shape
+// and the window: negative levels skip through incompressible data, the rest
+// search lazily.
 func (p Params) lzConfig() lz77.Config {
 	if p.LZ != nil {
 		return *p.LZ
 	}
-	cfg := lz77.Config{
-		WindowSize: 1 << p.WindowLog,
+	shape := shapes[Shape(p.Level)]
+	return lz77.Config{
+		WindowSize:    1 << p.WindowLog,
+		TableEntries:  shape.entries,
+		Associativity: shape.ways,
 		// The format admits 3-byte matches (MinMatch), but a sequence costs
 		// more bits than three literals under this entropy layout, so the
 		// matcher only hunts for 4+ at every level.
-		MinMatch: 4,
-		Hash:     lz77.HashFibonacci,
-		Contents: lz77.ContentsOffsetAndTag,
+		MinMatch:           4,
+		Hash:               lz77.HashFibonacci,
+		Contents:           lz77.ContentsOffsetAndTag,
+		SkipIncompressible: p.Level < 0,
+		Lazy:               p.Level > 0,
 	}
-	switch {
-	case p.Level <= 0: // fast negative levels
-		cfg.TableEntries = 1 << 12
-		cfg.Associativity = 1
-		cfg.MinMatch = 4
-		cfg.SkipIncompressible = true
-	case p.Level <= 3: // default zone: modest lazy search, as zstd's dfast
-		cfg.TableEntries = 1 << 15
-		cfg.Associativity = 2
-		cfg.MinMatch = 4
-		cfg.Lazy = true
-	case p.Level <= 9:
-		cfg.TableEntries = 1 << 15
-		cfg.Associativity = 2
-		cfg.Lazy = true
-	case p.Level <= 15:
-		cfg.TableEntries = 1 << 16
-		cfg.Associativity = 4
-		cfg.Lazy = true
-	default:
-		cfg.TableEntries = 1 << 17
-		cfg.Associativity = 8
-		cfg.Lazy = true
-	}
-	return cfg
 }
 
-// Encoder compresses frames under fixed Params, reusing dictionary state
-// across calls. Not safe for concurrent use.
+// Encoder compresses frames under Params, the window set per frame, reusing
+// dictionary state across calls. Not safe for concurrent use.
 type Encoder struct {
 	params  Params
 	matcher *lz77.Matcher
@@ -211,6 +214,20 @@ func NewEncoder(p Params) (*Encoder, error) {
 		return nil, err
 	}
 	return &Encoder{params: p, matcher: m}, nil
+}
+
+// SetWindowLog sets the window of the frames that follow, header and match
+// search (0 is DefaultWindowLog). It bounds offsets, not the match table, so
+// one Encoder serves every window, as one CDPU does (§5.8).
+func (e *Encoder) SetWindowLog(w int) error {
+	p := e.params
+	p.WindowLog = w
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	e.params = p.withDefaults()
+	e.matcher.SetWindow(1 << e.params.WindowLog)
+	return nil
 }
 
 // LZStats returns dictionary-stage statistics for the most recent block.

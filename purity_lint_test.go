@@ -254,3 +254,48 @@ func TestMapRangesArePure(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlyParStartsGoroutines is the concurrency lint: under internal/, only
+// internal/par has a go statement, so every fan-out shares par.For's ordering
+// argument (the first error at any worker count), and no non-test file names
+// sync.Pool, whose reuse decisions depend on the collector and on which P a
+// goroutine last ran on; worker state lives in bounded leases instead.
+func TestOnlyParStartsGoroutines(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		syncName := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"sync"` {
+				syncName = "sync"
+				if imp.Name != nil {
+					syncName = imp.Name.Name
+				}
+			}
+		}
+		par := filepath.ToSlash(filepath.Dir(path)) == "internal/par"
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				if !par {
+					t.Errorf("%s: a go statement outside internal/par: fan out through par.For", fset.Position(n.Pos()))
+				}
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok && syncName != "" && id.Name == syncName && n.Sel.Name == "Pool" {
+					t.Errorf("%s: sync.Pool: keep reusable state in a bounded lease", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
