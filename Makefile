@@ -31,9 +31,9 @@ test:
 # indexes on GOMAXPROCS goroutines, internal/corpus for the standard corpus it
 # generates the same way, internal/comp and the root package for the bounded
 # lease of Coders that concurrent CompressCall / cdpu.Compress callers share
-# (TestCompressCallSteadyStateAllocs runs here too: a lease, unlike the
-# sync.Pool it replaced, drops no Put under the race detector), and
-# internal/par for the one parallel loop all of the above fan out through.
+# (its allocation ceiling, TestCompressCallSteadyStateAllocs, holds here too:
+# a lease drops no Put under the race detector), and internal/par for the one
+# parallel loop all of the above fan out through.
 race:
 	$(GO) test -race . ./internal/cluster/... ./internal/comp/... ./internal/core/... ./internal/corpus/... ./internal/des/... ./internal/exp/... ./internal/hcbench/... ./internal/par/... ./internal/sim/... ./internal/traffic/...
 

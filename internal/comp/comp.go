@@ -123,19 +123,11 @@ func zstdParams(a Algorithm, level, windowLog int) (zstdlite.Params, error) {
 		// stage — the architectural difference §3.4 highlights).
 		p.WindowLog = 15
 		p.DisableFSE = true
-		if level < 1 {
-			p.Level = 1
-		} else if level > 9 {
-			p.Level = 9
-		}
+		p.Level = min(max(level, 1), 9)
 	case Brotli:
 		// Brotli: levels 0-11, large windows, and the built-in static
 		// dictionary that is its architectural signature.
-		if level < 1 {
-			p.Level = 1
-		} else if level > 11 {
-			p.Level = 11
-		}
+		p.Level = min(max(level, 1), 11)
 		if windowLog == 0 {
 			p.WindowLog = 22
 		}
@@ -143,19 +135,15 @@ func zstdParams(a Algorithm, level, windowLog int) (zstdlite.Params, error) {
 	default:
 		return p, fmt.Errorf("comp: %v is not a zstdlite-backed algorithm", a)
 	}
-	if p.Level == 0 {
-		p.Level = 3
-	}
 	return p, p.Validate()
 }
 
-// coders is the lease of idle Coders the one-shot calls take, so a call runs
-// at a reused encoder's speed (Gipfeli and LZO have none and take none). It
-// is a channel, not a sync.Pool: whether a call finds a Coder depends on
-// neither the collector nor the caller's P. It keeps at most eight, each with
-// an encoder per table shape it has served and scratch the size of its largest
-// payload; a Coder returned to a full lease, or just past maxLeasedPayload
-// bytes (where set-up is noise beside the bytes), is dropped.
+// coders is the lease of idle Coders the one-shot calls take (Gipfeli and LZO
+// take none): a channel, not a sync.Pool, so whether a call finds one depends
+// on neither the collector nor the caller's P. It keeps eight, the most
+// workers exp runs by default, each with an encoder per table shape it has
+// served and scratch of its largest payload; a Coder returned to a full lease,
+// or after more than maxLeasedPayload bytes, is dropped.
 var coders = make(chan *Coder, 8)
 
 const maxLeasedPayload = 4 << 20

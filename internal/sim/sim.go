@@ -44,10 +44,11 @@ import (
 	"cdpu/internal/xeon"
 )
 
-// Replay-shape instruments. Updated only in the serial phases, so they add no
-// contention to the worker pool and never perturb the Report. sim.calls,
-// sim.call_bytes and sim.recosted_calls move once per Run, sim.prepares once
-// per phase B, sim.shard_builds once per shard built.
+// Replay-shape instruments. None perturbs the Report, and all but
+// sim.shard_builds, which a worker moves once per shard it builds, are updated
+// only in the serial phases, so they add no contention to the worker pool.
+// sim.calls, sim.call_bytes and sim.recosted_calls move once per Run,
+// sim.prepares once per phase B.
 var (
 	metricSimCalls       = obs.Default().Counter("sim.calls")
 	metricSimPrepares    = obs.Default().Counter("sim.prepares")
@@ -699,10 +700,10 @@ type shard struct {
 	enc       []byte // frame scratch: size-only for exec, real for a bit flip or the fallback
 }
 
-// idleShards is the lease of shards between Runs: a channel, not a
-// sync.Pool, so whether a Run reuses a shard depends neither on the collector
-// nor on which P a goroutine last ran on. A shard built for another placement
-// or tracing is dropped when taken, one returned to a full lease when put.
+// idleShards is the lease of shards between Runs: a channel, not a sync.Pool,
+// so reuse depends neither on the collector nor on a goroutine's P. Taking a
+// shard built for another placement or tracing drops it, as does putting one
+// in a full lease; eight is DefaultWorkers' cap, so a default Run keeps all.
 var idleShards = make(chan *shard, 8)
 
 func newShard(placement memsys.Placement, traced bool) (*shard, error) {

@@ -110,8 +110,7 @@ func Shape(level int) (s int) {
 }
 
 // lzConfig derives the dictionary-stage configuration from the level's shape
-// and the window: negative levels skip through incompressible data, the rest
-// search lazily.
+// and the window; negative levels skip, the rest search lazily.
 func (p Params) lzConfig() lz77.Config {
 	if p.LZ != nil {
 		return *p.LZ
